@@ -10,6 +10,7 @@ exercised elsewhere.
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -88,7 +89,7 @@ def check_group_axioms(seed: int, samples: int = 1000) -> list[CheckRecord]:
 
 def check_representations(seed: int, samples: int = 1000) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
-    step = 1e-5
+    step = fd.TANGENT_STEP
     fd_rounds = min(samples, 200)
     adj = coad = 0.0
     for _ in range(fd_rounds):
@@ -191,7 +192,7 @@ def check_connection(seed: int, samples: int = 300) -> list[CheckRecord]:
             C.nu_component(nu, g, v, w) - MagneticCocycle.planar(nu).pair(v, w)))
         a, b = rng.normal(size=2)
         cocycle_res = max(cocycle_res, abs(C.locked_inertia(g, a, b) - a * b))
-    step = 1e-5
+    step = fd.TANGENT_STEP
     curvature_res = 0.0
     for _ in range(min(samples, 50)):
         g, v, w = _rand_group(rng), _rand_algebra(rng), _rand_algebra(rng)
@@ -247,7 +248,7 @@ def check_dynamics(seed: int, samples: int = 1000) -> list[CheckRecord]:
     for _ in range(3):
         y0 = rng.normal(size=6)
         J = fd.jacobian(
-            lambda y: dyn.integrate(rotation, y, h, h).final_state(), y0, 1e-5)
+            lambda y: dyn.integrate(rotation, y, h, h).final_state(), y0)
         jac_res = max(jac_res, float(np.max(np.abs(J.T @ W0 @ J - W0))))
     return [CheckRecord("dynamics.defining_equation", samples, defining, 1e-9),
             CheckRecord("dynamics.period_return", traj.states.shape[0],
@@ -272,7 +273,6 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
         identity_res = max(identity_res, abs(
             dyn.modified_hamiltonian(sys, shifted.as_array())
             - sys.hamiltonian.evaluate(state)))
-    step = 1e-5
     zero = mag.MagneticField.zero()
     pullback_res = 0.0
     for _ in range(min(samples, 40)):
@@ -283,8 +283,8 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
                                       sys.field).as_array()
 
         v, w = rng.normal(size=6), rng.normal(size=6)
-        tv = fd.directional(shift_chart, state, v, step)
-        tw = fd.directional(shift_chart, state, w, step)
+        tv = fd.directional(shift_chart, state, v)
+        tw = fd.directional(shift_chart, state, w)
         shifted = mag.momentum_shift(mag.PhasePoint(state[:3], state[3:6]),
                                      sys.field)
         canonical = mag.magnetic_form(shifted, tv, tw, zero)
@@ -319,7 +319,7 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
                                   "rk4").final_state()
     back = mag.momentum_shift(
         mag.PhasePoint(canonical_end[:3], canonical_end[3:6]),
-        mag.MagneticField(sys.field.b_matrix, sys.field.potential, -cf, True))
+        replace(sys.field, charge_factor=-cf))
     conjugation = float(np.max(np.abs(back.as_array() - magnetic_end)))
     return [CheckRecord("shift.hamiltonian_identity", samples,
                         identity_res, 1e-12),
@@ -352,15 +352,15 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
     for _ in range(rounds):
         x = mag.sample_level_point(level, field, 0, rng)
         state = mag.extended_to_chart(x)
-        DJ = fd.jacobian(J_chart, state, 1e-6)
+        DJ = fd.jacobian(J_chart, state, fd.GRADIENT_STEP)
         tangent = np.linalg.svd(DJ)[2][3:]
         for _ in range(4):
             v = rng.normal(size=3) @ tangent
             w = rng.normal(size=3) @ tangent
             restricted = mag.magnetic_form(
                 mag.PhasePoint(state[:3], state[3:6]), v, w, field)
-            dv = fd.directional(proj, state, v, 1e-6)
-            dw = fd.directional(proj, state, w, 1e-6)
+            dv = fd.directional(proj, state, v, fd.GRADIENT_STEP)
+            dw = fd.directional(proj, state, w, fd.GRADIENT_STEP)
             z = OrbitPoint(proj(state), level.nu)
             pulled = orbit.orbit_form_on_chart_vectors(z, dv, dw, zero)
             pullback = max(pullback, abs(restricted - pulled))
@@ -375,8 +375,7 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
 def check_kaluza_klein(seed: int, samples: int = 20) -> list[CheckRecord]:
     coeff = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     field = mag.MagneticField.linear_potential(coeff)
-    kk = kaluza_klein_system(field, m=1.0, mu=1.0,
-                             potential_jacobian=lambda q: coeff)
+    kk = kaluza_klein_system(field, m=1.0, mu=1.0)
     records = [kk_alpha_form_check(kk, samples=samples, seed=seed)]
     records.extend(kk_reduce_and_compare(
         kk, mag.PhasePoint((0.2, -0.1, 0.0), (1.0, 0.3, -0.2)),

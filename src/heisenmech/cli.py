@@ -81,26 +81,12 @@ def build_field(cfg: ExperimentConfig, charge_factor: float,
     return mag.MagneticField.invariant_potential(a, charge_factor)
 
 
-def potential_jacobian(cfg: ExperimentConfig, prefix: str = "field"):
-    """Analytic derivative matrix of the configured vector potential, if any."""
-    kind = cfg.string(prefix + ".kind", default="zero")
-    if kind == "linear":
-        coeff = np.array([[cfg.real(f"{prefix}.m{i}{j}", default=0.0)
-                           for j in (1, 2, 3)] for i in (1, 2, 3)])
-        return lambda q: coeff
-    if kind == "invariant":
-        a3 = cfg.real(prefix + ".a3", default=0.0)
-        da = np.array([[0.0, 0.5 * a3, 0.0], [-0.5 * a3, 0.0, 0.0],
-                       [0.0, 0.0, 0.0]])
-        return lambda q: da
-    if kind == "zero":
-        zero = np.zeros((3, 3))
-        return lambda q: zero
-    return None
-
-
 def _body_scaling_map(factor: float, lam_factor: float) -> dyn.FiberMap:
-    """Fiber map scaling the planar body momentum; equivariant by design."""
+    """Fiber map scaling the planar body momentum; equivariant by design.
+
+    In the chart it reads p -> factor * p + (1 - factor)/2 * p3 * (q2, -q1, 0),
+    bilinear in (q, p), which gives the analytic tangent.
+    """
 
     def apply(s):
         s = np.asarray(s, dtype=float)
@@ -111,7 +97,17 @@ def _body_scaling_map(factor: float, lam_factor: float) -> dyn.FiberMap:
         out[6 + (s.size - 6) // 2:] *= lam_factor
         return out
 
-    return dyn.FiberMap(apply=apply)
+    def tangent(s, v):
+        s = np.asarray(s, dtype=float)
+        q, p = s[:3], s[3:6]
+        out = np.asarray(v, dtype=float).copy()
+        c = 0.5 * (1.0 - factor)
+        out[3] = factor * out[3] + c * (out[5] * q[1] + p[2] * out[1])
+        out[4] = factor * out[4] - c * (out[5] * q[0] + p[2] * out[0])
+        out[6 + (out.size - 6) // 2:] *= lam_factor
+        return out
+
+    return dyn.FiberMap(apply=apply, tangent=tangent)
 
 
 def _constant_push_map(delta: np.ndarray) -> dyn.FiberMap:
@@ -309,8 +305,7 @@ def cmd_check(cfg: ExperimentConfig, seed: int,
 def cmd_kk_compare(cfg: ExperimentConfig, seed: int) -> InvariantReport:
     m = cfg.real("system.mass", default=1.0, positive=True)
     mu = cfg.real("kk.mu", default=1.0)
-    kk = kaluza_klein_system(build_field(cfg, 1.0), m=m, mu=mu,
-                             potential_jacobian=potential_jacobian(cfg))
+    kk = kaluza_klein_system(build_field(cfg, 1.0), m=m, mu=mu)
     state = build_state(cfg)
     x0 = mag.PhasePoint(state[:3], state[3:6])
     samples = cfg.integer("check.samples", default=20, minimum=1)

@@ -9,7 +9,7 @@ rule (symplectic for constant fields) and a classical rk4 reference.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -35,17 +35,13 @@ __all__ = [
     "modified_hamiltonian",
 ]
 
-_GRAD_STEP = 1e-6
-_MAP_STEP = 1e-6
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Hamiltonian on the flat chart state with optional analytic gradient.
 
     grad_q and grad_p expose the configuration and fiber blocks of the
     gradient; without an analytic gradient callable both fall back to central
-    finite differences with step 1e-6.
+    finite differences with step fd.GRADIENT_STEP.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -55,7 +51,7 @@ class HamiltonianSpec:
     def grad(self, state: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
             return np.asarray(self.gradient(state), dtype=float)
-        return fd.gradient(self.evaluate, np.asarray(state, dtype=float), _GRAD_STEP)
+        return fd.gradient(self.evaluate, np.asarray(state, dtype=float))
 
     def grad_q(self, state: np.ndarray) -> np.ndarray:
         return self.grad(state)[:3]
@@ -70,7 +66,7 @@ class FiberMap:
 
     apply acts on flat chart states; tangent optionally supplies an analytic
     tangent map (state, vector) -> vector, defaulting to central finite
-    differences with step 1e-6.
+    differences with step fd.GRADIENT_STEP.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -79,7 +75,7 @@ class FiberMap:
     def push(self, state: np.ndarray, vector: np.ndarray) -> np.ndarray:
         if self.tangent is not None:
             return np.asarray(self.tangent(state, vector), dtype=float)
-        return fd.directional(self.apply, state, vector, _MAP_STEP)
+        return fd.directional(self.apply, state, vector, fd.GRADIENT_STEP)
 
 
 def _base_fiber_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +252,36 @@ def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _momentum_or_nan(sys: RCHSystem, state: np.ndarray) -> np.ndarray:
-    field = sys.field
-    supported = (field.has_potential and field.potential_is_invariant) or (
-        not field.has_potential and field.is_zero())
-    if not supported:
-        return np.full(3, np.nan)
-    return momentum_map(extended_from_chart(state, sys.k), field).as_array()
+def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float,
+                     method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
+
+    The steps are uniform and land exactly on t_end (h is rescaled by at most
+    half a step); exact endpoints matter for period-return checks. A state
+    that overflows to inf or nan raises FloatingPointError naming the step
+    that produced it.
+    """
+    if h <= 0 or t_end <= 0:
+        raise ValueError("step size and end time must be positive")
+    if method not in ("midpoint", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
+    n_steps = max(1, int(round(t_end / h)))
+    h = t_end / n_steps
+    times = np.arange(n_steps + 1) * h
+    states = np.empty((n_steps + 1, y0.size))
+    states[0] = y0
+    y = y0
+    for i in range(n_steps):
+        if method == "midpoint":
+            y = _midpoint_step(rhs, y, h, i)
+        else:
+            y = _rk4_step(rhs, y, h)
+        states[i + 1] = y
+    finite = np.isfinite(states[1:]).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError("integration produced a non-finite state at "
+                                 f"step {int(np.argmin(finite))}")
+    return times, states
 
 
 def _shifted_chart_rhs(sys: RCHSystem):
@@ -276,7 +295,7 @@ def _shifted_chart_rhs(sys: RCHSystem):
         unshifted = state.copy()
         unshifted[3:6] = state[3:6] - cf * A
         grad = sys.hamiltonian.grad(unshifted)
-        DA = fd.jacobian(sys.field.vector_potential, q, 1e-5)
+        DA = sys.field.vector_potential_jacobian(q)
         gq = grad[:3] - cf * (DA.T @ grad[3:6])
         return np.concatenate([grad[3:6], -gq, grad[6 + k:], -grad[6:6 + k]])
 
@@ -289,25 +308,17 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
 
     midpoint is the implicit midpoint rule (fixed-point iteration to 1e-12,
     at most 100 iterations per step), symplectic for constant fields. If the
-    field varies with q, a pure Hamiltonian system with a potential is
-    integrated in the shifted canonical chart and mapped back through the
-    fiber translation; otherwise the method silently becomes rk4 and a
-    NonSymplecticWarning is emitted. rk4 is the explicit reference scheme.
+    field is declared general (q-dependent), a pure Hamiltonian system with a
+    potential is integrated in the shifted canonical chart and mapped back
+    through the fiber translation; otherwise the method silently becomes rk4
+    and a NonSymplecticWarning is emitted. rk4 is the explicit reference
+    scheme. Momenta are the momentum map of each state for zero and
+    invariant fields, and nan for every other kind.
     """
-    if h <= 0 or t_end <= 0:
-        raise ValueError("step size and end time must be positive")
-    if method not in ("midpoint", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
     state = _as_state(x0, sys.k)
-    # uniform steps that land exactly on t_end (h is rescaled by at most
-    # half a step); exact endpoints matter for period-return checks
-    n_steps = max(1, int(round(t_end / h)))
-    h = t_end / n_steps
-    times = np.arange(n_steps + 1) * h
-
     shifted_route = False
     rhs = lambda y: rch_vector_field(sys, y)
-    if method == "midpoint" and not sys.field.is_constant():
+    if method == "midpoint" and not sys.field.is_constant:
         pure = sys.force is None and sys.control is None
         if pure and sys.field.has_potential:
             shifted_route = True
@@ -323,22 +334,17 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
         state = state.copy()
         state[3:6] += cf * sys.field.vector_potential(state[:3])
 
-    states = np.empty((n_steps + 1, state.size))
-    states[0] = state
-    y = state
-    for i in range(n_steps):
-        if method == "midpoint":
-            y = _midpoint_step(rhs, y, h, i)
-        else:
-            y = _rk4_step(rhs, y, h)
-        states[i + 1] = y
-
+    times, states = _fixed_step_flow(rhs, state, t_end, h, method)
     if shifted_route:
-        for i in range(n_steps + 1):
-            states[i, 3:6] -= cf * sys.field.vector_potential(states[i, :3])
+        for row in states:
+            row[3:6] -= cf * sys.field.vector_potential(row[:3])
 
     energies = np.array([sys.hamiltonian.evaluate(s) for s in states])
-    momenta = np.array([_momentum_or_nan(sys, s) for s in states])
+    if sys.field.kind in ("zero", "invariant"):
+        momenta = np.array([momentum_map(extended_from_chart(s, sys.k),
+                                         sys.field).as_array() for s in states])
+    else:
+        momenta = np.full((states.shape[0], 3), np.nan)
     return Trajectory(times, states, energies, momenta, method)
 
 
@@ -391,13 +397,12 @@ def heisenberg_particle(m: float, e: float, c: float,
                         field: MagneticField) -> RCHSystem:
     """Charged particle in the chart: kinetic |p|^2/(2m), charge factor e/c.
 
-    The supplied field is rebuilt with charge_factor = e/c so the dynamics and
+    The supplied field is copied with charge_factor = e/c so the dynamics and
     every form built from the system agree on the premultiplier.
     """
     if m <= 0 or c <= 0:
         raise ValueError("mass and light-speed parameters must be positive")
-    scaled = MagneticField(field.b_matrix, field.potential, e / c,
-                           field.potential_is_invariant)
+    scaled = replace(field, charge_factor=e / c)
     return RCHSystem(scaled, euclidean_kinetic_hamiltonian(m), m=m, e=e, c=c)
 
 

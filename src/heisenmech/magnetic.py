@@ -46,30 +46,44 @@ __all__ = [
     "reduced_hamiltonian",
 ]
 
-_PROBE_POINTS = (np.zeros(3), np.array([1.0, 0.5, -0.3]), np.array([-0.7, 2.0, 0.1]))
+_KINDS = ("zero", "constant", "linear", "invariant", "general")
 
 
 @dataclass(frozen=True)
 class MagneticField:
-    """Closed magnetic two-form, optionally exact with a declared potential.
+    """Closed magnetic two-form that declares what kind of field it is.
 
     b_matrix maps q to the antisymmetric coefficient matrix of the two-form
     (convention: B(X, Y) = X^T b_matrix(q) Y, so the stored matrix is twice
     the coefficient of each dq_i ^ dq_j with i < j). charge_factor is the e/c
     premultiplier applied wherever the field enters a symplectic form or an
-    equation of motion. potential, when present, satisfies dA = B; setting
-    potential_is_invariant declares that A is a left-invariant one-form, which
-    is what the momentum-map path requires.
+    equation of motion. potential, when present, satisfies dA = B and comes
+    with potential_jacobian, the matrix D[m, i] = d_i A_m.
+
+    kind is recorded by the factories and never inferred from samples:
+    "zero" and "constant" fields carry no potential, "linear" and "invariant"
+    ones are exact with a constant B, and "invariant" additionally declares
+    A a left-invariant one-form, which is what the momentum-map path
+    requires. A field built directly is "general": q-dependent and nonzero.
     """
 
     b_matrix: Callable[[np.ndarray], np.ndarray]
     potential: Callable[[np.ndarray], np.ndarray] | None = None
     charge_factor: float = 1.0
-    potential_is_invariant: bool = False
+    potential_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    kind: str = "general"
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"field kind must be one of {_KINDS}, got {self.kind!r}")
+        if (self.potential is None) != (self.potential_jacobian is None):
+            raise ValueError("a vector potential needs its Jacobian and vice versa")
+        if self.kind in ("linear", "invariant") and self.potential is None:
+            raise ValueError(f"a {self.kind} field needs a vector potential")
 
     @classmethod
     def zero(cls, charge_factor: float = 1.0) -> "MagneticField":
-        return cls(lambda q: np.zeros((3, 3)), None, charge_factor)
+        return cls(lambda q: np.zeros((3, 3)), None, charge_factor, kind="zero")
 
     @classmethod
     def constant(cls, matrix, charge_factor: float = 1.0) -> "MagneticField":
@@ -79,7 +93,8 @@ class MagneticField:
             raise ValueError("constant field needs an antisymmetric 3x3 matrix")
         m = m.copy()
         m.flags.writeable = False
-        return cls(lambda q: m, None, charge_factor)
+        return cls(lambda q: m, None, charge_factor,
+                   kind="constant" if m.any() else "zero")
 
     @classmethod
     def linear_potential(cls, M, charge_factor: float = 1.0) -> "MagneticField":
@@ -90,7 +105,8 @@ class MagneticField:
         M.flags.writeable = False
         b = M.T - M
         b.flags.writeable = False
-        return cls(lambda q: b, lambda q: M @ q, charge_factor)
+        return cls(lambda q: b, lambda q: M @ q, charge_factor,
+                   lambda q: M, kind="linear")
 
     @classmethod
     def invariant_potential(cls, a, charge_factor: float = 1.0) -> "MagneticField":
@@ -101,13 +117,16 @@ class MagneticField:
         b = np.zeros((3, 3))
         b[0, 1], b[1, 0] = -a[2], a[2]
         b.flags.writeable = False
+        da = np.zeros((3, 3))
+        da[0, 1], da[1, 0] = 0.5 * a[2], -0.5 * a[2]
+        da.flags.writeable = False
 
         def A(q):
             return np.array([a[0] + 0.5 * a[2] * q[1],
                              a[1] - 0.5 * a[2] * q[0],
                              a[2]])
 
-        return cls(lambda q: b, A, charge_factor, potential_is_invariant=True)
+        return cls(lambda q: b, A, charge_factor, lambda q: da, kind="invariant")
 
     def b(self, q) -> np.ndarray:
         return np.asarray(self.b_matrix(np.asarray(q, dtype=float)), dtype=float)
@@ -117,22 +136,26 @@ class MagneticField:
             raise MissingPotential("magnetic field has no vector potential")
         return np.asarray(self.potential(np.asarray(q, dtype=float)), dtype=float)
 
+    def vector_potential_jacobian(self, q) -> np.ndarray:
+        """The declared derivative matrix D[m, i] = d_i A_m of the potential."""
+        if self.potential_jacobian is None:
+            raise MissingPotential("magnetic field has no vector potential")
+        return np.asarray(self.potential_jacobian(np.asarray(q, dtype=float)),
+                          dtype=float)
+
     @property
     def has_potential(self) -> bool:
         return self.potential is not None
+
+    @property
+    def is_constant(self) -> bool:
+        return self.kind != "general"
 
     def identity_potential_value(self) -> np.ndarray:
         """A evaluated at the group identity (zero for potential-free fields)."""
         if self.potential is None:
             return np.zeros(3)
         return self.vector_potential(np.zeros(3))
-
-    def is_zero(self) -> bool:
-        return all(np.max(np.abs(self.b(q))) < 1e-14 for q in _PROBE_POINTS)
-
-    def is_constant(self) -> bool:
-        b0 = self.b(_PROBE_POINTS[0])
-        return all(np.max(np.abs(self.b(q) - b0)) < 1e-13 for q in _PROBE_POINTS[1:])
 
 
 @dataclass(frozen=True)
@@ -295,13 +318,13 @@ def momentum_map(point: ExtendedPhasePoint, field: MagneticField) -> MomentumVal
     trivialization. Magnetic case: J_B = J0 composed with the fiber shift t_A,
     which needs an exact field whose potential is declared left-invariant.
     """
-    if field.has_potential:
-        if not field.potential_is_invariant:
-            raise NotInvariant(
-                "momentum map needs a potential declared left-invariant")
+    if field.kind == "invariant":
         shifted = extended_momentum_shift(point, field)
         return MomentumValue(coadjoint(shifted.g, shifted.rho))
-    if not field.is_zero():
+    if field.has_potential:
+        raise NotInvariant(
+            "momentum map needs a potential declared left-invariant")
+    if field.kind != "zero":
         raise MissingPotential(
             "momentum map of a nonzero field needs an invariant potential")
     return MomentumValue(coadjoint(point.g, point.rho))

@@ -37,9 +37,6 @@ __all__ = [
     "linear_function",
 ]
 
-_GRAD_STEP = 1e-6
-
-
 @dataclass(frozen=True)
 class DualFunction:
     """Scalar function on the dual algebra with an optional analytic gradient.
@@ -47,9 +44,10 @@ class DualFunction:
     The gradient is the functional derivative: the algebra element delta with
     pairing(w, delta) = Df(p) . w for every direction w. When no gradient
     callable is supplied it falls back to central finite differences with step
-    1e-6, and gradient_is_analytic reports False so downstream checks can relax
-    their tolerances. The optional hessian (the 3x3 derivative matrix of the
-    gradient) enables analytic gradients of nested brackets.
+    fd.GRADIENT_STEP, and gradient_is_analytic reports False so downstream
+    checks can relax their tolerances. The optional hessian (the 3x3
+    derivative matrix of the gradient) enables analytic gradients of nested
+    brackets.
     """
 
     evaluate: Callable[[CoAlgebraElement], float]
@@ -63,14 +61,14 @@ class DualFunction:
     def grad(self, p: CoAlgebraElement) -> AlgebraElement:
         if self.gradient is not None:
             return self.gradient(p)
-        arr = fd.gradient(lambda x: self.evaluate(_dual(x)), p.as_array(), _GRAD_STEP)
+        arr = fd.gradient(lambda x: self.evaluate(_dual(x)), p.as_array())
         return AlgebraElement(arr[:2], arr[2])
 
     def hess(self, p: CoAlgebraElement) -> np.ndarray:
         if self.hessian is not None:
             return np.asarray(self.hessian(p), dtype=float)
         return fd.jacobian(lambda x: self.grad(_dual(x)).as_array(),
-                           p.as_array(), _GRAD_STEP)
+                           p.as_array(), fd.GRADIENT_STEP)
 
 
 def _dual(arr: np.ndarray) -> CoAlgebraElement:
@@ -179,7 +177,7 @@ class OrbitFunction:
         if self.gradient is not None:
             return np.asarray(self.gradient(p), dtype=float)
         return fd.gradient(lambda x: self.evaluate(p.replace_chart(x)),
-                           p.as_array(), _GRAD_STEP)
+                           p.as_array())
 
 
 class JacobiResult(NamedTuple):

@@ -17,20 +17,18 @@ is not measuring anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fd
+from . import dynamics, fd
 from .dynamics import (
     ControlSubset,
     FiberMap,
     HamiltonianSpec,
     RCHSystem,
     _base_fiber_indices,
-    _midpoint_step,
-    _rk4_step,
     euclidean_kinetic_hamiltonian,
     hamiltonian_vector_field,
     rch_vector_field,
@@ -83,11 +81,7 @@ __all__ = [
     "check_mr1",
     "check_mr2_equivariance",
     "check_mr3_matching",
-    "check_reduced_matching",
 ]
-
-_MAP_STEP = 1e-6
-_LIFT_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -139,10 +133,9 @@ def _lift_chart(z: OrbitPoint, mu_nu: CoAlgebraElement, field: MagneticField,
     return extended_to_chart(level_lift(z, mu_nu, field, alpha))
 
 
-def _reduced_fiber_indices(k: int) -> tuple[slice, np.ndarray]:
-    """Base slice (theta) and fiber index array (rho, lam) of the orbit chart."""
-    fiber = np.concatenate([np.arange(2), np.arange(2 + k, 2 + 2 * k)]).astype(int)
-    return slice(2, 2 + k), fiber
+def _reduced_fiber_indices(k: int) -> np.ndarray:
+    """Fiber index array (rho, lam) of the orbit chart."""
+    return np.concatenate([np.arange(2), np.arange(2 + k, 2 + 2 * k)]).astype(int)
 
 
 def _independent_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -207,7 +200,7 @@ class ReducedRCHSystem:
             s = lift.copy()
             s[fiber] = value
             out = _project_chart(s, self.source.field, k)
-            _, red_fiber = _reduced_fiber_indices(k)
+            red_fiber = _reduced_fiber_indices(k)
             return out[red_fiber]
 
         subset = self.source.control_subset
@@ -245,6 +238,22 @@ def _reduce_fiber_map(fm: FiberMap, sys: RCHSystem,
     return apply
 
 
+def _lift_matrix(mu_nu: CoAlgebraElement, field: MagneticField,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offset and matrix of the level lift, affine in the orbit chart.
+
+    At a fixed level, _lift_chart(z) = offset + matrix @ z.as_array() exactly,
+    so the columns are differences of lifts of unit charts.
+    """
+    def lift(chart: np.ndarray) -> np.ndarray:
+        return _lift_chart(OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k],
+                                      chart[2 + k:]), mu_nu, field)
+
+    n = 2 + 2 * k
+    offset = lift(np.zeros(n))
+    return offset, np.column_stack([lift(e) - offset for e in np.eye(n)])
+
+
 def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
                   expected_orbit: str = "plane", invariance_tol: float = 1e-10,
                   lift_tol: float = 1e-10, seed: int = 2214) -> ReducedRCHSystem:
@@ -257,7 +266,8 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     seeded sample. The orbit form in this presentation carries no magnetic
     cocycle: the fiber shift that trivializes the potential has already eaten
     it, so the reduced structure is the plain minus form on the leaf plus the
-    canonical form on V x V*.
+    canonical form on V x V*. The reduced Hamiltonian's gradient is exact by
+    the chain rule, (D lift)^T grad H at the lift, since the lift is affine.
     """
     descriptor = classify_orbit(mu_nu)
     if descriptor.kind != expected_orbit:
@@ -271,6 +281,13 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     h_red = reduced_hamiltonian(
         lambda x: sys.hamiltonian.evaluate(extended_to_chart(x)),
         mu_nu, sys.field, k=sys.k, invariance_tol=invariance_tol)
+    offset, lift_matrix = _lift_matrix(mu_nu, sys.field, sys.k)
+
+    def gradient(z: OrbitPoint) -> np.ndarray:
+        lifted = offset + lift_matrix @ z.as_array()
+        return lift_matrix.T @ sys.hamiltonian.grad(lifted)
+
+    h_red = replace(h_red, gradient=gradient)
 
     reduced_maps: dict[str, Callable[[np.ndarray], np.ndarray] | None] = {}
     for what, fm in (("force", sys.force), ("control", sys.control)):
@@ -351,33 +368,18 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
     (rho1, rho2, theta..., lam...). Implicit midpoint is appropriate here
     because the chart form is constant on the leaf.
     """
-    if method not in ("midpoint", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
-    n_steps = max(1, int(round(t_end / h)))
-    h = t_end / n_steps
-    times = np.arange(n_steps + 1) * h
-
     def rhs(arr: np.ndarray) -> np.ndarray:
         return reduced_rch_field(red, red.orbit_point(arr))
 
-    charts = np.empty((n_steps + 1, 2 + 2 * red.k))
-    energies = np.empty(n_steps + 1)
-    y = z0.as_array().copy()
-    charts[0] = y
-    energies[0] = red.hamiltonian.evaluate(red.orbit_point(y))
-    for i in range(n_steps):
-        if method == "midpoint":
-            y = _midpoint_step(rhs, y, h, i)
-        else:
-            y = _rk4_step(rhs, y, h)
-        charts[i + 1] = y
-        energies[i + 1] = red.hamiltonian.evaluate(red.orbit_point(y))
+    times, charts = dynamics._fixed_step_flow(rhs, z0.as_array(), t_end, h,
+                                              method)
+    energies = np.array([red.hamiltonian.evaluate(red.orbit_point(y))
+                         for y in charts])
     return times, charts, energies
 
 
 def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
-                      seed: int = 4407, threshold: float = 1e-5,
-                      fd_step: float = _MAP_STEP) -> CheckRecord:
+                      seed: int = 4407, threshold: float = 1e-5) -> CheckRecord:
     """Compare T(projection) of the full field with the reduced field.
 
     For each sampled level-set point the full dynamical field is pushed
@@ -393,7 +395,7 @@ def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
         state = extended_to_chart(x)
         full = rch_vector_field(sys, state)
         lhs = fd.directional(lambda s: _project_chart(s, sys.field, k),
-                             state, full, fd_step)
+                             state, full, fd.GRADIENT_STEP)
         z = red.orbit_point(_project_chart(state, sys.field, k))
         rhs = reduced_rch_field(red, z)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -425,21 +427,15 @@ class KKSystem:
         return out
 
 
-def kaluza_klein_system(field: MagneticField, m: float, mu: float,
-                        potential_jacobian: Callable[[np.ndarray], np.ndarray]
-                        | None = None) -> KKSystem:
+def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
     """Build the circle-extended geodesic system for an exact magnetic field.
 
-    potential_jacobian, when supplied, gives the derivative matrix of the
-    potential analytically (rows indexed by the potential component); without
-    it the geodesic gradient falls back to finite differences per step.
+    The geodesic gradient uses the field's declared potential Jacobian.
     """
     if not field.has_potential:
         raise MissingPotential("the circle-bundle construction needs a potential")
     if m <= 0:
         raise ValueError("mass must be positive")
-    d_potential = potential_jacobian or (
-        lambda q: fd.jacobian(field.vector_potential, q, _LIFT_STEP))
 
     def evaluate(state: np.ndarray) -> float:
         q, p, lam = state[:3], state[3:6], state[7]
@@ -449,7 +445,7 @@ def kaluza_klein_system(field: MagneticField, m: float, mu: float,
     def gradient(state: np.ndarray) -> np.ndarray:
         q, p, lam = state[:3], state[3:6], state[7]
         A = field.vector_potential(q)
-        DA = np.asarray(d_potential(q), dtype=float)
+        DA = field.vector_potential_jacobian(q)
         w = (p - lam * A) / m
         out = np.zeros(8)
         out[:3] = -lam * (DA.T @ w)
@@ -478,7 +474,7 @@ def kk_alpha_form_check(kk: KKSystem, samples: int = 20, seed: int = 3313,
     worst = 0.0
     for _ in range(max(1, samples)):
         y = rng.uniform(-2, 2, 4)
-        curl = fd.one_form_curl(alpha, y, _LIFT_STEP)
+        curl = fd.one_form_curl(alpha, y)
         expected = np.zeros((4, 4))
         expected[:3, :3] = mu * kk.field.b(y[:3])
         worst = max(worst, float(np.max(np.abs(curl - expected))))
@@ -504,9 +500,8 @@ def kk_reduce_and_compare(kk: KKSystem, x0: PhasePoint, t_end: float = 1.0,
     upstairs = RCHSystem(MagneticField.zero(), kk.hamiltonian, m=kk.m, k=1)
     traj_up = integrate(upstairs, lift0, t_end, h, method)
 
-    mag_field = MagneticField(kk.field.b_matrix, kk.field.potential, mu,
-                              kk.field.potential_is_invariant)
-    downstairs = RCHSystem(mag_field, euclidean_kinetic_hamiltonian(kk.m), m=kk.m)
+    downstairs = RCHSystem(replace(kk.field, charge_factor=mu),
+                           euclidean_kinetic_hamiltonian(kk.m), m=kk.m)
     traj_down = integrate(downstairs, x0.as_array(), t_end, h, method)
 
     projected = traj_up.states[:, :6].copy()
@@ -557,7 +552,7 @@ class DiffeoSpec:
     def _canonical_lift(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
         q1 = np.asarray(self.base_inverse(state[:3]), dtype=float)
-        D = fd.jacobian(self.base, q1, _LIFT_STEP)
+        D = fd.jacobian(self.base, q1)
         return np.concatenate([q1, D.T @ state[3:6]])
 
     def apply_lift(self, state: np.ndarray) -> np.ndarray:
@@ -571,7 +566,7 @@ class DiffeoSpec:
                               dtype=float)
         state = np.asarray(state, dtype=float)
         q1 = state[:3]
-        D = fd.jacobian(self.base, q1, _LIFT_STEP)
+        D = fd.jacobian(self.base, q1)
         return np.concatenate([np.asarray(self.base(q1), dtype=float),
                                np.linalg.solve(D.T, state[3:6])])
 
@@ -579,7 +574,7 @@ class DiffeoSpec:
         if self.lift_tangent is not None:
             return np.asarray(self.lift_tangent(state, vector), dtype=float)
         return fd.directional(self.apply_lift, np.asarray(state, dtype=float),
-                              np.asarray(vector, dtype=float), _LIFT_STEP)
+                              np.asarray(vector, dtype=float))
 
     @classmethod
     def identity(cls) -> "DiffeoSpec":
@@ -720,47 +715,3 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     return [CheckRecord("mr3.vertical", samples, vertical_worst, vertical_threshold),
             CheckRecord("mr3.horizontal", samples, horizontal_worst,
                         horizontal_threshold)]
-
-
-def check_reduced_matching(red1: ReducedRCHSystem, red2: ReducedRCHSystem,
-                           phi_red: Callable[[np.ndarray], np.ndarray] | None = None,
-                           samples: int = 30, seed: int = 6101,
-                           threshold: float = 1e-5) -> CheckRecord:
-    """Matching condition between two reduced systems on their orbit charts.
-
-    phi_red, when given, is the chart map playing the role of the lifted
-    diffeomorphism downstairs; None identifies the charts, which is exactly
-    what a group translation induces (left translation does not move the
-    reduced data at all). The residual between the forced dynamics of red1
-    and the pushed-forward forced dynamics of red2 is projected onto the
-    reduced control span; what remains, together with any theta component,
-    is the reported violation.
-    """
-    if red1.source.control_subset is None:
-        raise ControlSubsetMissing("matching needs the control subset of red1")
-    if red1.k != red2.k:
-        raise ValueError("reduced systems must share the V-factor dimension")
-    k = red1.k
-    identity = phi_red is None
-    forward = (lambda a: np.asarray(a, dtype=float)) if identity else phi_red
-    rng = np.random.default_rng(seed)
-    base, fiber = _reduced_fiber_indices(k)
-    worst = 0.0
-    for _ in range(max(1, samples)):
-        chart2 = rng.uniform(-2, 2, 2 + 2 * k)
-        z2 = red2.orbit_point(chart2)
-        chart1 = np.asarray(forward(chart2), dtype=float)
-        z1 = red1.orbit_point(chart1)
-        residual = reduced_rch_field(red1, z1)
-        downstream = reduced_rch_field(red2, z2)
-        if identity:
-            residual = residual - downstream
-        else:
-            residual = residual - fd.directional(forward, chart2, downstream,
-                                                 _LIFT_STEP)
-        span = red1.control_subset_at(z1).spanning
-        violation = _span_distance(span, residual[fiber])
-        if k:
-            violation = max(violation, float(np.max(np.abs(residual[base]))))
-        worst = max(worst, violation)
-    return CheckRecord("mr3.reduced", samples, worst, threshold)

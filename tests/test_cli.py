@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import heisenmech
-from heisenmech.cli import main
+from heisenmech import fd
+from heisenmech.cli import _body_scaling_map, main
 from heisenmech.report import load_schema
 
 import jsonschema
@@ -157,6 +158,44 @@ def test_reduce_off_level_state_exits_3(tmp_path, capsys):
     ]) + "\n")
     assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "level" in capsys.readouterr().err
+
+
+def test_reduce_level_that_stalled_finite_differences(tmp_path):
+    # The finite-difference reduced gradient left the midpoint fixed point
+    # stuck just above its tolerance at step 770 on this level and seed.
+    base = [line for line in (CONFIGS / "reduce.cfg").read_text().splitlines()
+            if not line.startswith(("level.", "run.seed"))]
+    cfg = tmp_path / "stall.cfg"
+    cfg.write_text("\n".join(base + [
+        "level.mu1 = -0.20114947684238715",
+        "level.mu2 = 0.8728841236840061",
+        "level.nu = 1.3342396633008455",
+        "run.seed = 4",
+    ]) + "\n")
+    assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert load_report(tmp_path)["passed"] is True
+
+
+def test_diverging_simulation_exits_3_without_report(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["simulate", "--config", str(CONFIGS / "diverge.cfg"),
+                     "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "step 25" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_body_scaling_tangent_matches_finite_differences():
+    rng = np.random.default_rng(16)
+    force = _body_scaling_map(0.7, 0.8)
+    for k in (0, 1):
+        for _ in range(50):
+            state = rng.uniform(-2, 2, 6 + 2 * k)
+            v = rng.normal(size=6 + 2 * k)
+            expected = fd.directional(force.apply, state, v)
+            assert np.max(np.abs(force.push(state, v) - expected)) <= 1e-8
 
 
 def test_kk_compare_bundled_config(tmp_path):

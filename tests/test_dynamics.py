@@ -1,5 +1,7 @@
 """Vector fields, vertical lifts, and integrator tests against closed-form flows."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,11 @@ def nonconstant_closed_field(charge=1.0):
         out[0, 1], out[1, 0] = q[0] ** 2, -q[0] ** 2
         return out
 
-    return M.MagneticField(b, lambda q: np.array([0.0, q[0] ** 3 / 3.0, 0.0]), charge)
+    def da(q):
+        return np.array([[0.0, 0.0, 0.0], [q[0] ** 2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    return M.MagneticField(b, lambda q: np.array([0.0, q[0] ** 3 / 3.0, 0.0]), charge,
+                           da)
 
 
 def test_hamiltonian_spec_gradient_consistency():
@@ -289,8 +295,7 @@ def test_momentum_shift_conjugates_flows():
                                     "rk4").final_state()
         back = M.momentum_shift(
             M.PhasePoint(canonical_end[:3], canonical_end[3:6]),
-            M.MagneticField(sys.field.b_matrix, sys.field.potential,
-                            -cf, True))
+            dataclasses.replace(sys.field, charge_factor=-cf))
         assert np.max(np.abs(back.as_array() - magnetic_end)) <= 1e-8
 
 
@@ -312,6 +317,37 @@ def test_shifted_chart_route_and_rk4_fallback():
     with pytest.warns(NonSymplecticWarning):
         out = D.integrate(forced, x0, t_end=0.1, h=1e-3, method="midpoint")
     assert out.method == "rk4"
+
+
+def test_undeclared_field_is_general_not_zero():
+    # b12 = q1 (q1 - 1)(q1 + 0.7) vanishes wherever q1 is 0, 1 or -0.7, so
+    # sampling there would call it zero; a field built directly is general.
+    def b(q):
+        v = q[0] * (q[0] - 1.0) * (q[0] + 0.7)
+        out = np.zeros((3, 3))
+        out[0, 1], out[1, 0] = v, -v
+        return out
+
+    field = M.MagneticField(b)
+    assert field.kind == "general" and not field.is_constant
+    x = M.extended_from_chart(np.array([0.3, 0.1, 0.7, 0.5, 0.0, 0.7]))
+    with pytest.raises(MissingPotential):
+        M.momentum_map(x, field)
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0))
+    with pytest.warns(NonSymplecticWarning):
+        traj = D.integrate(sys, np.array([0.5, -0.2, 0.1, 0.8, 0.3, -0.4]),
+                           t_end=0.1, h=1e-2, method="midpoint")
+    assert traj.method == "rk4"
+    assert np.all(np.isnan(traj.momenta))
+
+
+def test_non_finite_state_raises_floating_point_error():
+    sys = D.RCHSystem(M.MagneticField.invariant_potential((0.0, 0.0, 50.0)),
+                      D.invariant_kinetic_hamiltonian(1.0))
+    x0 = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 100.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="step 25"):
+            D.integrate(sys, x0, t_end=20.0, h=0.5, method="rk4")
 
 
 def test_trajectory_validation():

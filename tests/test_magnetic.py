@@ -1,5 +1,7 @@
 """Magnetic cotangent-bundle tests: forms, shifts, momentum maps, reduction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,11 @@ def nonconstant_closed_field(charge=1.0):
         m[0, 1], m[1, 0] = q[0] ** 2, -q[0] ** 2
         return m
 
-    return M.MagneticField(b, lambda q: np.array([0.0, q[0] ** 3 / 3.0, 0.0]), charge)
+    def da(q):
+        return np.array([[0.0, 0.0, 0.0], [q[0] ** 2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    return M.MagneticField(b, lambda q: np.array([0.0, q[0] ** 3 / 3.0, 0.0]), charge,
+                           da)
 
 
 def test_chart_body_round_trip():
@@ -263,6 +269,26 @@ def test_field_potential_consistency():
             assert np.max(np.abs(b + b.T)) <= 1e-14
             da = fd.one_form_curl(field.vector_potential, q)
             assert np.max(np.abs(da - b)) <= 1e-6
+            jac = fd.jacobian(field.vector_potential, q)
+            assert np.max(np.abs(field.vector_potential_jacobian(q) - jac)) <= 1e-8
+
+
+def test_factories_declare_kind():
+    assert M.MagneticField.zero().kind == "zero"
+    assert M.MagneticField.constant(np.zeros((3, 3))).kind == "zero"
+    assert M.MagneticField.constant(PLANAR).kind == "constant"
+    assert M.MagneticField.linear_potential(np.eye(3)).kind == "linear"
+    invariant = M.MagneticField.invariant_potential((0.1, 0.2, 0.3), 2.0)
+    assert invariant.kind == "invariant" and invariant.is_constant
+    assert dataclasses.replace(invariant, charge_factor=-1.0).kind == "invariant"
+    with pytest.raises(MissingPotential):
+        M.MagneticField.constant(PLANAR).vector_potential_jacobian(np.zeros(3))
+    with pytest.raises(ValueError):
+        M.MagneticField(lambda q: np.zeros((3, 3)), lambda q: np.zeros(3))
+    with pytest.raises(ValueError):
+        M.MagneticField(lambda q: np.zeros((3, 3)), kind="invariant")
+    with pytest.raises(ValueError):
+        M.MagneticField(lambda q: np.zeros((3, 3)), kind="flat")
 
 
 def test_reduced_form_pullback_matches_level_restriction():
