@@ -84,17 +84,20 @@ def build_field(cfg: ExperimentConfig, charge_factor: float,
 def _body_scaling_map(factor: float, lam_factor: float) -> dyn.FiberMap:
     """Fiber map scaling the planar body momentum; equivariant by design.
 
-    In the chart it reads p -> factor * p + (1 - factor)/2 * p3 * (q2, -q1, 0),
-    bilinear in (q, p), which gives the analytic tangent.
+    In the chart it reads
+    (p1, p2) -> factor * (p1, p2) + (1 - factor)/2 * p3 * (q2, -q1), with p3
+    unchanged and lam scaled by lam_factor. apply evaluates it as
+    factor * rho + (p - rho) with the body momentum rho = (p1 - p3 q2/2,
+    p2 + p3 q1/2). The map is bilinear in (q, p), which gives the analytic
+    tangent.
     """
 
     def apply(s):
-        s = np.asarray(s, dtype=float)
-        g, rho = mag.chart_to_body(s[:3], s[3:6])
-        _, p = mag.body_to_chart(g, CoAlgebraElement(factor * rho.mu, rho.nu))
-        out = s.copy()
-        out[3:6] = p
-        out[6 + (s.size - 6) // 2:] *= lam_factor
+        out = np.asarray(s, dtype=float).copy()
+        q, p3 = out[:3], out[5]
+        offset = 0.5 * p3 * np.array([q[1], -q[0]])
+        out[3:5] = factor * (out[3:5] - offset) + offset
+        out[6 + (out.size - 6) // 2:] *= lam_factor
         return out
 
     def tangent(s, v):

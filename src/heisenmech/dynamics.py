@@ -39,9 +39,8 @@ __all__ = [
 class HamiltonianSpec:
     """Hamiltonian on the flat chart state with optional analytic gradient.
 
-    grad_q and grad_p expose the configuration and fiber blocks of the
-    gradient; without an analytic gradient callable both fall back to central
-    finite differences with step fd.GRADIENT_STEP.
+    Without an analytic gradient callable, grad falls back to central finite
+    differences with step fd.GRADIENT_STEP.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -52,12 +51,6 @@ class HamiltonianSpec:
         if self.gradient is not None:
             return np.asarray(self.gradient(state), dtype=float)
         return fd.gradient(self.evaluate, np.asarray(state, dtype=float))
-
-    def grad_q(self, state: np.ndarray) -> np.ndarray:
-        return self.grad(state)[:3]
-
-    def grad_p(self, state: np.ndarray) -> np.ndarray:
-        return self.grad(state)[3:6]
 
 
 @dataclass(frozen=True)
@@ -252,35 +245,41 @@ def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _check_run(t_end: float, h: float, method: str) -> None:
+    if h <= 0 or t_end <= 0:
+        raise ValueError("step size and end time must be positive")
+    if method not in ("midpoint", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float,
                      method: str) -> tuple[np.ndarray, np.ndarray]:
     """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
 
     The steps are uniform and land exactly on t_end (h is rescaled by at most
-    half a step); exact endpoints matter for period-return checks. A state
-    that overflows to inf or nan raises FloatingPointError naming the step
-    that produced it.
+    half a step); exact endpoints matter for period-return checks. The first
+    state that overflows to inf or nan stops the run with a
+    FloatingPointError naming the step that produced it; numpy's own
+    overflow warnings are silenced inside the loop, since that error reports
+    the failure.
     """
-    if h <= 0 or t_end <= 0:
-        raise ValueError("step size and end time must be positive")
-    if method not in ("midpoint", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_run(t_end, h, method)
     n_steps = max(1, int(round(t_end / h)))
     h = t_end / n_steps
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
     y = y0
-    for i in range(n_steps):
-        if method == "midpoint":
-            y = _midpoint_step(rhs, y, h, i)
-        else:
-            y = _rk4_step(rhs, y, h)
-        states[i + 1] = y
-    finite = np.isfinite(states[1:]).all(axis=1)
-    if not finite.all():
-        raise FloatingPointError("integration produced a non-finite state at "
-                                 f"step {int(np.argmin(finite))}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            if method == "midpoint":
+                y = _midpoint_step(rhs, y, h, i)
+            else:
+                y = _rk4_step(rhs, y, h)
+            if not np.isfinite(y).all():
+                raise FloatingPointError(
+                    f"integration produced a non-finite state at step {i}")
+            states[i + 1] = y
     return times, states
 
 
@@ -315,6 +314,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     scheme. Momenta are the momentum map of each state for zero and
     invariant fields, and nan for every other kind.
     """
+    _check_run(t_end, h, method)
     state = _as_state(x0, sys.k)
     shifted_route = False
     rhs = lambda y: rch_vector_field(sys, y)

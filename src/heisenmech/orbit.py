@@ -283,20 +283,8 @@ def classify_orbit(p: CoAlgebraElement, tol: float = 1e-12) -> OrbitDescriptor:
 
 
 def _generator_scale(nu: float, B: MagneticCocycle, sign: str) -> float:
-    """Coefficient c = sign*nu - B12 scaling the twisted orbit generators."""
+    """Coefficient c = sign*nu - B12 of the (magnetic) orbit form on the leaf."""
     return _sign(sign) * nu - B.planar_component
-
-
-def generator_chart_vector(xi: AlgebraElement, nu: float, B: MagneticCocycle,
-                           sign: str = "minus") -> np.ndarray:
-    """Chart tangent of the generator labeled xi on the (magnetic) orbit.
-
-    For B = 0 this is the planar part of coad_star with the sign convention
-    chosen; a magnetic cocycle rescales it, which is exactly what keeps the
-    orbit form and the magnetic bracket consistent on the leaf.
-    """
-    c = _generator_scale(nu, B, sign)
-    return c * np.array([xi.X[1], -xi.X[0]])
 
 
 def orbit_symplectic_form(p: OrbitPoint, xi: AlgebraElement, eta: AlgebraElement,
@@ -330,32 +318,21 @@ def orbit_hamiltonian_vector_field(h: OrbitFunction, p: OrbitPoint,
                                    sign: str = "minus") -> np.ndarray:
     """Chart vector X with i_X (orbit form + canonical V form) = dh at p.
 
-    Returns (rhodot1, rhodot2, thetadot..., lamdot...). The planar block is a
-    2x2 solve against the orbit form on generator labels; the V x V* block is
-    the canonical 2k x 2k solve. Requires a plane orbit (p.nu != 0).
+    Returns (rhodot1, rhodot2, thetadot..., lamdot...). On chart vectors the
+    orbit form is drho1 ^ drho2 / c with c = sign*nu - B12 (its matrix W on
+    generator labels has det W = c^2), so the planar block is
+    c * (dh/drho2, -dh/drho1) and the canonical V x V* block is
+    (dh/dlam, -dh/dtheta). Requires a plane orbit on which W is regular.
     """
-    W = orbit_form_matrix(p, B, sign)
-    if abs(np.linalg.det(W)) < 1e-14:
+    c = _generator_scale(p.nu, B, sign)
+    if c * c < 1e-14:
         raise SingularForm(
             "orbit form matrix is singular: the magnetic term cancels the orbit term",
-            matrix=W)
+            matrix=orbit_form_matrix(p, B, sign))
     grad = h.grad(p)
     k = p.k
-    grho, gtheta, glam = grad[:2], grad[2:2 + k], grad[2 + k:]
-    # Test directions are the twisted generators gen(e_j); solving
-    # W @ label = [dh(gen(e_j))]_j gives X = gen(label).
-    c = _generator_scale(p.nu, B, sign)
-    rhs = np.array([grho @ generator_chart_vector(AlgebraElement((1, 0), 0.0), p.nu, B, sign),
-                    grho @ generator_chart_vector(AlgebraElement((0, 1), 0.0), p.nu, B, sign)])
-    # form(label, e_j) = rhs_j stacks into W^T label = rhs
-    label = np.linalg.solve(W.T, rhs)
-    x_rho = c * np.array([label[1], -label[0]])
-    if k == 0:
-        return x_rho
-    # Canonical block: omega_V((dtheta, dlam), (dtheta', dlam')) = dtheta.dlam' - dlam.dtheta'
-    omega_v = np.block([[np.zeros((k, k)), np.eye(k)], [-np.eye(k), np.zeros((k, k))]])
-    x_v = np.linalg.solve(-omega_v, np.concatenate([gtheta, glam]))
-    return np.concatenate([x_rho, x_v])
+    return np.concatenate([c * np.array([grad[1], -grad[0]]), grad[2 + k:],
+                           -grad[2:2 + k]])
 
 
 def orbit_form_on_chart_vectors(p: OrbitPoint, v: np.ndarray, w: np.ndarray,

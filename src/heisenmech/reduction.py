@@ -42,11 +42,9 @@ from .errors import (
 )
 from .group import CoAlgebraElement, GroupElement, coadjoint, inverse, multiply
 from .magnetic import (
-    ExtendedPhasePoint,
     MagneticField,
     PhasePoint,
     extended_from_chart,
-    extended_momentum_shift,
     extended_to_chart,
     left_translate_point,
     level_lift,
@@ -83,6 +81,9 @@ __all__ = [
     "check_mr3_matching",
 ]
 
+# reduce_system's shifted presentation leaves the orbit form untwisted.
+_NO_COCYCLE = MagneticCocycle.zero()
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -114,23 +115,33 @@ class CheckRecord:
         }
 
 
-def _project_chart(state: np.ndarray, field: MagneticField, k: int) -> np.ndarray:
+def _fiber_push(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The projection's linear map on the fiber over base point q.
+
+    w is a fiber vector (p, theta..., lam...) or a control covector
+    (p, lam...); it goes to (w_p1 - w_p3 q2/2, w_p2 + w_p3 q1/2, w[3:]), the
+    planar body momentum with the V-factor entries passed through. The
+    projection is affine on each fiber, so this is also its exact tangent on
+    vertical vectors.
+    """
+    return np.concatenate([[w[0] - 0.5 * w[2] * q[1], w[1] + 0.5 * w[2] * q[0]],
+                           w[3:]])
+
+
+def _project_chart(state: np.ndarray, field: MagneticField) -> np.ndarray:
     """Smooth extension of the orbit projection to the whole chart.
 
-    Sends (q, p, theta, lam) to (shifted planar body momentum, theta, lam).
-    On a momentum level set this is exactly the quotient projection; off the
-    level set it is the Poisson projection to the dual algebra, which is what
-    finite differences across the level set need.
+    Sends (q, p, theta, lam) to (shifted planar body momentum, theta, lam),
+    the fiber shifted by p -> p + charge_factor * A(q) when the field has a
+    potential. On a momentum level set this is exactly the quotient
+    projection; off the level set it is the Poisson projection to the dual
+    algebra, which is what finite differences across the level set need.
     """
-    x = extended_from_chart(state, k)
+    q, fiber = state[:3], state[3:]
     if field.has_potential:
-        x = extended_momentum_shift(x, field)
-    return np.concatenate([x.rho.mu, x.theta, x.lam])
-
-
-def _lift_chart(z: OrbitPoint, mu_nu: CoAlgebraElement, field: MagneticField,
-                alpha: float = 0.0) -> np.ndarray:
-    return extended_to_chart(level_lift(z, mu_nu, field, alpha))
+        fiber = fiber.copy()
+        fiber[:3] += field.charge_factor * field.vector_potential(q)
+    return _fiber_push(q, fiber)
 
 
 def _reduced_fiber_indices(k: int) -> np.ndarray:
@@ -160,19 +171,19 @@ class ReducedRCHSystem:
     """Controlled system dropped to the orbit chart O x V x V*.
 
     The reduced force and control act on flat orbit charts
-    (rho1, rho2, theta..., lam...) and fix the theta block; the cocycle is the
-    magnetic twist of the orbit form, which the shifted presentation used by
-    reduce_system keeps at zero.
+    (rho1, rho2, theta..., lam...) and fix the theta block. The level lift is
+    affine in the chart: lift_offset + lift_matrix @ chart puts an orbit
+    chart on the level set at center height zero.
     """
 
     level: CoAlgebraElement
     descriptor: OrbitDescriptor
-    cocycle: MagneticCocycle
     hamiltonian: OrbitFunction
     force: Callable[[np.ndarray], np.ndarray] | None
     control: Callable[[np.ndarray], np.ndarray] | None
     source: RCHSystem
-    sign: str = "minus"
+    lift_offset: np.ndarray
+    lift_matrix: np.ndarray
 
     @property
     def k(self) -> int:
@@ -183,29 +194,32 @@ class ReducedRCHSystem:
         k = self.k
         return OrbitPoint(chart[:2], self.level.nu, chart[2:2 + k], chart[2 + k:])
 
+    def lift(self, chart: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+        """Chart state of magnetic.level_lift at center height alpha.
+
+        level_lift puts alpha into q3 only, so the stored affine pair covers
+        every height.
+        """
+        out = self.lift_offset + self.lift_matrix @ chart
+        out[2] += alpha
+        return out
+
     def control_subset_at(self, z: OrbitPoint) -> ControlSubset:
         """Projection of the source control subset to the reduced fiber at z.
 
         The fiber projection (p, lam) -> (rho, lam) at a lift of z is affine,
-        so the image of an affine subset is computed from images of its offset
-        and spanning rays; collapsed rays are discarded.
+        so the image of an affine subset is the projected offset plus the
+        linear images of its spanning rays; collapsed rays are discarded.
         """
         if self.source.control_subset is None:
             raise ControlSubsetMissing("source system carries no control subset")
         k = self.k
-        lift = _lift_chart(z, self.level, self.source.field)
-        _, fiber = _base_fiber_indices(k)
-
-        def image(value: np.ndarray) -> np.ndarray:
-            s = lift.copy()
-            s[fiber] = value
-            out = _project_chart(s, self.source.field, k)
-            red_fiber = _reduced_fiber_indices(k)
-            return out[red_fiber]
-
         subset = self.source.control_subset
-        offset = image(subset.offset)
-        rays = np.array([image(subset.offset + row) - offset
+        state = self.lift(z.as_array())
+        _, fiber = _base_fiber_indices(k)
+        state[fiber] = subset.offset
+        offset = _project_chart(state, self.source.field)[_reduced_fiber_indices(k)]
+        rays = np.array([_fiber_push(state[:3], row)
                          for row in subset.spanning]).reshape(-1, offset.size)
         return ControlSubset(offset, _independent_rows(rays))
 
@@ -226,14 +240,12 @@ def _equivariance_sweep(fm: FiberMap, k: int, tol: float, rng: np.random.Generat
                 f"{what} map moves the center momentum and does not descend to the orbit")
 
 
-def _reduce_fiber_map(fm: FiberMap, sys: RCHSystem,
-                      mu_nu: CoAlgebraElement) -> Callable[[np.ndarray], np.ndarray]:
+def _reduce_fiber_map(fm: FiberMap,
+                      red: ReducedRCHSystem) -> Callable[[np.ndarray], np.ndarray]:
     def apply(chart: np.ndarray) -> np.ndarray:
-        chart = np.asarray(chart, dtype=float)
-        k = sys.k
-        z = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
-        lifted = _lift_chart(z, mu_nu, sys.field)
-        return _project_chart(np.asarray(fm.apply(lifted), dtype=float), sys.field, k)
+        lifted = red.lift(np.asarray(chart, dtype=float))
+        return _project_chart(np.asarray(fm.apply(lifted), dtype=float),
+                              red.source.field)
 
     return apply
 
@@ -242,12 +254,13 @@ def _lift_matrix(mu_nu: CoAlgebraElement, field: MagneticField,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Offset and matrix of the level lift, affine in the orbit chart.
 
-    At a fixed level, _lift_chart(z) = offset + matrix @ z.as_array() exactly,
-    so the columns are differences of lifts of unit charts.
+    At a fixed level, extended_to_chart(level_lift(z)) equals
+    offset + matrix @ z.as_array() exactly, so the columns are differences of
+    lifts of unit charts.
     """
     def lift(chart: np.ndarray) -> np.ndarray:
-        return _lift_chart(OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k],
-                                      chart[2 + k:]), mu_nu, field)
+        z = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
+        return extended_to_chart(level_lift(z, mu_nu, field))
 
     n = 2 + 2 * k
     offset = lift(np.zeros(n))
@@ -266,8 +279,9 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     seeded sample. The orbit form in this presentation carries no magnetic
     cocycle: the fiber shift that trivializes the potential has already eaten
     it, so the reduced structure is the plain minus form on the leaf plus the
-    canonical form on V x V*. The reduced Hamiltonian's gradient is exact by
-    the chain rule, (D lift)^T grad H at the lift, since the lift is affine.
+    canonical form on V x V*. The level lift is sampled once into its affine
+    pair; the reduced Hamiltonian's gradient is exact by the chain rule,
+    (D lift)^T grad H at the lift.
     """
     descriptor = classify_orbit(mu_nu)
     if descriptor.kind != expected_orbit:
@@ -287,32 +301,27 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
         lifted = offset + lift_matrix @ z.as_array()
         return lift_matrix.T @ sys.hamiltonian.grad(lifted)
 
-    h_red = replace(h_red, gradient=gradient)
-
-    reduced_maps: dict[str, Callable[[np.ndarray], np.ndarray] | None] = {}
+    red = ReducedRCHSystem(mu_nu, descriptor, replace(h_red, gradient=gradient),
+                           None, None, sys, offset, lift_matrix)
+    reduced_maps = {}
     for what, fm in (("force", sys.force), ("control", sys.control)):
-        if fm is None:
-            reduced_maps[what] = None
-            continue
-        _equivariance_sweep(fm, sys.k, invariance_tol, rng, what)
-        reduced_maps[what] = _reduce_fiber_map(fm, sys, mu_nu)
-
-    red = ReducedRCHSystem(mu_nu, descriptor, MagneticCocycle.zero(), h_red,
-                           reduced_maps["force"], reduced_maps["control"], sys)
+        if fm is not None:
+            _equivariance_sweep(fm, sys.k, invariance_tol, rng, what)
+            reduced_maps[what] = _reduce_fiber_map(fm, red)
+    red = replace(red, **reduced_maps)
 
     # Lift-independence: the same orbit point, lifted at different center
     # heights, must give identical reduced values.
     for _ in range(20):
         chart = rng.uniform(-2, 2, 2 + 2 * sys.k)
-        z = red.orbit_point(chart)
-        lifts = [_lift_chart(z, mu_nu, sys.field, alpha) for alpha in (0.0, 0.9, -1.7)]
+        lifts = [red.lift(chart, alpha) for alpha in (0.0, 0.9, -1.7)]
         values = [sys.hamiltonian.evaluate(s) for s in lifts]
         if max(values) - min(values) > lift_tol:
             raise NotInvariant("reduced Hamiltonian value depends on the lift")
-        for fm_red, fm in ((red.force, sys.force), (red.control, sys.control)):
+        for fm in (sys.force, sys.control):
             if fm is None:
                 continue
-            images = [_project_chart(np.asarray(fm.apply(s)), sys.field, sys.k)
+            images = [_project_chart(np.asarray(fm.apply(s)), sys.field)
                       for s in lifts]
             if max(np.max(np.abs(im - images[0])) for im in images) > lift_tol:
                 raise NotInvariant("reduced fiber map depends on the lift")
@@ -322,32 +331,30 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
 def reduced_hamiltonian_field(red: ReducedRCHSystem, z: OrbitPoint) -> np.ndarray:
     """Chart velocity of the reduced Hamiltonian part at z.
 
-    Plane orbits use the orbit-form solve; point orbits have no rho freedom,
-    leaving only the canonical flow on the V x V* factor.
+    Plane orbits use the closed-form orbit field with no cocycle; point
+    orbits have no rho freedom, leaving only the canonical flow on the
+    V x V* factor.
     """
     if red.descriptor.kind == "point":
         grad = red.hamiltonian.grad(z)
         k = z.k
         return np.concatenate([np.zeros(2), grad[2 + k:], -grad[2:2 + k]])
-    return orbit_hamiltonian_vector_field(red.hamiltonian, z, red.cocycle, red.sign)
+    return orbit_hamiltonian_vector_field(red.hamiltonian, z, _NO_COCYCLE)
 
 
 def reduced_vertical_lift(fm: FiberMap, red: ReducedRCHSystem,
                           z: OrbitPoint) -> np.ndarray:
     """Orbit-chart image of the vertical correction of a source fiber map.
 
-    The full-space vertical lift is computed at a lift of z and pushed down
-    exactly: the projection restricted to a cotangent fiber is affine, so its
-    tangent on vertical vectors is the difference of two projected points.
-    Equivariance of the fiber map makes the result independent of the lift.
-    A chart-level imitation (lifting the reduced map directly) would miss the
-    base dependence of the projection and is deliberately not offered.
+    The full-space vertical lift is computed at the stored lift of z and
+    pushed down through the tangent of the projection on the fiber, which is
+    exact because the projection is affine there. Equivariance of the fiber
+    map makes the result independent of the lift. A chart-level imitation
+    (lifting the reduced map directly) would miss the base dependence of the
+    projection and is deliberately not offered.
     """
-    k = red.k
-    lift = _lift_chart(z, red.level, red.source.field)
-    vertical = vertical_lift(fm, red.source, lift)
-    return (_project_chart(lift + vertical, red.source.field, k)
-            - _project_chart(lift, red.source.field, k))
+    lift = red.lift(z.as_array())
+    return _fiber_push(lift[:3], vertical_lift(fm, red.source, lift)[3:])
 
 
 def reduced_rch_field(red: ReducedRCHSystem, z: OrbitPoint) -> np.ndarray:
@@ -394,9 +401,9 @@ def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
         x = sample_level_point(red.level, sys.field, k, rng)
         state = extended_to_chart(x)
         full = rch_vector_field(sys, state)
-        lhs = fd.directional(lambda s: _project_chart(s, sys.field, k),
+        lhs = fd.directional(lambda s: _project_chart(s, sys.field),
                              state, full, fd.GRADIENT_STEP)
-        z = red.orbit_point(_project_chart(state, sys.field, k))
+        z = red.orbit_point(_project_chart(state, sys.field))
         rhs = reduced_rch_field(red, z)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return CheckRecord("reduction.commutation", samples, worst, threshold)

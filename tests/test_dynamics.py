@@ -1,6 +1,7 @@
 """Vector fields, vertical lifts, and integrator tests against closed-form flows."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_heisenberg_particle_properties():
     assert sys.field.charge_factor == 0.5
     for _ in range(20):
         state = rng.normal(size=6)
-        assert np.array_equal(sys.hamiltonian.grad_q(state), np.zeros(3))
+        assert np.array_equal(sys.hamiltonian.grad(state)[:3], np.zeros(3))
     traj = D.integrate(sys, rng.normal(size=6), t_end=5.0, h=1e-3)
     speeds = np.linalg.norm(traj.states[:, 3:6], axis=1)
     assert np.max(np.abs(speeds - speeds[0])) <= 1e-8
@@ -348,6 +349,36 @@ def test_non_finite_state_raises_floating_point_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="step 25"):
             D.integrate(sys, x0, t_end=20.0, h=0.5, method="rk4")
+
+
+def test_flow_stops_at_the_first_non_finite_state():
+    kinetic = D.invariant_kinetic_hamiltonian(1.0)
+    calls = []
+
+    def counted(state):
+        calls.append(1)
+        return kinetic.gradient(state)
+
+    sys = D.RCHSystem(M.MagneticField.invariant_potential((0.0, 0.0, 50.0)),
+                      D.HamiltonianSpec(kinetic.evaluate, counted))
+    x0 = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 100.0])
+    with pytest.raises(FloatingPointError, match="step 25"):
+        D.integrate(sys, x0, t_end=20.0, h=0.5, method="rk4")
+    # steps 0..25 at four rk4 stages each; nothing after the overflow
+    assert len(calls) == 26 * 4
+
+
+def test_run_settings_are_validated_before_the_route():
+    field = M.MagneticField(lambda q: np.array([[0.0, q[0], 0.0],
+                                                [-q[0], 0.0, 0.0],
+                                                [0.0, 0.0, 0.0]]))
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t_end, h, method in ((1.0, -1.0, "midpoint"), (-1.0, 0.1, "midpoint"),
+                                 (1.0, 0.1, "euler")):
+            with pytest.raises(ValueError):
+                D.integrate(sys, np.zeros(6), t_end, h, method)
 
 
 def test_trajectory_validation():

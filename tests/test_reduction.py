@@ -208,6 +208,48 @@ def test_reduced_gradient_matches_finite_differences():
             assert np.max(np.abs(red.hamiltonian.grad(z) - expected)) <= 1e-8
 
 
+def dataclass_projection(state, field, k):
+    """Orbit projection through the trivialized points, as reduce_point does it."""
+    x = M.extended_from_chart(state, k)
+    if field.has_potential:
+        x = M.extended_momentum_shift(x, field)
+    return np.concatenate([x.rho.mu, x.theta, x.lam])
+
+
+@pytest.mark.parametrize("k", (0, 1))
+@pytest.mark.parametrize("level,orbit", (
+    (LEVEL, "plane"), (CoAlgebraElement((0.5, 0.2), 0.0), "point")))
+@pytest.mark.parametrize("field", (
+    M.MagneticField.zero(),
+    M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.5)),
+    ids=("zero", "invariant"))
+def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, field):
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0, k),
+                      force=body_scaling(0.6, lam_factor=0.8), k=k)
+    red = R.reduce_system(sys, level, expected_orbit=orbit)
+    rng = np.random.default_rng(17)
+    _, fiber = D._base_fiber_indices(k)
+    for _ in range(30):
+        z = red.orbit_point(rng.uniform(-2, 2, 2 + 2 * k))
+        for alpha in (0.0, 0.9, -1.7):
+            expected = M.extended_to_chart(M.level_lift(z, level, field, alpha))
+            assert np.max(np.abs(red.lift(z.as_array(), alpha) - expected)) <= 1e-12
+        state = rng.uniform(-2, 2, 6 + 2 * k)
+        assert np.max(np.abs(R._project_chart(state, field)
+                             - dataclass_projection(state, field, k))) <= 1e-12
+        lift = red.lift(z.as_array())
+        v = np.zeros(6 + 2 * k)
+        v[fiber] = rng.normal(size=3 + k)
+        expected = (dataclass_projection(lift + v, field, k)
+                    - dataclass_projection(lift, field, k))
+        assert np.max(np.abs(R._fiber_push(lift[:3], v[3:]) - expected)) <= 1e-12
+        v = D.vertical_lift(sys.force, sys, lift)
+        expected = (dataclass_projection(lift + v, field, k)
+                    - dataclass_projection(lift, field, k))
+        assert np.max(np.abs(R.reduced_vertical_lift(sys.force, red, z)
+                             - expected)) <= 1e-12
+
+
 def test_kaluza_klein_momentum_and_errors():
     field = M.MagneticField.linear_potential([[0, 1.0, 0], [0, 0, 0], [0, 0, 0]])
     kk = R.kaluza_klein_system(field, m=1.5, mu=0.7)
