@@ -228,7 +228,7 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
     with open(path, "w") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(repr(float(value)) for value in row) + "\n")
+            handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _drift_record(name: str, values: np.ndarray,

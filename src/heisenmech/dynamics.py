@@ -8,6 +8,7 @@ rule (symplectic for constant fields) and a classical rk4 reference.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -15,9 +16,14 @@ from typing import Callable
 import numpy as np
 
 from . import fd
-from .errors import NonConvergence, NonSymplecticWarning
+from .errors import (MissingPotential, NonConvergence, NonSymplecticWarning,
+                     NotInvariant)
 from .magnetic import (ExtendedPhasePoint, MagneticField, PhasePoint,
-                       extended_from_chart, extended_to_chart, momentum_map)
+                       chart_to_body_array, extended_to_chart,
+                       momentum_map_array)
+# Bound here only for perfbench/tracer.py, which wraps this module's imported
+# heisenmech functions and checks that this binding is restored.
+from .magnetic import momentum_map  # noqa: F401
 
 __all__ = [
     "HamiltonianSpec",
@@ -71,10 +77,14 @@ class FiberMap:
         return fd.directional(self.apply, state, vector, fd.GRADIENT_STEP)
 
 
+@functools.cache
 def _base_fiber_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of the base (q, theta) and fiber (p, lam), per k."""
     base = np.concatenate([np.arange(3), np.arange(6, 6 + k)])
     fiber = np.concatenate([np.arange(3, 6), np.arange(6 + k, 6 + 2 * k)])
-    return base.astype(int), fiber.astype(int)
+    base.flags.writeable = False
+    fiber.flags.writeable = False
+    return base, fiber
 
 
 @dataclass(frozen=True)
@@ -311,8 +321,10 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     potential is integrated in the shifted canonical chart and mapped back
     through the fiber translation; otherwise the method silently becomes rk4
     and a NonSymplecticWarning is emitted. rk4 is the explicit reference
-    scheme. Momenta are the momentum map of each state for zero and
-    invariant fields, and nan for every other kind.
+    scheme. The momenta come from one array pass of
+    magnetic.momentum_map_array over all states, and are nan for fields
+    without a momentum map (every kind but zero and invariant). Energies are
+    evaluated state by state.
     """
     _check_run(t_end, h, method)
     state = _as_state(x0, sys.k)
@@ -340,10 +352,11 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
             row[3:6] -= cf * sys.field.vector_potential(row[:3])
 
     energies = np.array([sys.hamiltonian.evaluate(s) for s in states])
-    if sys.field.kind in ("zero", "invariant"):
-        momenta = np.array([momentum_map(extended_from_chart(s, sys.k),
-                                         sys.field).as_array() for s in states])
-    else:
+    q = states[:, :3]
+    try:
+        momenta = momentum_map_array(q, chart_to_body_array(q, states[:, 3:6]),
+                                     sys.field)
+    except (MissingPotential, NotInvariant):
         momenta = np.full((states.shape[0], 3), np.nan)
     return Trajectory(times, states, energies, momenta, method)
 

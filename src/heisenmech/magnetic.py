@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fd
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
-from .group import CoAlgebraElement, GroupElement, coadjoint
+from .group import CoAlgebraElement, GroupElement
 from .orbit import OrbitFunction, OrbitPoint, classify_orbit
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "MomentumValue",
     "body_to_chart",
     "chart_to_body",
+    "chart_to_body_array",
     "extended_to_chart",
     "extended_from_chart",
     "left_translate_point",
@@ -39,6 +40,7 @@ __all__ = [
     "momentum_shift",
     "extended_momentum_shift",
     "momentum_map",
+    "momentum_map_array",
     "level_set_contains",
     "sample_level_point",
     "reduce_point",
@@ -227,13 +229,19 @@ def body_to_chart(g: GroupElement, rho: CoAlgebraElement) -> tuple[np.ndarray, n
     return q, p
 
 
+def chart_to_body_array(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Body momenta (mu1, mu2, nu) of chart points (q, p) stacked on the last
+    axis; the group coordinates are q itself."""
+    return np.stack([p[..., 0] - 0.5 * p[..., 2] * q[..., 1],
+                     p[..., 1] + 0.5 * p[..., 2] * q[..., 0],
+                     p[..., 2]], axis=-1)
+
+
 def chart_to_body(q: np.ndarray, p: np.ndarray) -> tuple[GroupElement, CoAlgebraElement]:
     """Trivialized coordinates (g, rho) of the chart point (q, p)."""
     q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    g = GroupElement(q[:2], q[2])
-    rho = CoAlgebraElement((p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0]), p[2])
-    return g, rho
+    rho = chart_to_body_array(q, np.asarray(p, dtype=float))
+    return GroupElement(q[:2], q[2]), CoAlgebraElement(rho[:2], rho[2])
 
 
 def extended_to_chart(x: ExtendedPhasePoint) -> np.ndarray:
@@ -310,24 +318,45 @@ def extended_momentum_shift(x: ExtendedPhasePoint, field: MagneticField) -> Exte
     return ExtendedPhasePoint(g, rho, x.theta, x.lam)
 
 
+def momentum_map_array(g: np.ndarray, rho: np.ndarray,
+                       field: MagneticField) -> np.ndarray:
+    """momentum_map of points (g, rho) stacked on the last axis of two arrays.
+
+    For an invariant field the shift t_A goes through the chart exactly as in
+    extended_momentum_shift (body -> chart, p + charge_factor * A(q) with A
+    fixed by its identity value, chart -> body), which keeps each row
+    bit-identical to coadjoint of the shifted dataclass point.
+    """
+    if field.kind != "invariant" and field.has_potential:
+        raise NotInvariant("momentum map needs a potential declared left-invariant")
+    if field.kind not in ("zero", "invariant"):
+        raise MissingPotential(
+            "momentum map of a nonzero field needs an invariant potential")
+    u1, u2 = g[..., 0], g[..., 1]
+    mu1, mu2, nu = rho[..., 0], rho[..., 1], rho[..., 2]
+    if field.kind == "invariant":
+        a = field.identity_potential_value()
+        cf = field.charge_factor
+        p1 = mu1 + 0.5 * nu * u2 + cf * (a[0] + 0.5 * a[2] * u2)
+        p2 = mu2 - 0.5 * nu * u1 + cf * (a[1] - 0.5 * a[2] * u1)
+        nu = nu + cf * a[2]
+        mu1 = p1 - 0.5 * nu * u2
+        mu2 = p2 + 0.5 * nu * u1
+    return np.stack([mu1 + nu * u2, mu2 - nu * u1, nu], axis=-1)
+
+
 def momentum_map(point: ExtendedPhasePoint, field: MagneticField) -> MomentumValue:
     """Equivariant momentum map of the lifted left action.
 
     Canonical case (zero field): J0(g, rho) = coadjoint(g, rho), the unique
     expression conserved along flows of left-invariant Hamiltonians in this
     trivialization. Magnetic case: J_B = J0 composed with the fiber shift t_A,
-    which needs an exact field whose potential is declared left-invariant.
+    which needs an exact field whose potential is declared left-invariant
+    (NotInvariant for other potentials, MissingPotential for nonzero fields
+    without one). The point case of momentum_map_array.
     """
-    if field.kind == "invariant":
-        shifted = extended_momentum_shift(point, field)
-        return MomentumValue(coadjoint(shifted.g, shifted.rho))
-    if field.has_potential:
-        raise NotInvariant(
-            "momentum map needs a potential declared left-invariant")
-    if field.kind != "zero":
-        raise MissingPotential(
-            "momentum map of a nonzero field needs an invariant potential")
-    return MomentumValue(coadjoint(point.g, point.rho))
+    J = momentum_map_array(point.g.as_array(), point.rho.as_array(), field)
+    return MomentumValue(CoAlgebraElement(J[:2], J[2]))
 
 
 def level_set_contains(point: ExtendedPhasePoint, mu_nu: CoAlgebraElement,

@@ -372,16 +372,18 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
     """Flow the reduced field on the orbit chart.
 
     Returns (times, charts, energies); charts hold rows
-    (rho1, rho2, theta..., lam...). Implicit midpoint is appropriate here
-    because the chart form is constant on the leaf.
+    (rho1, rho2, theta..., lam...), and each energy is the source Hamiltonian
+    at the chart's stored level lift, all rows lifted in one product.
+    Implicit midpoint is appropriate here because the chart form is constant
+    on the leaf.
     """
     def rhs(arr: np.ndarray) -> np.ndarray:
         return reduced_rch_field(red, red.orbit_point(arr))
 
     times, charts = dynamics._fixed_step_flow(rhs, z0.as_array(), t_end, h,
                                               method)
-    energies = np.array([red.hamiltonian.evaluate(red.orbit_point(y))
-                         for y in charts])
+    lifted = red.lift_offset + charts @ red.lift_matrix.T
+    energies = np.array([red.source.hamiltonian.evaluate(s) for s in lifted])
     return times, charts, energies
 
 

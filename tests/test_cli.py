@@ -10,7 +10,7 @@ import pytest
 
 import heisenmech
 from heisenmech import fd
-from heisenmech.cli import _body_scaling_map, main
+from heisenmech.cli import _body_scaling_map, _write_csv, main
 from heisenmech.group import CoAlgebraElement
 from heisenmech.magnetic import body_to_chart, chart_to_body
 from heisenmech.report import load_schema
@@ -256,3 +256,13 @@ def test_console_module_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 1
     assert "FAIL mr1.symplectic" in result.stdout
+
+
+def test_csv_rows_match_per_value_float_repr(tmp_path):
+    edge = [-0.0, 5e-324, 1e308, 0.1, 1.0, 1e16, np.nan, -np.inf, 1.0 / 3.0]
+    rows = np.array([edge, edge[::-1]])
+    _write_csv(tmp_path / "rows.csv", ["c%d" % i for i in range(len(edge))], rows)
+    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    text = (tmp_path / "rows.csv").read_text()
+    assert text == ",".join("c%d" % i for i in range(len(edge))) + "\n" + expected
+    assert text.splitlines()[1].startswith("-0.0,5e-324,1e+308,0.1,1.0,1e+16,nan,")

@@ -101,14 +101,21 @@ def test_vertical_lift_identity_and_doubling():
 
 def test_vertical_lift_rejects_base_moving_map():
     sys = rotation_system()
+    for shift in (1.0, 1e-9):
 
-    def slide(s):
-        out = s.copy()
-        out[0] += 1.0
-        return out
+        def slide(s):
+            out = s.copy()
+            out[0] += shift
+            return out
 
-    with pytest.raises(ValueError):
-        D.vertical_lift(D.FiberMap(apply=slide), sys, np.zeros(6))
+        # The base/fiber index arrays are built once per k and shared, so
+        # the check must hold on every call, not just the first.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="base point"):
+                D.vertical_lift(D.FiberMap(apply=slide), sys, np.zeros(6))
+    base, fiber = D._base_fiber_indices(1)
+    assert D._base_fiber_indices(1)[0] is base
+    assert not base.flags.writeable and not fiber.flags.writeable
 
 
 def test_rch_field_additivity_and_q_component():
@@ -340,6 +347,16 @@ def test_undeclared_field_is_general_not_zero():
                            t_end=0.1, h=1e-2, method="midpoint")
     assert traj.method == "rk4"
     assert np.all(np.isnan(traj.momenta))
+
+
+def test_integrate_momenta_are_the_point_momentum_map():
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.7)
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0, 1), k=1)
+    traj = D.integrate(sys, np.array([0.4, -0.1, 0.3, 0.7, 0.2, 1.1, 0.5, -0.3]),
+                       t_end=0.2, h=1e-2)
+    for s, J in zip(traj.states, traj.momenta):
+        expect = M.momentum_map(M.extended_from_chart(s, 1), field).as_array()
+        assert J.tobytes() == expect.tobytes()
 
 
 def test_non_finite_state_raises_floating_point_error():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from heisenmech import dynamics as D
 from heisenmech import fd
 from heisenmech import magnetic as M
 from heisenmech.errors import MissingPotential, NotInvariant, NotOnLevelSet
@@ -125,6 +126,51 @@ def test_momentum_map_errors():
     linear = M.MagneticField.linear_potential(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
     with pytest.raises(NotInvariant):
         M.momentum_map(x, linear)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_momentum_map_array_matches_the_point_path_bitwise(k):
+    rng = np.random.default_rng(4100 + k)
+    n = 400
+    states = rng.uniform(-1, 1, (n, 6 + 2 * k)) * 10.0 ** rng.uniform(-3, 3, (n, 6 + 2 * k))
+    q = states[:, :3]
+    rho = M.chart_to_body_array(q, states[:, 3:6])
+    fields = [M.MagneticField.zero()]
+    for cf in (1.0, 0.7, -1.3):
+        fields.append(M.MagneticField.invariant_potential((0.3, -0.2, 0.8), cf))
+        fields.append(M.MagneticField.invariant_potential(
+            rng.uniform(-1, 1, 3) * 10.0 ** rng.uniform(-3, 3, 3), cf))
+    for field in fields:
+        J = M.momentum_map_array(q, rho, field)
+        assert J.shape == (n, 3)
+        for s, row in zip(states, J):
+            # Reference: J0 = coadjoint after the dataclass fiber shift t_A.
+            x = M.extended_from_chart(s, k)
+            if field.kind == "invariant":
+                x = M.extended_momentum_shift(x, field)
+            assert row.tobytes() == coadjoint(x.g, x.rho).as_array().tobytes()
+            point = M.momentum_map(M.extended_from_chart(s, k), field)
+            assert row.tobytes() == point.as_array().tobytes()
+
+
+def test_momentum_map_array_raises_like_the_point_path():
+    rng = np.random.default_rng(4103)
+    states = rng.uniform(-2, 2, (5, 6))
+    q = states[:, :3]
+    rho = M.chart_to_body_array(q, states[:, 3:6])
+    x = M.extended_from_chart(states[0])
+    linear = M.MagneticField.linear_potential(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
+    general = M.MagneticField(lambda q: q[0] * PLANAR)
+    for field, error in ((M.MagneticField.constant(PLANAR), MissingPotential),
+                         (linear, NotInvariant), (general, MissingPotential)):
+        with pytest.raises(error):
+            M.momentum_map_array(q, rho, field)
+        with pytest.raises(error):
+            M.momentum_map(x, field)
+    # integrate records nan momenta for such fields instead of raising.
+    sys = D.RCHSystem(M.MagneticField.constant(PLANAR), D.invariant_kinetic_hamiltonian(1.0))
+    traj = D.integrate(sys, states[0], t_end=0.1, h=1e-2)
+    assert traj.momenta.shape == (11, 3) and np.all(np.isnan(traj.momenta))
 
 
 def test_momentum_map_equivariance():
