@@ -121,7 +121,7 @@ def _constant_push_map(delta: np.ndarray) -> dyn.FiberMap:
         out[3:6] += delta
         return out
 
-    return dyn.FiberMap(apply=apply)
+    return dyn.FiberMap(apply=apply, tangent=lambda s, v: np.array(v, dtype=float))
 
 
 def build_force(cfg: ExperimentConfig,
@@ -166,9 +166,9 @@ def build_system(cfg: ExperimentConfig, field_prefix: str = "field",
                         choices=("euclidean", "invariant"))
     field = build_field(cfg, e / c, field_prefix)
     if metric == "euclidean":
-        hamiltonian = dyn.euclidean_kinetic_hamiltonian(m, k)
+        hamiltonian = dyn.euclidean_kinetic_hamiltonian(m)
     else:
-        hamiltonian = dyn.invariant_kinetic_hamiltonian(m, k)
+        hamiltonian = dyn.invariant_kinetic_hamiltonian(m)
     control, subset = build_control(cfg, k)
     return dyn.RCHSystem(field, hamiltonian, force=build_force(cfg, force_prefix),
                          control=control, control_subset=subset,

@@ -51,7 +51,6 @@ class HamiltonianSpec:
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    k: int = 0
 
     def grad(self, state: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
@@ -293,22 +292,22 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float,
     return times, states
 
 
-def _shifted_chart_rhs(sys: RCHSystem):
-    """Canonical equations of the shifted Hamiltonian H_A, for the chart route."""
+def _shifted_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
+    """H_A(q, P) = H(q, P - charge_factor * A(q)) with its exact gradient
+    (g_q - charge_factor * DA^T g_p, g_p, g_theta, g_lam), g = grad H there."""
     cf = sys.field.charge_factor
-    k = sys.k
 
-    def rhs(state):
-        q = state[:3]
-        A = sys.field.vector_potential(q)
-        unshifted = state.copy()
-        unshifted[3:6] = state[3:6] - cf * A
-        grad = sys.hamiltonian.grad(unshifted)
-        DA = sys.field.vector_potential_jacobian(q)
-        gq = grad[:3] - cf * (DA.T @ grad[3:6])
-        return np.concatenate([grad[3:6], -gq, grad[6 + k:], -grad[6:6 + k]])
+    def unshift(state):
+        out = state.copy()
+        out[3:6] = state[3:6] - cf * sys.field.vector_potential(state[:3])
+        return out
 
-    return rhs
+    def gradient(state):
+        grad = sys.hamiltonian.grad(unshift(state))
+        DA = sys.field.vector_potential_jacobian(state[:3])
+        return np.concatenate([grad[:3] - cf * (DA.T @ grad[3:6]), grad[3:]])
+
+    return HamiltonianSpec(lambda s: sys.hamiltonian.evaluate(unshift(s)), gradient)
 
 
 def integrate(sys: RCHSystem, x0, t_end: float, h: float,
@@ -318,9 +317,9 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     midpoint is the implicit midpoint rule (fixed-point iteration to 1e-12,
     at most 100 iterations per step), symplectic for constant fields. If the
     field is declared general (q-dependent), a pure Hamiltonian system with a
-    potential is integrated in the shifted canonical chart and mapped back
-    through the fiber translation; otherwise the method silently becomes rk4
-    and a NonSymplecticWarning is emitted. rk4 is the explicit reference
+    potential is integrated as the plain Hamiltonian field of H_A (see
+    modified_hamiltonian) and mapped back through the fiber translation;
+    otherwise the method silently becomes rk4 and a NonSymplecticWarning is emitted. rk4 is the explicit reference
     scheme. The momenta come from one array pass of
     magnetic.momentum_map_array over all states, and are nan for fields
     without a momentum map (every kind but zero and invariant). Energies are
@@ -334,7 +333,9 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
         pure = sys.force is None and sys.control is None
         if pure and sys.field.has_potential:
             shifted_route = True
-            rhs = _shifted_chart_rhs(sys)
+            shifted = replace(sys, field=MagneticField.zero(),
+                              hamiltonian=_shifted_hamiltonian(sys))
+            rhs = lambda y: hamiltonian_vector_field(shifted, y)
         else:
             warnings.warn("q-dependent field without a usable potential: "
                           "falling back to non-symplectic rk4",
@@ -361,7 +362,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     return Trajectory(times, states, energies, momenta, method)
 
 
-def euclidean_kinetic_hamiltonian(m: float, k: int = 0) -> HamiltonianSpec:
+def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
     """Chart kinetic energy |p|^2/(2m); its q-gradient vanishes identically."""
 
     def evaluate(state):
@@ -373,10 +374,10 @@ def euclidean_kinetic_hamiltonian(m: float, k: int = 0) -> HamiltonianSpec:
         out[3:6] = state[3:6] / m
         return out
 
-    return HamiltonianSpec(evaluate, gradient, k)
+    return HamiltonianSpec(evaluate, gradient)
 
 
-def invariant_kinetic_hamiltonian(m: float, k: int = 0) -> HamiltonianSpec:
+def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
     """Left-invariant kinetic energy |rho(q, p)|^2/(2m) in chart coordinates.
 
     This is the non-Euclidean metric option: the Hamiltonian a left-invariant
@@ -403,7 +404,7 @@ def invariant_kinetic_hamiltonian(m: float, k: int = 0) -> HamiltonianSpec:
         out[5] = (-0.5 * q[1] * rho[0] + 0.5 * q[0] * rho[1] + rho[2]) / m
         return out
 
-    return HamiltonianSpec(evaluate, gradient, k)
+    return HamiltonianSpec(evaluate, gradient)
 
 
 def heisenberg_particle(m: float, e: float, c: float,
@@ -425,8 +426,4 @@ def modified_hamiltonian(sys: RCHSystem, x) -> float:
     For the kinetic particle this is |p - (e/c) A(q)|^2 / (2m); composing with
     the fiber shift t_A recovers H identically.
     """
-    state = _as_state(x, sys.k)
-    A = sys.field.vector_potential(state[:3])
-    unshifted = state.copy()
-    unshifted[3:6] = state[3:6] - sys.field.charge_factor * A
-    return float(sys.hamiltonian.evaluate(unshifted))
+    return float(_shifted_hamiltonian(sys).evaluate(_as_state(x, sys.k)))

@@ -430,9 +430,9 @@ def reduced_hamiltonian(h_full: Callable[[ExtendedPhasePoint], float],
 
     First verifies invariance on 100 random (translated, original) pairs to
     invariance_tol, then returns the orbit function h with h(reduce(x)) equal
-    to h_full(x): evaluation lifts the orbit point back to the level set, and
-    any lift gives the same value because the isotropy direction is exactly
-    the invariance direction.
+    to h_full(x): evaluation lifts a flat orbit chart of the level's leaf back
+    to the level set, and any lift gives the same value because the isotropy
+    direction is exactly the invariance direction.
     """
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -446,7 +446,8 @@ def reduced_hamiltonian(h_full: Callable[[ExtendedPhasePoint], float],
             raise NotInvariant(
                 "Hamiltonian is not left-invariant at the requested tolerance")
 
-    def evaluate(o: OrbitPoint) -> float:
+    def evaluate(chart: np.ndarray) -> float:
+        o = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
         return float(h_full(level_lift(o, mu_nu, field)))
 
     return OrbitFunction(evaluate=evaluate)

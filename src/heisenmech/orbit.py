@@ -145,10 +145,6 @@ class OrbitPoint:
         """Chart coordinates (rho1, rho2, theta..., lam...); nu is a leaf label."""
         return np.concatenate([self.rho, self.theta, self.lam])
 
-    def replace_chart(self, arr: np.ndarray) -> "OrbitPoint":
-        k = self.k
-        return OrbitPoint(arr[:2], self.nu, arr[2:2 + k], arr[2 + k:])
-
 
 @dataclass(frozen=True)
 class OrbitDescriptor:
@@ -161,23 +157,23 @@ class OrbitDescriptor:
 
 @dataclass(frozen=True)
 class OrbitFunction:
-    """Scalar function on the extended orbit chart with optional gradient.
+    """Scalar function on a flat orbit chart (rho1, rho2, theta..., lam...).
 
-    The gradient is flat: (d/drho1, d/drho2, d/dtheta..., d/dlam...).
+    nu labels the leaf and is not a chart coordinate. The gradient is flat;
+    without a gradient callable it is a central difference (fd.GRADIENT_STEP).
     """
 
-    evaluate: Callable[[OrbitPoint], float]
-    gradient: Callable[[OrbitPoint], np.ndarray] | None = None
+    evaluate: Callable[[np.ndarray], float]
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def gradient_is_analytic(self) -> bool:
         return self.gradient is not None
 
-    def grad(self, p: OrbitPoint) -> np.ndarray:
+    def grad(self, chart: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
-            return np.asarray(self.gradient(p), dtype=float)
-        return fd.gradient(lambda x: self.evaluate(p.replace_chart(x)),
-                           p.as_array())
+            return np.asarray(self.gradient(chart), dtype=float)
+        return fd.gradient(self.evaluate, chart)
 
 
 class JacobiResult(NamedTuple):
@@ -313,24 +309,25 @@ def orbit_form_matrix(p: OrbitPoint, B: MagneticCocycle,
     return np.array([[0.0, c], [-c, 0.0]])
 
 
-def orbit_hamiltonian_vector_field(h: OrbitFunction, p: OrbitPoint,
+def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: float,
                                    B: MagneticCocycle,
                                    sign: str = "minus") -> np.ndarray:
-    """Chart vector X with i_X (orbit form + canonical V form) = dh at p.
+    """Chart vector X with i_X (orbit form + canonical V form) = dh at chart.
 
-    Returns (rhodot1, rhodot2, thetadot..., lamdot...). On chart vectors the
-    orbit form is drho1 ^ drho2 / c with c = sign*nu - B12 (its matrix W on
-    generator labels has det W = c^2), so the planar block is
+    chart is flat, on the leaf at height nu. Returns (rhodot1, rhodot2,
+    thetadot..., lamdot...). On chart vectors the orbit form is
+    drho1 ^ drho2 / c with c = sign*nu - B12 (its matrix W on generator
+    labels has det W = c^2), so the planar block is
     c * (dh/drho2, -dh/drho1) and the canonical V x V* block is
     (dh/dlam, -dh/dtheta). Requires a plane orbit on which W is regular.
     """
-    c = _generator_scale(p.nu, B, sign)
+    c = _generator_scale(nu, B, sign)
     if c * c < 1e-14:
         raise SingularForm(
             "orbit form matrix is singular: the magnetic term cancels the orbit term",
-            matrix=orbit_form_matrix(p, B, sign))
-    grad = h.grad(p)
-    k = p.k
+            matrix=np.array([[0.0, c], [-c, 0.0]]))
+    grad = h.grad(chart)
+    k = (grad.size - 2) // 2
     return np.concatenate([c * np.array([grad[1], -grad[0]]), grad[2 + k:],
                            -grad[2:2 + k]])
 

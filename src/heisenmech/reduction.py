@@ -170,10 +170,10 @@ def _span_distance(spanning: np.ndarray, vec: np.ndarray) -> float:
 class ReducedRCHSystem:
     """Controlled system dropped to the orbit chart O x V x V*.
 
-    The reduced force and control act on flat orbit charts
-    (rho1, rho2, theta..., lam...) and fix the theta block. The level lift is
-    affine in the chart: lift_offset + lift_matrix @ chart puts an orbit
-    chart on the level set at center height zero.
+    Everything acts on flat charts (rho1, rho2, theta..., lam...) of the leaf
+    at height level.nu; force and control fix the theta block. The level
+    lift is affine in the chart: lift_offset + lift_matrix @ chart puts an
+    orbit chart on the level set at center height zero.
     """
 
     level: CoAlgebraElement
@@ -189,11 +189,6 @@ class ReducedRCHSystem:
     def k(self) -> int:
         return self.source.k
 
-    def orbit_point(self, chart: np.ndarray) -> OrbitPoint:
-        chart = np.asarray(chart, dtype=float)
-        k = self.k
-        return OrbitPoint(chart[:2], self.level.nu, chart[2:2 + k], chart[2 + k:])
-
     def lift(self, chart: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """Chart state of magnetic.level_lift at center height alpha.
 
@@ -204,18 +199,18 @@ class ReducedRCHSystem:
         out[2] += alpha
         return out
 
-    def control_subset_at(self, z: OrbitPoint) -> ControlSubset:
-        """Projection of the source control subset to the reduced fiber at z.
+    def control_subset_at(self, chart: np.ndarray) -> ControlSubset:
+        """Projection of the source control subset to the reduced fiber at chart.
 
-        The fiber projection (p, lam) -> (rho, lam) at a lift of z is affine,
-        so the image of an affine subset is the projected offset plus the
-        linear images of its spanning rays; collapsed rays are discarded.
+        The fiber projection (p, lam) -> (rho, lam) at a lift of chart is
+        affine, so the image of an affine subset is the projected offset plus
+        the linear images of its spanning rays; collapsed rays are discarded.
         """
         if self.source.control_subset is None:
             raise ControlSubsetMissing("source system carries no control subset")
         k = self.k
         subset = self.source.control_subset
-        state = self.lift(z.as_array())
+        state = self.lift(chart)
         _, fiber = _base_fiber_indices(k)
         state[fiber] = subset.offset
         offset = _project_chart(state, self.source.field)[_reduced_fiber_indices(k)]
@@ -297,8 +292,8 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
         mu_nu, sys.field, k=sys.k, invariance_tol=invariance_tol)
     offset, lift_matrix = _lift_matrix(mu_nu, sys.field, sys.k)
 
-    def gradient(z: OrbitPoint) -> np.ndarray:
-        lifted = offset + lift_matrix @ z.as_array()
+    def gradient(chart: np.ndarray) -> np.ndarray:
+        lifted = offset + lift_matrix @ chart
         return lift_matrix.T @ sys.hamiltonian.grad(lifted)
 
     red = ReducedRCHSystem(mu_nu, descriptor, replace(h_red, gradient=gradient),
@@ -328,42 +323,43 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     return red
 
 
-def reduced_hamiltonian_field(red: ReducedRCHSystem, z: OrbitPoint) -> np.ndarray:
-    """Chart velocity of the reduced Hamiltonian part at z.
+def reduced_hamiltonian_field(red: ReducedRCHSystem, chart: np.ndarray) -> np.ndarray:
+    """Chart velocity of the reduced Hamiltonian part at a flat orbit chart.
 
-    Plane orbits use the closed-form orbit field with no cocycle; point
-    orbits have no rho freedom, leaving only the canonical flow on the
-    V x V* factor.
+    Plane orbits use the closed-form orbit field with no cocycle on the leaf
+    at red.level.nu; point orbits have no rho freedom, leaving only the
+    canonical flow on the V x V* factor.
     """
     if red.descriptor.kind == "point":
-        grad = red.hamiltonian.grad(z)
-        k = z.k
+        grad = red.hamiltonian.grad(chart)
+        k = red.k
         return np.concatenate([np.zeros(2), grad[2 + k:], -grad[2:2 + k]])
-    return orbit_hamiltonian_vector_field(red.hamiltonian, z, _NO_COCYCLE)
+    return orbit_hamiltonian_vector_field(red.hamiltonian, chart, red.level.nu,
+                                          _NO_COCYCLE)
 
 
 def reduced_vertical_lift(fm: FiberMap, red: ReducedRCHSystem,
-                          z: OrbitPoint) -> np.ndarray:
+                          chart: np.ndarray) -> np.ndarray:
     """Orbit-chart image of the vertical correction of a source fiber map.
 
-    The full-space vertical lift is computed at the stored lift of z and
+    The full-space vertical lift is computed at the stored lift of chart and
     pushed down through the tangent of the projection on the fiber, which is
     exact because the projection is affine there. Equivariance of the fiber
     map makes the result independent of the lift. A chart-level imitation
     (lifting the reduced map directly) would miss the base dependence of the
     projection and is deliberately not offered.
     """
-    lift = red.lift(z.as_array())
+    lift = red.lift(chart)
     return _fiber_push(lift[:3], vertical_lift(fm, red.source, lift)[3:])
 
 
-def reduced_rch_field(red: ReducedRCHSystem, z: OrbitPoint) -> np.ndarray:
+def reduced_rch_field(red: ReducedRCHSystem, chart: np.ndarray) -> np.ndarray:
     """Full reduced dynamics: Hamiltonian part plus reduced vertical lifts."""
-    out = reduced_hamiltonian_field(red, z)
+    out = reduced_hamiltonian_field(red, chart)
     if red.source.force is not None:
-        out = out + reduced_vertical_lift(red.source.force, red, z)
+        out = out + reduced_vertical_lift(red.source.force, red, chart)
     if red.source.control is not None:
-        out = out + reduced_vertical_lift(red.source.control, red, z)
+        out = out + reduced_vertical_lift(red.source.control, red, chart)
     return out
 
 
@@ -375,13 +371,11 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
     (rho1, rho2, theta..., lam...), and each energy is the source Hamiltonian
     at the chart's stored level lift, all rows lifted in one product.
     Implicit midpoint is appropriate here because the chart form is constant
-    on the leaf.
+    on the leaf. z0 gives the start chart; the leaf is red.level's.
     """
-    def rhs(arr: np.ndarray) -> np.ndarray:
-        return reduced_rch_field(red, red.orbit_point(arr))
-
-    times, charts = dynamics._fixed_step_flow(rhs, z0.as_array(), t_end, h,
-                                              method)
+    times, charts = dynamics._fixed_step_flow(
+        lambda chart: reduced_rch_field(red, chart), z0.as_array(), t_end, h,
+        method)
     lifted = red.lift_offset + charts @ red.lift_matrix.T
     energies = np.array([red.source.hamiltonian.evaluate(s) for s in lifted])
     return times, charts, energies
@@ -405,8 +399,7 @@ def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
         full = rch_vector_field(sys, state)
         lhs = fd.directional(lambda s: _project_chart(s, sys.field),
                              state, full, fd.GRADIENT_STEP)
-        z = red.orbit_point(_project_chart(state, sys.field))
-        rhs = reduced_rch_field(red, z)
+        rhs = reduced_rch_field(red, _project_chart(state, sys.field))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return CheckRecord("reduction.commutation", samples, worst, threshold)
 
@@ -462,8 +455,7 @@ def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
         out[7] = -float(A @ w) + lam
         return out
 
-    return KKSystem(field, float(m), float(mu),
-                    HamiltonianSpec(evaluate, gradient, k=1))
+    return KKSystem(field, float(m), float(mu), HamiltonianSpec(evaluate, gradient))
 
 
 def kk_alpha_form_check(kk: KKSystem, samples: int = 20, seed: int = 3313,

@@ -7,6 +7,7 @@ and carries no timestamps, so a fixed seed yields byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -22,6 +23,15 @@ SCHEMA_RESOURCE = "report.schema.json"
 def load_schema() -> dict:
     with resources.files(__package__).joinpath(SCHEMA_RESOURCE).open() as handle:
         return json.load(handle)
+
+
+@functools.cache
+def _validator():
+    """Validator of the report schema, checked and built on first use."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @dataclass
@@ -54,5 +64,5 @@ class InvariantReport:
 
     def to_json(self) -> str:
         payload = self.as_dict()
-        jsonschema.validate(payload, load_schema())
+        _validator().validate(payload)
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -10,10 +10,11 @@ import pytest
 
 import heisenmech
 from heisenmech import fd
-from heisenmech.cli import _body_scaling_map, _write_csv, main
+from heisenmech.cli import _body_scaling_map, _constant_push_map, _write_csv, main
 from heisenmech.group import CoAlgebraElement
 from heisenmech.magnetic import body_to_chart, chart_to_body
-from heisenmech.report import load_schema
+from heisenmech.reduction import CheckRecord
+from heisenmech.report import InvariantReport, load_schema
 
 import jsonschema
 
@@ -176,6 +177,44 @@ def test_reduce_level_that_stalled_finite_differences(tmp_path):
     ]) + "\n")
     assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert load_report(tmp_path)["passed"] is True
+
+
+def test_reduce_tiny_nu_plane_leaf_exits_3_without_report(tmp_path, capsys):
+    base = [line for line in (CONFIGS / "reduce.cfg").read_text().splitlines()
+            if not line.startswith("level.nu")]
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("\n".join(base + ["level.nu = 1e-9"]) + "\n")
+    assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "SingularForm" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_reduce_with_constant_push_control(tmp_path, capsys):
+    cfg = tmp_path / "push.cfg"
+    cfg.write_text((CONFIGS / "reduce.cfg").read_text() + "\n".join([
+        "", "control.kind = constant_push", "control.p1 = 0.3",
+        "control.p2 = -0.1", "control.subset = full"]) + "\n")
+    # The push does work on the particle, so the energy record fails by design.
+    assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    by_name = {r["name"]: r for r in load_report(tmp_path)["checks"]}
+    assert by_name["reduction.commutation"]["passed"] is True
+    assert by_name["reduce.energy_drift"]["passed"] is False
+
+
+def test_constant_push_tangent_matches_finite_differences():
+    push = _constant_push_map(np.array([0.3, -0.1, 0.7]))
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        state, v = rng.uniform(-2, 2, 6), rng.normal(size=6)
+        expected = fd.directional(push.apply, state, v)
+        assert np.max(np.abs(push.push(state, v) - expected)) <= 1e-8
+
+
+def test_report_rejects_negative_residual_and_empty_name():
+    for record in (CheckRecord("x", 1, -1e-3, 1.0), CheckRecord("", 1, 0.0, 1.0)):
+        with pytest.raises(jsonschema.ValidationError):
+            InvariantReport(0, [record]).to_json()
 
 
 def test_diverging_simulation_exits_3_without_report(tmp_path, capsys):

@@ -33,10 +33,10 @@ def nonconstant_closed_field(charge=1.0):
 
 def test_hamiltonian_spec_gradient_consistency():
     rng = np.random.default_rng(80)
-    for spec in (D.euclidean_kinetic_hamiltonian(1.7),
-                 D.invariant_kinetic_hamiltonian(0.8),
-                 D.invariant_kinetic_hamiltonian(1.0, k=1)):
-        dim = 6 + 2 * spec.k
+    for spec, k in ((D.euclidean_kinetic_hamiltonian(1.7), 0),
+                    (D.invariant_kinetic_hamiltonian(0.8), 0),
+                    (D.invariant_kinetic_hamiltonian(1.0), 1)):
+        dim = 6 + 2 * k
         for _ in range(50):
             state = rng.normal(size=dim)
             grad = spec.grad(state)
@@ -312,6 +312,7 @@ def test_shifted_chart_route_and_rk4_fallback():
     sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0))
     x0 = np.array([0.5, -0.2, 0.1, 0.8, 0.3, -0.4])
     traj = D.integrate(sys, x0, t_end=2.0, h=1e-3, method="midpoint")
+    assert traj.method == "midpoint"
     rel = np.abs(traj.energies - traj.energies[0]) / abs(traj.energies[0])
     assert np.max(rel) <= 1e-6
 
@@ -325,6 +326,31 @@ def test_shifted_chart_route_and_rk4_fallback():
     with pytest.warns(NonSymplecticWarning):
         out = D.integrate(forced, x0, t_end=0.1, h=1e-3, method="midpoint")
     assert out.method == "rk4"
+
+
+@pytest.mark.parametrize("k", (0, 1))
+def test_shifted_hamiltonian_gradient_matches_finite_differences(k):
+    kinetic = D.invariant_kinetic_hamiltonian(1.3)
+
+    def evaluate(state):
+        theta, lam = state[6:6 + k], state[6 + k:]
+        return kinetic.evaluate(state) + float(np.sum(np.cos(theta) + 0.5 * lam ** 2))
+
+    def gradient(state):
+        out = kinetic.grad(state)
+        out[6:6 + k] -= np.sin(state[6:6 + k])
+        out[6 + k:] += state[6 + k:]
+        return out
+
+    sys = D.RCHSystem(nonconstant_closed_field(0.9), D.HamiltonianSpec(evaluate, gradient),
+                      k=k)
+    shifted = D._shifted_hamiltonian(sys)
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        state = rng.uniform(-2, 2, 6 + 2 * k)
+        expected = fd.gradient(shifted.evaluate, state)
+        assert np.max(np.abs(shifted.grad(state) - expected)) <= 1e-8
+        assert shifted.evaluate(state) == D.modified_hamiltonian(sys, state)
 
 
 def test_undeclared_field_is_general_not_zero():
@@ -351,7 +377,7 @@ def test_undeclared_field_is_general_not_zero():
 
 def test_integrate_momenta_are_the_point_momentum_map():
     field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.7)
-    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0, 1), k=1)
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0), k=1)
     traj = D.integrate(sys, np.array([0.4, -0.1, 0.3, 0.7, 0.2, 1.1, 0.5, -0.3]),
                        t_end=0.2, h=1e-2)
     for s, J in zip(traj.states, traj.momenta):

@@ -188,21 +188,21 @@ def test_orbit_form_matrix_determinant():
 
 def test_orbit_field_frozen_cases():
     B0 = O.MagneticCocycle.zero()
-    h = O.OrbitFunction(evaluate=lambda p: float(p.rho[0]),
-                        gradient=lambda p: np.array([1.0, 0.0]))
-    p = O.OrbitPoint((0.3, -0.8), 1.0)
-    out = O.orbit_hamiltonian_vector_field(h, p, B0)
+    h = O.OrbitFunction(evaluate=lambda x: float(x[0]),
+                        gradient=lambda x: np.array([1.0, 0.0]))
+    chart = np.array([0.3, -0.8])
+    out = O.orbit_hamiltonian_vector_field(h, chart, 1.0, B0)
     assert np.allclose(out, [0.0, 1.0], atol=1e-14)
 
-    const = O.OrbitFunction(evaluate=lambda p: 4.2, gradient=lambda p: np.zeros(2))
-    assert np.allclose(O.orbit_hamiltonian_vector_field(const, p, B0), 0.0, atol=0)
+    const = O.OrbitFunction(evaluate=lambda x: 4.2, gradient=lambda x: np.zeros(2))
+    assert np.allclose(O.orbit_hamiltonian_vector_field(const, chart, 1.0, B0), 0.0,
+                       atol=0)
 
 
 def test_orbit_field_canonical_v_block():
     B0 = O.MagneticCocycle.zero()
-    h = O.OrbitFunction(evaluate=lambda p: 0.5 * float(p.lam @ p.lam))
-    p = O.OrbitPoint((0.0, 0.0), 1.0, theta=[0.4], lam=[2.5])
-    out = O.orbit_hamiltonian_vector_field(h, p, B0)
+    h = O.OrbitFunction(evaluate=lambda x: 0.5 * float(x[3:] @ x[3:]))
+    out = O.orbit_hamiltonian_vector_field(h, np.array([0.0, 0.0, 0.4, 2.5]), 1.0, B0)
     assert np.allclose(out[:2], 0.0, atol=1e-9)
     assert abs(out[2] - 2.5) <= 1e-9  # thetadot = lam
     assert abs(out[3]) <= 1e-9        # lamdot = 0
@@ -218,16 +218,10 @@ def test_orbit_field_residual_oracle():
         Q = rng.normal(size=(2 + 2 * k, 2 + 2 * k))
         Q = Q + Q.T
 
-        def ev(pt, Q=Q):
-            x = pt.as_array()
-            return 0.5 * float(x @ Q @ x)
-
-        def gr(pt, Q=Q):
-            return Q @ pt.as_array()
-
-        h = O.OrbitFunction(evaluate=ev, gradient=gr)
-        X = O.orbit_hamiltonian_vector_field(h, p, B)
-        grad = h.grad(p)
+        h = O.OrbitFunction(evaluate=lambda x, Q=Q: 0.5 * float(x @ Q @ x),
+                            gradient=lambda x, Q=Q: Q @ x)
+        X = O.orbit_hamiltonian_vector_field(h, p.as_array(), p.nu, B)
+        grad = h.grad(p.as_array())
         for _ in range(10):
             w = rng.normal(size=2 + 2 * k)
             lhs = O.orbit_form_on_chart_vectors(p, X, w, B)
@@ -238,11 +232,11 @@ def test_orbit_field_singular_form():
     # minus sign: the generator scale is -nu - B12, so B12 = -nu cancels it.
     p = O.OrbitPoint((0.1, 0.2), 1.0)
     B = O.MagneticCocycle.planar(-1.0)
-    h = O.OrbitFunction(evaluate=lambda p: float(p.rho[0]),
-                        gradient=lambda p: np.array([1.0, 0.0]))
+    h = O.OrbitFunction(evaluate=lambda x: float(x[0]),
+                        gradient=lambda x: np.array([1.0, 0.0]))
     with pytest.raises(SingularForm) as exc:
-        O.orbit_hamiltonian_vector_field(h, p, B)
-    assert exc.value.matrix is not None
+        O.orbit_hamiltonian_vector_field(h, p.as_array(), p.nu, B)
+    assert np.array_equal(exc.value.matrix, O.orbit_form_matrix(p, B))
 
 
 def test_dual_function_fd_gradient_direction_agreement():

@@ -14,6 +14,7 @@ from heisenmech.errors import (
     IrregularLevel,
     MissingPotential,
     NotInvariant,
+    SingularForm,
 )
 from heisenmech.group import CoAlgebraElement, GroupElement, coadjoint, inverse
 from heisenmech.orbit import OrbitFunction, OrbitPoint
@@ -62,8 +63,7 @@ def test_reduce_system_free_particle_value():
     rng = np.random.default_rng(10)
     for _ in range(50):
         rho = rng.uniform(-2, 2, 2)
-        z = OrbitPoint(rho, 1.0)
-        assert abs(red.hamiltonian.evaluate(z) - 0.5 * (rho @ rho + 1.0)) <= 1e-12
+        assert abs(red.hamiltonian.evaluate(rho) - 0.5 * (rho @ rho + 1.0)) <= 1e-12
 
 
 def test_reduce_system_shifted_value():
@@ -74,8 +74,7 @@ def test_reduce_system_shifted_value():
     for _ in range(50):
         rho = rng.uniform(-2, 2, 2)
         w = np.concatenate([rho, [1.0]]) - a
-        z = OrbitPoint(rho, 1.0)
-        assert abs(red.hamiltonian.evaluate(z) - 0.5 * (w @ w) / 2.0) <= 1e-12
+        assert abs(red.hamiltonian.evaluate(rho) - 0.5 * (w @ w) / 2.0) <= 1e-12
 
 
 def test_reduce_system_errors():
@@ -99,18 +98,17 @@ def test_reduce_system_errors():
 
 
 def test_point_orbit_reduction():
-    kinetic = D.invariant_kinetic_hamiltonian(1.0, k=1)
+    kinetic = D.invariant_kinetic_hamiltonian(1.0)
 
     def with_circle_energy(state):
         return kinetic.evaluate(state) + 0.5 * state[7] ** 2
 
     sys = particle(field=M.MagneticField.zero(),
-                   ham=D.HamiltonianSpec(with_circle_energy, k=1))
+                   ham=D.HamiltonianSpec(with_circle_energy))
     sys = dataclasses.replace(sys, k=1)
     level = CoAlgebraElement((0.5, 0.2), 0.0)
     red = R.reduce_system(sys, level, expected_orbit="point")
-    z = OrbitPoint((0.5, 0.2), 0.0, (0.3,), (0.9,))
-    X = R.reduced_hamiltonian_field(red, z)
+    X = R.reduced_hamiltonian_field(red, np.array([0.5, 0.2, 0.3, 0.9]))
     assert np.allclose(X[:2], 0.0, atol=1e-12)
     assert np.allclose(X[2:], [0.9, 0.0], atol=1e-10)
 
@@ -129,8 +127,7 @@ def test_reduced_force_and_control_maps():
         assert np.max(np.abs(moved - expected)) <= 1e-12
         pushed = red.control(chart)
         assert np.max(np.abs(pushed - (chart + [0.3, -0.1]))) <= 1e-12
-        z = red.orbit_point(chart)
-        assert red.control_subset_at(z).contains(pushed, tol=1e-10)
+        assert red.control_subset_at(chart).contains(pushed, tol=1e-10)
 
 
 def test_commutation_sweep_passes():
@@ -183,8 +180,39 @@ def test_reduced_trajectory_conserves_energy():
     assert np.max(np.abs(energies - energies[0])) <= 1e-8
 
 
+def test_integrate_reduced_builds_no_orbit_points(monkeypatch):
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0),
+                      force=body_scaling(0.6, lam_factor=0.8), k=1)
+    red = R.reduce_system(sys, LEVEL)
+    z0 = OrbitPoint((1.2, -0.4), 1.0, (0.3,), (0.9,))
+    built = []
+    post_init = OrbitPoint.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(OrbitPoint, "__post_init__", counting_post_init)
+    times, _, _ = R.integrate_reduced(red, z0, t_end=0.05, h=1e-2)
+    assert times.size == 6 and built == []
+    # The dataclass reference path still builds one per evaluation.
+    red.hamiltonian.evaluate(z0.as_array())
+    assert len(built) == 1
+
+
+def test_tiny_nu_plane_leaf_raises_singular_form():
+    # 1e-9 is above classify_orbit's 1e-12, so the leaf is a plane, but the
+    # orbit form coefficient c = -nu falls under the c^2 < 1e-14 threshold.
+    level = CoAlgebraElement(LEVEL.mu, 1e-9)
+    red = R.reduce_system(particle(), level)
+    assert red.descriptor.kind == "plane"
+    with pytest.raises(SingularForm):
+        R.integrate_reduced(red, OrbitPoint((1.2, -0.4), 1e-9), t_end=0.1, h=1e-2)
+
+
 def test_reduced_gradient_matches_finite_differences():
-    kinetic = D.invariant_kinetic_hamiltonian(1.3, k=1)
+    kinetic = D.invariant_kinetic_hamiltonian(1.3)
 
     def evaluate(state):
         return kinetic.evaluate(state) + 0.5 * state[7] ** 2 + np.cos(state[6])
@@ -197,15 +225,14 @@ def test_reduced_gradient_matches_finite_differences():
 
     rng = np.random.default_rng(15)
     for sys in (particle(m=1.3),
-                D.RCHSystem(particle().field, D.HamiltonianSpec(evaluate, gradient, k=1),
+                D.RCHSystem(particle().field, D.HamiltonianSpec(evaluate, gradient),
                             m=1.3, k=1)):
         red = R.reduce_system(sys, LEVEL)
         assert red.hamiltonian.gradient_is_analytic
         for _ in range(20):
-            z = red.orbit_point(rng.uniform(-2, 2, 2 + 2 * sys.k))
-            expected = fd.gradient(lambda x: red.hamiltonian.evaluate(z.replace_chart(x)),
-                                   z.as_array())
-            assert np.max(np.abs(red.hamiltonian.grad(z) - expected)) <= 1e-8
+            chart = rng.uniform(-2, 2, 2 + 2 * sys.k)
+            expected = fd.gradient(red.hamiltonian.evaluate, chart)
+            assert np.max(np.abs(red.hamiltonian.grad(chart) - expected)) <= 1e-8
 
 
 def dataclass_projection(state, field, k):
@@ -224,20 +251,21 @@ def dataclass_projection(state, field, k):
     M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.5)),
     ids=("zero", "invariant"))
 def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, field):
-    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0, k),
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0),
                       force=body_scaling(0.6, lam_factor=0.8), k=k)
     red = R.reduce_system(sys, level, expected_orbit=orbit)
     rng = np.random.default_rng(17)
     _, fiber = D._base_fiber_indices(k)
     for _ in range(30):
-        z = red.orbit_point(rng.uniform(-2, 2, 2 + 2 * k))
+        chart = rng.uniform(-2, 2, 2 + 2 * k)
+        z = OrbitPoint(chart[:2], level.nu, chart[2:2 + k], chart[2 + k:])
         for alpha in (0.0, 0.9, -1.7):
             expected = M.extended_to_chart(M.level_lift(z, level, field, alpha))
-            assert np.max(np.abs(red.lift(z.as_array(), alpha) - expected)) <= 1e-12
+            assert np.max(np.abs(red.lift(chart, alpha) - expected)) <= 1e-12
         state = rng.uniform(-2, 2, 6 + 2 * k)
         assert np.max(np.abs(R._project_chart(state, field)
                              - dataclass_projection(state, field, k))) <= 1e-12
-        lift = red.lift(z.as_array())
+        lift = red.lift(chart)
         v = np.zeros(6 + 2 * k)
         v[fiber] = rng.normal(size=3 + k)
         expected = (dataclass_projection(lift + v, field, k)
@@ -246,7 +274,7 @@ def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, fie
         v = D.vertical_lift(sys.force, sys, lift)
         expected = (dataclass_projection(lift + v, field, k)
                     - dataclass_projection(lift, field, k))
-        assert np.max(np.abs(R.reduced_vertical_lift(sys.force, red, z)
+        assert np.max(np.abs(R.reduced_vertical_lift(sys.force, red, chart)
                              - expected)) <= 1e-12
 
 
