@@ -309,8 +309,7 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
         out[3:6] = w
         return out
 
-    canonical_sys = dyn.RCHSystem(zero, dyn.HamiltonianSpec(ha_eval, ha_grad),
-                                  m=m)
+    canonical_sys = dyn.RCHSystem(zero, dyn.HamiltonianSpec(ha_eval, ha_grad))
     state = rng.normal(size=6)
     magnetic_end = dyn.integrate(sys, state, 1.0, 1e-4, "rk4").final_state()
     shifted0 = mag.momentum_shift(mag.PhasePoint(state[:3], state[3:6]),

@@ -171,8 +171,7 @@ def build_system(cfg: ExperimentConfig, field_prefix: str = "field",
         hamiltonian = dyn.invariant_kinetic_hamiltonian(m)
     control, subset = build_control(cfg, k)
     return dyn.RCHSystem(field, hamiltonian, force=build_force(cfg, force_prefix),
-                         control=control, control_subset=subset,
-                         m=m, e=e, c=c, k=k)
+                         control=control, control_subset=subset, k=k)
 
 
 def build_state(cfg: ExperimentConfig) -> np.ndarray:
@@ -344,8 +343,7 @@ def cmd_mr_check(cfg: ExperimentConfig, seed: int) -> InvariantReport:
         raise ConfigError(f"{cfg.source}: mr3 needs field 'control.subset' "
                           "set to 'zero' or 'full'")
     sys2 = dyn.RCHSystem(field2, sys1.hamiltonian,
-                         force=build_force(cfg, "force2"),
-                         m=sys1.m, e=sys1.e, c=sys1.c, k=sys1.k)
+                         force=build_force(cfg, "force2"), k=sys1.k)
     samples = cfg.integer("mr.samples", default=40, minimum=1)
     return InvariantReport(seed, check_mr3_matching(sys1, sys2, phi,
                                                     samples=samples,

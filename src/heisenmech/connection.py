@@ -10,8 +10,6 @@ terms elsewhere in the package.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .group import (AlgebraElement, GroupElement, area_form,
                     tangent_right_translation)
 

@@ -41,16 +41,37 @@ __all__ = [
     "modified_hamiltonian",
 ]
 
+_HAMILTONIAN_KINDS = ("euclidean", "invariant", "general")
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Hamiltonian on the flat chart state with optional analytic gradient.
 
     Without an analytic gradient callable, grad falls back to central finite
     differences with step fd.GRADIENT_STEP.
+
+    kind and mass are recorded by the kinetic factories and never inferred
+    from samples: "euclidean" is |p|^2/(2 mass) in the chart, "invariant" the
+    left-invariant kinetic energy |rho|^2/(2 mass). A spec built directly is
+    "general" and declares no mass. integrate steps pure systems of a
+    declared kind on a constant field without the generic vector field.
     """
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    kind: str = "general"
+    mass: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _HAMILTONIAN_KINDS:
+            raise ValueError(f"Hamiltonian kind must be one of "
+                             f"{_HAMILTONIAN_KINDS}, got {self.kind!r}")
+        if (self.kind == "general") != (self.mass is None):
+            raise ValueError("a kinetic Hamiltonian declares its mass; "
+                             "a general one declares none")
+        if self.mass is not None and not self.mass > 0:
+            raise ValueError("mass must be positive")
 
     def grad(self, state: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
@@ -126,21 +147,29 @@ class ControlSubset:
 
 @dataclass(frozen=True)
 class RCHSystem:
-    """Hamiltonian system with optional force and control fiber maps."""
+    """Hamiltonian system with optional force and control fiber maps.
+
+    m defaults to the Hamiltonian's declared mass; an explicit m must agree
+    with it. The charge enters only through the field's charge_factor.
+    """
 
     field: MagneticField
     hamiltonian: HamiltonianSpec
     force: FiberMap | None = None
     control: FiberMap | None = None
     control_subset: ControlSubset | None = None
-    m: float = 1.0
-    e: float = 1.0
-    c: float = 1.0
+    m: float | None = None
     k: int = 0
 
     def __post_init__(self):
-        if self.m <= 0 or self.c <= 0:
-            raise ValueError("mass and light-speed parameters must be positive")
+        declared = self.hamiltonian.mass
+        if self.m is None:
+            object.__setattr__(self, "m", declared)
+        elif not self.m > 0:
+            raise ValueError("mass must be positive")
+        elif declared is not None and self.m != declared:
+            raise ValueError(f"mass {self.m} disagrees with the Hamiltonian's "
+                             f"declared mass {declared}")
         if self.control is not None and self.control_subset is not None:
             _, fiber = _base_fiber_indices(self.k)
             rng = np.random.default_rng(99)
@@ -157,13 +186,18 @@ class RCHSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Discrete flow sample with per-step energy and momentum diagnostics."""
+    """Discrete flow sample with per-step energy and momentum diagnostics.
+
+    route names how the steps were taken (see integrate): "propagator",
+    "closed_form", "field", "shifted" or "rk4_fallback".
+    """
 
     times: np.ndarray
     states: np.ndarray
     energies: np.ndarray
     momenta: np.ndarray
     method: str
+    route: str = "field"
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -233,7 +267,10 @@ def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
 
 
 def _midpoint_step(rhs, y: np.ndarray, h: float, step_index: int,
-                   tol: float = 1e-12, cap: int = 100) -> np.ndarray:
+                   tol: float = 1e-12, cap: int = 100,
+                   propagator: np.ndarray | None = None) -> np.ndarray:
+    if propagator is not None:
+        return propagator @ y
     z = y + h * rhs(y)
     for _ in range(cap):
         z_new = y + h * rhs(0.5 * (y + z))
@@ -246,7 +283,10 @@ def _midpoint_step(rhs, y: np.ndarray, h: float, step_index: int,
                          step_index=step_index, residual=float(delta))
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs, y: np.ndarray, h: float,
+              propagator: np.ndarray | None = None) -> np.ndarray:
+    if propagator is not None:
+        return propagator @ y
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
@@ -261,13 +301,37 @@ def _check_run(t_end: float, h: float, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float,
-                     method: str) -> tuple[np.ndarray, np.ndarray]:
+def _propagator(generator: np.ndarray, h: float,
+                method: str) -> np.ndarray | None:
+    """One-step matrix of method for the linear field y' = generator @ y.
+
+    rk4 is the degree-4 Taylor polynomial of h*A. Midpoint is the Cayley map
+    (I - hA/2)^-1 (I + hA/2), the limit of the fixed-point iteration it
+    replaces; it is used only where that iteration provably contracts with
+    room to spare, ||hA/2||_F < 1/2 (the Frobenius norm bounds the spectral
+    one and needs no SVD), and None is returned otherwise so the iteration
+    runs (and reports NonConvergence) as for any other field.
+    """
+    hA = h * generator
+    eye = np.eye(len(generator))
+    if method == "rk4":
+        return eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
+    if np.linalg.norm(0.5 * hA) >= 0.5:
+        return None
+    return np.linalg.solve(eye - 0.5 * hA, eye + 0.5 * hA)
+
+
+def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
+                     generator: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
 
     The steps are uniform and land exactly on t_end (h is rescaled by at most
-    half a step); exact endpoints matter for period-return checks. The first
-    state that overflows to inf or nan stops the run with a
+    half a step); exact endpoints matter for period-return checks. A linear
+    field may also pass its generator A (rhs(y) = A @ y); each step is then
+    one product with the propagator matrix built for the rescaled h, where
+    _propagator gives one, and the returned flag says whether it did. The
+    first state that overflows to inf or nan stops the run with a
     FloatingPointError naming the step that produced it; numpy's own
     overflow warnings are silenced inside the loop, since that error reports
     the failure.
@@ -275,6 +339,7 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float,
     _check_run(t_end, h, method)
     n_steps = max(1, int(round(t_end / h)))
     h = t_end / n_steps
+    P = None if generator is None else _propagator(generator, h, method)
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
@@ -282,14 +347,14 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             if method == "midpoint":
-                y = _midpoint_step(rhs, y, h, i)
+                y = _midpoint_step(rhs, y, h, i, propagator=P)
             else:
-                y = _rk4_step(rhs, y, h)
+                y = _rk4_step(rhs, y, h, propagator=P)
             if not np.isfinite(y).all():
                 raise FloatingPointError(
                     f"integration produced a non-finite state at step {i}")
             states[i + 1] = y
-    return times, states
+    return times, states, P is not None
 
 
 def _shifted_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
@@ -310,29 +375,86 @@ def _shifted_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
     return HamiltonianSpec(lambda s: sys.hamiltonian.evaluate(unshift(s)), gradient)
 
 
+def _euclidean_generator(sys: RCHSystem) -> np.ndarray:
+    """A with rch_vector_field(sys, y) = A @ y for a pure Euclidean particle
+    on a constant field: qdot = p/m, pdot = charge_factor * B p/m, and zero
+    rows for (theta, lam)."""
+    m = sys.hamiltonian.mass
+    A = np.zeros((sys.dim, sys.dim))
+    A[:3, 3:6] = np.eye(3) / m
+    A[3:6, 3:6] = sys.field.charge_factor * sys.field.b(np.zeros(3)) / m
+    return A
+
+
+def _invariant_particle_field(sys: RCHSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """rch_vector_field of a pure invariant-metric particle on a constant
+    field, with B, the charge factor and m resolved once.
+
+    It repeats invariant_kinetic_hamiltonian's gradient and
+    hamiltonian_vector_field operation by operation on Python floats, so it
+    is bitwise equal to them. pdot stays -g_q + cf * (B @ g_p) with numpy's
+    product B @ g_p, since (cf * B) @ g_p rounds differently; the (theta, lam)
+    rates are dH/dlam = 0.0 and -dH/dtheta = -0.0.
+    """
+    m = sys.hamiltonian.mass
+    cf = sys.field.charge_factor
+    B = sys.field.b(np.zeros(3))
+    circle = [0.0] * sys.k + [-0.0] * sys.k
+
+    def rhs(y):
+        q0, q1, _, p0, p1, p2 = y[:6].tolist()
+        rho0 = p0 - 0.5 * p2 * q1
+        rho1 = p1 + 0.5 * p2 * q0
+        g_q = (0.5 * p2 * rho1 / m, -0.5 * p2 * rho0 / m, 0.0)
+        g_p = [rho0 / m, rho1 / m, (-0.5 * q1 * rho0 + 0.5 * q0 * rho1 + p2) / m]
+        b_g = (B @ np.array(g_p)).tolist()
+        return np.array(g_p + [-g_q[i] + cf * b_g[i] for i in range(3)] + circle)
+
+    return rhs
+
+
 def integrate(sys: RCHSystem, x0, t_end: float, h: float,
               method: str = "midpoint") -> Trajectory:
     """Integrate the dynamical field from x0 to t_end with fixed step h.
 
     midpoint is the implicit midpoint rule (fixed-point iteration to 1e-12,
-    at most 100 iterations per step), symplectic for constant fields. If the
-    field is declared general (q-dependent), a pure Hamiltonian system with a
-    potential is integrated as the plain Hamiltonian field of H_A (see
-    modified_hamiltonian) and mapped back through the fiber translation;
-    otherwise the method silently becomes rk4 and a NonSymplecticWarning is emitted. rk4 is the explicit reference
-    scheme. The momenta come from one array pass of
-    magnetic.momentum_map_array over all states, and are nan for fields
-    without a momentum map (every kind but zero and invariant). Energies are
-    evaluated state by state.
+    at most 100 iterations per step), symplectic for constant fields; rk4 is
+    the explicit reference scheme. The route is resolved once per run and
+    recorded in Trajectory.route:
+
+    - "propagator": a pure (unforced, uncontrolled) Euclidean particle on a
+      constant field is linear, y' = A y, and each step is one product with
+      the Cayley (midpoint) or degree-4 Taylor (rk4) matrix of hA. Midpoint
+      uses it only where the fixed-point iteration provably contracts,
+      ||hA/2||_F < 1/2; otherwise the run takes the "field" route.
+    - "closed_form": a pure invariant-metric particle on a constant field
+      steps by one closed-form right-hand side, bitwise equal to
+      rch_vector_field.
+    - "shifted": midpoint on a general (q-dependent) field, for a pure system
+      with a potential, integrates the plain Hamiltonian field of H_A (see
+      modified_hamiltonian) and maps back through the fiber translation.
+    - "rk4_fallback": midpoint on a general field that cannot take the
+      shifted route runs rk4 instead, with a NonSymplecticWarning; the
+      trajectory's method then reads "rk4".
+    - "field": everything else steps rch_vector_field.
+
+    The momenta come from one array pass of magnetic.momentum_map_array over
+    all states, and are nan for fields without a momentum map (every kind
+    but zero and invariant). Energies are evaluated state by state.
     """
     _check_run(t_end, h, method)
     state = _as_state(x0, sys.k)
-    shifted_route = False
+    pure = sys.force is None and sys.control is None
+    route, generator = "field", None
     rhs = lambda y: rch_vector_field(sys, y)
-    if method == "midpoint" and not sys.field.is_constant:
-        pure = sys.force is None and sys.control is None
+    if sys.field.is_constant:
+        if pure and sys.hamiltonian.kind == "euclidean":
+            route, generator = "propagator", _euclidean_generator(sys)
+        elif pure and sys.hamiltonian.kind == "invariant":
+            route, rhs = "closed_form", _invariant_particle_field(sys)
+    elif method == "midpoint":
         if pure and sys.field.has_potential:
-            shifted_route = True
+            route = "shifted"
             shifted = replace(sys, field=MagneticField.zero(),
                               hamiltonian=_shifted_hamiltonian(sys))
             rhs = lambda y: hamiltonian_vector_field(shifted, y)
@@ -340,15 +462,18 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
             warnings.warn("q-dependent field without a usable potential: "
                           "falling back to non-symplectic rk4",
                           NonSymplecticWarning, stacklevel=2)
-            method = "rk4"
+            route, method = "rk4_fallback", "rk4"
 
     cf = sys.field.charge_factor
-    if shifted_route:
+    if route == "shifted":
         state = state.copy()
         state[3:6] += cf * sys.field.vector_potential(state[:3])
 
-    times, states = _fixed_step_flow(rhs, state, t_end, h, method)
-    if shifted_route:
+    times, states, propagated = _fixed_step_flow(rhs, state, t_end, h, method,
+                                                 generator)
+    if route == "propagator" and not propagated:
+        route = "field"
+    if route == "shifted":
         for row in states:
             row[3:6] -= cf * sys.field.vector_potential(row[:3])
 
@@ -359,7 +484,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
                                      sys.field)
     except (MissingPotential, NotInvariant):
         momenta = np.full((states.shape[0], 3), np.nan)
-    return Trajectory(times, states, energies, momenta, method)
+    return Trajectory(times, states, energies, momenta, method, route)
 
 
 def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
@@ -374,7 +499,7 @@ def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
         out[3:6] = state[3:6] / m
         return out
 
-    return HamiltonianSpec(evaluate, gradient)
+    return HamiltonianSpec(evaluate, gradient, "euclidean", m)
 
 
 def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
@@ -404,7 +529,7 @@ def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
         out[5] = (-0.5 * q[1] * rho[0] + 0.5 * q[0] * rho[1] + rho[2]) / m
         return out
 
-    return HamiltonianSpec(evaluate, gradient)
+    return HamiltonianSpec(evaluate, gradient, "invariant", m)
 
 
 def heisenberg_particle(m: float, e: float, c: float,
@@ -414,10 +539,10 @@ def heisenberg_particle(m: float, e: float, c: float,
     The supplied field is copied with charge_factor = e/c so the dynamics and
     every form built from the system agree on the premultiplier.
     """
-    if m <= 0 or c <= 0:
-        raise ValueError("mass and light-speed parameters must be positive")
+    if c <= 0:
+        raise ValueError("light-speed parameter must be positive")
     scaled = replace(field, charge_factor=e / c)
-    return RCHSystem(scaled, euclidean_kinetic_hamiltonian(m), m=m, e=e, c=c)
+    return RCHSystem(scaled, euclidean_kinetic_hamiltonian(m))
 
 
 def modified_hamiltonian(sys: RCHSystem, x) -> float:

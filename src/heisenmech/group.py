@@ -11,7 +11,7 @@ of reals and the exponential map is the identity on coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

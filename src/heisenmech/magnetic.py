@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import fd
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
 from .group import CoAlgebraElement, GroupElement
 from .orbit import OrbitFunction, OrbitPoint, classify_orbit

@@ -18,7 +18,7 @@ is not measuring anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -371,9 +371,13 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
     (rho1, rho2, theta..., lam...), and each energy is the source Hamiltonian
     at the chart's stored level lift, all rows lifted in one product.
     Implicit midpoint is appropriate here because the chart form is constant
-    on the leaf. z0 gives the start chart; the leaf is red.level's.
+    on the leaf. z0 gives the start chart and must lie on red.level's leaf
+    (its nu within 1e-8, reduce_point's level-set tolerance).
     """
-    times, charts = dynamics._fixed_step_flow(
+    if abs(z0.nu - red.level.nu) > 1e-8:
+        raise ValueError(f"start point lies on the leaf nu = {z0.nu}, not on "
+                         f"the reduced level's nu = {red.level.nu}")
+    times, charts, _ = dynamics._fixed_step_flow(
         lambda chart: reduced_rch_field(red, chart), z0.as_array(), t_end, h,
         method)
     lifted = red.lift_offset + charts @ red.lift_matrix.T
@@ -498,11 +502,11 @@ def kk_reduce_and_compare(kk: KKSystem, x0: PhasePoint, t_end: float = 1.0,
     mu = kk.mu
     A0 = kk.field.vector_potential(x0.q)
     lift0 = np.concatenate([x0.q, x0.p + mu * A0, [0.0], [mu]])
-    upstairs = RCHSystem(MagneticField.zero(), kk.hamiltonian, m=kk.m, k=1)
+    upstairs = RCHSystem(MagneticField.zero(), kk.hamiltonian, k=1)
     traj_up = integrate(upstairs, lift0, t_end, h, method)
 
     downstairs = RCHSystem(replace(kk.field, charge_factor=mu),
-                           euclidean_kinetic_hamiltonian(kk.m), m=kk.m)
+                           euclidean_kinetic_hamiltonian(kk.m))
     traj_down = integrate(downstairs, x0.as_array(), t_end, h, method)
 
     projected = traj_up.states[:, :6].copy()

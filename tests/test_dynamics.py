@@ -428,3 +428,125 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         D.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 6)), np.zeros(2),
                      np.zeros((2, 3)), "rk4")
+
+
+def test_kinetic_hamiltonians_declare_kind_and_mass():
+    assert (D.euclidean_kinetic_hamiltonian(2.0).kind,
+            D.euclidean_kinetic_hamiltonian(2.0).mass) == ("euclidean", 2.0)
+    assert (D.invariant_kinetic_hamiltonian(0.7).kind,
+            D.invariant_kinetic_hamiltonian(0.7).mass) == ("invariant", 0.7)
+    by_hand = D.HamiltonianSpec(lambda s: 0.0)
+    assert by_hand.kind == "general" and by_hand.mass is None
+    for kind, mass in (("euclidean", None), ("general", 1.0), ("invariant", -1.0),
+                       ("quadratic", 1.0)):
+        with pytest.raises(ValueError):
+            D.HamiltonianSpec(lambda s: 0.0, kind=kind, mass=mass)
+
+
+def test_system_mass_is_the_declared_mass():
+    zero = M.MagneticField.zero()
+    assert D.RCHSystem(zero, D.euclidean_kinetic_hamiltonian(2.0)).m == 2.0
+    assert D.RCHSystem(zero, D.euclidean_kinetic_hamiltonian(2.0), m=2.0).m == 2.0
+    with pytest.raises(ValueError, match="declared mass"):
+        D.RCHSystem(zero, D.euclidean_kinetic_hamiltonian(2.0), m=1.0)
+    by_hand = D.HamiltonianSpec(lambda s: 0.0)
+    assert D.RCHSystem(zero, by_hand).m is None
+    assert D.RCHSystem(zero, by_hand, m=1.3).m == 1.3
+    with pytest.raises(ValueError):
+        D.RCHSystem(zero, by_hand, m=-1.0)
+    assert not hasattr(D.RCHSystem(zero, by_hand), "e")
+    assert not hasattr(D.RCHSystem(zero, by_hand), "c")
+
+
+def _field_of_kind(kind, cf, rng):
+    if kind == "zero":
+        return M.MagneticField.zero(cf)
+    if kind == "constant":
+        b = rng.normal(size=(3, 3))
+        return M.MagneticField.constant(b - b.T, cf)
+    if kind == "linear":
+        return M.MagneticField.linear_potential(rng.normal(size=(3, 3)), cf)
+    return M.MagneticField.invariant_potential(rng.normal(size=3), cf)
+
+
+SWEEP = [(kind, cf, k, method) for kind in ("zero", "constant", "linear", "invariant")
+         for cf in (0.8, -1.3) for k in (0, 1) for method in ("midpoint", "rk4")]
+
+
+@pytest.mark.parametrize("kind,cf,k,method", SWEEP)
+def test_propagator_route_matches_the_field_iteration(kind, cf, k, method):
+    rng = np.random.default_rng(90)
+    sys = D.RCHSystem(_field_of_kind(kind, cf, rng),
+                      D.euclidean_kinetic_hamiltonian(1.4), k=k)
+    x0 = rng.normal(size=6 + 2 * k)
+    traj = D.integrate(sys, x0, t_end=0.5, h=1e-2, method=method)
+    assert traj.route == "propagator" and traj.method == method
+    _, reference, propagated = D._fixed_step_flow(
+        lambda y: D.rch_vector_field(sys, y), x0, 0.5, 1e-2, method)
+    assert not propagated
+    assert np.max(np.abs(traj.states - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,cf,k,method", SWEEP)
+def test_closed_form_route_is_bitwise_the_field(kind, cf, k, method):
+    rng = np.random.default_rng(91)
+    sys = D.RCHSystem(_field_of_kind(kind, cf, rng),
+                      D.invariant_kinetic_hamiltonian(0.9), k=k)
+    rhs = D._invariant_particle_field(sys)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(25):
+            y = scale * rng.normal(size=6 + 2 * k)
+            assert rhs(y).tobytes() == D.rch_vector_field(sys, y).tobytes()
+    x0 = rng.normal(size=6 + 2 * k)
+    traj = D.integrate(sys, x0, t_end=0.2, h=1e-2, method=method)
+    assert traj.route == "closed_form"
+    _, reference, _ = D._fixed_step_flow(
+        lambda y: D.rch_vector_field(sys, y), x0, 0.2, 1e-2, method)
+    assert traj.states.tobytes() == reference.tobytes()
+
+
+def test_systems_outside_the_declared_routes_keep_the_field():
+    field = M.MagneticField.constant(PLANAR)
+    x0 = np.array([0.3, -0.2, 0.5, 1.0, 0.4, -0.7])
+
+    def damping(s):
+        out = s.copy()
+        out[3:6] = -0.3 * s[3:6]
+        return out
+
+    full = D.ControlSubset(np.zeros(3), np.eye(3))
+    kinetic = D.euclidean_kinetic_hamiltonian(1.0)
+    for sys in (D.RCHSystem(field, D.HamiltonianSpec(kinetic.evaluate,
+                                                     kinetic.gradient)),
+                D.RCHSystem(field, kinetic, force=D.FiberMap(apply=damping)),
+                D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0),
+                            control=D.FiberMap(apply=damping),
+                            control_subset=full)):
+        for method in ("midpoint", "rk4"):
+            assert D.integrate(sys, x0, 0.1, 1e-2, method).route == "field"
+
+    general = D.RCHSystem(nonconstant_closed_field(0.9), kinetic)
+    assert D.integrate(general, x0, 0.1, 1e-2, "midpoint").route == "shifted"
+    assert D.integrate(general, x0, 0.1, 1e-2, "rk4").route == "field"
+    forced = dataclasses.replace(general, force=D.FiberMap(apply=damping))
+    with pytest.warns(NonSymplecticWarning):
+        fallback = D.integrate(forced, x0, 0.1, 1e-2, "midpoint")
+    assert (fallback.route, fallback.method) == ("rk4_fallback", "rk4")
+
+
+def test_midpoint_propagator_only_where_the_iteration_contracts():
+    sys = rotation_system()
+    x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    A = D._euclidean_generator(sys)
+    norm = np.linalg.norm(A)
+    # ||hA/2||_F = 0.6: no propagator, but the iteration still converges.
+    h = 1.2 / norm
+    assert D._propagator(A, h, "midpoint") is None
+    traj = D.integrate(sys, x0, t_end=h, h=h)
+    assert traj.route == "field"
+    eye = np.eye(6)
+    cayley = np.linalg.solve(eye - 0.5 * h * A, eye + 0.5 * h * A)
+    assert np.max(np.abs(traj.final_state() - cayley @ x0)) <= 1e-11
+    assert D.integrate(sys, x0, t_end=0.9 / norm, h=0.9 / norm).route == "propagator"
+    with pytest.raises(NonConvergence):
+        D.integrate(sys, x0, t_end=3.0, h=3.0)

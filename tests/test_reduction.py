@@ -457,3 +457,9 @@ def test_check_record_roundtrip():
     d = record.as_dict()
     assert d["passed"] is True and d["samples"] == 5
     assert not R.CheckRecord("demo", 5, 2.0, 1.0).passed
+
+
+def test_integrate_reduced_rejects_a_start_off_the_leaf():
+    red = R.reduce_system(particle(field=M.MagneticField.zero()), LEVEL)
+    with pytest.raises(ValueError, match="leaf"):
+        R.integrate_reduced(red, OrbitPoint((1.2, -0.4), 5.0), t_end=0.1, h=1e-2)
