@@ -67,6 +67,7 @@ from .dynamics import (
     integrate,
     invariant_kinetic_hamiltonian,
     modified_hamiltonian,
+    quadratic_hamiltonian,
     rch_vector_field,
     vertical_lift,
 )
@@ -102,7 +103,8 @@ __all__ = [
     "ControlSubset", "FiberMap", "HamiltonianSpec", "RCHSystem", "Trajectory",
     "euclidean_kinetic_hamiltonian", "hamiltonian_vector_field",
     "heisenberg_particle", "integrate", "invariant_kinetic_hamiltonian",
-    "modified_hamiltonian", "rch_vector_field", "vertical_lift",
+    "modified_hamiltonian", "quadratic_hamiltonian", "rch_vector_field",
+    "vertical_lift",
     "CheckRecord", "DiffeoSpec", "KKSystem", "ReducedRCHSystem",
     "check_commutation", "check_mr1", "check_mr2_equivariance",
     "check_mr3_matching", "integrate_reduced", "kaluza_klein_system",

@@ -258,6 +258,38 @@ def check_dynamics(seed: int, samples: int = 1000) -> list[CheckRecord]:
             CheckRecord("dynamics.symplectic_jacobian", 3, jac_res, 1e-6)]
 
 
+def _invariant_shift_hamiltonian(a: np.ndarray, cf: float,
+                                 m: float) -> dyn.HamiltonianSpec:
+    """H_A = |P - cf*A(q)|^2/(2m) of the invariant potential A(q) = a + DA q,
+    written out by hand as a declared quadratic form.
+
+    w = P - cf*A(q) = L y + w0 with L = [-cf*DA | I] and w0 = -cf*a, so
+    H_A = 1/2 y^T (L^T L/m) y + (L^T w0/m)^T y + |w0|^2/(2m); the constant
+    is dropped, since it moves no flow.
+    """
+    DA = np.array([[0.0, 0.5 * a[2], 0.0], [-0.5 * a[2], 0.0, 0.0],
+                   [0.0, 0.0, 0.0]])
+    L = np.hstack([-cf * DA, np.eye(3)])
+    return dyn.quadratic_hamiltonian(L.T @ L / m, L.T @ (-cf * a) / m)
+
+
+def _flow_conjugation(sys: dyn.RCHSystem, canonical: dyn.HamiltonianSpec,
+                      state: np.ndarray) -> float:
+    """Worst state gap between the magnetic rk4 flow of sys from state and the
+    canonical rk4 flow of H_A from the shifted state, mapped back by t_A^-1
+    (t = 1, h = 1e-4)."""
+    magnetic_end = dyn.integrate(sys, state, 1.0, 1e-4, "rk4").final_state()
+    shifted0 = mag.momentum_shift(mag.PhasePoint(state[:3], state[3:6]),
+                                  sys.field)
+    canonical_sys = dyn.RCHSystem(mag.MagneticField.zero(), canonical)
+    canonical_end = dyn.integrate(canonical_sys, shifted0.as_array(), 1.0, 1e-4,
+                                  "rk4").final_state()
+    back = mag.momentum_shift(
+        mag.PhasePoint(canonical_end[:3], canonical_end[3:6]),
+        replace(sys.field, charge_factor=-sys.field.charge_factor))
+    return float(np.max(np.abs(back.as_array() - magnetic_end)))
+
+
 def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     a = np.array([0.4, -0.2, 0.8])
@@ -292,34 +324,9 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
                                     v, w, sys.field)
         pullback_res = max(pullback_res, abs(canonical - twisted))
 
-    def ha_eval(state):
-        q, P = state[:3], state[3:6]
-        w = P - cf * np.array([a[0] + 0.5 * a[2] * q[1],
-                               a[1] - 0.5 * a[2] * q[0], a[2]])
-        return 0.5 * float(w @ w) / m
-
-    def ha_grad(state):
-        q, P = state[:3], state[3:6]
-        A = np.array([a[0] + 0.5 * a[2] * q[1], a[1] - 0.5 * a[2] * q[0], a[2]])
-        DA = np.array([[0.0, 0.5 * a[2], 0.0], [-0.5 * a[2], 0.0, 0.0],
-                       [0.0, 0.0, 0.0]])
-        w = (P - cf * A) / m
-        out = np.zeros(6)
-        out[:3] = -cf * DA.T @ w
-        out[3:6] = w
-        return out
-
-    canonical_sys = dyn.RCHSystem(zero, dyn.HamiltonianSpec(ha_eval, ha_grad))
     state = rng.normal(size=6)
-    magnetic_end = dyn.integrate(sys, state, 1.0, 1e-4, "rk4").final_state()
-    shifted0 = mag.momentum_shift(mag.PhasePoint(state[:3], state[3:6]),
-                                  sys.field)
-    canonical_end = dyn.integrate(canonical_sys, shifted0.as_array(), 1.0, 1e-4,
-                                  "rk4").final_state()
-    back = mag.momentum_shift(
-        mag.PhasePoint(canonical_end[:3], canonical_end[3:6]),
-        replace(sys.field, charge_factor=-cf))
-    conjugation = float(np.max(np.abs(back.as_array() - magnetic_end)))
+    conjugation = _flow_conjugation(sys, _invariant_shift_hamiltonian(a, cf, m),
+                                    state)
     return [CheckRecord("shift.hamiltonian_identity", samples,
                         identity_res, 1e-12),
             CheckRecord("shift.form_pullback", min(samples, 40),

@@ -38,10 +38,13 @@ __all__ = [
     "heisenberg_particle",
     "euclidean_kinetic_hamiltonian",
     "invariant_kinetic_hamiltonian",
+    "quadratic_hamiltonian",
     "modified_hamiltonian",
 ]
 
-_HAMILTONIAN_KINDS = ("euclidean", "invariant", "general")
+_HAMILTONIAN_KINDS = ("euclidean", "invariant", "quadratic", "general")
+_KINETIC_KINDS = ("euclidean", "invariant")
+_QUADRATIC_KINDS = ("euclidean", "quadratic")
 
 
 @dataclass(frozen=True)
@@ -51,32 +54,58 @@ class HamiltonianSpec:
     Without an analytic gradient callable, grad falls back to central finite
     differences with step fd.GRADIENT_STEP.
 
-    kind and mass are recorded by the kinetic factories and never inferred
+    kind, mass and form are recorded by the factories and never inferred
     from samples: "euclidean" is |p|^2/(2 mass) in the chart, "invariant" the
-    left-invariant kinetic energy |rho|^2/(2 mass). A spec built directly is
-    "general" and declares no mass. integrate steps pure systems of a
-    declared kind on a constant field without the generic vector field.
+    left-invariant kinetic energy |rho|^2/(2 mass), "quadratic" the form
+    1/2 y^T Q y + c^T y of y = (q, p), independent of (theta, lam). Only the
+    kinetic kinds declare a mass; "euclidean" and "quadratic" declare their
+    form (Q, c), a finite symmetric 6x6 matrix and a finite 6-vector. A spec
+    built directly is "general" and declares neither. integrate steps pure
+    systems of a declared kind on a constant field without the generic
+    vector field.
     """
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     kind: str = "general"
     mass: float | None = None
+    form: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in _HAMILTONIAN_KINDS:
             raise ValueError(f"Hamiltonian kind must be one of "
                              f"{_HAMILTONIAN_KINDS}, got {self.kind!r}")
-        if (self.kind == "general") != (self.mass is None):
+        if (self.kind in _KINETIC_KINDS) != (self.mass is not None):
             raise ValueError("a kinetic Hamiltonian declares its mass; "
-                             "a general one declares none")
+                             "any other declares none")
         if self.mass is not None and not self.mass > 0:
             raise ValueError("mass must be positive")
+        if (self.kind in _QUADRATIC_KINDS) != (self.form is not None):
+            raise ValueError("a quadratic Hamiltonian declares its form (Q, c); "
+                             "any other declares none")
+        if self.form is not None:
+            object.__setattr__(self, "form", _checked_form(*self.form))
 
     def grad(self, state: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
             return np.asarray(self.gradient(state), dtype=float)
         return fd.gradient(self.evaluate, np.asarray(state, dtype=float))
+
+
+def _checked_form(Q, c) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of a quadratic form's (Q, c), validated."""
+    Q = np.array(Q, dtype=float)
+    c = np.array(c, dtype=float)
+    if Q.shape != (6, 6) or c.shape != (6,):
+        raise ValueError(f"Q must be 6x6 and c a 6-vector, got shapes "
+                         f"{Q.shape} and {c.shape}")
+    if not (np.isfinite(Q).all() and np.isfinite(c).all()):
+        raise ValueError("Q and c must be finite")
+    if not np.array_equal(Q, Q.T):
+        raise ValueError("Q must be symmetric")
+    Q.flags.writeable = False
+    c.flags.writeable = False
+    return Q, c
 
 
 @dataclass(frozen=True)
@@ -268,9 +297,10 @@ def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
 
 def _midpoint_step(rhs, y: np.ndarray, h: float, step_index: int,
                    tol: float = 1e-12, cap: int = 100,
-                   propagator: np.ndarray | None = None) -> np.ndarray:
+                   propagator: Callable[[np.ndarray], np.ndarray] | None = None
+                   ) -> np.ndarray:
     if propagator is not None:
-        return propagator @ y
+        return propagator(y)
     z = y + h * rhs(y)
     for _ in range(cap):
         z_new = y + h * rhs(0.5 * (y + z))
@@ -284,9 +314,10 @@ def _midpoint_step(rhs, y: np.ndarray, h: float, step_index: int,
 
 
 def _rk4_step(rhs, y: np.ndarray, h: float,
-              propagator: np.ndarray | None = None) -> np.ndarray:
+              propagator: Callable[[np.ndarray], np.ndarray] | None = None
+              ) -> np.ndarray:
     if propagator is not None:
-        return propagator @ y
+        return propagator(y)
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
@@ -301,45 +332,56 @@ def _check_run(t_end: float, h: float, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _propagator(generator: np.ndarray, h: float,
-                method: str) -> np.ndarray | None:
-    """One-step matrix of method for the linear field y' = generator @ y.
+def _propagator(A: np.ndarray, b: np.ndarray, h: float,
+                method: str) -> Callable[[np.ndarray], np.ndarray] | None:
+    """One step of method for the affine field y' = A @ y + b, as a map.
 
-    rk4 is the degree-4 Taylor polynomial of h*A. Midpoint is the Cayley map
-    (I - hA/2)^-1 (I + hA/2), the limit of the fixed-point iteration it
-    replaces; it is used only where that iteration provably contracts with
-    room to spare, ||hA/2||_F < 1/2 (the Frobenius norm bounds the spectral
-    one and needs no SVD), and None is returned otherwise so the iteration
-    runs (and reports NonConvergence) as for any other field.
+    The step matrix is built for the augmented generator [[A, b], [0, 0]]
+    acting on (y, 1): rk4 is its degree-4 Taylor polynomial of h, midpoint
+    its Cayley map (I - hM/2)^-1 (I + hM/2), the limit of the fixed-point
+    iteration it replaces. Midpoint is used only where that iteration
+    provably contracts with room to spare, ||hA/2||_F < 1/2 on the linear
+    block A (the offset does not enter the contraction; the Frobenius norm
+    bounds the spectral one and needs no SVD), and None is returned
+    otherwise so the iteration runs (and reports NonConvergence) as for any
+    other field. With b = 0 nothing is augmented and a step is P @ y.
     """
-    hA = h * generator
-    eye = np.eye(len(generator))
+    n = len(A)
+    affine = bool(b.any())
+    if affine:
+        A = np.block([[A, b[:, None]], [np.zeros((1, n + 1))]])
+    hA = h * A
+    eye = np.eye(len(A))
     if method == "rk4":
-        return eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
-    if np.linalg.norm(0.5 * hA) >= 0.5:
+        P = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
+    elif np.linalg.norm(0.5 * hA[:n, :n]) >= 0.5:
         return None
-    return np.linalg.solve(eye - 0.5 * hA, eye + 0.5 * hA)
+    else:
+        P = np.linalg.solve(eye - 0.5 * hA, eye + 0.5 * hA)
+    if not affine:
+        return P.__matmul__
+    P, d = P[:n, :n].copy(), P[:n, n].copy()
+    return lambda y: P @ y + d
 
 
 def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
-                     generator: np.ndarray | None = None
+                     generator: tuple[np.ndarray, np.ndarray] | None = None
                      ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
 
     The steps are uniform and land exactly on t_end (h is rescaled by at most
-    half a step); exact endpoints matter for period-return checks. A linear
-    field may also pass its generator A (rhs(y) = A @ y); each step is then
-    one product with the propagator matrix built for the rescaled h, where
-    _propagator gives one, and the returned flag says whether it did. The
-    first state that overflows to inf or nan stops the run with a
-    FloatingPointError naming the step that produced it; numpy's own
-    overflow warnings are silenced inside the loop, since that error reports
-    the failure.
+    half a step); exact endpoints matter for period-return checks. An affine
+    field may also pass its generator (A, b) (rhs(y) = A @ y + b); each step
+    is then the propagator built for the rescaled h, where _propagator gives
+    one, and the returned flag says whether it did. The first state that
+    overflows to inf or nan stops the run with a FloatingPointError naming
+    the step that produced it; numpy's own overflow warnings are silenced
+    inside the loop, since that error reports the failure.
     """
     _check_run(t_end, h, method)
     n_steps = max(1, int(round(t_end / h)))
     h = t_end / n_steps
-    P = None if generator is None else _propagator(generator, h, method)
+    P = None if generator is None else _propagator(*generator, h, method)
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
@@ -375,15 +417,24 @@ def _shifted_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
     return HamiltonianSpec(lambda s: sys.hamiltonian.evaluate(unshift(s)), gradient)
 
 
-def _euclidean_generator(sys: RCHSystem) -> np.ndarray:
-    """A with rch_vector_field(sys, y) = A @ y for a pure Euclidean particle
-    on a constant field: qdot = p/m, pdot = charge_factor * B p/m, and zero
-    rows for (theta, lam)."""
-    m = sys.hamiltonian.mass
+def _affine_generator(sys: RCHSystem) -> tuple[np.ndarray, np.ndarray]:
+    """A and b with rch_vector_field(sys, y) = A @ y + b for a pure system on
+    a constant field whose Hamiltonian declares the form 1/2 y^T Q y + c^T y.
+
+    With the Poisson matrix Pi = [[0, I], [-I, charge_factor * B]] of the
+    field on (q, p), A = Pi Q and b = Pi c, padded with zero rows and columns
+    for (theta, lam), on which the form does not depend.
+    """
+    Q, c = sys.hamiltonian.form
+    poisson = np.zeros((6, 6))
+    poisson[:3, 3:] = np.eye(3)
+    poisson[3:, :3] = -np.eye(3)
+    poisson[3:, 3:] = sys.field.charge_factor * sys.field.b(np.zeros(3))
     A = np.zeros((sys.dim, sys.dim))
-    A[:3, 3:6] = np.eye(3) / m
-    A[3:6, 3:6] = sys.field.charge_factor * sys.field.b(np.zeros(3)) / m
-    return A
+    b = np.zeros(sys.dim)
+    A[:6, :6] = poisson @ Q
+    b[:6] = poisson @ c
+    return A, b
 
 
 def _invariant_particle_field(sys: RCHSystem) -> Callable[[np.ndarray], np.ndarray]:
@@ -422,11 +473,13 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     the explicit reference scheme. The route is resolved once per run and
     recorded in Trajectory.route:
 
-    - "propagator": a pure (unforced, uncontrolled) Euclidean particle on a
-      constant field is linear, y' = A y, and each step is one product with
-      the Cayley (midpoint) or degree-4 Taylor (rk4) matrix of hA. Midpoint
-      uses it only where the fixed-point iteration provably contracts,
-      ||hA/2||_F < 1/2; otherwise the run takes the "field" route.
+    - "propagator": a pure (unforced, uncontrolled) system whose Hamiltonian
+      declares a quadratic form (kind "euclidean" or "quadratic") on a
+      constant field is affine, y' = A y + b, and each step is one product
+      with the Cayley (midpoint) or degree-4 Taylor (rk4) matrix of the
+      augmented generator. Midpoint uses it only where the fixed-point
+      iteration provably contracts, ||hA/2||_F < 1/2 on the linear block;
+      otherwise the run takes the "field" route.
     - "closed_form": a pure invariant-metric particle on a constant field
       steps by one closed-form right-hand side, bitwise equal to
       rch_vector_field.
@@ -448,8 +501,8 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     route, generator = "field", None
     rhs = lambda y: rch_vector_field(sys, y)
     if sys.field.is_constant:
-        if pure and sys.hamiltonian.kind == "euclidean":
-            route, generator = "propagator", _euclidean_generator(sys)
+        if pure and sys.hamiltonian.form is not None:
+            route, generator = "propagator", _affine_generator(sys)
         elif pure and sys.hamiltonian.kind == "invariant":
             route, rhs = "closed_form", _invariant_particle_field(sys)
     elif method == "midpoint":
@@ -488,7 +541,10 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
 
 
 def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
-    """Chart kinetic energy |p|^2/(2m); its q-gradient vanishes identically."""
+    """Chart kinetic energy |p|^2/(2m); its q-gradient vanishes identically.
+
+    It declares its form, Q = diag(0, 0, 0, 1/m, 1/m, 1/m) and c = 0.
+    """
 
     def evaluate(state):
         p = state[3:6]
@@ -499,7 +555,10 @@ def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
         out[3:6] = state[3:6] / m
         return out
 
-    return HamiltonianSpec(evaluate, gradient, "euclidean", m)
+    if not m > 0:
+        raise ValueError("mass must be positive")
+    form = (np.diag([0.0, 0.0, 0.0, 1 / m, 1 / m, 1 / m]), np.zeros(6))
+    return HamiltonianSpec(evaluate, gradient, "euclidean", m, form)
 
 
 def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
@@ -530,6 +589,28 @@ def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
         return out
 
     return HamiltonianSpec(evaluate, gradient, "invariant", m)
+
+
+def quadratic_hamiltonian(Q, c=None) -> HamiltonianSpec:
+    """H(y) = 1/2 y^T Q y + c^T y of y = (q, p), independent of (theta, lam).
+
+    Q must be a finite symmetric 6x6 matrix and c (default 0) a finite
+    6-vector; anything else raises ValueError. The spec has kind "quadratic",
+    declares no mass and carries its form, so integrate steps it by one
+    propagator on a constant field.
+    """
+    Q, c = _checked_form(Q, np.zeros(6) if c is None else c)
+
+    def evaluate(state):
+        y = state[:6]
+        return 0.5 * float(y @ Q @ y) + float(c @ y)
+
+    def gradient(state):
+        out = np.zeros_like(state)
+        out[:6] = Q @ state[:6] + c
+        return out
+
+    return HamiltonianSpec(evaluate, gradient, "quadratic", form=(Q, c))
 
 
 def heisenberg_particle(m: float, e: float, c: float,

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from heisenmech import checks
 from heisenmech import dynamics as D
 from heisenmech import fd
 from heisenmech import magnetic as M
@@ -516,11 +517,15 @@ def test_systems_outside_the_declared_routes_keep_the_field():
 
     full = D.ControlSubset(np.zeros(3), np.eye(3))
     kinetic = D.euclidean_kinetic_hamiltonian(1.0)
+    quadratic = D.quadratic_hamiltonian(np.eye(6), np.ones(6))
     for sys in (D.RCHSystem(field, D.HamiltonianSpec(kinetic.evaluate,
                                                      kinetic.gradient)),
                 D.RCHSystem(field, kinetic, force=D.FiberMap(apply=damping)),
                 D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0),
                             control=D.FiberMap(apply=damping),
+                            control_subset=full),
+                D.RCHSystem(field, quadratic, force=D.FiberMap(apply=damping)),
+                D.RCHSystem(field, quadratic, control=D.FiberMap(apply=damping),
                             control_subset=full)):
         for method in ("midpoint", "rk4"):
             assert D.integrate(sys, x0, 0.1, 1e-2, method).route == "field"
@@ -537,11 +542,11 @@ def test_systems_outside_the_declared_routes_keep_the_field():
 def test_midpoint_propagator_only_where_the_iteration_contracts():
     sys = rotation_system()
     x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    A = D._euclidean_generator(sys)
+    A, b = D._affine_generator(sys)
     norm = np.linalg.norm(A)
     # ||hA/2||_F = 0.6: no propagator, but the iteration still converges.
     h = 1.2 / norm
-    assert D._propagator(A, h, "midpoint") is None
+    assert D._propagator(A, b, h, "midpoint") is None
     traj = D.integrate(sys, x0, t_end=h, h=h)
     assert traj.route == "field"
     eye = np.eye(6)
@@ -550,3 +555,145 @@ def test_midpoint_propagator_only_where_the_iteration_contracts():
     assert D.integrate(sys, x0, t_end=0.9 / norm, h=0.9 / norm).route == "propagator"
     with pytest.raises(NonConvergence):
         D.integrate(sys, x0, t_end=3.0, h=3.0)
+
+
+def test_quadratic_hamiltonian_declares_its_form():
+    rng = np.random.default_rng(92)
+    S = rng.normal(size=(6, 6))
+    Q, c = S + S.T, rng.normal(size=6)
+    spec = D.quadratic_hamiltonian(Q, c)
+    assert (spec.kind, spec.mass) == ("quadratic", None)
+    assert np.array_equal(spec.form[0], Q) and np.array_equal(spec.form[1], c)
+    assert not spec.form[0].flags.writeable and not spec.form[1].flags.writeable
+    assert not D.quadratic_hamiltonian(Q).form[1].any()
+    state = rng.normal(size=8)  # (theta, lam) of k = 1 do not enter
+    y = state[:6]
+    assert abs(spec.evaluate(state) - (0.5 * y @ Q @ y + c @ y)) <= 1e-12
+    expected = fd.gradient(spec.evaluate, state)
+    assert np.max(np.abs(spec.grad(state) - expected)) <= 1e-7
+    assert not spec.grad(state)[6:].any()
+    euclidean = D.euclidean_kinetic_hamiltonian(1.6)
+    assert np.array_equal(euclidean.form[0], np.diag([0, 0, 0, 1, 1, 1]) / 1.6)
+    assert not euclidean.form[1].any()
+    assert D.invariant_kinetic_hamiltonian(1.6).form is None
+
+
+def test_quadratic_hamiltonian_rejects_bad_forms():
+    Q = np.eye(6)
+    bad = Q.copy()
+    bad[0, 1] = 1e-15
+    nan = Q.copy()
+    nan[2, 2] = np.nan
+    for args in ((bad,), (nan,), (np.eye(5),), (Q, np.zeros(5)),
+                 (Q, np.array([0, 0, np.inf, 0, 0, 0]))):
+        with pytest.raises(ValueError):
+            D.quadratic_hamiltonian(*args)
+    with pytest.raises(ValueError):
+        D.HamiltonianSpec(lambda s: 0.0, kind="quadratic")
+    with pytest.raises(ValueError):
+        D.HamiltonianSpec(lambda s: 0.0, form=(Q, np.zeros(6)))
+    with pytest.raises(ValueError):
+        D.HamiltonianSpec(lambda s: 0.0, kind="quadratic", mass=1.0,
+                          form=(Q, np.zeros(6)))
+    for m in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            D.euclidean_kinetic_hamiltonian(m)
+
+
+def _hand_written_shift_hamiltonian(a, cf, m):
+    """H_A = |P - cf*A(q)|^2/(2m) for A(q) = a + DA q, as a general spec."""
+
+    def potential(q):
+        return np.array([a[0] + 0.5 * a[2] * q[1], a[1] - 0.5 * a[2] * q[0], a[2]])
+
+    DA = np.array([[0.0, 0.5 * a[2], 0.0], [-0.5 * a[2], 0.0, 0.0], [0, 0, 0.0]])
+
+    def evaluate(state):
+        w = state[3:6] - cf * potential(state[:3])
+        return 0.5 * float(w @ w) / m
+
+    def gradient(state):
+        w = (state[3:6] - cf * potential(state[:3])) / m
+        out = np.zeros_like(state)
+        out[:3] = -cf * DA.T @ w
+        out[3:6] = w
+        return out
+
+    return D.HamiltonianSpec(evaluate, gradient)
+
+
+@pytest.mark.parametrize("cf", (1.3, -1.3))
+@pytest.mark.parametrize("method", ("midpoint", "rk4"))
+def test_declared_shift_hamiltonian_matches_the_field_route(method, cf):
+    a, m = np.array([0.4, -0.2, 0.8]), 1.7
+    zero = M.MagneticField.zero()
+    declared = D.RCHSystem(zero, checks._invariant_shift_hamiltonian(a, cf, m))
+    by_hand = D.RCHSystem(zero, _hand_written_shift_hamiltonian(a, cf, m))
+    rng = np.random.default_rng(93)
+    for scale in (1e-3, 1.0, 1e3):
+        x0 = scale * rng.normal(size=6)
+        fast = D.integrate(declared, x0, 1.0, 1e-3, method)
+        slow = D.integrate(by_hand, x0, 1.0, 1e-3, method)
+        assert (fast.route, slow.route) == ("propagator", "field")
+        assert fast.states.shape == (1001, 6)
+        gap = np.max(np.abs(fast.states - slow.states))
+        assert gap <= 1e-12 * np.max(np.abs(slow.states))
+
+
+def test_pure_quadratic_systems_on_constant_fields_propagate():
+    rng = np.random.default_rng(94)
+    S = rng.normal(size=(6, 6))
+    spec = D.quadratic_hamiltonian(0.1 * (S + S.T), rng.normal(size=6))
+    x0 = rng.normal(size=6)
+    for kind in ("zero", "constant", "linear", "invariant"):
+        sys = D.RCHSystem(_field_of_kind(kind, -0.7, rng), spec)
+        for method in ("midpoint", "rk4"):
+            assert D.integrate(sys, x0, 0.1, 1e-2, method).route == "propagator"
+    # Past the contraction bound midpoint iterates; the offset b is not in it.
+    sys = D.RCHSystem(M.MagneticField.constant(PLANAR), spec)
+    A, b = D._affine_generator(sys)
+    assert b.any()
+    h = 1.2 / np.linalg.norm(A)
+    assert D._propagator(A, b, h, "midpoint") is None
+    assert D._propagator(A, 1e6 * b, 0.9 / np.linalg.norm(A), "midpoint") is not None
+    assert D.integrate(sys, x0, h, h, "midpoint").route == "field"
+    assert D.integrate(sys, x0, h, h, "rk4").route == "propagator"
+
+
+@pytest.mark.parametrize("method", ("midpoint", "rk4"))
+def test_euclidean_propagator_is_bitwise_the_matrix_of_the_mass(method):
+    # Built from the declared form, the step matrix of a zero field (any
+    # mass) or of a dyadic mass (any constant field) is bit for bit the one
+    # built from the mass directly, so those runs are unchanged.
+    rng = np.random.default_rng(96)
+    for m, kind in ((1.37, "zero"), (0.83, "zero"), (0.5, "constant"),
+                    (2.0, "linear"), (1.0, "invariant")):
+        for cf in (0.8, -1.3):
+            sys = D.RCHSystem(_field_of_kind(kind, cf, rng),
+                              D.euclidean_kinetic_hamiltonian(m))
+            A = np.zeros((6, 6))
+            A[:3, 3:6] = np.eye(3) / m
+            A[3:6, 3:6] = cf * sys.field.b(np.zeros(3)) / m
+            hA, eye = 1e-3 * A, np.eye(6)
+            if method == "rk4":
+                P = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
+            else:
+                P = np.linalg.solve(eye - 0.5 * hA, eye + 0.5 * hA)
+            x0 = rng.normal(size=6)
+            traj = D.integrate(sys, x0, 0.05, 1e-3, method)
+            expected = [x0]
+            for _ in range(50):
+                expected.append(P @ expected[-1])
+            assert traj.states.tobytes() == np.array(expected).tobytes()
+
+
+def test_flow_conjugation_negative_control():
+    a, cf, m = np.array([0.4, -0.2, 0.8]), 1.3, 1.7
+    sys = D.heisenberg_particle(m, cf, 1.0, M.MagneticField.invariant_potential(a, cf))
+    state = np.random.default_rng(97).normal(size=6)
+    right = checks._invariant_shift_hamiltonian(a, cf, m)
+    assert D.integrate(D.RCHSystem(M.MagneticField.zero(), right), state, 0.1,
+                       1e-4, "rk4").route == "propagator"
+    assert checks._flow_conjugation(sys, right, state) <= 1e-8
+    flipped = checks._invariant_shift_hamiltonian(a, -cf, m)
+    assert checks._flow_conjugation(sys, flipped, state) > 1e-2
