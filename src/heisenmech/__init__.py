@@ -45,10 +45,8 @@ from .connection import (
     right_invariant_metric,
 )
 from .magnetic import (
-    ExtendedPhasePoint,
     MagneticField,
-    MomentumValue,
-    PhasePoint,
+    left_translate,
     magnetic_form,
     momentum_map,
     momentum_shift,
@@ -97,9 +95,8 @@ __all__ = [
     "orbit_form_matrix", "orbit_symplectic_form",
     "center_momentum_map", "curvature", "locked_inertia",
     "mechanical_connection", "nu_component", "right_invariant_metric",
-    "ExtendedPhasePoint", "MagneticField", "MomentumValue", "PhasePoint",
-    "magnetic_form", "momentum_map", "momentum_shift", "reduce_point",
-    "sample_level_point",
+    "MagneticField", "left_translate", "magnetic_form", "momentum_map",
+    "momentum_shift", "reduce_point", "sample_level_point",
     "ControlSubset", "FiberMap", "HamiltonianSpec", "RCHSystem", "Trajectory",
     "euclidean_kinetic_hamiltonian", "hamiltonian_vector_field",
     "heisenberg_particle", "integrate", "invariant_kinetic_hamiltonian",

@@ -229,7 +229,7 @@ def check_dynamics(seed: int, samples: int = 1000) -> list[CheckRecord]:
         state = rng.normal(size=6)
         X = dyn.hamiltonian_vector_field(sys, state)
         grad = sys.hamiltonian.grad(state)
-        W = mag.omega_matrix(mag.PhasePoint(state[:3], state[3:6]), sys.field)
+        W = mag.omega_matrix(state, sys.field)
         v = rng.normal(size=6)
         defining = max(defining, abs(float(X @ W @ v) - float(grad @ v)))
     rotation = systems[0]
@@ -241,8 +241,7 @@ def check_dynamics(seed: int, samples: int = 1000) -> list[CheckRecord]:
                                10.0, 1e-3, "midpoint")
     rel = float(np.max(np.abs(drift_traj.energies - drift_traj.energies[0]))
                 / abs(drift_traj.energies[0]))
-    W0 = mag.omega_matrix(mag.PhasePoint(np.zeros(3), np.zeros(3)),
-                          rotation.field)
+    W0 = mag.omega_matrix(np.zeros(6), rotation.field)
     h = 1e-3
     jac_res = 0.0
     for _ in range(3):
@@ -279,15 +278,13 @@ def _flow_conjugation(sys: dyn.RCHSystem, canonical: dyn.HamiltonianSpec,
     canonical rk4 flow of H_A from the shifted state, mapped back by t_A^-1
     (t = 1, h = 1e-4)."""
     magnetic_end = dyn.integrate(sys, state, 1.0, 1e-4, "rk4").final_state()
-    shifted0 = mag.momentum_shift(mag.PhasePoint(state[:3], state[3:6]),
-                                  sys.field)
+    shifted0 = mag.momentum_shift(state, sys.field)
     canonical_sys = dyn.RCHSystem(mag.MagneticField.zero(), canonical)
-    canonical_end = dyn.integrate(canonical_sys, shifted0.as_array(), 1.0, 1e-4,
+    canonical_end = dyn.integrate(canonical_sys, shifted0, 1.0, 1e-4,
                                   "rk4").final_state()
-    back = mag.momentum_shift(
-        mag.PhasePoint(canonical_end[:3], canonical_end[3:6]),
-        replace(sys.field, charge_factor=-sys.field.charge_factor))
-    return float(np.max(np.abs(back.as_array() - magnetic_end)))
+    back = mag.momentum_shift(canonical_end, replace(
+        sys.field, charge_factor=-sys.field.charge_factor))
+    return float(np.max(np.abs(back - magnetic_end)))
 
 
 def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
@@ -300,10 +297,9 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
     identity_res = 0.0
     for _ in range(samples):
         state = rng.normal(size=6)
-        shifted = mag.momentum_shift(mag.PhasePoint(state[:3], state[3:6]),
-                                     sys.field)
+        shifted = mag.momentum_shift(state, sys.field)
         identity_res = max(identity_res, abs(
-            dyn.modified_hamiltonian(sys, shifted.as_array())
+            dyn.modified_hamiltonian(sys, shifted)
             - sys.hamiltonian.evaluate(state)))
     zero = mag.MagneticField.zero()
     pullback_res = 0.0
@@ -311,17 +307,13 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
         state = rng.normal(size=6)
 
         def shift_chart(s):
-            return mag.momentum_shift(mag.PhasePoint(s[:3], s[3:6]),
-                                      sys.field).as_array()
+            return mag.momentum_shift(s, sys.field)
 
         v, w = rng.normal(size=6), rng.normal(size=6)
         tv = fd.directional(shift_chart, state, v)
         tw = fd.directional(shift_chart, state, w)
-        shifted = mag.momentum_shift(mag.PhasePoint(state[:3], state[3:6]),
-                                     sys.field)
-        canonical = mag.magnetic_form(shifted, tv, tw, zero)
-        twisted = mag.magnetic_form(mag.PhasePoint(state[:3], state[3:6]),
-                                    v, w, sys.field)
+        canonical = mag.magnetic_form(shift_chart(state), tv, tw, zero)
+        twisted = mag.magnetic_form(state, v, w, sys.field)
         pullback_res = max(pullback_res, abs(canonical - twisted))
 
     state = rng.normal(size=6)
@@ -346,25 +338,21 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
     # Restricted magnetic form on level-set tangents against the pullback of
     # the orbit form through the quotient projection.
     def proj(s):
-        x = mag.extended_momentum_shift(mag.extended_from_chart(s, 0), field)
-        return x.rho.mu
-
-    def J_chart(s):
-        return mag.momentum_map(mag.extended_from_chart(s, 0), field).as_array()
+        shifted = mag.momentum_shift(s, field)
+        return mag.chart_to_body_array(shifted[:3], shifted[3:6])[:2]
 
     zero = MagneticCocycle.zero()
     pullback = 0.0
     rounds = 8
     for _ in range(rounds):
-        x = mag.sample_level_point(level, field, 0, rng)
-        state = mag.extended_to_chart(x)
-        DJ = fd.jacobian(J_chart, state, fd.GRADIENT_STEP)
+        state = mag.sample_level_point(level, field, 0, rng)
+        DJ = fd.jacobian(lambda s: mag.momentum_map(s, field), state,
+                         fd.GRADIENT_STEP)
         tangent = np.linalg.svd(DJ)[2][3:]
         for _ in range(4):
             v = rng.normal(size=3) @ tangent
             w = rng.normal(size=3) @ tangent
-            restricted = mag.magnetic_form(
-                mag.PhasePoint(state[:3], state[3:6]), v, w, field)
+            restricted = mag.magnetic_form(state, v, w, field)
             dv = fd.directional(proj, state, v, fd.GRADIENT_STEP)
             dw = fd.directional(proj, state, w, fd.GRADIENT_STEP)
             z = OrbitPoint(proj(state), level.nu)
@@ -384,8 +372,7 @@ def check_kaluza_klein(seed: int, samples: int = 20) -> list[CheckRecord]:
     kk = kaluza_klein_system(field, m=1.0, mu=1.0)
     records = [kk_alpha_form_check(kk, samples=samples, seed=seed)]
     records.extend(kk_reduce_and_compare(
-        kk, mag.PhasePoint((0.2, -0.1, 0.0), (1.0, 0.3, -0.2)),
-        t_end=1.0, h=1e-3))
+        kk, np.array([0.2, -0.1, 0.0, 1.0, 0.3, -0.2]), t_end=1.0, h=1e-3))
     return records
 
 
@@ -421,26 +408,13 @@ CHECKS: dict[str, Callable[[int, int], list[CheckRecord]]] = {
     "mr_identity": check_mr_identity,
 }
 
-_DEFAULT_SAMPLES = {
-    "group_axioms": 1000,
-    "representations": 1000,
-    "bracket": 200,
-    "orbit_form": 200,
-    "connection": 300,
-    "dynamics": 1000,
-    "momentum_shift": 1000,
-    "noether_reduction": 100,
-    "kaluza_klein": 20,
-    "mr_identity": 40,
-}
-
-
 def run_named_checks(names, seed: int,
                      samples: int | None = None) -> list[CheckRecord]:
     """Run registry checks by name with per-check derived seeds.
 
     Seeds are offset by a stable hash of the check name, so adding or
-    reordering checks never changes another check's sample stream.
+    reordering checks never changes another check's sample stream. Without
+    samples each check runs at its own signature's default.
     """
     records: list[CheckRecord] = []
     for name in names:
@@ -449,6 +423,8 @@ def run_named_checks(names, seed: int,
                 f"unknown check {name!r}; available: "
                 + ", ".join(sorted(CHECKS)))
         derived = (int(seed) + zlib.crc32(name.encode())) % (2 ** 32)
-        count = samples if samples is not None else _DEFAULT_SAMPLES[name]
-        records.extend(CHECKS[name](derived, count))
+        if samples is None:
+            records.extend(CHECKS[name](derived))
+        else:
+            records.extend(CHECKS[name](derived, samples))
     return records

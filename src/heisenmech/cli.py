@@ -273,8 +273,7 @@ def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
         if sys_.k != 0:
             raise ConfigError(f"{cfg.source}: explicit state.* start needs "
                               "system.k = 0")
-        start = mag.extended_from_chart(build_state(cfg), 0)
-        z0 = mag.reduce_point(start, level, sys_.field)
+        z0 = mag.reduce_point(build_state(cfg), level, sys_.field)
     else:
         rng = np.random.default_rng(seed)
         sample = mag.sample_level_point(level, sys_.field, sys_.k, rng)
@@ -308,12 +307,11 @@ def cmd_kk_compare(cfg: ExperimentConfig, seed: int) -> InvariantReport:
     m = cfg.real("system.mass", default=1.0, positive=True)
     mu = cfg.real("kk.mu", default=1.0)
     kk = kaluza_klein_system(build_field(cfg, 1.0), m=m, mu=mu)
-    state = build_state(cfg)
-    x0 = mag.PhasePoint(state[:3], state[3:6])
     samples = cfg.integer("check.samples", default=20, minimum=1)
     records = [kk_alpha_form_check(kk, samples=samples, seed=seed)]
     records.extend(kk_reduce_and_compare(
-        kk, x0, t_end=cfg.real("kk.t_end", default=1.0, positive=True),
+        kk, build_state(cfg),
+        t_end=cfg.real("kk.t_end", default=1.0, positive=True),
         h=cfg.real("kk.step", default=1e-3, positive=True)))
     return InvariantReport(seed, records)
 

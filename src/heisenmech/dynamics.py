@@ -18,8 +18,7 @@ import numpy as np
 from . import fd
 from .errors import (MissingPotential, NonConvergence, NonSymplecticWarning,
                      NotInvariant)
-from .magnetic import (ExtendedPhasePoint, MagneticField, PhasePoint,
-                       chart_to_body_array, extended_to_chart,
+from .magnetic import (MagneticField, _momentum_shift, chart_to_body_array,
                        momentum_map_array)
 # Bound here only for perfbench/tracer.py, which wraps this module's imported
 # heisenmech functions and checks that this binding is restored.
@@ -136,6 +135,14 @@ def _base_fiber_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return base, fiber
 
 
+def _span_distance(spanning: np.ndarray, vec: np.ndarray) -> float:
+    """Distance from vec to the linear span of the given rows."""
+    if spanning.shape[0] == 0:
+        return float(np.linalg.norm(vec))
+    coeff, *_ = np.linalg.lstsq(spanning.T, vec, rcond=None)
+    return float(np.linalg.norm(vec - spanning.T @ coeff))
+
+
 @dataclass(frozen=True)
 class ControlSubset:
     """Affine subspace of the cotangent fiber: offset + span of covectors."""
@@ -164,11 +171,8 @@ class ControlSubset:
 
     def distance(self, covector: np.ndarray) -> float:
         """Euclidean distance from a fiber covector to the subspace."""
-        d = np.asarray(covector, dtype=float) - self.offset
-        if self.rank == 0:
-            return float(np.linalg.norm(d))
-        coeff, *_ = np.linalg.lstsq(self.spanning.T, d, rcond=None)
-        return float(np.linalg.norm(d - self.spanning.T @ coeff))
+        return _span_distance(self.spanning,
+                              np.asarray(covector, dtype=float) - self.offset)
 
     def contains(self, covector: np.ndarray, tol: float = 1e-10) -> bool:
         return self.distance(covector) <= tol
@@ -239,10 +243,6 @@ class Trajectory:
 
 
 def _as_state(x, k: int) -> np.ndarray:
-    if isinstance(x, PhasePoint):
-        return x.as_array()
-    if isinstance(x, ExtendedPhasePoint):
-        return extended_to_chart(x)
     state = np.asarray(x, dtype=float)
     if state.shape != (6 + 2 * k,):
         raise ValueError(f"state must have dimension {6 + 2 * k}, got {state.shape}")
@@ -403,11 +403,10 @@ def _shifted_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
     """H_A(q, P) = H(q, P - charge_factor * A(q)) with its exact gradient
     (g_q - charge_factor * DA^T g_p, g_p, g_theta, g_lam), g = grad H there."""
     cf = sys.field.charge_factor
+    inverse = replace(sys.field, charge_factor=-cf)
 
     def unshift(state):
-        out = state.copy()
-        out[3:6] = state[3:6] - cf * sys.field.vector_potential(state[:3])
-        return out
+        return _momentum_shift(state, inverse)
 
     def gradient(state):
         grad = sys.hamiltonian.grad(unshift(state))
@@ -517,18 +516,17 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
                           NonSymplecticWarning, stacklevel=2)
             route, method = "rk4_fallback", "rk4"
 
-    cf = sys.field.charge_factor
     if route == "shifted":
-        state = state.copy()
-        state[3:6] += cf * sys.field.vector_potential(state[:3])
+        state = _momentum_shift(state, sys.field)
 
     times, states, propagated = _fixed_step_flow(rhs, state, t_end, h, method,
                                                  generator)
     if route == "propagator" and not propagated:
         route = "field"
     if route == "shifted":
-        for row in states:
-            row[3:6] -= cf * sys.field.vector_potential(row[:3])
+        inverse = replace(sys.field, charge_factor=-sys.field.charge_factor)
+        for i, row in enumerate(states):
+            states[i] = _momentum_shift(row, inverse)
 
     energies = np.array([sys.hamiltonian.evaluate(s) for s in states])
     q = states[:, :3]

@@ -29,6 +29,7 @@ from .dynamics import (
     HamiltonianSpec,
     RCHSystem,
     _base_fiber_indices,
+    _span_distance,
     euclidean_kinetic_hamiltonian,
     hamiltonian_vector_field,
     rch_vector_field,
@@ -43,13 +44,11 @@ from .errors import (
 from .group import CoAlgebraElement, GroupElement, coadjoint, inverse, multiply
 from .magnetic import (
     MagneticField,
-    PhasePoint,
-    extended_from_chart,
-    extended_to_chart,
-    left_translate_point,
+    left_translate,
     level_lift,
     magnetic_form,
     momentum_map,
+    momentum_shift,
     reduced_hamiltonian,
     sample_level_point,
 )
@@ -137,11 +136,9 @@ def _project_chart(state: np.ndarray, field: MagneticField) -> np.ndarray:
     projection; off the level set it is the Poisson projection to the dual
     algebra, which is what finite differences across the level set need.
     """
-    q, fiber = state[:3], state[3:]
     if field.has_potential:
-        fiber = fiber.copy()
-        fiber[:3] += field.charge_factor * field.vector_potential(q)
-    return _fiber_push(q, fiber)
+        state = momentum_shift(state, field)
+    return _fiber_push(state[:3], state[3:])
 
 
 def _reduced_fiber_indices(k: int) -> np.ndarray:
@@ -156,14 +153,6 @@ def _independent_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     _, s, vt = np.linalg.svd(rows)
     keep = s > tol * max(1.0, s[0] if s.size else 1.0)
     return vt[: int(np.count_nonzero(keep))]
-
-
-def _span_distance(spanning: np.ndarray, vec: np.ndarray) -> float:
-    """Distance from vec to the linear span of the given rows."""
-    if spanning.shape[0] == 0:
-        return float(np.linalg.norm(vec))
-    coeff, *_ = np.linalg.lstsq(spanning.T, vec, rcond=None)
-    return float(np.linalg.norm(vec - spanning.T @ coeff))
 
 
 @dataclass(frozen=True)
@@ -224,10 +213,8 @@ def _equivariance_sweep(fm: FiberMap, k: int, tol: float, rng: np.random.Generat
     for _ in range(rounds):
         s = rng.uniform(-2, 2, 6 + 2 * k)
         h = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-        moved = extended_to_chart(left_translate_point(h, extended_from_chart(s, k)))
-        lhs = np.asarray(fm.apply(moved), dtype=float)
-        rhs = extended_to_chart(
-            left_translate_point(h, extended_from_chart(np.asarray(fm.apply(s)), k)))
+        lhs = np.asarray(fm.apply(left_translate(h, s)), dtype=float)
+        rhs = left_translate(h, fm.apply(s))
         if np.max(np.abs(lhs - rhs)) > tol:
             raise NotInvariant(f"{what} map is not equivariant under left translation")
         if abs(np.asarray(fm.apply(s))[5] - s[5]) > tol:
@@ -249,13 +236,12 @@ def _lift_matrix(mu_nu: CoAlgebraElement, field: MagneticField,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Offset and matrix of the level lift, affine in the orbit chart.
 
-    At a fixed level, extended_to_chart(level_lift(z)) equals
-    offset + matrix @ z.as_array() exactly, so the columns are differences of
-    lifts of unit charts.
+    At a fixed level, level_lift(z) equals offset + matrix @ z.as_array()
+    exactly, so the columns are differences of lifts of unit charts.
     """
     def lift(chart: np.ndarray) -> np.ndarray:
         z = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
-        return extended_to_chart(level_lift(z, mu_nu, field))
+        return level_lift(z, mu_nu, field)
 
     n = 2 + 2 * k
     offset = lift(np.zeros(n))
@@ -287,9 +273,8 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     # Probe the momentum map once so an incompatible field fails loudly here.
     momentum_map(sample_level_point(mu_nu, sys.field, sys.k, rng), sys.field)
 
-    h_red = reduced_hamiltonian(
-        lambda x: sys.hamiltonian.evaluate(extended_to_chart(x)),
-        mu_nu, sys.field, k=sys.k, invariance_tol=invariance_tol)
+    h_red = reduced_hamiltonian(sys.hamiltonian.evaluate, mu_nu, sys.field,
+                                k=sys.k, invariance_tol=invariance_tol)
     offset, lift_matrix = _lift_matrix(mu_nu, sys.field, sys.k)
 
     def gradient(chart: np.ndarray) -> np.ndarray:
@@ -398,8 +383,7 @@ def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
     worst = 0.0
     k = sys.k
     for _ in range(max(1, samples)):
-        x = sample_level_point(red.level, sys.field, k, rng)
-        state = extended_to_chart(x)
+        state = sample_level_point(red.level, sys.field, k, rng)
         full = rch_vector_field(sys, state)
         lhs = fd.directional(lambda s: _project_chart(s, sys.field),
                              state, full, fd.GRADIENT_STEP)
@@ -486,32 +470,32 @@ def kk_alpha_form_check(kk: KKSystem, samples: int = 20, seed: int = 3313,
     return CheckRecord("kk.alpha_form", samples, worst, threshold)
 
 
-def kk_reduce_and_compare(kk: KKSystem, x0: PhasePoint, t_end: float = 1.0,
+def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
                           h: float = 1e-4, method: str = "rk4",
                           match_threshold: float = 1e-6,
                           drift_threshold: float = 1e-8) -> list[CheckRecord]:
     """Integrate the geodesic flow upstairs and the magnetic flow downstairs.
 
-    The initial magnetic state is lifted to the circle bundle at level
-    lam = mu, both flows run on the same grid, and the geodesic trajectory is
-    pushed back down by the fiber shift p -> p - mu*A(q). Records report the
-    worst state mismatch and the conservation drift of lam.
+    The initial magnetic chart state x0 = (q, p) is lifted to the circle
+    bundle at level lam = mu by the fiber shift p -> p + mu*A(q), both flows
+    run on the same grid, and the geodesic trajectory is pushed back down by
+    the inverse shift. Records report the worst state mismatch and the
+    conservation drift of lam.
     """
     from .dynamics import integrate
 
     mu = kk.mu
-    A0 = kk.field.vector_potential(x0.q)
-    lift0 = np.concatenate([x0.q, x0.p + mu * A0, [0.0], [mu]])
+    charged = replace(kk.field, charge_factor=mu)
+    lift0 = np.concatenate([momentum_shift(x0, charged), [0.0, mu]])
     upstairs = RCHSystem(MagneticField.zero(), kk.hamiltonian, k=1)
     traj_up = integrate(upstairs, lift0, t_end, h, method)
 
-    downstairs = RCHSystem(replace(kk.field, charge_factor=mu),
-                           euclidean_kinetic_hamiltonian(kk.m))
-    traj_down = integrate(downstairs, x0.as_array(), t_end, h, method)
+    downstairs = RCHSystem(charged, euclidean_kinetic_hamiltonian(kk.m))
+    traj_down = integrate(downstairs, x0, t_end, h, method)
 
-    projected = traj_up.states[:, :6].copy()
-    for i, row in enumerate(traj_up.states):
-        projected[i, 3:6] -= mu * kk.field.vector_potential(row[:3])
+    inverse_shift = replace(kk.field, charge_factor=-mu)
+    projected = np.array([momentum_shift(row[:6], inverse_shift)
+                          for row in traj_up.states])
     mismatch = float(np.max(np.abs(projected - traj_down.states)))
     drift = float(np.max(np.abs(traj_up.states[:, 7] - mu)))
     n = traj_up.states.shape[0]
@@ -602,13 +586,13 @@ class DiffeoSpec:
         return cls(chart_map(h), chart_map(h_inv))
 
 
-def _extend_lift(phi: DiffeoSpec, state: np.ndarray, k: int) -> np.ndarray:
+def _extend_lift(phi: DiffeoSpec, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     return np.concatenate([phi.apply_lift(state[:6]), state[6:]])
 
 
-def _extend_push(phi: DiffeoSpec, state: np.ndarray, vector: np.ndarray,
-                 k: int) -> np.ndarray:
+def _extend_push(phi: DiffeoSpec, state: np.ndarray,
+                 vector: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     vector = np.asarray(vector, dtype=float)
     return np.concatenate([phi.push_lift(state[:6], vector[:6]), vector[6:]])
@@ -629,8 +613,8 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
         x1 = phi.apply_lift(x2)
         v, w = rng.normal(size=6), rng.normal(size=6)
         pv, pw = phi.push_lift(x2, v), phi.push_lift(x2, w)
-        lhs = magnetic_form(PhasePoint(x1[:3], x1[3:6]), pv, pw, field1)
-        rhs = magnetic_form(PhasePoint(x2[:3], x2[3:6]), v, w, field2)
+        lhs = magnetic_form(x1, pv, pw, field1)
+        rhs = magnetic_form(x2, v, w, field2)
         worst = max(worst, abs(lhs - rhs))
     return CheckRecord("mr1.symplectic", samples, worst, threshold)
 
@@ -651,10 +635,9 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
     level_worst = 0.0
     for _ in range(max(1, samples)):
         x2 = sample_level_point(level2, field2, 0, rng)
-        x1 = phi.apply_lift(extended_to_chart(x2))
-        J1 = momentum_map(extended_from_chart(x1, 0), field1)
+        x1 = phi.apply_lift(x2)
         level_worst = max(level_worst, float(np.max(np.abs(
-            J1.as_array() - level1.as_array()))))
+            momentum_map(x1, field1) - level1.as_array()))))
 
     candidates = [GroupElement((0.0, 0.0), t) for t in rng.uniform(-3, 3, 8)]
     for _ in range(12):
@@ -663,15 +646,12 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
         if np.max(np.abs(moved.as_array() - level2.as_array())) <= 1e-12:
             candidates.append(g)
 
-    def translate(g: GroupElement, s: np.ndarray) -> np.ndarray:
-        return extended_to_chart(left_translate_point(g, extended_from_chart(s, 0)))
-
     iso_worst = 0.0
     for _ in range(max(1, samples)):
         s2 = rng.uniform(-2, 2, 6)
         for g in candidates:
-            lhs = phi.apply_lift(translate(g, s2))
-            rhs = translate(g, phi.apply_lift(s2))
+            lhs = phi.apply_lift(left_translate(g, s2))
+            rhs = left_translate(g, phi.apply_lift(s2))
             iso_worst = max(iso_worst, float(np.max(np.abs(lhs - rhs))))
     return [CheckRecord("mr2.level", samples, level_worst, level_threshold),
             CheckRecord("mr2.isotropy", samples, iso_worst, isotropy_threshold)]
@@ -701,16 +681,16 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     horizontal_worst = 0.0
     for _ in range(max(1, samples)):
         x2 = rng.uniform(-2, 2, 6 + 2 * k)
-        x1 = _extend_lift(phi, x2, k)
+        x1 = _extend_lift(phi, x2)
         residual = hamiltonian_vector_field(sys1, x1)
         if sys1.force is not None:
             residual = residual + vertical_lift(sys1.force, sys1, x1)
         residual = residual - _extend_push(phi, x2,
-                                           hamiltonian_vector_field(sys2, x2), k)
+                                           hamiltonian_vector_field(sys2, x2))
         if sys2.force is not None:
             def transported(s: np.ndarray) -> np.ndarray:
                 down = np.concatenate([phi.apply_inverse_lift(s[:6]), s[6:]])
-                return _extend_lift(phi, np.asarray(sys2.force.apply(down)), k)
+                return _extend_lift(phi, np.asarray(sys2.force.apply(down)))
 
             residual = residual - vertical_lift(FiberMap(apply=transported), sys1, x1)
         horizontal_worst = max(horizontal_worst,

@@ -15,8 +15,25 @@ from heisenmech.orbit import MagneticCocycle, OrbitPoint, orbit_form_on_chart_ve
 PLANAR = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def rand_extended(rng, k=0, scale=2.0):
-    return M.ExtendedPhasePoint(
+def body_of(state):
+    """Reference trivialization of a chart state: (g, rho) with g = q and rho
+    the body momentum, written out here independently of the library."""
+    q, p = state[:3], state[3:6]
+    return (GroupElement(q[:2], q[2]),
+            CoAlgebraElement((p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0]),
+                             p[2]))
+
+
+def chart_of(g, rho, theta=(), lam=()):
+    """Reference chart state of the trivialized point (g, rho, theta, lam)."""
+    q = g.as_array()
+    p = np.array([rho.mu[0] + 0.5 * rho.nu * q[1], rho.mu[1] - 0.5 * rho.nu * q[0],
+                  rho.nu])
+    return np.concatenate([q, p, theta, lam])
+
+
+def rand_state(rng, k=0, scale=2.0):
+    return chart_of(
         GroupElement(rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale)),
         CoAlgebraElement(rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale)),
         rng.uniform(-scale, scale, k), rng.uniform(-scale, scale, k))
@@ -24,7 +41,7 @@ def rand_extended(rng, k=0, scale=2.0):
 
 def invariant_kinetic(mass=1.0):
     def h(x):
-        rho = x.rho.as_array()
+        rho = body_of(x)[1].as_array()
         return 0.5 * float(rho @ rho) / mass
     return h
 
@@ -46,17 +63,19 @@ def nonconstant_closed_field(charge=1.0):
 def test_chart_body_round_trip():
     rng = np.random.default_rng(60)
     for _ in range(100):
-        x = rand_extended(rng, k=2)
-        state = M.extended_to_chart(x)
-        back = M.extended_from_chart(state, k=2)
-        assert np.max(np.abs(back.g.as_array() - x.g.as_array())) <= 1e-14
-        assert np.max(np.abs(back.rho.as_array() - x.rho.as_array())) <= 1e-14
-        assert np.max(np.abs(back.theta - x.theta)) == 0.0
-        assert np.max(np.abs(back.lam - x.lam)) == 0.0
+        g = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+        rho = CoAlgebraElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+        theta, lam = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+        state = chart_of(g, rho, theta, lam)
+        back = M.chart_to_body_array(state[:3], state[3:6])
+        assert np.max(np.abs(state[:3] - g.as_array())) <= 1e-14
+        assert np.max(np.abs(back - rho.as_array())) <= 1e-14
+        assert np.max(np.abs(state[6:8] - theta)) == 0.0
+        assert np.max(np.abs(state[8:] - lam)) == 0.0
 
 
 def test_magnetic_form_frozen_values():
-    pt = M.PhasePoint((0.2, -0.4, 0.9), (1.0, 0.0, -2.0))
+    pt = np.array([0.2, -0.4, 0.9, 1.0, 0.0, -2.0])
     v1 = np.array([1, 0, 0, 0, 0, 0], dtype=float)
     v2 = np.array([0, 0, 0, 1, 0, 0], dtype=float)
     assert M.magnetic_form(pt, v1, v2, M.MagneticField.zero()) == 1.0
@@ -71,14 +90,14 @@ def test_magnetic_form_antisymmetry_and_v_block():
     rng = np.random.default_rng(61)
     field = M.MagneticField.constant(2.5 * PLANAR, charge_factor=0.7)
     for _ in range(100):
-        x = rand_extended(rng, k=1)
+        x = rand_state(rng, k=1)
         v1 = rng.normal(size=8)
         v2 = rng.normal(size=8)
         a = M.magnetic_form(x, v1, v2, field)
         b = M.magnetic_form(x, v2, v1, field)
         assert abs(a + b) <= 1e-12
     # canonical V block: omega_V((theta1,lam1),(theta2,lam2)) = lam2.theta1 - lam1.theta2
-    x = rand_extended(rng, k=1)
+    x = rand_state(rng, k=1)
     vtheta = np.zeros(8); vtheta[6] = 1.0
     vlam = np.zeros(8); vlam[7] = 1.0
     assert M.magnetic_form(x, vtheta, vlam, field) == 1.0
@@ -87,22 +106,22 @@ def test_magnetic_form_antisymmetry_and_v_block():
 def test_momentum_shift_frozen_and_round_trip():
     zero_M = np.zeros((3, 3))
     identity_field = M.MagneticField.linear_potential(zero_M)
-    pt = M.PhasePoint((0.3, 0.1, -0.2), (1.0, 2.0, 3.0))
+    pt = np.array([0.3, 0.1, -0.2, 1.0, 2.0, 3.0])
     out = M.momentum_shift(pt, identity_field)
-    assert np.array_equal(out.as_array(), pt.as_array())
+    assert np.array_equal(out, pt)
 
     Mmat = np.zeros((3, 3)); Mmat[1, 0] = 1.0  # A(q) = (0, q1, 0)
     field = M.MagneticField.linear_potential(Mmat, charge_factor=1.0)
-    out = M.momentum_shift(M.PhasePoint((1, 0, 0), (0, 0, 0)), field)
-    assert np.allclose(out.q, [1, 0, 0], atol=0)
-    assert np.allclose(out.p, [0, 1, 0], atol=0)
+    out = M.momentum_shift(np.array([1.0, 0, 0, 0, 0, 0]), field)
+    assert np.allclose(out[:3], [1, 0, 0], atol=0)
+    assert np.allclose(out[3:], [0, 1, 0], atol=0)
 
     minus = M.MagneticField.linear_potential(Mmat, charge_factor=-1.0)
     rng = np.random.default_rng(62)
     for _ in range(50):
-        pt = M.PhasePoint(rng.normal(size=3), rng.normal(size=3))
+        pt = rng.normal(size=6)
         back = M.momentum_shift(M.momentum_shift(pt, field), minus)
-        assert np.max(np.abs(back.as_array() - pt.as_array())) <= 1e-14
+        assert np.max(np.abs(back - pt)) <= 1e-14
 
     with pytest.raises(MissingPotential):
         M.momentum_shift(pt, M.MagneticField.constant(PLANAR))
@@ -111,16 +130,17 @@ def test_momentum_shift_frozen_and_round_trip():
 def test_momentum_map_frozen_values():
     zero = M.MagneticField.zero()
     rho = CoAlgebraElement((0.7, -0.4), 1.3)
-    x = M.ExtendedPhasePoint(GroupElement((0, 0), 0.0), rho)
-    assert np.array_equal(M.momentum_map(x, zero).as_array(), rho.as_array())
+    x = chart_of(GroupElement((0, 0), 0.0), rho)
+    assert np.array_equal(M.momentum_map(x, zero), rho.as_array())
 
-    x = M.ExtendedPhasePoint(GroupElement((1, 2), 0.5), CoAlgebraElement((0, 0), 3.0))
+    x = chart_of(GroupElement((1, 2), 0.5), CoAlgebraElement((0, 0), 3.0))
     J = M.momentum_map(x, zero)
-    assert np.allclose(J.as_array(), [6, -3, 3], atol=0)
+    assert J.shape == (3,)
+    assert np.allclose(J, [6, -3, 3], atol=0)
 
 
 def test_momentum_map_errors():
-    x = M.ExtendedPhasePoint(GroupElement((0, 0), 0.0), CoAlgebraElement((1, 1), 1.0))
+    x = chart_of(GroupElement((0, 0), 0.0), CoAlgebraElement((1, 1), 1.0))
     with pytest.raises(MissingPotential):
         M.momentum_map(x, M.MagneticField.constant(PLANAR))
     linear = M.MagneticField.linear_potential(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
@@ -144,13 +164,15 @@ def test_momentum_map_array_matches_the_point_path_bitwise(k):
         J = M.momentum_map_array(q, rho, field)
         assert J.shape == (n, 3)
         for s, row in zip(states, J):
-            # Reference: J0 = coadjoint after the dataclass fiber shift t_A.
-            x = M.extended_from_chart(s, k)
+            # Reference: J0 = coadjoint after the fiber shift t_A, taken on
+            # the trivialized point (body -> chart, p + cf*A(q), chart -> body).
+            g_s, rho_s = body_of(s)
             if field.kind == "invariant":
-                x = M.extended_momentum_shift(x, field)
-            assert row.tobytes() == coadjoint(x.g, x.rho).as_array().tobytes()
-            point = M.momentum_map(M.extended_from_chart(s, k), field)
-            assert row.tobytes() == point.as_array().tobytes()
+                shifted = chart_of(g_s, rho_s)
+                shifted[3:6] += field.charge_factor * field.vector_potential(s[:3])
+                g_s, rho_s = body_of(shifted)
+            assert row.tobytes() == coadjoint(g_s, rho_s).as_array().tobytes()
+            assert row.tobytes() == M.momentum_map(s, field).tobytes()
 
 
 def test_momentum_map_array_raises_like_the_point_path():
@@ -158,7 +180,7 @@ def test_momentum_map_array_raises_like_the_point_path():
     states = rng.uniform(-2, 2, (5, 6))
     q = states[:, :3]
     rho = M.chart_to_body_array(q, states[:, 3:6])
-    x = M.extended_from_chart(states[0])
+    x = states[0]
     linear = M.MagneticField.linear_potential(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
     general = M.MagneticField(lambda q: q[0] * PLANAR)
     for field, error in ((M.MagneticField.constant(PLANAR), MissingPotential),
@@ -179,11 +201,12 @@ def test_momentum_map_equivariance():
               M.MagneticField.invariant_potential((0.4, -0.2, 0.8), charge_factor=1.3)]
     for field in fields:
         for _ in range(500):
-            x = rand_extended(rng)
+            x = rand_state(rng)
             h = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-            lhs = M.momentum_map(M.left_translate_point(h, x), field).value
-            rhs = coadjoint(h, M.momentum_map(x, field).value)
-            assert np.max(np.abs(lhs.as_array() - rhs.as_array())) <= 1e-10
+            lhs = M.momentum_map(M.left_translate(h, x), field)
+            J = M.momentum_map(x, field)
+            rhs = coadjoint(h, CoAlgebraElement(J[:2], J[2]))
+            assert np.max(np.abs(lhs - rhs.as_array())) <= 1e-10
 
 
 def test_momentum_map_noether_pin():
@@ -196,18 +219,13 @@ def test_momentum_map_noether_pin():
              (M.MagneticField.invariant_potential((0.3, -0.7, 0.5), 1.0), 1)]
     for field, k in cases:
         for _ in range(30):
-            x = rand_extended(rng, k=k)
-            state = M.extended_to_chart(x)
-
-            def ham(s, k=k):
-                return invariant_kinetic()(M.extended_from_chart(s, k))
-
-            grad = fd.gradient(ham, state)
-            W = M.omega_matrix(x, field)
+            state = rand_state(rng, k=k)
+            grad = fd.gradient(invariant_kinetic(), state)
+            W = M.omega_matrix(state, field)
             X = np.linalg.solve(W.T, grad)
 
-            def jmap(s, k=k, field=field):
-                return M.momentum_map(M.extended_from_chart(s, k), field).as_array()
+            def jmap(s, field=field):
+                return M.momentum_map(s, field)
 
             drift = fd.directional(jmap, state, X)
             assert np.max(np.abs(drift)) <= 1e-8
@@ -220,15 +238,15 @@ def test_level_set_membership():
     for _ in range(100):
         x = M.sample_level_point(mu_nu, field, k=1, rng=rng)
         assert M.level_set_contains(x, mu_nu, field, tol=1e-10)
-        bumped = M.ExtendedPhasePoint(
-            x.g, CoAlgebraElement(x.rho.mu + 1e-7, x.rho.nu), x.theta, x.lam)
+        g, rho = body_of(x)
+        bumped = chart_of(g, CoAlgebraElement(rho.mu + 1e-7, rho.nu), x[6:7], x[7:])
         assert not M.level_set_contains(bumped, mu_nu, field, tol=1e-8)
 
 
 def test_reduce_point_identity_lift_and_errors():
     field = M.MagneticField.zero()
     mu_nu = CoAlgebraElement((0.7, -0.4), 1.3)
-    x = M.ExtendedPhasePoint(GroupElement((0, 0), 0.9), CoAlgebraElement((0.7, -0.4), 1.3))
+    x = chart_of(GroupElement((0, 0), 0.9), CoAlgebraElement((0.7, -0.4), 1.3))
     o = M.reduce_point(x, mu_nu, field)
     assert np.allclose(o.rho, [0.7, -0.4], atol=0) and o.nu == 1.3
 
@@ -244,7 +262,7 @@ def test_reduce_point_well_defined_on_isotropy_orbits():
         x = M.sample_level_point(mu_nu, field, k=1, rng=rng)
         z = GroupElement((0, 0), rng.normal())  # isotropy of (mu, nu != 0)
         o1 = M.reduce_point(x, mu_nu, field)
-        o2 = M.reduce_point(M.left_translate_point(z, x), mu_nu, field)
+        o2 = M.reduce_point(M.left_translate(z, x), mu_nu, field)
         assert np.max(np.abs(o1.as_array() - o2.as_array())) <= 1e-10
         assert o1.nu == o2.nu
 
@@ -272,19 +290,18 @@ def test_ta_pullback_of_canonical_form_is_magnetic_form():
     zero = M.MagneticField.zero()
     for field in fields:
         for _ in range(40):
-            pt = M.PhasePoint(rng.normal(size=3), rng.normal(size=3))
+            s0 = rng.normal(size=6)
 
             def shift_map(s, field=field):
-                return M.momentum_shift(M.PhasePoint(s[:3], s[3:]), field).as_array()
+                return M.momentum_shift(s, field)
 
-            s0 = pt.as_array()
             v1 = rng.normal(size=6)
             v2 = rng.normal(size=6)
             tv1 = fd.directional(shift_map, s0, v1, step)
             tv2 = fd.directional(shift_map, s0, v2, step)
-            shifted = M.momentum_shift(pt, field)
+            shifted = M.momentum_shift(s0, field)
             canonical = M.magnetic_form(shifted, tv1, tv2, zero)
-            magnetic = M.magnetic_form(pt, v1, v2, field)
+            magnetic = M.magnetic_form(s0, v1, v2, field)
             assert abs(canonical - magnetic) <= 1e-6
 
 
@@ -298,7 +315,7 @@ def test_omega_b_closedness():
             state = rng.normal(size=6)
 
             def omega(s, field=field):
-                return M.omega_matrix(M.PhasePoint(s[:3], s[3:]), field)
+                return M.omega_matrix(s, field)
 
             assert fd.two_form_closedness(omega, state) <= 1e-6
 
@@ -348,23 +365,21 @@ def test_reduced_form_pullback_matches_level_restriction():
               CoAlgebraElement((0.0, 0.0), 2.0), 0)]
     for field, mu_nu, k in cases:
         for _ in range(12):
-            x = M.sample_level_point(mu_nu, field, k, rng)
-            state = M.extended_to_chart(x)
+            state = M.sample_level_point(mu_nu, field, k, rng)
             n = 6 + 2 * k
 
-            def jmap(s, k=k, field=field):
-                return M.momentum_map(M.extended_from_chart(s, k), field).as_array()
+            def jmap(s, field=field):
+                return M.momentum_map(s, field)
 
             DJ = fd.jacobian(jmap, state)
             _, sing, vt = np.linalg.svd(DJ)
             tangent_basis = vt[3:]
             assert tangent_basis.shape == (n - 3, n)
 
-            def project(s, k=k, field=field, mu_nu=mu_nu):
-                o = M.reduce_point(M.extended_from_chart(s, k), mu_nu, field, tol=1e-5)
-                return o.as_array()
+            def project(s, field=field, mu_nu=mu_nu):
+                return M.reduce_point(s, mu_nu, field, tol=1e-5).as_array()
 
-            o0 = M.reduce_point(x, mu_nu, field)
+            o0 = M.reduce_point(state, mu_nu, field)
             for _ in range(4):
                 v = tangent_basis.T @ rng.normal(size=n - 3)
                 w = tangent_basis.T @ rng.normal(size=n - 3)
@@ -372,7 +387,7 @@ def test_reduced_form_pullback_matches_level_restriction():
                 dw = fd.directional(project, state, w)
                 reduced = orbit_form_on_chart_vectors(
                     o0, dv, dw, MagneticCocycle.zero(), "minus")
-                full = M.magnetic_form(x, v, w, field)
+                full = M.magnetic_form(state, v, w, field)
                 assert abs(reduced - full) <= 1e-5
 
 
@@ -403,7 +418,7 @@ def test_reduced_hamiltonian_particle_and_lift_independence():
 
 def test_reduced_hamiltonian_rejects_non_invariant():
     def chart_kinetic(x):
-        _, p = M.body_to_chart(x.g, x.rho)
+        p = x[3:6]
         return 0.5 * float(p @ p)
 
     with pytest.raises(NotInvariant):
@@ -415,3 +430,86 @@ def test_constant_hamiltonian_reduces_to_constant():
     h = M.reduced_hamiltonian(lambda x: 4.25, CoAlgebraElement((0, 0), 1.0),
                               M.MagneticField.zero())
     assert h.evaluate(np.array([3.0, -2.0])) == 4.25
+
+
+def scaled_states(rng, n, k):
+    """Chart states whose entries range over magnitudes 1e-3 to 1e3."""
+    shape = (n, 6 + 2 * k)
+    return rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_left_translate_matches_the_group_reference_bitwise(k):
+    rng = np.random.default_rng(4200 + k)
+    for s in scaled_states(rng, 300, k):
+        u1, u2, alpha = scaled_states(rng, 1, 0)[0, :3]
+        h = GroupElement((u1, u2), alpha)
+        g, rho = body_of(s)
+        expected = chart_of(multiply(h, g), rho, s[6:6 + k], s[6 + k:])
+        assert M.left_translate(h, s).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_momentum_shift_matches_the_reference_bitwise(k):
+    rng = np.random.default_rng(4300 + k)
+    fields = [M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.3),
+              M.MagneticField.linear_potential(rng.normal(size=(3, 3)), -0.7),
+              nonconstant_closed_field(1.2)]
+    for field in fields:
+        for s in scaled_states(rng, 200, k):
+            q, p = s[:3], s[3:6]
+            expected = np.concatenate(
+                [q, p + field.charge_factor * field.vector_potential(q), s[6:]])
+            assert M.momentum_shift(s, field).tobytes() == expected.tobytes()
+
+
+def test_left_translate_is_a_left_action():
+    rng = np.random.default_rng(4400)
+    for k in (0, 1, 2):
+        for _ in range(100):
+            s = rand_state(rng, k=k)
+            g = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+            h = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+            twice = M.left_translate(h, M.left_translate(g, s))
+            once = M.left_translate(multiply(h, g), s)
+            assert np.max(np.abs(twice - once)) <= 1e-12
+
+
+def test_momentum_shift_inverse_is_the_negated_charge():
+    # The base point and the V factor come back exactly; p comes back up to
+    # the rounding of p + cf*A(q), since (p + x) - x need not equal p.
+    rng = np.random.default_rng(4500)
+    for field in (M.MagneticField.invariant_potential((0.4, -0.2, 0.8), 1.3),
+                  nonconstant_closed_field(0.9)):
+        inverse = dataclasses.replace(field, charge_factor=-field.charge_factor)
+        for k in (0, 1, 2):
+            for s in scaled_states(rng, 100, k):
+                back = M.momentum_shift(M.momentum_shift(s, field), inverse)
+                assert np.array_equal(np.delete(back, [3, 4, 5]),
+                                      np.delete(s, [3, 4, 5]))
+                shift = field.charge_factor * field.vector_potential(s[:3])
+                ulp = np.spacing(np.abs(s[3:6]) + np.abs(shift))
+                assert np.all(np.abs(back[3:6] - s[3:6]) <= 2 * ulp)
+
+
+BAD_STATES = [np.array([0.1, 0.2, np.nan, 0.0, 1.0, 2.0]),
+              np.array([0.1, 0.2, 0.3, np.inf, 1.0, 2.0, 0.0, 0.0]),
+              np.zeros(5), np.zeros(7), np.zeros((1, 6)), np.float64(1.0)]
+
+
+@pytest.mark.parametrize("state", BAD_STATES,
+                         ids=("nan", "inf", "size5", "size7", "2d", "scalar"))
+def test_public_functions_reject_bad_chart_states(state):
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    level = CoAlgebraElement((0.4, -0.7), 1.0)
+    h = GroupElement((0.1, 0.2), 0.3)
+    calls = [lambda: M.omega_matrix(state, field),
+             lambda: M.magnetic_form(state, np.zeros(6), np.zeros(6), field),
+             lambda: M.momentum_shift(state, field),
+             lambda: M.left_translate(h, state),
+             lambda: M.momentum_map(state, field),
+             lambda: M.level_set_contains(state, level, field),
+             lambda: M.reduce_point(state, level, field)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

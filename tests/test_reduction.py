@@ -16,10 +16,27 @@ from heisenmech.errors import (
     NotInvariant,
     SingularForm,
 )
-from heisenmech.group import CoAlgebraElement, GroupElement, coadjoint, inverse
+from heisenmech.group import (CoAlgebraElement, GroupElement, coadjoint, inverse,
+                              multiply)
 from heisenmech.orbit import OrbitFunction, OrbitPoint
 
 LEVEL = CoAlgebraElement((0.4, -0.7), 1.0)
+
+
+def body_of(state):
+    """Reference trivialization (g, rho) of a chart state, written out here."""
+    q, p = state[:3], state[3:6]
+    return (GroupElement(q[:2], q[2]),
+            CoAlgebraElement((p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0]),
+                             p[2]))
+
+
+def chart_of(g, rho, theta=(), lam=()):
+    """Reference chart state of the trivialized point (g, rho, theta, lam)."""
+    q = g.as_array()
+    p = np.array([rho.mu[0] + 0.5 * rho.nu * q[1], rho.mu[1] - 0.5 * rho.nu * q[0],
+                  rho.nu])
+    return np.concatenate([q, p, theta, lam])
 
 
 def body_scaling(factor, lam_factor=1.0):
@@ -27,10 +44,8 @@ def body_scaling(factor, lam_factor=1.0):
 
     def apply(s):
         s = np.asarray(s, dtype=float)
-        g, rho = M.chart_to_body(s[:3], s[3:6])
-        _, p = M.body_to_chart(g, CoAlgebraElement(factor * rho.mu, rho.nu))
-        out = s.copy()
-        out[3:6] = p
+        g, rho = body_of(s)
+        out = chart_of(g, CoAlgebraElement(factor * rho.mu, rho.nu), s[6:])
         out[6 + (s.size - 6) // 2:] *= lam_factor
         return out
 
@@ -166,7 +181,7 @@ def test_center_acts_trivially_on_reduction():
     for _ in range(20):
         x = M.sample_level_point(LEVEL, sys.field, 0, rng)
         z = M.reduce_point(x, LEVEL, sys.field)
-        moved = M.left_translate_point(GroupElement((0.0, 0.0), rng.normal()), x)
+        moved = M.left_translate(GroupElement((0.0, 0.0), rng.normal()), x)
         z2 = M.reduce_point(moved, LEVEL, sys.field)
         assert np.array_equal(z.as_array(), z2.as_array())
 
@@ -236,11 +251,14 @@ def test_reduced_gradient_matches_finite_differences():
 
 
 def dataclass_projection(state, field, k):
-    """Orbit projection through the trivialized points, as reduce_point does it."""
-    x = M.extended_from_chart(state, k)
+    """Orbit projection through the trivialized points: body -> chart,
+    p + charge_factor * A(q), chart -> body, then the planar body momentum."""
+    g, rho = body_of(state)
     if field.has_potential:
-        x = M.extended_momentum_shift(x, field)
-    return np.concatenate([x.rho.mu, x.theta, x.lam])
+        shifted = chart_of(g, rho)
+        shifted[3:6] += field.charge_factor * field.vector_potential(state[:3])
+        g, rho = body_of(shifted)
+    return np.concatenate([rho.mu, state[6:]])
 
 
 @pytest.mark.parametrize("k", (0, 1))
@@ -260,7 +278,7 @@ def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, fie
         chart = rng.uniform(-2, 2, 2 + 2 * k)
         z = OrbitPoint(chart[:2], level.nu, chart[2:2 + k], chart[2 + k:])
         for alpha in (0.0, 0.9, -1.7):
-            expected = M.extended_to_chart(M.level_lift(z, level, field, alpha))
+            expected = M.level_lift(z, level, field, alpha)
             assert np.max(np.abs(red.lift(chart, alpha) - expected)) <= 1e-12
         state = rng.uniform(-2, 2, 6 + 2 * k)
         assert np.max(np.abs(R._project_chart(state, field)
@@ -292,7 +310,7 @@ def test_kaluza_klein_momentum_and_errors():
 def test_kaluza_klein_free_case():
     field = M.MagneticField.linear_potential(np.zeros((3, 3)))
     kk = R.kaluza_klein_system(field, m=2.0, mu=0.0)
-    records = R.kk_reduce_and_compare(kk, M.PhasePoint((0.1, 0.2, 0.3), (1.0, -0.5, 0.4)),
+    records = R.kk_reduce_and_compare(kk, np.array([0.1, 0.2, 0.3, 1.0, -0.5, 0.4]),
                                       t_end=1.0, h=1e-3)
     by_name = {r.name: r for r in records}
     assert by_name["kk.trajectory_match"].max_residual <= 1e-10
@@ -324,7 +342,7 @@ def test_kaluza_klein_matches_magnetic_flow():
     field = M.MagneticField.linear_potential(coeff)
     kk = R.kaluza_klein_system(field, m=1.0, mu=1.0)
     records = R.kk_reduce_and_compare(
-        kk, M.PhasePoint((0.2, -0.1, 0.0), (1.0, 0.3, -0.2)), t_end=1.0, h=1e-4)
+        kk, np.array([0.2, -0.1, 0.0, 1.0, 0.3, -0.2]), t_end=1.0, h=1e-4)
     by_name = {r.name: r for r in records}
     assert by_name["kk.trajectory_match"].max_residual <= 1e-6
     assert by_name["kk.lambda_drift"].max_residual <= 1e-8
@@ -354,8 +372,8 @@ def test_group_translation_lift_is_momentum_friendly():
     for _ in range(20):
         s = rng.uniform(-2, 2, 6)
         lifted = phi.apply_lift(s)
-        expected = M.extended_to_chart(M.left_translate_point(
-            inverse(h), M.extended_from_chart(s, 0)))
+        g, rho = body_of(s)
+        expected = chart_of(multiply(inverse(h), g), rho)
         assert np.max(np.abs(lifted - expected)) <= 1e-9
         back = phi.apply_inverse_lift(lifted)
         assert np.max(np.abs(back - s)) <= 1e-9
