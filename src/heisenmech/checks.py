@@ -59,8 +59,7 @@ def _quadratic(Q: np.ndarray) -> orbit.DualFunction:
     Qs = 0.5 * (Q + Q.T)
     return orbit.DualFunction(
         evaluate=lambda p: 0.5 * float(p.as_array() @ Qs @ p.as_array()),
-        gradient=lambda p: AlgebraElement((Qs @ p.as_array())[:2],
-                                          (Qs @ p.as_array())[2]),
+        gradient=lambda p: AlgebraElement((v := Qs @ p.as_array())[:2], v[2]),
         hessian=lambda p: Qs,
     )
 

@@ -45,10 +45,9 @@ def vec2(x1: float, x2: float) -> np.ndarray:
 
 
 def _as_vec2(value) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
+    v = np.array(value, dtype=float)
     if v.shape != (2,):
         raise ValueError(f"expected a planar vector of shape (2,), got {v.shape}")
-    v = v.copy()
     v.flags.writeable = False
     return v
 

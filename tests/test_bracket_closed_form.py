@@ -1,0 +1,181 @@
+"""The closed-form twisted bracket against the paths it replaced.
+
+bracket_function differentiates {f,g}(p) = df . M(p) . dg, M = s*nu*K - B,
+in closed form. These tests hold it to a test-local copy of the former
+per-direction product-rule loop and to a central difference of the bracket
+value, hold magnetic_lie_poisson bitwise to the pairing formula, and show
+that check_jacobi reads the declared hessians.
+"""
+
+import numpy as np
+import pytest
+
+from heisenmech import fd
+from heisenmech import orbit as O
+from heisenmech.group import AlgebraElement, CoAlgebraElement, bracket, pairing
+
+SIGNS = (("minus", -1.0), ("plus", 1.0))
+MAGNITUDES = (1e-3, 1e-1, 1.0, 1e1, 1e3)
+
+
+def quadratic(Q):
+    Qs = 0.5 * (Q + Q.T)
+
+    def gradient(p):
+        v = Qs @ p.as_array()
+        return AlgebraElement(v[:2], v[2])
+
+    return O.DualFunction(lambda p: 0.5 * float(p.as_array() @ Qs @ p.as_array()),
+                          gradient, lambda p: Qs)
+
+
+def cubic(a):
+    """(a.p)^3 / 6, whose hessian (a.p) a a^T varies with p."""
+    a = np.asarray(a, dtype=float)
+
+    def gradient(p):
+        v = 0.5 * float(a @ p.as_array()) ** 2 * a
+        return AlgebraElement(v[:2], v[2])
+
+    return O.DualFunction(lambda p: float(a @ p.as_array()) ** 3 / 6.0, gradient,
+                          lambda p: float(a @ p.as_array()) * np.outer(a, a))
+
+
+def general_cocycle(rng):
+    """Antisymmetric form with every entry nonzero, centre entries included."""
+    b = rng.normal(size=(3, 3))
+    return O.MagneticCocycle(b - b.T)
+
+
+def functions(rng):
+    return [quadratic(rng.normal(size=(3, 3))), quadratic(rng.normal(size=(3, 3))),
+            cubic(rng.normal(size=3)),
+            O.linear_function(AlgebraElement(rng.normal(size=2), rng.normal())),
+            O.coordinate_function(2)]
+
+
+def loop_gradient(f, g, B, sign, p):
+    """The former product-rule loop: one basis direction at a time."""
+    s = O._sign(sign)
+    df, dg = f.grad(p), g.grad(p)
+    Hf, Hg = f.hess(p), g.hess(p)
+    out = np.empty(3)
+    for i in range(3):
+        w = np.zeros(3)
+        w[i] = 1.0
+        dfw = AlgebraElement(Hf[:, i][:2], Hf[:, i][2])
+        dgw = AlgebraElement(Hg[:, i][:2], Hg[:, i][2])
+        term = s * pairing(CoAlgebraElement(w[:2], w[2]), bracket(df, dg))
+        term += s * pairing(p, bracket(dfw, dg)) + s * pairing(p, bracket(df, dgw))
+        term -= B.pair(dfw, dg) + B.pair(df, dgw)
+        out[i] = term
+    return out
+
+
+def term_scale(f, g, B, p):
+    """Size of the largest term in the bracket gradient at p."""
+    df, dg = np.abs(f.grad(p).as_array()), np.abs(g.grad(p).as_array())
+    M = abs(p.nu) + np.max(np.abs(B.form))
+    Hf, Hg = np.max(np.abs(f.hess(p))), np.max(np.abs(g.hess(p)))
+    return max(M * (Hf * dg.max() + Hg * df.max()) + df.max() * dg.max(), 1e-300)
+
+
+def sweep(seed):
+    rng = np.random.default_rng(seed)
+    fs = functions(rng)
+    for scale in MAGNITUDES:
+        for _ in range(20):
+            p = CoAlgebraElement(scale * rng.normal(size=2), scale * rng.normal())
+            B = general_cocycle(rng)
+            i, j = rng.choice(len(fs), 2, replace=False)
+            for sign, s in SIGNS:
+                yield fs[i], fs[j], B, sign, s, p
+
+
+def test_closed_form_gradient_matches_the_product_rule_loop():
+    worst = 0.0
+    for f, g, B, sign, _, p in sweep(90):
+        got = O.bracket_function(f, g, B, sign).grad(p).as_array()
+        ref = loop_gradient(f, g, B, sign, p)
+        worst = max(worst, np.max(np.abs(got - ref)) / term_scale(f, g, B, p))
+    assert worst <= 1e-13
+
+
+def test_closed_form_gradient_reads_hessian_columns_like_the_loop():
+    # The loop took column i of a declared hessian as the derivative of the
+    # gradient along e_i; an unsymmetric declaration tells columns from rows.
+    rng = np.random.default_rng(95)
+    worst = 0.0
+    for f, g, B, sign, _, p in sweep(95):
+        A, C = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        f = O.DualFunction(f.evaluate, f.gradient, lambda p, f=f: f.hess(p) + A)
+        g = O.DualFunction(g.evaluate, g.gradient, lambda p, g=g: g.hess(p) + C)
+        got = O.bracket_function(f, g, B, sign).grad(p).as_array()
+        ref = loop_gradient(f, g, B, sign, p)
+        worst = max(worst, np.max(np.abs(got - ref)) / term_scale(f, g, B, p))
+    assert worst <= 1e-13
+
+
+def test_closed_form_gradient_matches_finite_differences():
+    worst = 0.0
+    for f, g, B, sign, _, p in sweep(91):
+        fg = O.bracket_function(f, g, B, sign)
+        got = fg.grad(p).as_array()
+        # The step follows |p| down so that truncation stays below rounding.
+        step = fd.GRADIENT_STEP * min(1.0, np.max(np.abs(p.as_array())))
+        ref = fd.gradient(lambda x: fg.evaluate(CoAlgebraElement(x[:2], x[2])),
+                          p.as_array(), step)
+        worst = max(worst, np.max(np.abs(got - ref)) / term_scale(f, g, B, p))
+    assert worst <= 1e-6
+
+
+def test_bracket_value_is_bitwise_the_pairing_formula():
+    for f, g, B, sign, s, p in sweep(92):
+        df, dg = f.grad(p), g.grad(p)
+        expected = s * pairing(p, bracket(df, dg)) - B.pair(df, dg)
+        got = O.magnetic_lie_poisson(f, g, p, B, sign)
+        assert got == expected
+        assert type(got) is float
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_jacobi_reads_the_declared_hessians(sign):
+    # Negative control: declaring the unsymmetrized Q as the hessian of
+    # p.Qs.p/2 leaves the value and the gradient exact, so only the nested
+    # derivative is wrong, and the Jacobi sum must see it.
+    rng = np.random.default_rng(93)
+    Q = rng.normal(size=(3, 3))
+    right = quadratic(Q)
+    wrong = O.DualFunction(right.evaluate, right.gradient, lambda p: Q)
+    others = (quadratic(rng.normal(size=(3, 3))), O.coordinate_function(0))
+    wrong_worst = right_worst = 0.0
+    for _ in range(50):
+        p = CoAlgebraElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+        B = general_cocycle(rng)
+        bad = O.check_jacobi((wrong,) + others, p, B, sign)
+        good = O.check_jacobi((right,) + others, p, B, sign)
+        assert bad.tolerance == good.tolerance == 1e-9
+        wrong_worst = max(wrong_worst, bad.residual)
+        right_worst = max(right_worst, good.residual)
+    assert right_worst <= 1e-9
+    assert wrong_worst > 1e-3
+
+
+def test_symmetric_hessian_errors_show_in_the_gradient_not_in_jacobi():
+    # A hessian error P on f enters the cyclic sum as
+    # dg.M^T P M dh + dg.M^T P^T M^T dh, which vanishes for symmetric P since
+    # M is antisymmetric: Jacobi cannot see it, the nested gradient against
+    # finite differences does.
+    rng = np.random.default_rng(94)
+    Q, E = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    right = quadratic(Q)
+    wrong = O.DualFunction(right.evaluate, right.gradient,
+                           lambda p: right.hessian(p) + 1e-3 * (E + E.T))
+    g, h = quadratic(rng.normal(size=(3, 3))), O.coordinate_function(0)
+    p = CoAlgebraElement((0.4, -1.3), 0.9)
+    B = general_cocycle(rng)
+    assert O.check_jacobi((wrong, g, h), p, B).residual <= 1e-9
+    fg = O.bracket_function(wrong, g, B)
+    ref = fd.gradient(lambda x: fg.evaluate(CoAlgebraElement(x[:2], x[2])),
+                      p.as_array())
+    assert np.max(np.abs(fg.grad(p).as_array() - ref)) > 1e-5

@@ -246,3 +246,29 @@ def test_tangent_right_translation_is_fd_of_right_translation():
 def test_vec2_shape_guard():
     with pytest.raises(ValueError):
         G.GroupElement((1, 2, 3), 0.0)
+
+
+
+def _planar(element):
+    """The stored planar array (u, X or mu) of a group, algebra or dual element."""
+    (arr,) = (v for v in vars(element).values() if isinstance(v, np.ndarray))
+    return arr
+
+
+@pytest.mark.parametrize("cls", [G.GroupElement, G.AlgebraElement,
+                                 G.CoAlgebraElement])
+def test_element_constructors_copy_once_into_read_only_floats(cls):
+    src = np.array([1.5, -2.0])
+    el = cls(src, 0.25)
+    src[:] = 9.0
+    assert _planar(el).tolist() == [1.5, -2.0]
+    assert not _planar(el).flags.writeable
+    with pytest.raises(ValueError):
+        _planar(el)[0] = 0.0
+    frozen = _planar(el)
+    assert _planar(cls(frozen, 0.0)) is not frozen
+    from_ints = _planar(cls([1, 2], 3))
+    assert from_ints.dtype == np.float64 and from_ints.tolist() == [1.0, 2.0]
+    for bad in ((1, 2, 3), [[1, 2]], 1.0, np.zeros((2, 1)), ()):
+        with pytest.raises(ValueError):
+            cls(bad, 0.0)
