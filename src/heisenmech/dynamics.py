@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
+from math import isfinite, isnan
 from typing import Callable
 
 import numpy as np
@@ -135,14 +136,6 @@ def _base_fiber_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return base, fiber
 
 
-def _span_distance(spanning: np.ndarray, vec: np.ndarray) -> float:
-    """Distance from vec to the linear span of the given rows."""
-    if spanning.shape[0] == 0:
-        return float(np.linalg.norm(vec))
-    coeff, *_ = np.linalg.lstsq(spanning.T, vec, rcond=None)
-    return float(np.linalg.norm(vec - spanning.T @ coeff))
-
-
 @dataclass(frozen=True)
 class ControlSubset:
     """Affine subspace of the cotangent fiber: offset + span of covectors."""
@@ -171,8 +164,11 @@ class ControlSubset:
 
     def distance(self, covector: np.ndarray) -> float:
         """Euclidean distance from a fiber covector to the subspace."""
-        return _span_distance(self.spanning,
-                              np.asarray(covector, dtype=float) - self.offset)
+        vec = np.asarray(covector, dtype=float) - self.offset
+        if self.rank == 0:
+            return float(np.linalg.norm(vec))
+        coeff, *_ = np.linalg.lstsq(self.spanning.T, vec, rcond=None)
+        return float(np.linalg.norm(vec - self.spanning.T @ coeff))
 
     def contains(self, covector: np.ndarray, tol: float = 1e-10) -> bool:
         return self.distance(covector) <= tol
@@ -295,34 +291,60 @@ def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
     return out
 
 
-def _midpoint_step(rhs, y: np.ndarray, h: float, step_index: int,
+def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
                    tol: float = 1e-12, cap: int = 100,
                    propagator: Callable[[np.ndarray], np.ndarray] | None = None
-                   ) -> np.ndarray:
+                   ) -> list[float]:
+    """One implicit-midpoint step of rhs on a flat list of floats, or the
+    given propagator applied to the state array.
+
+    The fixed-point iteration stops once the largest increment is at most
+    tol (a nan one never is) and is polished once; after cap iterations
+    NonConvergence reports the last increment as the residual.
+    """
     if propagator is not None:
         return propagator(y)
-    z = y + h * rhs(y)
+    z = [a + h * r for a, r in zip(y, rhs(y))]
     for _ in range(cap):
-        z_new = y + h * rhs(0.5 * (y + z))
-        delta = np.max(np.abs(z_new - z))
+        z_new = [a + h * r for a, r in
+                 zip(y, rhs([0.5 * (a + b) for a, b in zip(y, z)]))]
+        increments = [abs(a - b) for a, b in zip(z_new, z)]
         z = z_new
+        # The increments are >= 0, so their sum is nan only if one is nan;
+        # Python's max would pass over a nan that numpy's would return.
+        total = sum(increments)
+        delta = total if isnan(total) else max(increments)
         if delta <= tol:
             # one polishing iteration after reaching tolerance
-            return y + h * rhs(0.5 * (y + z))
+            return [a + h * r for a, r in
+                    zip(y, rhs([0.5 * (a + b) for a, b in zip(y, z)]))]
     raise NonConvergence("implicit midpoint fixed point did not converge",
-                         step_index=step_index, residual=float(delta))
+                         step_index=step_index, residual=delta)
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float,
+def _rk4_step(rhs, y: list[float], h: float,
               propagator: Callable[[np.ndarray], np.ndarray] | None = None
-              ) -> np.ndarray:
+              ) -> list[float]:
+    """One classical rk4 step of rhs on a flat list of floats, or the given
+    propagator applied to the state array."""
     if propagator is not None:
         return propagator(y)
+    half = 0.5 * h
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = rhs([a + half * k for a, k in zip(y, k1)])
+    k3 = rhs([a + half * k for a, k in zip(y, k2)])
+    k4 = rhs([a + h * k for a, k in zip(y, k3)])
+    sixth = h / 6.0
+    return [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def _on_floats(rhs):
+    """rhs as a map of flat float lists: a float kernel (marked on_floats)
+    passes through, an array-valued rhs gets one conversion each way."""
+    if getattr(rhs, "on_floats", False):
+        return rhs
+    return lambda y: rhs(np.array(y)).tolist()
 
 
 def _check_run(t_end: float, h: float, method: str) -> None:
@@ -370,13 +392,18 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
 
     The steps are uniform and land exactly on t_end (h is rescaled by at most
-    half a step); exact endpoints matter for period-return checks. An affine
-    field may also pass its generator (A, b) (rhs(y) = A @ y + b); each step
-    is then the propagator built for the rescaled h, where _propagator gives
-    one, and the returned flag says whether it did. The first state that
-    overflows to inf or nan stops the run with a FloatingPointError naming
-    the step that produced it; numpy's own overflow warnings are silenced
-    inside the loop, since that error reports the failure.
+    half a step); exact endpoints matter for period-return checks. The steps
+    run on flat lists of Python floats, since numpy's per-call cost exceeds
+    its arithmetic on states this small; rhs may be array-valued (converted
+    here, see _on_floats) or a float kernel, and the operation order is
+    numpy's, so the states are the same bits. An affine field may also pass
+    its generator (A, b) (rhs(y) = A @ y + b); each step is then the
+    propagator built for the rescaled h, applied to the state array, where
+    _propagator gives one, and the returned flag says whether it did. The
+    first state that overflows to inf or nan stops the run with a
+    FloatingPointError naming the step that produced it; numpy's own
+    overflow warnings are silenced inside the loop, since that error reports
+    the failure.
     """
     _check_run(t_end, h, method)
     n_steps = max(1, int(round(t_end / h)))
@@ -385,14 +412,17 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
-    y = y0
+    if P is None:
+        y, rhs = y0.tolist(), _on_floats(rhs)
+    else:
+        y = y0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             if method == "midpoint":
                 y = _midpoint_step(rhs, y, h, i, propagator=P)
             else:
                 y = _rk4_step(rhs, y, h, propagator=P)
-            if not np.isfinite(y).all():
+            if not all(map(isfinite, y)):
                 raise FloatingPointError(
                     f"integration produced a non-finite state at step {i}")
             states[i + 1] = y
@@ -436,30 +466,46 @@ def _affine_generator(sys: RCHSystem) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def _invariant_particle_field(sys: RCHSystem) -> Callable[[np.ndarray], np.ndarray]:
+def _invariant_particle_field(sys: RCHSystem) -> Callable[[list], list]:
     """rch_vector_field of a pure invariant-metric particle on a constant
-    field, with B, the charge factor and m resolved once.
+    field, as a float kernel: flat list of floats in, list out, with B, the
+    charge factor and m resolved once.
 
     It repeats invariant_kinetic_hamiltonian's gradient and
     hamiltonian_vector_field operation by operation on Python floats, so it
-    is bitwise equal to them. pdot stays -g_q + cf * (B @ g_p) with numpy's
-    product B @ g_p, since (cf * B) @ g_p rounds differently; the (theta, lam)
-    rates are dH/dlam = 0.0 and -dH/dtheta = -0.0.
+    is bitwise equal to them. pdot stays -g_q + cf * (B g_p), since
+    (cf * B) g_p rounds differently. B g_p is numpy's product B @ g_p for a
+    dense constant or linear field; for a zero or invariant field, whose B
+    has exact zeros, it is the float sum ((0.0 + b0*g0) + b1*g1) + b2*g2
+    per row, which has the same bits, signed zeros included (the 0.0 seed
+    is what fixes the sign of a zero sum). The (theta, lam) rates are
+    dH/dlam = 0.0 and -dH/dtheta = -0.0.
     """
     m = sys.hamiltonian.mass
     cf = sys.field.charge_factor
     B = sys.field.b(np.zeros(3))
     circle = [0.0] * sys.k + [-0.0] * sys.k
+    if sys.field.kind in ("zero", "invariant"):
+        rows = B.tolist()
+
+        def times_b(g):
+            return [((0.0 + b0 * g[0]) + b1 * g[1]) + b2 * g[2]
+                    for b0, b1, b2 in rows]
+    else:
+        def times_b(g):
+            return (B @ np.array(g)).tolist()
 
     def rhs(y):
-        q0, q1, _, p0, p1, p2 = y[:6].tolist()
+        q0, q1, p0, p1, p2 = y[0], y[1], y[3], y[4], y[5]
         rho0 = p0 - 0.5 * p2 * q1
         rho1 = p1 + 0.5 * p2 * q0
-        g_q = (0.5 * p2 * rho1 / m, -0.5 * p2 * rho0 / m, 0.0)
         g_p = [rho0 / m, rho1 / m, (-0.5 * q1 * rho0 + 0.5 * q0 * rho1 + p2) / m]
-        b_g = (B @ np.array(g_p)).tolist()
-        return np.array(g_p + [-g_q[i] + cf * b_g[i] for i in range(3)] + circle)
+        b0, b1, b2 = times_b(g_p)
+        return g_p + [-(0.5 * p2 * rho1 / m) + cf * b0,
+                      -(-0.5 * p2 * rho0 / m) + cf * b1,
+                      -0.0 + cf * b2] + circle
 
+    rhs.on_floats = True
     return rhs
 
 
@@ -469,7 +515,9 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
 
     midpoint is the implicit midpoint rule (fixed-point iteration to 1e-12,
     at most 100 iterations per step), symplectic for constant fields; rk4 is
-    the explicit reference scheme. The route is resolved once per run and
+    the explicit reference scheme. Every route steps through one loop
+    (_fixed_step_flow) on flat lists of Python floats, except the propagator,
+    which multiplies the state array. The route is resolved once per run and
     recorded in Trajectory.route:
 
     - "propagator": a pure (unforced, uncontrolled) system whose Hamiltonian
@@ -480,7 +528,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
       iteration provably contracts, ||hA/2||_F < 1/2 on the linear block;
       otherwise the run takes the "field" route.
     - "closed_form": a pure invariant-metric particle on a constant field
-      steps by one closed-form right-hand side, bitwise equal to
+      steps by one closed-form right-hand side on floats, bitwise equal to
       rch_vector_field.
     - "shifted": midpoint on a general (q-dependent) field, for a pure system
       with a potential, integrates the plain Hamiltonian field of H_A (see

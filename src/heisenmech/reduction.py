@@ -29,7 +29,6 @@ from .dynamics import (
     HamiltonianSpec,
     RCHSystem,
     _base_fiber_indices,
-    _span_distance,
     euclidean_kinetic_hamiltonian,
     hamiltonian_vector_field,
     rch_vector_field,
@@ -666,9 +665,10 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     Assembles, at lifted sample points, the difference between the
     forced dynamics of the target system and the transported forced dynamics
     of the source system. Membership in vertical lifts of the control subset
-    is decided by least squares against the subset's spanning directions;
-    the horizontal component must vanish on its own, since no vertical lift
-    can absorb it.
+    is its distance to the affine subset, offset plus span
+    (ControlSubset.distance, as ControlSubset.contains decides); the
+    horizontal component must vanish on its own, since no vertical lift can
+    absorb it.
     """
     if sys1.control_subset is None:
         raise ControlSubsetMissing("matching needs the control subset of sys1")
@@ -695,8 +695,8 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
             residual = residual - vertical_lift(FiberMap(apply=transported), sys1, x1)
         horizontal_worst = max(horizontal_worst,
                                float(np.max(np.abs(residual[base]), initial=0.0)))
-        vertical_worst = max(vertical_worst, _span_distance(
-            sys1.control_subset.spanning, residual[fiber]))
+        vertical_worst = max(vertical_worst,
+                             sys1.control_subset.distance(residual[fiber]))
     return [CheckRecord("mr3.vertical", samples, vertical_worst, vertical_threshold),
             CheckRecord("mr3.horizontal", samples, horizontal_worst,
                         horizontal_threshold)]

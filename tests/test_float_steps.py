@@ -1,0 +1,272 @@
+"""The float stepping loop against the ndarray steps it replaced, bit for bit.
+
+`_midpoint_step` and `_rk4_step` step flat lists of Python floats. The
+reference below is the ndarray arithmetic they replaced, kept here verbatim:
+every route of `integrate` and both reduced flows must give the same bits,
+also from starts with exact signed zeros, and fail the same way.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from heisenmech import dynamics as D
+from heisenmech import magnetic as M
+from heisenmech import reduction as R
+from heisenmech.errors import NonConvergence, NonSymplecticWarning
+from heisenmech.group import CoAlgebraElement
+from heisenmech.orbit import OrbitPoint
+
+PLANAR = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+LEVEL = CoAlgebraElement((0.4, -0.7), 1.0)
+
+
+def reference_midpoint_step(rhs, y, h, step_index, tol=1e-12, cap=100):
+    z = y + h * rhs(y)
+    for _ in range(cap):
+        z_new = y + h * rhs(0.5 * (y + z))
+        delta = np.max(np.abs(z_new - z))
+        z = z_new
+        if delta <= tol:
+            # one polishing iteration after reaching tolerance
+            return y + h * rhs(0.5 * (y + z))
+    raise NonConvergence("implicit midpoint fixed point did not converge",
+                         step_index=step_index, residual=float(delta))
+
+
+def reference_rk4_step(rhs, y, h):
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def reference_flow(rhs, y0, t_end, h, method):
+    """States of the ndarray loop of _fixed_step_flow, without a propagator."""
+    n_steps = max(1, int(round(t_end / h)))
+    h = t_end / n_steps
+    states = np.empty((n_steps + 1, y0.size))
+    states[0] = y0
+    y = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            if method == "midpoint":
+                y = reference_midpoint_step(rhs, y, h, i)
+            else:
+                y = reference_rk4_step(rhs, y, h)
+            if not np.isfinite(y).all():
+                raise FloatingPointError(
+                    f"integration produced a non-finite state at step {i}")
+            states[i + 1] = y
+    return states
+
+
+def signed_zero_start(rng, size):
+    """A random state with some entries exactly 0.0 and some -0.0."""
+    x = rng.normal(size=size)
+    x[1], x[4] = 0.0, -0.0
+    if size > 6:
+        x[6], x[-1] = -0.0, 0.0
+    return x
+
+
+def nonconstant_closed_field(charge=1.0):
+    def b(q):
+        out = np.zeros((3, 3))
+        out[0, 1], out[1, 0] = q[0] ** 2, -q[0] ** 2
+        return out
+
+    def da(q):
+        return np.array([[0.0, 0.0, 0.0], [q[0] ** 2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    return M.MagneticField(b, lambda q: np.array([0.0, q[0] ** 3 / 3.0, 0.0]),
+                           charge, da)
+
+
+def damping(s):
+    out = np.array(s, dtype=float)
+    out[3:6] = -0.3 * out[3:6]
+    return out
+
+
+def field_of_kind(kind, rng):
+    if kind == "zero":
+        return M.MagneticField.zero(0.8)
+    if kind == "constant":
+        b = rng.normal(size=(3, 3))
+        return M.MagneticField.constant(b - b.T, -1.3)
+    if kind == "linear":
+        return M.MagneticField.linear_potential(rng.normal(size=(3, 3)), 0.8)
+    return M.MagneticField.invariant_potential(rng.normal(size=3), -1.3)
+
+
+def field_flow(sys, x0, method, t_end=0.2, h=1e-2):
+    """The reference loop on rch_vector_field."""
+    return reference_flow(lambda y: D.rch_vector_field(sys, y), x0, t_end, h,
+                          method)
+
+
+METHODS = ("midpoint", "rk4")
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("method", METHODS)
+def test_field_route_is_bitwise_the_ndarray_loop(k, method):
+    rng = np.random.default_rng(1000 + k)
+    sys = D.RCHSystem(M.MagneticField.constant(PLANAR, 0.7),
+                      D.invariant_kinetic_hamiltonian(1.2),
+                      force=D.FiberMap(apply=damping), k=k)
+    x0 = signed_zero_start(rng, 6 + 2 * k)
+    traj = D.integrate(sys, x0, 0.2, 1e-2, method)
+    assert traj.route == "field"
+    assert traj.states.tobytes() == field_flow(sys, x0, method).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "linear", "invariant"])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("method", METHODS)
+def test_closed_form_route_is_bitwise_the_ndarray_loop(kind, k, method):
+    rng = np.random.default_rng(1010 + k)
+    sys = D.RCHSystem(field_of_kind(kind, rng),
+                      D.invariant_kinetic_hamiltonian(0.9), k=k)
+    for x0 in (signed_zero_start(rng, 6 + 2 * k),
+               np.where(rng.random(6 + 2 * k) < 0.5, -0.0, 0.0)):
+        traj = D.integrate(sys, x0, 0.2, 1e-2, method)
+        assert traj.route == "closed_form"
+        assert traj.states.tobytes() == field_flow(sys, x0, method).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_shifted_route_is_bitwise_the_ndarray_loop(k):
+    rng = np.random.default_rng(1020 + k)
+    sys = D.RCHSystem(nonconstant_closed_field(0.9),
+                      D.invariant_kinetic_hamiltonian(1.1), k=k)
+    x0 = signed_zero_start(rng, 6 + 2 * k)
+    traj = D.integrate(sys, x0, 0.2, 1e-2, "midpoint")
+    assert traj.route == "shifted"
+    shifted = dataclasses.replace(sys, field=M.MagneticField.zero(),
+                                  hamiltonian=D._shifted_hamiltonian(sys))
+    states = reference_flow(lambda y: D.hamiltonian_vector_field(shifted, y),
+                            M.momentum_shift(x0, sys.field), 0.2, 1e-2,
+                            "midpoint")
+    inverse = dataclasses.replace(sys.field, charge_factor=-0.9)
+    expected = np.array([M.momentum_shift(row, inverse) for row in states])
+    assert traj.states.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_rk4_fallback_route_is_bitwise_the_ndarray_loop(k):
+    rng = np.random.default_rng(1030 + k)
+    b = nonconstant_closed_field().b_matrix
+    sys = D.RCHSystem(M.MagneticField(b), D.invariant_kinetic_hamiltonian(1.0),
+                      k=k)
+    x0 = signed_zero_start(rng, 6 + 2 * k)
+    with pytest.warns(NonSymplecticWarning):
+        traj = D.integrate(sys, x0, 0.2, 1e-2, "midpoint")
+    assert (traj.route, traj.method) == ("rk4_fallback", "rk4")
+    assert traj.states.tobytes() == field_flow(sys, x0, "rk4").tobytes()
+
+
+def body_scaling(factor):
+    """Equivariant fiber map scaling the planar body momentum."""
+
+    def apply(s):
+        s = np.asarray(s, dtype=float)
+        q = s[:3]
+        mu1, mu2, nu = M.chart_to_body_array(q, s[3:6])
+        out = s.copy()
+        out[3:6] = [factor * mu1 + 0.5 * nu * q[1],
+                    factor * mu2 - 0.5 * nu * q[0], nu]
+        return out
+
+    return D.FiberMap(apply=apply)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("method", METHODS)
+def test_reduced_flow_is_bitwise_the_ndarray_loop(forced, k, method):
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0), k=k,
+                      force=body_scaling(0.7) if forced else None)
+    red = R.reduce_system(sys, LEVEL)
+    z0 = OrbitPoint(np.array([-0.0, 0.6]), LEVEL.nu, np.zeros(k), -np.zeros(k))
+    times, charts, _ = R.integrate_reduced(red, z0, 0.2, 1e-2, method)
+    expected = reference_flow(lambda c: R.reduced_rch_field(red, c),
+                              z0.as_array(), 0.2, 1e-2, method)
+    assert charts.tobytes() == expected.tobytes()
+    assert times.tobytes() == (np.arange(21) * 0.01).tobytes()
+
+
+# -- failure semantics ------------------------------------------------------
+
+def test_a_nan_increment_behind_a_finite_one_does_not_converge():
+    # Python's max passes over a nan that is not the first entry; the step
+    # must still treat the increment as nan, as numpy's max does.
+    def rhs(y):
+        return [0.0, 0.0, float("nan")] if y[0] > 0.5 else [1.0, 0.0, 0.0]
+
+    with pytest.raises(NonConvergence) as exc:
+        D._midpoint_step(rhs, [1.0, 0.0, 0.0], 0.1, 7)
+    assert exc.value.step_index == 7 and np.isnan(exc.value.residual)
+    with pytest.raises(NonConvergence) as ref:
+        reference_midpoint_step(lambda y: np.array(rhs(y.tolist())),
+                                np.array([1.0, 0.0, 0.0]), 0.1, 7)
+    assert ref.value.step_index == 7 and np.isnan(ref.value.residual)
+
+
+def nan_past_the_wall():
+    """A field-route system whose d/dq3 of H is nan once q1 passes 1."""
+
+    def gradient(state):
+        out = np.zeros_like(state)
+        out[3:6] = state[3:6]
+        out[2] = np.sqrt(1.0 - state[0])
+        return out
+
+    return D.RCHSystem(M.MagneticField.zero(),
+                       D.HamiltonianSpec(lambda s: 0.0, gradient))
+
+
+def failure(run):
+    with pytest.raises((NonConvergence, FloatingPointError)) as exc:
+        run()
+    return exc.value
+
+
+@pytest.mark.parametrize("route", ["field", "closed_form"])
+def test_a_nan_fixed_point_increment_ends_in_nonconvergence(route):
+    if route == "field":
+        sys, t_end, h = nan_past_the_wall(), 2.0, 0.1
+        x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    else:
+        sys = D.RCHSystem(M.MagneticField.invariant_potential((0.0, 0.0, 50.0)),
+                          D.invariant_kinetic_hamiltonian(1.0))
+        t_end, h = 20.0, 0.5
+        x0 = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 100.0])
+    assert D.integrate(sys, x0, h, h / 100).route == route
+    error = failure(lambda: D.integrate(sys, x0, t_end, h, "midpoint"))
+    expected = failure(lambda: field_flow(sys, x0, "midpoint", t_end, h))
+    assert isinstance(error, NonConvergence) and isinstance(expected, NonConvergence)
+    assert error.step_index == expected.step_index
+    assert np.isnan(error.residual) and np.isnan(expected.residual)
+    if route == "field":
+        assert error.step_index > 0
+
+
+@pytest.mark.parametrize("route", ["field", "closed_form"])
+def test_an_overflowing_state_raises_naming_its_step(route):
+    kinetic = D.invariant_kinetic_hamiltonian(1.0)
+    if route == "field":
+        kinetic = D.HamiltonianSpec(kinetic.evaluate, kinetic.gradient)
+    sys = D.RCHSystem(M.MagneticField.invariant_potential((0.0, 0.0, 50.0)),
+                      kinetic)
+    x0 = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 100.0])
+    assert D.integrate(sys, x0, 1e-3, 1e-3, "rk4").route == route
+    error = failure(lambda: D.integrate(sys, x0, 20.0, 0.5, "rk4"))
+    expected = failure(lambda: field_flow(sys, x0, "rk4", 20.0, 0.5))
+    assert isinstance(error, FloatingPointError)
+    assert str(error) == str(expected)
+    assert "step 25" in str(error)

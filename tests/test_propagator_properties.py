@@ -60,13 +60,14 @@ def _fixed_point_path(rhs, x0, method):
     NonConvergence (see test_fixed_point_iteration_at_large_magnitude). For
     |y| <= 1 the two tolerances are the same.
     """
-    states = [x0]
+    rhs = D._on_floats(rhs)
+    states = [x0.tolist()]
     for i in range(STEPS):
         y = states[-1]
         if method == "rk4":
             states.append(D._rk4_step(rhs, y, H))
         else:
-            tol = 1e-12 * max(1.0, float(np.max(np.abs(y))))
+            tol = 1e-12 * max(1.0, max(map(abs, y)))
             states.append(D._midpoint_step(rhs, y, H, i, tol=tol))
     return np.array(states)
 

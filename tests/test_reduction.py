@@ -455,6 +455,24 @@ def test_mr3_zero_control_distinct_forces_fails():
     assert by_name["mr3.horizontal"].passed
 
 
+def test_mr3_reads_the_control_subset_offset():
+    # Both systems carry the same identity force, so the residual is
+    # finite-difference noise; the affine subset {(100, -50, 7)} lies about
+    # 112 away from it, the subset {0} on it.
+    identity = D.FiberMap(apply=lambda s: s)
+    offset = np.array([100.0, -50.0, 7.0])
+    for point, passes in ((np.zeros(3), True), (offset, False)):
+        subset = D.ControlSubset(point, np.zeros((0, 3)))
+        sys1 = particle(force=identity, subset=subset)
+        sys2 = particle(force=identity)
+        records = R.check_mr3_matching(sys1, sys2, R.DiffeoSpec.identity(),
+                                       samples=5)
+        vertical = {r.name: r for r in records}["mr3.vertical"]
+        assert vertical.passed == passes
+        assert vertical.passed == subset.contains(np.zeros(3), tol=1e-6)
+    assert abs(vertical.max_residual - np.linalg.norm(offset)) <= 1e-6
+
+
 def test_mr3_requires_subset():
     sys = particle()
     with pytest.raises(ControlSubsetMissing):
