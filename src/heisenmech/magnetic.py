@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
 from .group import CoAlgebraElement, GroupElement, area_form
-from .orbit import OrbitFunction, OrbitPoint, classify_orbit
+from .orbit import OrbitFunction, OrbitPoint, _antisymmetric, classify_orbit
 
 __all__ = [
     "MagneticField",
@@ -81,11 +81,7 @@ class MagneticField:
     @classmethod
     def constant(cls, matrix, charge_factor: float = 1.0) -> "MagneticField":
         """Constant field from explicit antisymmetric entries, no potential."""
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (3, 3) or np.max(np.abs(m + m.T)) > 1e-14:
-            raise ValueError("constant field needs an antisymmetric 3x3 matrix")
-        m = m.copy()
-        m.flags.writeable = False
+        m = _antisymmetric(matrix, "constant field matrix")
         return cls(lambda q: m, None, charge_factor,
                    kind="constant" if m.any() else "zero")
 

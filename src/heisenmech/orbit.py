@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fd
 from .errors import DegenerateForm, SingularForm
-from .group import AlgebraElement, CoAlgebraElement, area_form, pairing
+from .group import AlgebraElement, CoAlgebraElement, area_form
 
 __all__ = [
     "DualFunction",
@@ -39,41 +39,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualFunction:
-    """Scalar function on the dual algebra with an optional analytic gradient.
+    """Scalar function of a flat dual point p = (mu1, mu2, nu), shape (3,).
 
-    The gradient is the functional derivative: the algebra element delta with
-    pairing(w, delta) = Df(p) . w for every direction w. When no gradient
-    callable is supplied it falls back to central finite differences with step
-    fd.GRADIENT_STEP, and gradient_is_analytic reports False so downstream
-    checks can relax their tolerances. The optional hessian H (the 3x3
-    derivative matrix of the gradient, H[j, i] = d delta_j / d p_i) enables
-    analytic gradients of nested brackets: with M = s*nu*K - B as in
+    The gradient is the functional derivative, a (3,) array delta with
+    delta . w = Df(p) . w. Without a gradient callable it is a central
+    difference (fd.GRADIENT_STEP) and gradient_is_analytic reports False so
+    downstream checks can relax their tolerances. The optional hessian H (the
+    3x3 derivative matrix of the gradient, H[j, i] = d delta_j / d p_i)
+    enables analytic gradients of nested brackets: with M = s*nu*K - B as in
     bracket_function, grad {f,g} = Hf^T M dg + Hg^T M^T df + s*area(df,dg) e3.
     """
 
-    evaluate: Callable[[CoAlgebraElement], float]
-    gradient: Callable[[CoAlgebraElement], AlgebraElement] | None = None
-    hessian: Callable[[CoAlgebraElement], np.ndarray] | None = None
+    evaluate: Callable[[np.ndarray], float]
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def gradient_is_analytic(self) -> bool:
         return self.gradient is not None
 
-    def grad(self, p: CoAlgebraElement) -> AlgebraElement:
+    def grad(self, p: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
-            return self.gradient(p)
-        arr = fd.gradient(lambda x: self.evaluate(_dual(x)), p.as_array())
-        return AlgebraElement(arr[:2], arr[2])
+            return np.asarray(self.gradient(p), dtype=float)
+        return fd.gradient(self.evaluate, p)
 
-    def hess(self, p: CoAlgebraElement) -> np.ndarray:
+    def hess(self, p: np.ndarray) -> np.ndarray:
         if self.hessian is not None:
             return np.asarray(self.hessian(p), dtype=float)
-        return fd.jacobian(lambda x: self.grad(_dual(x)).as_array(),
-                           p.as_array(), fd.GRADIENT_STEP)
+        return fd.jacobian(self.grad, p, fd.GRADIENT_STEP)
 
 
-def _dual(arr: np.ndarray) -> CoAlgebraElement:
-    return CoAlgebraElement(arr[:2], arr[2])
+def _antisymmetric(matrix, what: str) -> np.ndarray:
+    """Read-only float copy of matrix; ValueError unless it is a finite 3x3
+    matrix that is antisymmetric to 1e-14."""
+    m = np.array(matrix, dtype=float)
+    if (m.shape != (3, 3) or not np.isfinite(m).all()
+            or np.max(np.abs(m + m.T)) > 1e-14):
+        raise ValueError(f"{what} must be a finite antisymmetric 3x3 matrix")
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,7 @@ class MagneticCocycle:
     form: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.form, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("cocycle form must be a 3x3 matrix")
-        if np.max(np.abs(m + m.T)) > 1e-14:
-            raise ValueError("cocycle form must be antisymmetric")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "form", m)
+        object.__setattr__(self, "form", _antisymmetric(self.form, "cocycle form"))
 
     @classmethod
     def zero(cls) -> "MagneticCocycle":
@@ -196,17 +193,18 @@ def _sign(sign: str) -> float:
     raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-def magnetic_lie_poisson(f: DualFunction, g: DualFunction, p: CoAlgebraElement,
+def magnetic_lie_poisson(f: DualFunction, g: DualFunction, p: np.ndarray,
                          B: MagneticCocycle, sign: str = "minus") -> float:
-    """Magnetic Lie-Poisson bracket {f,g}(p) = +-<p,[df,dg]> - B(df,dg)."""
-    df, dg = f.grad(p).as_array(), g.grad(p).as_array()
-    return float(_sign(sign) * (p.nu * (df[0] * dg[1] - df[1] * dg[0]))
+    """Magnetic Lie-Poisson bracket {f,g}(p) = +-<p,[df,dg]> - B(df,dg) at
+    the flat (3,) array p = (mu1, mu2, nu)."""
+    df, dg = f.grad(p), g.grad(p)
+    return float(_sign(sign) * (p[2] * (df[0] * dg[1] - df[1] * dg[0]))
                  - (df @ B.form) @ dg)
 
 
 def bracket_function(f: DualFunction, g: DualFunction, B: MagneticCocycle,
                      sign: str = "minus") -> DualFunction:
-    """The bracket {f,g} packaged as a DualFunction.
+    """The bracket {f,g} packaged as a DualFunction on flat (3,) arrays p.
 
     {f,g}(p) = df . M . dg with M = s*nu*K - B: s the sign, K the area matrix
     (K[0,1] = -K[1,0] = 1). When both inputs carry analytic gradients and
@@ -216,7 +214,7 @@ def bracket_function(f: DualFunction, g: DualFunction, B: MagneticCocycle,
     """
     s = _sign(sign)
 
-    def evaluate(p: CoAlgebraElement) -> float:
+    def evaluate(p: np.ndarray) -> float:
         return magnetic_lie_poisson(f, g, p, B, sign)
 
     analytic = (f.gradient is not None and f.hessian is not None
@@ -224,12 +222,12 @@ def bracket_function(f: DualFunction, g: DualFunction, B: MagneticCocycle,
     if not analytic:
         return DualFunction(evaluate)
 
-    def gradient(p: CoAlgebraElement) -> AlgebraElement:
-        df, dg = f.grad(p).as_array(), g.grad(p).as_array()
-        M = s * p.nu * _AREA - B.form
+    def gradient(p: np.ndarray) -> np.ndarray:
+        df, dg = f.grad(p), g.grad(p)
+        M = s * p[2] * _AREA - B.form
         out = f.hess(p).T @ (M @ dg) + g.hess(p).T @ (df @ M)
         out[2] += s * (df[0] * dg[1] - df[1] * dg[0])
-        return AlgebraElement(out[:2], out[2])
+        return out
 
     return DualFunction(evaluate, gradient)
 
@@ -244,16 +242,15 @@ def product_function(f: DualFunction, g: DualFunction) -> DualFunction:
         return DualFunction(evaluate)
 
     def gradient(p):
-        arr = (f.evaluate(p) * g.grad(p).as_array()
-               + g.evaluate(p) * f.grad(p).as_array())
-        return AlgebraElement(arr[:2], arr[2])
+        return f.evaluate(p) * g.grad(p) + g.evaluate(p) * f.grad(p)
 
     return DualFunction(evaluate, gradient)
 
 
-def check_jacobi(fs, p: CoAlgebraElement, B: MagneticCocycle,
+def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle,
                  sign: str = "minus") -> JacobiResult:
-    """Cyclic sum {{f,g},h} + {{g,h},f} + {{h,f},g} at p.
+    """Cyclic sum {{f,g},h} + {{g,h},f} + {{h,f},g} at the flat (3,) array
+    p = (mu1, mu2, nu).
 
     Returns the residual together with the tolerance it should satisfy: 1e-9
     when every input supplies analytic gradients and hessians (the nested
@@ -349,18 +346,21 @@ def coordinate_function(index: int) -> DualFunction:
     """The coordinate function p -> p[index] with exact derivatives."""
     e = np.zeros(3)
     e[index] = 1.0
+    e.flags.writeable = False
 
     return DualFunction(
-        evaluate=lambda p: float(p.as_array()[index]),
-        gradient=lambda p: AlgebraElement(e[:2], e[2]),
+        evaluate=lambda p: float(p[index]),
+        gradient=lambda p: e,
         hessian=lambda p: np.zeros((3, 3)),
     )
 
 
 def linear_function(xi: AlgebraElement) -> DualFunction:
-    """The linear function p -> pairing(p, xi) generated by an algebra element."""
+    """The linear function p -> <p, xi> generated by an algebra element."""
+    d = xi.as_array()
+    d.flags.writeable = False
     return DualFunction(
-        evaluate=lambda p: pairing(p, xi),
-        gradient=lambda p: xi,
+        evaluate=lambda p: float(p[:2] @ xi.X + p[2] * xi.a),
+        gradient=lambda p: d,
         hessian=lambda p: np.zeros((3, 3)),
     )

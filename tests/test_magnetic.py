@@ -354,6 +354,22 @@ def test_factories_declare_kind():
         M.MagneticField(lambda q: np.zeros((3, 3)), kind="flat")
 
 
+@pytest.mark.parametrize("pair", [(np.nan, np.nan), (np.inf, -np.inf)],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("build", [MagneticCocycle, M.MagneticField.constant],
+                         ids=["cocycle", "constant_field"])
+def test_antisymmetric_matrices_reject_non_finite_entries(build, pair):
+    # m + m.T is nan at a nan or (inf, -inf) pair, and nan > 1e-14 is False,
+    # so an asymmetry bound alone lets these matrices through.
+    m = 0.5 * PLANAR
+    m[0, 1], m[1, 0] = pair
+    with pytest.raises(ValueError, match="finite antisymmetric 3x3"):
+        build(m)
+    for bad in (np.zeros((2, 2)), PLANAR + np.eye(3)):
+        with pytest.raises(ValueError, match="finite antisymmetric 3x3"):
+            build(bad)
+
+
 def test_reduced_form_pullback_matches_level_restriction():
     # Pulling the reduced (orbit + canonical V) form back through the point
     # reduction reproduces omega_B on vectors tangent to the momentum level.
