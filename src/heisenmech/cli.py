@@ -89,7 +89,7 @@ def _body_scaling_map(factor: float, lam_factor: float) -> dyn.FiberMap:
     unchanged and lam scaled by lam_factor. apply evaluates it as
     factor * rho + (p - rho) with the body momentum rho = (p1 - p3 q2/2,
     p2 + p3 q1/2). The map is bilinear in (q, p), which gives the analytic
-    tangent.
+    tangent, and linear in (p, lam) at fixed q, so it is declared affine.
     """
 
     def apply(s):
@@ -110,10 +110,11 @@ def _body_scaling_map(factor: float, lam_factor: float) -> dyn.FiberMap:
         out[6 + (out.size - 6) // 2:] *= lam_factor
         return out
 
-    return dyn.FiberMap(apply=apply, tangent=tangent)
+    return dyn.FiberMap(apply=apply, tangent=tangent, affine=True)
 
 
 def _constant_push_map(delta: np.ndarray) -> dyn.FiberMap:
+    """Fiber translation p -> p + delta, declared affine."""
     delta = np.asarray(delta, dtype=float)
 
     def apply(s):
@@ -121,7 +122,8 @@ def _constant_push_map(delta: np.ndarray) -> dyn.FiberMap:
         out[3:6] += delta
         return out
 
-    return dyn.FiberMap(apply=apply, tangent=lambda s, v: np.array(v, dtype=float))
+    return dyn.FiberMap(apply=apply, tangent=lambda s, v: np.array(v, dtype=float),
+                        affine=True)
 
 
 def build_force(cfg: ExperimentConfig,

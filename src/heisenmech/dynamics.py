@@ -24,6 +24,7 @@ from .magnetic import (MagneticField, _momentum_shift, chart_to_body_array,
 # Bound here only for perfbench/tracer.py, which wraps this module's imported
 # heisenmech functions and checks that this binding is restored.
 from .magnetic import momentum_map  # noqa: F401
+from .orbit import _checked_form
 
 __all__ = [
     "HamiltonianSpec",
@@ -84,28 +85,12 @@ class HamiltonianSpec:
             raise ValueError("a quadratic Hamiltonian declares its form (Q, c); "
                              "any other declares none")
         if self.form is not None:
-            object.__setattr__(self, "form", _checked_form(*self.form))
+            object.__setattr__(self, "form", _checked_form(*self.form, 6))
 
     def grad(self, state: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
             return np.asarray(self.gradient(state), dtype=float)
         return fd.gradient(self.evaluate, np.asarray(state, dtype=float))
-
-
-def _checked_form(Q, c) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only copies of a quadratic form's (Q, c), validated."""
-    Q = np.array(Q, dtype=float)
-    c = np.array(c, dtype=float)
-    if Q.shape != (6, 6) or c.shape != (6,):
-        raise ValueError(f"Q must be 6x6 and c a 6-vector, got shapes "
-                         f"{Q.shape} and {c.shape}")
-    if not (np.isfinite(Q).all() and np.isfinite(c).all()):
-        raise ValueError("Q and c must be finite")
-    if not np.array_equal(Q, Q.T):
-        raise ValueError("Q must be symmetric")
-    Q.flags.writeable = False
-    c.flags.writeable = False
-    return Q, c
 
 
 @dataclass(frozen=True)
@@ -115,10 +100,20 @@ class FiberMap:
     apply acts on flat chart states; tangent optionally supplies an analytic
     tangent map (state, vector) -> vector, defaulting to central finite
     differences with step fd.GRADIENT_STEP.
+
+    affine declares apply affine in the fiber, (p, lam) -> L(q) (p, lam) + d(q),
+    with coefficients that depend on q only, never on theta. It is never
+    checked on samples and needs the analytic tangent (ValueError otherwise):
+    a finite-difference push is affine only up to its step noise.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    affine: bool = False
+
+    def __post_init__(self):
+        if self.affine and self.tangent is None:
+            raise ValueError("an affine fiber map declares its analytic tangent")
 
     def push(self, state: np.ndarray, vector: np.ndarray) -> np.ndarray:
         if self.tangent is not None:
@@ -645,7 +640,7 @@ def quadratic_hamiltonian(Q, c=None) -> HamiltonianSpec:
     declares no mass and carries its form, so integrate steps it by one
     propagator on a constant field.
     """
-    Q, c = _checked_form(Q, np.zeros(6) if c is None else c)
+    Q, c = _checked_form(Q, np.zeros(6) if c is None else c, 6)
 
     def evaluate(state):
         y = state[:6]

@@ -153,22 +153,55 @@ class OrbitDescriptor:
     nu: float
 
 
+def _checked_form(Q, c, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of a quadratic form's (Q, c), validated: finite, Q an
+    exactly symmetric n x n matrix and c an n-vector (n = c.size by default)."""
+    Q = np.array(Q, dtype=float)
+    c = np.array(c, dtype=float)
+    n = c.size if n is None else n
+    if Q.shape != (n, n) or c.shape != (n,):
+        raise ValueError(f"Q must be {n}x{n} and c a {n}-vector, got shapes "
+                         f"{Q.shape} and {c.shape}")
+    if not (np.isfinite(Q).all() and np.isfinite(c).all()):
+        raise ValueError("Q and c must be finite")
+    if not np.array_equal(Q, Q.T):
+        raise ValueError("Q must be symmetric")
+    Q.flags.writeable = False
+    c.flags.writeable = False
+    return Q, c
+
+
 @dataclass(frozen=True)
 class OrbitFunction:
     """Scalar function on a flat orbit chart (rho1, rho2, theta..., lam...).
 
     nu labels the leaf and is not a chart coordinate. The gradient is flat;
     without a gradient callable it is a central difference (fd.GRADIENT_STEP).
+
+    form optionally declares h(z) = 1/2 z^T Q z + c^T z + const (defined up to
+    the constant), validated as HamiltonianSpec.form is and stored read-only.
+    A declared form is the gradient, Q @ z + c, so it comes with no gradient
+    callable; integrate_reduced may step by it.
     """
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    form: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.form is not None and self.gradient is not None:
+            raise ValueError("a declared form is its own gradient")
+        if self.form is not None:
+            object.__setattr__(self, "form", _checked_form(*self.form))
 
     @property
     def gradient_is_analytic(self) -> bool:
-        return self.gradient is not None
+        return self.gradient is not None or self.form is not None
 
     def grad(self, chart: np.ndarray) -> np.ndarray:
+        if self.form is not None:
+            Q, c = self.form
+            return Q @ chart + c
         if self.gradient is not None:
             return np.asarray(self.gradient(chart), dtype=float)
         return fd.gradient(self.evaluate, chart)

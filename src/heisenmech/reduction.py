@@ -43,6 +43,7 @@ from .errors import (
 from .group import CoAlgebraElement, GroupElement, coadjoint, inverse, multiply
 from .magnetic import (
     MagneticField,
+    chart_to_body_array,
     left_translate,
     level_lift,
     magnetic_form,
@@ -231,20 +232,13 @@ def _reduce_fiber_map(fm: FiberMap,
     return apply
 
 
-def _lift_matrix(mu_nu: CoAlgebraElement, field: MagneticField,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offset and matrix of the level lift, affine in the orbit chart.
-
-    At a fixed level, level_lift(z) equals offset + matrix @ z.as_array()
-    exactly, so the columns are differences of lifts of unit charts.
-    """
-    def lift(chart: np.ndarray) -> np.ndarray:
-        z = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
-        return level_lift(z, mu_nu, field)
-
-    n = 2 + 2 * k
-    offset = lift(np.zeros(n))
-    return offset, np.column_stack([lift(e) - offset for e in np.eye(n)])
+def _affine_pair(f: Callable[[np.ndarray], np.ndarray],
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix A and offset b of a map f on R^n known to be affine,
+    f(z) = A @ z + b, read off f at the origin and the unit vectors; nothing
+    is tested."""
+    b = f(np.zeros(n))
+    return np.column_stack([f(e) - b for e in np.eye(n)]), b
 
 
 def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
@@ -260,8 +254,10 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     cocycle: the fiber shift that trivializes the potential has already eaten
     it, so the reduced structure is the plain minus form on the leaf plus the
     canonical form on V x V*. The level lift is sampled once into its affine
-    pair; the reduced Hamiltonian's gradient is exact by the chain rule,
-    (D lift)^T grad H at the lift.
+    pair. For a Hamiltonian of kind "invariant" (mass m) the reduced one is
+    |rho - s|^2/(2m) + const, s = charge_factor * A(e), and declares that
+    form, Q = diag(1/m, 1/m, 0...) and c = (-s1/m, -s2/m, 0...); any other
+    kind gets the exact chain-rule gradient (D lift)^T grad H at the lift.
     """
     descriptor = classify_orbit(mu_nu)
     if descriptor.kind != expected_orbit:
@@ -274,14 +270,25 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
 
     h_red = reduced_hamiltonian(sys.hamiltonian.evaluate, mu_nu, sys.field,
                                 k=sys.k, invariance_tol=invariance_tol)
-    offset, lift_matrix = _lift_matrix(mu_nu, sys.field, sys.k)
+    k = sys.k
 
-    def gradient(chart: np.ndarray) -> np.ndarray:
-        lifted = offset + lift_matrix @ chart
-        return lift_matrix.T @ sys.hamiltonian.grad(lifted)
+    def lift(chart: np.ndarray) -> np.ndarray:
+        z = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
+        return level_lift(z, mu_nu, sys.field)
 
-    red = ReducedRCHSystem(mu_nu, descriptor, replace(h_red, gradient=gradient),
-                           None, None, sys, offset, lift_matrix)
+    # At a fixed level, level_lift(z) = lift_matrix @ z.as_array() + offset.
+    lift_matrix, offset = _affine_pair(lift, 2 + 2 * k)
+    if sys.hamiltonian.kind == "invariant":
+        m, zeros = sys.hamiltonian.mass, np.zeros(2 * k)
+        s = sys.field.charge_factor * sys.field.identity_potential_value()[:2]
+        h_red = replace(h_red, form=(np.diag(np.append([1 / m, 1 / m], zeros)),
+                                     np.append(-s / m, zeros)))
+    else:
+        h_red = replace(h_red, gradient=lambda chart: lift_matrix.T @ (
+            sys.hamiltonian.grad(offset + lift_matrix @ chart)))
+
+    red = ReducedRCHSystem(mu_nu, descriptor, h_red, None, None, sys, offset,
+                           lift_matrix)
     reduced_maps = {}
     for what, fm in (("force", sys.force), ("control", sys.control)):
         if fm is not None:
@@ -353,20 +360,43 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
 
     Returns (times, charts, energies); charts hold rows
     (rho1, rho2, theta..., lam...), and each energy is the source Hamiltonian
-    at the chart's stored level lift, all rows lifted in one product.
+    at the chart's stored level lift, all rows lifted in one product (and,
+    for a source of kind "invariant", evaluated in one pass too).
     Implicit midpoint is appropriate here because the chart form is constant
     on the leaf. z0 gives the start chart and must lie on red.level's leaf
     (its nu within 1e-8, reduce_point's level-set tolerance).
+
+    The route is read from declarations at each call, never cached on red:
+    if red.hamiltonian declares its form and the source force and control are
+    each absent or declared affine, the reduced field is A @ z + b, read off
+    reduced_rch_field at the zero and unit charts, and each step is one
+    propagator matrix (see dynamics._propagator; midpoint beyond its
+    contraction guard iterates). Everything else iterates reduced_rch_field.
     """
     if abs(z0.nu - red.level.nu) > 1e-8:
         raise ValueError(f"start point lies on the leaf nu = {z0.nu}, not on "
                          f"the reduced level's nu = {red.level.nu}")
-    times, charts, _ = dynamics._fixed_step_flow(
-        lambda chart: reduced_rch_field(red, chart), z0.as_array(), t_end, h,
-        method)
+    dynamics._check_run(t_end, h, method)
+    chart0 = z0.as_array()
+    rhs = lambda chart: reduced_rch_field(red, chart)
+    affine = red.hamiltonian.form is not None and all(
+        fm is None or fm.affine for fm in (red.source.force, red.source.control))
+    generator = _affine_pair(rhs, chart0.size) if affine else None
+    times, charts, _ = dynamics._fixed_step_flow(rhs, chart0, t_end, h, method,
+                                                 generator)
     lifted = red.lift_offset + charts @ red.lift_matrix.T
-    energies = np.array([red.source.hamiltonian.evaluate(s) for s in lifted])
+    source = red.source.hamiltonian
+    energies = (_invariant_energies(lifted, source.mass)
+                if source.kind == "invariant"
+                else np.array([source.evaluate(s) for s in lifted]))
     return times, charts, energies
+
+
+def _invariant_energies(states: np.ndarray, m: float) -> np.ndarray:
+    """invariant_kinetic_hamiltonian(m) at each row of states, in one pass;
+    stacked (1, 3) @ (3, 1) products take evaluate's per-row dot product."""
+    rho = chart_to_body_array(states[:, :3], states[:, 3:6])
+    return 0.5 * (rho[:, None, :] @ rho[:, :, None]).ravel() / m
 
 
 def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
