@@ -18,6 +18,8 @@ is not measuring anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -43,7 +45,6 @@ from .errors import (
 from .group import CoAlgebraElement, GroupElement, coadjoint, inverse, multiply
 from .magnetic import (
     MagneticField,
-    chart_to_body_array,
     left_translate,
     level_lift,
     magnetic_form,
@@ -94,11 +95,33 @@ class CheckRecord:
     threshold: float
 
     def __post_init__(self):
-        # Residuals frequently arrive as numpy scalars; normalize so that
-        # passed is a plain bool and serialization sees native types.
+        # The record constraints of report.schema.json, enforced here so that
+        # every record serializes into a valid report. Residuals often arrive
+        # as numpy scalars; they are normalized to native types, so passed is
+        # a plain bool.
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"check name must be a non-empty string, "
+                             f"got {self.name!r}")
+        if not _is_count(self.samples):
+            raise ValueError(f"{self.name}: samples must be an integer >= 0, "
+                             f"got {self.samples!r}")
+        if not all(isinstance(value, Real)
+                   for value in (self.max_residual, self.threshold)):
+            raise ValueError(f"{self.name}: residual and threshold must be "
+                             f"real numbers, got {self.max_residual!r} and "
+                             f"{self.threshold!r}")
+        residual, threshold = float(self.max_residual), float(self.threshold)
+        if not isfinite(residual):
+            raise FloatingPointError(f"{self.name}: non-finite residual "
+                                     f"{residual}")
+        if residual < 0:
+            raise ValueError(f"{self.name}: negative residual {residual}")
+        if not (threshold > 0 and isfinite(threshold)):
+            raise ValueError(f"{self.name}: threshold must be finite and "
+                             f"positive, got {threshold}")
         object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "max_residual", float(self.max_residual))
-        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "max_residual", residual)
+        object.__setattr__(self, "threshold", threshold)
 
     @property
     def passed(self) -> bool:
@@ -107,11 +130,18 @@ class CheckRecord:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "samples": int(self.samples),
-            "max_residual": float(self.max_residual),
-            "threshold": float(self.threshold),
+            "samples": self.samples,
+            "max_residual": self.max_residual,
+            "threshold": self.threshold,
             "passed": self.passed,
         }
+
+
+def _is_count(value) -> bool:
+    """Whether value is an integer >= 0: Python and numpy integers count; a
+    bool does not (nor in JSON Schema), and neither does any float."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 0)
 
 
 def _fiber_push(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -385,18 +415,8 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
     times, charts, _ = dynamics._fixed_step_flow(rhs, chart0, t_end, h, method,
                                                  generator)
     lifted = red.lift_offset + charts @ red.lift_matrix.T
-    source = red.source.hamiltonian
-    energies = (_invariant_energies(lifted, source.mass)
-                if source.kind == "invariant"
-                else np.array([source.evaluate(s) for s in lifted]))
-    return times, charts, energies
-
-
-def _invariant_energies(states: np.ndarray, m: float) -> np.ndarray:
-    """invariant_kinetic_hamiltonian(m) at each row of states, in one pass;
-    stacked (1, 3) @ (3, 1) products take evaluate's per-row dot product."""
-    rho = chart_to_body_array(states[:, :3], states[:, 3:6])
-    return 0.5 * (rho[:, None, :] @ rho[:, :, None]).ravel() / m
+    return times, charts, dynamics._state_energies(red.source.hamiltonian,
+                                                   lifted)
 
 
 def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,

@@ -1,21 +1,23 @@
-"""Invariant reports: deterministic JSON records validated against a schema.
+"""Invariant reports: deterministic JSON records that satisfy a bundled schema.
 
 A report is a list of check records plus the environment data needed to
 reproduce it (seed and finite-difference steps). Serialization sorts keys
 and carries no timestamps, so a fixed seed yields byte-identical files.
+
+report.schema.json is the contract for the file. The library enforces it
+where the data is built: CheckRecord checks its fields at construction, and
+InvariantReport.to_json checks the seed, the artifacts and the entries, so
+no validator runs when a report is written.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
-
 from . import __version__, fd
-from .reduction import CheckRecord
+from .reduction import CheckRecord, _is_count
 
 SCHEMA_RESOURCE = "report.schema.json"
 
@@ -23,15 +25,6 @@ SCHEMA_RESOURCE = "report.schema.json"
 def load_schema() -> dict:
     with resources.files(__package__).joinpath(SCHEMA_RESOURCE).open() as handle:
         return json.load(handle)
-
-
-@functools.cache
-def _validator():
-    """Validator of the report schema, checked and built on first use."""
-    schema = load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
 
 
 @dataclass
@@ -63,6 +56,21 @@ class InvariantReport:
         }
 
     def to_json(self) -> str:
-        payload = self.as_dict()
-        _validator().validate(payload)
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        """The report as sorted, indented JSON.
+
+        A seed that is not an integer >= 0 (a bool or a float is not), an
+        artifact name or value that is not a string, or an entry that is not
+        a CheckRecord raises ValueError before anything is serialized.
+        """
+        if not _is_count(self.seed):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for key, value in self.artifacts.items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise ValueError(f"artifact names and values must be strings, "
+                                 f"got {key!r}: {value!r}")
+        for record in self.checks:
+            if not isinstance(record, CheckRecord):
+                raise ValueError(f"report entries must be CheckRecord values, "
+                                 f"got {record!r}")
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"

@@ -10,6 +10,7 @@ import pytest
 
 import heisenmech
 from heisenmech import fd
+from heisenmech.checks import CHECKS
 from heisenmech.cli import _body_scaling_map, _constant_push_map, _write_csv, main
 from heisenmech.magnetic import chart_to_body_array
 from heisenmech.reduction import CheckRecord
@@ -211,9 +212,32 @@ def test_constant_push_tangent_matches_finite_differences():
 
 
 def test_report_rejects_negative_residual_and_empty_name():
-    for record in (CheckRecord("x", 1, -1e-3, 1.0), CheckRecord("", 1, 0.0, 1.0)):
-        with pytest.raises(jsonschema.ValidationError):
-            InvariantReport(0, [record]).to_json()
+    for fields in (("x", 1, -1e-3, 1.0), ("", 1, 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            InvariantReport(0, [CheckRecord(*fields)]).to_json()
+
+
+def test_nan_residual_exits_3_without_report(tmp_path, capsys, monkeypatch):
+    def nan_bracket(seed, samples=10):
+        return [CheckRecord("bracket.antisymmetry", samples, np.nan, 1e-12)]
+
+    monkeypatch.setitem(CHECKS, "bracket", nan_bracket)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("check.names = group_axioms, bracket\n")
+    code = main(["check", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "FloatingPointError" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_import_leaves_jsonschema_out():
+    probe = ("import sys, heisenmech.cli; "
+             "print('jsonschema' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_diverging_simulation_exits_3_without_report(tmp_path, capsys):

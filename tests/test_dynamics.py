@@ -395,6 +395,29 @@ def test_integrate_momenta_are_the_point_momentum_map():
         assert J.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("factory", [D.euclidean_kinetic_hamiltonian,
+                                     D.invariant_kinetic_hamiltonian])
+def test_kinetic_energies_in_one_pass_are_evaluate_bitwise(factory):
+    rng = np.random.default_rng(574)
+    rows = np.exp(rng.uniform(-7, 7, size=(20000, 1))) * rng.normal(size=(20000, 8))
+    for m in (0.7, 1.0, 3.1):
+        spec = factory(m)
+        slow = np.array([spec.evaluate(row) for row in rows])
+        assert D._state_energies(spec, rows).tobytes() == slow.tobytes()
+
+
+def test_integrate_energies_are_evaluate_at_each_state():
+    x0 = np.array([0.4, -0.1, 0.3, 0.7, 0.2, 1.1])
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.7)
+    general = D.HamiltonianSpec(lambda s: float(s[3:6] @ s[3:6]) + s[0],
+                                lambda s: np.concatenate([[1.0, 0, 0], 2 * s[3:6]]))
+    for hamiltonian in (D.euclidean_kinetic_hamiltonian(1.3),
+                        D.invariant_kinetic_hamiltonian(0.7), general):
+        traj = D.integrate(D.RCHSystem(field, hamiltonian), x0, t_end=0.2, h=1e-2)
+        expect = np.array([hamiltonian.evaluate(s) for s in traj.states])
+        assert traj.energies.tobytes() == expect.tobytes()
+
+
 def test_non_finite_state_raises_floating_point_error():
     sys = D.RCHSystem(M.MagneticField.invariant_potential((0.0, 0.0, 50.0)),
                       D.invariant_kinetic_hamiltonian(1.0))
