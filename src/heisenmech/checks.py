@@ -22,11 +22,12 @@ from . import group
 from . import magnetic as mag
 from . import orbit
 from .errors import ConfigError
-from .group import AlgebraElement, CoAlgebraElement, GroupElement
+from .group import CoAlgebraElement
 from .orbit import MagneticCocycle, OrbitPoint
 from .reduction import (
     CheckRecord,
     DiffeoSpec,
+    _require_samples,
     check_commutation,
     check_mr1,
     check_mr2_equivariance,
@@ -43,18 +44,6 @@ __all__ = ["CHECKS", "run_named_checks"]
 _ROT = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _rand_group(rng) -> GroupElement:
-    return GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-
-
-def _rand_algebra(rng) -> AlgebraElement:
-    return AlgebraElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-
-
-def _rand_dual(rng) -> CoAlgebraElement:
-    return CoAlgebraElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-
-
 def _quadratic(Q: np.ndarray) -> orbit.DualFunction:
     Qs = 0.5 * (Q + Q.T)
     return orbit.DualFunction(
@@ -69,14 +58,13 @@ def check_group_axioms(seed: int, samples: int = 1000) -> list[CheckRecord]:
     assoc = inv = ident = homo = 0.0
     e = group.identity()
     for _ in range(samples):
-        g, h, l = (_rand_group(rng) for _ in range(3))
+        g, h, l = rng.uniform(-2, 2, (3, 3))
         lhs = group.multiply(group.multiply(g, h), l)
         rhs = group.multiply(g, group.multiply(h, l))
-        assoc = max(assoc, float(np.max(np.abs(lhs.as_array() - rhs.as_array()))))
+        assoc = max(assoc, float(np.max(np.abs(lhs - rhs))))
         inv = max(inv, float(np.max(np.abs(
-            group.multiply(g, group.inverse(g)).as_array()))))
-        ident = max(ident, float(np.max(np.abs(
-            group.multiply(g, e).as_array() - g.as_array()))))
+            group.multiply(g, group.inverse(g))))))
+        ident = max(ident, float(np.max(np.abs(group.multiply(g, e) - g))))
         homo = max(homo, float(np.max(np.abs(
             group.to_matrix(group.multiply(g, h))
             - group.to_matrix(g) @ group.to_matrix(h)))))
@@ -92,25 +80,20 @@ def check_representations(seed: int, samples: int = 1000) -> list[CheckRecord]:
     fd_rounds = min(samples, 200)
     adj = coad = 0.0
     for _ in range(fd_rounds):
-        g, xi, p = _rand_group(rng), _rand_algebra(rng), _rand_dual(rng)
-        plus = group.conjugate(g, group.exp(
-            AlgebraElement(step * xi.X, step * xi.a)))
-        minus = group.conjugate(g, group.exp(
-            AlgebraElement(-step * xi.X, -step * xi.a)))
-        slope = (plus.as_array() - minus.as_array()) / (2 * step)
-        adj = max(adj, float(np.max(np.abs(
-            slope - group.adjoint(g, xi).as_array()))))
+        g, xi, p = rng.uniform(-2, 2, (3, 3))
+        plus = group.conjugate(g, group.exp(step * xi))
+        minus = group.conjugate(g, group.exp(-step * xi))
+        slope = (plus - minus) / (2 * step)
+        adj = max(adj, float(np.max(np.abs(slope - group.adjoint(g, xi)))))
 
         def coad_along(t):
-            gt = group.exp(AlgebraElement(-t * xi.X, -t * xi.a))
-            return group.coadjoint(gt, p).as_array()
+            return group.coadjoint(group.exp(-t * xi), p)
 
         slope = (coad_along(step) - coad_along(-step)) / (2 * step)
-        coad = max(coad, float(np.max(np.abs(
-            slope - group.coad_star(xi, p).as_array()))))
+        coad = max(coad, float(np.max(np.abs(slope - group.coad_star(xi, p)))))
     pairing_res = 0.0
     for _ in range(samples):
-        g, xi, p = _rand_group(rng), _rand_algebra(rng), _rand_dual(rng)
+        g, xi, p = rng.uniform(-2, 2, (3, 3))
         lhs = group.pairing(group.coadjoint(g, p), xi)
         rhs = group.pairing(p, group.adjoint(group.inverse(g), xi))
         pairing_res = max(pairing_res, abs(lhs - rhs))
@@ -149,20 +132,21 @@ def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
 def check_orbit_form(seed: int, samples: int = 200) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     B = MagneticCocycle.planar(0.4)
+    zero = MagneticCocycle.zero()
     value_res = det_res = classify_res = 0.0
     for _ in range(samples):
         nu = rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0])
         point = OrbitPoint(rng.uniform(-2, 2, 2), nu)
-        xi, eta = _rand_algebra(rng), _rand_algebra(rng)
+        xi, eta = rng.uniform(-2, 2, (2, 3))
         form = orbit.orbit_symplectic_form(point, xi, eta, B)
         f, g = orbit.linear_function(xi), orbit.linear_function(eta)
         bracket_value = orbit.magnetic_lie_poisson(
             f, g, np.append(point.rho, nu), B)
         value_res = max(value_res, abs(form - bracket_value))
-        W = orbit.orbit_form_matrix(point, MagneticCocycle.zero())
+        W = orbit.orbit_form_matrix(point, zero)
         det_res = max(det_res, abs(np.linalg.det(W) - nu * nu))
-        fixed = orbit.classify_orbit(CoAlgebraElement(rng.uniform(-2, 2, 2), 0.0))
-        moving = orbit.classify_orbit(CoAlgebraElement(point.rho, nu))
+        fixed = orbit.classify_orbit(np.append(rng.uniform(-2, 2, 2), 0.0))
+        moving = orbit.classify_orbit(np.append(point.rho, nu))
         if fixed.kind != "point" or moving.kind != "plane":
             classify_res = max(classify_res, 1.0)
     return [CheckRecord("orbit.form_matches_bracket", samples, value_res, 1e-10),
@@ -174,36 +158,31 @@ def check_connection(seed: int, samples: int = 300) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     invariance = pairing_res = cocycle_res = 0.0
     for _ in range(samples):
-        g, h = _rand_group(rng), _rand_group(rng)
-        v, w = _rand_algebra(rng), _rand_algebra(rng)
+        g, h, v, w = rng.uniform(-2, 2, (4, 3))
         gh = group.multiply(g, h)
         tv = group.tangent_right_translation(g, v, h)
         tw = group.tangent_right_translation(g, w, h)
         invariance = max(invariance, abs(
             C.right_invariant_metric(gh, tv, tw)
             - C.right_invariant_metric(g, v, w)))
-        pv = C.right_trivialize(g, v).as_array()
-        pw = C.right_trivialize(g, w).as_array()
+        pv = C.right_trivialize(g, v)
+        pw = C.right_trivialize(g, w)
         pairing_res = max(pairing_res, abs(
             C.right_invariant_metric(g, v, w) - float(pv @ pw)))
         nu = rng.normal()
         cocycle_res = max(cocycle_res, abs(
-            C.nu_component(nu, g, v, w) - MagneticCocycle.planar(nu).pair(v, w)))
+            nu * C.curvature(g, v, w) - MagneticCocycle.planar(nu).pair(v, w)))
         a, b = rng.normal(size=2)
         cocycle_res = max(cocycle_res, abs(C.locked_inertia(g, a, b) - a * b))
     step = fd.TANGENT_STEP
+    conn_at = C.mechanical_connection
     curvature_res = 0.0
     for _ in range(min(samples, 50)):
-        g, v, w = _rand_group(rng), _rand_algebra(rng), _rand_algebra(rng)
-
-        def conn_at(x, vec):
-            return C.mechanical_connection(GroupElement(x[:2], x[2]), vec)
-
-        x0 = g.as_array()
-        d_v_of_aw = (conn_at(x0 + step * v.as_array(), w)
-                     - conn_at(x0 - step * v.as_array(), w)) / (2 * step)
-        d_w_of_av = (conn_at(x0 + step * w.as_array(), v)
-                     - conn_at(x0 - step * w.as_array(), v)) / (2 * step)
+        g, v, w = rng.uniform(-2, 2, (3, 3))
+        d_v_of_aw = (conn_at(g + step * v, w)
+                     - conn_at(g - step * v, w)) / (2 * step)
+        d_w_of_av = (conn_at(g + step * w, v)
+                     - conn_at(g - step * w, v)) / (2 * step)
         curvature_res = max(curvature_res, abs(
             (d_v_of_aw - d_w_of_av) - C.curvature(g, v, w)))
     return [CheckRecord("connection.right_invariance", samples, invariance, 1e-12),
@@ -413,8 +392,11 @@ def run_named_checks(names, seed: int,
 
     Seeds are offset by a stable hash of the check name, so adding or
     reordering checks never changes another check's sample stream. Without
-    samples each check runs at its own signature's default.
+    samples each check runs at its own signature's default; samples < 1 is a
+    ValueError, since a check that draws nothing reports a vacuous pass.
     """
+    if samples is not None:
+        _require_samples(samples)
     records: list[CheckRecord] = []
     for name in names:
         if name not in CHECKS:

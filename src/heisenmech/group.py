@@ -7,6 +7,12 @@ The group is R^2 x R with multiplication
 where ``area_form(u, v) = u1*v2 - u2*v1``. All elements live in a single
 global chart, so group, algebra, and dual-algebra elements are all triples
 of reals and the exponential map is the identity on coordinates.
+
+Every kernel here takes and returns flat (3,) float arrays: a group element
+g = (u1, u2, alpha), an algebra element or chart tangent xi = (X1, X2, a) and
+a dual element p = (mu1, mu2, nu). The frozen GroupElement, AlgebraElement
+and CoAlgebraElement dataclasses are the API edge: they validate a fixed
+parameter (a momentum level, a translation) and hand it in via as_array().
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ __all__ = [
     "GroupElement",
     "AlgebraElement",
     "CoAlgebraElement",
-    "vec2",
     "area_form",
     "identity",
     "multiply",
@@ -35,13 +40,6 @@ __all__ = [
     "pairing",
     "tangent_right_translation",
 ]
-
-
-def vec2(x1: float, x2: float) -> np.ndarray:
-    """Build an immutable planar vector."""
-    v = np.array([float(x1), float(x2)])
-    v.flags.writeable = False
-    return v
 
 
 def _as_vec2(value) -> np.ndarray:
@@ -98,62 +96,59 @@ class CoAlgebraElement:
 
 
 def area_form(u, v) -> float:
-    """Signed area u1*v2 - u2*v1 of two planar vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Signed area u1*v2 - u2*v1 of the planar parts (the first two
+    components) of u and v."""
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _rot(u: np.ndarray) -> np.ndarray:
-    """Clockwise quarter turn J(u) = (u2, -u1), so that area_form(u,v) = J(u).v."""
-    return np.array([u[1], -u[0]])
+def identity() -> np.ndarray:
+    return np.zeros(3)
 
 
-def identity() -> GroupElement:
-    return GroupElement(vec2(0.0, 0.0), 0.0)
-
-
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
+def multiply(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Group product; the center picks up half the signed area of the planar parts."""
-    return GroupElement(g.u + h.u, g.alpha + h.alpha + 0.5 * area_form(g.u, h.u))
+    return np.array([g[0] + h[0], g[1] + h[1],
+                     g[2] + h[2] + 0.5 * area_form(g, h)])
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement(-g.u, -g.alpha)
+def inverse(g: np.ndarray) -> np.ndarray:
+    return -np.asarray(g, dtype=float)
 
 
-def to_matrix(g: GroupElement) -> np.ndarray:
+def to_matrix(g: np.ndarray) -> np.ndarray:
     """Upper-triangular unipotent representation.
 
     The (1,3) entry is alpha + u1*u2/2 rather than alpha itself; this offset is
     what turns matrix multiplication into the half-area group law. The map is a
     homomorphism: to_matrix(multiply(g, h)) == to_matrix(g) @ to_matrix(h).
     """
-    u1, u2 = g.u
+    u1, u2, alpha = g
     return np.array([
-        [1.0, u1, g.alpha + 0.5 * u1 * u2],
+        [1.0, u1, alpha + 0.5 * u1 * u2],
         [0.0, 1.0, u2],
         [0.0, 0.0, 1.0],
     ])
 
 
-def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Inner automorphism g*h*g^-1 = (h.u, h.alpha + area_form(g.u, h.u))."""
-    return GroupElement(h.u, h.alpha + area_form(g.u, h.u))
+def conjugate(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Inner automorphism g*h*g^-1 = (v, beta + area_form(u, v)) for g = (u, alpha),
+    h = (v, beta)."""
+    return np.array([h[0], h[1], h[2] + area_form(g, h)])
 
 
-def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
+def adjoint(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Adjoint action Ad(g): the derivative of conjugate(g, .) at the identity."""
-    return AlgebraElement(xi.X, xi.a + area_form(g.u, xi.X))
+    return np.array([xi[0], xi[1], xi[2] + area_form(g, xi)])
 
 
-def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:
+def bracket(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Lie bracket: planar part zero, center part the area form of the planar parts."""
-    return AlgebraElement(vec2(0.0, 0.0), area_form(xi.X, eta.X))
+    return np.array([0.0, 0.0, area_form(xi, eta)])
 
 
-def coadjoint(g: GroupElement, p: CoAlgebraElement) -> CoAlgebraElement:
-    """Coadjoint action CoAd(g): (mu, nu) -> (mu + nu*J(g.u), nu).
+def coadjoint(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Coadjoint action CoAd(g) for g = (u, alpha): (mu, nu) -> (mu + nu*J(u), nu),
+    where J(u) = (u2, -u1) is the clockwise quarter turn, area_form(u,v) = J(u).v.
 
     This is the left coadjoint action dual to the adjoint action of the inverse
     element: pairing(coadjoint(g, p), xi) == pairing(p, adjoint(inverse(g), xi)).
@@ -161,41 +156,42 @@ def coadjoint(g: GroupElement, p: CoAlgebraElement) -> CoAlgebraElement:
     and fixes the center charge nu, so nu != 0 orbits are the affine planes at
     height nu while nu = 0 points are fixed.
     """
-    return CoAlgebraElement(p.mu + p.nu * _rot(g.u), p.nu)
+    return np.array([p[0] + p[2] * g[1], p[1] - p[2] * g[0], p[2]])
 
 
-def coad_star(xi: AlgebraElement, p: CoAlgebraElement) -> CoAlgebraElement:
+def coad_star(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Infinitesimal coadjoint operator ad*(xi) determined by the bracket pairing.
 
     Satisfies pairing(coad_star(xi, p), eta) == pairing(p, bracket(xi, eta)) and
     equals minus the derivative of t -> coadjoint(exp(t*xi), p) at t = 0 (the sign
     is the usual one for infinitesimal generators of a left action).
     """
-    return CoAlgebraElement(p.nu * np.array([-xi.X[1], xi.X[0]]), 0.0)
+    return np.array([-p[2] * xi[1], p[2] * xi[0], 0.0])
 
 
-def exp(xi: AlgebraElement) -> GroupElement:
+def exp(xi: np.ndarray) -> np.ndarray:
     """Exponential map; the identity on chart coordinates for this group."""
-    return GroupElement(xi.X, xi.a)
+    return np.array(xi, dtype=float)
 
 
-def log(g: GroupElement) -> AlgebraElement:
+def log(g: np.ndarray) -> np.ndarray:
     """Inverse of exp; also the identity on chart coordinates."""
-    return AlgebraElement(g.u, g.alpha)
+    return np.array(g, dtype=float)
 
 
-def pairing(p: CoAlgebraElement, xi: AlgebraElement) -> float:
+def pairing(p: np.ndarray, xi: np.ndarray) -> float:
     """Natural dual pairing <p, xi> = mu.X + nu*a."""
-    return float(p.mu @ xi.X + p.nu * xi.a)
+    return float(p[:2] @ xi[:2] + p[2] * xi[2])
 
 
-def tangent_right_translation(g: GroupElement, v: AlgebraElement,
-                              h: GroupElement) -> AlgebraElement:
+def tangent_right_translation(g: np.ndarray, v: np.ndarray,
+                              h: np.ndarray) -> np.ndarray:
     """Push a chart tangent vector at g through right translation by h.
 
     Right translation is affine in the chart, so the derivative does not depend
-    on where g sits: (X, a) -> (X, a + area_form(X, h.u)/2). With h = inverse(g)
-    this right-trivializes a tangent vector at g back to the identity.
+    on where g sits: v = (X, a) -> (X, a + area_form(X, w)/2) for h = (w, beta).
+    With h = inverse(g) this right-trivializes a tangent vector at g back to
+    the identity.
     """
     del g  # the derivative of right translation is base-point independent
-    return AlgebraElement(v.X, v.a + 0.5 * area_form(v.X, h.u))
+    return np.array([v[0], v[1], v[2] + 0.5 * area_form(v, h)])

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fd
 from .errors import DegenerateForm, SingularForm
-from .group import AlgebraElement, CoAlgebraElement, area_form
+from .group import area_form
 
 __all__ = [
     "DualFunction",
@@ -100,8 +100,9 @@ class MagneticCocycle:
         m[0, 1], m[1, 0] = b, -b
         return cls(m)
 
-    def pair(self, xi: AlgebraElement, eta: AlgebraElement) -> float:
-        return float(xi.as_array() @ self.form @ eta.as_array())
+    def pair(self, xi: np.ndarray, eta: np.ndarray) -> float:
+        """B(xi, eta) on flat algebra labels (X1, X2, a)."""
+        return float(xi @ self.form @ eta)
 
     @property
     def planar_component(self) -> float:
@@ -301,11 +302,12 @@ def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle,
     return JacobiResult(abs(total), tol)
 
 
-def classify_orbit(p: CoAlgebraElement, tol: float = 1e-12) -> OrbitDescriptor:
-    """Coadjoint orbit through p: a fixed point for nu = 0, else a plane."""
-    if abs(p.nu) <= tol:
-        return OrbitDescriptor("point", p.mu.copy(), 0.0)
-    return OrbitDescriptor("plane", None, p.nu)
+def classify_orbit(p: np.ndarray, tol: float = 1e-12) -> OrbitDescriptor:
+    """Coadjoint orbit through the flat dual point p = (mu1, mu2, nu): a fixed
+    point for nu = 0, else a plane."""
+    if abs(p[2]) <= tol:
+        return OrbitDescriptor("point", np.array(p[:2], dtype=float), 0.0)
+    return OrbitDescriptor("plane", None, float(p[2]))
 
 
 def _generator_scale(nu: float, B: MagneticCocycle, sign: str) -> float:
@@ -313,9 +315,9 @@ def _generator_scale(nu: float, B: MagneticCocycle, sign: str) -> float:
     return _sign(sign) * nu - B.planar_component
 
 
-def orbit_symplectic_form(p: OrbitPoint, xi: AlgebraElement, eta: AlgebraElement,
+def orbit_symplectic_form(p: OrbitPoint, xi: np.ndarray, eta: np.ndarray,
                           B: MagneticCocycle, sign: str = "minus") -> float:
-    """Magnetic orbit form on generator labels: +-<p,[xi,eta]> - B(xi,eta).
+    """Magnetic orbit form on flat generator labels: +-<p,[xi,eta]> - B(xi,eta).
 
     On the extended orbit the V x V* factor carries the canonical form, which
     vanishes on pure generator directions, so it does not appear here. When
@@ -323,7 +325,7 @@ def orbit_symplectic_form(p: OrbitPoint, xi: AlgebraElement, eta: AlgebraElement
     point and the form is trivially zero; that case emits a DegenerateForm
     warning rather than raising.
     """
-    value = _sign(sign) * (p.nu * area_form(xi.X, eta.X)) - B.pair(xi, eta)
+    value = _sign(sign) * (p.nu * area_form(xi, eta)) - B.pair(xi, eta)
     if p.nu == 0.0 and abs(B.planar_component) == 0.0:
         warnings.warn("point orbit with vanishing magnetic term: form is trivially zero",
                       DegenerateForm, stacklevel=2)
@@ -388,12 +390,12 @@ def coordinate_function(index: int) -> DualFunction:
     )
 
 
-def linear_function(xi: AlgebraElement) -> DualFunction:
-    """The linear function p -> <p, xi> generated by an algebra element."""
-    d = xi.as_array()
+def linear_function(xi: np.ndarray) -> DualFunction:
+    """The linear function p -> <p, xi> generated by a flat algebra element."""
+    d = np.array(xi, dtype=float)
     d.flags.writeable = False
     return DualFunction(
-        evaluate=lambda p: float(p[:2] @ xi.X + p[2] * xi.a),
+        evaluate=lambda p: float(p[:2] @ d[:2] + p[2] * d[2]),
         gradient=lambda p: d,
         hessian=lambda p: np.zeros((3, 3)),
     )

@@ -144,6 +144,13 @@ def _is_count(value) -> bool:
             and not isinstance(value, bool) and value >= 0)
 
 
+def _require_samples(samples: int) -> None:
+    """ValueError unless a sweep asks for at least one sample, so that no
+    record reports a sample count it did not measure."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+
+
 def _fiber_push(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The projection's linear map on the fiber over base point q.
 
@@ -242,7 +249,7 @@ def _equivariance_sweep(fm: FiberMap, k: int, tol: float, rng: np.random.Generat
                         what: str, rounds: int = 60) -> None:
     for _ in range(rounds):
         s = rng.uniform(-2, 2, 6 + 2 * k)
-        h = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+        h = rng.uniform(-2, 2, 3)
         lhs = np.asarray(fm.apply(left_translate(h, s)), dtype=float)
         rhs = left_translate(h, fm.apply(s))
         if np.max(np.abs(lhs - rhs)) > tol:
@@ -289,7 +296,7 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     form, Q = diag(1/m, 1/m, 0...) and c = (-s1/m, -s2/m, 0...); any other
     kind gets the exact chain-rule gradient (D lift)^T grad H at the lift.
     """
-    descriptor = classify_orbit(mu_nu)
+    descriptor = classify_orbit(mu_nu.as_array())
     if descriptor.kind != expected_orbit:
         raise IrregularLevel(
             f"level has a {descriptor.kind} orbit where a {expected_orbit} orbit "
@@ -428,10 +435,11 @@ def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
     against the reduced field at the projected point; the record keeps the
     worst component mismatch.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     worst = 0.0
     k = sys.k
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         state = sample_level_point(red.level, sys.field, k, rng)
         full = rch_vector_field(sys, state)
         lhs = fd.directional(lambda s: _project_chart(s, sys.field),
@@ -503,6 +511,7 @@ def kk_alpha_form_check(kk: KKSystem, samples: int = 20, seed: int = 3313,
     differentiate to mu times the magnetic two-form, with vanishing
     theta-components.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     mu = kk.mu
 
@@ -510,7 +519,7 @@ def kk_alpha_form_check(kk: KKSystem, samples: int = 20, seed: int = 3313,
         return mu * np.append(kk.field.vector_potential(y[:3]), 1.0)
 
     worst = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         y = rng.uniform(-2, 2, 4)
         curl = fd.one_form_curl(alpha, y)
         expected = np.zeros((4, 4))
@@ -625,14 +634,9 @@ class DiffeoSpec:
     @classmethod
     def group_translation(cls, h: GroupElement) -> "DiffeoSpec":
         """Left translation by h on the group chart."""
-        h_inv = inverse(h)
-
-        def chart_map(g: GroupElement):
-            def act(q: np.ndarray) -> np.ndarray:
-                return multiply(g, GroupElement(q[:2], q[2])).as_array()
-            return act
-
-        return cls(chart_map(h), chart_map(h_inv))
+        g = h.as_array()
+        g_inv = inverse(g)
+        return cls(lambda q: multiply(g, q), lambda q: multiply(g_inv, q))
 
 
 def _extend_lift(phi: DiffeoSpec, state: np.ndarray) -> np.ndarray:
@@ -655,9 +659,10 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
     Pulls the source-side form back through the tangent of the lift and
     compares with the target-side form on random points and tangent pairs.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         x2 = rng.uniform(-2, 2, 6)
         x1 = phi.apply_lift(x2)
         v, w = rng.normal(size=6), rng.normal(size=6)
@@ -680,23 +685,24 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
     candidates are center elements plus random elements kept only when they
     numerically fix the level (for nonzero nu that leaves just the center).
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
+    p1, p2 = level1.as_array(), level2.as_array()
     level_worst = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         x2 = sample_level_point(level2, field2, 0, rng)
         x1 = phi.apply_lift(x2)
         level_worst = max(level_worst, float(np.max(np.abs(
-            momentum_map(x1, field1) - level1.as_array()))))
+            momentum_map(x1, field1) - p1))))
 
-    candidates = [GroupElement((0.0, 0.0), t) for t in rng.uniform(-3, 3, 8)]
+    candidates = [np.array([0.0, 0.0, t]) for t in rng.uniform(-3, 3, 8)]
     for _ in range(12):
-        g = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-        moved = coadjoint(g, level2)
-        if np.max(np.abs(moved.as_array() - level2.as_array())) <= 1e-12:
+        g = rng.uniform(-2, 2, 3)
+        if np.max(np.abs(coadjoint(g, p2) - p2)) <= 1e-12:
             candidates.append(g)
 
     iso_worst = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         s2 = rng.uniform(-2, 2, 6)
         for g in candidates:
             lhs = phi.apply_lift(left_translate(g, s2))
@@ -720,6 +726,7 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     horizontal component must vanish on its own, since no vertical lift can
     absorb it.
     """
+    _require_samples(samples)
     if sys1.control_subset is None:
         raise ControlSubsetMissing("matching needs the control subset of sys1")
     if sys1.k != sys2.k:
@@ -729,7 +736,7 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     base, fiber = _base_fiber_indices(k)
     vertical_worst = 0.0
     horizontal_worst = 0.0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         x2 = rng.uniform(-2, 2, 6 + 2 * k)
         x1 = _extend_lift(phi, x2)
         residual = hamiltonian_vector_field(sys1, x1)

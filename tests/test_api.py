@@ -9,10 +9,11 @@ import heisenmech
 MODULES = ("group", "orbit", "connection", "magnetic", "dynamics", "reduction",
            "fd", "checks", "config", "report", "errors", "cli")
 
-# Phase-point types and their conversions, replaced by flat chart states.
+# Phase-point types and their conversions, replaced by flat chart states, and
+# vec2, replaced by flat (3,) group, algebra and dual arrays.
 DELETED = ("PhasePoint", "ExtendedPhasePoint", "MomentumValue", "body_to_chart",
            "chart_to_body", "extended_to_chart", "extended_from_chart",
-           "left_translate_point", "extended_momentum_shift")
+           "left_translate_point", "extended_momentum_shift", "vec2")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -12,7 +12,7 @@ import pytest
 
 from heisenmech import fd
 from heisenmech import orbit as O
-from heisenmech.group import AlgebraElement, CoAlgebraElement, bracket, pairing
+from heisenmech.group import bracket, pairing
 
 SIGNS = (("minus", -1.0), ("plus", 1.0))
 MAGNITUDES = (1e-3, 1e-1, 1.0, 1e1, 1e3)
@@ -41,23 +41,21 @@ def general_cocycle(rng):
 def functions(rng):
     return [quadratic(rng.normal(size=(3, 3))), quadratic(rng.normal(size=(3, 3))),
             cubic(rng.normal(size=3)),
-            O.linear_function(AlgebraElement(rng.normal(size=2), rng.normal())),
+            O.linear_function(np.append(rng.normal(size=2), rng.normal())),
             O.coordinate_function(2)]
 
 
 def loop_gradient(f, g, B, sign, p):
     """The former product-rule loop: one basis direction at a time."""
     s = O._sign(sign)
-    df, dg = (AlgebraElement(d[:2], d[2]) for d in (f.grad(p), g.grad(p)))
+    df, dg = f.grad(p), g.grad(p)
     Hf, Hg = f.hess(p), g.hess(p)
-    p = CoAlgebraElement(p[:2], p[2])
     out = np.empty(3)
     for i in range(3):
         w = np.zeros(3)
         w[i] = 1.0
-        dfw = AlgebraElement(Hf[:, i][:2], Hf[:, i][2])
-        dgw = AlgebraElement(Hg[:, i][:2], Hg[:, i][2])
-        term = s * pairing(CoAlgebraElement(w[:2], w[2]), bracket(df, dg))
+        dfw, dgw = Hf[:, i], Hg[:, i]
+        term = s * pairing(w, bracket(df, dg))
         term += s * pairing(p, bracket(dfw, dg)) + s * pairing(p, bracket(df, dgw))
         term -= B.pair(dfw, dg) + B.pair(df, dgw)
         out[i] = term
@@ -121,15 +119,14 @@ def test_closed_form_gradient_matches_finite_differences():
 
 
 def test_bracket_value_is_bitwise_the_pairing_formula():
-    # p is flat; the reference wraps it and the gradients into dataclasses.
+    # The reference composes the group kernels pairing and bracket.
     for f, g, B, sign, s, p in sweep(92):
-        df, dg = (AlgebraElement(d[:2], d[2]) for d in (f.grad(p), g.grad(p)))
-        dual = CoAlgebraElement(p[:2], p[2])
-        expected = s * pairing(dual, bracket(df, dg)) - B.pair(df, dg)
+        df, dg = f.grad(p), g.grad(p)
+        expected = s * pairing(p, bracket(df, dg)) - B.pair(df, dg)
         got = O.magnetic_lie_poisson(f, g, p, B, sign)
         assert got == expected
         assert type(got) is float
-        assert O.linear_function(df).evaluate(p) == pairing(dual, df)
+        assert O.linear_function(df).evaluate(p) == pairing(p, df)
 
 
 @pytest.mark.parametrize("sign", ["minus", "plus"])

@@ -1,4 +1,8 @@
-"""Metric, connection, and curvature tests, including the FD exterior-derivative oracle."""
+"""Metric, connection, and curvature tests, including the FD exterior-derivative oracle.
+
+Base points and tangents are flat (3,) arrays; nu_component takes the
+GroupElement and AlgebraElement edge types.
+"""
 
 import numpy as np
 
@@ -7,48 +11,50 @@ from heisenmech import orbit as O
 from heisenmech.group import AlgebraElement, GroupElement, area_form, multiply, tangent_right_translation
 
 
-def rand_group(rng, scale=2.0):
-    return GroupElement(rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale))
+def rand_triple(rng, scale=2.0):
+    """A flat group element or chart tangent, uniform on [-scale, scale]^3."""
+    return rng.uniform(-scale, scale, 3)
 
 
-def rand_vec(rng, scale=2.0):
-    return AlgebraElement(rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale))
+def vertical(a):
+    """The center direction ((0, 0), a)."""
+    return np.array([0.0, 0.0, a])
 
 
 def test_metric_frozen_value_and_identity_chart():
-    g = GroupElement((1, 0), 0.0)
-    v = AlgebraElement((0, 1), 0.0)
+    g = np.array([1.0, 0.0, 0.0])
+    v = np.array([0.0, 1.0, 0.0])
     assert C.right_invariant_metric(g, v, v) == 1.25
     rng = np.random.default_rng(40)
-    e = GroupElement((0, 0), 0.0)
+    e = np.zeros(3)
     for _ in range(50):
-        v, w = rand_vec(rng), rand_vec(rng)
-        expected = float(v.X @ w.X + v.a * w.a)
+        v, w = rand_triple(rng), rand_triple(rng)
+        expected = float(v[:2] @ w[:2] + v[2] * w[2])
         assert abs(C.right_invariant_metric(e, v, w) - expected) <= 1e-12
 
 
 def test_metric_symmetry_bilinearity_definiteness():
     rng = np.random.default_rng(41)
     for _ in range(200):
-        g = rand_group(rng)
-        v, w, z = rand_vec(rng), rand_vec(rng), rand_vec(rng)
+        g = rand_triple(rng)
+        v, w, z = rand_triple(rng), rand_triple(rng), rand_triple(rng)
         s, t = rng.normal(size=2)
         sym = C.right_invariant_metric(g, v, w) - C.right_invariant_metric(g, w, v)
         assert abs(sym) <= 1e-12
-        combo = AlgebraElement(s * v.X + t * w.X, s * v.a + t * w.a)
+        combo = s * v + t * w
         lin = (C.right_invariant_metric(g, combo, z)
                - s * C.right_invariant_metric(g, v, z)
                - t * C.right_invariant_metric(g, w, z))
         assert abs(lin) <= 1e-12
-        if np.max(np.abs(v.as_array())) > 1e-8:
+        if np.max(np.abs(v)) > 1e-8:
             assert C.right_invariant_metric(g, v, v) > 0.0
 
 
 def test_metric_right_invariance_oracle():
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        g, h = rand_group(rng), rand_group(rng)
-        v, w = rand_vec(rng), rand_vec(rng)
+        g, h = rand_triple(rng), rand_triple(rng)
+        v, w = rand_triple(rng), rand_triple(rng)
         gh = multiply(g, h)
         tv = tangent_right_translation(g, v, h)
         tw = tangent_right_translation(g, w, h)
@@ -60,71 +66,70 @@ def test_metric_right_invariance_oracle():
 def test_metric_equals_euclidean_product_of_trivializations():
     rng = np.random.default_rng(43)
     for _ in range(1000):
-        g = rand_group(rng)
-        v, w = rand_vec(rng), rand_vec(rng)
-        tv = C.right_trivialize(g, v).as_array()
-        tw = C.right_trivialize(g, w).as_array()
+        g = rand_triple(rng)
+        v, w = rand_triple(rng), rand_triple(rng)
+        tv = C.right_trivialize(g, v)
+        tw = C.right_trivialize(g, w)
         assert abs(C.right_invariant_metric(g, v, w) - tv @ tw) <= 1e-12
 
 
 def test_locked_inertia():
     rng = np.random.default_rng(44)
-    assert C.locked_inertia(GroupElement((9, 9), 9.0), 2.0, 3.0) == 6.0
-    assert C.locked_inertia(GroupElement((1, 1), 1.0), 0.0, 5.0) == 0.0
+    assert C.locked_inertia(np.array([9.0, 9.0, 9.0]), 2.0, 3.0) == 6.0
+    assert C.locked_inertia(np.array([1.0, 1.0, 1.0]), 0.0, 5.0) == 0.0
     for _ in range(100):
-        g = rand_group(rng)
+        g = rand_triple(rng)
         a, b = rng.normal(size=2)
-        via_metric = C.right_invariant_metric(
-            g, AlgebraElement((0, 0), a), AlgebraElement((0, 0), b))
+        via_metric = C.right_invariant_metric(g, vertical(a), vertical(b))
         assert abs(C.locked_inertia(g, a, b) - via_metric) <= 1e-12
 
 
 def test_center_momentum_frozen_and_metric_identity():
-    g = GroupElement((1, 0), 0.0)
-    assert C.center_momentum_map(g, AlgebraElement((0, 2), 3.0), 1.0) == 4.0
+    g = np.array([1.0, 0.0, 0.0])
+    assert C.center_momentum_map(g, np.array([0.0, 2.0, 3.0]), 1.0) == 4.0
     rng = np.random.default_rng(45)
     for _ in range(1000):
-        g, v = rand_group(rng), rand_vec(rng)
+        g, v = rand_triple(rng), rand_triple(rng)
         b = rng.normal()
-        via_metric = C.right_invariant_metric(g, v, AlgebraElement((0, 0), b))
+        via_metric = C.right_invariant_metric(g, v, vertical(b))
         assert abs(C.center_momentum_map(g, v, b) - via_metric) <= 1e-12
-        vert = AlgebraElement((0, 0), rng.normal())
-        assert abs(C.center_momentum_map(g, vert, b) - vert.a * b) <= 1e-12
+        vert = vertical(rng.normal())
+        assert abs(C.center_momentum_map(g, vert, b) - vert[2] * b) <= 1e-12
 
 
 def test_connection_axiom_and_frozen_value():
-    g = GroupElement((1, 0), -0.3)
-    assert C.mechanical_connection(g, AlgebraElement((0, 2), 3.0)) == 4.0
+    g = np.array([1.0, 0.0, -0.3])
+    assert C.mechanical_connection(g, np.array([0.0, 2.0, 3.0])) == 4.0
     rng = np.random.default_rng(46)
     for _ in range(200):
-        g = rand_group(rng)
+        g = rand_triple(rng)
         a = rng.normal()
-        assert C.mechanical_connection(g, AlgebraElement((0, 0), a)) == a
+        assert C.mechanical_connection(g, vertical(a)) == a
 
 
 def test_connection_invariant_under_right_center_action():
     rng = np.random.default_rng(47)
     for _ in range(200):
-        g, v = rand_group(rng), rand_vec(rng)
+        g, v = rand_triple(rng), rand_triple(rng)
         t = rng.normal()
-        z = GroupElement((0, 0), t)
+        z = vertical(t)
         moved = tangent_right_translation(g, v, z)
         assert abs(C.mechanical_connection(multiply(g, z), moved)
                    - C.mechanical_connection(g, v)) <= 1e-12
 
 
 def test_curvature_frozen_and_g_independence():
-    g = GroupElement((0.3, 0.7), 1.1)
-    v = AlgebraElement((1, 0), 5.0)
-    w = AlgebraElement((0, 1), -2.0)
+    g = np.array([0.3, 0.7, 1.1])
+    v = np.array([1.0, 0.0, 5.0])
+    w = np.array([0.0, 1.0, -2.0])
     assert C.curvature(g, v, w) == 1.0
     assert C.curvature(g, v, v) == 0.0
     rng = np.random.default_rng(48)
     for _ in range(100):
-        g1, g2 = rand_group(rng), rand_group(rng)
-        v, w = rand_vec(rng), rand_vec(rng)
+        g1, g2 = rand_triple(rng), rand_triple(rng)
+        v, w = rand_triple(rng), rand_triple(rng)
         assert C.curvature(g1, v, w) == C.curvature(g2, v, w)
-        assert C.curvature(g1, v, w) == area_form(v.X, w.X)
+        assert C.curvature(g1, v, w) == area_form(v[:2], w[:2])
 
 
 def test_curvature_matches_fd_exterior_derivative():
@@ -133,15 +138,11 @@ def test_curvature_matches_fd_exterior_derivative():
     rng = np.random.default_rng(49)
     step = 1e-5
     for _ in range(200):
-        g, v, w = rand_group(rng), rand_vec(rng), rand_vec(rng)
+        g, v, w = rand_triple(rng), rand_triple(rng), rand_triple(rng)
 
-        def conn_at(x, vec):
-            return C.mechanical_connection(GroupElement(x[:2], x[2]), vec)
-
-        x0 = g.as_array()
-        va, wa = v.as_array(), w.as_array()
-        d_v_of_aw = (conn_at(x0 + step * va, w) - conn_at(x0 - step * va, w)) / (2 * step)
-        d_w_of_av = (conn_at(x0 + step * wa, v) - conn_at(x0 - step * wa, v)) / (2 * step)
+        conn_at = C.mechanical_connection
+        d_v_of_aw = (conn_at(g + step * v, w) - conn_at(g - step * v, w)) / (2 * step)
+        d_w_of_av = (conn_at(g + step * w, v) - conn_at(g - step * w, v)) / (2 * step)
         fd = d_v_of_aw - d_w_of_av
         assert abs(fd - C.curvature(g, v, w)) <= 1e-6
 
@@ -181,6 +182,8 @@ def test_curvature_pipeline_matches_area_cocycle():
     cocycle = O.MagneticCocycle.planar(1.0)
     rng = np.random.default_rng(51)
     for _ in range(200):
-        g = rand_group(rng)
-        v, w = rand_vec(rng), rand_vec(rng)
-        assert abs(C.nu_component(1.0, g, v, w) - cocycle.pair(v, w)) <= 1e-12
+        g = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+        v, w = (AlgebraElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+                for _ in range(2))
+        assert abs(C.nu_component(1.0, g, v, w)
+                   - cocycle.pair(v.as_array(), w.as_array())) <= 1e-12

@@ -9,39 +9,35 @@ from heisenmech import dynamics as D
 from heisenmech import fd
 from heisenmech import magnetic as M
 from heisenmech.errors import MissingPotential, NotInvariant, NotOnLevelSet
-from heisenmech.group import CoAlgebraElement, GroupElement, coadjoint, multiply
+from heisenmech.group import CoAlgebraElement, coadjoint, multiply
 from heisenmech.orbit import MagneticCocycle, OrbitPoint, orbit_form_on_chart_vectors
 
 PLANAR = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def body_of(state):
-    """Reference trivialization of a chart state: (g, rho) with g = q and rho
-    the body momentum, written out here independently of the library."""
+    """Reference trivialization of a chart state: flat (g, rho) with g = q and
+    rho the body momentum, written out here independently of the library."""
     q, p = state[:3], state[3:6]
-    return (GroupElement(q[:2], q[2]),
-            CoAlgebraElement((p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0]),
-                             p[2]))
+    return (q.copy(),
+            np.array([p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0], p[2]]))
 
 
 def chart_of(g, rho, theta=(), lam=()):
     """Reference chart state of the trivialized point (g, rho, theta, lam)."""
-    q = g.as_array()
-    p = np.array([rho.mu[0] + 0.5 * rho.nu * q[1], rho.mu[1] - 0.5 * rho.nu * q[0],
-                  rho.nu])
-    return np.concatenate([q, p, theta, lam])
+    p = np.array([rho[0] + 0.5 * rho[2] * g[1], rho[1] - 0.5 * rho[2] * g[0],
+                  rho[2]])
+    return np.concatenate([g, p, theta, lam])
 
 
 def rand_state(rng, k=0, scale=2.0):
-    return chart_of(
-        GroupElement(rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale)),
-        CoAlgebraElement(rng.uniform(-scale, scale, 2), rng.uniform(-scale, scale)),
-        rng.uniform(-scale, scale, k), rng.uniform(-scale, scale, k))
+    return chart_of(rng.uniform(-scale, scale, 3), rng.uniform(-scale, scale, 3),
+                    rng.uniform(-scale, scale, k), rng.uniform(-scale, scale, k))
 
 
 def invariant_kinetic(mass=1.0):
     def h(x):
-        rho = body_of(x)[1].as_array()
+        rho = body_of(x)[1]
         return 0.5 * float(rho @ rho) / mass
     return h
 
@@ -63,13 +59,12 @@ def nonconstant_closed_field(charge=1.0):
 def test_chart_body_round_trip():
     rng = np.random.default_rng(60)
     for _ in range(100):
-        g = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-        rho = CoAlgebraElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+        g, rho = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
         theta, lam = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
         state = chart_of(g, rho, theta, lam)
         back = M.chart_to_body_array(state[:3], state[3:6])
-        assert np.max(np.abs(state[:3] - g.as_array())) <= 1e-14
-        assert np.max(np.abs(back - rho.as_array())) <= 1e-14
+        assert np.max(np.abs(state[:3] - g)) <= 1e-14
+        assert np.max(np.abs(back - rho)) <= 1e-14
         assert np.max(np.abs(state[6:8] - theta)) == 0.0
         assert np.max(np.abs(state[8:] - lam)) == 0.0
 
@@ -129,18 +124,18 @@ def test_momentum_shift_frozen_and_round_trip():
 
 def test_momentum_map_frozen_values():
     zero = M.MagneticField.zero()
-    rho = CoAlgebraElement((0.7, -0.4), 1.3)
-    x = chart_of(GroupElement((0, 0), 0.0), rho)
-    assert np.array_equal(M.momentum_map(x, zero), rho.as_array())
+    rho = np.array([0.7, -0.4, 1.3])
+    x = chart_of(np.zeros(3), rho)
+    assert np.array_equal(M.momentum_map(x, zero), rho)
 
-    x = chart_of(GroupElement((1, 2), 0.5), CoAlgebraElement((0, 0), 3.0))
+    x = chart_of(np.array([1.0, 2.0, 0.5]), np.array([0.0, 0.0, 3.0]))
     J = M.momentum_map(x, zero)
     assert J.shape == (3,)
     assert np.allclose(J, [6, -3, 3], atol=0)
 
 
 def test_momentum_map_errors():
-    x = chart_of(GroupElement((0, 0), 0.0), CoAlgebraElement((1, 1), 1.0))
+    x = chart_of(np.zeros(3), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(MissingPotential):
         M.momentum_map(x, M.MagneticField.constant(PLANAR))
     linear = M.MagneticField.linear_potential(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
@@ -171,7 +166,7 @@ def test_momentum_map_array_matches_the_point_path_bitwise(k):
                 shifted = chart_of(g_s, rho_s)
                 shifted[3:6] += field.charge_factor * field.vector_potential(s[:3])
                 g_s, rho_s = body_of(shifted)
-            assert row.tobytes() == coadjoint(g_s, rho_s).as_array().tobytes()
+            assert row.tobytes() == coadjoint(g_s, rho_s).tobytes()
             assert row.tobytes() == M.momentum_map(s, field).tobytes()
 
 
@@ -202,11 +197,10 @@ def test_momentum_map_equivariance():
     for field in fields:
         for _ in range(500):
             x = rand_state(rng)
-            h = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+            h = rng.uniform(-2, 2, 3)
             lhs = M.momentum_map(M.left_translate(h, x), field)
-            J = M.momentum_map(x, field)
-            rhs = coadjoint(h, CoAlgebraElement(J[:2], J[2]))
-            assert np.max(np.abs(lhs - rhs.as_array())) <= 1e-10
+            rhs = coadjoint(h, M.momentum_map(x, field))
+            assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_momentum_map_noether_pin():
@@ -239,14 +233,14 @@ def test_level_set_membership():
         x = M.sample_level_point(mu_nu, field, k=1, rng=rng)
         assert M.level_set_contains(x, mu_nu, field, tol=1e-10)
         g, rho = body_of(x)
-        bumped = chart_of(g, CoAlgebraElement(rho.mu + 1e-7, rho.nu), x[6:7], x[7:])
+        bumped = chart_of(g, rho + [1e-7, 1e-7, 0.0], x[6:7], x[7:])
         assert not M.level_set_contains(bumped, mu_nu, field, tol=1e-8)
 
 
 def test_reduce_point_identity_lift_and_errors():
     field = M.MagneticField.zero()
     mu_nu = CoAlgebraElement((0.7, -0.4), 1.3)
-    x = chart_of(GroupElement((0, 0), 0.9), CoAlgebraElement((0.7, -0.4), 1.3))
+    x = chart_of(np.array([0.0, 0.0, 0.9]), np.array([0.7, -0.4, 1.3]))
     o = M.reduce_point(x, mu_nu, field)
     assert np.allclose(o.rho, [0.7, -0.4], atol=0) and o.nu == 1.3
 
@@ -260,7 +254,7 @@ def test_reduce_point_well_defined_on_isotropy_orbits():
     mu_nu = CoAlgebraElement((1.0, 2.0), 1.5)
     for _ in range(100):
         x = M.sample_level_point(mu_nu, field, k=1, rng=rng)
-        z = GroupElement((0, 0), rng.normal())  # isotropy of (mu, nu != 0)
+        z = np.array([0.0, 0.0, rng.normal()])  # isotropy of (mu, nu != 0)
         o1 = M.reduce_point(x, mu_nu, field)
         o2 = M.reduce_point(M.left_translate(z, x), mu_nu, field)
         assert np.max(np.abs(o1.as_array() - o2.as_array())) <= 1e-10
@@ -458,8 +452,7 @@ def scaled_states(rng, n, k):
 def test_left_translate_matches_the_group_reference_bitwise(k):
     rng = np.random.default_rng(4200 + k)
     for s in scaled_states(rng, 300, k):
-        u1, u2, alpha = scaled_states(rng, 1, 0)[0, :3]
-        h = GroupElement((u1, u2), alpha)
+        h = scaled_states(rng, 1, 0)[0, :3]
         g, rho = body_of(s)
         expected = chart_of(multiply(h, g), rho, s[6:6 + k], s[6 + k:])
         assert M.left_translate(h, s).tobytes() == expected.tobytes()
@@ -484,8 +477,7 @@ def test_left_translate_is_a_left_action():
     for k in (0, 1, 2):
         for _ in range(100):
             s = rand_state(rng, k=k)
-            g = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
-            h = GroupElement(rng.uniform(-2, 2, 2), rng.uniform(-2, 2))
+            g, h = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
             twice = M.left_translate(h, M.left_translate(g, s))
             once = M.left_translate(multiply(h, g), s)
             assert np.max(np.abs(twice - once)) <= 1e-12
@@ -518,7 +510,7 @@ BAD_STATES = [np.array([0.1, 0.2, np.nan, 0.0, 1.0, 2.0]),
 def test_public_functions_reject_bad_chart_states(state):
     field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
     level = CoAlgebraElement((0.4, -0.7), 1.0)
-    h = GroupElement((0.1, 0.2), 0.3)
+    h = np.array([0.1, 0.2, 0.3])
     calls = [lambda: M.omega_matrix(state, field),
              lambda: M.magnetic_form(state, np.zeros(6), np.zeros(6), field),
              lambda: M.momentum_shift(state, field),

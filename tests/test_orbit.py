@@ -5,7 +5,7 @@ import pytest
 
 from heisenmech import orbit as O
 from heisenmech.errors import DegenerateForm, SingularForm
-from heisenmech.group import AlgebraElement, CoAlgebraElement, GroupElement, bracket, coadjoint, pairing
+from heisenmech.group import AlgebraElement, CoAlgebraElement, GroupElement, coadjoint
 
 MU1 = O.coordinate_function(0)
 MU2 = O.coordinate_function(1)
@@ -71,7 +71,7 @@ def test_plain_bracket_oracle():
 def test_leibniz_rule():
     rng = np.random.default_rng(23)
     f = quadratic_function(np.diag([1.0, -1.0, 2.0]))
-    g = O.linear_function(AlgebraElement((0.5, -2.0), 1.0))
+    g = O.linear_function(np.array([0.5, -2.0, 1.0]))
     h = quadratic_function([[0, 1, 0], [1, 0, 0], [0, 0, 1.0]])
     for _ in range(50):
         p = rand_dual(rng)
@@ -119,29 +119,28 @@ def test_jacobi_degraded_tolerance_for_fd_gradients():
 
 
 def test_classify_orbit():
-    d = O.classify_orbit(CoAlgebraElement((3, 4), 0.0))
+    d = O.classify_orbit(np.array([3.0, 4.0, 0.0]))
     assert d.kind == "point" and np.allclose(d.mu, [3, 4], atol=0)
-    d = O.classify_orbit(CoAlgebraElement((0, 0), 1.0))
+    d = O.classify_orbit(np.array([0.0, 0.0, 1.0]))
     assert d.kind == "plane" and d.nu == 1.0
     rng = np.random.default_rng(26)
-    fixed = CoAlgebraElement((3, 4), 0.0)
+    fixed = np.array([3.0, 4.0, 0.0])
     for _ in range(200):
-        g = GroupElement(rng.uniform(-3, 3, 2), rng.uniform(-3, 3))
+        g = rng.uniform(-3, 3, 3)
         moved = coadjoint(g, fixed)
-        assert np.array_equal(moved.as_array(), fixed.as_array())
+        assert np.array_equal(moved, fixed)
 
 
 def test_orbit_form_frozen_value_and_antisymmetry():
     p = O.OrbitPoint((0, 0), 1.0)
-    e1 = AlgebraElement((1, 0), 0.0)
-    e2 = AlgebraElement((0, 1), 0.0)
+    e1, e2 = np.eye(3)[:2]
     B0 = O.MagneticCocycle.zero()
     assert O.orbit_symplectic_form(p, e1, e2, B0, "minus") == -1.0
     assert O.orbit_symplectic_form(p, e1, e1, B0, "minus") == 0.0
     rng = np.random.default_rng(27)
     for _ in range(50):
-        xi = AlgebraElement(rng.normal(size=2), rng.normal())
-        eta = AlgebraElement(rng.normal(size=2), rng.normal())
+        xi = np.append(rng.normal(size=2), rng.normal())
+        eta = np.append(rng.normal(size=2), rng.normal())
         B = O.MagneticCocycle.planar(rng.normal())
         pp = O.OrbitPoint(rng.normal(size=2), rng.normal() + 2.0)
         lhs = O.orbit_symplectic_form(pp, xi, eta, B)
@@ -152,8 +151,8 @@ def test_orbit_form_frozen_value_and_antisymmetry():
 def test_orbit_form_matches_bracket_of_linear_functions():
     rng = np.random.default_rng(28)
     for _ in range(100):
-        xi = AlgebraElement(rng.normal(size=2), rng.normal())
-        eta = AlgebraElement(rng.normal(size=2), rng.normal())
+        xi = np.append(rng.normal(size=2), rng.normal())
+        eta = np.append(rng.normal(size=2), rng.normal())
         B = O.MagneticCocycle.planar(rng.normal())
         p = O.OrbitPoint(rng.normal(size=2), rng.normal() + 1.5)
         p_dual = np.append(p.rho, p.nu)
@@ -166,8 +165,7 @@ def test_orbit_form_matches_bracket_of_linear_functions():
 
 def test_orbit_form_degenerate_warning():
     p = O.OrbitPoint((1, 2), 0.0)
-    e1 = AlgebraElement((1, 0), 0.0)
-    e2 = AlgebraElement((0, 1), 0.0)
+    e1, e2 = np.eye(3)[:2]
     with pytest.warns(DegenerateForm):
         value = O.orbit_symplectic_form(p, e1, e2, O.MagneticCocycle.zero())
     assert value == 0.0
@@ -256,27 +254,34 @@ def test_cocycle_validation():
     with pytest.raises(ValueError):
         O.MagneticCocycle(np.eye(3))
     B = O.MagneticCocycle.planar(2.0)
-    xi = AlgebraElement((1, 0), 0.0)
-    eta = AlgebraElement((0, 1), 0.0)
+    xi, eta = np.eye(3)[:2]
     assert B.pair(xi, eta) == 2.0
     assert B.planar_component == 2.0
 
 
 def test_check_bracket_builds_no_algebra_elements(monkeypatch):
-    # Dual functions take and return flat arrays, so the bracket sweep builds
-    # no element dataclass.
-    from heisenmech.checks import check_bracket
+    # Group, connection and orbit kernels and dual functions take and return
+    # flat arrays, so none of the five algebra checks builds an element
+    # dataclass.
+    from heisenmech.checks import CHECKS
+    from heisenmech.reduction import DiffeoSpec
 
     built = []
-    for cls in (AlgebraElement, CoAlgebraElement):
+    for cls in (GroupElement, AlgebraElement, CoAlgebraElement):
         def counting_post_init(self, post_init=cls.__post_init__):
             built.append(self)
             post_init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting_post_init)
-    records = check_bracket(42, 1000)
-    assert all(r.samples == 1000 for r in records) and built == []
+    for name in ("group_axioms", "representations", "bracket", "orbit_form",
+                 "connection"):
+        records = CHECKS[name](42, 1000)
+        assert records and all(r.passed for r in records), name
+        if name == "bracket":
+            assert all(r.samples == 1000 for r in records)
+    assert built == []
     # The counter sees the dataclass edge.
-    O.linear_function(AlgebraElement((1.0, 0.0), 0.0))
-    O.classify_orbit(CoAlgebraElement((0.0, 0.0), 1.0))
-    assert len(built) == 2
+    O.linear_function(AlgebraElement((1.0, 0.0), 0.0).as_array())
+    O.classify_orbit(CoAlgebraElement((0.0, 0.0), 1.0).as_array())
+    DiffeoSpec.group_translation(GroupElement((0.1, 0.2), 0.3))
+    assert len(built) == 3

@@ -24,19 +24,17 @@ LEVEL = CoAlgebraElement((0.4, -0.7), 1.0)
 
 
 def body_of(state):
-    """Reference trivialization (g, rho) of a chart state, written out here."""
+    """Reference trivialization, flat (g, rho), of a chart state, written out here."""
     q, p = state[:3], state[3:6]
-    return (GroupElement(q[:2], q[2]),
-            CoAlgebraElement((p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0]),
-                             p[2]))
+    return (q.copy(),
+            np.array([p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0], p[2]]))
 
 
 def chart_of(g, rho, theta=(), lam=()):
     """Reference chart state of the trivialized point (g, rho, theta, lam)."""
-    q = g.as_array()
-    p = np.array([rho.mu[0] + 0.5 * rho.nu * q[1], rho.mu[1] - 0.5 * rho.nu * q[0],
-                  rho.nu])
-    return np.concatenate([q, p, theta, lam])
+    p = np.array([rho[0] + 0.5 * rho[2] * g[1], rho[1] - 0.5 * rho[2] * g[0],
+                  rho[2]])
+    return np.concatenate([g, p, theta, lam])
 
 
 def body_scaling(factor, lam_factor=1.0):
@@ -45,7 +43,7 @@ def body_scaling(factor, lam_factor=1.0):
     def apply(s):
         s = np.asarray(s, dtype=float)
         g, rho = body_of(s)
-        out = chart_of(g, CoAlgebraElement(factor * rho.mu, rho.nu), s[6:])
+        out = chart_of(g, rho * [factor, factor, 1.0], s[6:])
         out[6 + (s.size - 6) // 2:] *= lam_factor
         return out
 
@@ -181,7 +179,7 @@ def test_center_acts_trivially_on_reduction():
     for _ in range(20):
         x = M.sample_level_point(LEVEL, sys.field, 0, rng)
         z = M.reduce_point(x, LEVEL, sys.field)
-        moved = M.left_translate(GroupElement((0.0, 0.0), rng.normal()), x)
+        moved = M.left_translate(np.array([0.0, 0.0, rng.normal()]), x)
         z2 = M.reduce_point(moved, LEVEL, sys.field)
         assert np.array_equal(z.as_array(), z2.as_array())
 
@@ -250,15 +248,15 @@ def test_reduced_gradient_matches_finite_differences():
             assert np.max(np.abs(red.hamiltonian.grad(chart) - expected)) <= 1e-8
 
 
-def dataclass_projection(state, field, k):
-    """Orbit projection through the trivialized points: body -> chart,
+def reference_projection(state, field, k):
+    """Orbit projection through the reference trivialization: body -> chart,
     p + charge_factor * A(q), chart -> body, then the planar body momentum."""
     g, rho = body_of(state)
     if field.has_potential:
         shifted = chart_of(g, rho)
         shifted[3:6] += field.charge_factor * field.vector_potential(state[:3])
         g, rho = body_of(shifted)
-    return np.concatenate([rho.mu, state[6:]])
+    return np.concatenate([rho[:2], state[6:]])
 
 
 @pytest.mark.parametrize("k", (0, 1))
@@ -282,16 +280,16 @@ def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, fie
             assert np.max(np.abs(red.lift(chart, alpha) - expected)) <= 1e-12
         state = rng.uniform(-2, 2, 6 + 2 * k)
         assert np.max(np.abs(R._project_chart(state, field)
-                             - dataclass_projection(state, field, k))) <= 1e-12
+                             - reference_projection(state, field, k))) <= 1e-12
         lift = red.lift(chart)
         v = np.zeros(6 + 2 * k)
         v[fiber] = rng.normal(size=3 + k)
-        expected = (dataclass_projection(lift + v, field, k)
-                    - dataclass_projection(lift, field, k))
+        expected = (reference_projection(lift + v, field, k)
+                    - reference_projection(lift, field, k))
         assert np.max(np.abs(R._fiber_push(lift[:3], v[3:]) - expected)) <= 1e-12
         v = D.vertical_lift(sys.force, sys, lift)
-        expected = (dataclass_projection(lift + v, field, k)
-                    - dataclass_projection(lift, field, k))
+        expected = (reference_projection(lift + v, field, k)
+                    - reference_projection(lift, field, k))
         assert np.max(np.abs(R.reduced_vertical_lift(sys.force, red, chart)
                              - expected)) <= 1e-12
 
@@ -373,7 +371,7 @@ def test_group_translation_lift_is_momentum_friendly():
         s = rng.uniform(-2, 2, 6)
         lifted = phi.apply_lift(s)
         g, rho = body_of(s)
-        expected = chart_of(multiply(inverse(h), g), rho)
+        expected = chart_of(multiply(inverse(h.as_array()), g), rho)
         assert np.max(np.abs(lifted - expected)) <= 1e-9
         back = phi.apply_inverse_lift(lifted)
         assert np.max(np.abs(back - s)) <= 1e-9
@@ -412,7 +410,8 @@ def test_mr2_identity_and_translation_levels():
 
     h = GroupElement((0.8, -0.5), 0.3)
     phi = R.DiffeoSpec.group_translation(h)
-    level1 = coadjoint(inverse(h), LEVEL)
+    p1 = coadjoint(inverse(h.as_array()), LEVEL.as_array())
+    level1 = CoAlgebraElement(p1[:2], p1[2])
     records = R.check_mr2_equivariance(phi, level1, LEVEL, field, field, samples=30)
     by_name = {r.name: r for r in records}
     assert by_name["mr2.level"].passed
@@ -486,6 +485,43 @@ def test_mr3_translation_pair_passes():
     phi = R.DiffeoSpec.group_translation(GroupElement((0.6, -0.3), 0.5))
     records = R.check_mr3_matching(sys1, sys2, phi, samples=20)
     assert all(r.passed for r in records)
+
+
+def _sweeps():
+    """Every sweep that takes a sample count, as a function of that count."""
+    from heisenmech.checks import run_named_checks
+
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    sys = particle(subset=D.ControlSubset(np.zeros(3), np.eye(3)))
+    red = R.reduce_system(sys, LEVEL)
+    kk = R.kaluza_klein_system(M.MagneticField.linear_potential(
+        [[0, 0, 0], [1.0, 0, 0], [0, 0, 0]]), m=1.0, mu=1.0)
+    ident = R.DiffeoSpec.identity()
+    return {
+        "check_commutation": lambda n: R.check_commutation(sys, red, samples=n),
+        "kk_alpha_form_check": lambda n: R.kk_alpha_form_check(kk, samples=n),
+        "check_mr1": lambda n: R.check_mr1(ident, field, field, samples=n),
+        "check_mr2_equivariance": lambda n: R.check_mr2_equivariance(
+            ident, LEVEL, LEVEL, field, field, samples=n),
+        "check_mr3_matching": lambda n: R.check_mr3_matching(sys, sys, ident,
+                                                             samples=n),
+        "run_named_checks": lambda n: run_named_checks(["group_axioms"], 0, n),
+    }
+
+
+@pytest.mark.parametrize("name", ["check_commutation", "kk_alpha_form_check",
+                                  "check_mr1", "check_mr2_equivariance",
+                                  "check_mr3_matching", "run_named_checks"])
+def test_sweeps_refuse_fewer_than_one_sample(name):
+    # A sweep that draws no sample would report samples = 0 with a vacuous
+    # pass (or measure one point and still report 0).
+    sweep = _sweeps()[name]
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sweep(samples)
+    out = sweep(1)
+    records = out if isinstance(out, list) else [out]
+    assert records and all(r.samples == 1 for r in records)
 
 
 def test_check_record_roundtrip():
