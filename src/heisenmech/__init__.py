@@ -29,7 +29,6 @@ from .orbit import (
     MagneticCocycle,
     OrbitDescriptor,
     OrbitFunction,
-    OrbitPoint,
     check_jacobi,
     classify_orbit,
     magnetic_lie_poisson,
@@ -91,7 +90,7 @@ __all__ = [
     "area_form", "bracket", "coad_star", "coadjoint", "exp", "identity",
     "inverse", "log", "multiply", "pairing", "to_matrix",
     "DualFunction", "MagneticCocycle", "OrbitDescriptor", "OrbitFunction",
-    "OrbitPoint", "check_jacobi", "classify_orbit", "magnetic_lie_poisson",
+    "check_jacobi", "classify_orbit", "magnetic_lie_poisson",
     "orbit_form_matrix", "orbit_symplectic_form",
     "center_momentum_map", "curvature", "locked_inertia",
     "mechanical_connection", "nu_component", "right_invariant_metric",

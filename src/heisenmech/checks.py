@@ -23,7 +23,7 @@ from . import magnetic as mag
 from . import orbit
 from .errors import ConfigError
 from .group import CoAlgebraElement
-from .orbit import MagneticCocycle, OrbitPoint
+from .orbit import MagneticCocycle
 from .reduction import (
     CheckRecord,
     DiffeoSpec,
@@ -136,17 +136,16 @@ def check_orbit_form(seed: int, samples: int = 200) -> list[CheckRecord]:
     value_res = det_res = classify_res = 0.0
     for _ in range(samples):
         nu = rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0])
-        point = OrbitPoint(rng.uniform(-2, 2, 2), nu)
+        rho = rng.uniform(-2, 2, 2)
         xi, eta = rng.uniform(-2, 2, (2, 3))
-        form = orbit.orbit_symplectic_form(point, xi, eta, B)
+        form = orbit.orbit_symplectic_form(nu, xi, eta, B)
         f, g = orbit.linear_function(xi), orbit.linear_function(eta)
-        bracket_value = orbit.magnetic_lie_poisson(
-            f, g, np.append(point.rho, nu), B)
+        bracket_value = orbit.magnetic_lie_poisson(f, g, np.append(rho, nu), B)
         value_res = max(value_res, abs(form - bracket_value))
-        W = orbit.orbit_form_matrix(point, zero)
+        W = orbit.orbit_form_matrix(nu, zero)
         det_res = max(det_res, abs(np.linalg.det(W) - nu * nu))
         fixed = orbit.classify_orbit(np.append(rng.uniform(-2, 2, 2), 0.0))
-        moving = orbit.classify_orbit(np.append(point.rho, nu))
+        moving = orbit.classify_orbit(np.append(rho, nu))
         if fixed.kind != "point" or moving.kind != "plane":
             classify_res = max(classify_res, 1.0)
     return [CheckRecord("orbit.form_matches_bracket", samples, value_res, 1e-10),
@@ -333,8 +332,7 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
             restricted = mag.magnetic_form(state, v, w, field)
             dv = fd.directional(proj, state, v, fd.GRADIENT_STEP)
             dw = fd.directional(proj, state, w, fd.GRADIENT_STEP)
-            z = OrbitPoint(proj(state), level.nu)
-            pulled = orbit.orbit_form_on_chart_vectors(z, dv, dw, zero)
+            pulled = orbit.orbit_form_on_chart_vectors(level.nu, dv, dw, zero)
             pullback = max(pullback, abs(restricted - pulled))
     red = reduce_system(sys, level)
     commutation = check_commutation(sys, red, samples=samples, seed=seed + 1)

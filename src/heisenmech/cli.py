@@ -275,13 +275,13 @@ def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
         if sys_.k != 0:
             raise ConfigError(f"{cfg.source}: explicit state.* start needs "
                               "system.k = 0")
-        z0 = mag.reduce_point(build_state(cfg), level, sys_.field)
+        chart0 = mag.reduce_point(build_state(cfg), level, sys_.field)
     else:
         rng = np.random.default_rng(seed)
         sample = mag.sample_level_point(level, sys_.field, sys_.k, rng)
-        z0 = mag.reduce_point(sample, level, sys_.field)
+        chart0 = mag.reduce_point(sample, level, sys_.field)
     t_end, h, method = _run_settings(cfg)
-    times, charts, energies = integrate_reduced(red, z0, t_end, h, method)
+    times, charts, energies = integrate_reduced(red, chart0, t_end, h, method)
     k = sys_.k
     header = (["t", "rho1", "rho2", "nu"]
               + [f"theta{i + 1}" for i in range(k)]

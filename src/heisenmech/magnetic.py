@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
 from .group import CoAlgebraElement, multiply
-from .orbit import OrbitFunction, OrbitPoint, _antisymmetric, classify_orbit
+from .orbit import OrbitFunction, _antisymmetric, classify_orbit
 
 __all__ = [
     "MagneticField",
@@ -310,12 +310,13 @@ def sample_level_point(mu_nu: CoAlgebraElement, field: MagneticField, k: int,
 
 
 def reduce_point(state, mu_nu: CoAlgebraElement,
-                 field: MagneticField, tol: float = 1e-8) -> OrbitPoint:
-    """Project a level-set chart state to its orbit representative.
+                 field: MagneticField, tol: float = 1e-8) -> np.ndarray:
+    """Project a level-set chart state to its flat orbit chart.
 
-    The representative is the shifted body momentum (the planar part of
-    J_B-at-identity data): constant on isotropy-group orbits, with center
-    charge equal to the level's nu, together with the untouched (theta, lam).
+    The chart is (rho1, rho2, theta..., lam...): the planar part of the
+    shifted body momentum (J_B-at-identity data), constant on isotropy-group
+    orbits, followed by the untouched (theta, lam). Its center charge equals
+    the level's nu, which labels the leaf and is not a chart coordinate.
     """
     state = _chart_state(state)
     if not level_set_contains(state, mu_nu, field, tol):
@@ -323,8 +324,7 @@ def reduce_point(state, mu_nu: CoAlgebraElement,
             f"point is not on the momentum level {mu_nu.as_array()} within {tol}")
     shifted = _momentum_shift(state, field) if field.has_potential else state
     rho = chart_to_body_array(shifted[:3], shifted[3:6])
-    k = (state.size - 6) // 2
-    out = OrbitPoint(rho[:2], rho[2], state[6:6 + k], state[6 + k:])
+    out = np.concatenate([rho[:2], state[6:]])
     descriptor = classify_orbit(rho)
     expected = classify_orbit(mu_nu.as_array())
     if descriptor.kind != expected.kind:
@@ -332,19 +332,24 @@ def reduce_point(state, mu_nu: CoAlgebraElement,
     return out
 
 
-def level_lift(o: OrbitPoint, mu_nu: CoAlgebraElement, field: MagneticField,
-               alpha: float = 0.0) -> np.ndarray:
-    """Chart state of one lift of an orbit point back onto the level set
-    (center height alpha free)."""
+def level_lift(chart: np.ndarray, mu_nu: CoAlgebraElement,
+               field: MagneticField, alpha: float = 0.0) -> np.ndarray:
+    """Chart state of one lift of a flat orbit chart (rho1, rho2, theta...,
+    lam...) of the level's leaf back onto the level set (center height alpha
+    free). ValueError unless chart is a flat array of size 2 + 2k."""
+    chart = np.asarray(chart, dtype=float)
+    if chart.ndim != 1 or chart.size < 2 or chart.size % 2:
+        raise ValueError(f"an orbit chart is a flat array of size 2 + 2k, "
+                         f"got shape {chart.shape}")
     nu = mu_nu.nu
     if abs(nu) > 1e-12:
-        u = ((o.rho[1] - mu_nu.mu[1]) / nu, (mu_nu.mu[0] - o.rho[0]) / nu)
+        u = ((chart[1] - mu_nu.mu[1]) / nu, (mu_nu.mu[0] - chart[0]) / nu)
     else:
         u = (0.0, 0.0)
     q = np.array([u[0], u[1], alpha], dtype=float)
     shift = field.charge_factor * field.identity_potential_value()
-    rho = np.append(o.rho - shift[:2], nu - shift[2])
-    return np.concatenate([q, _chart_momentum(q, rho), o.theta, o.lam])
+    rho = np.append(chart[:2] - shift[:2], nu - shift[2])
+    return np.concatenate([q, _chart_momentum(q, rho), chart[2:]])
 
 
 def reduced_hamiltonian(h_full: Callable[[np.ndarray], float],
@@ -369,7 +374,6 @@ def reduced_hamiltonian(h_full: Callable[[np.ndarray], float],
                 "Hamiltonian is not left-invariant at the requested tolerance")
 
     def evaluate(chart: np.ndarray) -> float:
-        o = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
-        return float(h_full(level_lift(o, mu_nu, field)))
+        return float(h_full(level_lift(chart, mu_nu, field)))
 
     return OrbitFunction(evaluate=evaluate)

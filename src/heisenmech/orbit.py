@@ -21,7 +21,6 @@ from .group import area_form
 __all__ = [
     "DualFunction",
     "MagneticCocycle",
-    "OrbitPoint",
     "OrbitDescriptor",
     "OrbitFunction",
     "JacobiResult",
@@ -108,41 +107,6 @@ class MagneticCocycle:
     def planar_component(self) -> float:
         """The (1,2) entry, the only one the orbit geometry sees."""
         return float(self.form[0, 1])
-
-
-@dataclass(frozen=True)
-class OrbitPoint:
-    """Point of the extended orbit O x V x V*: rho-chart plus (theta, lam)."""
-
-    rho: np.ndarray
-    nu: float
-    theta: np.ndarray = ()
-    lam: np.ndarray = ()
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float).reshape(2).copy()
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float)).copy()
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float)).copy()
-        if theta.size == 0:
-            theta = np.zeros(0)
-        if lam.size == 0:
-            lam = np.zeros(0)
-        if theta.shape != lam.shape:
-            raise ValueError("theta and lam must have the same dimension")
-        for a in (rho, theta, lam):
-            a.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def k(self) -> int:
-        return self.theta.size
-
-    def as_array(self) -> np.ndarray:
-        """Chart coordinates (rho1, rho2, theta..., lam...); nu is a leaf label."""
-        return np.concatenate([self.rho, self.theta, self.lam])
 
 
 @dataclass(frozen=True)
@@ -315,9 +279,11 @@ def _generator_scale(nu: float, B: MagneticCocycle, sign: str) -> float:
     return _sign(sign) * nu - B.planar_component
 
 
-def orbit_symplectic_form(p: OrbitPoint, xi: np.ndarray, eta: np.ndarray,
+def orbit_symplectic_form(nu: float, xi: np.ndarray, eta: np.ndarray,
                           B: MagneticCocycle, sign: str = "minus") -> float:
-    """Magnetic orbit form on flat generator labels: +-<p,[xi,eta]> - B(xi,eta).
+    """Magnetic orbit form +-<p,[xi,eta]> - B(xi,eta) on flat generator
+    labels, at any point p of the leaf at height nu (<p,[xi,eta]> reads nu
+    only).
 
     On the extended orbit the V x V* factor carries the canonical form, which
     vanishes on pure generator directions, so it does not appear here. When
@@ -325,17 +291,18 @@ def orbit_symplectic_form(p: OrbitPoint, xi: np.ndarray, eta: np.ndarray,
     point and the form is trivially zero; that case emits a DegenerateForm
     warning rather than raising.
     """
-    value = _sign(sign) * (p.nu * area_form(xi, eta)) - B.pair(xi, eta)
-    if p.nu == 0.0 and abs(B.planar_component) == 0.0:
+    value = _sign(sign) * (nu * area_form(xi, eta)) - B.pair(xi, eta)
+    if nu == 0.0 and abs(B.planar_component) == 0.0:
         warnings.warn("point orbit with vanishing magnetic term: form is trivially zero",
                       DegenerateForm, stacklevel=2)
     return value
 
 
-def orbit_form_matrix(p: OrbitPoint, B: MagneticCocycle,
+def orbit_form_matrix(nu: float, B: MagneticCocycle,
                       sign: str = "minus") -> np.ndarray:
-    """2x2 matrix of the orbit form on the planar generator basis."""
-    c = _generator_scale(p.nu, B, sign)
+    """2x2 matrix of the orbit form on the planar generator basis of the leaf
+    at height nu."""
+    c = _generator_scale(nu, B, sign)
     # form(e1, e2) = sign*nu*area(e1,e2) - B12 = c
     return np.array([[0.0, c], [-c, 0.0]])
 
@@ -363,14 +330,15 @@ def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: floa
                            -grad[2:2 + k]])
 
 
-def orbit_form_on_chart_vectors(p: OrbitPoint, v: np.ndarray, w: np.ndarray,
+def orbit_form_on_chart_vectors(nu: float, v: np.ndarray, w: np.ndarray,
                                 B: MagneticCocycle, sign: str = "minus") -> float:
-    """Orbit-plus-canonical form evaluated on two chart tangents at p."""
-    c = _generator_scale(p.nu, B, sign)
+    """Orbit-plus-canonical form on two flat chart tangents
+    (rho1, rho2, theta..., lam...) of the leaf at height nu."""
+    c = _generator_scale(nu, B, sign)
     if c == 0.0:
         raise SingularForm("orbit form is degenerate on this leaf",
-                           matrix=orbit_form_matrix(p, B, sign))
-    k = p.k
+                           matrix=orbit_form_matrix(nu, B, sign))
+    k = (v.size - 2) // 2
     planar = (v[0] * w[1] - v[1] * w[0]) / c
     vth, vlam = v[2:2 + k], v[2 + k:]
     wth, wlam = w[2:2 + k], w[2 + k:]

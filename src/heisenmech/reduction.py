@@ -57,7 +57,6 @@ from .orbit import (
     MagneticCocycle,
     OrbitDescriptor,
     OrbitFunction,
-    OrbitPoint,
     classify_orbit,
     orbit_hamiltonian_vector_field,
 )
@@ -197,16 +196,16 @@ class ReducedRCHSystem:
     """Controlled system dropped to the orbit chart O x V x V*.
 
     Everything acts on flat charts (rho1, rho2, theta..., lam...) of the leaf
-    at height level.nu; force and control fix the theta block. The level
-    lift is affine in the chart: lift_offset + lift_matrix @ chart puts an
-    orbit chart on the level set at center height zero.
+    at height level.nu, which labels the leaf and is no chart coordinate. The
+    reduced force and control are the source system's fiber maps, read at
+    the level lift through reduced_vertical_lift. The level lift is affine in
+    the chart: lift_offset + lift_matrix @ chart puts an orbit chart on the
+    level set at center height zero.
     """
 
     level: CoAlgebraElement
     descriptor: OrbitDescriptor
     hamiltonian: OrbitFunction
-    force: Callable[[np.ndarray], np.ndarray] | None
-    control: Callable[[np.ndarray], np.ndarray] | None
     source: RCHSystem
     lift_offset: np.ndarray
     lift_matrix: np.ndarray
@@ -259,16 +258,6 @@ def _equivariance_sweep(fm: FiberMap, k: int, tol: float, rng: np.random.Generat
                 f"{what} map moves the center momentum and does not descend to the orbit")
 
 
-def _reduce_fiber_map(fm: FiberMap,
-                      red: ReducedRCHSystem) -> Callable[[np.ndarray], np.ndarray]:
-    def apply(chart: np.ndarray) -> np.ndarray:
-        lifted = red.lift(np.asarray(chart, dtype=float))
-        return _project_chart(np.asarray(fm.apply(lifted), dtype=float),
-                              red.source.field)
-
-    return apply
-
-
 def _affine_pair(f: Callable[[np.ndarray], np.ndarray],
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Matrix A and offset b of a map f on R^n known to be affine,
@@ -285,16 +274,16 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
 
     The Hamiltonian, force, and control are swept for left-invariance (the
     fiber maps additionally for preservation of the center momentum, without
-    which they cannot stay on the orbit leaf), then pushed to the orbit chart
-    through lift-project closures whose lift-independence is verified on a
-    seeded sample. The orbit form in this presentation carries no magnetic
-    cocycle: the fiber shift that trivializes the potential has already eaten
-    it, so the reduced structure is the plain minus form on the leaf plus the
-    canonical form on V x V*. The level lift is sampled once into its affine
-    pair. For a Hamiltonian of kind "invariant" (mass m) the reduced one is
-    |rho - s|^2/(2m) + const, s = charge_factor * A(e), and declares that
-    form, Q = diag(1/m, 1/m, 0...) and c = (-s1/m, -s2/m, 0...); any other
-    kind gets the exact chain-rule gradient (D lift)^T grad H at the lift.
+    which they cannot stay on the orbit leaf), and their lift-project images
+    are verified on a seeded sample not to depend on the lift. The orbit form
+    in this presentation carries no magnetic cocycle: the fiber shift that
+    trivializes the potential has already eaten it, so the reduced structure
+    is the plain minus form on the leaf plus the canonical form on V x V*. The
+    level lift is sampled once into its affine pair. For a Hamiltonian of
+    kind "invariant" (mass m) the reduced one is |rho - s|^2/(2m) + const,
+    s = charge_factor * A(e), and declares that form, Q = diag(1/m, 1/m,
+    0...) and c = (-s1/m, -s2/m, 0...); any other kind gets the exact
+    chain-rule gradient (D lift)^T grad H at the lift.
     """
     descriptor = classify_orbit(mu_nu.as_array())
     if descriptor.kind != expected_orbit:
@@ -308,13 +297,9 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     h_red = reduced_hamiltonian(sys.hamiltonian.evaluate, mu_nu, sys.field,
                                 k=sys.k, invariance_tol=invariance_tol)
     k = sys.k
-
-    def lift(chart: np.ndarray) -> np.ndarray:
-        z = OrbitPoint(chart[:2], mu_nu.nu, chart[2:2 + k], chart[2 + k:])
-        return level_lift(z, mu_nu, sys.field)
-
-    # At a fixed level, level_lift(z) = lift_matrix @ z.as_array() + offset.
-    lift_matrix, offset = _affine_pair(lift, 2 + 2 * k)
+    # At a fixed level, level_lift(chart) = lift_matrix @ chart + offset.
+    lift_matrix, offset = _affine_pair(
+        lambda chart: level_lift(chart, mu_nu, sys.field), 2 + 2 * k)
     if sys.hamiltonian.kind == "invariant":
         m, zeros = sys.hamiltonian.mass, np.zeros(2 * k)
         s = sys.field.charge_factor * sys.field.identity_potential_value()[:2]
@@ -324,14 +309,10 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
         h_red = replace(h_red, gradient=lambda chart: lift_matrix.T @ (
             sys.hamiltonian.grad(offset + lift_matrix @ chart)))
 
-    red = ReducedRCHSystem(mu_nu, descriptor, h_red, None, None, sys, offset,
-                           lift_matrix)
-    reduced_maps = {}
+    red = ReducedRCHSystem(mu_nu, descriptor, h_red, sys, offset, lift_matrix)
     for what, fm in (("force", sys.force), ("control", sys.control)):
         if fm is not None:
             _equivariance_sweep(fm, sys.k, invariance_tol, rng, what)
-            reduced_maps[what] = _reduce_fiber_map(fm, red)
-    red = replace(red, **reduced_maps)
 
     # Lift-independence: the same orbit point, lifted at different center
     # heights, must give identical reduced values.
@@ -391,7 +372,7 @@ def reduced_rch_field(red: ReducedRCHSystem, chart: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
+def integrate_reduced(red: ReducedRCHSystem, chart0: np.ndarray, t_end: float,
                       h: float, method: str = "midpoint"):
     """Flow the reduced field on the orbit chart.
 
@@ -400,8 +381,9 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
     at the chart's stored level lift, all rows lifted in one product (and,
     for a source of kind "invariant", evaluated in one pass too).
     Implicit midpoint is appropriate here because the chart form is constant
-    on the leaf. z0 gives the start chart and must lie on red.level's leaf
-    (its nu within 1e-8, reduce_point's level-set tolerance).
+    on the leaf. chart0 is the flat start chart on red.level's leaf (as
+    reduce_point returns it); ValueError unless it is a finite flat array of
+    size 2 + 2 * red.k.
 
     The route is read from declarations at each call, never cached on red:
     if red.hamiltonian declares its form and the source force and control are
@@ -410,11 +392,12 @@ def integrate_reduced(red: ReducedRCHSystem, z0: OrbitPoint, t_end: float,
     propagator matrix (see dynamics._propagator; midpoint beyond its
     contraction guard iterates). Everything else iterates reduced_rch_field.
     """
-    if abs(z0.nu - red.level.nu) > 1e-8:
-        raise ValueError(f"start point lies on the leaf nu = {z0.nu}, not on "
-                         f"the reduced level's nu = {red.level.nu}")
+    chart0 = np.asarray(chart0, dtype=float)
+    if chart0.shape != (2 + 2 * red.k,) or not np.isfinite(chart0).all():
+        raise ValueError(f"start chart must be a finite flat array of size "
+                         f"{2 + 2 * red.k}, got size {chart0.size} "
+                         f"(shape {chart0.shape})")
     dynamics._check_run(t_end, h, method)
-    chart0 = z0.as_array()
     rhs = lambda chart: reduced_rch_field(red, chart)
     affine = red.hamiltonian.form is not None and all(
         fm is None or fm.affine for fm in (red.source.force, red.source.control))

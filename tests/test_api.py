@@ -13,7 +13,8 @@ MODULES = ("group", "orbit", "connection", "magnetic", "dynamics", "reduction",
 # vec2, replaced by flat (3,) group, algebra and dual arrays.
 DELETED = ("PhasePoint", "ExtendedPhasePoint", "MomentumValue", "body_to_chart",
            "chart_to_body", "extended_to_chart", "extended_from_chart",
-           "left_translate_point", "extended_momentum_shift", "vec2")
+           "left_translate_point", "extended_momentum_shift", "vec2",
+           "OrbitPoint")
 
 
 @pytest.mark.parametrize("name", MODULES)

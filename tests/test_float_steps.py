@@ -16,7 +16,7 @@ from heisenmech import magnetic as M
 from heisenmech import reduction as R
 from heisenmech.errors import NonConvergence, NonSymplecticWarning
 from heisenmech.group import CoAlgebraElement
-from heisenmech.orbit import OrbitFunction, OrbitPoint
+from heisenmech.orbit import OrbitFunction
 
 PLANAR = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 LEVEL = CoAlgebraElement((0.4, -0.7), 1.0)
@@ -196,10 +196,10 @@ def test_reduced_flow_is_bitwise_the_ndarray_loop(forced, k, method):
         # An undeclared copy of the reduced Hamiltonian keeps the iteration.
         h = red.hamiltonian
         red = dataclasses.replace(red, hamiltonian=OrbitFunction(h.evaluate, h.grad))
-    z0 = OrbitPoint(np.array([-0.0, 0.6]), LEVEL.nu, np.zeros(k), -np.zeros(k))
+    z0 = np.concatenate([[-0.0, 0.6], np.zeros(k), -np.zeros(k)])
     times, charts, _ = R.integrate_reduced(red, z0, 0.2, 1e-2, method)
     expected = reference_flow(lambda c: R.reduced_rch_field(red, c),
-                              z0.as_array(), 0.2, 1e-2, method)
+                              z0, 0.2, 1e-2, method)
     assert charts.tobytes() == expected.tobytes()
     assert times.tobytes() == (np.arange(21) * 0.01).tobytes()
 

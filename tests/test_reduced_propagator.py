@@ -60,7 +60,7 @@ def counted(monkeypatch):
 def iterated(red, z0, t_end, h, method):
     """States of the shared loop on reduced_rch_field, with no generator."""
     _, states, propagated = D._fixed_step_flow(
-        lambda chart: R.reduced_rch_field(red, chart), z0.as_array(), t_end, h,
+        lambda chart: R.reduced_rch_field(red, chart), z0, t_end, h,
         method)
     assert not propagated
     return states
@@ -74,7 +74,7 @@ def test_reduced_propagator_matches_the_iteration(case, k, method, monkeypatch):
     z0 = start(red)
     calls = counted(monkeypatch)
     _, charts, energies = R.integrate_reduced(red, z0, 1.0, 1e-3, method)
-    assert len(calls) == 1 + z0.as_array().size
+    assert len(calls) == 1 + z0.size
     monkeypatch.undo()
     reference = iterated(red, z0, 1.0, 1e-3, method)
     assert charts.shape == reference.shape == (1001, 2 + 2 * k)
@@ -115,7 +115,7 @@ def test_midpoint_beyond_the_contraction_guard_keeps_the_iteration(k,
                                                                    monkeypatch):
     red = R.reduce_system(system("free", k), LEVEL)
     z0 = start(red)
-    n = z0.as_array().size
+    n = z0.size
     A, b = R._affine_pair(lambda chart: R.reduced_rch_field(red, chart), n)
     h = 1.0  # ||hA/2||_F = h sqrt(2)/(2 * 1.3) = 0.54
     assert np.linalg.norm(0.5 * h * A) >= 0.5
