@@ -22,7 +22,7 @@ from . import group
 from . import magnetic as mag
 from . import orbit
 from .errors import ConfigError
-from .group import CoAlgebraElement
+from .group import CoAlgebraElement, _dot, _matvec, _scalar, _vecmat
 from .orbit import MagneticCocycle
 from .reduction import (
     CheckRecord,
@@ -47,59 +47,77 @@ _ROT = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def _quadratic(Q: np.ndarray) -> orbit.DualFunction:
     Qs = 0.5 * (Q + Q.T)
     return orbit.DualFunction(
-        evaluate=lambda p: 0.5 * float(p @ Qs @ p),
-        gradient=lambda p: Qs @ p,
+        evaluate=lambda p: 0.5 * _scalar(_dot(_vecmat(p, Qs), p)),
+        gradient=lambda p: _matvec(Qs, p),
         hessian=lambda p: Qs,
     )
 
 
+def _worst(residuals) -> float:
+    """Largest absolute entry: a record's max residual over its samples."""
+    return float(np.max(np.abs(residuals)))
+
+
+def _triples(rng: np.random.Generator, samples: int, count: int) -> np.ndarray:
+    """count stacks of samples triples, drawn as samples rows of
+    rng.uniform(-2, 2, (count, 3)) in turn."""
+    return rng.uniform(-2, 2, (samples, count, 3)).transpose(1, 0, 2)
+
+
 def check_group_axioms(seed: int, samples: int = 1000) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
-    assoc = inv = ident = homo = 0.0
-    e = group.identity()
-    for _ in range(samples):
-        g, h, l = rng.uniform(-2, 2, (3, 3))
-        lhs = group.multiply(group.multiply(g, h), l)
-        rhs = group.multiply(g, group.multiply(h, l))
-        assoc = max(assoc, float(np.max(np.abs(lhs - rhs))))
-        inv = max(inv, float(np.max(np.abs(
-            group.multiply(g, group.inverse(g))))))
-        ident = max(ident, float(np.max(np.abs(group.multiply(g, e) - g))))
-        homo = max(homo, float(np.max(np.abs(
-            group.to_matrix(group.multiply(g, h))
-            - group.to_matrix(g) @ group.to_matrix(h)))))
-    return [CheckRecord("group.associativity", samples, assoc, 1e-12),
-            CheckRecord("group.inverse", samples, inv, 1e-12),
-            CheckRecord("group.identity", samples, ident, 1e-12),
-            CheckRecord("group.matrix_homomorphism", samples, homo, 1e-12)]
+    g, h, l = _triples(rng, samples, 3)
+    lhs = group.multiply(group.multiply(g, h), l)
+    rhs = group.multiply(g, group.multiply(h, l))
+    homo = (group.to_matrix(group.multiply(g, h))
+            - group.to_matrix(g) @ group.to_matrix(h))
+    return [CheckRecord("group.associativity", samples, _worst(lhs - rhs), 1e-12),
+            CheckRecord("group.inverse", samples,
+                        _worst(group.multiply(g, group.inverse(g))), 1e-12),
+            CheckRecord("group.identity", samples,
+                        _worst(group.multiply(g, group.identity()) - g), 1e-12),
+            CheckRecord("group.matrix_homomorphism", samples, _worst(homo),
+                        1e-12)]
 
 
 def check_representations(seed: int, samples: int = 1000) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     step = fd.TANGENT_STEP
     fd_rounds = min(samples, 200)
-    adj = coad = 0.0
-    for _ in range(fd_rounds):
-        g, xi, p = rng.uniform(-2, 2, (3, 3))
-        plus = group.conjugate(g, group.exp(step * xi))
-        minus = group.conjugate(g, group.exp(-step * xi))
-        slope = (plus - minus) / (2 * step)
-        adj = max(adj, float(np.max(np.abs(slope - group.adjoint(g, xi)))))
+    g, xi, p = _triples(rng, fd_rounds, 3)
+    plus = group.conjugate(g, group.exp(step * xi))
+    minus = group.conjugate(g, group.exp(-step * xi))
+    slope = (plus - minus) / (2 * step)
+    adj = _worst(slope - group.adjoint(g, xi))
 
-        def coad_along(t):
-            return group.coadjoint(group.exp(-t * xi), p)
+    def coad_along(t):
+        return group.coadjoint(group.exp(-t * xi), p)
 
-        slope = (coad_along(step) - coad_along(-step)) / (2 * step)
-        coad = max(coad, float(np.max(np.abs(slope - group.coad_star(xi, p)))))
-    pairing_res = 0.0
-    for _ in range(samples):
-        g, xi, p = rng.uniform(-2, 2, (3, 3))
-        lhs = group.pairing(group.coadjoint(g, p), xi)
-        rhs = group.pairing(p, group.adjoint(group.inverse(g), xi))
-        pairing_res = max(pairing_res, abs(lhs - rhs))
+    slope = (coad_along(step) - coad_along(-step)) / (2 * step)
+    coad = _worst(slope - group.coad_star(xi, p))
+    g, xi, p = _triples(rng, samples, 3)
+    lhs = group.pairing(group.coadjoint(g, p), xi)
+    rhs = group.pairing(p, group.adjoint(group.inverse(g), xi))
     return [CheckRecord("representation.adjoint_fd", fd_rounds, adj, 1e-8),
             CheckRecord("representation.coadjoint_fd", fd_rounds, coad, 1e-8),
-            CheckRecord("representation.pairing", samples, pairing_res, 1e-12)]
+            CheckRecord("representation.pairing", samples, _worst(lhs - rhs),
+                        1e-12)]
+
+
+def _picked(fs, index: np.ndarray) -> orbit.DualFunction:
+    """DualFunction on a stack of len(index) dual points whose value and
+    derivatives at point i are those of fs[index[i]]."""
+    rows = np.arange(index.size)
+
+    def pick(values, tail):
+        return np.stack([np.broadcast_to(v, rows.shape + tail)
+                         for v in values])[index, rows]
+
+    return orbit.DualFunction(
+        evaluate=lambda p: pick([f.evaluate(p) for f in fs], ()),
+        gradient=lambda p: pick([f.grad(p) for f in fs], (3,)),
+        hessian=lambda p: pick([f.hess(p) for f in fs], (3, 3)),
+    )
 
 
 def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
@@ -107,88 +125,92 @@ def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
     fs = [orbit.coordinate_function(i) for i in range(3)]
     fs.append(_quadratic(rng.normal(size=(3, 3))))
     fs.append(_quadratic(rng.normal(size=(3, 3))))
-    antisym = leibniz = jacobi = plain = 0.0
-    zero = MagneticCocycle.zero()
-    for _ in range(samples):
-        p = rng.uniform(-2, 2, 3)
-        B = MagneticCocycle.planar(rng.normal())
-        f, g, h = (fs[i] for i in rng.integers(0, len(fs), 3))
-        antisym = max(antisym, abs(orbit.magnetic_lie_poisson(f, g, p, B)
-                                   + orbit.magnetic_lie_poisson(g, f, p, B)))
-        lhs = orbit.magnetic_lie_poisson(orbit.product_function(f, g), h, p, B)
-        rhs = (f.evaluate(p) * orbit.magnetic_lie_poisson(g, h, p, B)
-               + g.evaluate(p) * orbit.magnetic_lie_poisson(f, h, p, B))
-        leibniz = max(leibniz, abs(lhs - rhs))
-        jacobi = max(jacobi, orbit.check_jacobi((f, g, h), p, B).residual)
-        df, dg = f.grad(p), g.grad(p)
-        oracle = -p[2] * (df[0] * dg[1] - df[1] * dg[0])
-        plain = max(plain, abs(orbit.magnetic_lie_poisson(f, g, p, zero) - oracle))
-    return [CheckRecord("bracket.antisymmetry", samples, antisym, 1e-12),
-            CheckRecord("bracket.leibniz", samples, leibniz, 1e-8),
-            CheckRecord("bracket.jacobi", samples, jacobi, 1e-9),
-            CheckRecord("bracket.plain_oracle", samples, plain, 1e-10)]
+    p, b = np.empty((samples, 3)), np.empty(samples)
+    index = np.empty((3, samples), dtype=int)
+    for i in range(samples):
+        p[i] = rng.uniform(-2, 2, 3)
+        b[i] = rng.normal()
+        index[:, i] = rng.integers(0, len(fs), 3)
+    B = MagneticCocycle.planar(b)
+    f, g, h = (_picked(fs, row) for row in index)
+    bracket = orbit.magnetic_lie_poisson
+    antisym = bracket(f, g, p, B) + bracket(g, f, p, B)
+    lhs = bracket(orbit.product_function(f, g), h, p, B)
+    rhs = (f.evaluate(p) * bracket(g, h, p, B)
+           + g.evaluate(p) * bracket(f, h, p, B))
+    jacobi = orbit.check_jacobi((f, g, h), p, B).residual
+    df, dg = f.grad(p), g.grad(p)
+    oracle = -p[:, 2] * (df[:, 0] * dg[:, 1] - df[:, 1] * dg[:, 0])
+    plain = bracket(f, g, p, MagneticCocycle.zero()) - oracle
+    return [CheckRecord("bracket.antisymmetry", samples, _worst(antisym), 1e-12),
+            CheckRecord("bracket.leibniz", samples, _worst(lhs - rhs), 1e-8),
+            CheckRecord("bracket.jacobi", samples, _worst(jacobi), 1e-9),
+            CheckRecord("bracket.plain_oracle", samples, _worst(plain), 1e-10)]
 
 
 def check_orbit_form(seed: int, samples: int = 200) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     B = MagneticCocycle.planar(0.4)
-    zero = MagneticCocycle.zero()
-    value_res = det_res = classify_res = 0.0
-    for _ in range(samples):
-        nu = rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0])
-        rho = rng.uniform(-2, 2, 2)
-        xi, eta = rng.uniform(-2, 2, (2, 3))
-        form = orbit.orbit_symplectic_form(nu, xi, eta, B)
-        f, g = orbit.linear_function(xi), orbit.linear_function(eta)
-        bracket_value = orbit.magnetic_lie_poisson(f, g, np.append(rho, nu), B)
-        value_res = max(value_res, abs(form - bracket_value))
-        W = orbit.orbit_form_matrix(nu, zero)
-        det_res = max(det_res, abs(np.linalg.det(W) - nu * nu))
-        fixed = orbit.classify_orbit(np.append(rng.uniform(-2, 2, 2), 0.0))
-        moving = orbit.classify_orbit(np.append(rho, nu))
-        if fixed.kind != "point" or moving.kind != "plane":
-            classify_res = max(classify_res, 1.0)
-    return [CheckRecord("orbit.form_matches_bracket", samples, value_res, 1e-10),
-            CheckRecord("orbit.determinant", samples, det_res, 1e-10),
+    # Per sample: nu = uniform(0.3, 2.5) * (-1.0, 1.0)[integers(0, 2)], then
+    # one uniform(-2, 2) row holding rho (2), xi and eta (3 each) and the
+    # planar part of a fixed point (2), as four consecutive draws would.
+    nu, rows = np.empty(samples), np.empty((samples, 10))
+    for i in range(samples):
+        nu[i] = rng.uniform(0.3, 2.5) * (-1.0, 1.0)[rng.integers(0, 2)]
+        rows[i] = rng.uniform(-2, 2, 10)
+    moving = np.column_stack([rows[:, :2], nu])
+    xi, eta = rows[:, 2:5], rows[:, 5:8]
+    fixed = np.column_stack([rows[:, 8:], np.zeros(samples)])
+    form = orbit.orbit_symplectic_form(nu, xi, eta, B)
+    f, g = orbit.linear_function(xi), orbit.linear_function(eta)
+    bracket_value = orbit.magnetic_lie_poisson(f, g, moving, B)
+    W = orbit.orbit_form_matrix(nu, MagneticCocycle.zero())
+    kinds = {(orbit.classify_orbit(q).kind, orbit.classify_orbit(r).kind)
+             for q, r in zip(fixed, moving)}
+    classify_res = 0.0 if kinds == {("point", "plane")} else 1.0
+    return [CheckRecord("orbit.form_matches_bracket", samples,
+                        _worst(form - bracket_value), 1e-10),
+            CheckRecord("orbit.determinant", samples,
+                        _worst(np.linalg.det(W) - nu * nu), 1e-10),
             CheckRecord("orbit.classification", samples, classify_res, 1e-15)]
 
 
 def check_connection(seed: int, samples: int = 300) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
-    invariance = pairing_res = cocycle_res = 0.0
-    for _ in range(samples):
-        g, h, v, w = rng.uniform(-2, 2, (4, 3))
-        gh = group.multiply(g, h)
-        tv = group.tangent_right_translation(g, v, h)
-        tw = group.tangent_right_translation(g, w, h)
-        invariance = max(invariance, abs(
-            C.right_invariant_metric(gh, tv, tw)
-            - C.right_invariant_metric(g, v, w)))
-        pv = C.right_trivialize(g, v)
-        pw = C.right_trivialize(g, w)
-        pairing_res = max(pairing_res, abs(
-            C.right_invariant_metric(g, v, w) - float(pv @ pw)))
-        nu = rng.normal()
-        cocycle_res = max(cocycle_res, abs(
-            nu * C.curvature(g, v, w) - MagneticCocycle.planar(nu).pair(v, w)))
-        a, b = rng.normal(size=2)
-        cocycle_res = max(cocycle_res, abs(C.locked_inertia(g, a, b) - a * b))
+    # Per sample: g, h, v, w as one uniform(-2, 2) row of 12, then nu, a, b
+    # as three standard normals.
+    draws, normals = np.empty((samples, 12)), np.empty((samples, 3))
+    for i in range(samples):
+        draws[i] = rng.uniform(-2, 2, 12)
+        normals[i] = rng.normal(size=3)
+    g, h, v, w = draws.reshape(samples, 4, 3).transpose(1, 0, 2)
+    nu, a, b = normals.T
+    metric = C.right_invariant_metric
+    gh = group.multiply(g, h)
+    tv = group.tangent_right_translation(g, v, h)
+    tw = group.tangent_right_translation(g, w, h)
+    invariance = metric(gh, tv, tw) - metric(g, v, w)
+    pairing_res = metric(g, v, w) - _dot(C.right_trivialize(g, v),
+                                         C.right_trivialize(g, w))
+    cocycle_res = max(
+        _worst(nu * C.curvature(g, v, w)
+               - MagneticCocycle.planar(nu).pair(v, w)),
+        _worst(C.locked_inertia(g, a, b) - a * b))
     step = fd.TANGENT_STEP
     conn_at = C.mechanical_connection
-    curvature_res = 0.0
-    for _ in range(min(samples, 50)):
-        g, v, w = rng.uniform(-2, 2, (3, 3))
-        d_v_of_aw = (conn_at(g + step * v, w)
-                     - conn_at(g - step * v, w)) / (2 * step)
-        d_w_of_av = (conn_at(g + step * w, v)
-                     - conn_at(g - step * w, v)) / (2 * step)
-        curvature_res = max(curvature_res, abs(
-            (d_v_of_aw - d_w_of_av) - C.curvature(g, v, w)))
-    return [CheckRecord("connection.right_invariance", samples, invariance, 1e-12),
+    rounds = min(samples, 50)
+    g, v, w = _triples(rng, rounds, 3)
+    d_v_of_aw = (conn_at(g + step * v, w)
+                 - conn_at(g - step * v, w)) / (2 * step)
+    d_w_of_av = (conn_at(g + step * w, v)
+                 - conn_at(g - step * w, v)) / (2 * step)
+    curvature_res = (d_v_of_aw - d_w_of_av) - C.curvature(g, v, w)
+    return [CheckRecord("connection.right_invariance", samples,
+                        _worst(invariance), 1e-12),
             CheckRecord("connection.trivialized_pairing", samples,
-                        pairing_res, 1e-12),
-            CheckRecord("connection.curvature_fd", min(samples, 50),
-                        curvature_res, 1e-6),
+                        _worst(pairing_res), 1e-12),
+            CheckRecord("connection.curvature_fd", rounds,
+                        _worst(curvature_res), 1e-6),
             CheckRecord("connection.cocycle_pipeline", samples,
                         cocycle_res, 1e-12)]
 

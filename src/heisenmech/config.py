@@ -61,7 +61,13 @@ def _parse_scalar(raw: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
+    return _parse_lines(text, source)[0]
+
+
+def _parse_lines(text: str, source: str) -> tuple[dict, dict]:
+    """The values of a config text and the line number of each key."""
     values: dict = {}
+    lines: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -76,7 +82,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate config field {key!r}")
         values[key] = _parse_scalar(raw)
-    return values
+        lines[key] = lineno
+    return values, lines
 
 
 @dataclass
@@ -85,6 +92,7 @@ class ExperimentConfig:
 
     values: dict = field(default_factory=dict)
     source: str = "<config>"
+    lines: dict = field(default_factory=dict)
 
     @classmethod
     def from_path(cls, path) -> "ExperimentConfig":
@@ -93,10 +101,16 @@ class ExperimentConfig:
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls(parse_config_text(text, str(path)), str(path))
+        values, lines = _parse_lines(text, str(path))
+        return cls(values, str(path), lines)
 
     def has(self, key: str) -> bool:
         return key in self.values
+
+    def where(self, key: str) -> str:
+        """file:line of key's assignment; the file alone for a default."""
+        line = self.lines.get(key)
+        return self.source if line is None else f"{self.source}:{line}"
 
     def string(self, key: str, default: str | None = None,
                choices: tuple[str, ...] | None = None) -> str:

@@ -586,10 +586,16 @@ def _state_energies(hamiltonian: HamiltonianSpec,
                     states: np.ndarray) -> np.ndarray:
     """hamiltonian.evaluate at each row of states.
 
-    The kinetic kinds take one pass: stacked (1, 3) @ (3, 1) products give
-    evaluate's per-row dot product bitwise, on p for "euclidean" and on the
-    body momentum rho for "invariant". Other kinds evaluate row by row.
+    The kinetic and quadratic kinds take one pass: stacked (1, n) @ (n, n)
+    and (1, n) @ (n, 1) products give evaluate's per-row matrix and dot
+    products bitwise, on p for "euclidean", on the body momentum rho for
+    "invariant" and on y = (q, p) for "quadratic" (1/2 y.Q.y + c.y). Other
+    kinds evaluate row by row.
     """
+    if hamiltonian.kind == "quadratic":
+        Q, c = hamiltonian.form
+        y = states[:, None, :6]
+        return 0.5 * (y @ Q @ y.mT).ravel() + (c @ y.mT).ravel()
     if hamiltonian.kind == "euclidean":
         v = states[:, 3:6]
     elif hamiltonian.kind == "invariant":

@@ -12,23 +12,29 @@ TANGENT_STEP = 1e-5
 
 def gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
              step: float = GRADIENT_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function on R^n."""
+    """Central-difference gradient of a scalar function on R^n.
+
+    x may be a stack (..., n) when f is: the last axis is differentiated.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
+    for i in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
         e[i] = step
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * step)
+        out[..., i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return out
 
 
 def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
              step: float = TANGENT_STEP) -> np.ndarray:
-    """Central-difference Jacobian matrix of a map R^n -> R^m."""
+    """Central-difference Jacobian matrix of a map R^n -> R^m.
+
+    x may be a stack (..., n) when f is: the result is (..., m, n).
+    """
     x = np.asarray(x, dtype=float)
     cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
+    for i in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
         e[i] = step
         cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step))
     return np.stack(cols, axis=-1)

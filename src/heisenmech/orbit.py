@@ -4,6 +4,14 @@ The dual algebra is coordinatized as (mu1, mu2, nu). For nu != 0 the coadjoint
 orbit through (mu, nu) is the whole plane R^2 x {nu}; for nu = 0 it is the
 single point (mu, 0). A constant magnetic cocycle (an antisymmetric bilinear
 form on the algebra) twists both the bracket and the orbit form.
+
+The bracket layer is stack-generic, as the kernels of heisenmech.group are:
+a dual point p, an algebra label xi and a DualFunction gradient are one (3,)
+array or a stack of shape (..., 3), component on the last axis, and a
+cocycle's form is one 3x3 matrix or a stack (..., 3, 3). Scalar results
+(bracket values, orbit-form values) are Python floats for single inputs and
+arrays of the leading shape for stacks, each row bitwise the single call.
+The orbit chart functions at the end take one flat chart.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from . import fd
 from .errors import DegenerateForm, SingularForm
-from .group import area_form
+from .group import _dot, _matvec, _part, _scalar, _vecmat, area_form, pairing
 
 __all__ = [
     "DualFunction",
@@ -38,9 +46,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualFunction:
-    """Scalar function of a flat dual point p = (mu1, mu2, nu), shape (3,).
+    """Scalar function of a flat dual point p = (mu1, mu2, nu), shape (3,) or
+    a stack (..., 3).
 
-    The gradient is the functional derivative, a (3,) array delta with
+    The callables take p as given: evaluate returns a float (an array of the
+    leading shape for a stack), gradient a (..., 3) array and hessian a
+    (..., 3, 3) array; a constant may be returned unstacked and broadcast.
+    The gradient is the functional derivative, delta with
     delta . w = Df(p) . w. Without a gradient callable it is a central
     difference (fd.GRADIENT_STEP) and gradient_is_analytic reports False so
     downstream checks can relax their tolerances. The optional hessian H (the
@@ -70,10 +82,10 @@ class DualFunction:
 
 def _antisymmetric(matrix, what: str) -> np.ndarray:
     """Read-only float copy of matrix; ValueError unless it is a finite 3x3
-    matrix that is antisymmetric to 1e-14."""
+    matrix (or a stack of them) that is antisymmetric to 1e-14."""
     m = np.array(matrix, dtype=float)
-    if (m.shape != (3, 3) or not np.isfinite(m).all()
-            or np.max(np.abs(m + m.T)) > 1e-14):
+    if (m.shape[-2:] != (3, 3) or not np.isfinite(m).all()
+            or np.abs(m + np.swapaxes(m, -1, -2)).max(initial=0.0) > 1e-14):
         raise ValueError(f"{what} must be a finite antisymmetric 3x3 matrix")
     m.flags.writeable = False
     return m
@@ -81,7 +93,8 @@ def _antisymmetric(matrix, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MagneticCocycle:
-    """Constant antisymmetric bilinear form on the algebra (3x3 matrix)."""
+    """Constant antisymmetric bilinear form on the algebra (3x3 matrix), or a
+    stack of them (..., 3, 3), one per sample."""
 
     form: np.ndarray
 
@@ -93,20 +106,23 @@ class MagneticCocycle:
         return cls(np.zeros((3, 3)))
 
     @classmethod
-    def planar(cls, b: float) -> "MagneticCocycle":
-        """Cocycle b times the area form on the planar block."""
-        m = np.zeros((3, 3))
-        m[0, 1], m[1, 0] = b, -b
+    def planar(cls, b) -> "MagneticCocycle":
+        """Cocycle b times the area form on the planar block; a stack of
+        cocycles for an array b."""
+        b = np.asarray(b, dtype=float)
+        m = np.zeros(b.shape + (3, 3))
+        m[..., 0, 1], m[..., 1, 0] = b, -b
         return cls(m)
 
-    def pair(self, xi: np.ndarray, eta: np.ndarray) -> float:
-        """B(xi, eta) on flat algebra labels (X1, X2, a)."""
-        return float(xi @ self.form @ eta)
+    def pair(self, xi: np.ndarray, eta: np.ndarray):
+        """B(xi, eta) = (xi @ form) @ eta on flat algebra labels (X1, X2, a)."""
+        xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+        return _scalar(_dot(_vecmat(xi, self.form), eta))
 
     @property
-    def planar_component(self) -> float:
+    def planar_component(self):
         """The (1,2) entry, the only one the orbit geometry sees."""
-        return float(self.form[0, 1])
+        return _scalar(self.form[..., 0, 1])
 
 
 @dataclass(frozen=True)
@@ -192,17 +208,18 @@ def _sign(sign: str) -> float:
 
 
 def magnetic_lie_poisson(f: DualFunction, g: DualFunction, p: np.ndarray,
-                         B: MagneticCocycle, sign: str = "minus") -> float:
+                         B: MagneticCocycle, sign: str = "minus"):
     """Magnetic Lie-Poisson bracket {f,g}(p) = +-<p,[df,dg]> - B(df,dg) at
-    the flat (3,) array p = (mu1, mu2, nu)."""
+    the flat dual point (or stack) p = (mu1, mu2, nu)."""
+    p = np.asarray(p, dtype=float)
     df, dg = f.grad(p), g.grad(p)
-    return float(_sign(sign) * (p[2] * (df[0] * dg[1] - df[1] * dg[0]))
-                 - (df @ B.form) @ dg)
+    return _scalar(_sign(sign) * (_part(p, 2) * area_form(df, dg))
+                   - B.pair(df, dg))
 
 
 def bracket_function(f: DualFunction, g: DualFunction, B: MagneticCocycle,
                      sign: str = "minus") -> DualFunction:
-    """The bracket {f,g} packaged as a DualFunction on flat (3,) arrays p.
+    """The bracket {f,g} packaged as a DualFunction on flat dual points p.
 
     {f,g}(p) = df . M . dg with M = s*nu*K - B: s the sign, K the area matrix
     (K[0,1] = -K[1,0] = 1). When both inputs carry analytic gradients and
@@ -221,10 +238,12 @@ def bracket_function(f: DualFunction, g: DualFunction, B: MagneticCocycle,
         return DualFunction(evaluate)
 
     def gradient(p: np.ndarray) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
         df, dg = f.grad(p), g.grad(p)
-        M = s * p[2] * _AREA - B.form
-        out = f.hess(p).T @ (M @ dg) + g.hess(p).T @ (df @ M)
-        out[2] += s * (df[0] * dg[1] - df[1] * dg[0])
+        M = (s * p[..., 2])[..., None, None] * _AREA - B.form
+        out = (_matvec(np.swapaxes(f.hess(p), -1, -2), _matvec(M, dg))
+               + _matvec(np.swapaxes(g.hess(p), -1, -2), _vecmat(df, M)))
+        out[..., 2] += s * area_form(df, dg)
         return out
 
     return DualFunction(evaluate, gradient)
@@ -240,15 +259,17 @@ def product_function(f: DualFunction, g: DualFunction) -> DualFunction:
         return DualFunction(evaluate)
 
     def gradient(p):
-        return f.evaluate(p) * g.grad(p) + g.evaluate(p) * f.grad(p)
+        fv = np.asarray(f.evaluate(p))[..., None]
+        gv = np.asarray(g.evaluate(p))[..., None]
+        return fv * g.grad(p) + gv * f.grad(p)
 
     return DualFunction(evaluate, gradient)
 
 
 def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle,
                  sign: str = "minus") -> JacobiResult:
-    """Cyclic sum {{f,g},h} + {{g,h},f} + {{h,f},g} at the flat (3,) array
-    p = (mu1, mu2, nu).
+    """Cyclic sum {{f,g},h} + {{g,h},f} + {{h,f},g} at the flat dual point
+    (or stack) p = (mu1, mu2, nu); the residual is its absolute value.
 
     Returns the residual together with the tolerance it should satisfy: 1e-9
     when every input supplies analytic gradients and hessians (the nested
@@ -279,11 +300,11 @@ def _generator_scale(nu: float, B: MagneticCocycle, sign: str) -> float:
     return _sign(sign) * nu - B.planar_component
 
 
-def orbit_symplectic_form(nu: float, xi: np.ndarray, eta: np.ndarray,
-                          B: MagneticCocycle, sign: str = "minus") -> float:
+def orbit_symplectic_form(nu, xi: np.ndarray, eta: np.ndarray,
+                          B: MagneticCocycle, sign: str = "minus"):
     """Magnetic orbit form +-<p,[xi,eta]> - B(xi,eta) on flat generator
     labels, at any point p of the leaf at height nu (<p,[xi,eta]> reads nu
-    only).
+    only). nu may be an array of leaf heights, one per stacked label.
 
     On the extended orbit the V x V* factor carries the canonical form, which
     vanishes on pure generator directions, so it does not appear here. When
@@ -292,19 +313,21 @@ def orbit_symplectic_form(nu: float, xi: np.ndarray, eta: np.ndarray,
     warning rather than raising.
     """
     value = _sign(sign) * (nu * area_form(xi, eta)) - B.pair(xi, eta)
-    if nu == 0.0 and abs(B.planar_component) == 0.0:
+    if np.logical_and(nu == 0.0, B.planar_component == 0.0).any():
         warnings.warn("point orbit with vanishing magnetic term: form is trivially zero",
                       DegenerateForm, stacklevel=2)
-    return value
+    return _scalar(value)
 
 
-def orbit_form_matrix(nu: float, B: MagneticCocycle,
+def orbit_form_matrix(nu, B: MagneticCocycle,
                       sign: str = "minus") -> np.ndarray:
     """2x2 matrix of the orbit form on the planar generator basis of the leaf
-    at height nu."""
+    at height nu; a stack (..., 2, 2) for an array of heights."""
     c = _generator_scale(nu, B, sign)
     # form(e1, e2) = sign*nu*area(e1,e2) - B12 = c
-    return np.array([[0.0, c], [-c, 0.0]])
+    out = np.zeros(np.shape(c) + (2, 2))
+    out[..., 0, 1], out[..., 1, 0] = c, -c
+    return out
 
 
 def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: float,
@@ -352,18 +375,19 @@ def coordinate_function(index: int) -> DualFunction:
     e.flags.writeable = False
 
     return DualFunction(
-        evaluate=lambda p: float(p[index]),
+        evaluate=lambda p: _scalar(np.asarray(p, dtype=float)[..., index]),
         gradient=lambda p: e,
         hessian=lambda p: np.zeros((3, 3)),
     )
 
 
 def linear_function(xi: np.ndarray) -> DualFunction:
-    """The linear function p -> <p, xi> generated by a flat algebra element."""
+    """The linear function p -> <p, xi> generated by a flat algebra element;
+    for a stack of labels xi, sample i pairs with xi[i]."""
     d = np.array(xi, dtype=float)
     d.flags.writeable = False
     return DualFunction(
-        evaluate=lambda p: float(p[:2] @ d[:2] + p[2] * d[2]),
+        evaluate=lambda p: pairing(p, d),
         gradient=lambda p: d,
         hessian=lambda p: np.zeros((3, 3)),
     )

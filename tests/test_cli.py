@@ -1,6 +1,7 @@
 """End-to-end command-line tests over the bundled config fixtures."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -329,3 +330,90 @@ def test_csv_rows_match_per_value_float_repr(tmp_path):
     text = (tmp_path / "rows.csv").read_text()
     assert text == ",".join("c%d" % i for i in range(len(edge))) + "\n" + expected
     assert text.splitlines()[1].startswith("-0.0,5e-324,1e+308,0.1,1.0,1e+16,nan,")
+
+
+@pytest.mark.parametrize("lines, where", [
+    ("run.t_end = 1.0\nrun.step = 1e-300\n", "tiny.cfg:2"),
+    ("run.step = 1e-300\n", "tiny.cfg:1"),
+    ("run.t_end = 1e300\nrun.step = 1e-300\n", "tiny.cfg:2"),
+    ("run.t_end = 2000.0\n", "tiny.cfg:1"),
+])
+def test_step_count_above_the_cap_exits_2(tmp_path, capsys, lines, where):
+    # The lines come first, so the line numbers hold; the rest of each run
+    # comes from its bundled config.
+    cfg = tmp_path / "tiny.cfg"
+    for command, base, section in (("simulate", "free_particle.cfg", "run"),
+                                   ("reduce", "reduce.cfg", "run"),
+                                   ("kk-compare", "kk_compare.cfg", "kk")):
+        kept = [line for line in (CONFIGS / base).read_text().splitlines()
+                if not line.startswith(f"{section}.t_end")
+                and not line.startswith(f"{section}.step")]
+        cfg.write_text(lines.replace("run.", f"{section}.") + "\n".join(kept))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "steps, above the cap of 1,000,000" in err
+        assert f"{section}.t_end / {section}.step" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_step_count_at_the_cap_is_accepted():
+    from heisenmech.cli import MAX_STEPS, _run_settings
+    from heisenmech.config import ExperimentConfig
+    cfg = ExperimentConfig({"run.t_end": float(MAX_STEPS), "run.step": 1.0})
+    assert _run_settings(cfg) == (float(MAX_STEPS), 1.0, "midpoint")
+
+
+def test_step_cap_exits_2_without_traceback_in_a_subprocess(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("run.t_end = 1.0\nrun.step = 1e-300\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "heisenmech.cli", "simulate", "--config",
+         str(cfg), "--out", str(tmp_path)], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: ")
+    assert "1e+300 steps" in result.stderr and "Traceback" not in result.stderr
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        raise OSError("no file descriptor")
+
+
+@pytest.mark.parametrize("names, code", [("group_axioms", 0), ("", 0)])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, monkeypatch, names, code):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text(f"check.names = {names}\n" if names else "")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == code
+    assert (tmp_path / "report.json").exists()
+
+
+def test_failing_run_keeps_exit_1_on_a_closed_stdout(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["mr-check", "--config", str(CONFIGS / "mr1_shear.cfg"),
+                 "--out", str(tmp_path)]) == 1
+
+
+def test_closed_pipe_leaves_no_traceback_in_a_subprocess(tmp_path):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("check.names = group_axioms\n")
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the run prints
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "heisenmech.cli", "check", "--config",
+             str(cfg), "--out", str(tmp_path)],
+            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert result.returncode == 0
+    assert result.stderr == ""

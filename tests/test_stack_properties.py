@@ -1,0 +1,199 @@
+"""Property tests: every stack-generic kernel, row by row, bit for bit.
+
+The group, connection and bracket kernels take a single (3,) triple or a
+stack (..., 3). A stacked call must give, in each row, exactly the bits of
+the single call on that row: for a stack of one row, of several rows and of
+a 2-D leading shape, with entries drawn at magnitudes 1e-6 to 1e6, and with
+the last argument a stack or one triple broadcast against the stack.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heisenmech import connection as C
+from heisenmech import fd
+from heisenmech import group as G
+from heisenmech import orbit as O
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2 ** 32 - 1)
+exponents = st.floats(-6.0, 6.0)
+shapes = st.sampled_from([(1,), (5,), (2, 3)])
+broadcasts = st.booleans()
+
+
+def bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+def draw(seed, exponent, shape, count, broadcast=False):
+    """count stacks of triples; with broadcast, the last one is one triple."""
+    rng = np.random.default_rng(seed)
+    out = [10.0 ** exponent * rng.normal(size=shape + (3,)) for _ in range(count)]
+    if broadcast:
+        out[-1] = out[-1][(0,) * len(shape)]
+    return out
+
+
+def row(x, index):
+    """Row index of a stack of triples; a single triple is its own row."""
+    return x[index] if x.ndim > 1 else x
+
+
+def assert_rowwise(kernel, args, shape):
+    stacked = kernel(*args)
+    for index in np.ndindex(*shape):
+        one = kernel(*(row(a, index) for a in args))
+        assert bits(np.asarray(stacked)[index]) == bits(one), (kernel, index)
+
+
+GROUP_KERNELS = {
+    G.area_form: 2, G.multiply: 2, G.inverse: 1, G.to_matrix: 1,
+    G.conjugate: 2, G.adjoint: 2, G.bracket: 2, G.coadjoint: 2,
+    G.coad_star: 2, G.exp: 1, G.log: 1, G.pairing: 2,
+    G.tangent_right_translation: 3,
+    C.right_invariant_metric: 3, C.mechanical_connection: 2, C.curvature: 3,
+    C.right_trivialize: 2,
+}
+
+
+@PROPERTY
+@given(seed=seeds, exponent=exponents, shape=shapes, broadcast=broadcasts)
+def test_group_and_connection_kernels_are_rowwise_bitwise(seed, exponent, shape,
+                                                          broadcast):
+    for kernel, arity in GROUP_KERNELS.items():
+        args = draw(seed, exponent, shape, arity, broadcast and arity > 1)
+        assert_rowwise(kernel, args, shape)
+
+
+@PROPERTY
+@given(seed=seeds, exponent=exponents, shape=shapes)
+def test_scalar_factor_kernels_are_rowwise_bitwise(seed, exponent, shape):
+    g, v = draw(seed, exponent, shape, 2)
+    a, b = np.random.default_rng(seed + 1).normal(size=(2,) + shape)
+    stacked = C.center_momentum_map(g, v, b)
+    for index in np.ndindex(*shape):
+        one = C.center_momentum_map(g[index], v[index], float(b[index]))
+        assert bits(stacked[index]) == bits(one)
+        assert bits(C.locked_inertia(g, a, b)[index]) == bits(
+            C.locked_inertia(g[index], float(a[index]), float(b[index])))
+
+
+def cubic():
+    """p0*p1*p2 + p0^2/2, elementwise, with a hessian that varies with p."""
+
+    def evaluate(p):
+        return p[..., 0] * p[..., 1] * p[..., 2] + 0.5 * p[..., 0] ** 2
+
+    def gradient(p):
+        p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
+        return np.stack([p1 * p2 + p0, p0 * p2, p0 * p1], axis=-1)
+
+    def hessian(p):
+        p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
+        one, zero = np.ones_like(p0), np.zeros_like(p0)
+        return np.stack([np.stack([one, p2, p1], axis=-1),
+                         np.stack([p2, zero, p0], axis=-1),
+                         np.stack([p1, p0, zero], axis=-1)], axis=-2)
+
+    return O.DualFunction(evaluate, gradient, hessian)
+
+
+def functions(seed, exponent):
+    d = draw(seed + 2, exponent, (), 1)[0]
+    return [O.coordinate_function(0), O.coordinate_function(2),
+            O.linear_function(d), cubic()]
+
+
+def cocycles(seed, shape):
+    """A stack of general antisymmetric forms and its rows as cocycles."""
+    b = np.random.default_rng(seed + 3).normal(size=shape + (3, 3))
+    stack = O.MagneticCocycle(b - np.swapaxes(b, -1, -2))
+    return stack, {i: O.MagneticCocycle(stack.form[i]) for i in np.ndindex(*shape)}
+
+
+@PROPERTY
+@given(seed=seeds, exponent=st.floats(-3.0, 3.0), shape=shapes,
+       sign=st.sampled_from(["minus", "plus"]))
+def test_bracket_layer_is_rowwise_bitwise(seed, exponent, shape, sign):
+    (p,) = draw(seed, exponent, shape, 1)
+    B, rows = cocycles(seed, shape)
+    fs = functions(seed, exponent)
+    for f in fs:
+        assert_rowwise(f.evaluate, [p], shape)
+        assert_rowwise(lambda q: np.broadcast_to(f.grad(q), np.shape(q)), [p], shape)
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        value = O.magnetic_lie_poisson(f, g, p, B, sign)
+        nested = O.bracket_function(f, g, B, sign)
+        product = O.product_function(f, g)
+        jacobi = O.check_jacobi((f, g, fs[3]), p, B, sign)
+        for index in np.ndindex(*shape):
+            Bi = rows[index]
+            assert bits(value[index]) == bits(
+                O.magnetic_lie_poisson(f, g, p[index], Bi, sign))
+            single = O.bracket_function(f, g, Bi, sign)
+            assert bits(nested.evaluate(p)[index]) == bits(single.evaluate(p[index]))
+            assert bits(nested.grad(p)[index]) == bits(single.grad(p[index]))
+            assert bits(product.evaluate(p)[index]) == bits(
+                product.evaluate(p[index]))
+            assert bits(np.broadcast_to(product.grad(p), p.shape)[index]) == bits(
+                product.grad(p[index]))
+            assert bits(jacobi.residual[index]) == bits(O.check_jacobi(
+                (f, g, fs[3]), p[index], Bi, sign).residual)
+
+
+@PROPERTY
+@given(seed=seeds, exponent=st.floats(-3.0, 3.0), shape=shapes)
+def test_finite_difference_fallbacks_are_rowwise_bitwise(seed, exponent, shape):
+    (p,) = draw(seed, exponent, shape, 1)
+    plain = O.DualFunction(cubic().evaluate)
+    assert_rowwise(plain.grad, [p], shape)
+    assert_rowwise(plain.hess, [p], shape)
+    assert_rowwise(lambda q: fd.jacobian(cubic().gradient, q), [p], shape)
+
+
+@PROPERTY
+@given(seed=seeds, exponent=exponents, shape=shapes,
+       sign=st.sampled_from(["minus", "plus"]))
+def test_orbit_form_and_cocycle_are_rowwise_bitwise(seed, exponent, shape, sign):
+    xi, eta = draw(seed, exponent, shape, 2)
+    nu = np.random.default_rng(seed + 4).uniform(0.3, 2.5, shape)
+    B, rows = cocycles(seed, shape)
+    planar = O.MagneticCocycle.planar(nu)
+    form = O.orbit_symplectic_form(nu, xi, eta, B, sign)
+    matrix = O.orbit_form_matrix(nu, B, sign)
+    for index in np.ndindex(*shape):
+        Bi, nui = rows[index], float(nu[index])
+        assert bits(form[index]) == bits(
+            O.orbit_symplectic_form(nui, xi[index], eta[index], Bi, sign))
+        assert bits(matrix[index]) == bits(O.orbit_form_matrix(nui, Bi, sign))
+        assert bits(B.pair(xi, eta)[index]) == bits(Bi.pair(xi[index], eta[index]))
+        assert bits(B.planar_component[index]) == bits(Bi.planar_component)
+        assert np.array_equal(planar.form[index], O.MagneticCocycle.planar(nui).form)
+
+
+def test_single_inputs_return_python_floats():
+    g, h, v = draw(5, 0.0, (), 3)
+    B = O.MagneticCocycle.planar(0.4)
+    f, k = O.coordinate_function(1), O.linear_function(v)
+    values = [G.area_form(g, h), G.pairing(g, h),
+              C.right_invariant_metric(g, h, v), C.mechanical_connection(g, h),
+              C.curvature(g, h, v), C.center_momentum_map(g, h, 0.3),
+              C.locked_inertia(g, 0.2, 0.3), B.pair(g, h), B.planar_component,
+              O.magnetic_lie_poisson(f, k, g, B), O.orbit_symplectic_form(0.7, g, h, B),
+              f.evaluate(g), k.evaluate(g), O.check_jacobi((f, k, f), g, B).residual]
+    assert [type(x) for x in values] == [float] * len(values)
+
+
+B_STACK = np.random.default_rng(6).normal(size=(4, 3, 3))
+
+
+@pytest.mark.parametrize("bad", [B_STACK, np.zeros((4, 3, 2)),
+                                 np.full((2, 3, 3), np.nan)])
+def test_stacked_cocycles_are_validated(bad):
+    O.MagneticCocycle(B_STACK - np.swapaxes(B_STACK, -1, -2))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        O.MagneticCocycle(bad)
