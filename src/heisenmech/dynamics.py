@@ -291,7 +291,7 @@ def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
                    propagator: Callable[[np.ndarray], np.ndarray] | None = None
                    ) -> list[float]:
     """One implicit-midpoint step of rhs on a flat list of floats, or the
-    given propagator applied to the state array.
+    given propagator applied to the state row y (see _row_writer).
 
     The fixed-point iteration stops once the largest increment is at most
     tol (a nan one never is) and is polished once; after cap iterations
@@ -321,7 +321,7 @@ def _rk4_step(rhs, y: list[float], h: float,
               propagator: Callable[[np.ndarray], np.ndarray] | None = None
               ) -> list[float]:
     """One classical rk4 step of rhs on a flat list of floats, or the given
-    propagator applied to the state array."""
+    propagator applied to the state row y (see _row_writer)."""
     if propagator is not None:
         return propagator(y)
     half = 0.5 * h
@@ -349,9 +349,10 @@ def _check_run(t_end: float, h: float, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _propagator(A: np.ndarray, b: np.ndarray, h: float,
-                method: str) -> Callable[[np.ndarray], np.ndarray] | None:
-    """One step of method for the affine field y' = A @ y + b, as a map.
+def _propagator(A: np.ndarray, b: np.ndarray, h: float, method: str
+                ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Step matrix P and offset d of method for the affine field
+    y' = A @ y + b: one step is P @ y + d, or P @ y when d is None.
 
     The step matrix is built for the augmented generator [[A, b], [0, 0]]
     acting on (y, 1): rk4 is its degree-4 Taylor polynomial of h, midpoint
@@ -361,7 +362,7 @@ def _propagator(A: np.ndarray, b: np.ndarray, h: float,
     block A (the offset does not enter the contraction; the Frobenius norm
     bounds the spectral one and needs no SVD), and None is returned
     otherwise so the iteration runs (and reports NonConvergence) as for any
-    other field. With b = 0 nothing is augmented and a step is P @ y.
+    other field. With b = 0 nothing is augmented and d is None.
     """
     n = len(A)
     affine = bool(b.any())
@@ -376,9 +377,33 @@ def _propagator(A: np.ndarray, b: np.ndarray, h: float,
     else:
         P = np.linalg.solve(eye - 0.5 * hA, eye + 0.5 * hA)
     if not affine:
-        return P.__matmul__
-    P, d = P[:n, :n].copy(), P[:n, n].copy()
-    return lambda y: P @ y + d
+        return P, None
+    return P[:n, :n].copy(), P[:n, n].copy()
+
+
+def _row_writer(P: np.ndarray, d: np.ndarray | None,
+                states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The propagator step of (P, d) as a map of rows of states: the row y
+    goes to the next row, into which P @ y (+ d) is written and which is
+    returned. matmul and add with out= give the bits of P @ y + d."""
+    rows = iter(states[1:])
+    if d is None:
+        return lambda y: np.matmul(P, y, out=next(rows))
+
+    def step(y):
+        out = np.matmul(P, y, out=next(rows))
+        return np.add(out, d, out=out)
+
+    return step
+
+
+# Rows of propagator states written between two finiteness scans.
+_SCAN_ROWS = 1024
+
+
+def _non_finite(step: int) -> FloatingPointError:
+    return FloatingPointError(
+        f"integration produced a non-finite state at step {step}")
 
 
 def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
@@ -391,11 +416,20 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     run on flat lists of Python floats, since numpy's per-call cost exceeds
     its arithmetic on states this small; rhs may be array-valued (converted
     here, see _on_floats) or a float kernel, and the operation order is
-    numpy's, so the states are the same bits. An affine field may also pass
-    its generator (A, b) (rhs(y) = A @ y + b); each step is then the
-    propagator built for the rescaled h, applied to the state array, where
-    _propagator gives one, and the returned flag says whether it did. The
-    first state that overflows to inf or nan stops the run with a
+    numpy's, so the states are the same bits. Each float state is tested for
+    finiteness as it is made.
+
+    An affine field may also pass its generator (A, b) (rhs(y) = A @ y + b);
+    where _propagator gives a step matrix for the rescaled h, each step
+    writes P @ y (+ d) straight into its row of the states (see _row_writer),
+    and the returned flag says whether it did. Those rows are scanned for
+    finiteness once per block of _SCAN_ROWS steps: an affine step keeps an
+    inf or nan state non-finite, so the first non-finite row of a block is
+    the step a per-step test would have stopped at, and the run ends at most
+    one block later. Either way, every step goes through _midpoint_step or
+    _rk4_step, looked up on this module.
+
+    The first state that overflows to inf or nan stops the run with a
     FloatingPointError naming the step that produced it; numpy's own
     overflow warnings are silenced inside the loop, since that error reports
     the failure.
@@ -403,25 +437,35 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     _check_run(t_end, h, method)
     n_steps = max(1, int(round(t_end / h)))
     h = t_end / n_steps
-    P = None if generator is None else _propagator(*generator, h, method)
+    step_matrix = None if generator is None else _propagator(*generator, h,
+                                                             method)
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
-    if P is None:
-        y, rhs = y0.tolist(), _on_floats(rhs)
-    else:
-        y = y0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            if method == "midpoint":
-                y = _midpoint_step(rhs, y, h, i, propagator=P)
-            else:
-                y = _rk4_step(rhs, y, h, propagator=P)
-            if not all(map(isfinite, y)):
-                raise FloatingPointError(
-                    f"integration produced a non-finite state at step {i}")
-            states[i + 1] = y
-    return times, states, P is not None
+        if step_matrix is None:
+            y, rhs = y0.tolist(), _on_floats(rhs)
+            for i in range(n_steps):
+                if method == "midpoint":
+                    y = _midpoint_step(rhs, y, h, i)
+                else:
+                    y = _rk4_step(rhs, y, h)
+                if not all(map(isfinite, y)):
+                    raise _non_finite(i)
+                states[i + 1] = y
+        else:
+            propagate, y = _row_writer(*step_matrix, states), states[0]
+            for start in range(0, n_steps, _SCAN_ROWS):
+                stop = min(start + _SCAN_ROWS, n_steps)
+                for i in range(start, stop):
+                    if method == "midpoint":
+                        y = _midpoint_step(rhs, y, h, i, propagator=propagate)
+                    else:
+                        y = _rk4_step(rhs, y, h, propagator=propagate)
+                finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
+                if not finite.all():
+                    raise _non_finite(start + int(finite.argmin()))
+    return times, states, step_matrix is not None
 
 
 def _shifted_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
@@ -512,8 +556,8 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     at most 100 iterations per step), symplectic for constant fields; rk4 is
     the explicit reference scheme. Every route steps through one loop
     (_fixed_step_flow) on flat lists of Python floats, except the propagator,
-    which multiplies the state array. The route is resolved once per run and
-    recorded in Trajectory.route:
+    which writes each product into its row of the state array. The route is
+    resolved once per run and recorded in Trajectory.route:
 
     - "propagator": a pure (unforced, uncontrolled) system whose Hamiltonian
       declares a quadratic form (kind "euclidean" or "quadratic") on a

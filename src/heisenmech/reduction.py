@@ -45,6 +45,7 @@ from .errors import (
 from .group import CoAlgebraElement, GroupElement, coadjoint, inverse, multiply
 from .magnetic import (
     MagneticField,
+    _momentum_shift,
     left_translate,
     level_lift,
     magnetic_form,
@@ -483,7 +484,44 @@ def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
         out[7] = -float(A @ w) + lam
         return out
 
+    # The upstairs field of this gradient on floats, which
+    # kk_reduce_and_compare steps in place of rch_vector_field.
+    gradient.float_field = _geodesic_float_field(field, m)
     return KKSystem(field, float(m), float(mu), HamiltonianSpec(evaluate, gradient))
+
+
+def _geodesic_float_field(field: MagneticField, m: float) -> Callable[[list], list]:
+    """rch_vector_field of the geodesic system upstairs (zero field, k = 1,
+    the Hamiltonian kaluza_klein_system builds from field and m) as a float
+    kernel: a flat list of 8 floats in, a list out.
+
+    It repeats that Hamiltonian's gradient and hamiltonian_vector_field
+    operation by operation, so it is bitwise equal to them, as
+    dynamics._invariant_particle_field is. numpy keeps A(q), DA^T w and A.w:
+    BLAS may fuse the multiply-adds of a product, so a float sum need not
+    have its bits. The Jacobian of a linear or invariant field is constant
+    and read once. The zero field's B w is ((0.0 + 0*w0) + 0*w1) + 0*w2 in
+    each row, which has numpy's bits, signed zeros included, and its charge
+    factor is 1. The (theta, lam) rates are dH/dlam and -dH/dtheta = -0.0.
+    """
+    if field.kind in ("linear", "invariant"):
+        DA = field.vector_potential_jacobian(np.zeros(3))
+        jacobian = lambda q: DA
+    else:
+        jacobian = field.vector_potential_jacobian
+
+    def rhs(y):
+        q, lam = np.array(y[:3]), y[7]
+        A = field.vector_potential(q)
+        a0, a1, a2 = A.tolist()
+        w = [(y[3] - lam * a0) / m, (y[4] - lam * a1) / m, (y[5] - lam * a2) / m]
+        w_array = np.array(w)
+        bw = ((0.0 + 0.0 * w[0]) + 0.0 * w[1]) + 0.0 * w[2]
+        pdot = [-(-lam * v) + bw for v in (jacobian(q).T @ w_array).tolist()]
+        return w + pdot + [-float(A @ w_array) + lam, -0.0]
+
+    rhs.on_floats = True
+    return rhs
 
 
 def kk_alpha_form_check(kk: KKSystem, samples: int = 20, seed: int = 3313,
@@ -521,25 +559,29 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     bundle at level lam = mu by the fiber shift p -> p + mu*A(q), both flows
     run on the same grid, and the geodesic trajectory is pushed back down by
     the inverse shift. Records report the worst state mismatch and the
-    conservation drift of lam.
+    conservation drift of lam. The geodesic field of kaluza_klein_system's
+    Hamiltonian steps on floats (_geodesic_float_field); any other
+    Hamiltonian steps rch_vector_field.
     """
-    from .dynamics import integrate
-
     mu = kk.mu
     charged = replace(kk.field, charge_factor=mu)
-    lift0 = np.concatenate([momentum_shift(x0, charged), [0.0, mu]])
-    upstairs = RCHSystem(MagneticField.zero(), kk.hamiltonian, k=1)
-    traj_up = integrate(upstairs, lift0, t_end, h, method)
+    lift0 = dynamics._as_state(
+        np.concatenate([momentum_shift(x0, charged), [0.0, mu]]), 1)
+    rhs = getattr(kk.hamiltonian.gradient, "float_field", None)
+    if rhs is None:
+        upstairs = RCHSystem(MagneticField.zero(), kk.hamiltonian, k=1)
+        rhs = lambda y: rch_vector_field(upstairs, y)
+    _, states_up, _ = dynamics._fixed_step_flow(rhs, lift0, t_end, h, method)
 
     downstairs = RCHSystem(charged, euclidean_kinetic_hamiltonian(kk.m))
-    traj_down = integrate(downstairs, x0, t_end, h, method)
+    traj_down = dynamics.integrate(downstairs, x0, t_end, h, method)
 
     inverse_shift = replace(kk.field, charge_factor=-mu)
-    projected = np.array([momentum_shift(row[:6], inverse_shift)
-                          for row in traj_up.states])
+    projected = np.array([_momentum_shift(row[:6], inverse_shift)
+                          for row in states_up])
     mismatch = float(np.max(np.abs(projected - traj_down.states)))
-    drift = float(np.max(np.abs(traj_up.states[:, 7] - mu)))
-    n = traj_up.states.shape[0]
+    drift = float(np.max(np.abs(states_up[:, 7] - mu)))
+    n = states_up.shape[0]
     return [CheckRecord("kk.trajectory_match", n, mismatch, match_threshold),
             CheckRecord("kk.lambda_drift", n, drift, drift_threshold)]
 

@@ -204,6 +204,96 @@ def test_reduced_flow_is_bitwise_the_ndarray_loop(forced, k, method):
     assert times.tobytes() == (np.arange(21) * 0.01).tobytes()
 
 
+# -- the Kaluza-Klein geodesic flow ------------------------------------------
+
+KK_FIELDS = ("linear", "invariant", "q-dependent")
+
+
+def kk_field(kind, rng):
+    if kind == "q-dependent":
+        return nonconstant_closed_field(0.9)
+    return field_of_kind(kind, rng)
+
+
+def integrate_route_kk(kk, x0, t_end, h, method):
+    """kk_reduce_and_compare as it was: the upstairs flow through integrate
+    on rch_vector_field, pushed down row by row by the public
+    momentum_shift. Returns the upstairs states and the records."""
+    mu = kk.mu
+    charged = dataclasses.replace(kk.field, charge_factor=mu)
+    lift0 = np.concatenate([M.momentum_shift(x0, charged), [0.0, mu]])
+    upstairs = D.RCHSystem(M.MagneticField.zero(), kk.hamiltonian, k=1)
+    traj_up = D.integrate(upstairs, lift0, t_end, h, method)
+    downstairs = D.RCHSystem(charged, D.euclidean_kinetic_hamiltonian(kk.m))
+    traj_down = D.integrate(downstairs, x0, t_end, h, method)
+    inverse_shift = dataclasses.replace(kk.field, charge_factor=-mu)
+    projected = np.array([M.momentum_shift(row[:6], inverse_shift)
+                          for row in traj_up.states])
+    n = traj_up.states.shape[0]
+    return traj_up.states, [
+        R.CheckRecord("kk.trajectory_match", n,
+                      float(np.max(np.abs(projected - traj_down.states))), 1e-6),
+        R.CheckRecord("kk.lambda_drift", n,
+                      float(np.max(np.abs(traj_up.states[:, 7] - mu))), 1e-8)]
+
+
+@pytest.mark.parametrize("kind", KK_FIELDS)
+def test_geodesic_float_field_is_bitwise_rch_vector_field(kind):
+    rng = np.random.default_rng(1040)
+    field = kk_field(kind, rng)
+    for m in (1.0, 0.37, 2.5):
+        kk = R.kaluza_klein_system(field, m, 0.8)
+        kernel = kk.hamiltonian.gradient.float_field
+        assert kernel.on_floats
+        upstairs = D.RCHSystem(M.MagneticField.zero(), kk.hamiltonian, k=1)
+        starts = [np.where(rng.random(8) < 0.5, -0.0, 0.0)]
+        for scale in (1e-3, 1.0, 1e3):
+            starts += [scale * rng.normal(size=8) for _ in range(60)]
+            starts += [scale * signed_zero_start(rng, 8) for _ in range(20)]
+        for y in starts:
+            expected = D.rch_vector_field(upstairs, y)
+            assert np.array(kernel(y.tolist())).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", KK_FIELDS)
+@pytest.mark.parametrize("method", METHODS)
+def test_kk_compare_is_the_integrate_route_bitwise(kind, method, monkeypatch):
+    rng = np.random.default_rng(1050)
+    field = kk_field(kind, rng)
+    flow = D._fixed_step_flow
+    for m, mu in ((1.0, 1.0), (1.4, -0.6), (0.8, 0.0)):
+        kk = R.kaluza_klein_system(field, m, mu)
+        x0 = signed_zero_start(rng, 6)
+        runs = []
+
+        def recorded(rhs, *args, **kwargs):
+            result = flow(rhs, *args, **kwargs)
+            runs.append((rhs, result[1]))
+            return result
+
+        monkeypatch.setattr(D, "_fixed_step_flow", recorded)
+        records = R.kk_reduce_and_compare(kk, x0, 0.2, 1e-2, method)
+        monkeypatch.undo()
+        states, expected = integrate_route_kk(kk, x0, 0.2, 1e-2, method)
+        assert runs[0][0] is kk.hamiltonian.gradient.float_field
+        assert runs[0][1].tobytes() == states.tobytes()
+        assert [r.as_dict() for r in records] == [r.as_dict() for r in expected]
+
+
+def test_a_hand_built_kk_system_steps_its_own_hamiltonian():
+    field = M.MagneticField.linear_potential(PLANAR)
+    kk = R.kaluza_klein_system(field, 1.2, 0.9)
+    gradient = kk.hamiltonian.gradient
+    plain = R.KKSystem(field, 1.2, 0.9, D.HamiltonianSpec(
+        kk.hamiltonian.evaluate, lambda s: gradient(s)))
+    x0 = np.array([0.2, -0.1, 0.0, 1.0, 0.3, -0.2])
+    assert (R.kk_reduce_and_compare(plain, x0, 0.2, 1e-2)
+            == R.kk_reduce_and_compare(kk, x0, 0.2, 1e-2))
+    doubled = dataclasses.replace(plain, hamiltonian=D.HamiltonianSpec(
+        kk.hamiltonian.evaluate, lambda s: 2 * gradient(s)))
+    assert not R.kk_reduce_and_compare(doubled, x0, 0.2, 1e-2)[0].passed
+
+
 # -- failure semantics ------------------------------------------------------
 
 def test_a_nan_increment_behind_a_finite_one_does_not_converge():
