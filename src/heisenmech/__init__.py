@@ -27,7 +27,6 @@ from .group import (
 from .orbit import (
     DualFunction,
     MagneticCocycle,
-    OrbitDescriptor,
     OrbitFunction,
     check_jacobi,
     classify_orbit,
@@ -89,7 +88,7 @@ __all__ = [
     "AlgebraElement", "CoAlgebraElement", "GroupElement", "adjoint",
     "area_form", "bracket", "coad_star", "coadjoint", "exp", "identity",
     "inverse", "log", "multiply", "pairing", "to_matrix",
-    "DualFunction", "MagneticCocycle", "OrbitDescriptor", "OrbitFunction",
+    "DualFunction", "MagneticCocycle", "OrbitFunction",
     "check_jacobi", "classify_orbit", "magnetic_lie_poisson",
     "orbit_form_matrix", "orbit_symplectic_form",
     "center_momentum_map", "curvature", "locked_inertia",

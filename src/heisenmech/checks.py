@@ -165,8 +165,7 @@ def check_orbit_form(seed: int, samples: int = 200) -> list[CheckRecord]:
     f, g = orbit.linear_function(xi), orbit.linear_function(eta)
     bracket_value = orbit.magnetic_lie_poisson(f, g, moving, B)
     W = orbit.orbit_form_matrix(nu, MagneticCocycle.zero())
-    kinds = {(orbit.classify_orbit(q).kind, orbit.classify_orbit(r).kind)
-             for q, r in zip(fixed, moving)}
+    kinds = set(zip(orbit.classify_orbit(fixed), orbit.classify_orbit(moving)))
     classify_res = 0.0 if kinds == {("point", "plane")} else 1.0
     return [CheckRecord("orbit.form_matches_bracket", samples,
                         _worst(form - bracket_value), 1e-10),
@@ -336,10 +335,7 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
 
     # Restricted magnetic form on level-set tangents against the pullback of
     # the orbit form through the quotient projection.
-    def proj(s):
-        shifted = mag.momentum_shift(s, field)
-        return mag.chart_to_body_array(shifted[:3], shifted[3:6])[:2]
-
+    proj = lambda s: mag.project_chart(s, field)
     zero = MagneticCocycle.zero()
     pullback = 0.0
     rounds = 8

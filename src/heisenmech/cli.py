@@ -87,17 +87,17 @@ def _body_scaling_map(factor: float, lam_factor: float) -> dyn.FiberMap:
 
     In the chart it reads
     (p1, p2) -> factor * (p1, p2) + (1 - factor)/2 * p3 * (q2, -q1), with p3
-    unchanged and lam scaled by lam_factor. apply evaluates it as
-    factor * rho + (p - rho) with the body momentum rho = (p1 - p3 q2/2,
-    p2 + p3 q1/2). The map is bilinear in (q, p), which gives the analytic
-    tangent, and linear in (p, lam) at fixed q, so it is declared affine.
+    unchanged and lam scaled by lam_factor; apply evaluates it as
+    factor * rho + p3/2 * (q2, -q1), rho the planar body momentum. The map is
+    bilinear in (q, p), which gives the analytic tangent, and linear in
+    (p, lam) at fixed q, so it is declared affine.
     """
 
     def apply(s):
         out = np.asarray(s, dtype=float).copy()
         q, p3 = out[:3], out[5]
         offset = 0.5 * p3 * np.array([q[1], -q[0]])
-        out[3:5] = factor * (out[3:5] - offset) + offset
+        out[3:5] = factor * mag.chart_to_body_array(q, out[3:6])[:2] + offset
         out[6 + (out.size - 6) // 2:] *= lam_factor
         return out
 

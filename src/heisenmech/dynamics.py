@@ -431,18 +431,18 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
 
     The first state that overflows to inf or nan stops the run with a
     FloatingPointError naming the step that produced it; numpy's own
-    overflow warnings are silenced inside the loop, since that error reports
-    the failure.
+    overflow warnings are silenced while the step matrix is built and inside
+    the loop, since that error reports the failure.
     """
     _check_run(t_end, h, method)
     n_steps = max(1, int(round(t_end / h)))
     h = t_end / n_steps
-    step_matrix = None if generator is None else _propagator(*generator, h,
-                                                             method)
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):
+        step_matrix = None if generator is None else _propagator(*generator, h,
+                                                                 method)
         if step_matrix is None:
             y, rhs = y0.tolist(), _on_floats(rhs)
             for i in range(n_steps):
@@ -678,17 +678,13 @@ def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
     momentum maps or reduction enter.
     """
 
-    def body(state):
-        q, p = state[:3], state[3:6]
-        return np.array([p[0] - 0.5 * p[2] * q[1], p[1] + 0.5 * p[2] * q[0], p[2]])
-
     def evaluate(state):
-        rho = body(state)
+        rho = chart_to_body_array(state[:3], state[3:6])
         return 0.5 * float(rho @ rho) / m
 
     def gradient(state):
         q, p = state[:3], state[3:6]
-        rho = body(state)
+        rho = chart_to_body_array(q, p)
         out = np.zeros_like(state)
         out[0] = 0.5 * p[2] * rho[1] / m
         out[1] = -0.5 * p[2] * rho[0] / m

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
-from .group import CoAlgebraElement, multiply
+from .group import CoAlgebraElement, _part, multiply
 from .orbit import OrbitFunction, _antisymmetric, classify_orbit
 
 __all__ = [
@@ -34,12 +34,15 @@ __all__ = [
     "momentum_map_array",
     "level_set_contains",
     "sample_level_point",
+    "project_chart",
     "reduce_point",
     "level_lift",
     "reduced_hamiltonian",
 ]
 
 _KINDS = ("zero", "constant", "linear", "invariant", "general")
+# Half-width of the box sample_level_point draws q and (theta, lam) from.
+_LEVEL_SCALE = 1.5
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,25 @@ def _chart_state(state) -> np.ndarray:
 
 
 def chart_to_body_array(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Body momenta (mu1, mu2, nu) of chart points (q, p) stacked on the last
-    axis; the group coordinates are q itself."""
-    return np.stack([p[..., 0] - 0.5 * p[..., 2] * q[..., 1],
-                     p[..., 1] + 0.5 * p[..., 2] * q[..., 0],
-                     p[..., 2]], axis=-1)
+    """Body momenta (p1 - p3 q2/2, p2 + p3 q1/2, p3) of chart points (q, p)
+    stacked on the last axis, the group coordinates being q itself; written
+    into a float copy of p, in scalar arithmetic for one point."""
+    q, rho = np.asarray(q, dtype=float), np.array(p, dtype=float)
+    nu = _part(rho, 2)
+    rho[..., 0] = _part(rho, 0) - 0.5 * nu * _part(q, 1)
+    rho[..., 1] = _part(rho, 1) + 0.5 * nu * _part(q, 0)
+    return rho
+
+
+def _fiber_push(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The orbit projection's linear map on the fiber over base point q.
+
+    w is a fiber vector (p, theta..., lam...) or a control covector
+    (p, lam...); it goes to the planar body momentum of its p with the
+    V-factor entries passed through. The projection is affine on each fiber,
+    so this is also its exact tangent on vertical vectors.
+    """
+    return np.concatenate([chart_to_body_array(q, w[:3])[:2], w[3:]])
 
 
 def _chart_momentum(q: np.ndarray, rho) -> np.ndarray:
@@ -289,47 +306,60 @@ def level_set_contains(state, mu_nu: CoAlgebraElement,
     return bool(np.max(np.abs(J - mu_nu.as_array())) <= tol)
 
 
+def _level_state(q: np.ndarray, planar, nu: float, field: MagneticField,
+                 rest: np.ndarray) -> np.ndarray:
+    """Chart state (q, p, rest) whose shifted body momentum is (planar, nu),
+    unshifted through the potential's identity value."""
+    shift = field.charge_factor * field.identity_potential_value()
+    rho = np.append(planar - shift[:2], nu - shift[2])
+    return np.concatenate([q, _chart_momentum(q, rho), rest])
+
+
 def sample_level_point(mu_nu: CoAlgebraElement, field: MagneticField, k: int,
-                       rng: np.random.Generator,
-                       scale: float = 1.5) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Chart state of a random point of the momentum level set J_B = (mu, nu).
 
     The group point q and the (theta, lam) factor are free; the shifted body
     momentum is then pinned to (mu - nu*J(q[:2]), nu) and unshifted through
     the potential.
     """
-    u = rng.uniform(-scale, scale, 2)
-    q = np.array([u[0], u[1], rng.uniform(-scale, scale)])
+    u = rng.uniform(-_LEVEL_SCALE, _LEVEL_SCALE, 2)
+    q = np.array([u[0], u[1], rng.uniform(-_LEVEL_SCALE, _LEVEL_SCALE)])
     nu = mu_nu.nu
-    shift = field.charge_factor * field.identity_potential_value()
-    rho = np.append(mu_nu.mu - nu * np.array([u[1], -u[0]]) - shift[:2],
-                    nu - shift[2])
-    theta = rng.uniform(-scale, scale, k)
-    lam = rng.uniform(-scale, scale, k)
-    return np.concatenate([q, _chart_momentum(q, rho), theta, lam])
+    planar = mu_nu.mu - nu * np.array([u[1], -u[0]])
+    return _level_state(q, planar, nu, field,
+                        rng.uniform(-_LEVEL_SCALE, _LEVEL_SCALE, 2 * k))
+
+
+def project_chart(state, field: MagneticField) -> np.ndarray:
+    """Orbit projection (q, p, theta, lam) -> (rho1, rho2, theta, lam), rho
+    the body momentum after the fiber shift (when the field has a potential).
+
+    On a momentum level set this is the quotient projection to the flat orbit
+    chart; off it, the Poisson projection that finite differences across the
+    level set need.
+    """
+    state = _chart_state(state)
+    if field.has_potential:
+        state = _momentum_shift(state, field)
+    return _fiber_push(state[:3], state[3:])
 
 
 def reduce_point(state, mu_nu: CoAlgebraElement,
                  field: MagneticField, tol: float = 1e-8) -> np.ndarray:
     """Project a level-set chart state to its flat orbit chart.
 
-    The chart is (rho1, rho2, theta..., lam...): the planar part of the
-    shifted body momentum (J_B-at-identity data), constant on isotropy-group
-    orbits, followed by the untouched (theta, lam). Its center charge equals
-    the level's nu, which labels the leaf and is not a chart coordinate.
+    The chart is (rho1, rho2, theta..., lam...), project_chart of the state:
+    constant on isotropy-group orbits. Its center charge equals the level's
+    nu, which labels the leaf and is not a chart coordinate.
     """
-    state = _chart_state(state)
-    if not level_set_contains(state, mu_nu, field, tol):
+    J = momentum_map(state, field)
+    if not np.max(np.abs(J - mu_nu.as_array())) <= tol:
         raise NotOnLevelSet(
             f"point is not on the momentum level {mu_nu.as_array()} within {tol}")
-    shifted = _momentum_shift(state, field) if field.has_potential else state
-    rho = chart_to_body_array(shifted[:3], shifted[3:6])
-    out = np.concatenate([rho[:2], state[6:]])
-    descriptor = classify_orbit(rho)
-    expected = classify_orbit(mu_nu.as_array())
-    if descriptor.kind != expected.kind:
+    if classify_orbit(J) != classify_orbit(mu_nu.as_array()):
         raise NotOnLevelSet("orbit type of the representative does not match the level")
-    return out
+    return project_chart(state, field)
 
 
 def level_lift(chart: np.ndarray, mu_nu: CoAlgebraElement,
@@ -347,9 +377,7 @@ def level_lift(chart: np.ndarray, mu_nu: CoAlgebraElement,
     else:
         u = (0.0, 0.0)
     q = np.array([u[0], u[1], alpha], dtype=float)
-    shift = field.charge_factor * field.identity_potential_value()
-    rho = np.append(chart[:2] - shift[:2], nu - shift[2])
-    return np.concatenate([q, _chart_momentum(q, rho), chart[2:]])
+    return _level_state(q, chart[:2], nu, field, chart[2:])
 
 
 def reduced_hamiltonian(h_full: Callable[[np.ndarray], float],

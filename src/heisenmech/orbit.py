@@ -29,7 +29,6 @@ from .group import _dot, _matvec, _part, _scalar, _vecmat, area_form, pairing
 __all__ = [
     "DualFunction",
     "MagneticCocycle",
-    "OrbitDescriptor",
     "OrbitFunction",
     "JacobiResult",
     "magnetic_lie_poisson",
@@ -123,15 +122,6 @@ class MagneticCocycle:
     def planar_component(self):
         """The (1,2) entry, the only one the orbit geometry sees."""
         return _scalar(self.form[..., 0, 1])
-
-
-@dataclass(frozen=True)
-class OrbitDescriptor:
-    """Result of classify_orbit: a fixed point or an affine plane."""
-
-    kind: str  # "point" or "plane"
-    mu: np.ndarray | None
-    nu: float
 
 
 def _checked_form(Q, c, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +277,14 @@ def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle,
     return JacobiResult(abs(total), tol)
 
 
-def classify_orbit(p: np.ndarray, tol: float = 1e-12) -> OrbitDescriptor:
-    """Coadjoint orbit through the flat dual point p = (mu1, mu2, nu): a fixed
-    point for nu = 0, else a plane."""
-    if abs(p[2]) <= tol:
-        return OrbitDescriptor("point", np.array(p[:2], dtype=float), 0.0)
-    return OrbitDescriptor("plane", None, float(p[2]))
+def classify_orbit(p: np.ndarray, tol: float = 1e-12) -> str | np.ndarray:
+    """Kind of the coadjoint orbit through the dual point p = (mu1, mu2, nu):
+    "point" (a fixed point) for |nu| <= tol, else "plane". A str for one
+    triple, an array of labels of the leading shape for a stack."""
+    point = np.abs(_part(np.asarray(p, dtype=float), 2)) <= tol
+    if point.ndim == 0:
+        return "point" if point else "plane"
+    return np.where(point, "point", "plane")
 
 
 def _generator_scale(nu: float, B: MagneticCocycle, sign: str) -> float:

@@ -45,18 +45,19 @@ from .errors import (
 from .group import CoAlgebraElement, GroupElement, coadjoint, inverse, multiply
 from .magnetic import (
     MagneticField,
+    _fiber_push,
     _momentum_shift,
     left_translate,
     level_lift,
     magnetic_form,
     momentum_map,
     momentum_shift,
+    project_chart,
     reduced_hamiltonian,
     sample_level_point,
 )
 from .orbit import (
     MagneticCocycle,
-    OrbitDescriptor,
     OrbitFunction,
     classify_orbit,
     orbit_hamiltonian_vector_field,
@@ -151,33 +152,6 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
 
 
-def _fiber_push(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The projection's linear map on the fiber over base point q.
-
-    w is a fiber vector (p, theta..., lam...) or a control covector
-    (p, lam...); it goes to (w_p1 - w_p3 q2/2, w_p2 + w_p3 q1/2, w[3:]), the
-    planar body momentum with the V-factor entries passed through. The
-    projection is affine on each fiber, so this is also its exact tangent on
-    vertical vectors.
-    """
-    return np.concatenate([[w[0] - 0.5 * w[2] * q[1], w[1] + 0.5 * w[2] * q[0]],
-                           w[3:]])
-
-
-def _project_chart(state: np.ndarray, field: MagneticField) -> np.ndarray:
-    """Smooth extension of the orbit projection to the whole chart.
-
-    Sends (q, p, theta, lam) to (shifted planar body momentum, theta, lam),
-    the fiber shifted by p -> p + charge_factor * A(q) when the field has a
-    potential. On a momentum level set this is exactly the quotient
-    projection; off the level set it is the Poisson projection to the dual
-    algebra, which is what finite differences across the level set need.
-    """
-    if field.has_potential:
-        state = momentum_shift(state, field)
-    return _fiber_push(state[:3], state[3:])
-
-
 def _reduced_fiber_indices(k: int) -> np.ndarray:
     """Fiber index array (rho, lam) of the orbit chart."""
     return np.concatenate([np.arange(2), np.arange(2 + k, 2 + 2 * k)]).astype(int)
@@ -205,7 +179,7 @@ class ReducedRCHSystem:
     """
 
     level: CoAlgebraElement
-    descriptor: OrbitDescriptor
+    orbit_kind: str
     hamiltonian: OrbitFunction
     source: RCHSystem
     lift_offset: np.ndarray
@@ -239,15 +213,19 @@ class ReducedRCHSystem:
         state = self.lift(chart)
         _, fiber = _base_fiber_indices(k)
         state[fiber] = subset.offset
-        offset = _project_chart(state, self.source.field)[_reduced_fiber_indices(k)]
+        offset = project_chart(state, self.source.field)[_reduced_fiber_indices(k)]
         rays = np.array([_fiber_push(state[:3], row)
                          for row in subset.spanning]).reshape(-1, offset.size)
         return ControlSubset(offset, _independent_rows(rays))
 
 
+# Random (state, translation) pairs each fiber map is swept on.
+_EQUIVARIANCE_ROUNDS = 60
+
+
 def _equivariance_sweep(fm: FiberMap, k: int, tol: float, rng: np.random.Generator,
-                        what: str, rounds: int = 60) -> None:
-    for _ in range(rounds):
+                        what: str) -> None:
+    for _ in range(_EQUIVARIANCE_ROUNDS):
         s = rng.uniform(-2, 2, 6 + 2 * k)
         h = rng.uniform(-2, 2, 3)
         lhs = np.asarray(fm.apply(left_translate(h, s)), dtype=float)
@@ -286,10 +264,10 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     0...) and c = (-s1/m, -s2/m, 0...); any other kind gets the exact
     chain-rule gradient (D lift)^T grad H at the lift.
     """
-    descriptor = classify_orbit(mu_nu.as_array())
-    if descriptor.kind != expected_orbit:
+    orbit_kind = classify_orbit(mu_nu.as_array())
+    if orbit_kind != expected_orbit:
         raise IrregularLevel(
-            f"level has a {descriptor.kind} orbit where a {expected_orbit} orbit "
+            f"level has a {orbit_kind} orbit where a {expected_orbit} orbit "
             "was requested")
     rng = np.random.default_rng(seed)
     # Probe the momentum map once so an incompatible field fails loudly here.
@@ -310,7 +288,7 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
         h_red = replace(h_red, gradient=lambda chart: lift_matrix.T @ (
             sys.hamiltonian.grad(offset + lift_matrix @ chart)))
 
-    red = ReducedRCHSystem(mu_nu, descriptor, h_red, sys, offset, lift_matrix)
+    red = ReducedRCHSystem(mu_nu, orbit_kind, h_red, sys, offset, lift_matrix)
     for what, fm in (("force", sys.force), ("control", sys.control)):
         if fm is not None:
             _equivariance_sweep(fm, sys.k, invariance_tol, rng, what)
@@ -326,7 +304,7 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
         for fm in (sys.force, sys.control):
             if fm is None:
                 continue
-            images = [_project_chart(np.asarray(fm.apply(s)), sys.field)
+            images = [project_chart(fm.apply(s), sys.field)
                       for s in lifts]
             if max(np.max(np.abs(im - images[0])) for im in images) > lift_tol:
                 raise NotInvariant("reduced fiber map depends on the lift")
@@ -340,7 +318,7 @@ def reduced_hamiltonian_field(red: ReducedRCHSystem, chart: np.ndarray) -> np.nd
     at red.level.nu; point orbits have no rho freedom, leaving only the
     canonical flow on the V x V* factor.
     """
-    if red.descriptor.kind == "point":
+    if red.orbit_kind == "point":
         grad = red.hamiltonian.grad(chart)
         k = red.k
         return np.concatenate([np.zeros(2), grad[2 + k:], -grad[2:2 + k]])
@@ -426,9 +404,9 @@ def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
     for _ in range(samples):
         state = sample_level_point(red.level, sys.field, k, rng)
         full = rch_vector_field(sys, state)
-        lhs = fd.directional(lambda s: _project_chart(s, sys.field),
+        lhs = fd.directional(lambda s: project_chart(s, sys.field),
                              state, full, fd.GRADIENT_STEP)
-        rhs = reduced_rch_field(red, _project_chart(state, sys.field))
+        rhs = reduced_rch_field(red, project_chart(state, sys.field))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return CheckRecord("reduction.commutation", samples, worst, threshold)
 

@@ -124,7 +124,7 @@ def reference_orbit_form(seed, samples=200):
         det_res = max(det_res, abs(np.linalg.det(W) - nu * nu))
         fixed = orbit.classify_orbit(np.append(rng.uniform(-2, 2, 2), 0.0))
         moving = orbit.classify_orbit(np.append(rho, nu))
-        if fixed.kind != "point" or moving.kind != "plane":
+        if fixed != "point" or moving != "plane":
             classify_res = max(classify_res, 1.0)
     return [CheckRecord("orbit.form_matches_bracket", samples, value_res, 1e-10),
             CheckRecord("orbit.determinant", samples, det_res, 1e-10),

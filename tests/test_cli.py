@@ -251,6 +251,24 @@ def test_diverging_simulation_exits_3_without_report(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("method,message", [
+    ("rk4", "FloatingPointError: integration produced a non-finite state "
+            "at step 0"),
+    ("midpoint", "implicit midpoint fixed point did not converge (step 0)")])
+def test_overflowing_step_matrix_prints_only_the_failure(tmp_path, method,
+                                                         message):
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text("system.mass = 1e-200\nsystem.metric = euclidean\n"
+                   "state.p1 = 1.0\nstate.p2 = 2.0\nstate.p3 = -0.5\n"
+                   "field.kind = constant\nfield.b12 = 1\n"
+                   f"run.method = {method}\nrun.step = 0.001\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "heisenmech.cli", "simulate", "--config",
+         str(cfg), "--out", str(tmp_path)], capture_output=True, text=True)
+    assert result.returncode == 3
+    assert result.stderr == f"numerical failure: {message}\n"
+
+
 def test_body_scaling_tangent_matches_finite_differences():
     rng = np.random.default_rng(16)
     force = _body_scaling_map(0.7, 0.8)

@@ -119,10 +119,12 @@ def test_jacobi_degraded_tolerance_for_fd_gradients():
 
 
 def test_classify_orbit():
-    d = O.classify_orbit(np.array([3.0, 4.0, 0.0]))
-    assert d.kind == "point" and np.allclose(d.mu, [3, 4], atol=0)
-    d = O.classify_orbit(np.array([0.0, 0.0, 1.0]))
-    assert d.kind == "plane" and d.nu == 1.0
+    assert O.classify_orbit(np.array([3.0, 4.0, 0.0])) == "point"
+    assert O.classify_orbit(np.array([0.0, 0.0, 1.0])) == "plane"
+    stack = np.array([[[3.0, 4.0, 0.0], [0.0, 0.0, 1.0]], [[1.0, 1.0, -1e-12],
+                                                          [0.0, 0.0, -2e-12]]])
+    assert O.classify_orbit(stack).tolist() == [["point", "plane"],
+                                                ["point", "plane"]]
     rng = np.random.default_rng(26)
     fixed = np.array([3.0, 4.0, 0.0])
     for _ in range(200):

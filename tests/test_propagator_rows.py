@@ -156,3 +156,11 @@ def test_an_overflow_in_the_last_partial_block_is_found():
     assert failed < 200 < D._SCAN_ROWS
     with pytest.raises(FloatingPointError, match=f"step {failed}$"):
         D.integrate(sys, x0, 200.0, 1.0, "rk4")
+
+
+def test_an_overflowing_step_matrix_raises_the_failure_not_a_warning():
+    # 1e80 * h overflows while the rk4 matrix is built; the suite turns a
+    # RuntimeWarning into an error, so a warning escaping the build fails here.
+    sys, x0, _ = full_case(1e80, None)
+    with pytest.raises(FloatingPointError, match="at step 0$"):
+        D.integrate(sys, x0, 1.0, 1.0, "rk4")

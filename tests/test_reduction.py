@@ -135,10 +135,10 @@ def test_reduced_force_and_control_maps():
     shift = sys.field.charge_factor * sys.field.identity_potential_value()[:2]
     for _ in range(30):
         chart = rng.uniform(-2, 2, 2)
-        moved = R._project_chart(sys.force.apply(red.lift(chart)), sys.field)
+        moved = M.project_chart(sys.force.apply(red.lift(chart)), sys.field)
         expected = 0.6 * (chart - shift) + shift
         assert np.max(np.abs(moved - expected)) <= 1e-12
-        pushed = R._project_chart(sys.control.apply(red.lift(chart)), sys.field)
+        pushed = M.project_chart(sys.control.apply(red.lift(chart)), sys.field)
         assert np.max(np.abs(pushed - (chart + [0.3, -0.1]))) <= 1e-12
         assert red.control_subset_at(chart).contains(pushed, tol=1e-10)
 
@@ -198,7 +198,7 @@ def test_tiny_nu_plane_leaf_raises_singular_form():
     # orbit form coefficient c = -nu falls under the c^2 < 1e-14 threshold.
     level = CoAlgebraElement(LEVEL.mu, 1e-9)
     red = R.reduce_system(particle(), level)
-    assert red.descriptor.kind == "plane"
+    assert red.orbit_kind == "plane"
     with pytest.raises(SingularForm):
         R.integrate_reduced(red, np.array([1.2, -0.4]), t_end=0.1, h=1e-2)
 
@@ -257,14 +257,14 @@ def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, fie
             expected = M.level_lift(chart, level, field, alpha)
             assert np.max(np.abs(red.lift(chart, alpha) - expected)) <= 1e-12
         state = rng.uniform(-2, 2, 6 + 2 * k)
-        assert np.max(np.abs(R._project_chart(state, field)
+        assert np.max(np.abs(M.project_chart(state, field)
                              - reference_projection(state, field, k))) <= 1e-12
         lift = red.lift(chart)
         v = np.zeros(6 + 2 * k)
         v[fiber] = rng.normal(size=3 + k)
         expected = (reference_projection(lift + v, field, k)
                     - reference_projection(lift, field, k))
-        assert np.max(np.abs(R._fiber_push(lift[:3], v[3:]) - expected)) <= 1e-12
+        assert np.max(np.abs(M._fiber_push(lift[:3], v[3:]) - expected)) <= 1e-12
         v = D.vertical_lift(sys.force, sys, lift)
         expected = (reference_projection(lift + v, field, k)
                     - reference_projection(lift, field, k))
