@@ -286,19 +286,27 @@ def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
     return out
 
 
+# The stop rule of the implicit-midpoint fixed-point iteration, read by
+# _midpoint_step and by the fused kernel of _invariant_particle_step.
+_MIDPOINT_TOL = 1e-12
+_MIDPOINT_CAP = 100
+
+
 def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
-                   tol: float = 1e-12, cap: int = 100,
-                   propagator: Callable[[np.ndarray], np.ndarray] | None = None
+                   tol: float = _MIDPOINT_TOL, cap: int = _MIDPOINT_CAP,
+                   propagator: Callable[..., list | np.ndarray] | None = None
                    ) -> list[float]:
     """One implicit-midpoint step of rhs on a flat list of floats, or the
-    given propagator applied to the state row y (see _row_writer).
+    given fused step applied to (y, step_index): a propagator writing the
+    state row y's successor (see _row_writer, which ignores the index) or
+    the closed-form kernel of _invariant_particle_step.
 
     The fixed-point iteration stops once the largest increment is at most
     tol (a nan one never is) and is polished once; after cap iterations
     NonConvergence reports the last increment as the residual.
     """
     if propagator is not None:
-        return propagator(y)
+        return propagator(y, step_index)
     z = [a + h * r for a, r in zip(y, rhs(y))]
     for _ in range(cap):
         z_new = [a + h * r for a, r in
@@ -318,10 +326,10 @@ def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
 
 
 def _rk4_step(rhs, y: list[float], h: float,
-              propagator: Callable[[np.ndarray], np.ndarray] | None = None
+              propagator: Callable[..., list | np.ndarray] | None = None
               ) -> list[float]:
     """One classical rk4 step of rhs on a flat list of floats, or the given
-    propagator applied to the state row y (see _row_writer)."""
+    fused step applied to y (see _midpoint_step)."""
     if propagator is not None:
         return propagator(y)
     half = 0.5 * h
@@ -385,12 +393,13 @@ def _row_writer(P: np.ndarray, d: np.ndarray | None,
                 states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The propagator step of (P, d) as a map of rows of states: the row y
     goes to the next row, into which P @ y (+ d) is written and which is
-    returned. matmul and add with out= give the bits of P @ y + d."""
+    returned. matmul and add with out= give the bits of P @ y + d. A
+    midpoint step also passes its index, which is ignored."""
     rows = iter(states[1:])
     if d is None:
-        return lambda y: np.matmul(P, y, out=next(rows))
+        return lambda y, step_index=None: np.matmul(P, y, out=next(rows))
 
-    def step(y):
+    def step(y, step_index=None):
         out = np.matmul(P, y, out=next(rows))
         return np.add(out, d, out=out)
 
@@ -407,7 +416,8 @@ def _non_finite(step: int) -> FloatingPointError:
 
 
 def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
-                     generator: tuple[np.ndarray, np.ndarray] | None = None
+                     generator: tuple[np.ndarray, np.ndarray] | None = None,
+                     kernel: Callable[[float, str], Callable] | None = None
                      ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
 
@@ -416,8 +426,11 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     run on flat lists of Python floats, since numpy's per-call cost exceeds
     its arithmetic on states this small; rhs may be array-valued (converted
     here, see _on_floats) or a float kernel, and the operation order is
-    numpy's, so the states are the same bits. Each float state is tested for
-    finiteness as it is made.
+    numpy's, so the states are the same bits. A fused kernel may replace the
+    generic step: kernel(h, method), called once with the rescaled h, gives
+    the step that _midpoint_step or _rk4_step hands each state to (see
+    _invariant_particle_step), and rhs is then never called. Each float
+    state is tested for finiteness as it is made.
 
     An affine field may also pass its generator (A, b) (rhs(y) = A @ y + b);
     where _propagator gives a step matrix for the rescaled h, each step
@@ -445,11 +458,12 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
                                                                  method)
         if step_matrix is None:
             y, rhs = y0.tolist(), _on_floats(rhs)
+            fused = None if kernel is None else kernel(h, method)
             for i in range(n_steps):
                 if method == "midpoint":
-                    y = _midpoint_step(rhs, y, h, i)
+                    y = _midpoint_step(rhs, y, h, i, propagator=fused)
                 else:
-                    y = _rk4_step(rhs, y, h)
+                    y = _rk4_step(rhs, y, h, propagator=fused)
                 if not all(map(isfinite, y)):
                     raise _non_finite(i)
                 states[i + 1] = y
@@ -505,59 +519,131 @@ def _affine_generator(sys: RCHSystem) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def _invariant_particle_field(sys: RCHSystem) -> Callable[[list], list]:
-    """rch_vector_field of a pure invariant-metric particle on a constant
-    field, as a float kernel: flat list of floats in, list out, with B, the
-    charge factor and m resolved once.
+def _invariant_particle_step(sys: RCHSystem, h: float, method: str
+                             ) -> Callable[..., list[float]]:
+    """The midpoint or rk4 step of size h for a pure invariant-metric
+    particle on a constant field, fused into one float kernel: y (a flat
+    list of floats) to the next state, as a list. A midpoint kernel also
+    takes the step index, for NonConvergence.
 
-    It repeats invariant_kinetic_hamiltonian's gradient and
-    hamiltonian_vector_field operation by operation on Python floats, so it
-    is bitwise equal to them. pdot stays -g_q + cf * (B g_p), since
-    (cf * B) g_p rounds differently. B g_p is numpy's product B @ g_p for a
-    dense constant or linear field; for a zero or invariant field, whose B
-    has exact zeros, it is the float sum ((0.0 + b0*g0) + b1*g1) + b2*g2
-    per row, which has the same bits, signed zeros included (the 0.0 seed
-    is what fixes the sign of a zero sum). The (theta, lam) rates are
-    dH/dlam = 0.0 and -dH/dtheta = -0.0.
+    The six entries of (q, p) are unpacked once per step, and the right-hand
+    side takes and returns scalars, so the fixed-point iteration (under the
+    stop rule _MIDPOINT_TOL, _MIDPOINT_CAP) and the rk4 stages build no
+    list. Every operation is the one _midpoint_step or _rk4_step does on
+    rch_vector_field, in the same order, so the states are the same bits:
+    - the right-hand side repeats invariant_kinetic_hamiltonian's gradient
+      and hamiltonian_vector_field on floats. pdot stays -g_q + cf * (B g_p),
+      since (cf * B) g_p rounds differently. B g_p is numpy's product
+      B @ g_p for a dense constant or linear field; for a zero or invariant
+      field, whose B has exact zeros, it is the float sum
+      ((0.0 + b0*g0) + b1*g1) + b2*g2 per row, which has the same bits,
+      signed zeros included (the 0.0 seed fixes the sign of a zero sum).
+    - The (theta, lam) rates are dH/dlam = 0.0 and -dH/dtheta = -0.0, so
+      either method moves that tail to theta + 0.0 and lam + -0.0 (a -0.0
+      theta becomes 0.0). Its fixed-point increments, 0.0 for a finite entry
+      and nan for any other, stay in the iteration's nan test, so a
+      non-finite tail still ends in NonConvergence.
     """
     m = sys.hamiltonian.mass
     cf = sys.field.charge_factor
     B = sys.field.b(np.zeros(3))
-    circle = [0.0] * sys.k + [-0.0] * sys.k
+    k = sys.k
     if sys.field.kind in ("zero", "invariant"):
-        rows = B.tolist()
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B.tolist()
 
-        def times_b(g):
-            return [((0.0 + b0 * g[0]) + b1 * g[1]) + b2 * g[2]
-                    for b0, b1, b2 in rows]
+        def times_b(g0, g1, g2):
+            return (((0.0 + b00 * g0) + b01 * g1) + b02 * g2,
+                    ((0.0 + b10 * g0) + b11 * g1) + b12 * g2,
+                    ((0.0 + b20 * g0) + b21 * g1) + b22 * g2)
     else:
-        def times_b(g):
-            return (B @ np.array(g)).tolist()
+        def times_b(g0, g1, g2):
+            return (B @ np.array((g0, g1, g2))).tolist()
 
-    def rhs(y):
-        q0, q1, p0, p1, p2 = y[0], y[1], y[3], y[4], y[5]
+    def rhs(q0, q1, p0, p1, p2):
         rho0 = p0 - 0.5 * p2 * q1
         rho1 = p1 + 0.5 * p2 * q0
-        g_p = [rho0 / m, rho1 / m, (-0.5 * q1 * rho0 + 0.5 * q0 * rho1 + p2) / m]
-        b0, b1, b2 = times_b(g_p)
-        return g_p + [-(0.5 * p2 * rho1 / m) + cf * b0,
-                      -(-0.5 * p2 * rho0 / m) + cf * b1,
-                      -0.0 + cf * b2] + circle
+        g0 = rho0 / m
+        g1 = rho1 / m
+        g2 = (-0.5 * q1 * rho0 + 0.5 * q0 * rho1 + p2) / m
+        b0, b1, b2 = times_b(g0, g1, g2)
+        return (g0, g1, g2, -(0.5 * p2 * rho1 / m) + cf * b0,
+                -(-0.5 * p2 * rho0 / m) + cf * b1, -0.0 + cf * b2)
 
-    rhs.on_floats = True
-    return rhs
+    def tail(y):
+        return ([t + 0.0 for t in y[6:6 + k]]
+                + [t + -0.0 for t in y[6 + k:]])
+
+    if method == "rk4":
+        half = 0.5 * h
+        sixth = h / 6.0
+
+        def rk4(y):
+            y0, y1, y2, y3, y4, y5 = y[:6]
+            a0, a1, a2, a3, a4, a5 = rhs(y0, y1, y3, y4, y5)
+            b0, b1, b2, b3, b4, b5 = rhs(y0 + half * a0, y1 + half * a1,
+                                         y3 + half * a3, y4 + half * a4,
+                                         y5 + half * a5)
+            c0, c1, c2, c3, c4, c5 = rhs(y0 + half * b0, y1 + half * b1,
+                                         y3 + half * b3, y4 + half * b4,
+                                         y5 + half * b5)
+            d0, d1, d2, d3, d4, d5 = rhs(y0 + h * c0, y1 + h * c1,
+                                         y3 + h * c3, y4 + h * c4,
+                                         y5 + h * c5)
+            return [y0 + sixth * (((a0 + 2 * b0) + 2 * c0) + d0),
+                    y1 + sixth * (((a1 + 2 * b1) + 2 * c1) + d1),
+                    y2 + sixth * (((a2 + 2 * b2) + 2 * c2) + d2),
+                    y3 + sixth * (((a3 + 2 * b3) + 2 * c3) + d3),
+                    y4 + sixth * (((a4 + 2 * b4) + 2 * c4) + d4),
+                    y5 + sixth * (((a5 + 2 * b5) + 2 * c5) + d5)] + tail(y)
+
+        return rk4
+
+    def midpoint(y, step_index):
+        y0, y1, y2, y3, y4, y5 = y[:6]
+        rest = tail(y)
+        # 0.0 if the tail is finite, else nan: its increments each iteration.
+        rest_delta = sum(abs(t - t) for t in rest)
+        r0, r1, r2, r3, r4, r5 = rhs(y0, y1, y3, y4, y5)
+        z0, z1, z2 = y0 + h * r0, y1 + h * r1, y2 + h * r2
+        z3, z4, z5 = y3 + h * r3, y4 + h * r4, y5 + h * r5
+        for _ in range(_MIDPOINT_CAP):
+            r0, r1, r2, r3, r4, r5 = rhs(
+                0.5 * (y0 + z0), 0.5 * (y1 + z1), 0.5 * (y3 + z3),
+                0.5 * (y4 + z4), 0.5 * (y5 + z5))
+            w0, w1, w2 = y0 + h * r0, y1 + h * r1, y2 + h * r2
+            w3, w4, w5 = y3 + h * r3, y4 + h * r4, y5 + h * r5
+            i0, i1, i2 = abs(w0 - z0), abs(w1 - z1), abs(w2 - z2)
+            i3, i4, i5 = abs(w3 - z3), abs(w4 - z4), abs(w5 - z5)
+            z0, z1, z2, z3, z4, z5 = w0, w1, w2, w3, w4, w5
+            # nan-aware as in _midpoint_step: a nan increment never converges
+            total = i0 + i1 + i2 + i3 + i4 + i5 + rest_delta
+            delta = total if isnan(total) else max(i0, i1, i2, i3, i4, i5)
+            if delta <= _MIDPOINT_TOL:
+                # one polishing iteration after reaching tolerance
+                r0, r1, r2, r3, r4, r5 = rhs(
+                    0.5 * (y0 + z0), 0.5 * (y1 + z1), 0.5 * (y3 + z3),
+                    0.5 * (y4 + z4), 0.5 * (y5 + z5))
+                return [y0 + h * r0, y1 + h * r1, y2 + h * r2,
+                        y3 + h * r3, y4 + h * r4, y5 + h * r5] + rest
+        raise NonConvergence("implicit midpoint fixed point did not converge",
+                             step_index=step_index, residual=delta)
+
+    return midpoint
 
 
 def integrate(sys: RCHSystem, x0, t_end: float, h: float,
               method: str = "midpoint") -> Trajectory:
     """Integrate the dynamical field from x0 to t_end with fixed step h.
 
-    midpoint is the implicit midpoint rule (fixed-point iteration to 1e-12,
-    at most 100 iterations per step), symplectic for constant fields; rk4 is
-    the explicit reference scheme. Every route steps through one loop
-    (_fixed_step_flow) on flat lists of Python floats, except the propagator,
-    which writes each product into its row of the state array. The route is
-    resolved once per run and recorded in Trajectory.route:
+    midpoint is the implicit midpoint rule (fixed-point iteration to
+    _MIDPOINT_TOL = 1e-12, at most _MIDPOINT_CAP = 100 iterations per step),
+    symplectic for constant fields; rk4 is the explicit reference scheme.
+    Every route steps through one loop (_fixed_step_flow) on flat lists of
+    Python floats, except the propagator, which writes each product into its
+    row of the state array. The propagator and the closed-form kernel enter
+    each step through the same hook of _midpoint_step and _rk4_step, so a
+    step is one call of either on every route. The route is resolved once
+    per run and recorded in Trajectory.route:
 
     - "propagator": a pure (unforced, uncontrolled) system whose Hamiltonian
       declares a quadratic form (kind "euclidean" or "quadratic") on a
@@ -567,8 +653,9 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
       iteration provably contracts, ||hA/2||_F < 1/2 on the linear block;
       otherwise the run takes the "field" route.
     - "closed_form": a pure invariant-metric particle on a constant field
-      steps by one closed-form right-hand side on floats, bitwise equal to
-      rch_vector_field.
+      steps by a fused midpoint or rk4 kernel on float locals, built for the
+      rescaled step (_invariant_particle_step), bitwise equal to the generic
+      steps on rch_vector_field.
     - "shifted": midpoint on a general (q-dependent) field, for a pure system
       with a potential, integrates the plain Hamiltonian field of H_A (see
       modified_hamiltonian) and maps back through the fiber translation.
@@ -585,13 +672,14 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     _check_run(t_end, h, method)
     state = _as_state(x0, sys.k)
     pure = sys.force is None and sys.control is None
-    route, generator = "field", None
+    route, generator, kernel = "field", None, None
     rhs = lambda y: rch_vector_field(sys, y)
     if sys.field.is_constant:
         if pure and sys.hamiltonian.form is not None:
             route, generator = "propagator", _affine_generator(sys)
         elif pure and sys.hamiltonian.kind == "invariant":
-            route, rhs = "closed_form", _invariant_particle_field(sys)
+            route = "closed_form"
+            kernel = functools.partial(_invariant_particle_step, sys)
     elif method == "midpoint":
         if pure and sys.field.has_potential:
             route = "shifted"
@@ -608,7 +696,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
         state = _momentum_shift(state, sys.field)
 
     times, states, propagated = _fixed_step_flow(rhs, state, t_end, h, method,
-                                                 generator)
+                                                 generator, kernel)
     if route == "propagator" and not propagated:
         route = "field"
     if route == "shifted":

@@ -474,8 +474,9 @@ def _geodesic_float_field(field: MagneticField, m: float) -> Callable[[list], li
     kernel: a flat list of 8 floats in, a list out.
 
     It repeats that Hamiltonian's gradient and hamiltonian_vector_field
-    operation by operation, so it is bitwise equal to them, as
-    dynamics._invariant_particle_field is. numpy keeps A(q), DA^T w and A.w:
+    operation by operation, so it is bitwise equal to them, as the
+    right-hand side of dynamics._invariant_particle_step is. numpy keeps
+    A(q), DA^T w and A.w:
     BLAS may fuse the multiply-adds of a product, so a float sum need not
     have its bits. The Jacobian of a linear or invariant field is constant
     and read once. The zero field's B w is ((0.0 + 0*w0) + 0*w1) + 0*w2 in

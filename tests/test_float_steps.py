@@ -3,7 +3,9 @@
 `_midpoint_step` and `_rk4_step` step flat lists of Python floats. The
 reference below is the ndarray arithmetic they replaced, kept here verbatim:
 every route of `integrate` and both reduced flows must give the same bits,
-also from starts with exact signed zeros, and fail the same way.
+also from starts with exact signed zeros, and fail the same way. The
+closed-form route steps by fused kernels; it is also held to the list
+right-hand side those kernels replaced, kept here as a second reference.
 """
 
 import dataclasses
@@ -124,18 +126,120 @@ def test_field_route_is_bitwise_the_ndarray_loop(k, method):
     assert traj.states.tobytes() == field_flow(sys, x0, method).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["zero", "constant", "linear", "invariant"])
-@pytest.mark.parametrize("k", [0, 1])
+def reference_list_rhs(sys):
+    """The closed-form route's right-hand side before the fused kernels: a
+    map of flat float lists, run by the generic float steps."""
+    m = sys.hamiltonian.mass
+    cf = sys.field.charge_factor
+    B = sys.field.b(np.zeros(3))
+    circle = [0.0] * sys.k + [-0.0] * sys.k
+    if sys.field.kind in ("zero", "invariant"):
+        rows = B.tolist()
+
+        def times_b(g):
+            return [((0.0 + b0 * g[0]) + b1 * g[1]) + b2 * g[2]
+                    for b0, b1, b2 in rows]
+    else:
+        def times_b(g):
+            return (B @ np.array(g)).tolist()
+
+    def rhs(y):
+        q0, q1, p0, p1, p2 = y[0], y[1], y[3], y[4], y[5]
+        rho0 = p0 - 0.5 * p2 * q1
+        rho1 = p1 + 0.5 * p2 * q0
+        g_p = [rho0 / m, rho1 / m, (-0.5 * q1 * rho0 + 0.5 * q0 * rho1 + p2) / m]
+        b0, b1, b2 = times_b(g_p)
+        return g_p + [-(0.5 * p2 * rho1 / m) + cf * b0,
+                      -(-0.5 * p2 * rho0 / m) + cf * b1,
+                      -0.0 + cf * b2] + circle
+
+    rhs.on_floats = True
+    return rhs
+
+
+def list_flow(sys, x0, method, t_end=0.2, h=1e-2):
+    """The float loop on the list right-hand side."""
+    return D._fixed_step_flow(reference_list_rhs(sys), x0, t_end, h, method)[1]
+
+
+def closed_form_flow(sys, x0, method, t_end=0.2, h=1e-2):
+    traj = D.integrate(sys, x0, t_end, h, method)
+    assert traj.route == "closed_form"
+    return traj.states
+
+
+def outcome(run):
+    """The states of a run, as bytes, or the type, message, step index and
+    residual of the exception it ends in."""
+    try:
+        return run().tobytes()
+    except (NonConvergence, FloatingPointError) as exc:
+        return (type(exc), str(exc), getattr(exc, "step_index", None),
+                repr(getattr(exc, "residual", None)))
+
+
+def assert_closed_form_is_both_references(sys, x0, method, t_end=0.2, h=1e-2):
+    """The closed-form route ends as the ndarray loop on rch_vector_field and
+    the float loop on the list right-hand side do; returns the outcome."""
+    args = (sys, x0, method, t_end, h)
+    got = outcome(lambda: closed_form_flow(*args))
+    assert got == outcome(lambda: field_flow(*args))
+    assert got == outcome(lambda: list_flow(*args))
+    return got
+
+
+FIELD_KINDS = ("zero", "constant", "linear", "invariant")
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("method", METHODS)
 def test_closed_form_route_is_bitwise_the_ndarray_loop(kind, k, method):
     rng = np.random.default_rng(1010 + k)
     sys = D.RCHSystem(field_of_kind(kind, rng),
                       D.invariant_kinetic_hamiltonian(0.9), k=k)
-    for x0 in (signed_zero_start(rng, 6 + 2 * k),
-               np.where(rng.random(6 + 2 * k) < 0.5, -0.0, 0.0)):
-        traj = D.integrate(sys, x0, 0.2, 1e-2, method)
-        assert traj.route == "closed_form"
-        assert traj.states.tobytes() == field_flow(sys, x0, method).tobytes()
+    n = 6 + 2 * k
+    starts = [signed_zero_start(rng, n), np.where(rng.random(n) < 0.5, -0.0, 0.0),
+              np.zeros(n), -np.zeros(n)]
+    starts += [scale * signed_zero_start(rng, n)
+               for scale in (1e-6, 1e-3, 1e3, 1e6)]
+    # q and the tail at 1e6, p at 1e-6: on a zero or invariant B, large
+    # entries on a run that converges
+    starts.append(np.repeat([1e6, 1e-6, 1e6], [3, 3, 2 * k])
+                  * signed_zero_start(rng, n))
+    outcomes = []
+    for x0 in starts:
+        # h = 0.03 does not divide t_end: the kernel gets the rescaled step
+        for h in (1e-2, 0.03):
+            outcomes.append(assert_closed_form_is_both_references(
+                sys, x0, method, h=h))
+    # most starts run to the end; the largest ones end in a failure, and the
+    # mixed one too on a dense B, whose force grows with q
+    assert sum(isinstance(o, bytes) for o in outcomes) >= 12
+
+
+@pytest.mark.parametrize("block", ["q", "p", "theta", "lam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_non_finite_start_fails_as_the_references_do(block, bad, method):
+    k = 2
+    rng = np.random.default_rng(1015)
+    indices = {"q": range(3), "p": range(3, 6), "theta": range(6, 6 + k),
+               "lam": range(6 + k, 6 + 2 * k)}[block]
+    for kind in FIELD_KINDS:
+        sys = D.RCHSystem(field_of_kind(kind, rng),
+                          D.invariant_kinetic_hamiltonian(0.9), k=k)
+        for i in indices:
+            x0 = signed_zero_start(rng, 6 + 2 * k)
+            x0[i] = bad
+            got = assert_closed_form_is_both_references(sys, x0, method)
+            # midpoint never converges on a non-finite entry; rk4 keeps it
+            if method == "midpoint":
+                assert got[:3] == (NonConvergence, "implicit midpoint fixed "
+                                   "point did not converge", 0)
+            else:
+                assert got[:3] == (FloatingPointError, "integration produced "
+                                   "a non-finite state at step 0", None)
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -6,7 +6,8 @@ The states must be bitwise a per-step P @ y + d loop, an overflow must name
 the step a per-step np.isfinite(y).all() test names, and the run must stop
 at the end of that step's block. Every step, propagated or not, is one call
 of dynamics._midpoint_step or _rk4_step looked up on the module, which is
-how the benchmark's tracer counts steps.
+how the benchmark's tracer counts steps; the closed-form route's fused
+kernel enters through the same per-step argument.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ STEP_FUNCTIONS = {"midpoint": "_midpoint_step", "rk4": "_rk4_step"}
 
 def count_steps(monkeypatch, method):
     """Wrap the module's step function of method as the tracer does; the
-    list gets one entry per call, True where a propagator was passed."""
+    list gets one entry per call, True where a fused step (a propagator or
+    a closed-form kernel) was passed."""
     name = STEP_FUNCTIONS[method]
     step = getattr(D, name)
     calls = []
@@ -105,11 +107,18 @@ def test_each_propagator_step_is_one_step_call_and_p_y_plus_d(affine, k,
 
 @pytest.mark.parametrize("method", ["midpoint", "rk4"])
 def test_a_float_route_run_is_one_step_call_per_step(method, monkeypatch):
-    sys = D.RCHSystem(FIELD, D.invariant_kinetic_hamiltonian(1.3))
-    calls = count_steps(monkeypatch, method)
-    traj = D.integrate(sys, np.linspace(-1.0, 1.0, 6), 0.5, 1e-2, method)
-    assert traj.route == "closed_form"
-    assert calls == [False] * 50
+    # The closed-form route passes its fused kernel to every step; the
+    # field route passes nothing and iterates on rch_vector_field.
+    kinetic = D.invariant_kinetic_hamiltonian(1.3)
+    general = D.HamiltonianSpec(kinetic.evaluate, kinetic.gradient)
+    x0 = np.linspace(-1.0, 1.0, 6)
+    for spec, route, fused in ((kinetic, "closed_form", True),
+                               (general, "field", False)):
+        calls = count_steps(monkeypatch, method)
+        traj = D.integrate(D.RCHSystem(FIELD, spec), x0, 0.5, 1e-2, method)
+        monkeypatch.undo()
+        assert traj.route == route
+        assert calls == [fused] * 50
 
 
 @pytest.mark.parametrize("q,block", [(10.0, 0), (3.0, 1)])
