@@ -245,11 +245,39 @@ def _run_settings(cfg: ExperimentConfig) -> tuple[float, float, str]:
                        choices=("midpoint", "rk4")))
 
 
+# Rows formatted per block of _write_csv. A block's cells all live at once as
+# Python objects, so a larger block raises the peak memory of a run.
+_CSV_ROWS = 128
+
+
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """Write rows under header, each cell the shortest round-trip repr of its
+    float, so float(cell) gives back its bits (every nan reads back as the
+    default nan).
+
+    repr is the cost, and trajectory columns repeat values (a conserved
+    momentum, a constant column), so each column of a block of _CSV_ROWS rows
+    formats each of its distinct bit patterns once. Patterns, not values:
+    0.0 == -0.0 yet each has its own text, and nan != nan yet equal nans
+    dedupe. A dict per column finds them: np.unique was faster, but mapping
+    numpy's sort kernels raised a run's peak memory by about half a megabyte.
+    """
+    rows = np.asarray(rows, dtype=float)
+    bits = rows.view(np.int64)
     with open(path, "w") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(map(repr, row.tolist())) + "\n")
+        for start in range(0, len(rows), _CSV_ROWS):
+            stop = start + _CSV_ROWS
+            columns = []
+            for values, keys in zip(rows[start:stop].T.tolist(),
+                                    bits[start:stop].T.tolist()):
+                distinct = dict(zip(keys, values))
+                if len(distinct) < len(keys):
+                    texts = dict(zip(distinct, map(repr, distinct.values())))
+                    columns.append(list(map(texts.__getitem__, keys)))
+                else:
+                    columns.append(list(map(repr, values)))
+            handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _drift_record(name: str, values: np.ndarray,

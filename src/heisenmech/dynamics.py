@@ -393,14 +393,16 @@ def _row_writer(P: np.ndarray, d: np.ndarray | None,
                 states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The propagator step of (P, d) as a map of rows of states: the row y
     goes to the next row, into which P @ y (+ d) is written and which is
-    returned. matmul and add with out= give the bits of P @ y + d. A
-    midpoint step also passes its index, which is ignored."""
+    returned. np.dot and add with out= give the bits of P @ y + d (dot and
+    matmul both take BLAS's gemv for a matrix and a vector), and dot's
+    per-call path is the shorter. A midpoint step also passes its index,
+    which is ignored."""
     rows = iter(states[1:])
     if d is None:
-        return lambda y, step_index=None: np.matmul(P, y, out=next(rows))
+        return lambda y, step_index=None: np.dot(P, y, next(rows))
 
     def step(y, step_index=None):
-        out = np.matmul(P, y, out=next(rows))
+        out = np.dot(P, y, next(rows))
         return np.add(out, d, out=out)
 
     return step

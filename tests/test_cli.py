@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import heisenmech
-from heisenmech import fd
+from heisenmech import cli, fd
 from heisenmech.checks import CHECKS
 from heisenmech.cli import _body_scaling_map, _constant_push_map, _write_csv, main
 from heisenmech.magnetic import chart_to_body_array
@@ -340,6 +340,42 @@ def test_console_module_runs_as_subprocess(tmp_path):
     assert "FAIL mr1.symplectic" in result.stdout
 
 
+def row_by_row_csv(header, rows):
+    """The text of the row-by-row writer _write_csv replaced: one repr per
+    cell, one write per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row.tolist())) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def csv_edge_cases():
+    """Inputs whose cells a dedupe on float equality, or on one block,
+    would get wrong, with the shapes and layouts the writer must accept."""
+    rng = np.random.default_rng(20)
+    block = cli._CSV_ROWS
+    signed_zeros = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
+    nans = np.array([[np.nan, np.copysign(np.nan, -1.0)],
+                     [np.copysign(np.nan, -1.0), np.nan], [np.nan, -0.0]])
+    n = 3 * block + 7
+    columns = np.column_stack([
+        np.arange(n) * 1e-3,                            # every value distinct
+        np.full(n, 1.1),                                # constant
+        rng.choice([0.1, -0.0, 0.0, 2.0 / 3.0], n),     # few values, all blocks
+        np.repeat(rng.normal(size=4), block - 1)[:n],   # runs across boundaries
+        np.repeat(rng.normal(size=4), block)[:n],       # a run per block
+    ])
+    wide = rng.normal(size=(block + 3, 8)).round(1)     # repeats, -0.0
+    return {
+        "signed zeros": signed_zeros,
+        "nans": nans,
+        "many blocks": columns,
+        "one row": columns[:1],
+        "one column": columns[:, 2:3],
+        "column slice": wide[:, ::2],
+        "fortran order": np.asfortranarray(columns),
+    }
+
+
 def test_csv_rows_match_per_value_float_repr(tmp_path):
     edge = [-0.0, 5e-324, 1e308, 0.1, 1.0, 1e16, np.nan, -np.inf, 1.0 / 3.0]
     rows = np.array([edge, edge[::-1]])
@@ -348,6 +384,37 @@ def test_csv_rows_match_per_value_float_repr(tmp_path):
     text = (tmp_path / "rows.csv").read_text()
     assert text == ",".join("c%d" % i for i in range(len(edge))) + "\n" + expected
     assert text.splitlines()[1].startswith("-0.0,5e-324,1e+308,0.1,1.0,1e+16,nan,")
+    cases = csv_edge_cases()
+    for name, rows in cases.items():
+        header = ["c%d" % i for i in range(rows.shape[1])]
+        _write_csv(tmp_path / "rows.csv", header, rows)
+        text = (tmp_path / "rows.csv").read_text()
+        assert text == row_by_row_csv(header, rows), name
+    # Bits, not values: 0.0 and -0.0 keep their own text.
+    _write_csv(tmp_path / "rows.csv", ["a", "b"], cases["signed zeros"])
+    assert (tmp_path / "rows.csv").read_text().splitlines()[1:] == [
+        "0.0,1.0", "-0.0,1.0", "0.0,-0.0", "-0.0,0.0"]
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("simulate", "heisenberg_particle.cfg", "trajectory.csv"),
+    ("reduce", "reduce.cfg", "reduced.csv"),
+])
+def test_trajectory_csv_is_the_row_by_row_bytes(tmp_path, monkeypatch, command,
+                                               config, name):
+    written = []
+
+    def recording(path, header, rows):
+        written.append((path, header, rows.copy()))
+        return _write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    assert main([command, "--config", str(CONFIGS / config),
+                 "--out", str(tmp_path)]) == 0
+    [(path, header, rows)] = written
+    assert path == tmp_path / name
+    assert len(rows) > cli._CSV_ROWS
+    assert path.read_bytes() == row_by_row_csv(header, rows).encode()
 
 
 @pytest.mark.parametrize("lines, where", [
