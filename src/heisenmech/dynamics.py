@@ -9,8 +9,10 @@ rule (symplectic for constant fields) and a classical rk4 reference.
 from __future__ import annotations
 
 import functools
+import linecache
 import warnings
 from dataclasses import dataclass, replace
+# isnan is read by the midpoint drivers that _step_template generates.
 from math import isfinite, isnan
 from typing import Callable
 
@@ -286,65 +288,114 @@ def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
     return out
 
 
-# The stop rule of the implicit-midpoint fixed-point iteration, read by
-# _midpoint_step and by the fused kernel of _invariant_particle_step.
+# The stop rule of the implicit-midpoint fixed-point iteration, read only by
+# the midpoint drivers of _step_template.
 _MIDPOINT_TOL = 1e-12
 _MIDPOINT_CAP = 100
 
 
-def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
-                   tol: float = _MIDPOINT_TOL, cap: int = _MIDPOINT_CAP,
-                   propagator: Callable[..., list | np.ndarray] | None = None
-                   ) -> list[float]:
-    """One implicit-midpoint step of rhs on a flat list of floats, or the
-    given fused step applied to (y, step_index): a propagator writing the
-    state row y's successor (see _row_writer, which ignores the index) or
-    the closed-form kernel of _invariant_particle_step.
+def _step_template(n: int, method: str) -> str:
+    """Source of the midpoint or rk4 step driver for states of n floats.
 
-    The fixed-point iteration stops once the largest increment is at most
-    tol (a nan one never is) and is polished once; after cap iterations
-    NonConvergence reports the last increment as the residual.
+    The driver unpacks the state y into the locals y0, y1, ..., and every
+    stage into locals too, so no list is built per iteration or stage; rhs
+    is called with one argument, a sequence of n floats, and returns n
+    floats. Each operation is numpy's on the whole state, in the same order,
+    so the states are the bits of array arithmetic. each(expr) writes expr
+    once per entry, # standing for its index; a tuple display ends in a
+    comma, so one entry is a tuple too.
+
+    The midpoint iteration starts from the explicit Euler guess and stops
+    once the largest increment is at most tol (a nan one never is), then
+    polishes once; after cap iterations NonConvergence reports the last
+    increment as the residual. tol and cap default to _MIDPOINT_TOL and
+    _MIDPOINT_CAP.
     """
-    if propagator is not None:
-        return propagator(y, step_index)
-    z = [a + h * r for a, r in zip(y, rhs(y))]
+    def each(expr: str, sep: str = ", ") -> str:
+        return sep.join(expr.replace("#", str(i)) for i in range(n))
+
+    if method == "rk4":
+        return f"""\
+def rk4(rhs, y, h):
+    half = 0.5 * h
+    {each('y#')}, = y
+    {each('a#')}, = rhs(y)
+    {each('b#')}, = rhs(({each('y# + half * a#')},))
+    {each('c#')}, = rhs(({each('y# + half * b#')},))
+    {each('d#')}, = rhs(({each('y# + h * c#')},))
+    sixth = h / 6.0
+    return [{each('y# + sixth * (((a# + 2 * b#) + 2 * c#) + d#)')}]
+"""
+    return f"""\
+def midpoint(rhs, y, h, step_index, tol, cap):
+    tol = _MIDPOINT_TOL if tol is None else tol
+    cap = _MIDPOINT_CAP if cap is None else cap
+    {each('y#')}, = y
+    {each('r#')}, = rhs(y)
+    {each('z#')}, = {each('y# + h * r#')},
     for _ in range(cap):
-        z_new = [a + h * r for a, r in
-                 zip(y, rhs([0.5 * (a + b) for a, b in zip(y, z)]))]
-        increments = [abs(a - b) for a, b in zip(z_new, z)]
-        z = z_new
+        {each('r#')}, = rhs(({each('0.5 * (y# + z#)')},))
+        {each('w#')}, = {each('y# + h * r#')},
+        {each('i#')}, = {each('abs(w# - z#)')},
+        {each('z#')}, = {each('w#')},
         # The increments are >= 0, so their sum is nan only if one is nan;
         # Python's max would pass over a nan that numpy's would return.
-        total = sum(increments)
-        delta = total if isnan(total) else max(increments)
+        total = {each('i#', ' + ')}
+        delta = total if isnan(total) else max(({each('i#')},))
         if delta <= tol:
             # one polishing iteration after reaching tolerance
-            return [a + h * r for a, r in
-                    zip(y, rhs([0.5 * (a + b) for a, b in zip(y, z)]))]
+            {each('r#')}, = rhs(({each('0.5 * (y# + z#)')},))
+            return [{each('y# + h * r#')}]
     raise NonConvergence("implicit midpoint fixed point did not converge",
                          step_index=step_index, residual=delta)
+"""
+
+
+@functools.cache
+def _step_driver(n: int, method: str) -> Callable[..., list[float]]:
+    """The step driver of method for n floats, compiled from _step_template
+    once per (n, method). Its source is kept as driver.source, under a file
+    name that names the template, for tracebacks and inspection."""
+    source = _step_template(n, method)
+    filename = f"<heisenmech.dynamics._step_template {method} n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    driver = namespace[method]
+    driver.source = source
+    return driver
+
+
+def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
+                   tol: float | None = None, cap: int | None = None,
+                   propagator: Callable[..., list | np.ndarray] | None = None
+                   ) -> list[float]:
+    """One implicit-midpoint step of rhs from the flat float state y, by the
+    driver of _step_template for its width, or the given propagator step
+    applied to (y, step_index): it writes the state row y's successor (see
+    _row_writer, which ignores the index). tol and cap default to the stop
+    rule _MIDPOINT_TOL, _MIDPOINT_CAP."""
+    if propagator is not None:
+        return propagator(y, step_index)
+    return _step_driver(len(y), "midpoint")(rhs, y, h, step_index, tol, cap)
 
 
 def _rk4_step(rhs, y: list[float], h: float,
               propagator: Callable[..., list | np.ndarray] | None = None
               ) -> list[float]:
-    """One classical rk4 step of rhs on a flat list of floats, or the given
-    fused step applied to y (see _midpoint_step)."""
+    """One classical rk4 step of rhs from the flat float state y, by the
+    driver of _step_template for its width, or the given propagator step
+    applied to y (see _midpoint_step)."""
     if propagator is not None:
         return propagator(y)
-    half = 0.5 * h
-    k1 = rhs(y)
-    k2 = rhs([a + half * k for a, k in zip(y, k1)])
-    k3 = rhs([a + half * k for a, k in zip(y, k2)])
-    k4 = rhs([a + h * k for a, k in zip(y, k3)])
-    sixth = h / 6.0
-    return [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return _step_driver(len(y), "rk4")(rhs, y, h)
 
 
 def _on_floats(rhs):
-    """rhs as a map of flat float lists: a float kernel (marked on_floats)
-    passes through, an array-valued rhs gets one conversion each way."""
+    """rhs as a map of flat float sequences: a float kernel (marked
+    on_floats) passes through, an array-valued rhs gets one conversion each
+    way."""
     if getattr(rhs, "on_floats", False):
         return rhs
     return lambda y: rhs(np.array(y)).tolist()
@@ -418,20 +469,16 @@ def _non_finite(step: int) -> FloatingPointError:
 
 
 def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
-                     generator: tuple[np.ndarray, np.ndarray] | None = None,
-                     kernel: Callable[[float, str], Callable] | None = None
+                     generator: tuple[np.ndarray, np.ndarray] | None = None
                      ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
 
     The steps are uniform and land exactly on t_end (h is rescaled by at most
     half a step); exact endpoints matter for period-return checks. The steps
-    run on flat lists of Python floats, since numpy's per-call cost exceeds
-    its arithmetic on states this small; rhs may be array-valued (converted
-    here, see _on_floats) or a float kernel, and the operation order is
-    numpy's, so the states are the same bits. A fused kernel may replace the
-    generic step: kernel(h, method), called once with the rescaled h, gives
-    the step that _midpoint_step or _rk4_step hands each state to (see
-    _invariant_particle_step), and rhs is then never called. Each float
+    run on Python floats, by the drivers of _step_template, since numpy's
+    per-call cost exceeds its arithmetic on states this small; rhs may be
+    array-valued (converted here, see _on_floats) or a float kernel, and the
+    operation order is numpy's, so the states are the same bits. Each float
     state is tested for finiteness as it is made.
 
     An affine field may also pass its generator (A, b) (rhs(y) = A @ y + b);
@@ -460,12 +507,11 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
                                                                  method)
         if step_matrix is None:
             y, rhs = y0.tolist(), _on_floats(rhs)
-            fused = None if kernel is None else kernel(h, method)
             for i in range(n_steps):
                 if method == "midpoint":
-                    y = _midpoint_step(rhs, y, h, i, propagator=fused)
+                    y = _midpoint_step(rhs, y, h, i)
                 else:
-                    y = _rk4_step(rhs, y, h, propagator=fused)
+                    y = _rk4_step(rhs, y, h)
                 if not all(map(isfinite, y)):
                     raise _non_finite(i)
                 states[i + 1] = y
@@ -521,35 +567,24 @@ def _affine_generator(sys: RCHSystem) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def _invariant_particle_step(sys: RCHSystem, h: float, method: str
-                             ) -> Callable[..., list[float]]:
-    """The midpoint or rk4 step of size h for a pure invariant-metric
-    particle on a constant field, fused into one float kernel: y (a flat
-    list of floats) to the next state, as a list. A midpoint kernel also
-    takes the step index, for NonConvergence.
+def _invariant_particle_field(sys: RCHSystem) -> Callable[[list], tuple]:
+    """rch_vector_field of a pure invariant-metric particle on a constant
+    field as a float kernel: a sequence of 6 + 2k floats in, a tuple out.
 
-    The six entries of (q, p) are unpacked once per step, and the right-hand
-    side takes and returns scalars, so the fixed-point iteration (under the
-    stop rule _MIDPOINT_TOL, _MIDPOINT_CAP) and the rk4 stages build no
-    list. Every operation is the one _midpoint_step or _rk4_step does on
-    rch_vector_field, in the same order, so the states are the same bits:
-    - the right-hand side repeats invariant_kinetic_hamiltonian's gradient
-      and hamiltonian_vector_field on floats. pdot stays -g_q + cf * (B g_p),
-      since (cf * B) g_p rounds differently. B g_p is numpy's product
-      B @ g_p for a dense constant or linear field; for a zero or invariant
-      field, whose B has exact zeros, it is the float sum
-      ((0.0 + b0*g0) + b1*g1) + b2*g2 per row, which has the same bits,
-      signed zeros included (the 0.0 seed fixes the sign of a zero sum).
-    - The (theta, lam) rates are dH/dlam = 0.0 and -dH/dtheta = -0.0, so
-      either method moves that tail to theta + 0.0 and lam + -0.0 (a -0.0
-      theta becomes 0.0). Its fixed-point increments, 0.0 for a finite entry
-      and nan for any other, stay in the iteration's nan test, so a
-      non-finite tail still ends in NonConvergence.
+    It repeats invariant_kinetic_hamiltonian's gradient and
+    hamiltonian_vector_field on floats, operation by operation, so it is
+    bitwise equal to them. pdot stays -g_q + cf * (B g_p), since
+    (cf * B) g_p rounds differently. B g_p is numpy's product B @ g_p for a
+    dense constant or linear field; for a zero or invariant field, whose B
+    has exact zeros, it is the float sum ((0.0 + b0*g0) + b1*g1) + b2*g2 per
+    row, which has the same bits, signed zeros included (the 0.0 seed fixes
+    the sign of a zero sum). The (theta, lam) rates are dH/dlam = 0.0 and
+    -dH/dtheta = -0.0.
     """
     m = sys.hamiltonian.mass
     cf = sys.field.charge_factor
     B = sys.field.b(np.zeros(3))
-    k = sys.k
+    circle = (0.0,) * sys.k + (-0.0,) * sys.k
     if sys.field.kind in ("zero", "invariant"):
         (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B.tolist()
 
@@ -561,7 +596,8 @@ def _invariant_particle_step(sys: RCHSystem, h: float, method: str
         def times_b(g0, g1, g2):
             return (B @ np.array((g0, g1, g2))).tolist()
 
-    def rhs(q0, q1, p0, p1, p2):
+    def rhs(y):
+        q0, q1, p0, p1, p2 = y[0], y[1], y[3], y[4], y[5]
         rho0 = p0 - 0.5 * p2 * q1
         rho1 = p1 + 0.5 * p2 * q0
         g0 = rho0 / m
@@ -569,68 +605,10 @@ def _invariant_particle_step(sys: RCHSystem, h: float, method: str
         g2 = (-0.5 * q1 * rho0 + 0.5 * q0 * rho1 + p2) / m
         b0, b1, b2 = times_b(g0, g1, g2)
         return (g0, g1, g2, -(0.5 * p2 * rho1 / m) + cf * b0,
-                -(-0.5 * p2 * rho0 / m) + cf * b1, -0.0 + cf * b2)
+                -(-0.5 * p2 * rho0 / m) + cf * b1, -0.0 + cf * b2) + circle
 
-    def tail(y):
-        return ([t + 0.0 for t in y[6:6 + k]]
-                + [t + -0.0 for t in y[6 + k:]])
-
-    if method == "rk4":
-        half = 0.5 * h
-        sixth = h / 6.0
-
-        def rk4(y):
-            y0, y1, y2, y3, y4, y5 = y[:6]
-            a0, a1, a2, a3, a4, a5 = rhs(y0, y1, y3, y4, y5)
-            b0, b1, b2, b3, b4, b5 = rhs(y0 + half * a0, y1 + half * a1,
-                                         y3 + half * a3, y4 + half * a4,
-                                         y5 + half * a5)
-            c0, c1, c2, c3, c4, c5 = rhs(y0 + half * b0, y1 + half * b1,
-                                         y3 + half * b3, y4 + half * b4,
-                                         y5 + half * b5)
-            d0, d1, d2, d3, d4, d5 = rhs(y0 + h * c0, y1 + h * c1,
-                                         y3 + h * c3, y4 + h * c4,
-                                         y5 + h * c5)
-            return [y0 + sixth * (((a0 + 2 * b0) + 2 * c0) + d0),
-                    y1 + sixth * (((a1 + 2 * b1) + 2 * c1) + d1),
-                    y2 + sixth * (((a2 + 2 * b2) + 2 * c2) + d2),
-                    y3 + sixth * (((a3 + 2 * b3) + 2 * c3) + d3),
-                    y4 + sixth * (((a4 + 2 * b4) + 2 * c4) + d4),
-                    y5 + sixth * (((a5 + 2 * b5) + 2 * c5) + d5)] + tail(y)
-
-        return rk4
-
-    def midpoint(y, step_index):
-        y0, y1, y2, y3, y4, y5 = y[:6]
-        rest = tail(y)
-        # 0.0 if the tail is finite, else nan: its increments each iteration.
-        rest_delta = sum(abs(t - t) for t in rest)
-        r0, r1, r2, r3, r4, r5 = rhs(y0, y1, y3, y4, y5)
-        z0, z1, z2 = y0 + h * r0, y1 + h * r1, y2 + h * r2
-        z3, z4, z5 = y3 + h * r3, y4 + h * r4, y5 + h * r5
-        for _ in range(_MIDPOINT_CAP):
-            r0, r1, r2, r3, r4, r5 = rhs(
-                0.5 * (y0 + z0), 0.5 * (y1 + z1), 0.5 * (y3 + z3),
-                0.5 * (y4 + z4), 0.5 * (y5 + z5))
-            w0, w1, w2 = y0 + h * r0, y1 + h * r1, y2 + h * r2
-            w3, w4, w5 = y3 + h * r3, y4 + h * r4, y5 + h * r5
-            i0, i1, i2 = abs(w0 - z0), abs(w1 - z1), abs(w2 - z2)
-            i3, i4, i5 = abs(w3 - z3), abs(w4 - z4), abs(w5 - z5)
-            z0, z1, z2, z3, z4, z5 = w0, w1, w2, w3, w4, w5
-            # nan-aware as in _midpoint_step: a nan increment never converges
-            total = i0 + i1 + i2 + i3 + i4 + i5 + rest_delta
-            delta = total if isnan(total) else max(i0, i1, i2, i3, i4, i5)
-            if delta <= _MIDPOINT_TOL:
-                # one polishing iteration after reaching tolerance
-                r0, r1, r2, r3, r4, r5 = rhs(
-                    0.5 * (y0 + z0), 0.5 * (y1 + z1), 0.5 * (y3 + z3),
-                    0.5 * (y4 + z4), 0.5 * (y5 + z5))
-                return [y0 + h * r0, y1 + h * r1, y2 + h * r2,
-                        y3 + h * r3, y4 + h * r4, y5 + h * r5] + rest
-        raise NonConvergence("implicit midpoint fixed point did not converge",
-                             step_index=step_index, residual=delta)
-
-    return midpoint
+    rhs.on_floats = True
+    return rhs
 
 
 def integrate(sys: RCHSystem, x0, t_end: float, h: float,
@@ -640,12 +618,12 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     midpoint is the implicit midpoint rule (fixed-point iteration to
     _MIDPOINT_TOL = 1e-12, at most _MIDPOINT_CAP = 100 iterations per step),
     symplectic for constant fields; rk4 is the explicit reference scheme.
-    Every route steps through one loop (_fixed_step_flow) on flat lists of
-    Python floats, except the propagator, which writes each product into its
-    row of the state array. The propagator and the closed-form kernel enter
-    each step through the same hook of _midpoint_step and _rk4_step, so a
-    step is one call of either on every route. The route is resolved once
-    per run and recorded in Trajectory.route:
+    Every route steps through one loop (_fixed_step_flow), a step being one
+    call of _midpoint_step or _rk4_step. The propagator writes each product
+    into its row of the state array; every other route runs the one
+    generated driver of its method and width (_step_template) on Python
+    floats, and differs only in the right-hand side it supplies. The route
+    is resolved once per run and recorded in Trajectory.route:
 
     - "propagator": a pure (unforced, uncontrolled) system whose Hamiltonian
       declares a quadratic form (kind "euclidean" or "quadratic") on a
@@ -655,9 +633,8 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
       iteration provably contracts, ||hA/2||_F < 1/2 on the linear block;
       otherwise the run takes the "field" route.
     - "closed_form": a pure invariant-metric particle on a constant field
-      steps by a fused midpoint or rk4 kernel on float locals, built for the
-      rescaled step (_invariant_particle_step), bitwise equal to the generic
-      steps on rch_vector_field.
+      steps its vector field written on floats (_invariant_particle_field),
+      bitwise equal to rch_vector_field.
     - "shifted": midpoint on a general (q-dependent) field, for a pure system
       with a potential, integrates the plain Hamiltonian field of H_A (see
       modified_hamiltonian) and maps back through the fiber translation.
@@ -674,14 +651,13 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     _check_run(t_end, h, method)
     state = _as_state(x0, sys.k)
     pure = sys.force is None and sys.control is None
-    route, generator, kernel = "field", None, None
+    route, generator = "field", None
     rhs = lambda y: rch_vector_field(sys, y)
     if sys.field.is_constant:
         if pure and sys.hamiltonian.form is not None:
             route, generator = "propagator", _affine_generator(sys)
         elif pure and sys.hamiltonian.kind == "invariant":
-            route = "closed_form"
-            kernel = functools.partial(_invariant_particle_step, sys)
+            route, rhs = "closed_form", _invariant_particle_field(sys)
     elif method == "midpoint":
         if pure and sys.field.has_potential:
             route = "shifted"
@@ -698,7 +674,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
         state = _momentum_shift(state, sys.field)
 
     times, states, propagated = _fixed_step_flow(rhs, state, t_end, h, method,
-                                                 generator, kernel)
+                                                 generator)
     if route == "propagator" and not propagated:
         route = "field"
     if route == "shifted":

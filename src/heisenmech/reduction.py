@@ -426,15 +426,6 @@ class KKSystem:
     mu: float
     hamiltonian: HamiltonianSpec
 
-    def momentum(self, state: np.ndarray) -> float:
-        """The S^1 momentum map: the lam component of the state."""
-        return float(np.asarray(state, dtype=float)[7])
-
-    def wrap(self, state: np.ndarray) -> np.ndarray:
-        out = np.asarray(state, dtype=float).copy()
-        out[6] = np.mod(out[6], 2.0 * np.pi)
-        return out
-
 
 def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
     """Build the circle-extended geodesic system for an exact magnetic field.
@@ -471,12 +462,12 @@ def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
 def _geodesic_float_field(field: MagneticField, m: float) -> Callable[[list], list]:
     """rch_vector_field of the geodesic system upstairs (zero field, k = 1,
     the Hamiltonian kaluza_klein_system builds from field and m) as a float
-    kernel: a flat list of 8 floats in, a list out.
+    kernel: a sequence of 8 floats in, a list out, which the step drivers of
+    dynamics._step_template run as they run every right-hand side.
 
     It repeats that Hamiltonian's gradient and hamiltonian_vector_field
-    operation by operation, so it is bitwise equal to them, as the
-    right-hand side of dynamics._invariant_particle_step is. numpy keeps
-    A(q), DA^T w and A.w:
+    operation by operation, so it is bitwise equal to them, as
+    dynamics._invariant_particle_field is. numpy keeps A(q), DA^T w and A.w:
     BLAS may fuse the multiply-adds of a product, so a float sum need not
     have its bits. The Jacobian of a linear or invariant field is constant
     and read once. The zero field's B w is ((0.0 + 0*w0) + 0*w1) + 0*w2 in

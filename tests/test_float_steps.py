@@ -1,14 +1,16 @@
 """The float stepping loop against the ndarray steps it replaced, bit for bit.
 
-`_midpoint_step` and `_rk4_step` step flat lists of Python floats. The
-reference below is the ndarray arithmetic they replaced, kept here verbatim:
-every route of `integrate` and both reduced flows must give the same bits,
-also from starts with exact signed zeros, and fail the same way. The
-closed-form route steps by fused kernels; it is also held to the list
-right-hand side those kernels replaced, kept here as a second reference.
+`_midpoint_step` and `_rk4_step` step flat Python floats by the drivers
+`_step_template` generates per state width. The reference below is the
+ndarray arithmetic they replaced, kept here verbatim: every route of
+`integrate`, both reduced flows and each driver width must give the same
+bits, also from starts with exact signed zeros, and fail the same way. The
+closed-form route steps its own float right-hand side; it is also held to
+an earlier list right-hand side, kept here as a second reference.
 """
 
 import dataclasses
+import traceback
 
 import numpy as np
 import pytest
@@ -468,3 +470,92 @@ def test_an_overflowing_state_raises_naming_its_step(route):
     assert isinstance(error, FloatingPointError)
     assert str(error) == str(expected)
     assert "step 25" in str(error)
+
+
+# -- the generated step drivers ---------------------------------------------
+
+WIDTHS = (2, 3, 4, 6, 8, 10)
+
+
+def coupled_float_field(n):
+    """A quadratic float field of width n that couples every entry."""
+
+    def rhs(y):
+        return [y[(i + 1) % n] - 0.3 * y[i] * y[i - 1] + 0.1 * i
+                for i in range(n)]
+
+    return rhs
+
+
+def nan_behind_a_finite_increment(n):
+    """A float field whose last rate turns nan once y0 passes 0.5."""
+
+    def rhs(y):
+        if y[0] > 0.5:
+            return [0.0] * (n - 1) + [float("nan")]
+        return [1.0] + [0.0] * (n - 1)
+
+    return rhs
+
+
+def driver_outcome(step, rhs, y, *args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return outcome(lambda: np.array(step(rhs, y, *args)))
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+@pytest.mark.parametrize("method", METHODS)
+def test_the_driver_of_each_width_is_bitwise_the_ndarray_step(n, method):
+    rng = np.random.default_rng(1060 + n)
+    fields = [coupled_float_field(n), nan_behind_a_finite_increment(n)]
+    starts = [scale * rng.normal(size=n) for scale in (1e-3, 1.0, 1e2)
+              for _ in range(5)]
+    for y in starts[::2]:
+        y[rng.random(n) < 0.3] = 0.0
+        y[rng.random(n) < 0.3] = -0.0
+    for rhs in fields:
+        def array_rhs(y, rhs=rhs):
+            return np.array(rhs(y.tolist()))
+
+        for y in starts + [np.eye(n)[0]]:
+            if method == "midpoint":
+                got = driver_outcome(D._midpoint_step, rhs, y.tolist(), 0.1, 7)
+                expected = driver_outcome(reference_midpoint_step, array_rhs,
+                                          y, 0.1, 7)
+            else:
+                got = driver_outcome(D._rk4_step, rhs, y.tolist(), 0.1)
+                expected = driver_outcome(reference_rk4_step, array_rhs, y, 0.1)
+            assert got == expected
+    # from the unit start the nan field's midpoint step cannot converge
+    if method == "midpoint":
+        got = driver_outcome(D._midpoint_step, fields[1], np.eye(n)[0].tolist(),
+                             0.1, 7)
+        assert got[:3] == (NonConvergence, "implicit midpoint fixed point did "
+                           "not converge", 7) and got[3] == "nan"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_driver_is_generated_once_per_width_and_method(method):
+    for n in WIDTHS:
+        driver = D._step_driver(n, method)
+        assert D._step_driver(n, method) is driver
+        assert driver.source.startswith(f"def {method}(rhs, y, h")
+        assert f"y{n - 1}, = y" in driver.source
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_an_error_in_rhs_is_traced_to_the_template(method):
+    def rhs(y):
+        raise ZeroDivisionError("inside rhs")
+
+    step = D._midpoint_step if method == "midpoint" else D._rk4_step
+    args = (0.1, 0) if method == "midpoint" else (0.1,)
+    with pytest.raises(ZeroDivisionError) as exc:
+        step(rhs, [1.0, 2.0, 3.0], *args)
+    frames = traceback.extract_tb(exc.value.__traceback__)
+    driver = [f for f in frames if "_step_template" in f.filename]
+    assert len(driver) == 1
+    assert driver[0].filename == D._step_driver(3, method).__code__.co_filename
+    first_call = {"midpoint": "r0, r1, r2, = rhs(y)",
+                  "rk4": "a0, a1, a2, = rhs(y)"}
+    assert driver[0].line == first_call[method]

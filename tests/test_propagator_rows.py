@@ -6,8 +6,8 @@ The states must be bitwise a per-step P @ y + d loop, an overflow must name
 the step a per-step np.isfinite(y).all() test names, and the run must stop
 at the end of that step's block. Every step, propagated or not, is one call
 of dynamics._midpoint_step or _rk4_step looked up on the module, which is
-how the benchmark's tracer counts steps; the closed-form route's fused
-kernel enters through the same per-step argument.
+how the benchmark's tracer counts steps and, through a one-argument
+forwarder of rhs, the right-hand-side calls of each step.
 """
 
 import numpy as np
@@ -24,19 +24,25 @@ STEP_FUNCTIONS = {"midpoint": "_midpoint_step", "rk4": "_rk4_step"}
 
 
 def count_steps(monkeypatch, method):
-    """Wrap the module's step function of method as the tracer does; the
-    list gets one entry per call, True where a fused step (a propagator or
-    a closed-form kernel) was passed."""
+    """Wrap the module's step function of method as the tracer does, rhs
+    replaced by a one-argument forwarder. Returns two lists with one entry
+    per call: True where a propagator was passed, and the rhs calls made."""
     name = STEP_FUNCTIONS[method]
     step = getattr(D, name)
-    calls = []
+    calls, rhs_calls = [], []
 
     def counting(rhs, *args, **kwargs):
         calls.append(kwargs.get("propagator") is not None)
-        return step(rhs, *args, **kwargs)
+        rhs_calls.append(0)
+
+        def counted(y):
+            rhs_calls[-1] += 1
+            return rhs(y)
+
+        return step(counted, *args, **kwargs)
 
     monkeypatch.setattr(D, name, counting)
-    return calls
+    return calls, rhs_calls
 
 
 def reference_rows(P, d, y0, n_steps):
@@ -98,27 +104,35 @@ def test_each_propagator_step_is_one_step_call_and_p_y_plus_d(affine, k,
         P, d = D._propagator(*gen, h, method)
         expected, failed = reference_rows(P, d, args[1], n_steps)
         assert failed is None
-        calls = count_steps(monkeypatch, method)
+        calls, rhs_calls = count_steps(monkeypatch, method)
         states = run(*args, n_steps * h, h, method)
         monkeypatch.undo()
         assert calls == [True] * n_steps
+        assert rhs_calls == [0] * n_steps
         assert states.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("method", ["midpoint", "rk4"])
 def test_a_float_route_run_is_one_step_call_per_step(method, monkeypatch):
-    # The closed-form route passes its fused kernel to every step; the
-    # field route passes nothing and iterates on rch_vector_field.
+    # Neither float route passes a fused step: the closed-form route's float
+    # right-hand side and the field route's rch_vector_field both run through
+    # the step driver, which calls rhs with one argument.
     kinetic = D.invariant_kinetic_hamiltonian(1.3)
     general = D.HamiltonianSpec(kinetic.evaluate, kinetic.gradient)
     x0 = np.linspace(-1.0, 1.0, 6)
-    for spec, route, fused in ((kinetic, "closed_form", True),
-                               (general, "field", False)):
-        calls = count_steps(monkeypatch, method)
-        traj = D.integrate(D.RCHSystem(FIELD, spec), x0, 0.5, 1e-2, method)
+    for spec, route in ((kinetic, "closed_form"), (general, "field")):
+        sys = D.RCHSystem(FIELD, spec)
+        plain = D.integrate(sys, x0, 0.5, 1e-2, method)
+        calls, rhs_calls = count_steps(monkeypatch, method)
+        traj = D.integrate(sys, x0, 0.5, 1e-2, method)
         monkeypatch.undo()
         assert traj.route == route
-        assert calls == [fused] * 50
+        assert traj.states.tobytes() == plain.states.tobytes()
+        assert calls == [False] * 50
+        if method == "rk4":
+            assert rhs_calls == [4] * 50
+        else:
+            assert min(rhs_calls) >= 3
 
 
 @pytest.mark.parametrize("q,block", [(10.0, 0), (3.0, 1)])
@@ -132,7 +146,7 @@ def test_an_overflowing_propagator_run_names_the_per_step_failure(q, block,
     P, d = D._propagator(*generator, h, "rk4")
     _, failed = reference_rows(P, d, x0, n_steps)
     assert failed // D._SCAN_ROWS == block
-    calls = count_steps(monkeypatch, "rk4")
+    calls, _ = count_steps(monkeypatch, "rk4")
     with pytest.raises(FloatingPointError) as exc:
         D.integrate(sys, x0, n_steps * h, h, "rk4")
     assert str(exc.value) == (
@@ -150,7 +164,7 @@ def test_an_overflowing_reduced_propagator_names_the_per_step_failure(
     assert d is not None
     _, failed = reference_rows(P, d, z0, n_steps)
     assert failed // D._SCAN_ROWS == block
-    calls = count_steps(monkeypatch, "rk4")
+    calls, _ = count_steps(monkeypatch, "rk4")
     with pytest.raises(FloatingPointError) as exc:
         R.integrate_reduced(red, z0, n_steps * h, h, "rk4")
     assert str(exc.value) == (

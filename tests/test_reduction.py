@@ -273,12 +273,6 @@ def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, fie
 
 
 def test_kaluza_klein_momentum_and_errors():
-    field = M.MagneticField.linear_potential([[0, 1.0, 0], [0, 0, 0], [0, 0, 0]])
-    kk = R.kaluza_klein_system(field, m=1.5, mu=0.7)
-    state = np.arange(8.0)
-    assert kk.momentum(state) == 7.0
-    wrapped = kk.wrap(np.array([0, 0, 0, 0, 0, 0, 7.0, 1.0]))
-    assert 0.0 <= wrapped[6] < 2 * np.pi
     with pytest.raises(MissingPotential):
         R.kaluza_klein_system(M.MagneticField.constant(np.zeros((3, 3))), 1.0, 1.0)
 
