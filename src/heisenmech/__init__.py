@@ -19,7 +19,6 @@ from .group import (
     exp,
     identity,
     inverse,
-    log,
     multiply,
     pairing,
     to_matrix,
@@ -87,7 +86,7 @@ from .checks import CHECKS, run_named_checks
 __all__ = [
     "AlgebraElement", "CoAlgebraElement", "GroupElement", "adjoint",
     "area_form", "bracket", "coad_star", "coadjoint", "exp", "identity",
-    "inverse", "log", "multiply", "pairing", "to_matrix",
+    "inverse", "multiply", "pairing", "to_matrix",
     "DualFunction", "MagneticCocycle", "OrbitFunction",
     "check_jacobi", "classify_orbit", "magnetic_lie_poisson",
     "orbit_form_matrix", "orbit_symplectic_form",

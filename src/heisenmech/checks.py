@@ -292,8 +292,7 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
     field = mag.MagneticField.invariant_potential(a, cf)
     m = 1.7
     sys = dyn.heisenberg_particle(m, cf, 1.0, field)
-    # modified_hamiltonian(sys, .), built once
-    modified = dyn._shifted_hamiltonian(sys).evaluate
+    modified = dyn.modified_hamiltonian(sys).evaluate
     identity_res = 0.0
     for _ in range(samples):
         state = rng.normal(size=6)

@@ -52,10 +52,7 @@ _QUADRATIC_KINDS = ("euclidean", "quadratic")
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Hamiltonian on the flat chart state with optional analytic gradient.
-
-    Without an analytic gradient callable, grad falls back to central finite
-    differences with step fd.GRADIENT_STEP.
+    """Hamiltonian on the flat chart state with its gradient callable.
 
     kind, mass and form are recorded by the factories and never inferred
     from samples: "euclidean" is |p|^2/(2 mass) in the chart, "invariant" the
@@ -69,7 +66,7 @@ class HamiltonianSpec:
     """
 
     evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray]
     kind: str = "general"
     mass: float | None = None
     form: tuple[np.ndarray, np.ndarray] | None = None
@@ -90,9 +87,7 @@ class HamiltonianSpec:
             object.__setattr__(self, "form", _checked_form(*self.form, 6))
 
     def grad(self, state: np.ndarray) -> np.ndarray:
-        if self.gradient is not None:
-            return np.asarray(self.gradient(state), dtype=float)
-        return fd.gradient(self.evaluate, np.asarray(state, dtype=float))
+        return np.asarray(self.gradient(state), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -530,9 +525,13 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     return times, states, step_matrix is not None
 
 
-def _shifted_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
-    """H_A(q, P) = H(q, P - charge_factor * A(q)) with its exact gradient
-    (g_q - charge_factor * DA^T g_p, g_p, g_theta, g_lam), g = grad H there."""
+def modified_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
+    """Shifted-chart Hamiltonian H_A(q, P) = H(q, P - charge_factor * A(q))
+    with its exact gradient (g_q - charge_factor * DA^T g_p, g_p, g_theta,
+    g_lam), g = grad H there; H_A after the fiber shift t_A is H. A field
+    without a potential raises MissingPotential."""
+    if not sys.field.has_potential:
+        raise MissingPotential("magnetic field has no vector potential")
     cf = sys.field.charge_factor
     inverse = replace(sys.field, charge_factor=-cf)
 
@@ -662,7 +661,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
         if pure and sys.field.has_potential:
             route = "shifted"
             shifted = replace(sys, field=MagneticField.zero(),
-                              hamiltonian=_shifted_hamiltonian(sys))
+                              hamiltonian=modified_hamiltonian(sys))
             rhs = lambda y: hamiltonian_vector_field(shifted, y)
         else:
             warnings.warn("q-dependent field without a usable potential: "
@@ -795,12 +794,3 @@ def heisenberg_particle(m: float, e: float, c: float,
         raise ValueError("light-speed parameter must be positive")
     scaled = replace(field, charge_factor=e / c)
     return RCHSystem(scaled, euclidean_kinetic_hamiltonian(m))
-
-
-def modified_hamiltonian(sys: RCHSystem, x) -> float:
-    """Shifted-chart Hamiltonian H_A(q, P) = H(q, P - charge_factor * A(q)).
-
-    For the kinetic particle this is |p - (e/c) A(q)|^2 / (2m); composing with
-    the fiber shift t_A recovers H identically.
-    """
-    return float(_shifted_hamiltonian(sys).evaluate(_as_state(x, sys.k)))

@@ -42,7 +42,6 @@ __all__ = [
     "coadjoint",
     "coad_star",
     "exp",
-    "log",
     "pairing",
     "tangent_right_translation",
 ]
@@ -236,11 +235,6 @@ def coad_star(xi, p) -> np.ndarray:
 def exp(xi) -> np.ndarray:
     """Exponential map; the identity on chart coordinates for this group."""
     return np.array(xi, dtype=float)
-
-
-def log(g) -> np.ndarray:
-    """Inverse of exp; also the identity on chart coordinates."""
-    return np.array(g, dtype=float)
 
 
 def pairing(p, xi):

@@ -32,7 +32,6 @@ __all__ = [
     "momentum_shift",
     "momentum_map",
     "momentum_map_array",
-    "level_set_contains",
     "sample_level_point",
     "project_chart",
     "reduce_point",
@@ -298,12 +297,6 @@ def momentum_map(state, field: MagneticField) -> np.ndarray:
     state = _chart_state(state)
     q = state[:3]
     return momentum_map_array(q, chart_to_body_array(q, state[3:6]), field)
-
-
-def level_set_contains(state, mu_nu: CoAlgebraElement,
-                       field: MagneticField, tol: float = 1e-8) -> bool:
-    J = momentum_map(state, field)
-    return bool(np.max(np.abs(J - mu_nu.as_array())) <= tol)
 
 
 def _level_state(q: np.ndarray, planar, nu: float, field: MagneticField,

@@ -53,8 +53,8 @@ class DualFunction:
     (..., 3, 3) array; a constant may be returned unstacked and broadcast.
     The gradient is the functional derivative, delta with
     delta . w = Df(p) . w. Without a gradient callable it is a central
-    difference (fd.GRADIENT_STEP) and gradient_is_analytic reports False so
-    downstream checks can relax their tolerances. The optional hessian H (the
+    difference (fd.GRADIENT_STEP), and check_jacobi relaxes its tolerance
+    for a function without analytic derivatives. The optional hessian H (the
     3x3 derivative matrix of the gradient, H[j, i] = d delta_j / d p_i)
     enables analytic gradients of nested brackets: with M = s*nu*K - B as in
     bracket_function, grad {f,g} = Hf^T M dg + Hg^T M^T df + s*area(df,dg) e3.
@@ -63,10 +63,6 @@ class DualFunction:
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def gradient_is_analytic(self) -> bool:
-        return self.gradient is not None
 
     def grad(self, p: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
@@ -164,10 +160,6 @@ class OrbitFunction:
             raise ValueError("a declared form is its own gradient")
         if self.form is not None:
             object.__setattr__(self, "form", _checked_form(*self.form))
-
-    @property
-    def gradient_is_analytic(self) -> bool:
-        return self.gradient is not None or self.form is not None
 
     def grad(self, chart: np.ndarray) -> np.ndarray:
         if self.form is not None:

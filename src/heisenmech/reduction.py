@@ -430,7 +430,8 @@ class KKSystem:
 def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
     """Build the circle-extended geodesic system for an exact magnetic field.
 
-    The geodesic gradient uses the field's declared potential Jacobian.
+    The geodesic gradient uses the field's declared potential Jacobian;
+    kk_reduce_and_compare steps its field on floats (_geodesic_float_field).
     """
     if not field.has_potential:
         raise MissingPotential("the circle-bundle construction needs a potential")
@@ -452,10 +453,6 @@ def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
         out[3:6] = w
         out[7] = -float(A @ w) + lam
         return out
-
-    # The upstairs field of this gradient on floats, which
-    # kk_reduce_and_compare steps in place of rch_vector_field.
-    gradient.float_field = _geodesic_float_field(field, m)
     return KKSystem(field, float(m), float(mu), HamiltonianSpec(evaluate, gradient))
 
 
@@ -529,19 +526,16 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     bundle at level lam = mu by the fiber shift p -> p + mu*A(q), both flows
     run on the same grid, and the geodesic trajectory is pushed back down by
     the inverse shift. Records report the worst state mismatch and the
-    conservation drift of lam. The geodesic field of kaluza_klein_system's
-    Hamiltonian steps on floats (_geodesic_float_field); any other
-    Hamiltonian steps rch_vector_field.
+    conservation drift of lam. The geodesic flow steps on floats
+    (_geodesic_float_field of kk.field and kk.m), bitwise the field of
+    kk.hamiltonian.
     """
     mu = kk.mu
     charged = replace(kk.field, charge_factor=mu)
     lift0 = dynamics._as_state(
         np.concatenate([momentum_shift(x0, charged), [0.0, mu]]), 1)
-    rhs = getattr(kk.hamiltonian.gradient, "float_field", None)
-    if rhs is None:
-        upstairs = RCHSystem(MagneticField.zero(), kk.hamiltonian, k=1)
-        rhs = lambda y: rch_vector_field(upstairs, y)
-    _, states_up, _ = dynamics._fixed_step_flow(rhs, lift0, t_end, h, method)
+    _, states_up, _ = dynamics._fixed_step_flow(
+        _geodesic_float_field(kk.field, kk.m), lift0, t_end, h, method)
 
     downstairs = RCHSystem(charged, euclidean_kinetic_hamiltonian(kk.m))
     traj_down = dynamics.integrate(downstairs, x0, t_end, h, method)

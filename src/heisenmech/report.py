@@ -35,9 +35,6 @@ class InvariantReport:
     checks: list[CheckRecord] = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)
 
-    def extend(self, records) -> None:
-        self.checks.extend(records)
-
     @property
     def passed(self) -> bool:
         return all(record.passed for record in self.checks)

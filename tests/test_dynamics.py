@@ -13,6 +13,8 @@ from heisenmech import magnetic as M
 from heisenmech.errors import MissingPotential, NonConvergence, NonSymplecticWarning
 
 PLANAR = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+# The zero Hamiltonian with its gradient, for specs built by hand.
+ZERO_SPEC = (lambda s: 0.0, lambda s: np.zeros_like(s))
 
 
 def rotation_system(m=1.0, e=1.0, c=1.0):
@@ -249,22 +251,24 @@ def test_control_subset_validation():
 def test_modified_hamiltonian_identities():
     field = M.MagneticField.invariant_potential((0.5, -0.3, 0.9), 1.2)
     sys = D.heisenberg_particle(1.6, 1.2, 1.0, field)
+    modified = D.modified_hamiltonian(sys)
     rng = np.random.default_rng(87)
     for _ in range(1000):
         state = rng.normal(size=6)
         shifted = M.momentum_shift(state, sys.field)
-        lhs = D.modified_hamiltonian(sys, shifted)
+        lhs = modified.evaluate(shifted)
         rhs = sys.hamiltonian.evaluate(state)
         assert abs(lhs - rhs) <= 1e-12
 
     zero_pot = M.MagneticField.linear_potential(np.zeros((3, 3)))
     free = D.heisenberg_particle(2.0, 1.0, 1.0, zero_pot)
     state = rng.normal(size=6)
-    assert abs(D.modified_hamiltonian(free, state)
+    assert abs(D.modified_hamiltonian(free).evaluate(state)
                - free.hamiltonian.evaluate(state)) <= 1e-15
 
+    # The spec is refused when it is built, before any evaluation.
     with pytest.raises(MissingPotential):
-        D.modified_hamiltonian(rotation_system(), state)
+        D.modified_hamiltonian(rotation_system())
 
 
 def test_momentum_shift_conjugates_flows():
@@ -343,13 +347,14 @@ def test_shifted_hamiltonian_gradient_matches_finite_differences(k):
 
     sys = D.RCHSystem(nonconstant_closed_field(0.9), D.HamiltonianSpec(evaluate, gradient),
                       k=k)
-    shifted = D._shifted_hamiltonian(sys)
+    shifted = D.modified_hamiltonian(sys)
+    unshift = dataclasses.replace(sys.field, charge_factor=-sys.field.charge_factor)
     rng = np.random.default_rng(89)
     for _ in range(20):
         state = rng.uniform(-2, 2, 6 + 2 * k)
         expected = fd.gradient(shifted.evaluate, state)
         assert np.max(np.abs(shifted.grad(state) - expected)) <= 1e-8
-        assert shifted.evaluate(state) == D.modified_hamiltonian(sys, state)
+        assert shifted.evaluate(state) == evaluate(M.momentum_shift(state, unshift))
 
 
 def test_diverging_shifted_route_is_a_numerical_failure():
@@ -482,12 +487,15 @@ def test_kinetic_hamiltonians_declare_kind_and_mass():
             D.euclidean_kinetic_hamiltonian(2.0).mass) == ("euclidean", 2.0)
     assert (D.invariant_kinetic_hamiltonian(0.7).kind,
             D.invariant_kinetic_hamiltonian(0.7).mass) == ("invariant", 0.7)
-    by_hand = D.HamiltonianSpec(lambda s: 0.0)
+    by_hand = D.HamiltonianSpec(*ZERO_SPEC)
     assert by_hand.kind == "general" and by_hand.mass is None
     for kind, mass in (("euclidean", None), ("general", 1.0), ("invariant", -1.0),
                        ("quadratic", 1.0)):
         with pytest.raises(ValueError):
-            D.HamiltonianSpec(lambda s: 0.0, kind=kind, mass=mass)
+            D.HamiltonianSpec(*ZERO_SPEC, kind=kind, mass=mass)
+    # A spec declares its gradient: there is no finite-difference fallback.
+    with pytest.raises(TypeError):
+        D.HamiltonianSpec(lambda s: 0.0)
 
 
 def test_system_mass_is_the_declared_mass():
@@ -496,7 +504,7 @@ def test_system_mass_is_the_declared_mass():
     assert D.RCHSystem(zero, D.euclidean_kinetic_hamiltonian(2.0), m=2.0).m == 2.0
     with pytest.raises(ValueError, match="declared mass"):
         D.RCHSystem(zero, D.euclidean_kinetic_hamiltonian(2.0), m=1.0)
-    by_hand = D.HamiltonianSpec(lambda s: 0.0)
+    by_hand = D.HamiltonianSpec(*ZERO_SPEC)
     assert D.RCHSystem(zero, by_hand).m is None
     assert D.RCHSystem(zero, by_hand, m=1.3).m == 1.3
     with pytest.raises(ValueError):
@@ -639,11 +647,11 @@ def test_quadratic_hamiltonian_rejects_bad_forms():
         with pytest.raises(ValueError):
             D.quadratic_hamiltonian(*args)
     with pytest.raises(ValueError):
-        D.HamiltonianSpec(lambda s: 0.0, kind="quadratic")
+        D.HamiltonianSpec(*ZERO_SPEC, kind="quadratic")
     with pytest.raises(ValueError):
-        D.HamiltonianSpec(lambda s: 0.0, form=(Q, np.zeros(6)))
+        D.HamiltonianSpec(*ZERO_SPEC, form=(Q, np.zeros(6)))
     with pytest.raises(ValueError):
-        D.HamiltonianSpec(lambda s: 0.0, kind="quadratic", mass=1.0,
+        D.HamiltonianSpec(*ZERO_SPEC, kind="quadratic", mass=1.0,
                           form=(Q, np.zeros(6)))
     for m in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="positive"):

@@ -212,8 +212,7 @@ def test_exp_log_and_one_parameter_subgroup():
         lhs = G.multiply(G.exp(s * xi), G.exp(t * xi))
         rhs = G.exp((s + t) * xi)
         assert np.max(np.abs(lhs - rhs)) <= EXACT_TOL
-        back = G.log(G.exp(xi))
-        assert np.array_equal(back, xi)
+        assert np.array_equal(G.exp(xi), xi)
 
 
 def test_tangent_right_translation_frozen_value():
