@@ -21,6 +21,7 @@ import numpy as np
 from . import fd
 from .errors import (MissingPotential, NonConvergence, NonSymplecticWarning,
                      NotInvariant)
+from .group import _dot, _matvec, _vecmat
 from .magnetic import (MagneticField, _momentum_shift, chart_to_body_array,
                        momentum_map_array)
 # Bound here only for perfbench/tracer.py, which wraps this module's imported
@@ -63,6 +64,13 @@ class HamiltonianSpec:
     built directly is "general" and declares neither. integrate steps pure
     systems of a declared kind on a constant field without the generic
     vector field.
+
+    The evaluate and gradient of a declared kind take one state or a stack
+    (n, 6 + 2k) of states, row i of a stacked call bitwise the call on row
+    i: their products go through group._dot, _matvec and _vecmat, whose
+    stacked matmul hands each row to the BLAS call (dot or gemv) of the
+    single state. evaluate gives a Python float for one state and an array
+    of the leading shape for a stack.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -241,16 +249,25 @@ def hamiltonian_vector_field(sys: RCHSystem, x) -> np.ndarray:
     """Magnetic Hamilton equations at x.
 
     qdot = dH/dp, pdot = -dH/dq + charge_factor * B(q) dH/dp, and the
-    canonical equations on the (theta, lam) block.
+    canonical equations on the (theta, lam) block. When the Hamiltonian and
+    the field both have a declared kind (not "general"), x may also be a
+    stack (n, 6 + 2k) of states, and row i of the result is bitwise the call
+    on row i.
     """
-    state = _as_state(x, sys.k)
-    grad = sys.hamiltonian.grad(state)
-    q = state[:3]
     k = sys.k
-    qdot = grad[3:6]
-    pdot = -grad[:3] + sys.field.charge_factor * (sys.field.b(q) @ grad[3:6])
-    out = np.concatenate([qdot, pdot, grad[6 + k:], -grad[6:6 + k]])
-    return out
+    state = np.asarray(x, dtype=float)
+    if state.shape != (6 + 2 * k,) and not (
+            state.ndim == 2 and state.shape[1] == 6 + 2 * k
+            and sys.hamiltonian.kind != "general" and sys.field.is_constant):
+        raise ValueError(f"state must have dimension {6 + 2 * k} (a stack of "
+                         f"them needs a Hamiltonian and a field of declared "
+                         f"kinds), got {state.shape}")
+    grad = sys.hamiltonian.grad(state)
+    qdot = grad[..., 3:6]
+    pdot = -grad[..., :3] + sys.field.charge_factor * _matvec(
+        sys.field.b(state[..., :3]), qdot)
+    return np.concatenate([qdot, pdot, grad[..., 6 + k:], -grad[..., 6:6 + k]],
+                          axis=-1)
 
 
 def vertical_lift(fiber_map: FiberMap, sys: RCHSystem, x) -> np.ndarray:
@@ -529,7 +546,8 @@ def modified_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
     """Shifted-chart Hamiltonian H_A(q, P) = H(q, P - charge_factor * A(q))
     with its exact gradient (g_q - charge_factor * DA^T g_p, g_p, g_theta,
     g_lam), g = grad H there; H_A after the fiber shift t_A is H. A field
-    without a potential raises MissingPotential."""
+    without a potential raises MissingPotential. Its evaluate takes a stack
+    of states where H's evaluate and the field's potential do."""
     if not sys.field.has_potential:
         raise MissingPotential("magnetic field has no vector potential")
     cf = sys.field.charge_factor
@@ -693,25 +711,11 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
 
 def _state_energies(hamiltonian: HamiltonianSpec,
                     states: np.ndarray) -> np.ndarray:
-    """hamiltonian.evaluate at each row of states.
-
-    The kinetic and quadratic kinds take one pass: stacked (1, n) @ (n, n)
-    and (1, n) @ (n, 1) products give evaluate's per-row matrix and dot
-    products bitwise, on p for "euclidean", on the body momentum rho for
-    "invariant" and on y = (q, p) for "quadratic" (1/2 y.Q.y + c.y). Other
-    kinds evaluate row by row.
-    """
-    if hamiltonian.kind == "quadratic":
-        Q, c = hamiltonian.form
-        y = states[:, None, :6]
-        return 0.5 * (y @ Q @ y.mT).ravel() + (c @ y.mT).ravel()
-    if hamiltonian.kind == "euclidean":
-        v = states[:, 3:6]
-    elif hamiltonian.kind == "invariant":
-        v = chart_to_body_array(states[:, :3], states[:, 3:6])
-    else:
+    """hamiltonian.evaluate at each row of states: one stacked call for the
+    declared kinds, row by row for a "general" one."""
+    if hamiltonian.kind == "general":
         return np.array([hamiltonian.evaluate(s) for s in states])
-    return 0.5 * (v[:, None, :] @ v[:, :, None]).ravel() / hamiltonian.mass
+    return hamiltonian.evaluate(states)
 
 
 def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
@@ -721,12 +725,12 @@ def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
     """
 
     def evaluate(state):
-        p = state[3:6]
-        return 0.5 * float(p @ p) / m
+        p = state[..., 3:6]
+        return 0.5 * _dot(p, p) / m
 
     def gradient(state):
         out = np.zeros_like(state)
-        out[3:6] = state[3:6] / m
+        out[..., 3:6] = state[..., 3:6] / m
         return out
 
     if not m > 0:
@@ -744,18 +748,20 @@ def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
     """
 
     def evaluate(state):
-        rho = chart_to_body_array(state[:3], state[3:6])
-        return 0.5 * float(rho @ rho) / m
+        rho = chart_to_body_array(state[..., :3], state[..., 3:6])
+        return 0.5 * _dot(rho, rho) / m
 
     def gradient(state):
-        q, p = state[:3], state[3:6]
-        rho = chart_to_body_array(q, p)
-        out = np.zeros_like(state)
-        out[0] = 0.5 * p[2] * rho[1] / m
-        out[1] = -0.5 * p[2] * rho[0] / m
-        out[3] = rho[0] / m
-        out[4] = rho[1] / m
-        out[5] = (-0.5 * q[1] * rho[0] + 0.5 * q[0] * rho[1] + rho[2]) / m
+        rho = chart_to_body_array(state[..., :3], state[..., 3:6])
+        # Components are read and written as rows of transposes: a scalar for
+        # one state, and the same elementwise map for a stack of any shape.
+        s, r, out = state.T, rho.T, np.zeros_like(state)
+        g = out.T
+        g[0] = 0.5 * s[5] * r[1] / m
+        g[1] = -0.5 * s[5] * r[0] / m
+        g[3] = r[0] / m
+        g[4] = r[1] / m
+        g[5] = (-0.5 * s[1] * r[0] + 0.5 * s[0] * r[1] + r[2]) / m
         return out
 
     return HamiltonianSpec(evaluate, gradient, "invariant", m)
@@ -772,12 +778,12 @@ def quadratic_hamiltonian(Q, c=None) -> HamiltonianSpec:
     Q, c = _checked_form(Q, np.zeros(6) if c is None else c, 6)
 
     def evaluate(state):
-        y = state[:6]
-        return 0.5 * float(y @ Q @ y) + float(c @ y)
+        y = state[..., :6]
+        return 0.5 * _dot(_vecmat(y, Q), y) + _dot(c, y)
 
     def gradient(state):
         out = np.zeros_like(state)
-        out[:6] = Q @ state[:6] + c
+        out[..., :6] = _matvec(Q, state[..., :6]) + c
         return out
 
     return HamiltonianSpec(evaluate, gradient, "quadratic", form=(Q, c))

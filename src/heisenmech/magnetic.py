@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
-from .group import CoAlgebraElement, _part, multiply
+from .group import CoAlgebraElement, _matvec, _part, multiply
 from .orbit import OrbitFunction, _antisymmetric, classify_orbit
 
 __all__ = [
@@ -60,6 +60,11 @@ class MagneticField:
     ones are exact with a constant B, and "invariant" additionally declares
     A a left-invariant one-form, which is what the momentum-map path
     requires. A field built directly is "general": q-dependent and nonzero.
+
+    The fields of a declared kind take stacks: b_matrix ignores q, and the
+    linear and invariant potentials map a stack (n, 3) of points to the
+    stack of their values, row i bitwise the call on row i. A general
+    field's callables are the user's, of one point.
     """
 
     b_matrix: Callable[[np.ndarray], np.ndarray]
@@ -96,7 +101,7 @@ class MagneticField:
         M.flags.writeable = False
         b = M.T - M
         b.flags.writeable = False
-        return cls(lambda q: b, lambda q: M @ q, charge_factor,
+        return cls(lambda q: b, lambda q: _matvec(M, q), charge_factor,
                    lambda q: M, kind="linear")
 
     @classmethod
@@ -112,10 +117,14 @@ class MagneticField:
         da[0, 1], da[1, 0] = 0.5 * a[2], -0.5 * a[2]
         da.flags.writeable = False
 
+        a0, a1, a2 = a.tolist()
+
         def A(q):
-            return np.array([a[0] + 0.5 * a[2] * q[1],
-                             a[1] - 0.5 * a[2] * q[0],
-                             a[2]])
+            out = np.empty(q.shape)
+            out[..., 0] = a0 + 0.5 * a2 * _part(q, 1)
+            out[..., 1] = a1 - 0.5 * a2 * _part(q, 0)
+            out[..., 2] = a2
+            return out
 
         return cls(lambda q: b, A, charge_factor, lambda q: da, kind="invariant")
 
@@ -215,16 +224,22 @@ def omega_matrix(state, field: MagneticField) -> np.ndarray:
     Block layout over (dq, dp, dtheta, dlam):
     [[-c*B(q), I, 0], [-I, 0, 0], [0, 0, omega_V]].
     """
-    state = _chart_state(state)
-    n = state.size
+    return _omega_matrix(_chart_state(state), field)
+
+
+def _omega_matrix(state: np.ndarray, field: MagneticField) -> np.ndarray:
+    """omega_matrix without the input check. It also takes a stack
+    (n, 6 + 2k) of states when the field has a declared kind, and returns
+    the stack of matrices, row i bitwise the call on row i."""
+    n = state.shape[-1]
     k = (n - 6) // 2
-    W = np.zeros((n, n))
-    W[:3, :3] = -field.charge_factor * field.b(state[:3])
-    W[:3, 3:6] = np.eye(3)
-    W[3:6, :3] = -np.eye(3)
+    W = np.zeros(state.shape[:-1] + (n, n))
+    W[..., :3, :3] = -field.charge_factor * field.b(state[..., :3])
+    W[..., :3, 3:6] = np.eye(3)
+    W[..., 3:6, :3] = -np.eye(3)
     if k:
-        W[6:6 + k, 6 + k:] = np.eye(k)
-        W[6 + k:, 6:6 + k] = -np.eye(k)
+        W[..., 6:6 + k, 6 + k:] = np.eye(k)
+        W[..., 6 + k:, 6:6 + k] = -np.eye(k)
     return W
 
 
@@ -249,9 +264,11 @@ def momentum_shift(state, field: MagneticField) -> np.ndarray:
 def _momentum_shift(state: np.ndarray, field: MagneticField) -> np.ndarray:
     """momentum_shift without the input check, for dynamics.integrate's
     shifted route: its iterates may overflow, which the integrator reports
-    as a numerical failure, and its right-hand side pays no check."""
+    as a numerical failure, and its right-hand side pays no check. It also
+    takes a stack (n, 6 + 2k) of states when the field has a declared kind,
+    row i bitwise the call on row i."""
     out = state.copy()
-    out[3:6] += field.charge_factor * field.vector_potential(state[:3])
+    out[..., 3:6] += field.charge_factor * field.vector_potential(state[..., :3])
     return out
 
 

@@ -112,7 +112,7 @@ class MagneticCocycle:
     def pair(self, xi: np.ndarray, eta: np.ndarray):
         """B(xi, eta) = (xi @ form) @ eta on flat algebra labels (X1, X2, a)."""
         xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
-        return _scalar(_dot(_vecmat(xi, self.form), eta))
+        return _dot(_vecmat(xi, self.form), eta)
 
     @property
     def planar_component(self):

@@ -541,8 +541,12 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     traj_down = dynamics.integrate(downstairs, x0, t_end, h, method)
 
     inverse_shift = replace(kk.field, charge_factor=-mu)
-    projected = np.array([_momentum_shift(row[:6], inverse_shift)
-                          for row in states_up])
+    if kk.field.is_constant:
+        projected = _momentum_shift(states_up[:, :6], inverse_shift)
+    else:
+        # A general field's potential is the user's, of one point.
+        projected = np.array([_momentum_shift(row[:6], inverse_shift)
+                              for row in states_up])
     mismatch = float(np.max(np.abs(projected - traj_down.states)))
     drift = float(np.max(np.abs(states_up[:, 7] - mu)))
     n = states_up.shape[0]
@@ -622,10 +626,23 @@ class DiffeoSpec:
 
     @classmethod
     def group_translation(cls, h: GroupElement) -> "DiffeoSpec":
-        """Left translation by h on the group chart."""
+        """Left translation by h on the group chart, with its exact cotangent
+        lift: left_translate by h^-1, which keeps the body momentum, and by h
+        for the inverse. The lift is a polynomial of degree 2 in the state,
+        so its central difference with unit step is its exact tangent."""
         g = h.as_array()
         g_inv = inverse(g)
-        return cls(lambda q: multiply(g, q), lambda q: multiply(g_inv, q))
+
+        def lift(s):
+            return left_translate(g_inv, s)
+
+        def lift_tangent(s, v):
+            s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
+            return 0.5 * (lift(s + v) - lift(s - v))
+
+        return cls(lambda q: multiply(g, q), lambda q: multiply(g_inv, q),
+                   lift=lift, lift_tangent=lift_tangent,
+                   lift_inverse=lambda s: left_translate(g, s))
 
 
 def _extend_lift(phi: DiffeoSpec, state: np.ndarray) -> np.ndarray:

@@ -308,6 +308,14 @@ def test_mr_identity_fixture_passes(tmp_path):
     assert report["checks"][0]["max_residual"] == 0.0
 
 
+def test_mr_translation_fixture_passes(tmp_path):
+    assert main(["mr-check", "--config", str(CONFIGS / "mr_translation.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    record = load_report(tmp_path)["checks"][0]
+    assert record["name"] == "mr1.symplectic"
+    assert record["max_residual"] <= 1e-13
+
+
 @pytest.mark.parametrize("fixture,failing", [
     ("mr1_shear.cfg", "mr1.symplectic"),
     ("mr2_level_mismatch.cfg", "mr2.level"),

@@ -5,6 +5,10 @@ stack (..., 3). A stacked call must give, in each row, exactly the bits of
 the single call on that row: for a stack of one row, of several rows and of
 a 2-D leading shape, with entries drawn at magnitudes 1e-6 to 1e6, and with
 the last argument a stack or one triple broadcast against the stack.
+
+The chart kernels the integrating checks call take a single (6 + 2k,) state
+or a stack (n, 6 + 2k), with the same row-by-row contract, for the field and
+Hamiltonian kinds the library declares.
 """
 
 import numpy as np
@@ -13,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenmech import connection as C
+from heisenmech import dynamics as D
 from heisenmech import fd
 from heisenmech import group as G
+from heisenmech import magnetic as M
 from heisenmech import orbit as O
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -197,3 +203,123 @@ def test_stacked_cocycles_are_validated(bad):
     O.MagneticCocycle(B_STACK - np.swapaxes(B_STACK, -1, -2))
     with pytest.raises(ValueError, match="antisymmetric"):
         O.MagneticCocycle(bad)
+
+
+# -- chart layer --------------------------------------------------------------
+
+def chart_fields(seed):
+    """A field of each declared kind, with charge factors other than 1."""
+    rng = np.random.default_rng(seed + 5)
+    b = rng.normal(size=(3, 3))
+    return [M.MagneticField.zero(0.7),
+            M.MagneticField.constant(b - b.T, -1.3),
+            M.MagneticField.linear_potential(rng.normal(size=(3, 3)), 0.9),
+            M.MagneticField.invariant_potential(rng.normal(size=3), 1.7)]
+
+
+def hamiltonians(seed):
+    """A Hamiltonian of each declared kind."""
+    rng = np.random.default_rng(seed + 6)
+    Q = rng.normal(size=(6, 6))
+    return [D.euclidean_kinetic_hamiltonian(1.3),
+            D.invariant_kinetic_hamiltonian(0.7),
+            D.quadratic_hamiltonian(Q + Q.T, rng.normal(size=6))]
+
+
+def chart_stack(seed, exponent, rows, k):
+    return 10.0 ** exponent * np.random.default_rng(seed).normal(size=(rows, 6 + 2 * k))
+
+
+@PROPERTY
+@given(seed=seeds, exponent=exponents, rows=st.sampled_from([1, 5]),
+       k=st.sampled_from([0, 1, 2]))
+def test_chart_kernels_are_rowwise_bitwise(seed, exponent, rows, k):
+    states = chart_stack(seed, exponent, rows, k)
+    v = chart_stack(seed + 1, 0.0, rows, k)
+    for field in chart_fields(seed):
+        W = M._omega_matrix(states, field)
+        if field.has_potential:
+            shifted = M._momentum_shift(states, field)
+            potential = field.vector_potential(states[:, :3])
+        for i in range(rows):
+            assert bits(W[i]) == bits(M.omega_matrix(states[i], field))
+            if field.has_potential:
+                assert bits(shifted[i]) == bits(M.momentum_shift(states[i], field))
+                assert bits(potential[i]) == bits(field.vector_potential(states[i, :3]))
+        for H in hamiltonians(seed):
+            sys = D.RCHSystem(field, H, k=k)
+            X = D.hamiltonian_vector_field(sys, states)
+            grad, value = H.grad(states), H.evaluate(states)
+            # the defining-equation residual of check_dynamics, both ways
+            XWv, gv = G._dot(G._vecmat(X, W), v), G._dot(grad, v)
+            for i in range(rows):
+                one = D.hamiltonian_vector_field(sys, states[i])
+                assert bits(X[i]) == bits(one)
+                assert bits(grad[i]) == bits(H.grad(states[i]))
+                assert bits(value[i]) == bits(H.evaluate(states[i]))
+                W1 = M.omega_matrix(states[i], field)
+                assert bits(XWv[i]) == bits(float(one @ W1 @ v[i]))
+                assert bits(gv[i]) == bits(float(H.grad(states[i]) @ v[i]))
+
+
+def test_single_chart_states_keep_their_return_types():
+    state = chart_stack(7, 0.0, 1, 1)[0]
+    for field in chart_fields(7):
+        for H in hamiltonians(7):
+            assert type(H.evaluate(state)) is float
+            assert H.grad(state).shape == (8,)
+            sys = D.RCHSystem(field, H, k=1)
+            assert D.hamiltonian_vector_field(sys, state).shape == (8,)
+        assert M.omega_matrix(state, field).shape == (8, 8)
+        if field.has_potential:
+            assert M.momentum_shift(state, field).shape == (8,)
+            assert field.vector_potential(state[:3]).shape == (3,)
+
+
+def test_stacks_outside_the_contract_are_rejected_as_before():
+    field = chart_fields(3)[3]
+    sys = D.RCHSystem(field, hamiltonians(3)[1])
+    good = chart_stack(3, 0.0, 4, 0)
+    for bad in (np.zeros((4, 5)), np.zeros((4, 7)), np.zeros((4, 8)),
+                np.zeros((2, 4, 6)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="state must have dimension 6"):
+            D.hamiltonian_vector_field(sys, bad)
+    # A user's general Hamiltonian or field is a callable of one state, so
+    # the vector field takes no stack of them.
+    general = D.HamiltonianSpec(sys.hamiltonian.evaluate, sys.hamiltonian.gradient)
+    curved = M.MagneticField(lambda q: q[0] * np.array(
+        [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    for other in (D.RCHSystem(field, general), D.RCHSystem(curved, sys.hamiltonian),
+                  D.RCHSystem(field, D.modified_hamiltonian(sys))):
+        D.hamiltonian_vector_field(other, good[0])
+        with pytest.raises(ValueError, match="declared kinds"):
+            D.hamiltonian_vector_field(other, good)
+    # The public magnetic functions keep their single-state input check; a
+    # stack goes through the unchecked kernels.
+    h = np.array([0.1, -0.2, 0.3])
+    for call in (lambda s: M.omega_matrix(s, field),
+                 lambda s: M.momentum_shift(s, field),
+                 lambda s: M.left_translate(h, s),
+                 lambda s: M.momentum_map(s, field)):
+        call(good[0])
+        with pytest.raises(ValueError, match="flat array"):
+            call(good)
+
+
+def test_non_finite_rows_are_rowwise_as_single_states():
+    # A flat state with an inf or nan entry is no error for the vector field
+    # (the shifted route's iterates may overflow), and neither is a stack
+    # holding such rows: each row has the single call's nans where it has
+    # them (BLAS may set a nan's sign bit either way) and its bits elsewhere.
+    states = chart_stack(11, 0.0, 4, 0)
+    states[1, 2], states[2, 4], states[3, 0] = np.inf, np.nan, -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for field in chart_fields(11):
+            for H in hamiltonians(11):
+                sys = D.RCHSystem(field, H)
+                X = D.hamiltonian_vector_field(sys, states)
+                for i in range(4):
+                    one = D.hamiltonian_vector_field(sys, states[i])
+                    nan = np.isnan(one)
+                    assert np.array_equal(np.isnan(X[i]), nan)
+                    assert bits(X[i][~nan]) == bits(one[~nan])
