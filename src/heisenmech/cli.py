@@ -145,7 +145,8 @@ def build_control(cfg: ExperimentConfig,
     if kind == "constant_push":
         if k != 0:
             raise ConfigError(
-                f"{cfg.source}: field 'control.kind' supports system.k = 0 only")
+                f"{cfg.where('control.kind')}: field 'control.kind' supports "
+                "system.k = 0 only")
         delta = [cfg.real(f"control.p{i}", default=0.0) for i in (1, 2, 3)]
         control = _constant_push_map(np.array(delta))
     subset_kind = cfg.string("control.subset", default="none",
@@ -158,8 +159,7 @@ def build_control(cfg: ExperimentConfig,
     return control, subset
 
 
-def build_system(cfg: ExperimentConfig, field_prefix: str = "field",
-                 force_prefix: str = "force") -> dyn.RCHSystem:
+def build_system(cfg: ExperimentConfig) -> dyn.RCHSystem:
     """Controlled system from the system/field/force/control config blocks."""
     m = cfg.real("system.mass", default=1.0, positive=True)
     e = cfg.real("system.charge", default=1.0)
@@ -167,13 +167,13 @@ def build_system(cfg: ExperimentConfig, field_prefix: str = "field",
     k = cfg.integer("system.k", default=0, minimum=0)
     metric = cfg.string("system.metric", default="euclidean",
                         choices=("euclidean", "invariant"))
-    field = build_field(cfg, e / c, field_prefix)
+    field = build_field(cfg, e / c)
     if metric == "euclidean":
         hamiltonian = dyn.euclidean_kinetic_hamiltonian(m)
     else:
         hamiltonian = dyn.invariant_kinetic_hamiltonian(m)
     control, subset = build_control(cfg, k)
-    return dyn.RCHSystem(field, hamiltonian, force=build_force(cfg, force_prefix),
+    return dyn.RCHSystem(field, hamiltonian, force=build_force(cfg),
                          control=control, control_subset=subset, k=k)
 
 
@@ -280,21 +280,21 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
             handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _drift_record(name: str, values: np.ndarray,
-                  threshold: float = 1e-8) -> CheckRecord:
-    """Worst deviation from the initial value, relative above unit scale."""
+def _drift_record(name: str, values: np.ndarray) -> CheckRecord:
+    """Worst deviation from the initial value, relative above unit scale,
+    against 1e-8."""
     start = values[0] if values.ndim == 1 else values[0, :]
     drift = float(np.max(np.abs(values - start)))
     scale = float(np.max(np.abs(np.atleast_1d(start))))
     return CheckRecord(name, int(values.shape[0]), drift / max(1.0, scale),
-                       threshold)
+                       1e-8)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
                  seed: int) -> InvariantReport:
     if cfg.integer("system.k", default=0, minimum=0) != 0:
         raise ConfigError(
-            f"{cfg.source}: field 'system.k' must be 0 for simulate")
+            f"{cfg.where('system.k')}: field 'system.k' must be 0 for simulate")
     sys_ = build_system(cfg)
     t_end, h, method = _run_settings(cfg)
     traj = dyn.integrate(sys_, build_state(cfg), t_end, h, method)
@@ -321,8 +321,8 @@ def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
     red = reduce_system(sys_, level)
     if any(cfg.has(key) for key in _STATE_KEYS):
         if sys_.k != 0:
-            raise ConfigError(f"{cfg.source}: explicit state.* start needs "
-                              "system.k = 0")
+            raise ConfigError(f"{cfg.where('system.k')}: explicit state.* "
+                              "start needs system.k = 0")
         chart0 = mag.reduce_point(build_state(cfg), level, sys_.field)
     else:
         rng = np.random.default_rng(seed)
@@ -385,10 +385,10 @@ def cmd_mr_check(cfg: ExperimentConfig, seed: int) -> InvariantReport:
         samples = cfg.integer("mr.samples", default=50, minimum=1)
         return InvariantReport(seed, check_mr2_equivariance(
             phi, level1, level2, field1, field2, samples=samples, seed=seed))
-    sys1 = build_system(cfg, "field", "force")
+    sys1 = build_system(cfg)
     if sys1.control_subset is None:
-        raise ConfigError(f"{cfg.source}: mr3 needs field 'control.subset' "
-                          "set to 'zero' or 'full'")
+        raise ConfigError(f"{cfg.where('control.subset')}: mr3 needs field "
+                          "'control.subset' set to 'zero' or 'full'")
     sys2 = dyn.RCHSystem(field2, sys1.hamiltonian,
                          force=build_force(cfg, "force2"), k=sys1.k)
     samples = cfg.integer("mr.samples", default=40, minimum=1)

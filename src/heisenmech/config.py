@@ -60,10 +60,6 @@ def _parse_scalar(raw: str):
     return text
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    return _parse_lines(text, source)[0]
-
-
 def _parse_lines(text: str, source: str) -> tuple[dict, dict]:
     """The values of a config text and the line number of each key."""
     values: dict = {}
@@ -116,11 +112,11 @@ class ExperimentConfig:
                choices: tuple[str, ...] | None = None) -> str:
         value = self.values.get(key, default)
         if value is None:
-            raise ConfigError(f"{self.source}: missing required field {key!r}")
+            raise ConfigError(f"{self.where(key)}: missing required field {key!r}")
         value = str(value)
         if choices is not None and value not in choices:
             raise ConfigError(
-                f"{self.source}: field {key!r} must be one of {sorted(choices)}, "
+                f"{self.where(key)}: field {key!r} must be one of {sorted(choices)}, "
                 f"got {value!r}")
         return value
 
@@ -128,29 +124,29 @@ class ExperimentConfig:
              positive: bool = False) -> float:
         value = self.values.get(key, default)
         if value is None:
-            raise ConfigError(f"{self.source}: missing required field {key!r}")
+            raise ConfigError(f"{self.where(key)}: missing required field {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(
-                f"{self.source}: field {key!r} must be a real number, got {value!r}")
+            raise ConfigError(f"{self.where(key)}: field {key!r} must be a real "
+                              f"number, got {value!r}")
         value = float(value)
         if value != value or value in (float("inf"), float("-inf")):
-            raise ConfigError(f"{self.source}: field {key!r} must be finite")
+            raise ConfigError(f"{self.where(key)}: field {key!r} must be finite")
         if positive and value <= 0:
             raise ConfigError(
-                f"{self.source}: field {key!r} must be positive, got {value}")
+                f"{self.where(key)}: field {key!r} must be positive, got {value}")
         return value
 
     def integer(self, key: str, default: int | None = None,
                 minimum: int | None = None) -> int:
         value = self.values.get(key, default)
         if value is None:
-            raise ConfigError(f"{self.source}: missing required field {key!r}")
+            raise ConfigError(f"{self.where(key)}: missing required field {key!r}")
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(
-                f"{self.source}: field {key!r} must be an integer, got {value!r}")
+                f"{self.where(key)}: field {key!r} must be an integer, got {value!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(
-                f"{self.source}: field {key!r} must be at least {minimum}")
+                f"{self.where(key)}: field {key!r} must be at least {minimum}")
         return int(value)
 
     def names(self, key: str) -> list[str]:

@@ -10,9 +10,9 @@ GRADIENT_STEP = 1e-6
 TANGENT_STEP = 1e-5
 
 
-def gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-             step: float = GRADIENT_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function on R^n.
+def gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function on R^n, step
+    GRADIENT_STEP.
 
     x may be a stack (..., n) when f is: the last axis is differentiated.
     """
@@ -20,8 +20,8 @@ def gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
     out = np.empty_like(x)
     for i in range(x.shape[-1]):
         e = np.zeros(x.shape[-1])
-        e[i] = step
-        out[..., i] = (f(x + e) - f(x - e)) / (2.0 * step)
+        e[i] = GRADIENT_STEP
+        out[..., i] = (f(x + e) - f(x - e)) / (2.0 * GRADIENT_STEP)
     return out
 
 
@@ -48,19 +48,20 @@ def directional(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return (np.asarray(f(x + step * v)) - np.asarray(f(x - step * v))) / (2.0 * step)
 
 
-def one_form_curl(A: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
-                  step: float = TANGENT_STEP) -> np.ndarray:
+def one_form_curl(A: Callable[[np.ndarray], np.ndarray],
+                  q: np.ndarray) -> np.ndarray:
     """Exterior derivative of a one-form as the antisymmetric matrix dA(e_i, e_j).
 
-    Returns the matrix with (i, j) entry d_i A_j - d_j A_i.
+    Returns the matrix with (i, j) entry d_i A_j - d_j A_i (step TANGENT_STEP).
     """
-    D = jacobian(A, q, step)  # D[m, i] = d_i A_m
+    D = jacobian(A, q)  # D[m, i] = d_i A_m
     return D.T - D
 
 
-def two_form_closedness(B: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
-                        step: float = TANGENT_STEP) -> float:
-    """Max cyclic-sum residual |d_i B_jk + d_j B_ki + d_k B_ij| at q.
+def two_form_closedness(B: Callable[[np.ndarray], np.ndarray],
+                        q: np.ndarray) -> float:
+    """Max cyclic-sum residual |d_i B_jk + d_j B_ki + d_k B_ij| at q, by
+    central differences of step TANGENT_STEP.
 
     Zero (to FD accuracy) exactly when the two-form with coefficient matrix B(q)
     is closed near q.
@@ -69,8 +70,8 @@ def two_form_closedness(B: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     dB = np.empty((n, n, n))
     for i in range(n):
         e = np.zeros(n)
-        e[i] = step
-        dB[i] = (np.asarray(B(q + e)) - np.asarray(B(q - e))) / (2.0 * step)
+        e[i] = TANGENT_STEP
+        dB[i] = (np.asarray(B(q + e)) - np.asarray(B(q - e))) / (2.0 * TANGENT_STEP)
     worst = 0.0
     for i in range(n):
         for j in range(n):

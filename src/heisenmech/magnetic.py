@@ -356,27 +356,29 @@ def project_chart(state, field: MagneticField) -> np.ndarray:
 
 
 def reduce_point(state, mu_nu: CoAlgebraElement,
-                 field: MagneticField, tol: float = 1e-8) -> np.ndarray:
+                 field: MagneticField) -> np.ndarray:
     """Project a level-set chart state to its flat orbit chart.
 
     The chart is (rho1, rho2, theta..., lam...), project_chart of the state:
     constant on isotropy-group orbits. Its center charge equals the level's
-    nu, which labels the leaf and is not a chart coordinate.
+    nu, which labels the leaf and is not a chart coordinate. NotOnLevelSet
+    unless the momentum map is within 1e-8 of the level.
     """
     J = momentum_map(state, field)
-    if not np.max(np.abs(J - mu_nu.as_array())) <= tol:
+    if not np.max(np.abs(J - mu_nu.as_array())) <= 1e-8:
         raise NotOnLevelSet(
-            f"point is not on the momentum level {mu_nu.as_array()} within {tol}")
+            f"point is not on the momentum level {mu_nu.as_array()} within 1e-08")
     if classify_orbit(J) != classify_orbit(mu_nu.as_array()):
         raise NotOnLevelSet("orbit type of the representative does not match the level")
     return project_chart(state, field)
 
 
 def level_lift(chart: np.ndarray, mu_nu: CoAlgebraElement,
-               field: MagneticField, alpha: float = 0.0) -> np.ndarray:
+               field: MagneticField) -> np.ndarray:
     """Chart state of one lift of a flat orbit chart (rho1, rho2, theta...,
-    lam...) of the level's leaf back onto the level set (center height alpha
-    free). ValueError unless chart is a flat array of size 2 + 2k."""
+    lam...) of the level's leaf back onto the level set, at center height
+    q3 = 0 (ReducedRCHSystem.lift moves it). ValueError unless chart is a
+    flat array of size 2 + 2k."""
     chart = np.asarray(chart, dtype=float)
     if chart.ndim != 1 or chart.size < 2 or chart.size % 2:
         raise ValueError(f"an orbit chart is a flat array of size 2 + 2k, "
@@ -386,28 +388,27 @@ def level_lift(chart: np.ndarray, mu_nu: CoAlgebraElement,
         u = ((chart[1] - mu_nu.mu[1]) / nu, (mu_nu.mu[0] - chart[0]) / nu)
     else:
         u = (0.0, 0.0)
-    q = np.array([u[0], u[1], alpha], dtype=float)
+    q = np.array([u[0], u[1], 0.0], dtype=float)
     return _level_state(q, chart[:2], nu, field, chart[2:])
 
 
 def reduced_hamiltonian(h_full: Callable[[np.ndarray], float],
                         mu_nu: CoAlgebraElement, field: MagneticField,
-                        k: int = 0, invariance_tol: float = 1e-10,
-                        seed: int = 7121) -> OrbitFunction:
+                        k: int = 0) -> OrbitFunction:
     """Drop an invariant Hamiltonian on chart states to the reduced space
     O x V x V*.
 
-    First verifies invariance on 100 random (translated, original) pairs to
-    invariance_tol, then returns the orbit function h with h(reduce(x)) equal
+    First verifies invariance on 100 seeded random (translated, original)
+    pairs to 1e-10, then returns the orbit function h with h(reduce(x)) equal
     to h_full(x): evaluation lifts a flat orbit chart of the level's leaf back
     to the level set, and any lift gives the same value because the isotropy
     direction is exactly the invariance direction.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7121)
     for _ in range(100):
         x = rng.uniform(-2, 2, 6 + 2 * k)
         h = rng.uniform(-2, 2, 3)
-        if abs(h_full(left_translate(h, x)) - h_full(x)) > invariance_tol:
+        if abs(h_full(left_translate(h, x)) - h_full(x)) > 1e-10:
             raise NotInvariant(
                 "Hamiltonian is not left-invariant at the requested tolerance")
 

@@ -56,8 +56,8 @@ class DualFunction:
     difference (fd.GRADIENT_STEP), and check_jacobi relaxes its tolerance
     for a function without analytic derivatives. The optional hessian H (the
     3x3 derivative matrix of the gradient, H[j, i] = d delta_j / d p_i)
-    enables analytic gradients of nested brackets: with M = s*nu*K - B as in
-    bracket_function, grad {f,g} = Hf^T M dg + Hg^T M^T df + s*area(df,dg) e3.
+    enables analytic gradients of nested brackets: with M = -nu*K - B as in
+    bracket_function, grad {f,g} = Hf^T M dg + Hg^T M^T df - area(df,dg) e3.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -180,39 +180,34 @@ class JacobiResult(NamedTuple):
 # Area matrix K: df . K . dg is the signed area of the planar parts.
 _AREA = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-
-def _sign(sign: str) -> float:
-    if sign == "minus":
-        return -1.0
-    if sign == "plus":
-        return 1.0
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+# Reduction by the left action gives the minus Lie-Poisson structure on the
+# dual (Marsden and Ratiu, Introduction to Mechanics and Symmetry, chapter
+# 13). It stays a multiplication: a bare negation can give a nan other bits.
+_SIGN = -1.0
 
 
 def magnetic_lie_poisson(f: DualFunction, g: DualFunction, p: np.ndarray,
-                         B: MagneticCocycle, sign: str = "minus"):
-    """Magnetic Lie-Poisson bracket {f,g}(p) = +-<p,[df,dg]> - B(df,dg) at
+                         B: MagneticCocycle):
+    """Magnetic Lie-Poisson bracket {f,g}(p) = -<p,[df,dg]> - B(df,dg) at
     the flat dual point (or stack) p = (mu1, mu2, nu)."""
     p = np.asarray(p, dtype=float)
     df, dg = f.grad(p), g.grad(p)
-    return _scalar(_sign(sign) * (_part(p, 2) * area_form(df, dg))
-                   - B.pair(df, dg))
+    return _scalar(_SIGN * (_part(p, 2) * area_form(df, dg)) - B.pair(df, dg))
 
 
-def bracket_function(f: DualFunction, g: DualFunction, B: MagneticCocycle,
-                     sign: str = "minus") -> DualFunction:
+def bracket_function(f: DualFunction, g: DualFunction,
+                     B: MagneticCocycle) -> DualFunction:
     """The bracket {f,g} packaged as a DualFunction on flat dual points p.
 
-    {f,g}(p) = df . M . dg with M = s*nu*K - B: s the sign, K the area matrix
+    {f,g}(p) = df . M . dg with M = -nu*K - B, K the area matrix
     (K[0,1] = -K[1,0] = 1). When both inputs carry analytic gradients and
     hessians the result gets the closed-form gradient
-    Hf^T M dg + Hg^T M^T df + s*area(df,dg) e3, which is what makes nested
+    Hf^T M dg + Hg^T M^T df - area(df,dg) e3, which is what makes nested
     Jacobi evaluations accurate to 1e-9.
     """
-    s = _sign(sign)
 
     def evaluate(p: np.ndarray) -> float:
-        return magnetic_lie_poisson(f, g, p, B, sign)
+        return magnetic_lie_poisson(f, g, p, B)
 
     analytic = (f.gradient is not None and f.hessian is not None
                 and g.gradient is not None and g.hessian is not None)
@@ -222,10 +217,10 @@ def bracket_function(f: DualFunction, g: DualFunction, B: MagneticCocycle,
     def gradient(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         df, dg = f.grad(p), g.grad(p)
-        M = (s * p[..., 2])[..., None, None] * _AREA - B.form
+        M = (_SIGN * p[..., 2])[..., None, None] * _AREA - B.form
         out = (_matvec(np.swapaxes(f.hess(p), -1, -2), _matvec(M, dg))
                + _matvec(np.swapaxes(g.hess(p), -1, -2), _vecmat(df, M)))
-        out[..., 2] += s * area_form(df, dg)
+        out[..., 2] += _SIGN * area_form(df, dg)
         return out
 
     return DualFunction(evaluate, gradient)
@@ -248,8 +243,7 @@ def product_function(f: DualFunction, g: DualFunction) -> DualFunction:
     return DualFunction(evaluate, gradient)
 
 
-def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle,
-                 sign: str = "minus") -> JacobiResult:
+def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle) -> JacobiResult:
     """Cyclic sum {{f,g},h} + {{g,h},f} + {{h,f},g} at the flat dual point
     (or stack) p = (mu1, mu2, nu); the residual is its absolute value.
 
@@ -264,29 +258,29 @@ def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle,
     tol = 1e-9 if analytic else 1e-4
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        ab = bracket_function(a, b, B, sign)
-        total += magnetic_lie_poisson(ab, c, p, B, sign)
+        ab = bracket_function(a, b, B)
+        total += magnetic_lie_poisson(ab, c, p, B)
     return JacobiResult(abs(total), tol)
 
 
-def classify_orbit(p: np.ndarray, tol: float = 1e-12) -> str | np.ndarray:
+def classify_orbit(p: np.ndarray) -> str | np.ndarray:
     """Kind of the coadjoint orbit through the dual point p = (mu1, mu2, nu):
-    "point" (a fixed point) for |nu| <= tol, else "plane". A str for one
+    "point" (a fixed point) for |nu| <= 1e-12, else "plane". A str for one
     triple, an array of labels of the leading shape for a stack."""
-    point = np.abs(_part(np.asarray(p, dtype=float), 2)) <= tol
+    point = np.abs(_part(np.asarray(p, dtype=float), 2)) <= 1e-12
     if point.ndim == 0:
         return "point" if point else "plane"
     return np.where(point, "point", "plane")
 
 
-def _generator_scale(nu: float, B: MagneticCocycle, sign: str) -> float:
-    """Coefficient c = sign*nu - B12 of the (magnetic) orbit form on the leaf."""
-    return _sign(sign) * nu - B.planar_component
+def _generator_scale(nu: float, B: MagneticCocycle) -> float:
+    """Coefficient c = -nu - B12 of the (magnetic) orbit form on the leaf."""
+    return _SIGN * nu - B.planar_component
 
 
 def orbit_symplectic_form(nu, xi: np.ndarray, eta: np.ndarray,
-                          B: MagneticCocycle, sign: str = "minus"):
-    """Magnetic orbit form +-<p,[xi,eta]> - B(xi,eta) on flat generator
+                          B: MagneticCocycle):
+    """Magnetic orbit form -<p,[xi,eta]> - B(xi,eta) on flat generator
     labels, at any point p of the leaf at height nu (<p,[xi,eta]> reads nu
     only). nu may be an array of leaf heights, one per stacked label.
 
@@ -296,37 +290,35 @@ def orbit_symplectic_form(nu, xi: np.ndarray, eta: np.ndarray,
     point and the form is trivially zero; that case emits a DegenerateForm
     warning rather than raising.
     """
-    value = _sign(sign) * (nu * area_form(xi, eta)) - B.pair(xi, eta)
+    value = _SIGN * (nu * area_form(xi, eta)) - B.pair(xi, eta)
     if np.logical_and(nu == 0.0, B.planar_component == 0.0).any():
         warnings.warn("point orbit with vanishing magnetic term: form is trivially zero",
                       DegenerateForm, stacklevel=2)
     return _scalar(value)
 
 
-def orbit_form_matrix(nu, B: MagneticCocycle,
-                      sign: str = "minus") -> np.ndarray:
+def orbit_form_matrix(nu, B: MagneticCocycle) -> np.ndarray:
     """2x2 matrix of the orbit form on the planar generator basis of the leaf
     at height nu; a stack (..., 2, 2) for an array of heights."""
-    c = _generator_scale(nu, B, sign)
-    # form(e1, e2) = sign*nu*area(e1,e2) - B12 = c
+    c = _generator_scale(nu, B)
+    # form(e1, e2) = -nu*area(e1,e2) - B12 = c
     out = np.zeros(np.shape(c) + (2, 2))
     out[..., 0, 1], out[..., 1, 0] = c, -c
     return out
 
 
 def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: float,
-                                   B: MagneticCocycle,
-                                   sign: str = "minus") -> np.ndarray:
+                                   B: MagneticCocycle) -> np.ndarray:
     """Chart vector X with i_X (orbit form + canonical V form) = dh at chart.
 
     chart is flat, on the leaf at height nu. Returns (rhodot1, rhodot2,
     thetadot..., lamdot...). On chart vectors the orbit form is
-    drho1 ^ drho2 / c with c = sign*nu - B12 (its matrix W on generator
+    drho1 ^ drho2 / c with c = -nu - B12 (its matrix W on generator
     labels has det W = c^2), so the planar block is
     c * (dh/drho2, -dh/drho1) and the canonical V x V* block is
     (dh/dlam, -dh/dtheta). Requires a plane orbit on which W is regular.
     """
-    c = _generator_scale(nu, B, sign)
+    c = _generator_scale(nu, B)
     if c * c < 1e-14:
         raise SingularForm(
             "orbit form matrix is singular: the magnetic term cancels the orbit term",
@@ -338,13 +330,13 @@ def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: floa
 
 
 def orbit_form_on_chart_vectors(nu: float, v: np.ndarray, w: np.ndarray,
-                                B: MagneticCocycle, sign: str = "minus") -> float:
+                                B: MagneticCocycle) -> float:
     """Orbit-plus-canonical form on two flat chart tangents
     (rho1, rho2, theta..., lam...) of the leaf at height nu."""
-    c = _generator_scale(nu, B, sign)
+    c = _generator_scale(nu, B)
     if c == 0.0:
         raise SingularForm("orbit form is degenerate on this leaf",
-                           matrix=orbit_form_matrix(nu, B, sign))
+                           matrix=orbit_form_matrix(nu, B))
     k = (v.size - 2) // 2
     planar = (v[0] * w[1] - v[1] * w[0]) / c
     vth, vlam = v[2:2 + k], v[2 + k:]

@@ -1,6 +1,6 @@
 """The closed-form twisted bracket against the paths it replaced.
 
-bracket_function differentiates {f,g}(p) = df . M(p) . dg, M = s*nu*K - B,
+bracket_function differentiates {f,g}(p) = df . M(p) . dg, M = -nu*K - B,
 in closed form. These tests hold it to a test-local copy of the former
 per-direction product-rule loop and to a central difference of the bracket
 value, hold magnetic_lie_poisson bitwise to the pairing formula, and show
@@ -8,13 +8,11 @@ that check_jacobi reads the declared hessians.
 """
 
 import numpy as np
-import pytest
 
 from heisenmech import fd
 from heisenmech import orbit as O
 from heisenmech.group import bracket, pairing
 
-SIGNS = (("minus", -1.0), ("plus", 1.0))
 MAGNITUDES = (1e-3, 1e-1, 1.0, 1e1, 1e3)
 
 
@@ -45,9 +43,9 @@ def functions(rng):
             O.coordinate_function(2)]
 
 
-def loop_gradient(f, g, B, sign, p):
+def loop_gradient(f, g, B, p):
     """The former product-rule loop: one basis direction at a time."""
-    s = O._sign(sign)
+    s = -1.0
     df, dg = f.grad(p), g.grad(p)
     Hf, Hg = f.hess(p), g.hess(p)
     out = np.empty(3)
@@ -78,15 +76,24 @@ def sweep(seed):
             p = scale * rng.normal(size=3)
             B = general_cocycle(rng)
             i, j = rng.choice(len(fs), 2, replace=False)
-            for sign, s in SIGNS:
-                yield fs[i], fs[j], B, sign, s, p
+            yield fs[i], fs[j], B, p
+
+
+def central_gradient(f, p, step):
+    """Central-difference gradient of f at p with the given step."""
+    out = np.empty(3)
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = step
+        out[i] = (f(p + e) - f(p - e)) / (2.0 * step)
+    return out
 
 
 def test_closed_form_gradient_matches_the_product_rule_loop():
     worst = 0.0
-    for f, g, B, sign, _, p in sweep(90):
-        got = O.bracket_function(f, g, B, sign).grad(p)
-        ref = loop_gradient(f, g, B, sign, p)
+    for f, g, B, p in sweep(90):
+        got = O.bracket_function(f, g, B).grad(p)
+        ref = loop_gradient(f, g, B, p)
         worst = max(worst, np.max(np.abs(got - ref)) / term_scale(f, g, B, p))
     assert worst <= 1e-13
 
@@ -96,41 +103,40 @@ def test_closed_form_gradient_reads_hessian_columns_like_the_loop():
     # gradient along e_i; an unsymmetric declaration tells columns from rows.
     rng = np.random.default_rng(95)
     worst = 0.0
-    for f, g, B, sign, _, p in sweep(95):
+    for f, g, B, p in sweep(95):
         A, C = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         f = O.DualFunction(f.evaluate, f.gradient, lambda p, f=f: f.hess(p) + A)
         g = O.DualFunction(g.evaluate, g.gradient, lambda p, g=g: g.hess(p) + C)
-        got = O.bracket_function(f, g, B, sign).grad(p)
-        ref = loop_gradient(f, g, B, sign, p)
+        got = O.bracket_function(f, g, B).grad(p)
+        ref = loop_gradient(f, g, B, p)
         worst = max(worst, np.max(np.abs(got - ref)) / term_scale(f, g, B, p))
     assert worst <= 1e-13
 
 
 def test_closed_form_gradient_matches_finite_differences():
     worst = 0.0
-    for f, g, B, sign, _, p in sweep(91):
-        fg = O.bracket_function(f, g, B, sign)
+    for f, g, B, p in sweep(91):
+        fg = O.bracket_function(f, g, B)
         got = fg.grad(p)
         # The step follows |p| down so that truncation stays below rounding.
         step = fd.GRADIENT_STEP * min(1.0, np.max(np.abs(p)))
-        ref = fd.gradient(fg.evaluate, p, step)
+        ref = central_gradient(fg.evaluate, p, step)
         worst = max(worst, np.max(np.abs(got - ref)) / term_scale(f, g, B, p))
     assert worst <= 1e-6
 
 
 def test_bracket_value_is_bitwise_the_pairing_formula():
     # The reference composes the group kernels pairing and bracket.
-    for f, g, B, sign, s, p in sweep(92):
+    for f, g, B, p in sweep(92):
         df, dg = f.grad(p), g.grad(p)
-        expected = s * pairing(p, bracket(df, dg)) - B.pair(df, dg)
-        got = O.magnetic_lie_poisson(f, g, p, B, sign)
+        expected = -1.0 * pairing(p, bracket(df, dg)) - B.pair(df, dg)
+        got = O.magnetic_lie_poisson(f, g, p, B)
         assert got == expected
         assert type(got) is float
         assert O.linear_function(df).evaluate(p) == pairing(p, df)
 
 
-@pytest.mark.parametrize("sign", ["minus", "plus"])
-def test_jacobi_reads_the_declared_hessians(sign):
+def test_jacobi_reads_the_declared_hessians():
     # Negative control: declaring the unsymmetrized Q as the hessian of
     # p.Qs.p/2 leaves the value and the gradient exact, so only the nested
     # derivative is wrong, and the Jacobi sum must see it.
@@ -143,8 +149,8 @@ def test_jacobi_reads_the_declared_hessians(sign):
     for _ in range(50):
         p = rng.uniform(-2, 2, 3)
         B = general_cocycle(rng)
-        bad = O.check_jacobi((wrong,) + others, p, B, sign)
-        good = O.check_jacobi((right,) + others, p, B, sign)
+        bad = O.check_jacobi((wrong,) + others, p, B)
+        good = O.check_jacobi((right,) + others, p, B)
         assert bad.tolerance == good.tolerance == 1e-9
         wrong_worst = max(wrong_worst, bad.residual)
         right_worst = max(right_worst, good.residual)

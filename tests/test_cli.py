@@ -124,6 +124,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["check", "--config", str(missing), "--out", str(tmp_path)]) == 2
 
 
+def test_bad_value_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("# a particle of negative mass\nsystem.metric = euclidean\n"
+                   "system.mass = -1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3:" in err and "system.mass" in err
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -314,6 +323,17 @@ def test_mr_translation_fixture_passes(tmp_path):
     record = load_report(tmp_path)["checks"][0]
     assert record["name"] == "mr1.symplectic"
     assert record["max_residual"] <= 1e-13
+
+
+def test_large_translation_fixture_passes(tmp_path):
+    # (45, 30) was refused at construction by an absolute bound on the lift
+    # check, which ended mr-check in a traceback.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text((CONFIGS / "mr_translation.cfg").read_text()
+                   .replace("diffeo.u1 = 2.0", "diffeo.u1 = 45")
+                   .replace("diffeo.u2 = 1.0", "diffeo.u2 = 30"))
+    assert main(["mr-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert load_report(tmp_path)["checks"][0]["name"] == "mr1.symplectic"
 
 
 @pytest.mark.parametrize("fixture,failing", [

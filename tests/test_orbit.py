@@ -31,7 +31,7 @@ def test_bracket_frozen_value():
     for _ in range(20):
         p = rand_dual(rng)
         b = rng.normal()
-        out = O.magnetic_lie_poisson(MU1, MU2, p, O.MagneticCocycle.planar(b), "minus")
+        out = O.magnetic_lie_poisson(MU1, MU2, p, O.MagneticCocycle.planar(b))
         assert abs(out - (-p[2] - b)) <= 1e-12
 
 
@@ -51,7 +51,7 @@ def test_bracket_antisymmetry_and_self():
 
 def test_plain_bracket_oracle():
     # Independent formula for the unmagnetized bracket of the Heisenberg
-    # coalgebra: {f,g}(p) = sign * nu * area(df_plane, dg_plane).
+    # coalgebra: {f,g}(p) = -nu * area(df_plane, dg_plane).
     rng = np.random.default_rng(22)
     fs = [MU1, MU2, NU,
           quadratic_function(rng.normal(size=(3, 3))),
@@ -61,11 +61,10 @@ def test_plain_bracket_oracle():
         p = rand_dual(rng)
         f, g = rng.choice(len(fs), 2)
         f, g = fs[f], fs[g]
-        for sign, s in (("minus", -1.0), ("plus", 1.0)):
-            df, dg = f.grad(p), g.grad(p)
-            expected = s * p[2] * (df[0] * dg[1] - df[1] * dg[0])
-            got = O.magnetic_lie_poisson(f, g, p, B0, sign)
-            assert abs(got - expected) <= 1e-10
+        df, dg = f.grad(p), g.grad(p)
+        expected = -p[2] * (df[0] * dg[1] - df[1] * dg[0])
+        got = O.magnetic_lie_poisson(f, g, p, B0)
+        assert abs(got - expected) <= 1e-10
 
 
 def test_leibniz_rule():
@@ -136,8 +135,8 @@ def test_classify_orbit():
 def test_orbit_form_frozen_value_and_antisymmetry():
     e1, e2 = np.eye(3)[:2]
     B0 = O.MagneticCocycle.zero()
-    assert O.orbit_symplectic_form(1.0, e1, e2, B0, "minus") == -1.0
-    assert O.orbit_symplectic_form(1.0, e1, e1, B0, "minus") == 0.0
+    assert O.orbit_symplectic_form(1.0, e1, e2, B0) == -1.0
+    assert O.orbit_symplectic_form(1.0, e1, e1, B0) == 0.0
     rng = np.random.default_rng(27)
     for _ in range(50):
         xi = np.append(rng.normal(size=2), rng.normal())
@@ -158,11 +157,10 @@ def test_orbit_form_matches_bracket_of_linear_functions():
         B = O.MagneticCocycle.planar(rng.normal())
         rho, nu = rng.normal(size=2), rng.normal() + 1.5
         p_dual = np.append(rho, nu)
-        for sign in ("minus", "plus"):
-            form = O.orbit_symplectic_form(nu, xi, eta, B, sign)
-            br = O.magnetic_lie_poisson(O.linear_function(xi), O.linear_function(eta),
-                                        p_dual, B, sign)
-            assert abs(form - br) <= 1e-10
+        form = O.orbit_symplectic_form(nu, xi, eta, B)
+        br = O.magnetic_lie_poisson(O.linear_function(xi), O.linear_function(eta),
+                                    p_dual, B)
+        assert abs(form - br) <= 1e-10
 
 
 def test_orbit_form_degenerate_warning():
@@ -180,9 +178,8 @@ def test_orbit_form_matrix_determinant():
         if abs(nu) < 1e-3:
             continue
         rng.normal(size=2)  # the chart point's draw; the matrix reads only nu
-        for sign in ("minus", "plus"):
-            det = np.linalg.det(O.orbit_form_matrix(nu, B0, sign))
-            assert abs(det - nu ** 2) <= 1e-10
+        det = np.linalg.det(O.orbit_form_matrix(nu, B0))
+        assert abs(det - nu ** 2) <= 1e-10
 
 
 def test_orbit_field_frozen_cases():

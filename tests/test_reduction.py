@@ -265,7 +265,8 @@ def test_flat_lift_projection_and_push_match_dataclass_path(k, level, orbit, fie
     for _ in range(30):
         chart = rng.uniform(-2, 2, 2 + 2 * k)
         for alpha in (0.0, 0.9, -1.7):
-            expected = M.level_lift(chart, level, field, alpha)
+            expected = M.level_lift(chart, level, field)
+            expected[2] += alpha
             assert np.max(np.abs(red.lift(chart, alpha) - expected)) <= 1e-12
         state = rng.uniform(-2, 2, 6 + 2 * k)
         assert np.max(np.abs(M.project_chart(state, field)
@@ -506,6 +507,27 @@ def test_translations_hold_mr1_mr2_mr3_at_rounding(scale):
         assert all(r.max_residual <= 1e-12 for r in records), (scale, seed, records)
         control = R.check_mr1(shear(), field, field, seed=seed)
         assert not control.passed and control.max_residual >= 1e-2
+
+
+def test_large_translations_construct_and_a_wrong_lift_is_refused():
+    # The declared-lift check is relative to the canonical lift above unit
+    # size: the finite-difference reference's noise grows with the
+    # translation, and an absolute 1e-8 refused 117 of these 200 draws.
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        u = rng.uniform(-100, 100, 3)
+        R.DiffeoSpec.group_translation(GroupElement(u[:2], u[2]))
+    # On the identity base the canonical lift is the state itself, at most 2
+    # in size on the samples, so the bound there is at most 2e-8.
+    ident = lambda q: np.asarray(q, dtype=float).copy()
+
+    def off_lift(s):
+        out = np.asarray(s, dtype=float).copy()
+        out[3:6] += 1e-6
+        return out
+
+    with pytest.raises(ValueError, match="custom lift differs"):
+        R.DiffeoSpec(ident, ident, lift=off_lift)
 
 
 def test_group_translation_declares_an_exact_lift():

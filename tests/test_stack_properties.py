@@ -122,9 +122,8 @@ def cocycles(seed, shape):
 
 
 @PROPERTY
-@given(seed=seeds, exponent=st.floats(-3.0, 3.0), shape=shapes,
-       sign=st.sampled_from(["minus", "plus"]))
-def test_bracket_layer_is_rowwise_bitwise(seed, exponent, shape, sign):
+@given(seed=seeds, exponent=st.floats(-3.0, 3.0), shape=shapes)
+def test_bracket_layer_is_rowwise_bitwise(seed, exponent, shape):
     (p,) = draw(seed, exponent, shape, 1)
     B, rows = cocycles(seed, shape)
     fs = functions(seed, exponent)
@@ -132,15 +131,15 @@ def test_bracket_layer_is_rowwise_bitwise(seed, exponent, shape, sign):
         assert_rowwise(f.evaluate, [p], shape)
         assert_rowwise(lambda q: np.broadcast_to(f.grad(q), np.shape(q)), [p], shape)
     for f, g in zip(fs, fs[1:] + fs[:1]):
-        value = O.magnetic_lie_poisson(f, g, p, B, sign)
-        nested = O.bracket_function(f, g, B, sign)
+        value = O.magnetic_lie_poisson(f, g, p, B)
+        nested = O.bracket_function(f, g, B)
         product = O.product_function(f, g)
-        jacobi = O.check_jacobi((f, g, fs[3]), p, B, sign)
+        jacobi = O.check_jacobi((f, g, fs[3]), p, B)
         for index in np.ndindex(*shape):
             Bi = rows[index]
             assert bits(value[index]) == bits(
-                O.magnetic_lie_poisson(f, g, p[index], Bi, sign))
-            single = O.bracket_function(f, g, Bi, sign)
+                O.magnetic_lie_poisson(f, g, p[index], Bi))
+            single = O.bracket_function(f, g, Bi)
             assert bits(nested.evaluate(p)[index]) == bits(single.evaluate(p[index]))
             assert bits(nested.grad(p)[index]) == bits(single.grad(p[index]))
             assert bits(product.evaluate(p)[index]) == bits(
@@ -148,7 +147,7 @@ def test_bracket_layer_is_rowwise_bitwise(seed, exponent, shape, sign):
             assert bits(np.broadcast_to(product.grad(p), p.shape)[index]) == bits(
                 product.grad(p[index]))
             assert bits(jacobi.residual[index]) == bits(O.check_jacobi(
-                (f, g, fs[3]), p[index], Bi, sign).residual)
+                (f, g, fs[3]), p[index], Bi).residual)
 
 
 @PROPERTY
@@ -162,20 +161,19 @@ def test_finite_difference_fallbacks_are_rowwise_bitwise(seed, exponent, shape):
 
 
 @PROPERTY
-@given(seed=seeds, exponent=exponents, shape=shapes,
-       sign=st.sampled_from(["minus", "plus"]))
-def test_orbit_form_and_cocycle_are_rowwise_bitwise(seed, exponent, shape, sign):
+@given(seed=seeds, exponent=exponents, shape=shapes)
+def test_orbit_form_and_cocycle_are_rowwise_bitwise(seed, exponent, shape):
     xi, eta = draw(seed, exponent, shape, 2)
     nu = np.random.default_rng(seed + 4).uniform(0.3, 2.5, shape)
     B, rows = cocycles(seed, shape)
     planar = O.MagneticCocycle.planar(nu)
-    form = O.orbit_symplectic_form(nu, xi, eta, B, sign)
-    matrix = O.orbit_form_matrix(nu, B, sign)
+    form = O.orbit_symplectic_form(nu, xi, eta, B)
+    matrix = O.orbit_form_matrix(nu, B)
     for index in np.ndindex(*shape):
         Bi, nui = rows[index], float(nu[index])
         assert bits(form[index]) == bits(
-            O.orbit_symplectic_form(nui, xi[index], eta[index], Bi, sign))
-        assert bits(matrix[index]) == bits(O.orbit_form_matrix(nui, Bi, sign))
+            O.orbit_symplectic_form(nui, xi[index], eta[index], Bi))
+        assert bits(matrix[index]) == bits(O.orbit_form_matrix(nui, Bi))
         assert bits(B.pair(xi, eta)[index]) == bits(Bi.pair(xi[index], eta[index]))
         assert bits(B.planar_component[index]) == bits(Bi.planar_component)
         assert np.array_equal(planar.form[index], O.MagneticCocycle.planar(nui).form)

@@ -51,12 +51,12 @@ def old_kind(p):
     return "point" if abs(p[2]) <= 1e-12 else "plane"
 
 
-def old_reduce_point(state, mu_nu, field, tol=1e-8):
+def old_reduce_point(state, mu_nu, field):
     state = M._chart_state(state)
     J = M.momentum_map(state, field)
-    if not np.max(np.abs(J - mu_nu.as_array())) <= tol:
+    if not np.max(np.abs(J - mu_nu.as_array())) <= 1e-8:
         raise NotOnLevelSet(
-            f"point is not on the momentum level {mu_nu.as_array()} within {tol}")
+            f"point is not on the momentum level {mu_nu.as_array()} within 1e-08")
     shifted = M._momentum_shift(state, field) if field.has_potential else state
     rho = old_chart_to_body_array(shifted[:3], shifted[3:6])
     out = np.concatenate([rho[:2], state[6:]])
@@ -77,14 +77,14 @@ def old_sample_level_point(mu_nu, field, k, rng, scale=1.5):
     return np.concatenate([q, M._chart_momentum(q, rho), theta, lam])
 
 
-def old_level_lift(chart, mu_nu, field, alpha=0.0):
+def old_level_lift(chart, mu_nu, field):
     chart = np.asarray(chart, dtype=float)
     nu = mu_nu.nu
     if abs(nu) > 1e-12:
         u = ((chart[1] - mu_nu.mu[1]) / nu, (mu_nu.mu[0] - chart[0]) / nu)
     else:
         u = (0.0, 0.0)
-    q = np.array([u[0], u[1], alpha], dtype=float)
+    q = np.array([u[0], u[1], 0.0], dtype=float)
     shift = field.charge_factor * field.identity_potential_value()
     rho = np.append(chart[:2] - shift[:2], nu - shift[2])
     return np.concatenate([q, M._chart_momentum(q, rho), chart[2:]])
@@ -226,18 +226,24 @@ def test_reduce_point_is_the_old_writing(exponents, seed, k, cf):
             else:
                 J = rng.normal(size=3)
             # the state's own level, a bumped one, a point-orbit level within
-            # tol of a plane state, and the point level of a state moved onto
-            # nu = 0
+            # tol of a plane state, the point level of a state moved onto
+            # nu = 0, and the point level of a state moved to nu = 5e-9 (on
+            # the level to 1e-8, but on a plane orbit)
             flat = s.copy()
             flat[5] = -(cf * a[2]) if field.kind == "invariant" else 0.0
+            nearly = flat.copy()
+            nearly[5] += 5e-9
+            if field.kind in ("zero", "invariant"):
+                J_flat = M.momentum_map(flat, field)
+                J_nearly = M.momentum_map(nearly, field)
+            else:
+                J_flat = J_nearly = J
             cases = [(s, J), (s, J + [0.0, 1e-3, 0.0]), (s, [J[0], J[1], 0.0]),
-                     (flat, M.momentum_map(flat, field)
-                      if field.kind in ("zero", "invariant") else J)]
+                     (flat, J_flat), (nearly, [J_nearly[0], J_nearly[1], 0.0])]
             for state, level in cases:
                 level = CoAlgebraElement(level[:2], level[2])
-                for tol in (1e-8, 1e300):
-                    assert outcome(M.reduce_point, state, level, field, tol) == (
-                        outcome(old_reduce_point, state, level, field, tol))
+                assert outcome(M.reduce_point, state, level, field) == (
+                    outcome(old_reduce_point, state, level, field))
 
 
 @PROPERTY
@@ -254,9 +260,8 @@ def test_level_chart_is_the_old_writing(exponents, seed, k, cf):
                                                            old_rng).tobytes()
             assert new_rng.random() == old_rng.random()
             chart = np.concatenate([s[[3, 0]], s[6:]])
-            for alpha in (0.0, -0.0, s[2]):
-                assert (M.level_lift(chart, level, field, alpha).tobytes()
-                        == old_level_lift(chart, level, field, alpha).tobytes())
+            assert (M.level_lift(chart, level, field).tobytes()
+                    == old_level_lift(chart, level, field).tobytes())
 
 
 @PROPERTY
