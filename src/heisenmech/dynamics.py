@@ -564,24 +564,14 @@ def modified_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
     return HamiltonianSpec(lambda s: sys.hamiltonian.evaluate(unshift(s)), gradient)
 
 
-def _affine_generator(sys: RCHSystem) -> tuple[np.ndarray, np.ndarray]:
-    """A and b with rch_vector_field(sys, y) = A @ y + b for a pure system on
-    a constant field whose Hamiltonian declares the form 1/2 y^T Q y + c^T y.
-
-    With the Poisson matrix Pi = [[0, I], [-I, charge_factor * B]] of the
-    field on (q, p), A = Pi Q and b = Pi c, padded with zero rows and columns
-    for (theta, lam), on which the form does not depend.
-    """
-    Q, c = sys.hamiltonian.form
-    poisson = np.zeros((6, 6))
-    poisson[:3, 3:] = np.eye(3)
-    poisson[3:, :3] = -np.eye(3)
-    poisson[3:, 3:] = sys.field.charge_factor * sys.field.b(np.zeros(3))
-    A = np.zeros((sys.dim, sys.dim))
-    b = np.zeros(sys.dim)
-    A[:6, :6] = poisson @ Q
-    b[:6] = poisson @ c
-    return A, b
+def _affine_pair(f: Callable[[np.ndarray], np.ndarray],
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix A and offset b of a map f on R^n known to be affine,
+    f(z) = A @ z + b, read off one call of f on the stack of the origin and
+    the unit vectors (f maps a stack (n + 1, n) to the stack of its rows'
+    images); nothing is tested."""
+    rows = f(np.vstack([np.zeros(n), np.eye(n)]))
+    return np.column_stack(rows[1:] - rows[0]), rows[0]
 
 
 def _invariant_particle_field(sys: RCHSystem) -> Callable[[list], tuple]:
@@ -644,11 +634,13 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
 
     - "propagator": a pure (unforced, uncontrolled) system whose Hamiltonian
       declares a quadratic form (kind "euclidean" or "quadratic") on a
-      constant field is affine, y' = A y + b, and each step is one product
-      with the Cayley (midpoint) or degree-4 Taylor (rk4) matrix of the
-      augmented generator. Midpoint uses it only where the fixed-point
-      iteration provably contracts, ||hA/2||_F < 1/2 on the linear block;
-      otherwise the run takes the "field" route.
+      constant field is affine, y' = A y + b (A = Pi Q and b = Pi c for
+      the field's Poisson matrix Pi), read off rch_vector_field in one
+      stacked call at the zero and unit states (_affine_pair). Each step is
+      one product with the Cayley (midpoint) or degree-4 Taylor (rk4)
+      matrix of the augmented generator. Midpoint uses it only where the
+      fixed-point iteration provably contracts, ||hA/2||_F < 1/2 on the
+      linear block; otherwise the run takes the "field" route.
     - "closed_form": a pure invariant-metric particle on a constant field
       steps its vector field written on floats (_invariant_particle_field),
       bitwise equal to rch_vector_field.
@@ -672,7 +664,9 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     rhs = lambda y: rch_vector_field(sys, y)
     if sys.field.is_constant:
         if pure and sys.hamiltonian.form is not None:
-            route, generator = "propagator", _affine_generator(sys)
+            route = "propagator"
+            generator = _affine_pair(lambda ys: rch_vector_field(sys, ys),
+                                     sys.dim)
         elif pure and sys.hamiltonian.kind == "invariant":
             route, rhs = "closed_form", _invariant_particle_field(sys)
     elif method == "midpoint":

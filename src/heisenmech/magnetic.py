@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
 from .group import CoAlgebraElement, _matvec, _part, multiply
-from .orbit import OrbitFunction, _antisymmetric, classify_orbit
+from .orbit import _antisymmetric, classify_orbit
 
 __all__ = [
     "MagneticField",
@@ -36,7 +36,6 @@ __all__ = [
     "project_chart",
     "reduce_point",
     "level_lift",
-    "reduced_hamiltonian",
 ]
 
 _KINDS = ("zero", "constant", "linear", "invariant", "general")
@@ -391,28 +390,3 @@ def level_lift(chart: np.ndarray, mu_nu: CoAlgebraElement,
     q = np.array([u[0], u[1], 0.0], dtype=float)
     return _level_state(q, chart[:2], nu, field, chart[2:])
 
-
-def reduced_hamiltonian(h_full: Callable[[np.ndarray], float],
-                        mu_nu: CoAlgebraElement, field: MagneticField,
-                        k: int = 0) -> OrbitFunction:
-    """Drop an invariant Hamiltonian on chart states to the reduced space
-    O x V x V*.
-
-    First verifies invariance on 100 seeded random (translated, original)
-    pairs to 1e-10, then returns the orbit function h with h(reduce(x)) equal
-    to h_full(x): evaluation lifts a flat orbit chart of the level's leaf back
-    to the level set, and any lift gives the same value because the isotropy
-    direction is exactly the invariance direction.
-    """
-    rng = np.random.default_rng(7121)
-    for _ in range(100):
-        x = rng.uniform(-2, 2, 6 + 2 * k)
-        h = rng.uniform(-2, 2, 3)
-        if abs(h_full(left_translate(h, x)) - h_full(x)) > 1e-10:
-            raise NotInvariant(
-                "Hamiltonian is not left-invariant at the requested tolerance")
-
-    def evaluate(chart: np.ndarray) -> float:
-        return float(h_full(level_lift(chart, mu_nu, field)))
-
-    return OrbitFunction(evaluate=evaluate)

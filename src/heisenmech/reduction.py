@@ -53,7 +53,6 @@ from .magnetic import (
     momentum_map,
     momentum_shift,
     project_chart,
-    reduced_hamiltonian,
     sample_level_point,
 )
 from .orbit import (
@@ -226,27 +225,18 @@ _EQUIVARIANCE_ROUNDS = 60
 _SWEEP_TOL = 1e-10
 
 
-def _equivariance_sweep(fm: FiberMap, k: int, tol: float, rng: np.random.Generator,
+def _equivariance_sweep(fm: FiberMap, k: int, rng: np.random.Generator,
                         what: str) -> None:
     for _ in range(_EQUIVARIANCE_ROUNDS):
         s = rng.uniform(-2, 2, 6 + 2 * k)
         h = rng.uniform(-2, 2, 3)
         lhs = np.asarray(fm.apply(left_translate(h, s)), dtype=float)
         rhs = left_translate(h, fm.apply(s))
-        if np.max(np.abs(lhs - rhs)) > tol:
+        if np.max(np.abs(lhs - rhs)) > _SWEEP_TOL:
             raise NotInvariant(f"{what} map is not equivariant under left translation")
-        if abs(np.asarray(fm.apply(s))[5] - s[5]) > tol:
+        if abs(np.asarray(fm.apply(s))[5] - s[5]) > _SWEEP_TOL:
             raise NotInvariant(
                 f"{what} map moves the center momentum and does not descend to the orbit")
-
-
-def _affine_pair(f: Callable[[np.ndarray], np.ndarray],
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix A and offset b of a map f on R^n known to be affine,
-    f(z) = A @ z + b, read off f at the origin and the unit vectors; nothing
-    is tested."""
-    b = f(np.zeros(n))
-    return np.column_stack([f(e) - b for e in np.eye(n)]), b
 
 
 def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
@@ -261,10 +251,12 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     cocycle: the fiber shift that trivializes the potential has already eaten
     it, so the reduced structure is the plain minus form on the leaf plus the
     canonical form on V x V*. The level lift is sampled once into its affine
-    pair. For a Hamiltonian of kind "invariant" (mass m) the reduced one is
-    |rho - s|^2/(2m) + const, s = charge_factor * A(e), and declares that
-    form, Q = diag(1/m, 1/m, 0...) and c = (-s1/m, -s2/m, 0...); any other
-    kind gets the exact chain-rule gradient (D lift)^T grad H at the lift.
+    pair, and the reduced Hamiltonian reads it: its value is H at the lift,
+    H(lift_offset + lift_matrix @ chart). For a Hamiltonian of kind
+    "invariant" (mass m) that is |rho - s|^2/(2m) + const,
+    s = charge_factor * A(e), and it declares that form,
+    Q = diag(1/m, 1/m, 0...) and c = (-s1/m, -s2/m, 0...); any other kind
+    gets the exact chain-rule gradient (D lift)^T grad H at the lift.
     """
     orbit_kind = classify_orbit(mu_nu.as_array())
     if orbit_kind != expected_orbit:
@@ -275,32 +267,43 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
     # Probe the momentum map once so an incompatible field fails loudly here.
     momentum_map(sample_level_point(mu_nu, sys.field, sys.k, rng), sys.field)
 
-    h_red = reduced_hamiltonian(sys.hamiltonian.evaluate, mu_nu, sys.field,
-                                k=sys.k)
-    k = sys.k
+    k, H = sys.k, sys.hamiltonian
+    invariance_rng = np.random.default_rng(7121)
+    for _ in range(100):
+        x = invariance_rng.uniform(-2, 2, 6 + 2 * k)
+        g = invariance_rng.uniform(-2, 2, 3)
+        if abs(H.evaluate(left_translate(g, x)) - H.evaluate(x)) > _SWEEP_TOL:
+            raise NotInvariant(
+                f"Hamiltonian is not left-invariant to {_SWEEP_TOL:g}")
+
     # At a fixed level, level_lift(chart) = lift_matrix @ chart + offset.
-    lift_matrix, offset = _affine_pair(
-        lambda chart: level_lift(chart, mu_nu, sys.field), 2 + 2 * k)
-    if sys.hamiltonian.kind == "invariant":
-        m, zeros = sys.hamiltonian.mass, np.zeros(2 * k)
+    lift_matrix, offset = dynamics._affine_pair(
+        lambda charts: np.array([level_lift(chart, mu_nu, sys.field)
+                                 for chart in charts]), 2 + 2 * k)
+
+    def evaluate(chart: np.ndarray) -> float:
+        return float(H.evaluate(offset + lift_matrix @ chart))
+
+    if H.kind == "invariant":
+        m, zeros = H.mass, np.zeros(2 * k)
         s = sys.field.charge_factor * sys.field.identity_potential_value()[:2]
-        h_red = replace(h_red, form=(np.diag(np.append([1 / m, 1 / m], zeros)),
-                                     np.append(-s / m, zeros)))
+        h_red = OrbitFunction(evaluate, form=(
+            np.diag(np.append([1 / m, 1 / m], zeros)), np.append(-s / m, zeros)))
     else:
-        h_red = replace(h_red, gradient=lambda chart: lift_matrix.T @ (
-            sys.hamiltonian.grad(offset + lift_matrix @ chart)))
+        h_red = OrbitFunction(evaluate, lambda chart: lift_matrix.T @ (
+            H.grad(offset + lift_matrix @ chart)))
 
     red = ReducedRCHSystem(mu_nu, orbit_kind, h_red, sys, offset, lift_matrix)
     for what, fm in (("force", sys.force), ("control", sys.control)):
         if fm is not None:
-            _equivariance_sweep(fm, sys.k, _SWEEP_TOL, rng, what)
+            _equivariance_sweep(fm, k, rng, what)
 
     # Lift-independence: the same orbit point, lifted at different center
     # heights, must give identical reduced values.
     for _ in range(20):
-        chart = rng.uniform(-2, 2, 2 + 2 * sys.k)
+        chart = rng.uniform(-2, 2, 2 + 2 * k)
         lifts = [red.lift(chart, alpha) for alpha in (0.0, 0.9, -1.7)]
-        values = [sys.hamiltonian.evaluate(s) for s in lifts]
+        values = [H.evaluate(s) for s in lifts]
         if max(values) - min(values) > _SWEEP_TOL:
             raise NotInvariant("reduced Hamiltonian value depends on the lift")
         for fm in (sys.force, sys.control):
@@ -369,9 +372,10 @@ def integrate_reduced(red: ReducedRCHSystem, chart0: np.ndarray, t_end: float,
     The route is read from declarations at each call, never cached on red:
     if red.hamiltonian declares its form and the source force and control are
     each absent or declared affine, the reduced field is A @ z + b, read off
-    reduced_rch_field at the zero and unit charts, and each step is one
-    propagator matrix (see dynamics._propagator; midpoint beyond its
-    contraction guard iterates). Everything else iterates reduced_rch_field.
+    reduced_rch_field at the zero and unit charts (dynamics._affine_pair,
+    one chart at a time), and each step is one propagator matrix (see
+    dynamics._propagator; midpoint beyond its contraction guard iterates).
+    Everything else iterates reduced_rch_field.
     """
     chart0 = np.asarray(chart0, dtype=float)
     if chart0.shape != (2 + 2 * red.k,) or not np.isfinite(chart0).all():
@@ -382,7 +386,9 @@ def integrate_reduced(red: ReducedRCHSystem, chart0: np.ndarray, t_end: float,
     rhs = lambda chart: reduced_rch_field(red, chart)
     affine = red.hamiltonian.form is not None and all(
         fm is None or fm.affine for fm in (red.source.force, red.source.control))
-    generator = _affine_pair(rhs, chart0.size) if affine else None
+    generator = dynamics._affine_pair(
+        lambda charts: np.array([rhs(chart) for chart in charts]),
+        chart0.size) if affine else None
     times, charts, _ = dynamics._fixed_step_flow(rhs, chart0, t_end, h, method,
                                                  generator)
     lifted = red.lift_offset + charts @ red.lift_matrix.T
@@ -560,7 +566,9 @@ class DiffeoSpec:
 
     base maps source configurations to target ones; the lift runs the other
     way, (q2, p2) -> (inverse(q2), Dbase(q1)^T p2), fiberwise linear by
-    construction. A custom lift callable may replace the canonical one; by
+    construction. base_inverse must undo base on seeded samples to 1e-8
+    relative to the image above unit size (the round trip rounds at the
+    image's scale). A custom lift callable may replace the canonical one; by
     default it is checked against the transpose formula on seeded samples,
     to 1e-8 relative to the canonical lift above unit size (the formula's
     finite-difference noise grows with it), and fixtures that deliberately
@@ -580,8 +588,9 @@ class DiffeoSpec:
         rng = np.random.default_rng(1441)
         for _ in range(20):
             q = rng.uniform(-2, 2, 3)
-            if np.max(np.abs(np.asarray(self.base_inverse(np.asarray(self.base(q))))
-                             - q)) > 1e-8:
+            image = np.asarray(self.base(q))
+            if np.max(np.abs(np.asarray(self.base_inverse(image)) - q)) > (
+                    1e-8 * max(1.0, np.max(np.abs(image)))):
                 raise ValueError("base_inverse does not invert base on samples")
         if self.lift is not None and self.verify_lift:
             for _ in range(20):
@@ -729,8 +738,10 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
 
     Assembles, at lifted sample points, the difference between the
     forced dynamics of the target system and the transported forced dynamics
-    of the source system. Membership in vertical lifts of the control subset
-    is its distance to the affine subset, offset plus span
+    of the source system; sys1's side is rch_vector_field of sys1 without
+    its control, which enters only through its subset. Membership in
+    vertical lifts of the control subset is its distance to the affine
+    subset, offset plus span
     (ControlSubset.distance, as ControlSubset.contains decides); the
     horizontal component must vanish on its own, since no vertical lift can
     absorb it.
@@ -743,16 +754,14 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     k = sys1.k
     rng = np.random.default_rng(seed)
     base, fiber = _base_fiber_indices(k)
+    uncontrolled = replace(sys1, control=None)
     vertical_worst = 0.0
     horizontal_worst = 0.0
     for _ in range(samples):
         x2 = rng.uniform(-2, 2, 6 + 2 * k)
         x1 = _extend_lift(phi, x2)
-        residual = hamiltonian_vector_field(sys1, x1)
-        if sys1.force is not None:
-            residual = residual + vertical_lift(sys1.force, sys1, x1)
-        residual = residual - _extend_push(phi, x2,
-                                           hamiltonian_vector_field(sys2, x2))
+        residual = rch_vector_field(uncontrolled, x1) - _extend_push(
+            phi, x2, hamiltonian_vector_field(sys2, x2))
         if sys2.force is not None:
             def transported(s: np.ndarray) -> np.ndarray:
                 down = np.concatenate([phi.apply_inverse_lift(s[:6]), s[6:]])

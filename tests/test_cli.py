@@ -336,6 +336,18 @@ def test_large_translation_fixture_passes(tmp_path):
     assert load_report(tmp_path)["checks"][0]["name"] == "mr1.symplectic"
 
 
+def test_far_translation_writes_a_report(tmp_path):
+    # base_inverse's round trip at u1 = 1e9 is off by about 1e-7, which an
+    # absolute 1e-8 refused at construction: a traceback out of mr-check.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text((CONFIGS / "mr_translation.cfg").read_text()
+                   .replace("diffeo.u1 = 2.0", "diffeo.u1 = 1e9"))
+    code = main(["mr-check", "--config", str(cfg), "--out", str(tmp_path)])
+    record = load_report(tmp_path)["checks"][0]
+    assert record["name"] == "mr1.symplectic"
+    assert code == (0 if record["passed"] else 1)
+
+
 @pytest.mark.parametrize("fixture,failing", [
     ("mr1_shear.cfg", "mr1.symplectic"),
     ("mr2_level_mismatch.cfg", "mr2.level"),

@@ -600,7 +600,7 @@ def test_systems_outside_the_declared_routes_keep_the_field():
 def test_midpoint_propagator_only_where_the_iteration_contracts():
     sys = rotation_system()
     x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    A, b = D._affine_generator(sys)
+    A, b = D._affine_pair(lambda ys: D.rch_vector_field(sys, ys), sys.dim)
     norm = np.linalg.norm(A)
     # ||hA/2||_F = 0.6: no propagator, but the iteration still converges.
     h = 1.2 / norm
@@ -698,6 +698,30 @@ def test_declared_shift_hamiltonian_matches_the_field_route(method, cf):
         assert gap <= 1e-12 * np.max(np.abs(slow.states))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("kind", ["zero", "constant", "linear", "invariant"])
+def test_propagator_generator_is_bitwise_the_field_at_unit_states(kind, k,
+                                                                   monkeypatch):
+    # integrate reads (A, b) off rch_vector_field: b is the field at the zero
+    # state and column j of A the field at the j-th unit state, less b.
+    rng = np.random.default_rng(95)
+    S = rng.normal(size=(6, 6))
+    generators = []
+    propagator = D._propagator
+    monkeypatch.setattr(D, "_propagator", lambda A, b, h, method: (
+        generators.append((A, b)) or propagator(A, b, h, method)))
+    for spec in (D.euclidean_kinetic_hamiltonian(rng.uniform(0.5, 2.0)),
+                 D.quadratic_hamiltonian(0.1 * (S + S.T), rng.normal(size=6))):
+        sys = D.RCHSystem(_field_of_kind(kind, -0.7, rng), spec, k=k)
+        traj = D.integrate(sys, rng.normal(size=sys.dim), 0.1, 1e-2)
+        assert traj.route == "propagator"
+        A, b = generators.pop()
+        assert b.tobytes() == D.rch_vector_field(sys, np.zeros(sys.dim)).tobytes()
+        for j, unit in enumerate(np.eye(sys.dim)):
+            column = D.rch_vector_field(sys, unit) - b
+            assert A[:, j].tobytes() == column.tobytes()
+
+
 def test_pure_quadratic_systems_on_constant_fields_propagate():
     rng = np.random.default_rng(94)
     S = rng.normal(size=(6, 6))
@@ -709,7 +733,7 @@ def test_pure_quadratic_systems_on_constant_fields_propagate():
             assert D.integrate(sys, x0, 0.1, 1e-2, method).route == "propagator"
     # Past the contraction bound midpoint iterates; the offset b is not in it.
     sys = D.RCHSystem(M.MagneticField.constant(PLANAR), spec)
-    A, b = D._affine_generator(sys)
+    A, b = D._affine_pair(lambda ys: D.rch_vector_field(sys, ys), sys.dim)
     assert b.any()
     h = 1.2 / np.linalg.norm(A)
     assert D._propagator(A, b, h, "midpoint") is None

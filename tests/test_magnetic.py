@@ -8,6 +8,7 @@ import pytest
 from heisenmech import dynamics as D
 from heisenmech import fd
 from heisenmech import magnetic as M
+from heisenmech import reduction as R
 from heisenmech.errors import MissingPotential, NotInvariant, NotOnLevelSet
 from heisenmech.group import CoAlgebraElement, coadjoint, multiply
 from heisenmech.orbit import MagneticCocycle, orbit_form_on_chart_vectors
@@ -406,27 +407,34 @@ def test_reduced_form_pullback_matches_level_restriction():
                 assert abs(reduced - full) <= 1e-5
 
 
+def reduced_value(evaluate, mu_nu, field):
+    """The reduced Hamiltonian that reduce_system builds from a general spec
+    of evaluate, as a map of orbit charts."""
+    spec = D.HamiltonianSpec(evaluate, lambda x: fd.gradient(evaluate, x))
+    return R.reduce_system(D.RCHSystem(field, spec), mu_nu).hamiltonian.evaluate
+
+
 def test_reduced_hamiltonian_particle_and_lift_independence():
     field = M.MagneticField.zero()
     mu_nu = CoAlgebraElement((0.3, 0.9), 1.0)
-    h = M.reduced_hamiltonian(invariant_kinetic(mass=2.0), mu_nu, field)
+    h = reduced_value(invariant_kinetic(mass=2.0), mu_nu, field)
     rng = np.random.default_rng(72)
     for _ in range(50):
         rho = rng.normal(size=2)
-        assert abs(h.evaluate(rho) - (rho @ rho + 1.0) / 4.0) <= 1e-12
+        assert abs(h(rho) - (rho @ rho + 1.0) / 4.0) <= 1e-12
 
     shifted_field = M.MagneticField.invariant_potential((0.5, -0.1, 0.4), 2.0)
-    h2 = M.reduced_hamiltonian(invariant_kinetic(), mu_nu, shifted_field)
+    h2 = reduced_value(invariant_kinetic(), mu_nu, shifted_field)
     shift = 2.0 * np.array([0.5, -0.1, 0.4])
     for _ in range(50):
         rho = rng.normal(size=2)
         rho_raw = np.array([rho[0] - shift[0], rho[1] - shift[1], 1.0 - shift[2]])
-        assert abs(h2.evaluate(rho) - 0.5 * rho_raw @ rho_raw) <= 1e-12
+        assert abs(h2(rho) - 0.5 * rho_raw @ rho_raw) <= 1e-12
 
     # the same orbit point evaluated through random isotropy lifts
     for _ in range(100):
         chart = rng.normal(size=2)
-        base = h2.evaluate(chart)
+        base = h2(chart)
         lift = M.level_lift(chart, mu_nu, shifted_field)
         lift[2] += rng.normal()
         assert abs(invariant_kinetic()(lift) - base) <= 1e-10
@@ -437,15 +445,15 @@ def test_reduced_hamiltonian_rejects_non_invariant():
         p = x[3:6]
         return 0.5 * float(p @ p)
 
-    with pytest.raises(NotInvariant):
-        M.reduced_hamiltonian(chart_kinetic, CoAlgebraElement((0, 0), 1.0),
-                              M.MagneticField.zero())
+    with pytest.raises(NotInvariant, match="not left-invariant to 1e-10"):
+        reduced_value(chart_kinetic, CoAlgebraElement((0, 0), 1.0),
+                      M.MagneticField.zero())
 
 
 def test_constant_hamiltonian_reduces_to_constant():
-    h = M.reduced_hamiltonian(lambda x: 4.25, CoAlgebraElement((0, 0), 1.0),
-                              M.MagneticField.zero())
-    assert h.evaluate(np.array([3.0, -2.0])) == 4.25
+    h = reduced_value(lambda x: 4.25, CoAlgebraElement((0, 0), 1.0),
+                      M.MagneticField.zero())
+    assert h(np.array([3.0, -2.0])) == 4.25
 
 
 def scaled_states(rng, n, k):

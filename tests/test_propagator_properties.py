@@ -40,7 +40,7 @@ def test_propagator_matches_the_fixed_point_path(case, method, exponent, cf, k,
                                                  seed):
     rng = np.random.default_rng(seed)
     sys = _system(case, cf, k, rng)
-    A, b = D._affine_generator(sys)
+    A, b = D._affine_pair(lambda ys: D.rch_vector_field(sys, ys), sys.dim)
     assert (case == "affine") == bool(b.any())
     assert np.linalg.norm(0.5 * H * A) < 0.5
     x0 = 10.0 ** exponent * rng.normal(size=sys.dim)

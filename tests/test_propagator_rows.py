@@ -64,7 +64,8 @@ def full_case(q, c, k=0):
     rotation of rate q, whose rk4 matrix grows the state at a coarse step."""
     spec = D.quadratic_hamiltonian(q * np.eye(6), c)
     sys = D.RCHSystem(M.MagneticField.zero(), spec, k=k)
-    return sys, np.linspace(-1.0, 1.0, sys.dim), D._affine_generator(sys)
+    generator = D._affine_pair(lambda ys: D.rch_vector_field(sys, ys), sys.dim)
+    return sys, np.linspace(-1.0, 1.0, sys.dim), generator
 
 
 def full_run(sys, x0, t_end, h, method):
@@ -80,7 +81,8 @@ def reduced_case(m, k=0):
         D.RCHSystem(FIELD, D.invariant_kinetic_hamiltonian(m), k=k), LEVEL)
     sample = M.sample_level_point(LEVEL, FIELD, k, np.random.default_rng(5))
     z0 = M.reduce_point(sample, LEVEL, FIELD)
-    generator = R._affine_pair(lambda z: R.reduced_rch_field(red, z), z0.size)
+    generator = D._affine_pair(
+        lambda zs: np.array([R.reduced_rch_field(red, z) for z in zs]), z0.size)
     return red, z0, generator
 
 

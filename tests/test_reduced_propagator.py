@@ -116,7 +116,8 @@ def test_midpoint_beyond_the_contraction_guard_keeps_the_iteration(k,
     red = R.reduce_system(system("free", k), LEVEL)
     z0 = start(red)
     n = z0.size
-    A, b = R._affine_pair(lambda chart: R.reduced_rch_field(red, chart), n)
+    A, b = D._affine_pair(
+        lambda charts: np.array([R.reduced_rch_field(red, c) for c in charts]), n)
     h = 1.0  # ||hA/2||_F = h sqrt(2)/(2 * 1.3) = 0.54
     assert np.linalg.norm(0.5 * h * A) >= 0.5
     assert D._propagator(A, b, h, "midpoint") is None

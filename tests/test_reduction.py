@@ -79,6 +79,23 @@ def test_reduce_system_free_particle_value():
         assert abs(red.hamiltonian.evaluate(rho) - 0.5 * (rho @ rho + 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_reduced_hamiltonian_value_reads_the_stored_lift(k):
+    # Both the declared-form and the chain-rule reduced Hamiltonian evaluate
+    # the source Hamiltonian at red.lift, bit for bit.
+    rng = np.random.default_rng(12 + k)
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.9)
+    kinetic = D.invariant_kinetic_hamiltonian(1.3)
+    for ham in (kinetic, D.HamiltonianSpec(kinetic.evaluate, kinetic.gradient)):
+        red = R.reduce_system(D.RCHSystem(field, ham, k=k), LEVEL)
+        assert (red.hamiltonian.form is None) == (ham.kind == "general")
+        for _ in range(50):
+            z = rng.uniform(-2, 2, 2 + 2 * k)
+            value = red.hamiltonian.evaluate(z)
+            assert type(value) is float
+            assert value.hex() == float(ham.evaluate(red.lift(z))).hex()
+
+
 def test_reduce_system_shifted_value():
     a = np.array([0.3, -0.2, 0.8])
     sys = particle(m=2.0)
@@ -347,6 +364,16 @@ def test_diffeo_spec_validation():
     assert spec.apply_lift(np.ones(6))[3] == 2.0
 
 
+def test_diffeo_spec_inverse_check_is_relative_to_the_image():
+    ident = lambda q: np.asarray(q, dtype=float).copy()
+    with pytest.raises(ValueError, match="base_inverse"):
+        R.DiffeoSpec(ident, lambda q: np.asarray(q, dtype=float) + 1e-6)
+    # The round trip of a far translation rounds at the image's scale, about
+    # 1e-7 at 1e9, which an absolute bound of 1e-8 refused.
+    shift = np.array([1e9, 0.0, 0.0])
+    R.DiffeoSpec(lambda q: np.asarray(q) + shift, lambda q: np.asarray(q) - shift)
+
+
 def test_group_translation_lift_is_momentum_friendly():
     h = GroupElement((0.8, -0.5), 0.3)
     phi = R.DiffeoSpec.group_translation(h)
@@ -454,6 +481,23 @@ def test_mr3_reads_the_control_subset_offset():
         assert vertical.passed == passes
         assert vertical.passed == subset.contains(np.zeros(3), tol=1e-6)
     assert abs(vertical.max_residual - np.linalg.norm(offset)) <= 1e-6
+
+
+def test_mr3_records_ignore_the_control_of_sys1():
+    # MR-3 compares uncontrolled fields: sys1's control only supplies the
+    # subset the residual is measured against.
+    subset = D.ControlSubset(np.zeros(3), np.eye(3))
+    plain = particle(force=body_scaling(0.7), subset=subset)
+    controlled = dataclasses.replace(plain,
+                                     control=constant_push([0.3, -0.2, 0.5]))
+    sys2 = particle(force=body_scaling(0.4))
+    phi = R.DiffeoSpec.group_translation(GroupElement((0.6, -0.3), 0.5))
+
+    def records(sys1):
+        return [(r.name, r.samples, r.max_residual.hex(), r.threshold)
+                for r in R.check_mr3_matching(sys1, sys2, phi, samples=10)]
+
+    assert records(controlled) == records(plain)
 
 
 def test_mr3_requires_subset():
