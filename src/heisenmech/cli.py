@@ -11,6 +11,7 @@ level-set violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -408,7 +409,9 @@ def _seed_value(raw: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="heisenmech",
         description="Heisenberg-group mechanics: flows, reduction, and "

@@ -116,7 +116,14 @@ class MagneticCocycle:
 
     @property
     def planar_component(self):
-        """The (1,2) entry, the only one the orbit geometry sees."""
+        """The (1,2) entry, the only one the orbit chart functions read.
+
+        They may read it alone only for a planar cocycle. A nonzero (1,3) or
+        (2,3) entry enters the bracket {nu, h}, so nu moves along the flow
+        and the leaves are no longer the planes nu = const; those functions
+        raise ValueError for such a cocycle rather than answer for a
+        horizontal leaf.
+        """
         return _scalar(self.form[..., 0, 1])
 
 
@@ -274,7 +281,15 @@ def classify_orbit(p: np.ndarray) -> str | np.ndarray:
 
 
 def _generator_scale(nu: float, B: MagneticCocycle) -> float:
-    """Coefficient c = -nu - B12 of the (magnetic) orbit form on the leaf."""
+    """Coefficient c = -nu - B12 of the (magnetic) orbit form on the leaf.
+
+    Raises ValueError for a cocycle that is not planar (see
+    MagneticCocycle.planar_component).
+    """
+    form = B.form
+    if (form[0, 2] or form[1, 2]) if form.ndim == 2 else form[..., :2, 2].any():
+        raise ValueError("the orbit chart needs a planar cocycle: a nonzero "
+                         "(1,3) or (2,3) entry moves the leaf height nu")
     return _SIGN * nu - B.planar_component
 
 

@@ -438,8 +438,10 @@ class KKSystem:
 def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
     """Build the circle-extended geodesic system for an exact magnetic field.
 
-    The geodesic gradient uses the field's declared potential Jacobian;
-    kk_reduce_and_compare steps its field on floats (_geodesic_float_field).
+    The geodesic gradient uses the field's declared potential Jacobian, in
+    ndarray arithmetic (its products go through BLAS). kk_reduce_and_compare
+    steps the same field as Python float sums in a stated operation order
+    (_geodesic_float_field), which agrees with this gradient to rounding.
     """
     if not field.has_potential:
         raise MissingPotential("the circle-bundle construction needs a potential")
@@ -470,30 +472,49 @@ def _geodesic_float_field(field: MagneticField, m: float) -> Callable[[list], li
     kernel: a sequence of 8 floats in, a list out, which the step drivers of
     dynamics._step_template run as they run every right-hand side.
 
-    It repeats that Hamiltonian's gradient and hamiltonian_vector_field
-    operation by operation, so it is bitwise equal to them, as
-    dynamics._invariant_particle_field is. numpy keeps A(q), DA^T w and A.w:
-    BLAS may fuse the multiply-adds of a product, so a float sum need not
-    have its bits. The Jacobian of a linear or invariant field is constant
-    and read once. The zero field's B w is ((0.0 + 0*w0) + 0*w1) + 0*w2 in
-    each row, which has numpy's bits, signed zeros included, and its charge
-    factor is 1. The (theta, lam) rates are dH/dlam and -dH/dtheta = -0.0.
+    One body serves every field kind, in Python floats with this operation
+    order (D the potential Jacobian, D[i][j] = d_j A_i):
+      A_i = a_i + ((D[i][0]*q0 + D[i][1]*q1) + D[i][2]*q2) for a linear or
+        invariant field, with a = A(0) and the constant D read once; a
+        general field's callables give A(q) and D(q) once per call;
+      w_i = (p_i - lam*A_i)/m;
+      (D^T w)_j = (D[0][j]*w0 + D[1][j]*w1) + D[2][j]*w2, and
+        A.w = (A_0*w0 + A_1*w1) + A_2*w2;
+      qdot = w, pdot_j = lam*(D^T w)_j + 0.0 (the zero field's B w, which
+        also turns -0.0 into 0.0), thetadot = -(A.w) + lam, lamdot = -0.0.
+    These are the operations of that Hamiltonian's gradient and
+    hamiltonian_vector_field, so the kernel agrees with them to rounding;
+    its bits follow the order above, not the BLAS build's summation.
     """
     if field.kind in ("linear", "invariant"):
-        DA = field.vector_potential_jacobian(np.zeros(3))
-        jacobian = lambda q: DA
+        origin = np.zeros(3)
+        a0, a1, a2 = field.vector_potential(origin).tolist()
+        jac = tuple(field.vector_potential_jacobian(origin).ravel().tolist())
+        d00, d01, d02, d10, d11, d12, d20, d21, d22 = jac
+
+        def potential(q0, q1, q2):
+            return ((a0 + ((d00 * q0 + d01 * q1) + d02 * q2),
+                     a1 + ((d10 * q0 + d11 * q1) + d12 * q2),
+                     a2 + ((d20 * q0 + d21 * q1) + d22 * q2)), jac)
     else:
-        jacobian = field.vector_potential_jacobian
+        def potential(q0, q1, q2):
+            # A general field's potential is the user's, of one point.
+            q = np.array((q0, q1, q2))
+            return (field.vector_potential(q).tolist(),
+                    field.vector_potential_jacobian(q).ravel().tolist())
 
     def rhs(y):
-        q, lam = np.array(y[:3]), y[7]
-        A = field.vector_potential(q)
-        a0, a1, a2 = A.tolist()
-        w = [(y[3] - lam * a0) / m, (y[4] - lam * a1) / m, (y[5] - lam * a2) / m]
-        w_array = np.array(w)
-        bw = ((0.0 + 0.0 * w[0]) + 0.0 * w[1]) + 0.0 * w[2]
-        pdot = [-(-lam * v) + bw for v in (jacobian(q).T @ w_array).tolist()]
-        return w + pdot + [-float(A @ w_array) + lam, -0.0]
+        q0, q1, q2, p0, p1, p2, _, lam = y
+        (A0, A1, A2), (e00, e01, e02, e10, e11, e12, e20, e21, e22) = (
+            potential(q0, q1, q2))
+        w0 = (p0 - lam * A0) / m
+        w1 = (p1 - lam * A1) / m
+        w2 = (p2 - lam * A2) / m
+        return [w0, w1, w2,
+                lam * ((e00 * w0 + e10 * w1) + e20 * w2) + 0.0,
+                lam * ((e01 * w0 + e11 * w1) + e21 * w2) + 0.0,
+                lam * ((e02 * w0 + e12 * w1) + e22 * w2) + 0.0,
+                -((A0 * w0 + A1 * w1) + A2 * w2) + lam, -0.0]
 
     rhs.on_floats = True
     return rhs
@@ -533,8 +554,10 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     run by rk4 on the same grid, and the geodesic trajectory is pushed back
     down by the inverse shift. Records report the worst state mismatch
     (against 1e-6) and the conservation drift of lam (against 1e-8). The
-    geodesic flow steps on floats (_geodesic_float_field of kk.field and
-    kk.m), bitwise the field of kk.hamiltonian.
+    geodesic flow steps on Python floats (_geodesic_float_field of kk.field
+    and kk.m, whose docstring states the operation order), so its bits do
+    not depend on the BLAS build; it agrees with the field of kk.hamiltonian
+    to rounding.
     """
     mu = kk.mu
     charged = replace(kk.field, charge_factor=mu)

@@ -310,6 +310,43 @@ def test_kk_compare_bundled_config(tmp_path):
     assert by_name["kk.trajectory_match"]["passed"] is True
 
 
+def test_kk_compare_invariant_field(tmp_path):
+    # The bundled config's linear field makes every kernel product exact;
+    # an invariant field with a generic a makes the float sums round.
+    lines = [line for line in (CONFIGS / "kk_compare.cfg").read_text().splitlines()
+             if not line.startswith("field.")]
+    cfg = tmp_path / "kk_invariant.cfg"
+    cfg.write_text("\n".join(lines + ["field.kind = invariant", "field.a1 = 0.3",
+                                      "field.a2 = -0.2", "field.a3 = 0.8"]) + "\n")
+    assert main(["kk-compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = load_report(tmp_path)
+    assert [r["name"] for r in report["checks"]] == [
+        "kk.alpha_form", "kk.trajectory_match", "kk.lambda_drift"]
+    assert all(r["passed"] for r in report["checks"]) and report["passed"]
+
+
+def test_one_process_runs_every_subcommand_and_survives_a_usage_error(
+        tmp_path, capsys):
+    # main builds its parser once per process; a reused parser must keep no
+    # state from an earlier call, a failed one included.
+    assert cli._build_parser() is cli._build_parser()
+    checks = tmp_path / "checks.cfg"
+    checks.write_text("check.names = group_axioms\n")
+    runs = [(["check", "--config", str(checks), "--seed", "11"], 11),
+            (["kk-compare", "--config", str(CONFIGS / "kk_compare.cfg")], 3),
+            (["mr-check", "--config", str(CONFIGS / "mr_identity.cfg")], 5),
+            (["simulate", "--config", str(CONFIGS / "free_particle.cfg"),
+              "--seed", "12"], 12),
+            (["check", "--config", str(checks)], 0)]
+    for index, (argv, seed) in enumerate(runs):
+        out = tmp_path / str(index)
+        assert main(["frobnicate"]) == 2
+        assert main(["check", "--seed", "-1", "--config", str(checks)]) == 2
+        assert main(argv + ["--out", str(out)]) == 0
+        assert load_report(out)["environment"]["seed"] == seed
+    capsys.readouterr()
+
+
 def test_mr_identity_fixture_passes(tmp_path):
     assert main(["mr-check", "--config", str(CONFIGS / "mr_identity.cfg"),
                  "--out", str(tmp_path)]) == 0

@@ -234,6 +234,25 @@ def test_orbit_field_singular_form():
     assert np.array_equal(exc.value.matrix, O.orbit_form_matrix(1.0, B))
 
 
+def test_orbit_chart_refuses_a_non_planar_cocycle():
+    # b13 and b23 enter {nu, h}, so nu moves and no leaf is a plane nu = c;
+    # the chart functions must refuse rather than answer for nu = c.
+    b12, b13, b23 = 0.4, 0.7, -0.3
+    B = O.MagneticCocycle(np.array([[0.0, b12, b13], [-b12, 0.0, b23],
+                                    [-b13, -b23, 0.0]]))
+    h = quadratic_function(np.diag([1.0, 2.0, 3.0]))
+    assert abs(O.magnetic_lie_poisson(NU, h, np.array([0.5, -0.2, 1.0]), B)) > 0.1
+    chart = np.array([0.1, 0.2])
+    stack = O.MagneticCocycle(np.stack([O.MagneticCocycle.planar(0.4).form, B.form]))
+    for call in (lambda: O.orbit_form_matrix(1.0, B),
+                 lambda: O.orbit_form_matrix(np.array([1.0, 1.0]), stack),
+                 lambda: O.orbit_hamiltonian_vector_field(
+                     O.OrbitFunction(evaluate=lambda x: float(x[0])), chart, 1.0, B),
+                 lambda: O.orbit_form_on_chart_vectors(1.0, chart, chart, B)):
+        with pytest.raises(ValueError, match="planar cocycle"):
+            call()
+
+
 def test_dual_function_fd_gradient_direction_agreement():
     rng = np.random.default_rng(31)
     f = O.DualFunction(evaluate=lambda p: float(np.sin(p[0]) * p[1] + p[2] ** 3))

@@ -168,12 +168,14 @@ def test_orbit_form_and_cocycle_are_rowwise_bitwise(seed, exponent, shape):
     B, rows = cocycles(seed, shape)
     planar = O.MagneticCocycle.planar(nu)
     form = O.orbit_symplectic_form(nu, xi, eta, B)
-    matrix = O.orbit_form_matrix(nu, B)
+    # The orbit chart takes planar cocycles only: B's (1,2) entries.
+    matrix = O.orbit_form_matrix(nu, O.MagneticCocycle.planar(B.planar_component))
     for index in np.ndindex(*shape):
         Bi, nui = rows[index], float(nu[index])
         assert bits(form[index]) == bits(
             O.orbit_symplectic_form(nui, xi[index], eta[index], Bi))
-        assert bits(matrix[index]) == bits(O.orbit_form_matrix(nui, Bi))
+        assert bits(matrix[index]) == bits(O.orbit_form_matrix(
+            nui, O.MagneticCocycle.planar(Bi.planar_component)))
         assert bits(B.pair(xi, eta)[index]) == bits(Bi.pair(xi[index], eta[index]))
         assert bits(B.planar_component[index]) == bits(Bi.planar_component)
         assert np.array_equal(planar.form[index], O.MagneticCocycle.planar(nui).form)
