@@ -437,7 +437,7 @@ def test_a_flipped_sign_in_the_potential_term_fails_the_agreement(kind):
     assert largest_relative_gap(flipped, kind, 1040) > KK_AGREEMENT
 
 
-def integrate_route_kk(kk, x0, t_end, h):
+def integrate_route_kk(kk, x0, t_end, h, method):
     """kk_reduce_and_compare as it was: the upstairs flow through integrate
     on rch_vector_field, pushed down row by row by the public
     momentum_shift. Returns the upstairs states and the records."""
@@ -445,9 +445,9 @@ def integrate_route_kk(kk, x0, t_end, h):
     charged = dataclasses.replace(kk.field, charge_factor=mu)
     lift0 = np.concatenate([M.momentum_shift(x0, charged), [0.0, mu]])
     upstairs = D.RCHSystem(M.MagneticField.zero(), kk.hamiltonian, k=1)
-    traj_up = D.integrate(upstairs, lift0, t_end, h, "rk4")
+    traj_up = D.integrate(upstairs, lift0, t_end, h, method)
     downstairs = D.RCHSystem(charged, D.euclidean_kinetic_hamiltonian(kk.m))
-    traj_down = D.integrate(downstairs, x0, t_end, h, "rk4")
+    traj_down = D.integrate(downstairs, x0, t_end, h, method)
     inverse_shift = dataclasses.replace(kk.field, charge_factor=-mu)
     projected = np.array([M.momentum_shift(row[:6], inverse_shift)
                           for row in traj_up.states])
@@ -459,14 +459,51 @@ def integrate_route_kk(kk, x0, t_end, h):
                       float(np.max(np.abs(traj_up.states[:, 7] - mu))), 1e-8)]
 
 
-def test_kk_compare_on_the_bundled_field_is_the_integrate_route_bitwise(monkeypatch):
-    # On A = (0, q1, 0) every product inside a sum of the kernel is exact or
-    # the sum's one nonzero term, so summation order and fused multiply-adds
-    # cannot change a bit: both certify runs of the Kaluza-Klein check use it.
+def one_term_kk_field(kind, rng):
+    """A field of the kind whose potential has a single nonzero component
+    A_i, for a linear or invariant field a single term (for the bundled
+    field A = (0, q1, 0)); the q-dependent one is the general field
+    A_i = c q_j + s q_k q_l. Every sum inside the kernel and inside the
+    ndarray Hamiltonian then has at most one nonzero term, so summation
+    order and fused multiply-adds cannot change a bit."""
+    if kind == "linear":
+        return BUNDLED_KK_FIELD
+    i, j = rng.permutation(3)[:2]
+    c, s = rng.normal(size=2)
+    if kind == "invariant":
+        # (a1, a2, 0): the left-invariant potential with a3 = 0 is constant.
+        a = np.zeros(3)
+        a[min(i, 1)] = c
+        return M.MagneticField.invariant_potential(a, -1.3)
+    k, l = (j + 1) % 3, (j + 2) % 3
+
+    def potential(q):
+        out = np.zeros(3)
+        out[i] = c * q[j] + s * q[k] * q[l]
+        return out
+
+    def jacobian(q):
+        out = np.zeros((3, 3))
+        out[i, j], out[i, k], out[i, l] = c, s * q[l], s * q[k]
+        return out
+
+    return M.MagneticField(lambda q: jacobian(q).T - jacobian(q), potential,
+                           0.8, jacobian)
+
+
+@pytest.mark.parametrize("kind", ["invariant", "linear", "q-dependent"])
+# kk_reduce_and_compare steps by rk4 alone; the parameter keeps the test's ids.
+@pytest.mark.parametrize("method", ["rk4"])
+def test_kk_compare_is_the_integrate_route_bitwise(kind, method, monkeypatch):
+    # The kernel's bits follow its stated float order, the integrate route's
+    # the BLAS build, so the two agree bitwise only where no sum rounds: on
+    # the one-term fields above, the bundled one among them, which both
+    # certify runs of the Kaluza-Klein check use.
     rng = np.random.default_rng(1050)
+    field = one_term_kk_field(kind, rng)
     flow = D._fixed_step_flow
     for m, mu in ((1.0, 1.0), (1.4, -0.6), (0.8, 0.0)):
-        kk = R.kaluza_klein_system(BUNDLED_KK_FIELD, m, mu)
+        kk = R.kaluza_klein_system(field, m, mu)
         for x0 in (rng.normal(size=6), signed_zero_start(rng, 6)):
             runs = []
 
@@ -478,7 +515,7 @@ def test_kk_compare_on_the_bundled_field_is_the_integrate_route_bitwise(monkeypa
             monkeypatch.setattr(D, "_fixed_step_flow", recorded)
             records = R.kk_reduce_and_compare(kk, x0, 0.2, 1e-2)
             monkeypatch.undo()
-            states, expected = integrate_route_kk(kk, x0, 0.2, 1e-2)
+            states, expected = integrate_route_kk(kk, x0, 0.2, 1e-2, method)
             assert runs[0][0].__qualname__.startswith("_geodesic_float_field.")
             assert runs[0][1].tobytes() == states.tobytes()
             assert ([r.as_dict() for r in records]
