@@ -375,17 +375,14 @@ def check_mr_identity(seed: int, samples: int = 40) -> list[CheckRecord]:
     sys = dyn.RCHSystem(field, dyn.invariant_kinetic_hamiltonian(1.0),
                         control_subset=dyn.ControlSubset(np.zeros(3), np.eye(3)))
     phi = DiffeoSpec.identity()
-    records = [check_mr1(phi, field, field, samples=samples, seed=seed,
-                         threshold=1e-10)]
+    records = [check_mr1(phi, field, field, samples=samples, seed=seed)]
     records.extend(check_mr2_equivariance(phi, level, level, field, field,
-                                          samples=samples, seed=seed + 1,
-                                          level_threshold=1e-10,
-                                          isotropy_threshold=1e-10))
+                                          samples=samples, seed=seed + 1))
     records.extend(check_mr3_matching(sys, sys, phi, samples=samples,
-                                      seed=seed + 2,
-                                      vertical_threshold=1e-10,
-                                      horizontal_threshold=1e-10))
-    return records
+                                      seed=seed + 2))
+    # The identity's lift, inverse and tangent are exact copies, so every
+    # record must read rounding, far below the bounds a general lift gets.
+    return [replace(r, threshold=1e-10) for r in records]
 
 
 CHECKS: dict[str, Callable[[int, int], list[CheckRecord]]] = {

@@ -216,8 +216,8 @@ def build_diffeo(cfg: ExperimentConfig) -> DiffeoSpec:
         out[3] -= out[1]
         return out
 
-    return DiffeoSpec(ident, ident, lift=shear_lift,
-                      lift_inverse=shear_inverse, verify_lift=False)
+    return DiffeoSpec(ident, ident, shear_lift, shear_inverse,
+                      verify_lift=False)
 
 
 # The longest fixed-step run a config may ask for. A run stores every state,

@@ -128,7 +128,10 @@ class ExperimentConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{self.where(key)}: field {key!r} must be a real "
                               f"number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal past the float range
+            value = float("inf")
         if value != value or value in (float("inf"), float("-inf")):
             raise ConfigError(f"{self.where(key)}: field {key!r} must be finite")
         if positive and value <= 0:

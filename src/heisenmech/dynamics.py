@@ -170,8 +170,9 @@ class ControlSubset:
         coeff, *_ = np.linalg.lstsq(self.spanning.T, vec, rcond=None)
         return float(np.linalg.norm(vec - self.spanning.T @ coeff))
 
-    def contains(self, covector: np.ndarray, tol: float = 1e-10) -> bool:
-        return self.distance(covector) <= tol
+    def contains(self, covector: np.ndarray) -> bool:
+        """Is the covector within 1e-10 of the subspace?"""
+        return self.distance(covector) <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ class RCHSystem:
             for _ in range(10):
                 state = rng.uniform(-2, 2, 6 + 2 * self.k)
                 image = self.control.apply(state)[fiber]
-                if not self.control_subset.contains(image, tol=1e-10):
+                if not self.control_subset.contains(image):
                     raise ValueError("control image leaves the control subset")
 
     @property
@@ -300,8 +301,8 @@ def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
     return out
 
 
-# The stop rule of the implicit-midpoint fixed-point iteration, read only by
-# the midpoint drivers of _step_template.
+# The stop rule of the implicit-midpoint fixed-point iteration, written as
+# literals into the midpoint drivers of _step_template.
 _MIDPOINT_TOL = 1e-12
 _MIDPOINT_CAP = 100
 
@@ -318,10 +319,10 @@ def _step_template(n: int, method: str) -> str:
     comma, so one entry is a tuple too.
 
     The midpoint iteration starts from the explicit Euler guess and stops
-    once the largest increment is at most tol (a nan one never is), then
-    polishes once; after cap iterations NonConvergence reports the last
-    increment as the residual. tol and cap default to _MIDPOINT_TOL and
-    _MIDPOINT_CAP.
+    once the largest increment is at most _MIDPOINT_TOL (a nan one never
+    is), then polishes once; after _MIDPOINT_CAP iterations NonConvergence
+    reports the last increment as the residual. Both are written into the
+    source as literals.
     """
     def each(expr: str, sep: str = ", ") -> str:
         return sep.join(expr.replace("#", str(i)) for i in range(n))
@@ -339,13 +340,11 @@ def rk4(rhs, y, h):
     return [{each('y# + sixth * (((a# + 2 * b#) + 2 * c#) + d#)')}]
 """
     return f"""\
-def midpoint(rhs, y, h, step_index, tol, cap):
-    tol = _MIDPOINT_TOL if tol is None else tol
-    cap = _MIDPOINT_CAP if cap is None else cap
+def midpoint(rhs, y, h, step_index):
     {each('y#')}, = y
     {each('r#')}, = rhs(y)
     {each('z#')}, = {each('y# + h * r#')},
-    for _ in range(cap):
+    for _ in range({_MIDPOINT_CAP!r}):
         {each('r#')}, = rhs(({each('0.5 * (y# + z#)')},))
         {each('w#')}, = {each('y# + h * r#')},
         {each('i#')}, = {each('abs(w# - z#)')},
@@ -354,7 +353,7 @@ def midpoint(rhs, y, h, step_index, tol, cap):
         # Python's max would pass over a nan that numpy's would return.
         total = {each('i#', ' + ')}
         delta = total if isnan(total) else max(({each('i#')},))
-        if delta <= tol:
+        if delta <= {_MIDPOINT_TOL!r}:
             # one polishing iteration after reaching tolerance
             {each('r#')}, = rhs(({each('0.5 * (y# + z#)')},))
             return [{each('y# + h * r#')}]
@@ -380,17 +379,15 @@ def _step_driver(n: int, method: str) -> Callable[..., list[float]]:
 
 
 def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
-                   tol: float | None = None, cap: int | None = None,
                    propagator: Callable[..., list | np.ndarray] | None = None
                    ) -> list[float]:
     """One implicit-midpoint step of rhs from the flat float state y, by the
     driver of _step_template for its width, or the given propagator step
     applied to (y, step_index): it writes the state row y's successor (see
-    _row_writer, which ignores the index). tol and cap default to the stop
-    rule _MIDPOINT_TOL, _MIDPOINT_CAP."""
+    _row_writer, which ignores the index)."""
     if propagator is not None:
         return propagator(y, step_index)
-    return _step_driver(len(y), "midpoint")(rhs, y, h, step_index, tol, cap)
+    return _step_driver(len(y), "midpoint")(rhs, y, h, step_index)
 
 
 def _rk4_step(rhs, y: list[float], h: float,

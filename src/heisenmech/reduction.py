@@ -585,26 +585,26 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
 
 @dataclass(frozen=True)
 class DiffeoSpec:
-    """Base diffeomorphism with its cotangent lift.
+    """Base diffeomorphism with its declared cotangent lift.
 
     base maps source configurations to target ones; the lift runs the other
-    way, (q2, p2) -> (inverse(q2), Dbase(q1)^T p2), fiberwise linear by
-    construction. base_inverse must undo base on seeded samples to 1e-8
+    way, (q2, p2) -> (inverse(q2), Dbase(q1)^T p2), fiberwise linear, and
+    lift_inverse undoes it. Both are declared: nothing differentiates base to
+    build them. base_inverse must undo base on seeded samples to 1e-8
     relative to the image above unit size (the round trip rounds at the
-    image's scale). A custom lift callable may replace the canonical one; by
-    default it is checked against the transpose formula on seeded samples,
-    to 1e-8 relative to the canonical lift above unit size (the formula's
-    finite-difference noise grows with it), and fixtures that deliberately
-    break the formula construct with verify_lift=False. Optional analytic
-    tangent and inverse callables avoid finite-difference noise where
-    exactness matters.
+    image's scale). By default the lift is checked on seeded samples against
+    the transpose formula with a central-difference Jacobian of base, to 1e-8
+    relative to that reference above unit size (its finite-difference noise
+    grows with it); fixtures that deliberately break the formula construct
+    with verify_lift=False. lift_tangent pushes tangent vectors through the
+    lift; without it, push_lift takes a central difference of the lift.
     """
 
     base: Callable[[np.ndarray], np.ndarray]
     base_inverse: Callable[[np.ndarray], np.ndarray]
-    lift: Callable[[np.ndarray], np.ndarray] | None = None
+    lift: Callable[[np.ndarray], np.ndarray]
+    lift_inverse: Callable[[np.ndarray], np.ndarray]
     lift_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    lift_inverse: Callable[[np.ndarray], np.ndarray] | None = None
     verify_lift: bool = True
 
     def __post_init__(self):
@@ -615,35 +615,23 @@ class DiffeoSpec:
             if np.max(np.abs(np.asarray(self.base_inverse(image)) - q)) > (
                     1e-8 * max(1.0, np.max(np.abs(image)))):
                 raise ValueError("base_inverse does not invert base on samples")
-        if self.lift is not None and self.verify_lift:
+        if self.verify_lift:
             for _ in range(20):
                 s = rng.uniform(-2, 2, 6)
-                canonical = self._canonical_lift(s)
+                q1 = np.asarray(self.base_inverse(s[:3]), dtype=float)
+                canonical = np.concatenate(
+                    [q1, fd.jacobian(self.base, q1).T @ s[3:6]])
                 if np.max(np.abs(np.asarray(self.lift(s)) - canonical)) > (
                         1e-8 * max(1.0, np.max(np.abs(canonical)))):
                     raise ValueError(
                         "custom lift differs from the cotangent lift of base")
 
-    def _canonical_lift(self, state: np.ndarray) -> np.ndarray:
-        state = np.asarray(state, dtype=float)
-        q1 = np.asarray(self.base_inverse(state[:3]), dtype=float)
-        D = fd.jacobian(self.base, q1)
-        return np.concatenate([q1, D.T @ state[3:6]])
-
     def apply_lift(self, state: np.ndarray) -> np.ndarray:
-        if self.lift is not None:
-            return np.asarray(self.lift(np.asarray(state, dtype=float)), dtype=float)
-        return self._canonical_lift(state)
+        return np.asarray(self.lift(np.asarray(state, dtype=float)), dtype=float)
 
     def apply_inverse_lift(self, state: np.ndarray) -> np.ndarray:
-        if self.lift_inverse is not None:
-            return np.asarray(self.lift_inverse(np.asarray(state, dtype=float)),
-                              dtype=float)
-        state = np.asarray(state, dtype=float)
-        q1 = state[:3]
-        D = fd.jacobian(self.base, q1)
-        return np.concatenate([np.asarray(self.base(q1), dtype=float),
-                               np.linalg.solve(D.T, state[3:6])])
+        return np.asarray(self.lift_inverse(np.asarray(state, dtype=float)),
+                          dtype=float)
 
     def push_lift(self, state: np.ndarray, vector: np.ndarray) -> np.ndarray:
         if self.lift_tangent is not None:
@@ -655,9 +643,8 @@ class DiffeoSpec:
     def identity(cls) -> "DiffeoSpec":
         copy3 = lambda q: np.asarray(q, dtype=float).copy()
         copy6 = lambda s: np.asarray(s, dtype=float).copy()
-        return cls(copy3, copy3, lift=copy6,
-                   lift_tangent=lambda s, v: np.asarray(v, dtype=float).copy(),
-                   lift_inverse=copy6)
+        return cls(copy3, copy3, copy6, copy6,
+                   lambda s, v: np.asarray(v, dtype=float).copy())
 
     @classmethod
     def group_translation(cls, h: GroupElement) -> "DiffeoSpec":
@@ -676,8 +663,7 @@ class DiffeoSpec:
             return 0.5 * (lift(s + v) - lift(s - v))
 
         return cls(lambda q: multiply(g, q), lambda q: multiply(g_inv, q),
-                   lift=lift, lift_tangent=lift_tangent,
-                   lift_inverse=lambda s: left_translate(g, s))
+                   lift, lambda s: left_translate(g, s), lift_tangent)
 
 
 def _extend_lift(phi: DiffeoSpec, state: np.ndarray) -> np.ndarray:
@@ -693,12 +679,12 @@ def _extend_push(phi: DiffeoSpec, state: np.ndarray,
 
 
 def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
-              samples: int = 100, seed: int = 5501,
-              threshold: float = 1e-5) -> CheckRecord:
+              samples: int = 100, seed: int = 5501) -> CheckRecord:
     """Is the lift symplectic between the two magnetic forms?
 
     Pulls the source-side form back through the tangent of the lift and
-    compares with the target-side form on random points and tangent pairs.
+    compares with the target-side form on random points and tangent pairs;
+    the record's bound is 1e-5.
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
@@ -711,20 +697,20 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
         lhs = magnetic_form(x1, pv, pw, field1)
         rhs = magnetic_form(x2, v, w, field2)
         worst = max(worst, abs(lhs - rhs))
-    return CheckRecord("mr1.symplectic", samples, worst, threshold)
+    return CheckRecord("mr1.symplectic", samples, worst, 1e-5)
 
 
 def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
                            level2: CoAlgebraElement, field1: MagneticField,
                            field2: MagneticField, samples: int = 50,
-                           seed: int = 5711, level_threshold: float = 1e-7,
-                           isotropy_threshold: float = 1e-7) -> list[CheckRecord]:
+                           seed: int = 5711) -> list[CheckRecord]:
     """Level mapping and isotropy commutation of the lift.
 
     The lift must carry the source momentum level into the target one, and
     commute with the isotropy elements of the source level. Isotropy
     candidates are center elements plus random elements kept only when they
     numerically fix the level (for nonzero nu that leaves just the center).
+    Both records are bounded by 1e-7.
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
@@ -749,14 +735,12 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
             lhs = phi.apply_lift(left_translate(g, s2))
             rhs = left_translate(g, phi.apply_lift(s2))
             iso_worst = max(iso_worst, float(np.max(np.abs(lhs - rhs))))
-    return [CheckRecord("mr2.level", samples, level_worst, level_threshold),
-            CheckRecord("mr2.isotropy", samples, iso_worst, isotropy_threshold)]
+    return [CheckRecord("mr2.level", samples, level_worst, 1e-7),
+            CheckRecord("mr2.isotropy", samples, iso_worst, 1e-7)]
 
 
 def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
-                       samples: int = 40, seed: int = 5903,
-                       vertical_threshold: float = 1e-6,
-                       horizontal_threshold: float = 1e-8) -> list[CheckRecord]:
+                       samples: int = 40, seed: int = 5903) -> list[CheckRecord]:
     """Vector-field mismatch modulo the control subset.
 
     Assembles, at lifted sample points, the difference between the
@@ -767,7 +751,8 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     subset, offset plus span
     (ControlSubset.distance, as ControlSubset.contains decides); the
     horizontal component must vanish on its own, since no vertical lift can
-    absorb it.
+    absorb it. The vertical record is bounded by 1e-6, the horizontal one by
+    1e-8.
     """
     _require_samples(samples)
     if sys1.control_subset is None:
@@ -795,6 +780,5 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
                                float(np.max(np.abs(residual[base]), initial=0.0)))
         vertical_worst = max(vertical_worst,
                              sys1.control_subset.distance(residual[fiber]))
-    return [CheckRecord("mr3.vertical", samples, vertical_worst, vertical_threshold),
-            CheckRecord("mr3.horizontal", samples, horizontal_worst,
-                        horizontal_threshold)]
+    return [CheckRecord("mr3.vertical", samples, vertical_worst, 1e-6),
+            CheckRecord("mr3.horizontal", samples, horizontal_worst, 1e-8)]

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import operator
 
 import pytest
 
@@ -26,7 +27,10 @@ DELETED = ("PhasePoint", "ExtendedPhasePoint", "MomentumValue", "body_to_chart",
            "_sign", "parse_config_text", "reduced_hamiltonian",
            "_affine_generator")
 
-# Parameters that only ever took their default, now constants in the body.
+# Parameters that only ever took their default, now constants in the body:
+# among them the MR record bounds (check_mr_identity replaces the thresholds
+# of its records) and the midpoint stop rule, which its drivers write as
+# literals.
 REMOVED_PARAMETERS = (
     *(("orbit", name, "sign") for name in (
         "magnetic_lie_poisson", "bracket_function", "check_jacobi",
@@ -50,6 +54,14 @@ REMOVED_PARAMETERS = (
     ("cli", "build_system", "field_prefix"),
     ("cli", "build_system", "force_prefix"),
     ("cli", "_drift_record", "threshold"),
+    ("reduction", "check_mr1", "threshold"),
+    ("reduction", "check_mr2_equivariance", "level_threshold"),
+    ("reduction", "check_mr2_equivariance", "isotropy_threshold"),
+    ("reduction", "check_mr3_matching", "vertical_threshold"),
+    ("reduction", "check_mr3_matching", "horizontal_threshold"),
+    ("dynamics", "_midpoint_step", "tol"),
+    ("dynamics", "_midpoint_step", "cap"),
+    ("dynamics", "ControlSubset.contains", "tol"),
 )
 
 
@@ -76,11 +88,15 @@ def test_deleted_members_stay_gone():
     assert not hasattr(heisenmech.DualFunction, "gradient_is_analytic")
     assert not hasattr(heisenmech.OrbitFunction, "gradient_is_analytic")
     assert not hasattr(heisenmech.InvariantReport, "extend")
+    # A lift is declared; the transpose formula is only the construction
+    # check's reference.
+    assert not hasattr(heisenmech.DiffeoSpec, "_canonical_lift")
 
 
 def test_removed_parameters_stay_gone():
-    assert len(REMOVED_PARAMETERS) == 26
+    assert len(REMOVED_PARAMETERS) == 34
     for module, function, parameter in REMOVED_PARAMETERS:
-        fn = getattr(importlib.import_module(f"heisenmech.{module}"), function)
+        fn = operator.attrgetter(function)(
+            importlib.import_module(f"heisenmech.{module}"))
         assert parameter not in inspect.signature(fn).parameters, (
             f"heisenmech.{module}.{function}({parameter})")

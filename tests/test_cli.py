@@ -133,6 +133,21 @@ def test_bad_value_names_its_line(tmp_path, capsys):
     assert f"{cfg}:3:" in err and "system.mass" in err
 
 
+@pytest.mark.parametrize("literal", [
+    "2" + "0" * 308,     # 2e308, just past the float range
+    "1" + "0" * 400,
+    "-1" + "0" * 4299,   # 4,300 digits, the longest int() reads by default
+    "1" + "0" * 5000,    # past that limit, read as a float: inf
+], ids=["2e308", "401_digits", "4300_digits", "5001_digits"])
+def test_over_range_integer_literal_is_a_config_error(tmp_path, capsys, literal):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"system.metric = euclidean\nstate.p1 = {literal}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and "'state.p1' must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -399,6 +414,67 @@ def test_negative_mr_fixtures_exit_1(tmp_path, fixture, failing):
     by_name = {r["name"]: r for r in report["checks"]}
     assert by_name[failing]["passed"] is False
     assert by_name[failing]["max_residual"] >= 1e-2
+
+
+# The bound each MR checker writes into its records.
+MR_BOUNDS = {"mr1.symplectic": 1e-5, "mr2.level": 1e-7, "mr2.isotropy": 1e-7,
+             "mr3.vertical": 1e-6, "mr3.horizontal": 1e-8}
+
+
+@pytest.mark.parametrize("fixture", ["mr_identity.cfg", "mr_translation.cfg",
+                                     "mr1_shear.cfg", "mr2_level_mismatch.cfg",
+                                     "mr3_zero_control.cfg"])
+def test_mr_check_records_carry_the_checker_bounds(tmp_path, fixture):
+    main(["mr-check", "--config", str(CONFIGS / fixture), "--out", str(tmp_path)])
+    records = load_report(tmp_path)["checks"]
+    assert records
+    for record in records:
+        assert record["threshold"] == MR_BOUNDS[record["name"]]
+
+
+def test_check_all_holds_the_identity_records_to_rounding(tmp_path):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("run.seed = 0\n")
+    assert main(["check", "--all", "--config", str(cfg),
+                 "--out", str(tmp_path), "--seed", "42"]) == 0
+    records = [r for r in load_report(tmp_path)["checks"]
+               if r["name"].startswith("mr")]
+    assert [r["name"] for r in records] == list(MR_BOUNDS)
+    assert all(r["threshold"] == 1e-10 and r["passed"] for r in records)
+
+
+# mr3 with a force on the target system too: the check transports it through
+# the inverse lift. The translation is an exact symmetry of the invariant
+# particle and its body_scaling force, so equal forces match with the zero
+# subset and unequal ones do not; the shear leaves a horizontal residual that
+# no control subset absorbs.
+TRANSLATION = ("diffeo.kind = translation", "diffeo.u1 = 2", "diffeo.u2 = 1",
+               "diffeo.alpha = 0.5")
+
+
+@pytest.mark.parametrize("lines, code, failing", [
+    ((*TRANSLATION, "force2.factor = 0.7", "control.subset = zero"), 0, None),
+    ((*TRANSLATION, "force2.factor = 0.4", "control.subset = zero"), 1,
+     "mr3.vertical"),
+    (("diffeo.kind = shear", "force2.factor = 0.7", "control.subset = full"), 1,
+     "mr3.horizontal"),
+], ids=["translation", "unequal_forces", "shear"])
+def test_mr3_with_a_target_force(tmp_path, lines, code, failing):
+    cfg = tmp_path / "force2.cfg"
+    cfg.write_text("\n".join([
+        "mr.check = mr3", "system.metric = invariant", "field.kind = invariant",
+        "field.a1 = 0.3", "field.a2 = -0.2", "field.a3 = 0.8",
+        "force.kind = body_scaling", "force.factor = 0.7",
+        "force2.kind = body_scaling", "run.seed = 3", *lines]) + "\n")
+    assert main(["mr-check", "--config", str(cfg), "--out", str(tmp_path)]) == code
+    by_name = {r["name"]: r for r in load_report(tmp_path)["checks"]}
+    assert list(by_name) == ["mr3.vertical", "mr3.horizontal"]
+    for name, record in by_name.items():
+        if name == failing:
+            assert record["max_residual"] >= 1.0
+        else:
+            # measured at most 2.6e-10
+            assert record["max_residual"] <= 1e-8
 
 
 def test_mr3_without_subset_exits_2(tmp_path, capsys):
