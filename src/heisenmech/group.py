@@ -112,30 +112,30 @@ def _scalar(x):
     return float(x) if getattr(x, "ndim", 0) == 0 else x
 
 
-# The three products below take np.dot when no operand is stacked: it makes
-# the same BLAS call (dot or gemv) as numpy's stacked product, by the
-# shortest per-call path.
+# The three products below take ndarray.dot when no operand is stacked: it
+# makes the same BLAS call (dot or gemv) as numpy's stacked product, and as a
+# method it skips np.dot's __array_function__ dispatch.
 
 def _dot(a: np.ndarray, b: np.ndarray):
     """Last-axis dot product, stacked: row i is bitwise a[i] @ b[i], since
     numpy hands each (1, n) @ (n, 1) item to the same BLAS dot. A Python
     float for two single vectors."""
     if a.ndim == b.ndim == 1:
-        return float(np.dot(a, b))
+        return float(a.dot(b))
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x on stacks of matrices and vectors, row i bitwise A[i] @ x[i]."""
     if A.ndim == 2 and x.ndim == 1:
-        return np.dot(A, x)
+        return A.dot(x)
     return np.matmul(A, x[..., None])[..., 0]
 
 
 def _vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     """x @ A on stacks of vectors and matrices, row i bitwise x[i] @ A[i]."""
     if x.ndim == 1 and A.ndim == 2:
-        return np.dot(x, A)
+        return x.dot(A)
     return np.matmul(x[..., None, :], A)[..., 0, :]
 
 

@@ -2,11 +2,13 @@
 
 `_midpoint_step` and `_rk4_step` step flat Python floats by the drivers
 `_step_template` generates per state width. The reference below is the
-ndarray arithmetic they replaced, kept here verbatim: every route of
-`integrate`, both reduced flows and each driver width must give the same
-bits, also from starts with exact signed zeros, and fail the same way. The
-closed-form route steps its own float right-hand side; it is also held to
-an earlier list right-hand side, kept here as a second reference.
+ndarray arithmetic they replaced, with the midpoint start extrapolated from
+the three previous states and the stop relative to the state's scale, as the
+drivers have them: every route of `integrate`, both reduced flows and each
+driver width must give the same bits, also from starts with exact signed
+zeros, and fail the same way. The closed-form route steps its own float
+right-hand side; it is also held to an earlier list right-hand side, kept
+here as a second reference.
 """
 
 import dataclasses
@@ -26,8 +28,16 @@ PLANAR = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 LEVEL = CoAlgebraElement((0.4, -0.7), 1.0)
 
 
-def reference_midpoint_step(rhs, y, h, step_index, tol=1e-12, cap=100):
-    z = y + h * rhs(y)
+def reference_midpoint_step(rhs, y, h, step_index, back=None, back2=None,
+                            back3=None, tol=1e-12, cap=100):
+    """One midpoint step from the extrapolated guess of the three states
+    before y (latest first), or from the explicit Euler guess without them,
+    stopped at an increment of tol * max(1, max|y|)."""
+    if back3 is None:
+        z = y + h * rhs(y)
+    else:
+        z = y + ((3.0 * (y - back) - 3.0 * (back - back2)) + (back2 - back3))
+    tol = tol * max(1.0, np.max(np.abs(y)))
     for _ in range(cap):
         z_new = y + h * rhs(0.5 * (y + z))
         delta = np.max(np.abs(z_new - z))
@@ -53,11 +63,13 @@ def reference_flow(rhs, y0, t_end, h, method):
     h = t_end / n_steps
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
-    y = y0
+    y, back, back2, back3 = y0, None, None, None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             if method == "midpoint":
-                y = reference_midpoint_step(rhs, y, h, i)
+                y, back, back2, back3 = (
+                    reference_midpoint_step(rhs, y, h, i, back, back2, back3),
+                    y, back, back2)
             else:
                 y = reference_rk4_step(rhs, y, h)
             if not np.isfinite(y).all():
@@ -644,6 +656,13 @@ def test_the_driver_of_each_width_is_bitwise_the_ndarray_step(n, method):
                 got = driver_outcome(D._midpoint_step, rhs, y.tolist(), 0.1, 7)
                 expected = driver_outcome(reference_midpoint_step, array_rhs,
                                           y, 0.1, 7)
+                assert got == expected
+                # the extrapolated start, from three earlier states near y
+                backs = y - 0.1 * np.cumsum(rng.normal(size=(3, n)), axis=0)
+                got = driver_outcome(D._midpoint_step, rhs, y.tolist(), 0.1, 7,
+                                     *backs.tolist())
+                expected = driver_outcome(reference_midpoint_step, array_rhs,
+                                          y, 0.1, 7, *backs)
             else:
                 got = driver_outcome(D._rk4_step, rhs, y.tolist(), 0.1)
                 expected = driver_outcome(reference_rk4_step, array_rhs, y, 0.1)
