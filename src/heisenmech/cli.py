@@ -91,25 +91,29 @@ def _body_scaling_map(factor: float, lam_factor: float) -> dyn.FiberMap:
     unchanged and lam scaled by lam_factor; apply evaluates it as
     factor * rho + p3/2 * (q2, -q1), rho the planar body momentum. The map is
     bilinear in (q, p), which gives the analytic tangent, and linear in
-    (p, lam) at fixed q, so it is declared affine.
+    (p, lam) at fixed q, so it is declared affine; apply and tangent take
+    stacks of states on the last axis.
     """
 
     def apply(s):
         out = np.asarray(s, dtype=float).copy()
-        q, p3 = out[:3], out[5]
-        offset = 0.5 * p3 * np.array([q[1], -q[0]])
-        out[3:5] = factor * mag.chart_to_body_array(q, out[3:6])[:2] + offset
-        out[6 + (out.size - 6) // 2:] *= lam_factor
+        q, p3 = out[..., :3], out[..., 5]
+        offset = 0.5 * p3[..., None] * np.stack([q[..., 1], -q[..., 0]], axis=-1)
+        out[..., 3:5] = (factor * mag.chart_to_body_array(q, out[..., 3:6])[..., :2]
+                         + offset)
+        out[..., 6 + (out.shape[-1] - 6) // 2:] *= lam_factor
         return out
 
     def tangent(s, v):
         s = np.asarray(s, dtype=float)
-        q, p = s[:3], s[3:6]
+        q, p = s[..., :3], s[..., 3:6]
         out = np.asarray(v, dtype=float).copy()
         c = 0.5 * (1.0 - factor)
-        out[3] = factor * out[3] + c * (out[5] * q[1] + p[2] * out[1])
-        out[4] = factor * out[4] - c * (out[5] * q[0] + p[2] * out[0])
-        out[6 + (out.size - 6) // 2:] *= lam_factor
+        out[..., 3] = factor * out[..., 3] + c * (out[..., 5] * q[..., 1]
+                                                  + p[..., 2] * out[..., 1])
+        out[..., 4] = factor * out[..., 4] - c * (out[..., 5] * q[..., 0]
+                                                  + p[..., 2] * out[..., 0])
+        out[..., 6 + (out.shape[-1] - 6) // 2:] *= lam_factor
         return out
 
     return dyn.FiberMap(apply=apply, tangent=tangent, affine=True)
@@ -121,7 +125,7 @@ def _constant_push_map(delta: np.ndarray) -> dyn.FiberMap:
 
     def apply(s):
         out = np.asarray(s, dtype=float).copy()
-        out[3:6] += delta
+        out[..., 3:6] += delta
         return out
 
     return dyn.FiberMap(apply=apply, tangent=lambda s, v: np.array(v, dtype=float),
@@ -240,6 +244,24 @@ def _step_settings(cfg: ExperimentConfig, section: str) -> tuple[float, float]:
     return t_end, h
 
 
+# The largest sample count a config may ask of a sweep. The stacked sweeps
+# hold every sample's rows at once, up to about 760 bytes per sample at the
+# peak (check bracket; 370 for a forced reduce commutation sweep), so a larger
+# count is refused as a config error (exit 2) rather than attempted; the
+# bundled configs ask for at most 1,000.
+MAX_SAMPLES = 100_000
+
+
+def _samples(cfg: ExperimentConfig, key: str, default: int | None = None) -> int:
+    """The sample count at key: an integer from 1 to MAX_SAMPLES."""
+    samples = cfg.integer(key, default=default, minimum=1)
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"{cfg.where(key)}: field {key!r} asks for "
+                          f"{samples:,} samples, above the cap of "
+                          f"{MAX_SAMPLES:,}")
+    return samples
+
+
 def _run_settings(cfg: ExperimentConfig) -> tuple[float, float, str]:
     return (*_step_settings(cfg, "run"),
             cfg.string("run.method", default="midpoint",
@@ -319,6 +341,7 @@ def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
                seed: int) -> InvariantReport:
     sys_ = build_system(cfg)
     level = build_level(cfg)
+    samples = _samples(cfg, "check.samples", 50)
     red = reduce_system(sys_, level)
     if any(cfg.has(key) for key in _STATE_KEYS):
         if sys_.k != 0:
@@ -340,7 +363,6 @@ def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
                             charts[:, 2:], energies])
     name = cfg.string("output.trajectory", default="reduced.csv")
     _write_csv(out_dir / name, header, rows)
-    samples = cfg.integer("check.samples", default=50, minimum=1)
     records = [_drift_record("reduce.energy_drift", energies),
                check_commutation(sys_, red, samples=samples, seed=seed)]
     return InvariantReport(seed, records, {"trajectory": name})
@@ -349,7 +371,7 @@ def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
 def cmd_check(cfg: ExperimentConfig, seed: int,
               run_all: bool) -> InvariantReport:
     names = list(CHECKS) if run_all else cfg.names("check.names")
-    samples = (cfg.integer("check.samples", minimum=1)
+    samples = (_samples(cfg, "check.samples")
                if cfg.has("check.samples") else None)
     return InvariantReport(seed, run_named_checks(names, seed, samples))
 
@@ -358,7 +380,7 @@ def cmd_kk_compare(cfg: ExperimentConfig, seed: int) -> InvariantReport:
     m = cfg.real("system.mass", default=1.0, positive=True)
     mu = cfg.real("kk.mu", default=1.0)
     kk = kaluza_klein_system(build_field(cfg, 1.0), m=m, mu=mu)
-    samples = cfg.integer("check.samples", default=20, minimum=1)
+    samples = _samples(cfg, "check.samples", 20)
     t_end, h = _step_settings(cfg, "kk")
     records = [kk_alpha_form_check(kk, samples=samples, seed=seed)]
     records.extend(kk_reduce_and_compare(kk, build_state(cfg), t_end=t_end,
@@ -376,14 +398,14 @@ def cmd_mr_check(cfg: ExperimentConfig, seed: int) -> InvariantReport:
               if cfg.has("field2.kind") else field1)
     phi = build_diffeo(cfg)
     if which == "mr1":
-        samples = cfg.integer("mr.samples", default=100, minimum=1)
+        samples = _samples(cfg, "mr.samples", 100)
         return InvariantReport(seed, [check_mr1(phi, field1, field2,
                                                 samples=samples, seed=seed)])
     if which == "mr2":
         level1 = build_level(cfg)
         level2 = (build_level(cfg, "level2")
                   if cfg.has("level2.nu") else level1)
-        samples = cfg.integer("mr.samples", default=50, minimum=1)
+        samples = _samples(cfg, "mr.samples", 50)
         return InvariantReport(seed, check_mr2_equivariance(
             phi, level1, level2, field1, field2, samples=samples, seed=seed))
     sys1 = build_system(cfg)
@@ -392,7 +414,7 @@ def cmd_mr_check(cfg: ExperimentConfig, seed: int) -> InvariantReport:
                           "'control.subset' set to 'zero' or 'full'")
     sys2 = dyn.RCHSystem(field2, sys1.hamiltonian,
                          force=build_force(cfg, "force2"), k=sys1.k)
-    samples = cfg.integer("mr.samples", default=40, minimum=1)
+    samples = _samples(cfg, "mr.samples", 40)
     return InvariantReport(seed, check_mr3_matching(sys1, sys2, phi,
                                                     samples=samples,
                                                     seed=seed))

@@ -109,7 +109,10 @@ class FiberMap:
     affine declares apply affine in the fiber, (p, lam) -> L(q) (p, lam) + d(q),
     with coefficients that depend on q only, never on theta. It is never
     checked on samples and needs the analytic tangent (ValueError otherwise):
-    a finite-difference push is affine only up to its step noise.
+    a finite-difference push is affine only up to its step noise. An affine
+    map's apply and tangent also take stacks (n, 6 + 2k) of states (and of
+    vectors), row i bitwise the call on row i; the library's sweeps hand
+    them whole stacks and map any other fiber map over the rows.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -280,25 +283,60 @@ def vertical_lift(fiber_map: FiberMap, sys: RCHSystem, x) -> np.ndarray:
     The alternative reading, pushing X_H evaluated at x itself, coincides with
     this one for fiber-linear maps.
     """
-    state = _as_state(x, sys.k)
+    return _vertical_lift(fiber_map, sys, _as_state(x, sys.k))
+
+
+def _vertical_lift(fiber_map: FiberMap, sys: RCHSystem,
+                   state: np.ndarray) -> np.ndarray:
+    """vertical_lift without the input check. It also takes a stack
+    (n, 6 + 2k) of states when the map is declared affine and sys's
+    Hamiltonian and field have declared kinds, row i bitwise the call on
+    row i."""
     base, fiber = _base_fiber_indices(sys.k)
     moved = np.asarray(fiber_map.apply(state), dtype=float)
-    if np.max(np.abs(moved[base] - state[base])) > 1e-12:
+    if np.max(np.abs(moved[..., base] - state[..., base])) > 1e-12:
         raise ValueError("fiber map does not preserve the base point")
     pushed = fiber_map.push(moved, hamiltonian_vector_field(sys, moved))
     out = np.zeros_like(state)
-    out[fiber] = pushed[fiber]
+    out[..., fiber] = pushed[..., fiber]
     return out
+
+
+def _stacks(sys: RCHSystem) -> bool:
+    """Whether rch_vector_field of sys takes a stack of states: its
+    Hamiltonian and field have declared kinds, and each fiber map present is
+    declared affine."""
+    return (sys.hamiltonian.kind != "general" and sys.field.is_constant
+            and all(fm is None or fm.affine for fm in (sys.force, sys.control)))
 
 
 def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
-    """Full dynamical field: X_H plus vertical lifts of force and control."""
-    out = hamiltonian_vector_field(sys, x)
-    if sys.force is not None:
-        out = out + vertical_lift(sys.force, sys, x)
-    if sys.control is not None:
-        out = out + vertical_lift(sys.control, sys, x)
+    """Full dynamical field: X_H plus vertical lifts of force and control.
+
+    x may also be a stack (n, 6 + 2k) of states when _stacks(sys), and row i
+    of the result is bitwise the call on row i.
+    """
+    state = np.asarray(x, dtype=float)
+    if state.ndim != 1 and not _stacks(sys):
+        raise ValueError(f"a stack of states needs a Hamiltonian and a field of "
+                         f"declared kinds and affine fiber maps, got shape "
+                         f"{state.shape}")
+    out = hamiltonian_vector_field(sys, state)
+    for fiber_map in (sys.force, sys.control):
+        if fiber_map is not None:
+            out = out + _vertical_lift(fiber_map, sys, state)
     return out
+
+
+def _map_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              stacked: bool) -> np.ndarray:
+    """f on the stack x: one call when f takes stacks (stacked), otherwise
+    f of one row mapped over the rows of x. The second is the route of the
+    callables the library cannot stack: a "general" Hamiltonian, an orbit
+    function without a declared form, a fiber map not declared affine."""
+    if stacked:
+        return np.asarray(f(x), dtype=float)
+    return np.array([f(row) for row in x], dtype=float)
 
 
 # The stop rule of the implicit-midpoint fixed-point iteration, relative to
@@ -738,9 +776,7 @@ def _state_energies(hamiltonian: HamiltonianSpec,
                     states: np.ndarray) -> np.ndarray:
     """hamiltonian.evaluate at each row of states: one stacked call for the
     declared kinds, row by row for a "general" one."""
-    if hamiltonian.kind == "general":
-        return np.array([hamiltonian.evaluate(s) for s in states])
-    return hamiltonian.evaluate(states)
+    return _map_rows(hamiltonian.evaluate, states, hamiltonian.kind != "general")
 
 
 def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:

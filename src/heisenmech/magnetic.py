@@ -189,16 +189,22 @@ def _fiber_push(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     w is a fiber vector (p, theta..., lam...) or a control covector
     (p, lam...); it goes to the planar body momentum of its p with the
     V-factor entries passed through. The projection is affine on each fiber,
-    so this is also its exact tangent on vertical vectors.
+    so this is also its exact tangent on vertical vectors. Base points and
+    fiber vectors may be stacked on the last axis.
     """
-    return np.concatenate([chart_to_body_array(q, w[:3])[:2], w[3:]])
+    return np.concatenate([chart_to_body_array(q, w[..., :3])[..., :2],
+                           w[..., 3:]], axis=-1)
 
 
-def _chart_momentum(q: np.ndarray, rho) -> np.ndarray:
-    """Chart momentum p of the body momentum rho = (mu1, mu2, nu) at the group
-    point q, the inverse of chart_to_body_array."""
-    nu = rho[2]
-    return np.array([rho[0] + 0.5 * nu * q[1], rho[1] - 0.5 * nu * q[0], nu])
+def _chart_momentum(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Chart momenta p of body momenta rho = (mu1, mu2, nu) at group points q,
+    stacked on the last axis: the inverse of chart_to_body_array, written
+    into a float copy of rho."""
+    p = np.array(rho, dtype=float)
+    nu = _part(p, 2)
+    p[..., 0] = _part(p, 0) + 0.5 * nu * _part(q, 1)
+    p[..., 1] = _part(p, 1) - 0.5 * nu * _part(q, 0)
+    return p
 
 
 def left_translate(h: np.ndarray, state) -> np.ndarray:
@@ -208,12 +214,18 @@ def left_translate(h: np.ndarray, state) -> np.ndarray:
     The group point q goes to h*q while the body momentum and (theta, lam)
     stay put, so p is rebuilt from the body momentum at the moved point.
     """
-    state = _chart_state(state)
-    q = state[:3]
-    rho = chart_to_body_array(q, state[3:6])
+    return _left_translate(h, _chart_state(state))
+
+
+def _left_translate(h: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """left_translate without the input check. It also takes a stack
+    (n, 6 + 2k) of states, with one h or a stack (n, 3) of them, row i
+    bitwise the call on row i."""
+    q = state[..., :3]
+    rho = chart_to_body_array(q, state[..., 3:6])
     out = state.copy()
-    out[:3] = multiply(h, q)
-    out[3:6] = _chart_momentum(out[:3], rho)
+    out[..., :3] = multiply(h, q)
+    out[..., 3:6] = _chart_momentum(out[..., :3], rho)
     return out
 
 
@@ -317,11 +329,14 @@ def momentum_map(state, field: MagneticField) -> np.ndarray:
 
 def _level_state(q: np.ndarray, planar, nu: float, field: MagneticField,
                  rest: np.ndarray) -> np.ndarray:
-    """Chart state (q, p, rest) whose shifted body momentum is (planar, nu),
-    unshifted through the potential's identity value."""
+    """Chart states (q, p, rest) whose shifted body momentum is (planar, nu),
+    unshifted through the potential's identity value; q, planar and rest may
+    be stacked on the last axis."""
     shift = field.charge_factor * field.identity_potential_value()
-    rho = np.append(planar - shift[:2], nu - shift[2])
-    return np.concatenate([q, _chart_momentum(q, rho), rest])
+    rho = np.empty(q.shape)
+    rho[..., :2] = planar - shift[:2]
+    rho[..., 2] = nu - shift[2]
+    return np.concatenate([q, _chart_momentum(q, rho), rest], axis=-1)
 
 
 def sample_level_point(mu_nu: CoAlgebraElement, field: MagneticField, k: int,
@@ -330,14 +345,21 @@ def sample_level_point(mu_nu: CoAlgebraElement, field: MagneticField, k: int,
 
     The group point q and the (theta, lam) factor are free; the shifted body
     momentum is then pinned to (mu - nu*J(q[:2]), nu) and unshifted through
-    the potential.
+    the potential. The one-row case of _level_points.
     """
-    u = rng.uniform(-_LEVEL_SCALE, _LEVEL_SCALE, 2)
-    q = np.array([u[0], u[1], rng.uniform(-_LEVEL_SCALE, _LEVEL_SCALE)])
-    nu = mu_nu.nu
-    planar = mu_nu.mu - nu * np.array([u[1], -u[0]])
-    return _level_state(q, planar, nu, field,
-                        rng.uniform(-_LEVEL_SCALE, _LEVEL_SCALE, 2 * k))
+    return _level_points(mu_nu, field, k, rng, 1)[0]
+
+
+def _level_points(mu_nu: CoAlgebraElement, field: MagneticField, k: int,
+                  rng: np.random.Generator, n: int) -> np.ndarray:
+    """Stack (n, 6 + 2k) of sample_level_point's states, drawn as one
+    uniform(-1.5, 1.5, (n, 3 + 2k)) block: row i holds q (3) and
+    (theta, lam) (2k), the stream and the order of n calls that each draw
+    q[:2], then q[2], then (theta, lam)."""
+    draws = rng.uniform(-_LEVEL_SCALE, _LEVEL_SCALE, (n, 3 + 2 * k))
+    q, nu = draws[:, :3], mu_nu.nu
+    planar = mu_nu.mu - nu * np.stack([q[:, 1], -q[:, 0]], axis=-1)
+    return _level_state(q, planar, nu, field, draws[:, 3:])
 
 
 def project_chart(state, field: MagneticField) -> np.ndarray:
@@ -348,10 +370,16 @@ def project_chart(state, field: MagneticField) -> np.ndarray:
     chart; off it, the Poisson projection that finite differences across the
     level set need.
     """
-    state = _chart_state(state)
+    return _project_chart(_chart_state(state), field)
+
+
+def _project_chart(state: np.ndarray, field: MagneticField) -> np.ndarray:
+    """project_chart without the input check. It also takes a stack
+    (n, 6 + 2k) of states when the field has a declared kind, row i bitwise
+    the call on row i."""
     if field.has_potential:
         state = _momentum_shift(state, field)
-    return _fiber_push(state[:3], state[3:])
+    return _fiber_push(state[..., :3], state[..., 3:])
 
 
 def reduce_point(state, mu_nu: CoAlgebraElement,

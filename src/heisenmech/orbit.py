@@ -155,7 +155,9 @@ class OrbitFunction:
     form optionally declares h(z) = 1/2 z^T Q z + c^T z + const (defined up to
     the constant), validated as HamiltonianSpec.form is and stored read-only.
     A declared form is the gradient, Q @ z + c, so it comes with no gradient
-    callable; integrate_reduced may step by it.
+    callable; integrate_reduced may step by it. grad with a declared form
+    also takes a stack (n, 2 + 2k) of charts, row i bitwise the call on row
+    i; a gradient callable, or the difference of evaluate, is of one chart.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -171,7 +173,7 @@ class OrbitFunction:
     def grad(self, chart: np.ndarray) -> np.ndarray:
         if self.form is not None:
             Q, c = self.form
-            return Q @ chart + c
+            return _matvec(Q, chart) + c
         if self.gradient is not None:
             return np.asarray(self.gradient(chart), dtype=float)
         return fd.gradient(self.evaluate, chart)
@@ -332,6 +334,8 @@ def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: floa
     labels has det W = c^2), so the planar block is
     c * (dh/drho2, -dh/drho1) and the canonical V x V* block is
     (dh/dlam, -dh/dtheta). Requires a plane orbit on which W is regular.
+    chart may be a stack (n, 2 + 2k) when h.grad takes one, and row i of the
+    result is bitwise the call on row i.
     """
     c = _generator_scale(nu, B)
     if c * c < 1e-14:
@@ -339,9 +343,9 @@ def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: floa
             "orbit form matrix is singular: the magnetic term cancels the orbit term",
             matrix=np.array([[0.0, c], [-c, 0.0]]))
     grad = h.grad(chart)
-    k = (grad.size - 2) // 2
-    return np.concatenate([c * np.array([grad[1], -grad[0]]), grad[2 + k:],
-                           -grad[2:2 + k]])
+    k = (grad.shape[-1] - 2) // 2
+    return np.concatenate([c * np.stack([grad[..., 1], -grad[..., 0]], axis=-1),
+                           grad[..., 2 + k:], -grad[..., 2:2 + k]], axis=-1)
 
 
 def orbit_form_on_chart_vectors(nu: float, v: np.ndarray, w: np.ndarray,

@@ -613,6 +613,52 @@ def test_step_cap_exits_2_without_traceback_in_a_subprocess(tmp_path):
     assert "1e+300 steps" in result.stderr and "Traceback" not in result.stderr
 
 
+SAMPLE_KEYS = (("reduce", "reduce.cfg", "check.samples"),
+               ("check", None, "check.samples"),
+               ("kk-compare", "kk_compare.cfg", "check.samples"),
+               ("mr-check", "mr_identity.cfg", "mr.samples"),
+               ("mr-check", "mr2_level_mismatch.cfg", "mr.samples"),
+               ("mr-check", "mr3_zero_control.cfg", "mr.samples"))
+
+
+def _sample_config(path, base, key, samples):
+    """base (or a check of group_axioms) with key = samples on line 1."""
+    if base is None:
+        kept = ["check.names = group_axioms"]
+    else:
+        kept = [line for line in (CONFIGS / base).read_text().splitlines()
+                if not line.startswith(key)]
+    path.write_text(f"{key} = {samples}\n" + "\n".join(kept) + "\n")
+
+
+@pytest.mark.parametrize("command, base, key", SAMPLE_KEYS)
+def test_sample_count_above_the_cap_exits_2(tmp_path, capsys, command, base,
+                                            key):
+    # Rejected before the sweep draws anything: 100,001 samples never run.
+    assert cli.MAX_SAMPLES == 100_000
+    cfg = tmp_path / "many.cfg"
+    _sample_config(cfg, base, key, 100_001)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:1: field {key!r} asks for "
+                          "100,001 samples, above the cap of 100,000")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, base, key", SAMPLE_KEYS)
+def test_sample_count_at_the_cap_is_accepted(tmp_path, monkeypatch, command,
+                                             base, key):
+    # The boundary, at a cap small enough to run.
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 3)
+    cfg = tmp_path / "few.cfg"
+    _sample_config(cfg, base, key, 3)
+    # 1 for the negative mr fixtures, which fail by design
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+    assert 3 in {r["samples"] for r in load_report(tmp_path)["checks"]}
+    _sample_config(cfg, base, key, 4)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 class ClosedPipe:
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

@@ -1,5 +1,6 @@
 """Reduced systems, commutation sweeps, the circle-bundle detour, and matching."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -9,6 +10,7 @@ from heisenmech import dynamics as D
 from heisenmech import fd
 from heisenmech import magnetic as M
 from heisenmech import reduction as R
+from heisenmech.cli import _body_scaling_map, _constant_push_map
 from heisenmech.errors import (
     ControlSubsetMissing,
     IrregularLevel,
@@ -644,3 +646,279 @@ def test_integrate_reduced_rejects_a_malformed_start_chart():
     red = R.reduce_system(dataclasses.replace(particle(), k=1), LEVEL)
     with pytest.raises(ValueError, match="of size 4, got size 2"):
         R.integrate_reduced(red, np.array([1.2, -0.4]), t_end=0.1, h=1e-2)
+
+
+# The per-sample loops that the stacked sweeps of reduce_system and
+# check_commutation replaced, written out with the reference trivialization
+# (body_of, chart_of). Every stacked record and sweep residual must equal
+# them bit for bit.
+
+def loop_level_point(level, field, k, rng):
+    """sample_level_point as it drew one point: u (2), q3, then (theta, lam)."""
+    u = rng.uniform(-1.5, 1.5, 2)
+    q = np.array([u[0], u[1], rng.uniform(-1.5, 1.5)])
+    planar = level.mu - level.nu * np.array([u[1], -u[0]])
+    shift = field.charge_factor * field.identity_potential_value()
+    rho = np.append(planar - shift[:2], level.nu - shift[2])
+    return chart_of(q, rho, rng.uniform(-1.5, 1.5, 2 * k))
+
+
+def loop_translate(h, state):
+    g, rho = body_of(state)
+    return chart_of(multiply(h, g), rho, state[6:])
+
+
+def loop_projection(state, field):
+    s = np.array(state, dtype=float)
+    if field.has_potential:
+        s[3:6] += field.charge_factor * field.vector_potential(s[:3])
+    return np.concatenate([body_of(s)[1][:2], s[6:]])
+
+
+def loop_lift(red, chart, alpha):
+    out = red.lift_offset + red.lift_matrix @ chart
+    out[2] += alpha
+    return out
+
+
+def loop_commutation(sys, red, samples, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        state = loop_level_point(red.level, sys.field, sys.k, rng)
+        full = D.rch_vector_field(sys, state)
+        lhs = fd.directional(lambda s: loop_projection(s, sys.field), state,
+                             full, fd.GRADIENT_STEP)
+        rhs = R.reduced_rch_field(red, loop_projection(state, sys.field))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def loop_invariance(H, k):
+    rng = np.random.default_rng(7121)
+    residuals = []
+    for _ in range(100):
+        x = rng.uniform(-2, 2, 6 + 2 * k)
+        g = rng.uniform(-2, 2, 3)
+        residuals.append(abs(H.evaluate(loop_translate(g, x)) - H.evaluate(x)))
+    return residuals
+
+
+def loop_equivariance(fm, k, rng):
+    gaps, centers = [], []
+    for _ in range(60):
+        s = rng.uniform(-2, 2, 6 + 2 * k)
+        h = rng.uniform(-2, 2, 3)
+        lhs = np.asarray(fm.apply(loop_translate(h, s)), dtype=float)
+        rhs = loop_translate(h, np.asarray(fm.apply(s), dtype=float))
+        gaps.append(np.max(np.abs(lhs - rhs)))
+        centers.append(abs(np.asarray(fm.apply(s))[5] - s[5]))
+    return gaps, centers
+
+
+def loop_lift_independence(red, rng):
+    sys = red.source
+    spreads, gaps = [], {"force": [], "control": []}
+    for _ in range(20):
+        chart = rng.uniform(-2, 2, 2 + 2 * red.k)
+        lifts = [loop_lift(red, chart, alpha) for alpha in (0.0, 0.9, -1.7)]
+        values = [sys.hamiltonian.evaluate(s) for s in lifts]
+        spreads.append(max(values) - min(values))
+        for what, fm in (("force", sys.force), ("control", sys.control)):
+            if fm is not None:
+                images = [loop_projection(fm.apply(s), sys.field) for s in lifts]
+                gaps[what].append(max(np.max(np.abs(im - images[0]))
+                                      for im in images))
+    return [spreads] + [gap for gap in gaps.values() if gap]
+
+
+POINT_LEVEL = CoAlgebraElement((0.5, 0.2), 0.0)
+SWEEP_CASES = ("free", "body_scaling", "body_scaling_rows", "constant_push",
+               "general")
+
+
+def sweep_system(case, field, k):
+    """Declared systems take the stacked route; the test-local body_scaling
+    (not declared affine) and a "general" Hamiltonian take the row route."""
+    kinetic = D.invariant_kinetic_hamiltonian(1.3)
+    if case == "free":
+        return D.RCHSystem(field, kinetic, k=k)
+    if case == "body_scaling":
+        return D.RCHSystem(field, kinetic, force=_body_scaling_map(0.7, 0.8), k=k)
+    if case == "body_scaling_rows":
+        return D.RCHSystem(field, kinetic, force=body_scaling(0.7, 0.8), k=k)
+    if case == "constant_push":
+        full = D.ControlSubset(np.zeros(3 + k), np.eye(3 + k))
+        return D.RCHSystem(field, kinetic, k=k, control_subset=full,
+                           control=_constant_push_map((0.3, -0.1, 0.0)))
+    general = D.HamiltonianSpec(kinetic.evaluate, kinetic.gradient)
+    return D.RCHSystem(field, general, force=_body_scaling_map(0.7, 0.8), k=k)
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+@pytest.mark.parametrize("k", (0, 1))
+@pytest.mark.parametrize("level,orbit", ((LEVEL, "plane"), (POINT_LEVEL, "point")))
+@pytest.mark.parametrize("field", (
+    M.MagneticField.zero(),
+    M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.9)),
+    ids=("zero", "invariant"))
+def test_stacked_sweeps_are_the_per_sample_loops(case, k, level, orbit, field):
+    sys = sweep_system(case, field, k)
+    red = R.reduce_system(sys, level, expected_orbit=orbit)
+    assert R._invariance_residuals(sys.hamiltonian, k).tolist() == (
+        loop_invariance(sys.hamiltonian, k))
+    for fm in (sys.force, sys.control):
+        if fm is not None:
+            gaps, centers = R._equivariance_residuals(
+                fm, k, np.random.default_rng(2214))
+            assert (gaps.tolist(), centers.tolist()) == loop_equivariance(
+                fm, k, np.random.default_rng(2214))
+    residuals = R._lift_residuals(red, np.random.default_rng(2215))
+    assert [r.tolist() for r in residuals] == loop_lift_independence(
+        red, np.random.default_rng(2215))
+    record = R.check_commutation(sys, red, samples=40, seed=5 + k)
+    assert record.max_residual.hex() == loop_commutation(sys, red, 40, 5 + k).hex()
+
+
+@pytest.mark.parametrize("k", (0, 1, 2))
+@pytest.mark.parametrize("field", (
+    M.MagneticField.zero(),
+    M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 0.9)),
+    ids=("zero", "invariant"))
+def test_level_points_from_one_block_are_the_per_call_draws(k, field):
+    block, calls, loop = (np.random.default_rng(31) for _ in range(3))
+    stacked = M._level_points(LEVEL, field, k, block, 25)
+    assert stacked.shape == (25, 6 + 2 * k)
+    one_by_one = np.array([M.sample_level_point(LEVEL, field, k, calls)
+                           for _ in range(25)])
+    written_out = np.array([loop_level_point(LEVEL, field, k, loop)
+                            for _ in range(25)])
+    assert stacked.tobytes() == one_by_one.tobytes() == written_out.tobytes()
+    # and each generator is left at the same place in its stream
+    assert block.random() == calls.random() == loop.random()
+
+
+def test_commutation_record_refuses_nan_samples():
+    # The gradient is nan on 27 of the 50 samples of reduce.cfg (seed 11).
+    # Python's max(worst, nan) keeps worst, so the per-sample loop passed at
+    # 2.4e-10; the record now reads nan, which CheckRecord refuses.
+    sys = particle()
+    red = R.reduce_system(sys, LEVEL)
+    h = red.hamiltonian
+
+    def grad(chart):
+        return np.full(chart.shape, np.nan) if chart[0] >= 0.4 else h.grad(chart)
+
+    broken = dataclasses.replace(red, hamiltonian=OrbitFunction(h.evaluate, grad))
+    charts = M._level_points(LEVEL, sys.field, 0, np.random.default_rng(11), 50)
+    assert np.count_nonzero(R._projections(charts, sys.field)[:, 0] >= 0.4) == 27
+    assert loop_commutation(sys, broken, 50, 11) <= 1e-5
+    with pytest.raises(FloatingPointError, match="reduction.commutation"):
+        R.check_commutation(sys, broken, samples=50, seed=11)
+
+
+def nan_beyond(f):
+    """f with every output nan where its first argument's first entry is
+    positive."""
+    def g(x, *rest):
+        out = np.asarray(f(x, *rest), dtype=float)
+        return np.full(out.shape, np.nan) if np.asarray(x)[0] > 0 else out
+    return g
+
+
+@pytest.mark.parametrize("which", ("mr1", "mr3", "kk"))
+def test_mr_and_kk_records_refuse_nan_samples(which):
+    # Each record folds its samples with numpy, so a nan sample reaches
+    # CheckRecord instead of being passed over by Python's max. The lift's
+    # tangent is nan on about half of the samples.
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    ident = R.DiffeoSpec.identity()
+    phi = dataclasses.replace(ident, lift_tangent=nan_beyond(ident.lift_tangent))
+    with pytest.raises(FloatingPointError):
+        if which == "mr1":
+            R.check_mr1(phi, field, field, samples=20)
+        elif which == "mr3":
+            subset = D.ControlSubset(np.zeros(3), np.eye(3))
+            R.check_mr3_matching(particle(subset=subset), particle(), phi,
+                                 samples=20)
+        else:
+            bumpy = dataclasses.replace(field, potential=nan_beyond(
+                field.potential), kind="general")
+            R.kk_alpha_form_check(R.kaluza_klein_system(bumpy, 1.0, 0.8))
+    # the same checkers pass on the finite identity
+    assert R.check_mr1(ident, field, field, samples=20).passed
+
+
+def lift_dependent(s):
+    """Kicks p1 at the center height 0.9 exactly: the lift-independence sweep
+    lifts there, and no random state of the equivariance sweep lands there."""
+    out = np.array(s, dtype=float)
+    out[..., 3] += np.abs(out[..., 2] - 0.9) < 1e-12
+    return out
+
+
+def moves_center(s):
+    """Raises the body momentum's nu by 1, planar part fixed: equivariant, but
+    off the orbit leaf."""
+    g, rho = body_of(np.asarray(s, dtype=float))
+    return chart_of(g, rho + [0.0, 0.0, 1.0], s[6:])
+
+
+def kick_center(s):
+    out = np.asarray(s, dtype=float).copy()
+    out[5] += 1.0
+    return out
+
+
+@pytest.mark.parametrize("force, message", (
+    (D.FiberMap(apply=kick_center), "force map is not equivariant"),
+    (D.FiberMap(apply=moves_center), "force map moves the center momentum"),
+    (D.FiberMap(apply=lift_dependent), "reduced fiber map depends on the lift"),
+    (D.FiberMap(apply=lift_dependent, tangent=lambda s, v: np.array(v),
+                affine=True), "reduced fiber map depends on the lift"),
+))
+def test_sweeps_name_the_first_failing_check(force, message):
+    with pytest.raises(NotInvariant, match=message):
+        R.reduce_system(particle(force=force), LEVEL)
+
+
+def test_a_lift_dependent_hamiltonian_is_refused():
+    kinetic = D.invariant_kinetic_hamiltonian(1.0)
+    bumped = D.HamiltonianSpec(
+        lambda s: kinetic.evaluate(s) + float(abs(s[2] - 0.9) < 1e-12),
+        kinetic.gradient)
+    with pytest.raises(NotInvariant, match="reduced Hamiltonian value depends"):
+        R.reduce_system(particle(ham=bumped), LEVEL)
+
+
+def test_reduce_path_single_state_calls_do_not_grow_with_samples(monkeypatch):
+    # Like the propagator's call counts: on a declared system reduce_system
+    # and check_commutation call the public single-state functions a fixed
+    # number of times, whatever the sample count.
+    counts = collections.Counter()
+    for module, name in ((M, "left_translate"), (M, "project_chart"),
+                         (M, "sample_level_point"), (D, "rch_vector_field")):
+        original = getattr(module, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for owner in (M, D, R):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counting)
+
+    def calls(sys, samples):
+        counts.clear()
+        R.check_commutation(sys, R.reduce_system(sys, LEVEL), samples=samples)
+        return dict(counts)
+
+    full = D.ControlSubset(np.zeros(3), np.eye(3))
+    declared = particle(force=_body_scaling_map(0.7, 0.8), subset=full,
+                        control=_constant_push_map((0.3, -0.1, 0.0)))
+    assert calls(declared, 50) == calls(declared, 500) == {
+        "sample_level_point": 1, "rch_vector_field": 1}
+    # The counter sees per-sample calls: a map not declared affine is mapped
+    # over the rows.
+    undeclared = particle(force=body_scaling(0.7))
+    assert calls(undeclared, 50)["rch_vector_field"] == 50
