@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -295,28 +296,22 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
     modified = dyn.modified_hamiltonian(sys).evaluate(
         mag._momentum_shift(state, sys.field))
     identity_res = _worst(modified - sys.hamiltonian.evaluate(state))
-    zero = mag.MagneticField.zero()
-
-    def shift_chart(s):
-        return mag.momentum_shift(s, sys.field)
-
-    pullback_res = []
-    for _ in range(min(samples, 40)):
-        state = rng.normal(size=6)
-        v, w = rng.normal(size=6), rng.normal(size=6)
-        tv = fd.directional(shift_chart, state, v)
-        tw = fd.directional(shift_chart, state, w)
-        canonical = mag.magnetic_form(shift_chart(state), tv, tw, zero)
-        twisted = mag.magnetic_form(state, v, w, sys.field)
-        pullback_res.append(canonical - twisted)
+    # Per pullback sample: a state and tangents v, w as one normal row of 18.
+    rounds = min(samples, 40)
+    draws = rng.normal(size=(rounds, 18))
+    state, v, w = draws[:, :6], draws[:, 6:12], draws[:, 12:]
+    shift = partial(mag._momentum_shift, field=sys.field)
+    canonical = mag._magnetic_form(shift(state), fd.directional(shift, state, v),
+                                   fd.directional(shift, state, w),
+                                   mag.MagneticField.zero())
+    pullback = canonical - mag._magnetic_form(state, v, w, sys.field)
 
     state = rng.normal(size=6)
     conjugation = _flow_conjugation(sys, _invariant_shift_hamiltonian(a, cf, m),
                                     state)
     return [CheckRecord("shift.hamiltonian_identity", samples,
                         identity_res, 1e-12),
-            CheckRecord("shift.form_pullback", min(samples, 40),
-                        _worst(pullback_res), 1e-6),
+            CheckRecord("shift.form_pullback", rounds, _worst(pullback), 1e-6),
             CheckRecord("shift.flow_conjugation", 1, conjugation, 1e-8)]
 
 
@@ -330,24 +325,23 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
     level = CoAlgebraElement((0.4, -0.7), 1.0)
 
     # Restricted magnetic form on level-set tangents against the pullback of
-    # the orbit form through the quotient projection.
-    proj = lambda s: mag.project_chart(s, field)
-    zero = MagneticCocycle.zero()
-    pullback = []
+    # the orbit form through the quotient projection. Per round: a level
+    # point, then four pairs (v, w) of normal triples on its tangent space.
     rounds = 8
-    for _ in range(rounds):
-        state = mag.sample_level_point(level, field, 0, rng)
-        DJ = fd.jacobian(lambda s: mag.momentum_map(s, field), state,
-                         fd.GRADIENT_STEP)
-        tangent = np.linalg.svd(DJ)[2][3:]
-        for _ in range(4):
-            v = rng.normal(size=3) @ tangent
-            w = rng.normal(size=3) @ tangent
-            restricted = mag.magnetic_form(state, v, w, field)
-            dv = fd.directional(proj, state, v, fd.GRADIENT_STEP)
-            dw = fd.directional(proj, state, w, fd.GRADIENT_STEP)
-            pulled = orbit.orbit_form_on_chart_vectors(level.nu, dv, dw, zero)
-            pullback.append(restricted - pulled)
+    states, normals = np.empty((rounds, 6)), np.empty((rounds, 4, 2, 3))
+    for i in range(rounds):
+        states[i] = mag._level_points(level, field, 0, rng, 1)[0]
+        normals[i] = rng.normal(size=(4, 2, 3))
+    DJ = fd.jacobian(partial(mag._momentum_map, field=field), states,
+                     fd.GRADIENT_STEP)
+    tangent = np.linalg.svd(DJ)[2][:, None, 3:]
+    v, w = _vecmat(normals[:, :, 0], tangent), _vecmat(normals[:, :, 1], tangent)
+    at = states[:, None]
+    proj = partial(mag._project_chart, field=field)
+    pulled = orbit.orbit_form_on_chart_vectors(
+        level.nu, fd.directional(proj, at, v, fd.GRADIENT_STEP),
+        fd.directional(proj, at, w, fd.GRADIENT_STEP), MagneticCocycle.zero())
+    pullback = mag._magnetic_form(at, v, w, field) - pulled
     red = reduce_system(sys, level)
     commutation = check_commutation(sys, red, samples=samples, seed=seed + 1)
     return [CheckRecord("noether.momentum_drift", traj.states.shape[0],

@@ -206,18 +206,19 @@ def build_diffeo(cfg: ExperimentConfig) -> DiffeoSpec:
 
     # A deliberately broken lift: identity base with a fiber shear. Useful as
     # a negative fixture because it fails the symplecticity check without
-    # being rejected at construction time.
+    # being rejected at construction time. Like every DiffeoSpec callable it
+    # takes a state or a stack of them.
     def ident(q):
         return np.asarray(q, dtype=float).copy()
 
     def shear_lift(s):
         out = np.asarray(s, dtype=float).copy()
-        out[3] += out[1]
+        out[..., 3] += out[..., 1]
         return out
 
     def shear_inverse(s):
         out = np.asarray(s, dtype=float).copy()
-        out[3] -= out[1]
+        out[..., 3] -= out[..., 1]
         return out
 
     return DiffeoSpec(ident, ident, shear_lift, shear_inverse,

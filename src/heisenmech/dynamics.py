@@ -22,8 +22,8 @@ from . import fd
 from .errors import (MissingPotential, NonConvergence, NonSymplecticWarning,
                      NotInvariant)
 from .group import _dot, _matvec, _vecmat
-from .magnetic import (MagneticField, _momentum_shift, chart_to_body_array,
-                       momentum_map_array)
+from .magnetic import (MagneticField, _momentum_map, _momentum_shift,
+                       chart_to_body_array)
 # Bound here only for perfbench/tracer.py, which wraps this module's imported
 # heisenmech functions and checks that this binding is restored.
 from .magnetic import momentum_map  # noqa: F401
@@ -261,8 +261,7 @@ def hamiltonian_vector_field(sys: RCHSystem, x) -> np.ndarray:
     k = sys.k
     state = np.asarray(x, dtype=float)
     if state.shape != (6 + 2 * k,) and not (
-            state.ndim == 2 and state.shape[1] == 6 + 2 * k
-            and sys.hamiltonian.kind != "general" and sys.field.is_constant):
+            state.ndim == 2 and state.shape[1] == 6 + 2 * k and _declared(sys)):
         raise ValueError(f"state must have dimension {6 + 2 * k} (a stack of "
                          f"them needs a Hamiltonian and a field of declared "
                          f"kinds), got {state.shape}")
@@ -302,12 +301,17 @@ def _vertical_lift(fiber_map: FiberMap, sys: RCHSystem,
     return out
 
 
+def _declared(sys: RCHSystem) -> bool:
+    """Whether hamiltonian_vector_field of sys takes a stack of states: its
+    Hamiltonian and field have declared kinds."""
+    return sys.hamiltonian.kind != "general" and sys.field.is_constant
+
+
 def _stacks(sys: RCHSystem) -> bool:
-    """Whether rch_vector_field of sys takes a stack of states: its
-    Hamiltonian and field have declared kinds, and each fiber map present is
-    declared affine."""
-    return (sys.hamiltonian.kind != "general" and sys.field.is_constant
-            and all(fm is None or fm.affine for fm in (sys.force, sys.control)))
+    """Whether rch_vector_field of sys takes a stack of states: _declared,
+    and each fiber map present is declared affine."""
+    return _declared(sys) and all(fm is None or fm.affine
+                                  for fm in (sys.force, sys.control))
 
 
 def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
@@ -763,10 +767,8 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
             states[i] = _momentum_shift(row, inverse)
 
     energies = _state_energies(sys.hamiltonian, states)
-    q = states[:, :3]
     try:
-        momenta = momentum_map_array(q, chart_to_body_array(q, states[:, 3:6]),
-                                     sys.field)
+        momenta = _momentum_map(states, sys.field)
     except (MissingPotential, NotInvariant):
         momenta = np.full((states.shape[0], 3), np.nan)
     return Trajectory(times, states, energies, momenta, method, route)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
-from .group import CoAlgebraElement, _matvec, _part, multiply
+from .group import CoAlgebraElement, _dot, _matvec, _part, _vecmat, multiply
 from .orbit import _antisymmetric, classify_orbit
 
 __all__ = [
@@ -256,9 +256,22 @@ def _omega_matrix(state: np.ndarray, field: MagneticField) -> np.ndarray:
 
 def magnetic_form(state, v1, v2, field: MagneticField) -> float:
     """omega_B at a chart state on two chart tangents (dq, dp, dtheta, dlam)."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    return float(v1 @ omega_matrix(state, field) @ v2)
+    return _magnetic_form(_chart_state(state), np.asarray(v1, dtype=float),
+                          np.asarray(v2, dtype=float), field)
+
+
+def _magnetic_form(state: np.ndarray, v1: np.ndarray, v2: np.ndarray,
+                   field: MagneticField):
+    """magnetic_form without the input check, (v1 @ W) @ v2 through
+    _vecmat and _dot. It also takes stacks (..., 6 + 2k) of states and
+    tangents, broadcast against each other, and returns the array of values,
+    row i bitwise the call on row i; a general field's b_matrix, of one
+    point, is mapped over the rows of a stack (n, 6 + 2k) of states."""
+    if state.ndim == 1 or field.is_constant:
+        W = _omega_matrix(state, field)
+    else:
+        W = np.array([_omega_matrix(row, field) for row in state])
+    return _dot(_vecmat(v1, W), v2)
 
 
 def momentum_shift(state, field: MagneticField) -> np.ndarray:
@@ -322,9 +335,14 @@ def momentum_map(state, field: MagneticField) -> np.ndarray:
     potentials, MissingPotential for nonzero fields without one). The point
     case of momentum_map_array; the value (mu1, mu2, nu) has shape (3,).
     """
-    state = _chart_state(state)
-    q = state[:3]
-    return momentum_map_array(q, chart_to_body_array(q, state[3:6]), field)
+    return _momentum_map(_chart_state(state), field)
+
+
+def _momentum_map(state: np.ndarray, field: MagneticField) -> np.ndarray:
+    """momentum_map without the input check. It also takes a stack
+    (..., 6 + 2k) of states, row i bitwise the call on row i."""
+    q = state[..., :3]
+    return momentum_map_array(q, chart_to_body_array(q, state[..., 3:6]), field)
 
 
 def _level_state(q: np.ndarray, planar, nu: float, field: MagneticField,

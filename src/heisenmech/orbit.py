@@ -351,16 +351,18 @@ def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: floa
 def orbit_form_on_chart_vectors(nu: float, v: np.ndarray, w: np.ndarray,
                                 B: MagneticCocycle) -> float:
     """Orbit-plus-canonical form on two flat chart tangents
-    (rho1, rho2, theta..., lam...) of the leaf at height nu."""
+    (rho1, rho2, theta..., lam...) of the leaf at height nu. v and w may
+    also be stacks (..., 2 + 2k), broadcast against each other: the value
+    is then the array of the rows' values, row i bitwise the call on row i."""
     c = _generator_scale(nu, B)
     if c == 0.0:
         raise SingularForm("orbit form is degenerate on this leaf",
                            matrix=orbit_form_matrix(nu, B))
-    k = (v.size - 2) // 2
-    planar = (v[0] * w[1] - v[1] * w[0]) / c
-    vth, vlam = v[2:2 + k], v[2 + k:]
-    wth, wlam = w[2:2 + k], w[2 + k:]
-    return float(planar + vth @ wlam - vlam @ wth)
+    k = (v.shape[-1] - 2) // 2
+    planar = (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]) / c
+    vth, vlam = v[..., 2:2 + k], v[..., 2 + k:]
+    wth, wlam = w[..., 2:2 + k], w[..., 2 + k:]
+    return _scalar(planar + _dot(vth, wlam) - _dot(vlam, wth))
 
 
 def coordinate_function(index: int) -> DualFunction:

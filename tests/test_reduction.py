@@ -58,15 +58,16 @@ def identity_map(x):
 
 
 def shear_lift(s):
-    """A fiber shear over the identity base: not a cotangent lift."""
+    """A fiber shear over the identity base: not a cotangent lift. Like every
+    DiffeoSpec callable it takes a state or a stack of them."""
     out = np.asarray(s, dtype=float).copy()
-    out[3] += out[1]
+    out[..., 3] += out[..., 1]
     return out
 
 
 def shear_inverse(s):
     out = np.asarray(s, dtype=float).copy()
-    out[3] -= out[1]
+    out[..., 3] -= out[..., 1]
     return out
 
 
@@ -819,10 +820,11 @@ def test_commutation_record_refuses_nan_samples():
 
 def nan_beyond(f):
     """f with every output nan where its first argument's first entry is
-    positive."""
+    positive; on one point, or row by row on a stack of them."""
     def g(x, *rest):
-        out = np.asarray(f(x, *rest), dtype=float)
-        return np.full(out.shape, np.nan) if np.asarray(x)[0] > 0 else out
+        out = np.array(f(x, *rest), dtype=float)
+        out[np.asarray(x)[..., 0] > 0] = np.nan
+        return out
     return g
 
 
