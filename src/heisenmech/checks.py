@@ -225,7 +225,7 @@ def check_dynamics(seed: int, samples: int = 1000) -> list[CheckRecord]:
     for i, sys in enumerate(systems):
         state, v = draws[i::len(systems), :6], draws[i::len(systems), 6:]
         X = dyn.hamiltonian_vector_field(sys, state)
-        W = mag._omega_matrix(state, sys.field)
+        W = mag.omega_matrix(state, sys.field)
         defining.append(_worst(_dot(_vecmat(X, W), v)
                                - _dot(sys.hamiltonian.grad(state), v)))
     rotation = systems[0]
@@ -294,17 +294,17 @@ def check_momentum_shift(seed: int, samples: int = 1000) -> list[CheckRecord]:
     sys = dyn.heisenberg_particle(m, cf, 1.0, field)
     state = rng.normal(size=(samples, 6))
     modified = dyn.modified_hamiltonian(sys).evaluate(
-        mag._momentum_shift(state, sys.field))
+        mag.momentum_shift(state, sys.field))
     identity_res = _worst(modified - sys.hamiltonian.evaluate(state))
     # Per pullback sample: a state and tangents v, w as one normal row of 18.
     rounds = min(samples, 40)
     draws = rng.normal(size=(rounds, 18))
     state, v, w = draws[:, :6], draws[:, 6:12], draws[:, 12:]
-    shift = partial(mag._momentum_shift, field=sys.field)
-    canonical = mag._magnetic_form(shift(state), fd.directional(shift, state, v),
-                                   fd.directional(shift, state, w),
-                                   mag.MagneticField.zero())
-    pullback = canonical - mag._magnetic_form(state, v, w, sys.field)
+    shift = partial(mag.momentum_shift, field=sys.field)
+    canonical = mag.magnetic_form(shift(state), fd.directional(shift, state, v),
+                                  fd.directional(shift, state, w),
+                                  mag.MagneticField.zero())
+    pullback = canonical - mag.magnetic_form(state, v, w, sys.field)
 
     state = rng.normal(size=6)
     conjugation = _flow_conjugation(sys, _invariant_shift_hamiltonian(a, cf, m),
@@ -330,18 +330,18 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
     rounds = 8
     states, normals = np.empty((rounds, 6)), np.empty((rounds, 4, 2, 3))
     for i in range(rounds):
-        states[i] = mag._level_points(level, field, 0, rng, 1)[0]
+        states[i] = mag.sample_level_point(level, field, 0, rng)
         normals[i] = rng.normal(size=(4, 2, 3))
-    DJ = fd.jacobian(partial(mag._momentum_map, field=field), states,
+    DJ = fd.jacobian(partial(mag.momentum_map, field=field), states,
                      fd.GRADIENT_STEP)
     tangent = np.linalg.svd(DJ)[2][:, None, 3:]
     v, w = _vecmat(normals[:, :, 0], tangent), _vecmat(normals[:, :, 1], tangent)
     at = states[:, None]
-    proj = partial(mag._project_chart, field=field)
+    proj = partial(mag.project_chart, field=field)
     pulled = orbit.orbit_form_on_chart_vectors(
         level.nu, fd.directional(proj, at, v, fd.GRADIENT_STEP),
         fd.directional(proj, at, w, fd.GRADIENT_STEP), MagneticCocycle.zero())
-    pullback = mag._magnetic_form(at, v, w, field) - pulled
+    pullback = mag.magnetic_form(at, v, w, field) - pulled
     red = reduce_system(sys, level)
     commutation = check_commutation(sys, red, samples=samples, seed=seed + 1)
     return [CheckRecord("noether.momentum_drift", traj.states.shape[0],

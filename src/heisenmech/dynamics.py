@@ -19,14 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import fd
-from .errors import (MissingPotential, NonConvergence, NonSymplecticWarning,
-                     NotInvariant)
-from .group import _dot, _matvec, _vecmat
-from .magnetic import (MagneticField, _momentum_map, _momentum_shift,
-                       chart_to_body_array)
-# Bound here only for perfbench/tracer.py, which wraps this module's imported
-# heisenmech functions and checks that this binding is restored.
-from .magnetic import momentum_map  # noqa: F401
+from .errors import MissingPotential, NonConvergence, NonSymplecticWarning
+from .group import _dot, _map_rows, _matvec, _vecmat
+from .magnetic import (MagneticField, _momentum_shift, chart_to_body_array,
+                       momentum_map)
 from .orbit import _checked_form
 
 __all__ = [
@@ -66,11 +62,13 @@ class HamiltonianSpec:
     vector field.
 
     The evaluate and gradient of a declared kind take one state or a stack
-    (n, 6 + 2k) of states, row i of a stacked call bitwise the call on row
+    (..., 6 + 2k) of states, row i of a stacked call bitwise the call on row
     i: their products go through group._dot, _matvec and _vecmat, whose
     stacked matmul hands each row to the BLAS call (dot or gemv) of the
     single state. evaluate gives a Python float for one state and an array
-    of the leading shape for a stack.
+    of the leading shape for a stack. grad takes a stack of any kind: a
+    general spec's gradient, the user's of one state, is mapped over its
+    rows.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -95,7 +93,7 @@ class HamiltonianSpec:
             object.__setattr__(self, "form", _checked_form(*self.form, 6))
 
     def grad(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gradient(state), dtype=float)
+        return _map_rows(self.gradient, self.kind != "general", state)
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,10 @@ class FiberMap:
     affine declares apply affine in the fiber, (p, lam) -> L(q) (p, lam) + d(q),
     with coefficients that depend on q only, never on theta. It is never
     checked on samples and needs the analytic tangent (ValueError otherwise):
-    a finite-difference push is affine only up to its step noise. An affine
-    map's apply and tangent also take stacks (n, 6 + 2k) of states (and of
-    vectors), row i bitwise the call on row i; the library's sweeps hand
-    them whole stacks and map any other fiber map over the rows.
+    a finite-difference push is affine only up to its step noise. image and
+    push take one state or a stack (..., 6 + 2k) of states (and of
+    vectors), row i bitwise the call on row i: an affine map's apply and
+    tangent take the stack, any other map's are mapped over its rows.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -123,10 +121,13 @@ class FiberMap:
         if self.affine and self.tangent is None:
             raise ValueError("an affine fiber map declares its analytic tangent")
 
+    def image(self, state: np.ndarray) -> np.ndarray:
+        return _map_rows(self.apply, self.affine, state)
+
     def push(self, state: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        if self.tangent is not None:
-            return np.asarray(self.tangent(state, vector), dtype=float)
-        return fd.directional(self.apply, state, vector, fd.GRADIENT_STEP)
+        return _map_rows(self.tangent or functools.partial(
+            fd.directional, self.apply, step=fd.GRADIENT_STEP), self.affine,
+            state, vector)
 
 
 @functools.cache
@@ -205,12 +206,10 @@ class RCHSystem:
                              f"declared mass {declared}")
         if self.control is not None and self.control_subset is not None:
             _, fiber = _base_fiber_indices(self.k)
-            rng = np.random.default_rng(99)
-            for _ in range(10):
-                state = rng.uniform(-2, 2, 6 + 2 * self.k)
-                image = self.control.apply(state)[fiber]
-                if not self.control_subset.contains(image):
-                    raise ValueError("control image leaves the control subset")
+            states = np.random.default_rng(99).uniform(-2, 2, (10, self.dim))
+            images = self.control.image(states)[:, fiber]
+            if not all(map(self.control_subset.contains, images)):
+                raise ValueError("control image leaves the control subset")
 
     @property
     def dim(self) -> int:
@@ -249,22 +248,27 @@ def _as_state(x, k: int) -> np.ndarray:
     return state
 
 
+def _as_states(x, k: int) -> np.ndarray:
+    """x as a float state of dimension 6 + 2k or a stack (..., 6 + 2k) of
+    them; ValueError for any other shape. The entries are not checked:
+    integrator iterates reach the vector fields, and may overflow."""
+    state = np.asarray(x, dtype=float)
+    if state.ndim == 0 or state.shape[-1] != 6 + 2 * k:
+        raise ValueError(f"state must have dimension {6 + 2 * k} (or be a "
+                         f"stack of them), got {state.shape}")
+    return state
+
+
 def hamiltonian_vector_field(sys: RCHSystem, x) -> np.ndarray:
     """Magnetic Hamilton equations at x.
 
     qdot = dH/dp, pdot = -dH/dq + charge_factor * B(q) dH/dp, and the
-    canonical equations on the (theta, lam) block. When the Hamiltonian and
-    the field both have a declared kind (not "general"), x may also be a
-    stack (n, 6 + 2k) of states, and row i of the result is bitwise the call
-    on row i.
+    canonical equations on the (theta, lam) block. x may also be a stack
+    (..., 6 + 2k) of states, and row i of the result is bitwise the call on
+    row i.
     """
     k = sys.k
-    state = np.asarray(x, dtype=float)
-    if state.shape != (6 + 2 * k,) and not (
-            state.ndim == 2 and state.shape[1] == 6 + 2 * k and _declared(sys)):
-        raise ValueError(f"state must have dimension {6 + 2 * k} (a stack of "
-                         f"them needs a Hamiltonian and a field of declared "
-                         f"kinds), got {state.shape}")
+    state = _as_states(x, k)
     grad = sys.hamiltonian.grad(state)
     qdot = grad[..., 3:6]
     pdot = -grad[..., :3] + sys.field.charge_factor * _matvec(
@@ -280,19 +284,13 @@ def vertical_lift(fiber_map: FiberMap, sys: RCHSystem, x) -> np.ndarray:
     of F there, keeps the fiber component, and places it at x (the fibers are
     vector spaces, so the transport back along the fiber line is the identity).
     The alternative reading, pushing X_H evaluated at x itself, coincides with
-    this one for fiber-linear maps.
+    this one for fiber-linear maps. x may also be a stack (..., 6 + 2k) of
+    states, row i of the result bitwise the call on row i; only its shape
+    is checked, as in hamiltonian_vector_field.
     """
-    return _vertical_lift(fiber_map, sys, _as_state(x, sys.k))
-
-
-def _vertical_lift(fiber_map: FiberMap, sys: RCHSystem,
-                   state: np.ndarray) -> np.ndarray:
-    """vertical_lift without the input check. It also takes a stack
-    (n, 6 + 2k) of states when the map is declared affine and sys's
-    Hamiltonian and field have declared kinds, row i bitwise the call on
-    row i."""
+    state = _as_states(x, sys.k)
     base, fiber = _base_fiber_indices(sys.k)
-    moved = np.asarray(fiber_map.apply(state), dtype=float)
+    moved = fiber_map.image(state)
     if np.max(np.abs(moved[..., base] - state[..., base])) > 1e-12:
         raise ValueError("fiber map does not preserve the base point")
     pushed = fiber_map.push(moved, hamiltonian_vector_field(sys, moved))
@@ -301,46 +299,17 @@ def _vertical_lift(fiber_map: FiberMap, sys: RCHSystem,
     return out
 
 
-def _declared(sys: RCHSystem) -> bool:
-    """Whether hamiltonian_vector_field of sys takes a stack of states: its
-    Hamiltonian and field have declared kinds."""
-    return sys.hamiltonian.kind != "general" and sys.field.is_constant
-
-
-def _stacks(sys: RCHSystem) -> bool:
-    """Whether rch_vector_field of sys takes a stack of states: _declared,
-    and each fiber map present is declared affine."""
-    return _declared(sys) and all(fm is None or fm.affine
-                                  for fm in (sys.force, sys.control))
-
-
 def rch_vector_field(sys: RCHSystem, x) -> np.ndarray:
     """Full dynamical field: X_H plus vertical lifts of force and control.
 
-    x may also be a stack (n, 6 + 2k) of states when _stacks(sys), and row i
-    of the result is bitwise the call on row i.
+    x may also be a stack (..., 6 + 2k) of states, and row i of the result
+    is bitwise the call on row i.
     """
-    state = np.asarray(x, dtype=float)
-    if state.ndim != 1 and not _stacks(sys):
-        raise ValueError(f"a stack of states needs a Hamiltonian and a field of "
-                         f"declared kinds and affine fiber maps, got shape "
-                         f"{state.shape}")
-    out = hamiltonian_vector_field(sys, state)
+    out = hamiltonian_vector_field(sys, x)
     for fiber_map in (sys.force, sys.control):
         if fiber_map is not None:
-            out = out + _vertical_lift(fiber_map, sys, state)
+            out = out + vertical_lift(fiber_map, sys, x)
     return out
-
-
-def _map_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              stacked: bool) -> np.ndarray:
-    """f on the stack x: one call when f takes stacks (stacked), otherwise
-    f of one row mapped over the rows of x. The second is the route of the
-    callables the library cannot stack: a "general" Hamiltonian, an orbit
-    function without a declared form, a fiber map not declared affine."""
-    if stacked:
-        return np.asarray(f(x), dtype=float)
-    return np.array([f(row) for row in x], dtype=float)
 
 
 # The stop rule of the implicit-midpoint fixed-point iteration, relative to
@@ -616,8 +585,9 @@ def modified_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
     """Shifted-chart Hamiltonian H_A(q, P) = H(q, P - charge_factor * A(q))
     with its exact gradient (g_q - charge_factor * DA^T g_p, g_p, g_theta,
     g_lam), g = grad H there; H_A after the fiber shift t_A is H. A field
-    without a potential raises MissingPotential. Its evaluate takes a stack
-    of states where H's evaluate and the field's potential do."""
+    without a potential raises MissingPotential. The spec is "general": its
+    gradient is of one state. Its evaluate also takes a stack of states where
+    H's evaluate does."""
     if not sys.field.has_potential:
         raise MissingPotential("magnetic field has no vector potential")
     cf = sys.field.charge_factor
@@ -725,9 +695,9 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
       trajectory's method then reads "rk4".
     - "field": everything else steps rch_vector_field.
 
-    The momenta come from one array pass of magnetic.momentum_map_array over
-    all states, and are nan for fields without a momentum map (every kind
-    but zero and invariant). Energies of the kinetic kinds take one array
+    The momenta come from one array pass of magnetic.momentum_map over all
+    states, and are nan for fields without a momentum map (every kind but
+    zero and invariant). Energies of the kinetic kinds take one array
     pass too; other kinds are evaluated state by state.
     """
     _check_run(t_end, h, method)
@@ -737,14 +707,12 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     rhs = lambda y: rch_vector_field(sys, y)
     if sys.field.is_constant:
         if pure and sys.hamiltonian.form is not None:
-            route = "propagator"
-            generator = _affine_pair(lambda ys: rch_vector_field(sys, ys),
-                                     sys.dim)
+            route, generator = "propagator", _affine_pair(rhs, sys.dim)
         elif pure and sys.hamiltonian.kind == "invariant":
             route, rhs = "closed_form", _invariant_particle_field(sys)
     elif method == "midpoint":
         if pure and sys.field.has_potential:
-            route = "shifted"
+            route, state = "shifted", _momentum_shift(state, sys.field)
             shifted = replace(sys, field=MagneticField.zero(),
                               hamiltonian=modified_hamiltonian(sys))
             rhs = lambda y: hamiltonian_vector_field(shifted, y)
@@ -754,31 +722,25 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
                           NonSymplecticWarning, stacklevel=2)
             route, method = "rk4_fallback", "rk4"
 
-    if route == "shifted":
-        state = _momentum_shift(state, sys.field)
-
     times, states, propagated = _fixed_step_flow(rhs, state, t_end, h, method,
                                                  generator)
     if route == "propagator" and not propagated:
         route = "field"
     if route == "shifted":
-        inverse = replace(sys.field, charge_factor=-sys.field.charge_factor)
-        for i, row in enumerate(states):
-            states[i] = _momentum_shift(row, inverse)
+        states = _momentum_shift(states, replace(
+            sys.field, charge_factor=-sys.field.charge_factor))
 
     energies = _state_energies(sys.hamiltonian, states)
-    try:
-        momenta = _momentum_map(states, sys.field)
-    except (MissingPotential, NotInvariant):
-        momenta = np.full((states.shape[0], 3), np.nan)
+    momenta = (momentum_map(states, sys.field)
+               if sys.field.kind in ("zero", "invariant")
+               else np.full((states.shape[0], 3), np.nan))
     return Trajectory(times, states, energies, momenta, method, route)
 
 
-def _state_energies(hamiltonian: HamiltonianSpec,
-                    states: np.ndarray) -> np.ndarray:
-    """hamiltonian.evaluate at each row of states: one stacked call for the
-    declared kinds, row by row for a "general" one."""
-    return _map_rows(hamiltonian.evaluate, states, hamiltonian.kind != "general")
+def _state_energies(H: HamiltonianSpec, states: np.ndarray) -> np.ndarray:
+    """H.evaluate at each row of states: one stacked call for the declared
+    kinds, row by row for a "general" one."""
+    return _map_rows(H.evaluate, H.kind != "general", states)
 
 
 def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:

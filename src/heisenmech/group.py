@@ -24,6 +24,7 @@ hand it in via as_array().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -110,6 +111,22 @@ def _part(x: np.ndarray, i: int):
 def _scalar(x):
     """A Python float for a single value, the array itself for a stack."""
     return float(x) if getattr(x, "ndim", 0) == 0 else x
+
+
+def _map_rows(f: Callable[..., np.ndarray], stacked: bool,
+              *points: np.ndarray) -> np.ndarray:
+    """f on points, each one array or a stack (..., n) of one leading shape,
+    as a float array: one call when f takes stacks (stacked) or the points
+    are single; otherwise f, a callable of one point per argument, mapped
+    over the rows, row i of the result f of row i of each stack. The types
+    that declare whether their callables take stacks (MagneticField,
+    HamiltonianSpec, FiberMap, OrbitFunction) call it."""
+    points = [np.asarray(p, dtype=float) for p in points]
+    if stacked or points[0].ndim == 1:
+        return np.asarray(f(*points), dtype=float)
+    rows = zip(*(p.reshape(-1, p.shape[-1]) for p in points))
+    out = np.array([np.asarray(f(*row), dtype=float) for row in rows])
+    return out.reshape(points[0].shape[:-1] + out.shape[1:])
 
 
 # The three products below take ndarray.dot when no operand is stacked: it

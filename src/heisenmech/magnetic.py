@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
-from .group import CoAlgebraElement, _dot, _matvec, _part, _vecmat, multiply
+from .group import (CoAlgebraElement, _dot, _map_rows, _matvec, _part, _vecmat,
+                    multiply)
 from .orbit import _antisymmetric, classify_orbit
 
 __all__ = [
@@ -60,10 +61,12 @@ class MagneticField:
     A a left-invariant one-form, which is what the momentum-map path
     requires. A field built directly is "general": q-dependent and nonzero.
 
-    The fields of a declared kind take stacks: b_matrix ignores q, and the
-    linear and invariant potentials map a stack (n, 3) of points to the
-    stack of their values, row i bitwise the call on row i. A general
-    field's callables are the user's, of one point.
+    b, vector_potential and vector_potential_jacobian take one point or a
+    stack (..., 3) of points, row i of a stacked call bitwise the call on
+    row i. The callables of a declared kind take the stack (b_matrix ignores
+    q, and the linear and invariant potentials map the stack to the stack of
+    their values); a general field's, the user's of one point, are mapped
+    over its rows.
     """
 
     b_matrix: Callable[[np.ndarray], np.ndarray]
@@ -128,19 +131,18 @@ class MagneticField:
         return cls(lambda q: b, A, charge_factor, lambda q: da, kind="invariant")
 
     def b(self, q) -> np.ndarray:
-        return np.asarray(self.b_matrix(np.asarray(q, dtype=float)), dtype=float)
+        return _map_rows(self.b_matrix, self.is_constant, q)
 
     def vector_potential(self, q) -> np.ndarray:
         if self.potential is None:
             raise MissingPotential("magnetic field has no vector potential")
-        return np.asarray(self.potential(np.asarray(q, dtype=float)), dtype=float)
+        return _map_rows(self.potential, self.is_constant, q)
 
     def vector_potential_jacobian(self, q) -> np.ndarray:
         """The declared derivative matrix D[m, i] = d_i A_m of the potential."""
         if self.potential_jacobian is None:
             raise MissingPotential("magnetic field has no vector potential")
-        return np.asarray(self.potential_jacobian(np.asarray(q, dtype=float)),
-                          dtype=float)
+        return _map_rows(self.potential_jacobian, self.is_constant, q)
 
     @property
     def has_potential(self) -> bool:
@@ -158,15 +160,17 @@ class MagneticField:
 
 
 def _chart_state(state) -> np.ndarray:
-    """state as a flat float chart (q, p, theta..., lam...) of size 6 + 2k.
+    """state as a flat float chart (q, p, theta..., lam...) of size 6 + 2k,
+    or a stack (..., 6 + 2k) of them.
 
-    The input check of the public phase-space functions below: any other
-    shape, or a non-finite entry, raises ValueError.
+    The input check of the public phase-space functions below, which take
+    one state or a stack, row i of a stacked call bitwise the call on row i:
+    any other shape, or a non-finite entry, raises ValueError.
     """
     s = np.asarray(state, dtype=float)
-    if s.ndim != 1 or s.size < 6 or s.size % 2:
-        raise ValueError(f"a chart state is a flat array of size 6 + 2k, "
-                         f"got shape {s.shape}")
+    if s.ndim == 0 or s.shape[-1] < 6 or s.shape[-1] % 2:
+        raise ValueError(f"a chart state is a flat array of size 6 + 2k, or a "
+                         f"stack of them, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError("chart state has non-finite components")
     return s
@@ -212,15 +216,10 @@ def left_translate(h: np.ndarray, state) -> np.ndarray:
     chart state.
 
     The group point q goes to h*q while the body momentum and (theta, lam)
-    stay put, so p is rebuilt from the body momentum at the moved point.
+    stay put, so p is rebuilt from the body momentum at the moved point. A
+    stack of states takes one h or a stack of them.
     """
-    return _left_translate(h, _chart_state(state))
-
-
-def _left_translate(h: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """left_translate without the input check. It also takes a stack
-    (n, 6 + 2k) of states, with one h or a stack (n, 3) of them, row i
-    bitwise the call on row i."""
+    state = _chart_state(state)
     q = state[..., :3]
     rho = chart_to_body_array(q, state[..., 3:6])
     out = state.copy()
@@ -233,45 +232,28 @@ def omega_matrix(state, field: MagneticField) -> np.ndarray:
     """Coefficient matrix of omega_B at a chart state.
 
     Block layout over (dq, dp, dtheta, dlam):
-    [[-c*B(q), I, 0], [-I, 0, 0], [0, 0, omega_V]].
+    [[-c*B(q), I, 0], [-I, 0, 0], [0, 0, omega_V]]. A stack of states gives
+    the stack of matrices.
     """
-    return _omega_matrix(_chart_state(state), field)
-
-
-def _omega_matrix(state: np.ndarray, field: MagneticField) -> np.ndarray:
-    """omega_matrix without the input check. It also takes a stack
-    (n, 6 + 2k) of states when the field has a declared kind, and returns
-    the stack of matrices, row i bitwise the call on row i."""
+    state = _chart_state(state)
     n = state.shape[-1]
     k = (n - 6) // 2
     W = np.zeros(state.shape[:-1] + (n, n))
     W[..., :3, :3] = -field.charge_factor * field.b(state[..., :3])
     W[..., :3, 3:6] = np.eye(3)
     W[..., 3:6, :3] = -np.eye(3)
-    if k:
-        W[..., 6:6 + k, 6 + k:] = np.eye(k)
-        W[..., 6 + k:, 6:6 + k] = -np.eye(k)
+    W[..., 6:6 + k, 6 + k:] = np.eye(k)
+    W[..., 6 + k:, 6:6 + k] = -np.eye(k)
     return W
 
 
-def magnetic_form(state, v1, v2, field: MagneticField) -> float:
-    """omega_B at a chart state on two chart tangents (dq, dp, dtheta, dlam)."""
-    return _magnetic_form(_chart_state(state), np.asarray(v1, dtype=float),
-                          np.asarray(v2, dtype=float), field)
-
-
-def _magnetic_form(state: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-                   field: MagneticField):
-    """magnetic_form without the input check, (v1 @ W) @ v2 through
-    _vecmat and _dot. It also takes stacks (..., 6 + 2k) of states and
-    tangents, broadcast against each other, and returns the array of values,
-    row i bitwise the call on row i; a general field's b_matrix, of one
-    point, is mapped over the rows of a stack (n, 6 + 2k) of states."""
-    if state.ndim == 1 or field.is_constant:
-        W = _omega_matrix(state, field)
-    else:
-        W = np.array([_omega_matrix(row, field) for row in state])
-    return _dot(_vecmat(v1, W), v2)
+def magnetic_form(state, v1, v2, field: MagneticField):
+    """omega_B at a chart state on two chart tangents (dq, dp, dtheta, dlam),
+    (v1 @ W) @ v2 through _vecmat and _dot. States and tangents may be
+    stacks (..., 6 + 2k), broadcast against each other; the value is then
+    the array of the rows' values."""
+    return _dot(_vecmat(np.asarray(v1, dtype=float), omega_matrix(state, field)),
+                np.asarray(v2, dtype=float))
 
 
 def momentum_shift(state, field: MagneticField) -> np.ndarray:
@@ -286,11 +268,12 @@ def momentum_shift(state, field: MagneticField) -> np.ndarray:
 
 
 def _momentum_shift(state: np.ndarray, field: MagneticField) -> np.ndarray:
-    """momentum_shift without the input check, for dynamics.integrate's
-    shifted route: its iterates may overflow, which the integrator reports
-    as a numerical failure, and its right-hand side pays no check. It also
-    takes a stack (n, 6 + 2k) of states when the field has a declared kind,
-    row i bitwise the call on row i."""
+    """momentum_shift without the input check: the one checked law that
+    keeps an unchecked twin. dynamics.integrate's shifted route runs it on
+    its iterates, which may overflow (modified_hamiltonian's unshift, and
+    the back-shift of the states): the integrator reports that as a
+    numerical failure, and its right-hand side pays no check. It takes a
+    stack (..., 6 + 2k) of states as momentum_shift does."""
     out = state.copy()
     out[..., 3:6] += field.charge_factor * field.vector_potential(state[..., :3])
     return out
@@ -332,15 +315,11 @@ def momentum_map(state, field: MagneticField) -> np.ndarray:
     of left-invariant Hamiltonians in this trivialization. Magnetic case:
     J_B = J0 composed with the fiber shift t_A, which needs an exact field
     whose potential is declared left-invariant (NotInvariant for other
-    potentials, MissingPotential for nonzero fields without one). The point
-    case of momentum_map_array; the value (mu1, mu2, nu) has shape (3,).
+    potentials, MissingPotential for nonzero fields without one). The chart
+    case of momentum_map_array: the value (mu1, mu2, nu) has shape (3,), or
+    (..., 3) for a stack of states.
     """
-    return _momentum_map(_chart_state(state), field)
-
-
-def _momentum_map(state: np.ndarray, field: MagneticField) -> np.ndarray:
-    """momentum_map without the input check. It also takes a stack
-    (..., 6 + 2k) of states, row i bitwise the call on row i."""
+    state = _chart_state(state)
     q = state[..., :3]
     return momentum_map_array(q, chart_to_body_array(q, state[..., 3:6]), field)
 
@@ -386,15 +365,9 @@ def project_chart(state, field: MagneticField) -> np.ndarray:
 
     On a momentum level set this is the quotient projection to the flat orbit
     chart; off it, the Poisson projection that finite differences across the
-    level set need.
+    level set need. A stack of states gives the stack of charts.
     """
-    return _project_chart(_chart_state(state), field)
-
-
-def _project_chart(state: np.ndarray, field: MagneticField) -> np.ndarray:
-    """project_chart without the input check. It also takes a stack
-    (n, 6 + 2k) of states when the field has a declared kind, row i bitwise
-    the call on row i."""
+    state = _chart_state(state)
     if field.has_potential:
         state = _momentum_shift(state, field)
     return _fiber_push(state[..., :3], state[..., 3:])
@@ -407,13 +380,14 @@ def reduce_point(state, mu_nu: CoAlgebraElement,
     The chart is (rho1, rho2, theta..., lam...), project_chart of the state:
     constant on isotropy-group orbits. Its center charge equals the level's
     nu, which labels the leaf and is not a chart coordinate. NotOnLevelSet
-    unless the momentum map is within 1e-8 of the level.
+    unless the momentum map is within 1e-8 of the level; for a stack of
+    states, at every row.
     """
     J = momentum_map(state, field)
     if not np.max(np.abs(J - mu_nu.as_array())) <= 1e-8:
         raise NotOnLevelSet(
             f"point is not on the momentum level {mu_nu.as_array()} within 1e-08")
-    if classify_orbit(J) != classify_orbit(mu_nu.as_array()):
+    if np.any(classify_orbit(J) != classify_orbit(mu_nu.as_array())):
         raise NotOnLevelSet("orbit type of the representative does not match the level")
     return project_chart(state, field)
 

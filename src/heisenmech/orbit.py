@@ -11,20 +11,22 @@ array or a stack of shape (..., 3), component on the last axis, and a
 cocycle's form is one 3x3 matrix or a stack (..., 3, 3). Scalar results
 (bracket values, orbit-form values) are Python floats for single inputs and
 arrays of the leading shape for stacks, each row bitwise the single call.
-The orbit chart functions at the end take one flat chart.
+The orbit chart functions at the end take one flat chart or a stack of them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fd
 from .errors import DegenerateForm, SingularForm
-from .group import _dot, _matvec, _part, _scalar, _vecmat, area_form, pairing
+from .group import (_dot, _map_rows, _matvec, _part, _scalar, _vecmat, area_form,
+                    pairing)
 
 __all__ = [
     "DualFunction",
@@ -155,9 +157,10 @@ class OrbitFunction:
     form optionally declares h(z) = 1/2 z^T Q z + c^T z + const (defined up to
     the constant), validated as HamiltonianSpec.form is and stored read-only.
     A declared form is the gradient, Q @ z + c, so it comes with no gradient
-    callable; integrate_reduced may step by it. grad with a declared form
-    also takes a stack (n, 2 + 2k) of charts, row i bitwise the call on row
-    i; a gradient callable, or the difference of evaluate, is of one chart.
+    callable; integrate_reduced may step by it. grad also takes a stack
+    (..., 2 + 2k) of charts, row i bitwise the call on row i: a declared
+    form takes the stack, and a gradient callable, or the difference of
+    evaluate, is of one chart and mapped over its rows.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -174,9 +177,8 @@ class OrbitFunction:
         if self.form is not None:
             Q, c = self.form
             return _matvec(Q, chart) + c
-        if self.gradient is not None:
-            return np.asarray(self.gradient(chart), dtype=float)
-        return fd.gradient(self.evaluate, chart)
+        return _map_rows(self.gradient or partial(fd.gradient, self.evaluate),
+                         False, chart)
 
 
 class JacobiResult(NamedTuple):
@@ -334,8 +336,8 @@ def orbit_hamiltonian_vector_field(h: OrbitFunction, chart: np.ndarray, nu: floa
     labels has det W = c^2), so the planar block is
     c * (dh/drho2, -dh/drho1) and the canonical V x V* block is
     (dh/dlam, -dh/dtheta). Requires a plane orbit on which W is regular.
-    chart may be a stack (n, 2 + 2k) when h.grad takes one, and row i of the
-    result is bitwise the call on row i.
+    chart may be a stack (..., 2 + 2k), and row i of the result is bitwise
+    the call on row i.
     """
     c = _generator_scale(nu, B)
     if c * c < 1e-14:

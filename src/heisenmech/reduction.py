@@ -32,14 +32,11 @@ from .dynamics import (
     HamiltonianSpec,
     RCHSystem,
     _base_fiber_indices,
-    _declared,
-    _map_rows,
-    _stacks,
     _state_energies,
-    _vertical_lift,
     euclidean_kinetic_hamiltonian,
     hamiltonian_vector_field,
     rch_vector_field,
+    vertical_lift,
 )
 from .errors import (
     ControlSubsetMissing,
@@ -47,20 +44,18 @@ from .errors import (
     MissingPotential,
     NotInvariant,
 )
-from .group import (CoAlgebraElement, GroupElement, _matvec, coadjoint, inverse,
-                    multiply)
+from .group import (CoAlgebraElement, GroupElement, _dot, _matvec, _vecmat,
+                    coadjoint, inverse, multiply)
 from .magnetic import (
     MagneticField,
     _fiber_push,
-    _left_translate,
     _level_points,
-    _magnetic_form,
-    _momentum_map,
-    _momentum_shift,
-    _project_chart,
+    left_translate,
     level_lift,
+    magnetic_form,
     momentum_map,
     momentum_shift,
+    omega_matrix,
     project_chart,
     sample_level_point,
 )
@@ -191,9 +186,8 @@ class ReducedRCHSystem:
     the level lift through reduced_vertical_lift. The level lift is affine in
     the chart: lift_offset + lift_matrix @ chart puts an orbit chart on the
     level set at center height zero. lift, reduced_vertical_lift and
-    reduced_rch_field also take a stack (n, 2 + 2k) of charts, row i bitwise
-    the call on row i: the field when the reduced Hamiltonian declares its
-    form and the source's vector field takes stacks (dynamics._stacks).
+    reduced_rch_field also take a stack (..., 2 + 2k) of charts, row i
+    bitwise the call on row i.
     """
 
     level: CoAlgebraElement
@@ -271,16 +265,24 @@ def _translation_pairs(rng: np.random.Generator, rounds: int,
     return block[:, :6 + 2 * k], block[:, 6 + 2 * k:]
 
 
-def _projections(states: np.ndarray, field: MagneticField) -> np.ndarray:
-    """project_chart of each row of states, in one pass for a declared field."""
-    return _map_rows(partial(_project_chart, field=field), states,
-                     field.is_constant)
+def _where_finite(f: Callable[..., np.ndarray], *stacks: np.ndarray
+                  ) -> np.ndarray:
+    """f on the rows at which every stack is finite, and nan rows elsewhere.
+
+    The sweeps read a fiber map's images through the checked chart
+    functions this way: an image that overflows fails its round as a nan
+    residual (NotInvariant), not as the chart-state check's ValueError.
+    """
+    finite = np.logical_and.reduce([np.isfinite(s).all(axis=-1) for s in stacks])
+    out = f(*(np.where(finite[..., None], s, 0.0) for s in stacks))
+    out[~finite] = np.nan
+    return out
 
 
 def _invariance_residuals(H: HamiltonianSpec, k: int) -> np.ndarray:
     """|H(g x) - H(x)| on the invariance sweep's 100 pairs (x, g), seed 7121."""
     x, g = _translation_pairs(np.random.default_rng(7121), 100, k)
-    return np.abs(_state_energies(H, _left_translate(g, x))
+    return np.abs(_state_energies(H, left_translate(g, x))
                   - _state_energies(H, x))
 
 
@@ -289,9 +291,8 @@ def _equivariance_residuals(fm: FiberMap, k: int, rng: np.random.Generator
     """Per pair (s, h) of _EQUIVARIANCE_ROUNDS: the largest entry of
     |F(h s) - h F(s)|, and |F(s)_p3 - s_p3|, the center momentum F moves."""
     s, h = _translation_pairs(rng, _EQUIVARIANCE_ROUNDS, k)
-    apply = partial(_map_rows, fm.apply, stacked=fm.affine)
-    moved = apply(s)
-    gap = apply(_left_translate(h, s)) - _left_translate(h, moved)
+    moved = fm.image(s)
+    gap = fm.image(left_translate(h, s)) - _where_finite(left_translate, h, moved)
     return np.max(np.abs(gap), axis=1), np.abs(moved[:, 5] - s[:, 5])
 
 
@@ -309,8 +310,8 @@ def _lift_residuals(red: "ReducedRCHSystem", rng: np.random.Generator
     out = [values.max(axis=1) - values.min(axis=1)]
     for fm in (sys.force, sys.control):
         if fm is not None:
-            images = _projections(_map_rows(fm.apply, lifts, fm.affine),
-                                  sys.field).reshape(20, heights, -1)
+            images = _where_finite(partial(project_chart, field=sys.field),
+                                   fm.image(lifts)).reshape(20, heights, -1)
             out.append(np.max(np.abs(images - images[:, :1]), axis=(1, 2)))
     return out
 
@@ -411,17 +412,15 @@ def reduced_vertical_lift(fm: FiberMap, red: ReducedRCHSystem,
     projection and is deliberately not offered.
     """
     lift = red.lift(chart)
-    return _fiber_push(lift[..., :3],
-                       _vertical_lift(fm, red.source, lift)[..., 3:])
+    return _fiber_push(lift[..., :3], vertical_lift(fm, red.source, lift)[..., 3:])
 
 
 def reduced_rch_field(red: ReducedRCHSystem, chart: np.ndarray) -> np.ndarray:
     """Full reduced dynamics: Hamiltonian part plus reduced vertical lifts."""
     out = reduced_hamiltonian_field(red, chart)
-    if red.source.force is not None:
-        out = out + reduced_vertical_lift(red.source.force, red, chart)
-    if red.source.control is not None:
-        out = out + reduced_vertical_lift(red.source.control, red, chart)
+    for fm in (red.source.force, red.source.control):
+        if fm is not None:
+            out = out + reduced_vertical_lift(fm, red, chart)
     return out
 
 
@@ -455,9 +454,7 @@ def integrate_reduced(red: ReducedRCHSystem, chart0: np.ndarray, t_end: float,
     rhs = lambda chart: reduced_rch_field(red, chart)
     affine = red.hamiltonian.form is not None and all(
         fm is None or fm.affine for fm in (red.source.force, red.source.control))
-    generator = dynamics._affine_pair(
-        partial(_map_rows, rhs, stacked=_stacks(red.source)),
-        chart0.size) if affine else None
+    generator = dynamics._affine_pair(rhs, chart0.size) if affine else None
     times, charts, _ = dynamics._fixed_step_flow(rhs, chart0, t_end, h, method,
                                                  generator)
     lifted = red.lift_offset + charts @ red.lift_matrix.T
@@ -474,18 +471,15 @@ def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
     against the reduced field at the projected point; the record keeps the
     worst component mismatch, against 1e-5. The level points are one stack
     (magnetic._level_points, the stream of sample_level_point), and each
-    map takes it in one pass, or row by row where it cannot
-    (dynamics._map_rows): every row is bitwise the per-sample call.
+    map takes it in one call: every row is bitwise the per-sample call.
     """
     _require_samples(samples)
     states = _level_points(red.level, sys.field, sys.k,
                            np.random.default_rng(seed), samples)
-    full = _map_rows(partial(rch_vector_field, sys), states, _stacks(sys))
-    project = partial(_projections, field=sys.field)
-    lhs = fd.directional(project, states, full, fd.GRADIENT_STEP)
-    # The reduced field stacks when its Hamiltonian declares its form.
-    rhs = _map_rows(partial(reduced_rch_field, red), project(states),
-                    red.hamiltonian.form is not None and _stacks(red.source))
+    project = partial(project_chart, field=sys.field)
+    lhs = fd.directional(project, states, rch_vector_field(sys, states),
+                         fd.GRADIENT_STEP)
+    rhs = reduced_rch_field(red, project(states))
     return CheckRecord("reduction.commutation", samples, _worst(lhs - rhs), 1e-5)
 
 
@@ -639,10 +633,8 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     downstairs = RCHSystem(charged, euclidean_kinetic_hamiltonian(kk.m))
     traj_down = dynamics.integrate(downstairs, x0, t_end, h, "rk4")
 
-    # A general field's potential is the user's, of one point.
-    projected = _map_rows(
-        partial(_momentum_shift, field=replace(kk.field, charge_factor=-mu)),
-        states_up[:, :6], kk.field.is_constant)
+    projected = momentum_shift(states_up[:, :6],
+                               replace(kk.field, charge_factor=-mu))
     mismatch = float(np.max(np.abs(projected - traj_down.states)))
     drift = float(np.max(np.abs(states_up[:, 7] - mu)))
     n = states_up.shape[0]
@@ -753,23 +745,20 @@ class DiffeoSpec:
     @classmethod
     def group_translation(cls, h: GroupElement) -> "DiffeoSpec":
         """Left translation by h on the group chart, with its exact cotangent
-        lift: left translation by h^-1 (magnetic._left_translate), which keeps
+        lift: left translation by h^-1 (magnetic.left_translate), which keeps
         the body momentum, and by h for the inverse. The lift is a polynomial
         of degree 2 in the state, so its central difference with unit step is
         its exact tangent."""
         g = h.as_array()
         g_inv = inverse(g)
-
-        def lift(s):
-            return _left_translate(g_inv, np.asarray(s, dtype=float))
+        lift = partial(left_translate, g_inv)
 
         def lift_tangent(s, v):
             s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
             return 0.5 * (lift(s + v) - lift(s - v))
 
         return cls(lambda q: multiply(g, q), lambda q: multiply(g_inv, q),
-                   lift, lambda s: _left_translate(g, np.asarray(s, dtype=float)),
-                   lift_tangent)
+                   lift, partial(left_translate, g), lift_tangent)
 
 
 def _extend_lift(phi: DiffeoSpec, states: np.ndarray) -> np.ndarray:
@@ -787,15 +776,6 @@ def _extend_push(phi: DiffeoSpec, states: np.ndarray,
                            vectors[..., 6:]], axis=-1)
 
 
-def _lifted(phi: DiffeoSpec, states: np.ndarray) -> np.ndarray:
-    """phi's lift of a stack of states; ValueError if a lifted state has a
-    non-finite entry, at which no form or momentum can be read."""
-    lifted = phi.apply_lift(states)
-    if not np.isfinite(lifted).all():
-        raise ValueError("chart state has non-finite components")
-    return lifted
-
-
 def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
               samples: int = 100, seed: int = 5501) -> CheckRecord:
     """Is the lift symplectic between the two magnetic forms?
@@ -804,7 +784,8 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
     compares with the target-side form on random points and tangent pairs;
     the record's bound is 1e-5. Per sample the draws are a state
     uniform(-2, 2, 6), then the tangents v and w, normal(size=6) each; the
-    forms are then one array pass (magnetic._magnetic_form).
+    forms are then one array pass. The lifted states are checked before
+    the lift's tangent is taken (ValueError for a non-finite one).
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
@@ -813,9 +794,9 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
         x2[i] = rng.uniform(-2, 2, 6)
         vw[i] = rng.normal(size=12)
     v, w = vw[:, :6], vw[:, 6:]
-    lhs = _magnetic_form(_lifted(phi, x2), phi.push_lift(x2, v),
-                         phi.push_lift(x2, w), field1)
-    rhs = _magnetic_form(x2, v, w, field2)
+    W1 = omega_matrix(phi.apply_lift(x2), field1)
+    lhs = _dot(_vecmat(phi.push_lift(x2, v), W1), phi.push_lift(x2, w))
+    rhs = magnetic_form(x2, v, w, field2)
     return CheckRecord("mr1.symplectic", samples, _worst(lhs - rhs), 1e-5)
 
 
@@ -831,13 +812,14 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
     numerically fix the level (for nonzero nu that leaves just the center).
     Both records are bounded by 1e-7. The level points, the candidates and
     the isotropy states are each one block draw, and every sample against
-    every candidate is one stacked translation (magnetic._left_translate).
+    every candidate is one stacked translation (magnetic.left_translate).
+    A non-finite lifted state raises ValueError.
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     p1, p2 = level1.as_array(), level2.as_array()
-    x1 = _lifted(phi, _level_points(level2, field2, 0, rng, samples))
-    level_gaps = _momentum_map(x1, field1) - p1
+    x1 = phi.apply_lift(_level_points(level2, field2, 0, rng, samples))
+    level_gaps = momentum_map(x1, field1) - p1
 
     center = rng.uniform(-3, 3, 8)
     g = rng.uniform(-2, 2, (12, 3))
@@ -847,8 +829,8 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
 
     s2 = rng.uniform(-2, 2, (samples, 6))
     g = np.tile(candidates, (samples, 1))
-    lhs = phi.apply_lift(_left_translate(g, np.repeat(s2, len(candidates), 0)))
-    rhs = _left_translate(g, np.repeat(_lifted(phi, s2), len(candidates), 0))
+    lhs = phi.apply_lift(left_translate(g, np.repeat(s2, len(candidates), 0)))
+    rhs = left_translate(g, np.repeat(phi.apply_lift(s2), len(candidates), 0))
     return [CheckRecord("mr2.level", samples, _worst(level_gaps), 1e-7),
             CheckRecord("mr2.isotropy", samples, _worst(lhs - rhs), 1e-7)]
 
@@ -867,8 +849,7 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     horizontal component must vanish on its own, since no vertical lift can
     absorb it. The vertical record is bounded by 1e-6, the horizontal one by
     1e-8. The samples are one uniform(-2, 2, (samples, 6 + 2k)) block and
-    each field is one array pass where it stacks (dynamics._map_rows); the
-    distance is taken row by row.
+    each field is one call on the stack; the distance is taken row by row.
     """
     _require_samples(samples)
     if sys1.control_subset is None:
@@ -881,11 +862,8 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     uncontrolled = replace(sys1, control=None)
     x2 = rng.uniform(-2, 2, (samples, 6 + 2 * k))
     x1 = _extend_lift(phi, x2)
-    target = _map_rows(partial(hamiltonian_vector_field, sys2), x2,
-                       _declared(sys2))
-    residual = (_map_rows(partial(rch_vector_field, uncontrolled), x1,
-                          _stacks(uncontrolled))
-                - _extend_push(phi, x2, target))
+    residual = (rch_vector_field(uncontrolled, x1)
+                - _extend_push(phi, x2, hamiltonian_vector_field(sys2, x2)))
     force = sys2.force
     if force is not None:
         def transported(s: np.ndarray) -> np.ndarray:
@@ -893,9 +871,12 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
                                    s[..., 6:]], axis=-1)
             return _extend_lift(phi, np.asarray(force.apply(down)))
 
-        residual = residual - _map_rows(
-            partial(_vertical_lift, FiberMap(apply=transported), sys1), x1,
-            force.affine and _declared(sys1))
+        # transported is affine in the fiber when the force is (the lifts
+        # are linear there), and then takes stacks as they do; its push is
+        # the central difference FiberMap.push would take.
+        lifted = FiberMap(transported, partial(
+            fd.directional, transported, step=fd.GRADIENT_STEP), force.affine)
+        residual = residual - vertical_lift(lifted, sys1, x1)
     vertical = [sys1.control_subset.distance(row) for row in residual[:, fiber]]
     return [CheckRecord("mr3.vertical", samples, _worst(vertical), 1e-6),
             CheckRecord("mr3.horizontal", samples, _worst(residual[:, base]),

@@ -1,8 +1,10 @@
 """Tooling: the exported names of every module resolve, and deleted ones stay gone."""
 
+import ast
 import importlib
 import inspect
 import operator
+from pathlib import Path
 
 import pytest
 
@@ -19,13 +21,18 @@ MODULES = ("group", "orbit", "connection", "magnetic", "dynamics", "reduction",
 # parse_config_text, which nothing called; reduced_hamiltonian, since
 # reduce_system reads the reduced value off its stored level lift; and
 # _affine_generator, since the propagator reads its generator off the vector
-# field (dynamics._affine_pair).
+# field (dynamics._affine_pair). The unchecked stacked twins of checked
+# laws, since each checked function takes stacks, and the per-call-site
+# decisions whether a callable takes a stack (_declared, _stacks), the
+# projection helper and the lifted-state check that came with them.
 DELETED = ("PhasePoint", "ExtendedPhasePoint", "MomentumValue", "body_to_chart",
            "chart_to_body", "extended_to_chart", "extended_from_chart",
            "left_translate_point", "extended_momentum_shift", "vec2",
            "OrbitPoint", "log", "level_set_contains", "_shifted_hamiltonian",
            "_sign", "parse_config_text", "reduced_hamiltonian",
-           "_affine_generator")
+           "_affine_generator", "_left_translate", "_omega_matrix",
+           "_magnetic_form", "_momentum_map", "_project_chart",
+           "_vertical_lift", "_declared", "_stacks", "_projections", "_lifted")
 
 # Parameters that only ever took their default, now constants in the body:
 # among them the MR record bounds (check_mr_identity replaces the thresholds
@@ -100,3 +107,22 @@ def test_removed_parameters_stay_gone():
             importlib.import_module(f"heisenmech.{module}"))
         assert parameter not in inspect.signature(fn).parameters, (
             f"heisenmech.{module}.{function}({parameter})")
+
+
+def test_each_law_is_written_once():
+    # A module that defines both f and _f writes one law twice: a checked
+    # function and an unchecked twin. The one twin kept is
+    # magnetic._momentum_shift: the shifted route of dynamics.integrate runs
+    # it on iterates that may overflow, which the integrator reports as a
+    # numerical failure rather than as a refused input.
+    pairs = set()
+    for path in sorted(Path(heisenmech.__file__).parent.glob("*.py")):
+        names = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+        pairs |= {(path.stem, name) for name in names if "_" + name in names}
+    assert pairs == {("magnetic", "momentum_shift")}
+    # Only the declaring types map a user's one-point callables over rows;
+    # the modules that call them pass stacks.
+    for name in ("reduction", "checks"):
+        assert not hasattr(importlib.import_module(f"heisenmech.{name}"),
+                           "_map_rows")

@@ -293,6 +293,41 @@ def test_overflowing_step_matrix_prints_only_the_failure(tmp_path, method,
     assert result.stderr == f"numerical failure: {message}\n"
 
 
+# Inputs that overflow inside a run, with the exit code and the last line of
+# stderr each gives. The translation by 1e308 fails its construction check
+# (a traceback, exit 1); a force map whose images overflow fails a sweep of
+# reduce_system as a nan residual (exit 3), in the equivariance sweep at
+# factor 1e308 and in the lift sweep when a potential of 1e308 puts the lifts
+# near the float range.
+OVERFLOWS = (
+    ("mr-check", "mr_translation.cfg", ("diffeo.u1 = 2.0", "diffeo.u1 = 1e308"),
+     "", 1, "ValueError: base_inverse does not invert base on samples"),
+    ("reduce", "reduce.cfg", ("field.a1 = 0.3", "field.a1 = 0.3"),
+     "force.kind = body_scaling\nforce.factor = 1e308\n", 3,
+     "numerical failure: NotInvariant: force map is not equivariant under "
+     "left translation"),
+    ("reduce", "reduce.cfg", ("field.a1 = 0.3", "field.a1 = 1e308"),
+     "force.kind = body_scaling\nforce.factor = 2.0\n", 3,
+     "numerical failure: NotInvariant: reduced Hamiltonian value depends on "
+     "the lift"),
+)
+
+
+@pytest.mark.parametrize("command, base, edit, extra, code, last", OVERFLOWS)
+def test_overflowing_runs_keep_their_exit_code_and_failure(
+        tmp_path, command, base, edit, extra, code, last):
+    text = (CONFIGS / base).read_text()
+    assert edit[0] in text
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text.replace(*edit) + extra)
+    result = subprocess.run(
+        [sys.executable, "-m", "heisenmech.cli", command, "--config",
+         str(cfg), "--out", str(tmp_path)], capture_output=True, text=True)
+    assert result.returncode == code
+    assert result.stderr.splitlines()[-1] == last
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_body_scaling_tangent_matches_finite_differences():
     rng = np.random.default_rng(16)
     force = _body_scaling_map(0.7, 0.8)

@@ -390,6 +390,23 @@ def test_shifted_chart_route_and_rk4_fallback():
     assert out.method == "rk4"
 
 
+def test_an_overflowing_back_shift_is_the_trajectory_refusal():
+    # The shifted route maps its states back through t_A^-1 after the flow.
+    # The potential is -2 only near q3 = 4, a state of the run but no
+    # midpoint of a step, so the flow stays finite and charge factor 1e308
+    # overflows that one back-shift. Trajectory refuses the run, after the
+    # momenta are read; no chart-state check refuses it first.
+    def potential(q):
+        return np.array([-2.0 if 3.75 < q[2] < 4.25 else 0.0, 0.0, 0.0])
+
+    field = M.MagneticField(lambda q: np.zeros((3, 3)), potential, 1e308,
+                            lambda q: np.zeros((3, 3)))
+    sys = D.RCHSystem(field, D.euclidean_kinetic_hamiltonian(1.0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as refusal:
+        D.integrate(sys, np.array([0.0, 0.0, 0.0, 1.0, 0.0, 1.0]), 5.0, 1.0)
+    assert str(refusal.value) == "trajectory contains non-finite states"
+
+
 @pytest.mark.parametrize("k", (0, 1))
 def test_shifted_hamiltonian_gradient_matches_finite_differences(k):
     kinetic = D.invariant_kinetic_hamiltonian(1.3)

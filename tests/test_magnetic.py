@@ -259,6 +259,7 @@ def test_reduce_point_well_defined_on_isotropy_orbits():
     rng = np.random.default_rng(66)
     field = M.MagneticField.invariant_potential((0.1, 0.2, 0.3), 0.8)
     mu_nu = CoAlgebraElement((1.0, 2.0), 1.5)
+    xs, charts = [], []
     for _ in range(100):
         x = M.sample_level_point(mu_nu, field, k=1, rng=rng)
         z = np.array([0.0, 0.0, rng.normal()])  # isotropy of (mu, nu != 0)
@@ -266,6 +267,11 @@ def test_reduce_point_well_defined_on_isotropy_orbits():
         o2 = M.reduce_point(M.left_translate(z, x), mu_nu, field)
         assert np.max(np.abs(o1 - o2)) <= 1e-10
         assert o1.shape == o2.shape == (4,)
+        xs.append(x)
+        charts.append(o1)
+    # a stack of level points gives the stack of their charts, bit for bit
+    assert (M.reduce_point(np.array(xs), mu_nu, field).tobytes()
+            == np.array(charts).tobytes())
 
 
 def test_reduce_point_covers_orbit_plane():
@@ -514,13 +520,17 @@ def test_momentum_shift_inverse_is_the_negated_charge():
                 assert np.all(np.abs(back[3:6] - s[3:6]) <= 2 * ulp)
 
 
+NAN_ROW = np.zeros((3, 6))
+NAN_ROW[1, 4] = np.nan
 BAD_STATES = [np.array([0.1, 0.2, np.nan, 0.0, 1.0, 2.0]),
               np.array([0.1, 0.2, 0.3, np.inf, 1.0, 2.0, 0.0, 0.0]),
-              np.zeros(5), np.zeros(7), np.zeros((1, 6)), np.float64(1.0)]
+              np.zeros(5), np.zeros(7), np.zeros((1, 5)), np.zeros((2, 7)),
+              NAN_ROW, np.float64(1.0)]
 
 
 @pytest.mark.parametrize("state", BAD_STATES,
-                         ids=("nan", "inf", "size5", "size7", "2d", "scalar"))
+                         ids=("nan", "inf", "size5", "size7", "stack5",
+                              "stack7", "nan_row", "scalar"))
 def test_public_functions_reject_bad_chart_states(state):
     field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
     level = CoAlgebraElement((0.4, -0.7), 1.0)

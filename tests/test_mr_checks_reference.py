@@ -244,9 +244,9 @@ def test_mr_single_state_calls_do_not_grow_with_samples(monkeypatch):
     for name in ("left_translate", "momentum_map", "magnetic_form"):
         original = getattr(M, name)
 
-        def counting(*args, name=name, original=original):
+        def counting(*args, name=name, original=original, **kwargs):
             counts[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         for owner in (M, D, R):
             if getattr(owner, name, None) is original:
@@ -265,10 +265,11 @@ def test_mr_single_state_calls_do_not_grow_with_samples(monkeypatch):
         return dict(counts)
 
     assert calls(40) == calls(400)
-    # The counter sees per-sample calls: the reference loop makes them.
+    # The counter sees per-sample calls: the reference loop makes them (the
+    # translation's lift and its tangent go through left_translate).
     counts.clear()
     reference_mr1(phi, INVARIANT, INVARIANT, 5)
-    assert counts == {"magnetic_form": 10}
+    assert counts == {"magnetic_form": 10, "left_translate": 25}
 
 
 @pytest.mark.parametrize("one_point", ["base", "base_inverse", "lift",

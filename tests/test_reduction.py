@@ -812,7 +812,7 @@ def test_commutation_record_refuses_nan_samples():
 
     broken = dataclasses.replace(red, hamiltonian=OrbitFunction(h.evaluate, grad))
     charts = M._level_points(LEVEL, sys.field, 0, np.random.default_rng(11), 50)
-    assert np.count_nonzero(R._projections(charts, sys.field)[:, 0] >= 0.4) == 27
+    assert np.count_nonzero(M.project_chart(charts, sys.field)[:, 0] >= 0.4) == 27
     assert loop_commutation(sys, broken, 50, 11) <= 1e-5
     with pytest.raises(FloatingPointError, match="reduction.commutation"):
         R.check_commutation(sys, broken, samples=50, seed=11)
@@ -849,6 +849,43 @@ def test_mr_and_kk_records_refuse_nan_samples(which):
             R.kk_alpha_form_check(R.kaluza_klein_system(bumpy, 1.0, 0.8))
     # the same checkers pass on the finite identity
     assert R.check_mr1(ident, field, field, samples=20).passed
+
+
+def overflowing_lift():
+    """A diffeo whose lift sets p1 to inf on every state; its callables take
+    stacks, and it skips the lift check, so it constructs."""
+    def ident(q):
+        return np.asarray(q, dtype=float).copy()
+
+    def blow(s):
+        out = np.asarray(s, dtype=float).copy()
+        out[..., 3] = np.inf
+        return out
+
+    return R.DiffeoSpec(ident, ident, blow, blow, verify_lift=False)
+
+
+@pytest.mark.parametrize("which", ("mr1", "mr2"))
+def test_mr1_and_mr2_refuse_a_non_finite_lifted_state(which):
+    # Refused before any tangent of the lift is taken: a central difference
+    # of the inf lift would warn first.
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    phi = overflowing_lift()
+    with pytest.raises(ValueError) as refusal:
+        if which == "mr1":
+            R.check_mr1(phi, field, field, samples=5)
+        else:
+            R.check_mr2_equivariance(phi, LEVEL, LEVEL, field, field, samples=5)
+    assert str(refusal.value) == "chart state has non-finite components"
+
+
+@pytest.mark.parametrize("span", (np.eye(3), np.zeros((0, 3))))
+def test_mr3_reports_a_non_finite_lift_as_a_non_finite_residual(span):
+    subset = D.ControlSubset(np.zeros(3), span)
+    sys = particle(subset=subset)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as refusal:
+        R.check_mr3_matching(sys, sys, overflowing_lift(), samples=5)
+    assert str(refusal.value) == "mr3.vertical: non-finite residual nan"
 
 
 def lift_dependent(s):
@@ -902,9 +939,9 @@ def test_reduce_path_single_state_calls_do_not_grow_with_samples(monkeypatch):
                          (M, "sample_level_point"), (D, "rch_vector_field")):
         original = getattr(module, name)
 
-        def counting(*args, name=name, original=original):
+        def counting(*args, name=name, original=original, **kwargs):
             counts[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         for owner in (M, D, R):
             if getattr(owner, name, None) is original:
@@ -919,8 +956,23 @@ def test_reduce_path_single_state_calls_do_not_grow_with_samples(monkeypatch):
     declared = particle(force=_body_scaling_map(0.7, 0.8), subset=full,
                         control=_constant_push_map((0.3, -0.1, 0.0)))
     assert calls(declared, 50) == calls(declared, 500) == {
-        "sample_level_point": 1, "rch_vector_field": 1}
-    # The counter sees per-sample calls: a map not declared affine is mapped
-    # over the rows.
-    undeclared = particle(force=body_scaling(0.7))
-    assert calls(undeclared, 50)["rch_vector_field"] == 50
+        "sample_level_point": 1, "rch_vector_field": 1, "left_translate": 5,
+        "project_chart": 5}
+    # A map not declared affine takes the same stacked calls; only its own
+    # apply, of one state, is mapped over the rows, which a counter on it
+    # sees.
+    shapes = collections.Counter()
+    scaling = body_scaling(0.7)
+
+    def apply(s):
+        shapes[np.shape(s)] += 1
+        return scaling.apply(s)
+
+    undeclared = particle(force=D.FiberMap(apply=apply))
+    assert calls(undeclared, 50) == calls(undeclared, 500) == {
+        "sample_level_point": 1, "rch_vector_field": 1, "left_translate": 3,
+        "project_chart": 4}
+    assert set(shapes) == {(6,)}
+    shapes.clear()
+    calls(undeclared, 50)
+    assert shapes[(6,)] > 2 * 50

@@ -6,9 +6,9 @@ the single call on that row: for a stack of one row, of several rows and of
 a 2-D leading shape, with entries drawn at magnitudes 1e-6 to 1e6, and with
 the last argument a stack or one triple broadcast against the stack.
 
-The chart kernels the integrating checks call take a single (6 + 2k,) state
-or a stack (n, 6 + 2k), with the same row-by-row contract, for the field and
-Hamiltonian kinds the library declares.
+The chart kernels take a single (6 + 2k,) state or a stack (..., 6 + 2k),
+with the same row-by-row contract, for every field and Hamiltonian kind:
+the declaring types map a user's callables of one point over the rows.
 """
 
 import numpy as np
@@ -217,6 +217,24 @@ def chart_fields(seed):
             M.MagneticField.invariant_potential(rng.normal(size=3), 1.7)]
 
 
+def general_field():
+    """A general field, B = q1^2 dq1 ^ dq2 with A = (0, q1^3/3, 0): the
+    user's callables index one point, so they are wrong on a stack unless
+    the field maps them over its rows."""
+    def b(q):
+        out = np.zeros((3, 3))
+        out[0, 1], out[1, 0] = q[0] ** 2, -q[0] ** 2
+        return out
+
+    def da(q):
+        out = np.zeros((3, 3))
+        out[1, 0] = q[0] ** 2
+        return out
+
+    return M.MagneticField(b, lambda q: np.array([0.0, q[0] ** 3 / 3.0, 0.0]),
+                           1.1, da)
+
+
 def hamiltonians(seed):
     """A Hamiltonian of each declared kind."""
     rng = np.random.default_rng(seed + 6)
@@ -224,6 +242,25 @@ def hamiltonians(seed):
     return [D.euclidean_kinetic_hamiltonian(1.3),
             D.invariant_kinetic_hamiltonian(0.7),
             D.quadratic_hamiltonian(Q + Q.T, rng.normal(size=6))]
+
+
+def general_hamiltonian():
+    """A general Hamiltonian 1/2 |y|^2 + sin(q1) whose callables index one
+    state."""
+    def gradient(s):
+        out = np.array(s, dtype=float)
+        out[0] += np.cos(s[0])
+        return out
+
+    return D.HamiltonianSpec(lambda s: 0.5 * float(s @ s) + float(np.sin(s[0])),
+                             gradient)
+
+
+def squash(s):
+    """A fiber map of one state, not affine: p -> tanh(p) + q1 p2."""
+    out = np.array(s, dtype=float)
+    out[3:6] = np.tanh(s[3:6]) + s[0] * s[4]
+    return out
 
 
 def chart_stack(seed, exponent, rows, k):
@@ -234,32 +271,53 @@ def chart_stack(seed, exponent, rows, k):
 @given(seed=seeds, exponent=exponents, rows=st.sampled_from([1, 5]),
        k=st.sampled_from([0, 1, 2]))
 def test_chart_kernels_are_rowwise_bitwise(seed, exponent, rows, k):
+    # Every field and Hamiltonian kind, the general ones included, a fiber
+    # map not declared affine and an orbit function without a form: the
+    # declaring types map a user's callables of one point over the rows.
     states = chart_stack(seed, exponent, rows, k)
     v = chart_stack(seed + 1, 0.0, rows, k)
-    for field in chart_fields(seed):
-        W = M._omega_matrix(states, field)
+    fm = D.FiberMap(apply=squash)
+    for field in chart_fields(seed) + [general_field()]:
+        W = M.omega_matrix(states, field)
         if field.has_potential:
-            shifted = M._momentum_shift(states, field)
+            shifted = M.momentum_shift(states, field)
             potential = field.vector_potential(states[:, :3])
         for i in range(rows):
             assert bits(W[i]) == bits(M.omega_matrix(states[i], field))
             if field.has_potential:
                 assert bits(shifted[i]) == bits(M.momentum_shift(states[i], field))
                 assert bits(potential[i]) == bits(field.vector_potential(states[i, :3]))
-        for H in hamiltonians(seed):
-            sys = D.RCHSystem(field, H, k=k)
+        specs = hamiltonians(seed) + [general_hamiltonian()]
+        if field.has_potential:
+            specs.append(D.modified_hamiltonian(
+                D.RCHSystem(field, specs[1], k=k)))
+        for H in specs:
+            sys = D.RCHSystem(field, H, force=fm, k=k)
             X = D.hamiltonian_vector_field(sys, states)
-            grad, value = H.grad(states), H.evaluate(states)
+            full = D.rch_vector_field(sys, states)
+            grad, value = H.grad(states), D._state_energies(H, states)
             # the defining-equation residual of check_dynamics, both ways
             XWv, gv = G._dot(G._vecmat(X, W), v), G._dot(grad, v)
             for i in range(rows):
                 one = D.hamiltonian_vector_field(sys, states[i])
                 assert bits(X[i]) == bits(one)
+                assert bits(full[i]) == bits(D.rch_vector_field(sys, states[i]))
                 assert bits(grad[i]) == bits(H.grad(states[i]))
                 assert bits(value[i]) == bits(H.evaluate(states[i]))
                 W1 = M.omega_matrix(states[i], field)
                 assert bits(XWv[i]) == bits(float(one @ W1 @ v[i]))
                 assert bits(gv[i]) == bits(float(H.grad(states[i]) @ v[i]))
+    image, pushed = fm.image(states), fm.push(states, v)
+    charts = states[:, 2:]
+    h = O.OrbitFunction(lambda z: float(np.sin(z[0]) * z[1] + z @ z))
+    grad = h.grad(charts)
+    flow = O.orbit_hamiltonian_vector_field(h, charts, 0.8, O.MagneticCocycle.zero())
+    for i in range(rows):
+        assert bits(image[i]) == bits(fm.image(states[i]))
+        assert bits(pushed[i]) == bits(fm.push(states[i], v[i]))
+        assert bits(grad[i]) == bits(h.grad(charts[i]))
+        assert bits(flow[i]) == bits(O.orbit_hamiltonian_vector_field(
+            h, charts[i], 0.8, O.MagneticCocycle.zero()))
 
 
 def test_single_chart_states_keep_their_return_types():
@@ -281,29 +339,40 @@ def test_stacks_outside_the_contract_are_rejected_as_before():
     sys = D.RCHSystem(field, hamiltonians(3)[1])
     good = chart_stack(3, 0.0, 4, 0)
     for bad in (np.zeros((4, 5)), np.zeros((4, 7)), np.zeros((4, 8)),
-                np.zeros((2, 4, 6)), np.float64(1.0)):
+                np.zeros((2, 4, 5)), np.float64(1.0)):
         with pytest.raises(ValueError, match="state must have dimension 6"):
             D.hamiltonian_vector_field(sys, bad)
-    # A user's general Hamiltonian or field is a callable of one state, so
-    # the vector field takes no stack of them.
+    # A user's general Hamiltonian or field is a callable of one state, which
+    # the spec and the field map over the rows: the vector field takes a
+    # stack of them, of any leading shape, row i bitwise the call on row i.
     general = D.HamiltonianSpec(sys.hamiltonian.evaluate, sys.hamiltonian.gradient)
     curved = M.MagneticField(lambda q: q[0] * np.array(
         [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    for other in (D.RCHSystem(field, general), D.RCHSystem(curved, sys.hamiltonian),
+    for other in (sys, D.RCHSystem(field, general),
+                  D.RCHSystem(curved, sys.hamiltonian),
                   D.RCHSystem(field, D.modified_hamiltonian(sys))):
-        D.hamiltonian_vector_field(other, good[0])
-        with pytest.raises(ValueError, match="declared kinds"):
-            D.hamiltonian_vector_field(other, good)
-    # The public magnetic functions keep their single-state input check; a
-    # stack goes through the unchecked kernels.
+        X = D.hamiltonian_vector_field(other, good)
+        assert bits(D.hamiltonian_vector_field(other, good.reshape(2, 2, 6))
+                    ) == bits(X.reshape(2, 2, 6))
+        for i in range(4):
+            assert bits(X[i]) == bits(D.hamiltonian_vector_field(other, good[i]))
+    # The public magnetic functions take a stack too, and check its shape
+    # and every entry.
     h = np.array([0.1, -0.2, 0.3])
+    nan_row = good.copy()
+    nan_row[2, 4] = np.nan
     for call in (lambda s: M.omega_matrix(s, field),
                  lambda s: M.momentum_shift(s, field),
                  lambda s: M.left_translate(h, s),
-                 lambda s: M.momentum_map(s, field)):
-        call(good[0])
+                 lambda s: M.momentum_map(s, field),
+                 lambda s: M.project_chart(s, field)):
+        stacked = call(good)
+        for i in range(4):
+            assert bits(stacked[i]) == bits(call(good[i]))
         with pytest.raises(ValueError, match="flat array"):
-            call(good)
+            call(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="non-finite"):
+            call(nan_row)
 
 
 def test_non_finite_rows_are_rowwise_as_single_states():
