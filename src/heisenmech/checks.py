@@ -103,18 +103,20 @@ def check_representations(seed: int, samples: int = 1000) -> list[CheckRecord]:
 
 def _picked(fs, index: np.ndarray) -> orbit.DualFunction:
     """DualFunction on a stack of len(index) dual points whose value and
-    derivatives at point i are those of fs[index[i]]."""
-    rows = np.arange(index.size)
+    derivatives at point i are those of fs[index[i]]; each function is
+    evaluated on its own rows only."""
+    rows = [np.flatnonzero(index == k) for k in range(len(fs))]
 
-    def pick(values, tail):
-        return np.stack([np.broadcast_to(v, rows.shape + tail)
-                         for v in values])[index, rows]
+    def pick(method, tail):
+        def stacked(p):
+            out = np.empty(index.shape + tail)
+            for f, mine in zip(fs, rows):
+                out[mine] = getattr(f, method)(p[mine])
+            return out
+        return stacked
 
-    return orbit.DualFunction(
-        evaluate=lambda p: pick([f.evaluate(p) for f in fs], ()),
-        gradient=lambda p: pick([f.grad(p) for f in fs], (3,)),
-        hessian=lambda p: pick([f.hess(p) for f in fs], (3, 3)),
-    )
+    return orbit.DualFunction(pick("evaluate", ()), pick("grad", (3,)),
+                              pick("hess", (3, 3)))
 
 
 def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
@@ -122,39 +124,42 @@ def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
     fs = [orbit.coordinate_function(i) for i in range(3)]
     fs.append(_quadratic(rng.normal(size=(3, 3))))
     fs.append(_quadratic(rng.normal(size=(3, 3))))
-    p, b = np.empty((samples, 3)), np.empty(samples)
-    index = np.empty((3, samples), dtype=int)
-    for i in range(samples):
-        p[i] = rng.uniform(-2, 2, 3)
-        b[i] = rng.normal()
-        index[:, i] = rng.integers(0, len(fs), 3)
-    B = MagneticCocycle.planar(b)
-    f, g, h = (_picked(fs, row) for row in index)
+    # One block per distribution: the points, the planar cocycle magnitudes,
+    # then the indices into fs of f, g and h.
+    p = rng.uniform(-2, 2, (samples, 3))
+    B = MagneticCocycle.planar(rng.normal(size=samples))
+    f, g, h = (_picked(fs, row)
+               for row in rng.integers(0, len(fs), (3, samples)))
     bracket = orbit.magnetic_lie_poisson
     antisym = bracket(f, g, p, B) + bracket(g, f, p, B)
     lhs = bracket(orbit.product_function(f, g), h, p, B)
     rhs = (f.evaluate(p) * bracket(g, h, p, B)
            + g.evaluate(p) * bracket(f, h, p, B))
     jacobi = orbit.check_jacobi((f, g, h), p, B).residual
+    # A symmetric error in a declared hessian cancels in the Jacobi sum but
+    # not in the nested bracket's closed-form gradient.
+    fg = orbit.bracket_function(f, g, B)
+    nested = fg.grad(p) - fd.gradient(fg.evaluate, p)
     df, dg = f.grad(p), g.grad(p)
     oracle = -p[:, 2] * (df[:, 0] * dg[:, 1] - df[:, 1] * dg[:, 0])
     plain = bracket(f, g, p, MagneticCocycle.zero()) - oracle
     return [CheckRecord("bracket.antisymmetry", samples, _worst(antisym), 1e-12),
             CheckRecord("bracket.leibniz", samples, _worst(lhs - rhs), 1e-8),
             CheckRecord("bracket.jacobi", samples, _worst(jacobi), 1e-9),
+            CheckRecord("bracket.nested_gradient", samples, _worst(nested),
+                        1e-6),
             CheckRecord("bracket.plain_oracle", samples, _worst(plain), 1e-10)]
 
 
 def check_orbit_form(seed: int, samples: int = 200) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
     B = MagneticCocycle.planar(0.4)
-    # Per sample: nu = uniform(0.3, 2.5) * (-1.0, 1.0)[integers(0, 2)], then
-    # one uniform(-2, 2) row holding rho (2), xi and eta (3 each) and the
-    # planar part of a fixed point (2), as four consecutive draws would.
-    nu, rows = np.empty(samples), np.empty((samples, 10))
-    for i in range(samples):
-        nu[i] = rng.uniform(0.3, 2.5) * (-1.0, 1.0)[rng.integers(0, 2)]
-        rows[i] = rng.uniform(-2, 2, 10)
+    # One block per distribution: the magnitudes of nu, their signs, then
+    # per sample a uniform(-2, 2) row holding rho (2), xi and eta (3 each)
+    # and the planar part of a fixed point (2).
+    nu = (rng.uniform(0.3, 2.5, samples)
+          * np.array([-1.0, 1.0])[rng.integers(0, 2, samples)])
+    rows = rng.uniform(-2, 2, (samples, 10))
     moving = np.column_stack([rows[:, :2], nu])
     xi, eta = rows[:, 2:5], rows[:, 5:8]
     fixed = np.column_stack([rows[:, 8:], np.zeros(samples)])
@@ -173,14 +178,10 @@ def check_orbit_form(seed: int, samples: int = 200) -> list[CheckRecord]:
 
 def check_connection(seed: int, samples: int = 300) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
-    # Per sample: g, h, v, w as one uniform(-2, 2) row of 12, then nu, a, b
-    # as three standard normals.
-    draws, normals = np.empty((samples, 12)), np.empty((samples, 3))
-    for i in range(samples):
-        draws[i] = rng.uniform(-2, 2, 12)
-        normals[i] = rng.normal(size=3)
-    g, h, v, w = draws.reshape(samples, 4, 3).transpose(1, 0, 2)
-    nu, a, b = normals.T
+    # One block per distribution: the stacks g, h, v, w of uniform(-2, 2)
+    # triples, then the stacks nu, a, b of standard normals.
+    g, h, v, w = rng.uniform(-2, 2, (4, samples, 3))
+    nu, a, b = rng.normal(size=(3, samples))
     metric = C.right_invariant_metric
     gh = group.multiply(g, h)
     tv = group.tangent_right_translation(g, v, h)

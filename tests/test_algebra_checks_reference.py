@@ -2,10 +2,12 @@
 
 check_group_axioms, check_representations, check_bracket, check_orbit_form
 and check_connection evaluate each record as one pass of the library kernels
-over all samples. The references below are the per-sample loops they
-replaced, kept here verbatim (one scalar kernel call per sample, drawing from
-the generator in the same order): every record must carry the same name,
-sample count, bound and the same bits of max residual.
+over all samples. The references below are per-sample loops, one scalar
+kernel call per sample: every record must carry the same name, sample count,
+bound and the same bits of max residual. The group and representation loops
+draw from the generator row by row, in the order of the checks' blocks; the
+bracket, orbit-form and connection loops make the checks' block draws (one
+per distribution) and take sample i's values from row i of each block.
 """
 
 import inspect
@@ -85,12 +87,14 @@ def reference_bracket(seed, samples=200):
     fs = [orbit.coordinate_function(i) for i in range(3)]
     fs.append(_quadratic(rng.normal(size=(3, 3))))
     fs.append(_quadratic(rng.normal(size=(3, 3))))
-    antisym = leibniz = jacobi = plain = 0.0
+    points = rng.uniform(-2, 2, (samples, 3))
+    planar = rng.normal(size=samples)
+    picks = rng.integers(0, len(fs), (3, samples)).T
+    antisym = leibniz = jacobi = nested = plain = 0.0
     zero = MagneticCocycle.zero()
-    for _ in range(samples):
-        p = rng.uniform(-2, 2, 3)
-        B = MagneticCocycle.planar(rng.normal())
-        f, g, h = (fs[i] for i in rng.integers(0, len(fs), 3))
+    for p, b, pick in zip(points, planar, picks):
+        B = MagneticCocycle.planar(b)
+        f, g, h = (fs[i] for i in pick)
         antisym = max(antisym, abs(orbit.magnetic_lie_poisson(f, g, p, B)
                                    + orbit.magnetic_lie_poisson(g, f, p, B)))
         lhs = orbit.magnetic_lie_poisson(orbit.product_function(f, g), h, p, B)
@@ -98,12 +102,16 @@ def reference_bracket(seed, samples=200):
                + g.evaluate(p) * orbit.magnetic_lie_poisson(f, h, p, B))
         leibniz = max(leibniz, abs(lhs - rhs))
         jacobi = max(jacobi, orbit.check_jacobi((f, g, h), p, B).residual)
+        fg = orbit.bracket_function(f, g, B)
+        nested = max(nested, float(np.max(np.abs(
+            fg.grad(p) - fd.gradient(fg.evaluate, p)))))
         df, dg = f.grad(p), g.grad(p)
         oracle = -p[2] * (df[0] * dg[1] - df[1] * dg[0])
         plain = max(plain, abs(orbit.magnetic_lie_poisson(f, g, p, zero) - oracle))
     return [CheckRecord("bracket.antisymmetry", samples, antisym, 1e-12),
             CheckRecord("bracket.leibniz", samples, leibniz, 1e-8),
             CheckRecord("bracket.jacobi", samples, jacobi, 1e-9),
+            CheckRecord("bracket.nested_gradient", samples, nested, 1e-6),
             CheckRecord("bracket.plain_oracle", samples, plain, 1e-10)]
 
 
@@ -111,18 +119,20 @@ def reference_orbit_form(seed, samples=200):
     rng = np.random.default_rng(seed)
     B = MagneticCocycle.planar(0.4)
     zero = MagneticCocycle.zero()
+    magnitudes = rng.uniform(0.3, 2.5, samples)
+    signs = rng.integers(0, 2, samples)
+    rows = rng.uniform(-2, 2, (samples, 10))
     value_res = det_res = classify_res = 0.0
-    for _ in range(samples):
-        nu = rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0])
-        rho = rng.uniform(-2, 2, 2)
-        xi, eta = rng.uniform(-2, 2, (2, 3))
+    for magnitude, sign, row in zip(magnitudes, signs, rows):
+        nu = magnitude * (-1.0, 1.0)[sign]
+        rho, xi, eta, planar = row[:2], row[2:5], row[5:8], row[8:]
         form = orbit.orbit_symplectic_form(nu, xi, eta, B)
         f, g = orbit.linear_function(xi), orbit.linear_function(eta)
         bracket_value = orbit.magnetic_lie_poisson(f, g, np.append(rho, nu), B)
         value_res = max(value_res, abs(form - bracket_value))
         W = orbit.orbit_form_matrix(nu, zero)
         det_res = max(det_res, abs(np.linalg.det(W) - nu * nu))
-        fixed = orbit.classify_orbit(np.append(rng.uniform(-2, 2, 2), 0.0))
+        fixed = orbit.classify_orbit(np.append(planar, 0.0))
         moving = orbit.classify_orbit(np.append(rho, nu))
         if fixed != "point" or moving != "plane":
             classify_res = max(classify_res, 1.0)
@@ -133,9 +143,12 @@ def reference_orbit_form(seed, samples=200):
 
 def reference_connection(seed, samples=300):
     rng = np.random.default_rng(seed)
+    triples = rng.uniform(-2, 2, (4, samples, 3))
+    normals = rng.normal(size=(3, samples))
     invariance = pairing_res = cocycle_res = 0.0
-    for _ in range(samples):
-        g, h, v, w = rng.uniform(-2, 2, (4, 3))
+    for i in range(samples):
+        g, h, v, w = triples[:, i]
+        nu, a, b = normals[:, i]
         gh = group.multiply(g, h)
         tv = group.tangent_right_translation(g, v, h)
         tw = group.tangent_right_translation(g, w, h)
@@ -146,10 +159,8 @@ def reference_connection(seed, samples=300):
         pw = C.right_trivialize(g, w)
         pairing_res = max(pairing_res, abs(
             C.right_invariant_metric(g, v, w) - float(pv @ pw)))
-        nu = rng.normal()
         cocycle_res = max(cocycle_res, abs(
             nu * C.curvature(g, v, w) - MagneticCocycle.planar(nu).pair(v, w)))
-        a, b = rng.normal(size=2)
         cocycle_res = max(cocycle_res, abs(C.locked_inertia(g, a, b) - a * b))
     step = fd.TANGENT_STEP
     conn_at = C.mechanical_connection
@@ -213,3 +224,34 @@ def test_stacked_records_match_at_one_and_few_samples(name):
     for samples in (1, 2, 7):
         assert (as_tuples(checks.CHECKS[name](11, samples))
                 == as_tuples(REFERENCES[name](11, samples))), (name, samples)
+
+
+class CountingGenerator:
+    """A numpy Generator that appends the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_generator_calls_do_not_grow_with_samples(name, monkeypatch):
+    # Each check draws every distribution as one block, so it makes the same
+    # generator calls whatever the sample count.
+    make = np.random.default_rng
+    calls = {}
+    for samples in (10, 1000):
+        calls[samples] = []
+        monkeypatch.setattr(checks.np.random, "default_rng",
+                            lambda seed, out=calls[samples]:
+                            CountingGenerator(make(seed), out))
+        checks.CHECKS[name](7, samples)
+    assert calls[10] and calls[10] == calls[1000], calls

@@ -9,7 +9,7 @@ that check_jacobi reads the declared hessians.
 
 import numpy as np
 
-from heisenmech import fd
+from heisenmech import checks, fd
 from heisenmech import orbit as O
 from heisenmech.group import bracket, pairing
 
@@ -175,3 +175,21 @@ def test_symmetric_hessian_errors_show_in_the_gradient_not_in_jacobi():
     fg = O.bracket_function(wrong, g, B)
     ref = fd.gradient(fg.evaluate, p)
     assert np.max(np.abs(fg.grad(p) - ref)) > 1e-5
+
+
+def test_check_bracket_records_a_symmetric_hessian_error(monkeypatch):
+    # The same error injected into the check's quadratic functions: the
+    # bracket.nested_gradient record fails while bracket.jacobi passes.
+    E = np.random.default_rng(95).normal(size=(3, 3))
+    right = checks._quadratic
+
+    def wrong(Q):
+        f = right(Q)
+        H = f.hess(np.zeros(3)) + 1e-3 * (E + E.T)
+        return O.DualFunction(f.evaluate, f.gradient, lambda p: H)
+
+    monkeypatch.setattr(checks, "_quadratic", wrong)
+    for seed, samples in ((0, 200), (42, 1000)):
+        records = {r.name: r for r in checks.check_bracket(seed, samples)}
+        assert not records["bracket.nested_gradient"].passed, seed
+        assert records["bracket.jacobi"].passed, seed
