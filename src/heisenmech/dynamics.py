@@ -455,19 +455,16 @@ def _check_run(t_end: float, h: float, method: str) -> None:
 
 
 def _propagator(A: np.ndarray, b: np.ndarray, h: float, method: str
-                ) -> tuple[np.ndarray, np.ndarray | None] | None:
+                ) -> tuple[np.ndarray, np.ndarray | None]:
     """Step matrix P and offset d of method for the affine field
     y' = A @ y + b: one step is P @ y + d, or P @ y when d is None.
 
-    The step matrix is built for the augmented generator [[A, b], [0, 0]]
+    The step matrix is built for the augmented generator M = [[A, b], [0, 0]]
     acting on (y, 1): rk4 is its degree-4 Taylor polynomial of h, midpoint
-    its Cayley map (I - hM/2)^-1 (I + hM/2), the limit of the fixed-point
-    iteration it replaces. Midpoint is used only where that iteration
-    provably contracts with room to spare, ||hA/2||_F < 1/2 on the linear
-    block A (the offset does not enter the contraction; the Frobenius norm
-    bounds the spectral one and needs no SVD), and None is returned
-    otherwise so the iteration runs (and reports NonConvergence) as for any
-    other field. With b = 0 nothing is augmented and d is None.
+    its Cayley map (I - hM/2)^-1 (I + hM/2), the exact solution of the
+    midpoint equation at every h. Where I - hM/2 is singular (hA has the
+    eigenvalue 2) the midpoint map does not exist, and np.linalg.solve
+    raises LinAlgError. With b = 0 nothing is augmented and d is None.
     """
     n = len(A)
     affine = bool(b.any())
@@ -477,8 +474,6 @@ def _propagator(A: np.ndarray, b: np.ndarray, h: float, method: str
     eye = np.eye(len(A))
     if method == "rk4":
         P = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
-    elif np.linalg.norm(0.5 * hA[:n, :n]) >= 0.5:
-        return None
     else:
         P = np.linalg.solve(eye - 0.5 * hA, eye + 0.5 * hA)
     if not affine:
@@ -516,7 +511,7 @@ def _non_finite(step: int) -> FloatingPointError:
 
 def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
                      generator: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, bool]:
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Times and states of midpoint or rk4 steps of rhs from y0 to t_end.
 
     The steps are uniform and land exactly on t_end (h is rescaled by at most
@@ -530,14 +525,13 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     guess.
 
     An affine field may also pass its generator (A, b) (rhs(y) = A @ y + b);
-    where _propagator gives a step matrix for the rescaled h, each step
-    writes P @ y (+ d) straight into its row of the states (see _row_writer),
-    and the returned flag says whether it did. Those rows are scanned for
-    finiteness once per block of _SCAN_ROWS steps: an affine step keeps an
-    inf or nan state non-finite, so the first non-finite row of a block is
-    the step a per-step test would have stopped at, and the run ends at most
-    one block later. Either way, every step goes through _midpoint_step or
-    _rk4_step, looked up on this module.
+    each step then writes P @ y (+ d), _propagator's step for the rescaled
+    h, straight into its row of the states (see _row_writer). Those rows are
+    scanned for finiteness once per block of _SCAN_ROWS steps: an affine
+    step keeps an inf or nan state non-finite, so the first non-finite row
+    of a block is the step a per-step test would have stopped at, and the
+    run ends at most one block later. Either way, every step goes through
+    _midpoint_step or _rk4_step, looked up on this module.
 
     The first state that overflows to inf or nan stops the run with a
     FloatingPointError naming the step that produced it; numpy's own
@@ -551,9 +545,7 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
     states = np.empty((n_steps + 1, y0.size))
     states[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):
-        step_matrix = None if generator is None else _propagator(*generator, h,
-                                                                 method)
-        if step_matrix is None:
+        if generator is None:
             y, rhs = y0.tolist(), _on_floats(rhs)
             back = back2 = back3 = None
             for i in range(n_steps):
@@ -567,7 +559,9 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
                     raise _non_finite(i)
                 states[i + 1] = y
         else:
-            propagate, y = _row_writer(*step_matrix, states), states[0]
+            propagate = _row_writer(*_propagator(*generator, h, method),
+                                    states)
+            y = states[0]
             for start in range(0, n_steps, _SCAN_ROWS):
                 stop = min(start + _SCAN_ROWS, n_steps)
                 for i in range(start, stop):
@@ -578,7 +572,7 @@ def _fixed_step_flow(rhs, y0: np.ndarray, t_end: float, h: float, method: str,
                 finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
                 if not finite.all():
                     raise _non_finite(start + int(finite.argmin()))
-    return times, states, step_matrix is not None
+    return times, states
 
 
 def modified_hamiltonian(sys: RCHSystem) -> HamiltonianSpec:
@@ -681,9 +675,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
       the field's Poisson matrix Pi), read off rch_vector_field in one
       stacked call at the zero and unit states (_affine_pair). Each step is
       one product with the Cayley (midpoint) or degree-4 Taylor (rk4)
-      matrix of the augmented generator. Midpoint uses it only where the
-      fixed-point iteration provably contracts, ||hA/2||_F < 1/2 on the
-      linear block; otherwise the run takes the "field" route.
+      matrix of the augmented generator, at every h (see _propagator).
     - "closed_form": a pure invariant-metric particle on a constant field
       steps its vector field written on floats (_invariant_particle_field),
       bitwise equal to rch_vector_field.
@@ -722,10 +714,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
                           NonSymplecticWarning, stacklevel=2)
             route, method = "rk4_fallback", "rk4"
 
-    times, states, propagated = _fixed_step_flow(rhs, state, t_end, h, method,
-                                                 generator)
-    if route == "propagator" and not propagated:
-        route = "field"
+    times, states = _fixed_step_flow(rhs, state, t_end, h, method, generator)
     if route == "shifted":
         states = _momentum_shift(states, replace(
             sys.field, charge_factor=-sys.field.charge_factor))

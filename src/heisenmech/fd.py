@@ -53,9 +53,10 @@ def one_form_curl(A: Callable[[np.ndarray], np.ndarray],
     """Exterior derivative of a one-form as the antisymmetric matrix dA(e_i, e_j).
 
     Returns the matrix with (i, j) entry d_i A_j - d_j A_i (step TANGENT_STEP).
+    q may be a stack (..., n) when A is: the result is (..., n, n).
     """
-    D = jacobian(A, q)  # D[m, i] = d_i A_m
-    return D.T - D
+    D = jacobian(A, q)  # D[..., m, i] = d_i A_m
+    return np.swapaxes(D, -1, -2) - D
 
 
 def two_form_closedness(B: Callable[[np.ndarray], np.ndarray],

@@ -396,17 +396,17 @@ def level_lift(chart: np.ndarray, mu_nu: CoAlgebraElement,
                field: MagneticField) -> np.ndarray:
     """Chart state of one lift of a flat orbit chart (rho1, rho2, theta...,
     lam...) of the level's leaf back onto the level set, at center height
-    q3 = 0 (ReducedRCHSystem.lift moves it). ValueError unless chart is a
-    flat array of size 2 + 2k."""
+    q3 = 0 (ReducedRCHSystem.lift moves it). A stack (..., 2 + 2k) of charts
+    gives the stack of lifts, row i bitwise the call on row i. ValueError
+    unless the last axis has size 2 + 2k."""
     chart = np.asarray(chart, dtype=float)
-    if chart.ndim != 1 or chart.size < 2 or chart.size % 2:
+    if chart.ndim == 0 or chart.shape[-1] < 2 or chart.shape[-1] % 2:
         raise ValueError(f"an orbit chart is a flat array of size 2 + 2k, "
                          f"got shape {chart.shape}")
     nu = mu_nu.nu
+    q = np.zeros(chart.shape[:-1] + (3,))
     if abs(nu) > 1e-12:
-        u = ((chart[1] - mu_nu.mu[1]) / nu, (mu_nu.mu[0] - chart[0]) / nu)
-    else:
-        u = (0.0, 0.0)
-    q = np.array([u[0], u[1], 0.0], dtype=float)
-    return _level_state(q, chart[:2], nu, field, chart[2:])
+        q[..., 0] = (chart[..., 1] - mu_nu.mu[1]) / nu
+        q[..., 1] = (mu_nu.mu[0] - chart[..., 0]) / nu
+    return _level_state(q, chart[..., :2], nu, field, chart[..., 2:])
 

@@ -350,8 +350,7 @@ def reduce_system(sys: RCHSystem, mu_nu: CoAlgebraElement,
 
     # At a fixed level, level_lift(chart) = lift_matrix @ chart + offset.
     lift_matrix, offset = dynamics._affine_pair(
-        lambda charts: np.array([level_lift(chart, mu_nu, sys.field)
-                                 for chart in charts]), 2 + 2 * k)
+        partial(level_lift, mu_nu=mu_nu, field=sys.field), 2 + 2 * k)
 
     def evaluate(chart: np.ndarray) -> float:
         return float(H.evaluate(offset + lift_matrix @ chart))
@@ -442,7 +441,7 @@ def integrate_reduced(red: ReducedRCHSystem, chart0: np.ndarray, t_end: float,
     each absent or declared affine, the reduced field is A @ z + b, read off
     reduced_rch_field at the zero and unit charts in one stacked call
     (dynamics._affine_pair), and each step is one propagator matrix (see
-    dynamics._propagator; midpoint beyond its contraction guard iterates).
+    dynamics._propagator).
     Everything else iterates reduced_rch_field.
     """
     chart0 = np.asarray(chart0, dtype=float)
@@ -455,8 +454,8 @@ def integrate_reduced(red: ReducedRCHSystem, chart0: np.ndarray, t_end: float,
     affine = red.hamiltonian.form is not None and all(
         fm is None or fm.affine for fm in (red.source.force, red.source.control))
     generator = dynamics._affine_pair(rhs, chart0.size) if affine else None
-    times, charts, _ = dynamics._fixed_step_flow(rhs, chart0, t_end, h, method,
-                                                 generator)
+    times, charts = dynamics._fixed_step_flow(rhs, chart0, t_end, h, method,
+                                              generator)
     lifted = red.lift_offset + charts @ red.lift_matrix.T
     return times, charts, dynamics._state_energies(red.source.hamiltonian,
                                                    lifted)
@@ -590,23 +589,21 @@ def kk_alpha_form_check(kk: KKSystem, samples: int = 20,
 
     At the level lam = mu the one-form mu*(A dq + dtheta) on the base must
     differentiate to mu times the magnetic two-form, with vanishing
-    theta-components, to 1e-6.
+    theta-components, to 1e-6. The points (q, theta) are one
+    uniform(-2, 2, (samples, 4)) block, differentiated as one stack.
     """
     _require_samples(samples)
-    rng = np.random.default_rng(seed)
+    y = np.random.default_rng(seed).uniform(-2, 2, (samples, 4))
     mu = kk.mu
 
     def alpha(y: np.ndarray) -> np.ndarray:
-        return mu * np.append(kk.field.vector_potential(y[:3]), 1.0)
+        return mu * np.concatenate([kk.field.vector_potential(y[..., :3]),
+                                    np.ones(y.shape[:-1] + (1,))], axis=-1)
 
-    residuals = []
-    for _ in range(samples):
-        y = rng.uniform(-2, 2, 4)
-        curl = fd.one_form_curl(alpha, y)
-        expected = np.zeros((4, 4))
-        expected[:3, :3] = mu * kk.field.b(y[:3])
-        residuals.append(_worst(curl - expected))
-    return CheckRecord("kk.alpha_form", samples, _worst(residuals), 1e-6)
+    expected = np.zeros((samples, 4, 4))
+    expected[:, :3, :3] = mu * kk.field.b(y[:, :3])
+    return CheckRecord("kk.alpha_form", samples,
+                       _worst(fd.one_form_curl(alpha, y) - expected), 1e-6)
 
 
 def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
@@ -627,7 +624,7 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     charged = replace(kk.field, charge_factor=mu)
     lift0 = dynamics._as_state(
         np.concatenate([momentum_shift(x0, charged), [0.0, mu]]), 1)
-    _, states_up, _ = dynamics._fixed_step_flow(
+    _, states_up = dynamics._fixed_step_flow(
         _geodesic_float_field(kk.field, kk.m), lift0, t_end, h, "rk4")
 
     downstairs = RCHSystem(charged, euclidean_kinetic_hamiltonian(kk.m))

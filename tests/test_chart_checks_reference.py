@@ -1,8 +1,8 @@
 """The stacked chart-layer records against the per-sample loops they replaced.
 
 check_dynamics' defining-equation record, check_momentum_shift's identity
-record and kk_reduce_and_compare's projection each evaluate their samples as
-one pass of the stack-generic chart kernels. The references below are the
+record, kk_alpha_form_check's curl and kk_reduce_and_compare's projection
+each evaluate their samples as one pass of the stack-generic chart kernels. The references below are the
 loops they replaced, kept here verbatim (one single-state kernel call per
 sample, drawing from the generator in the same order): every record must
 carry the same name, sample count, bound and the same bits of max residual.
@@ -107,7 +107,7 @@ def reference_kk_reduce_and_compare(kk, x0, t_end=1.0, h=1e-4, method="rk4",
     charged = dataclasses.replace(kk.field, charge_factor=mu)
     lift0 = dyn._as_state(
         np.concatenate([mag.momentum_shift(x0, charged), [0.0, mu]]), 1)
-    _, states_up, _ = dyn._fixed_step_flow(
+    _, states_up = dyn._fixed_step_flow(
         R._geodesic_float_field(kk.field, kk.m), lift0, t_end, h, method)
 
     downstairs = dyn.RCHSystem(charged, dyn.euclidean_kinetic_hamiltonian(kk.m))
@@ -123,11 +123,29 @@ def reference_kk_reduce_and_compare(kk, x0, t_end=1.0, h=1e-4, method="rk4",
             CheckRecord("kk.lambda_drift", n, drift, drift_threshold)]
 
 
+def reference_kk_alpha_form(kk, samples=20, seed=3313):
+    rng = np.random.default_rng(seed)
+    mu = kk.mu
+
+    def alpha(y):
+        return mu * np.append(kk.field.vector_potential(y[:3]), 1.0)
+
+    residuals = []
+    for _ in range(samples):
+        y = rng.uniform(-2, 2, 4)
+        D = fd.jacobian(alpha, y)
+        curl = D.T - D
+        expected = np.zeros((4, 4))
+        expected[:3, :3] = mu * kk.field.b(y[:3])
+        residuals.append(np.max(np.abs(curl - expected)))
+    return CheckRecord("kk.alpha_form", samples, float(max(residuals)), 1e-6)
+
+
 def reference_kaluza_klein(seed, samples=20):
     coeff = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     field = mag.MagneticField.linear_potential(coeff)
     kk = R.kaluza_klein_system(field, m=1.0, mu=1.0)
-    records = [R.kk_alpha_form_check(kk, samples=samples, seed=seed)]
+    records = [reference_kk_alpha_form(kk, samples=samples, seed=seed)]
     records.extend(reference_kk_reduce_and_compare(
         kk, np.array([0.2, -0.1, 0.0, 1.0, 0.3, -0.2]), t_end=1.0, h=1e-3))
     return records
@@ -187,3 +205,15 @@ def test_kk_projection_is_bitwise_the_row_loop(method):
                 assert (as_tuples(R.kk_reduce_and_compare(kk, x0, 0.2, 1e-2))
                         == as_tuples(reference_kk_reduce_and_compare(
                             kk, x0, 0.2, 1e-2, method))), (field.kind, m, mu, scale)
+
+
+def test_kk_alpha_form_is_bitwise_the_per_sample_loop():
+    rng = np.random.default_rng(2301)
+    for field in kk_fields(rng):
+        for m, mu in ((1.0, 1.0), (1.4, -0.6), (0.8, 0.0)):
+            kk = R.kaluza_klein_system(field, m, mu)
+            for seed in (3313, 17):
+                for samples in (1, 20):
+                    assert (as_tuples([R.kk_alpha_form_check(kk, samples, seed)])
+                            == as_tuples([reference_kk_alpha_form(
+                                kk, samples, seed)])), (field.kind, mu, seed)

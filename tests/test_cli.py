@@ -281,8 +281,12 @@ def test_diverging_simulation_exits_3_without_report(tmp_path, capsys):
     ("midpoint", "implicit midpoint fixed point did not converge (step 0)")])
 def test_overflowing_step_matrix_prints_only_the_failure(tmp_path, method,
                                                          message):
+    # The Euclidean particle's rk4 step matrix overflows. Its midpoint step
+    # is the Cayley map, which stays orthogonal, so the midpoint case takes
+    # the invariant particle, whose fixed-point iteration cannot converge.
+    metric = "invariant" if method == "midpoint" else "euclidean"
     cfg = tmp_path / "heavy.cfg"
-    cfg.write_text("system.mass = 1e-200\nsystem.metric = euclidean\n"
+    cfg.write_text(f"system.mass = 1e-200\nsystem.metric = {metric}\n"
                    "state.p1 = 1.0\nstate.p2 = 2.0\nstate.p3 = -0.5\n"
                    "field.kind = constant\nfield.b12 = 1\n"
                    f"run.method = {method}\nrun.step = 0.001\n")
@@ -291,6 +295,29 @@ def test_overflowing_step_matrix_prints_only_the_failure(tmp_path, method,
          str(cfg), "--out", str(tmp_path)], capture_output=True, text=True)
     assert result.returncode == 3
     assert result.stderr == f"numerical failure: {message}\n"
+
+
+@pytest.mark.parametrize("metric,code", [("euclidean", 0), ("invariant", 3)])
+def test_strong_constant_field_midpoint_run(tmp_path, capsys, metric, code):
+    # At b12 = 2000 and h = 1e-3 the fixed-point iteration does not
+    # contract. The Euclidean particle steps by the Cayley map and passes;
+    # the invariant particle (the negative control) still iterates and
+    # exits 3 without a report.
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text(f"system.mass = 1.0\nsystem.metric = {metric}\n"
+                   "state.p1 = 1.0\nstate.p2 = 2.0\nstate.p3 = -0.5\n"
+                   "field.kind = constant\nfield.b12 = 2000\n"
+                   "run.method = midpoint\nrun.step = 0.001\n")
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path)]) == code
+    if code:
+        assert "did not converge (step 0)" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        return
+    report = load_report(tmp_path)
+    assert report["passed"] is True
+    assert [r["name"] for r in report["checks"]] == ["simulate.energy_drift"]
+    assert report["checks"][0]["passed"] is True
 
 
 # Inputs that overflow inside a run, with the exit code and the last line of

@@ -185,9 +185,12 @@ def test_midpoint_energy_drift():
 
 
 def test_midpoint_nonconvergence():
-    sys = rotation_system()
+    # The invariant particle is nonlinear, so midpoint iterates; at
+    # h * a3 = 2 the fixed-point iteration does not contract.
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 2000.0))
+    sys = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.0))
     with pytest.raises(NonConvergence) as exc:
-        D.integrate(sys, np.array([0, 0, 0, 1.0, 0, 0]), t_end=3.0, h=3.0)
+        D.integrate(sys, np.array([0, 0, 0, 1.0, 0, 0]), t_end=1.0, h=1e-3)
     assert exc.value.step_index == 0
 
 
@@ -234,8 +237,8 @@ def test_extrapolated_and_euler_starts_reach_the_same_step(m, a, cf, k,
                       D.invariant_kinetic_hamiltonian(m), k=k)
     x0 = 10.0 ** exponent * np.random.default_rng(seed).normal(size=sys.dim)
     h = 10.0 ** log_h
-    _, states, _ = D._fixed_step_flow(lambda y: D.rch_vector_field(sys, y),
-                                      x0, 4 * h, h, "midpoint")
+    _, states = D._fixed_step_flow(lambda y: D.rch_vector_field(sys, y),
+                                   x0, 4 * h, h, "midpoint")
     rhs = D._on_floats(lambda y: D.rch_vector_field(sys, y))
     back3, back2, back, y = (row.tolist() for row in states[:4])
     euler = D._midpoint_step(rhs, y, h, 3)
@@ -612,9 +615,8 @@ def test_propagator_route_matches_the_field_iteration(kind, cf, k, method):
     x0 = rng.normal(size=6 + 2 * k)
     traj = D.integrate(sys, x0, t_end=0.5, h=1e-2, method=method)
     assert traj.route == "propagator" and traj.method == method
-    _, reference, propagated = D._fixed_step_flow(
+    _, reference = D._fixed_step_flow(
         lambda y: D.rch_vector_field(sys, y), x0, 0.5, 1e-2, method)
-    assert not propagated
     assert np.max(np.abs(traj.states - reference)) <= 1e-12
 
 
@@ -635,7 +637,7 @@ def test_closed_form_route_is_bitwise_the_field(kind, cf, k, method):
     x0 = rng.normal(size=6 + 2 * k)
     traj = D.integrate(sys, x0, t_end=0.2, h=1e-2, method=method)
     assert traj.route == "closed_form"
-    _, reference, _ = D._fixed_step_flow(
+    _, reference = D._fixed_step_flow(
         lambda y: D.rch_vector_field(sys, y), x0, 0.2, 1e-2, method)
     assert traj.states.tobytes() == reference.tobytes()
 
@@ -673,22 +675,24 @@ def test_systems_outside_the_declared_routes_keep_the_field():
     assert (fallback.route, fallback.method) == ("rk4_fallback", "rk4")
 
 
-def test_midpoint_propagator_only_where_the_iteration_contracts():
+def test_midpoint_propagator_is_the_cayley_map_at_every_step_size():
+    # ||hA/2||_F = 0.45, 0.6 and 3 ||A||_F / 2: the midpoint step is the
+    # Cayley map wherever it exists, also where the fixed-point iteration
+    # does not contract (at h = 3 it raises NonConvergence).
     sys = rotation_system()
     x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     A, b = D._affine_pair(lambda ys: D.rch_vector_field(sys, ys), sys.dim)
-    norm = np.linalg.norm(A)
-    # ||hA/2||_F = 0.6: no propagator, but the iteration still converges.
-    h = 1.2 / norm
-    assert D._propagator(A, b, h, "midpoint") is None
-    traj = D.integrate(sys, x0, t_end=h, h=h)
-    assert traj.route == "field"
-    eye = np.eye(6)
-    cayley = np.linalg.solve(eye - 0.5 * h * A, eye + 0.5 * h * A)
-    assert np.max(np.abs(traj.final_state() - cayley @ x0)) <= 1e-11
-    assert D.integrate(sys, x0, t_end=0.9 / norm, h=0.9 / norm).route == "propagator"
+    norm, eye = np.linalg.norm(A), np.eye(6)
+    for h in (0.9 / norm, 1.2 / norm, 3.0):
+        cayley = np.linalg.solve(eye - 0.5 * h * A, eye + 0.5 * h * A)
+        P, d = D._propagator(A, b, h, "midpoint")
+        assert d is None and P.tobytes() == cayley.tobytes()
+        traj = D.integrate(sys, x0, t_end=h, h=h)
+        assert traj.route == "propagator"
+        assert traj.final_state().tobytes() == (cayley @ x0).tobytes()
     with pytest.raises(NonConvergence):
-        D.integrate(sys, x0, t_end=3.0, h=3.0)
+        D._fixed_step_flow(lambda y: D.rch_vector_field(sys, y), x0, 3.0, 3.0,
+                           "midpoint")
 
 
 def test_quadratic_hamiltonian_declares_its_form():
@@ -807,15 +811,16 @@ def test_pure_quadratic_systems_on_constant_fields_propagate():
         sys = D.RCHSystem(_field_of_kind(kind, -0.7, rng), spec)
         for method in ("midpoint", "rk4"):
             assert D.integrate(sys, x0, 0.1, 1e-2, method).route == "propagator"
-    # Past the contraction bound midpoint iterates; the offset b is not in it.
+    # Past ||hA/2||_F = 1/2 both methods still propagate, with the offset.
     sys = D.RCHSystem(M.MagneticField.constant(PLANAR), spec)
     A, b = D._affine_pair(lambda ys: D.rch_vector_field(sys, ys), sys.dim)
     assert b.any()
     h = 1.2 / np.linalg.norm(A)
-    assert D._propagator(A, b, h, "midpoint") is None
-    assert D._propagator(A, 1e6 * b, 0.9 / np.linalg.norm(A), "midpoint") is not None
-    assert D.integrate(sys, x0, h, h, "midpoint").route == "field"
-    assert D.integrate(sys, x0, h, h, "rk4").route == "propagator"
+    for method in ("midpoint", "rk4"):
+        P, d = D._propagator(A, b, h, method)
+        traj = D.integrate(sys, x0, h, h, method)
+        assert traj.route == "propagator"
+        assert traj.final_state().tobytes() == (P @ x0 + d).tobytes()
 
 
 @pytest.mark.parametrize("method", ("midpoint", "rk4"))
@@ -855,3 +860,50 @@ def test_flow_conjugation_negative_control():
     assert checks._flow_conjugation(sys, right, state) <= 1e-8
     flipped = checks._invariant_shift_hamiltonian(a, -cf, m)
     assert checks._flow_conjugation(sys, flipped, state) > 1e-2
+
+
+@pytest.mark.parametrize("b12", (1e3, 2e3, 1e5))
+def test_strong_field_midpoint_is_the_discrete_rotation(b12):
+    # Oracle: the midpoint map of the Euclidean particle turns (p1, p2) by
+    # 2 atan(h omega / 2) per step, omega = cf * b12 / m. Measured error:
+    # 7.4e-14, 9.5e-14 and 3.8e-13. The fixed-point iteration on the same
+    # field (_fixed_step_flow without the generator) misses the oracle by
+    # 6.8e-11 and 2.1e-10 at b12 = 1e3 and 2e3, and does not converge at 1e5.
+    m, cf, h, n = 1.3, 0.9, 1e-3, 1000
+    sys = D.RCHSystem(M.MagneticField.constant(b12 * PLANAR, cf),
+                      D.euclidean_kinetic_hamiltonian(m))
+    x0 = np.array([0.3, -0.2, 0.5, 1.0, 0.4, -0.7])
+    traj = D.integrate(sys, x0, n * h, h, "midpoint")
+    assert traj.route == "propagator"
+
+    def turned(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        return np.array([c * x0[3] + s * x0[4], c * x0[4] - s * x0[3]])
+
+    omega = cf * b12 / m
+    p12 = traj.final_state()[3:5]
+    assert np.max(np.abs(p12 - turned(n * 2 * np.arctan(h * omega / 2)))) <= 1e-11
+    # Negative control: the exact flow's angle omega * t is another map.
+    assert np.max(np.abs(p12 - turned(omega * n * h))) > 1e-3
+
+
+def test_singular_midpoint_map_raises_and_returns_nothing():
+    # H = (p1^2 - 16 q1^2)/2 gives A the real eigenvalue 4 = 2/h at h = 0.5,
+    # so I - hA/2 is singular and the midpoint map does not exist. No CLI
+    # config builds such a generator: the Euclidean particle on a constant
+    # field, the reduced invariant particle (with or without a body_scaling
+    # force) and the shifted invariant Hamiltonian have only zero or
+    # imaginary eigenvalues, so their I - hA/2 is never singular.
+    Q = np.zeros((6, 6))
+    Q[0, 0], Q[3, 3] = -16.0, 1.0
+    sys = D.RCHSystem(M.MagneticField.zero(), D.quadratic_hamiltonian(Q))
+    x0 = np.array([0.3, -0.2, 0.5, 1.0, 0.4, -0.7])
+    result = None
+    with pytest.raises(np.linalg.LinAlgError):
+        result = D.integrate(sys, x0, 1.0, 0.5, "midpoint")
+    assert result is None
+    # Negative controls: rk4 at that h and midpoint at h = 0.4 step the run.
+    for h, method in ((0.5, "rk4"), (0.4, "midpoint")):
+        traj = D.integrate(sys, x0, 2 * h, h, method)
+        assert traj.route == "propagator"
+        assert np.isfinite(traj.states).all()

@@ -250,9 +250,27 @@ def test_reduce_point_identity_lift_and_errors():
 
     with pytest.raises(NotOnLevelSet):
         M.reduce_point(x, CoAlgebraElement((0.7, -0.4), 2.0), field)
-    for chart in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+    for chart in (np.zeros(3), np.zeros(1), np.zeros((4, 3)), np.float64(1.0)):
         with pytest.raises(ValueError, match="size 2 \\+ 2k"):
             M.level_lift(chart, mu_nu, field)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_level_lift_of_a_stack_is_the_lift_of_each_row(k):
+    rng = np.random.default_rng(68 + k)
+    for field in (M.MagneticField.zero(0.7),
+                  M.MagneticField.invariant_potential(rng.normal(size=3), -1.2),
+                  M.MagneticField.linear_potential(rng.normal(size=(3, 3)),
+                                                   0.9)):
+        for nu in (1.3, -0.6, 0.0):
+            mu_nu = CoAlgebraElement(rng.normal(size=2), nu)
+            for shape in ((5,), (2, 3)):
+                charts = rng.normal(size=shape + (2 + 2 * k,))
+                stacked = M.level_lift(charts, mu_nu, field)
+                rows = [M.level_lift(c, mu_nu, field)
+                        for c in charts.reshape(-1, 2 + 2 * k)]
+                assert stacked.shape == shape + (6 + 2 * k,)
+                assert stacked.tobytes() == np.array(rows).tobytes()
 
 
 def test_reduce_point_well_defined_on_isotropy_orbits():

@@ -59,10 +59,9 @@ def counted(monkeypatch):
 
 def iterated(red, z0, t_end, h, method):
     """States of the shared loop on reduced_rch_field, with no generator."""
-    _, states, propagated = D._fixed_step_flow(
+    _, states = D._fixed_step_flow(
         lambda chart: R.reduced_rch_field(red, chart), z0, t_end, h,
         method)
-    assert not propagated
     return states
 
 
@@ -111,8 +110,9 @@ def test_undeclared_systems_keep_the_iteration_bitwise(variant, k, method,
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_midpoint_beyond_the_contraction_guard_keeps_the_iteration(k,
-                                                                   monkeypatch):
+def test_midpoint_past_norm_one_half_is_the_propagator_loop(k, monkeypatch):
+    # Past ||hA/2||_F = 1/2 the midpoint step is still the Cayley map, bit
+    # for bit a loop over its pair.
     red = R.reduce_system(system("free", k), LEVEL)
     z0 = start(red)
     n = z0.size
@@ -120,12 +120,18 @@ def test_midpoint_beyond_the_contraction_guard_keeps_the_iteration(k,
         lambda charts: np.array([R.reduced_rch_field(red, c) for c in charts]), n)
     h = 1.0  # ||hA/2||_F = h sqrt(2)/(2 * 1.3) = 0.54
     assert np.linalg.norm(0.5 * h * A) >= 0.5
-    assert D._propagator(A, b, h, "midpoint") is None
+    P, d = D._propagator(A, b, h, "midpoint")
     calls = counted(monkeypatch)
     _, charts, _ = R.integrate_reduced(red, z0, 3.0, h, "midpoint")
-    assert len(calls) > n + 1
+    assert len(calls) == 1
     monkeypatch.undo()
-    assert charts.tobytes() == iterated(red, z0, 3.0, h, "midpoint").tobytes()
+    expected = [z0]
+    for _ in range(3):
+        z = P @ expected[-1]
+        expected.append(z if d is None else z + d)
+    assert charts.tobytes() == np.array(expected).tobytes()
+    # Negative control: the iteration converges here, to other bits.
+    assert charts.tobytes() != iterated(red, z0, 3.0, h, "midpoint").tobytes()
 
 
 @pytest.mark.parametrize("k", [0, 1])
