@@ -135,7 +135,7 @@ def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
     lhs = bracket(orbit.product_function(f, g), h, p, B)
     rhs = (f.evaluate(p) * bracket(g, h, p, B)
            + g.evaluate(p) * bracket(f, h, p, B))
-    jacobi = orbit.check_jacobi((f, g, h), p, B).residual
+    jacobi = orbit.check_jacobi((f, g, h), p, B)
     # A symmetric error in a declared hessian cancels in the Jacobi sum but
     # not in the nested bracket's closed-form gradient.
     fg = orbit.bracket_function(f, g, B)
@@ -326,13 +326,12 @@ def check_noether_reduction(seed: int, samples: int = 100) -> list[CheckRecord]:
     level = CoAlgebraElement((0.4, -0.7), 1.0)
 
     # Restricted magnetic form on level-set tangents against the pullback of
-    # the orbit form through the quotient projection. Per round: a level
-    # point, then four pairs (v, w) of normal triples on its tangent space.
+    # the orbit form through the quotient projection. One block per
+    # distribution: the level points of the rounds, then per round four
+    # pairs (v, w) of normal triples on its tangent space.
     rounds = 8
-    states, normals = np.empty((rounds, 6)), np.empty((rounds, 4, 2, 3))
-    for i in range(rounds):
-        states[i] = mag.sample_level_point(level, field, 0, rng)
-        normals[i] = rng.normal(size=(4, 2, 3))
+    states = mag._level_points(level, field, 0, rng, rounds)
+    normals = rng.normal(size=(rounds, 4, 2, 3))
     DJ = fd.jacobian(partial(mag.momentum_map, field=field), states,
                      fd.GRADIENT_STEP)
     tangent = np.linalg.svd(DJ)[2][:, None, 3:]

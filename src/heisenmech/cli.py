@@ -207,7 +207,8 @@ def build_diffeo(cfg: ExperimentConfig) -> DiffeoSpec:
     # A deliberately broken lift: identity base with a fiber shear. Useful as
     # a negative fixture because it fails the symplecticity check without
     # being rejected at construction time. Like every DiffeoSpec callable it
-    # takes a state or a stack of them.
+    # takes a state or a stack of them. The shear is linear, so its tangent
+    # is the shear applied to the vector.
     def ident(q):
         return np.asarray(q, dtype=float).copy()
 
@@ -222,6 +223,7 @@ def build_diffeo(cfg: ExperimentConfig) -> DiffeoSpec:
         return out
 
     return DiffeoSpec(ident, ident, shear_lift, shear_inverse,
+                      lambda state, vector: shear_lift(vector),
                       verify_lift=False)
 
 

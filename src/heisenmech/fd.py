@@ -1,4 +1,5 @@
-"""Central finite-difference helpers shared by checkers, fallbacks, and tests."""
+"""Central finite-difference helpers shared by the checkers, the two
+derivative fallbacks left (OrbitFunction.grad and FiberMap.push), and tests."""
 
 from __future__ import annotations
 

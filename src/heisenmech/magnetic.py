@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingPotential, NotInvariant, NotOnLevelSet
 from .group import (CoAlgebraElement, _dot, _map_rows, _matvec, _part, _vecmat,
-                    multiply)
+                    coadjoint, multiply)
 from .orbit import _antisymmetric, classify_orbit
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "omega_matrix",
     "momentum_shift",
     "momentum_map",
-    "momentum_map_array",
     "sample_level_point",
     "project_chart",
     "reduce_point",
@@ -279,34 +278,6 @@ def _momentum_shift(state: np.ndarray, field: MagneticField) -> np.ndarray:
     return out
 
 
-def momentum_map_array(g: np.ndarray, rho: np.ndarray,
-                       field: MagneticField) -> np.ndarray:
-    """momentum_map of points (g, rho) stacked on the last axis of two arrays.
-
-    For an invariant field the shift t_A goes through the chart exactly as
-    momentum_shift does on the chart of (g, rho) (body -> chart,
-    p + charge_factor * A(q) with A fixed by its identity value,
-    chart -> body), which keeps each row bit-identical to coadjoint of the
-    shifted point.
-    """
-    if field.kind != "invariant" and field.has_potential:
-        raise NotInvariant("momentum map needs a potential declared left-invariant")
-    if field.kind not in ("zero", "invariant"):
-        raise MissingPotential(
-            "momentum map of a nonzero field needs an invariant potential")
-    u1, u2 = g[..., 0], g[..., 1]
-    mu1, mu2, nu = rho[..., 0], rho[..., 1], rho[..., 2]
-    if field.kind == "invariant":
-        a = field.identity_potential_value()
-        cf = field.charge_factor
-        p1 = mu1 + 0.5 * nu * u2 + cf * (a[0] + 0.5 * a[2] * u2)
-        p2 = mu2 - 0.5 * nu * u1 + cf * (a[1] - 0.5 * a[2] * u1)
-        nu = nu + cf * a[2]
-        mu1 = p1 - 0.5 * nu * u2
-        mu2 = p2 + 0.5 * nu * u1
-    return np.stack([mu1 + nu * u2, mu2 - nu * u1, nu], axis=-1)
-
-
 def momentum_map(state, field: MagneticField) -> np.ndarray:
     """Equivariant momentum map of the lifted left action at a chart state.
 
@@ -315,13 +286,19 @@ def momentum_map(state, field: MagneticField) -> np.ndarray:
     of left-invariant Hamiltonians in this trivialization. Magnetic case:
     J_B = J0 composed with the fiber shift t_A, which needs an exact field
     whose potential is declared left-invariant (NotInvariant for other
-    potentials, MissingPotential for nonzero fields without one). The chart
-    case of momentum_map_array: the value (mu1, mu2, nu) has shape (3,), or
-    (..., 3) for a stack of states.
+    potentials, MissingPotential for nonzero fields without one). The value
+    (mu1, mu2, nu) has shape (3,), or (..., 3) for a stack of states.
     """
     state = _chart_state(state)
+    if field.kind != "invariant" and field.has_potential:
+        raise NotInvariant("momentum map needs a potential declared left-invariant")
+    if field.kind not in ("zero", "invariant"):
+        raise MissingPotential(
+            "momentum map of a nonzero field needs an invariant potential")
+    if field.has_potential:
+        state = _momentum_shift(state, field)
     q = state[..., :3]
-    return momentum_map_array(q, chart_to_body_array(q, state[..., 3:6]), field)
+    return coadjoint(q, chart_to_body_array(q, state[..., 3:6]))
 
 
 def _level_state(q: np.ndarray, planar, nu: float, field: MagneticField,

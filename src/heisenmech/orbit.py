@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "DualFunction",
     "MagneticCocycle",
     "OrbitFunction",
-    "JacobiResult",
     "magnetic_lie_poisson",
     "bracket_function",
     "product_function",
@@ -53,28 +52,22 @@ class DualFunction:
     The callables take p as given: evaluate returns a float (an array of the
     leading shape for a stack), gradient a (..., 3) array and hessian a
     (..., 3, 3) array; a constant may be returned unstacked and broadcast.
-    The gradient is the functional derivative, delta with
-    delta . w = Df(p) . w. Without a gradient callable it is a central
-    difference (fd.GRADIENT_STEP), and check_jacobi relaxes its tolerance
-    for a function without analytic derivatives. The optional hessian H (the
-    3x3 derivative matrix of the gradient, H[j, i] = d delta_j / d p_i)
-    enables analytic gradients of nested brackets: with M = -nu*K - B as in
+    The gradient is declared, never differenced: it is the functional
+    derivative, delta with delta . w = Df(p) . w. The optional hessian H
+    (the 3x3 derivative matrix of the gradient, H[j, i] = d delta_j / d p_i)
+    gives the gradient of a bracket: with M = -nu*K - B as in
     bracket_function, grad {f,g} = Hf^T M dg + Hg^T M^T df - area(df,dg) e3.
     """
 
     evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def grad(self, p: np.ndarray) -> np.ndarray:
-        if self.gradient is not None:
-            return np.asarray(self.gradient(p), dtype=float)
-        return fd.gradient(self.evaluate, p)
+        return np.asarray(self.gradient(p), dtype=float)
 
     def hess(self, p: np.ndarray) -> np.ndarray:
-        if self.hessian is not None:
-            return np.asarray(self.hessian(p), dtype=float)
-        return fd.jacobian(self.grad, p, fd.GRADIENT_STEP)
+        return np.asarray(self.hessian(p), dtype=float)
 
 
 def _antisymmetric(matrix, what: str) -> np.ndarray:
@@ -181,13 +174,6 @@ class OrbitFunction:
                          False, chart)
 
 
-class JacobiResult(NamedTuple):
-    """Cyclic-sum residual together with the tolerance that applies to it."""
-
-    residual: float
-    tolerance: float
-
-
 # Area matrix K: df . K . dg is the signed area of the planar parts.
 _AREA = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
@@ -211,19 +197,16 @@ def bracket_function(f: DualFunction, g: DualFunction,
     """The bracket {f,g} packaged as a DualFunction on flat dual points p.
 
     {f,g}(p) = df . M . dg with M = -nu*K - B, K the area matrix
-    (K[0,1] = -K[1,0] = 1). When both inputs carry analytic gradients and
-    hessians the result gets the closed-form gradient
-    Hf^T M dg + Hg^T M^T df - area(df,dg) e3, which is what makes nested
-    Jacobi evaluations accurate to 1e-9.
+    (K[0,1] = -K[1,0] = 1). Its gradient is the closed form
+    Hf^T M dg + Hg^T M^T df - area(df,dg) e3, so both inputs must declare
+    hessians (ValueError otherwise); the result declares none.
     """
+    if f.hessian is None or g.hessian is None:
+        raise ValueError("bracket_function needs both inputs to declare a "
+                         "hessian")
 
     def evaluate(p: np.ndarray) -> float:
         return magnetic_lie_poisson(f, g, p, B)
-
-    analytic = (f.gradient is not None and f.hessian is not None
-                and g.gradient is not None and g.hessian is not None)
-    if not analytic:
-        return DualFunction(evaluate)
 
     def gradient(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -243,9 +226,6 @@ def product_function(f: DualFunction, g: DualFunction) -> DualFunction:
     def evaluate(p):
         return f.evaluate(p) * g.evaluate(p)
 
-    if f.gradient is None or g.gradient is None:
-        return DualFunction(evaluate)
-
     def gradient(p):
         fv = np.asarray(f.evaluate(p))[..., None]
         gv = np.asarray(g.evaluate(p))[..., None]
@@ -254,24 +234,19 @@ def product_function(f: DualFunction, g: DualFunction) -> DualFunction:
     return DualFunction(evaluate, gradient)
 
 
-def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle) -> JacobiResult:
-    """Cyclic sum {{f,g},h} + {{g,h},f} + {{h,f},g} at the flat dual point
-    (or stack) p = (mu1, mu2, nu); the residual is its absolute value.
-
-    Returns the residual together with the tolerance it should satisfy: 1e-9
-    when every input supplies analytic gradients and hessians (the nested
-    bracket is then differentiated exactly), degraded to 1e-4 when any
-    derivative falls back to finite differences.
+def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle):
+    """|{{f,g},h} + {{g,h},f} + {{h,f},g}| at the flat dual point (or stack)
+    p = (mu1, mu2, nu): a float, or an array of the leading shape for a
+    stack. The inner brackets are bracket_function's, so every input must
+    declare a hessian (ValueError otherwise); the nested bracket is then
+    differentiated exactly, and the residual reads rounding.
     """
     f, g, h = fs
-    analytic = all(fn.gradient is not None and fn.hessian is not None
-                   for fn in (f, g, h))
-    tol = 1e-9 if analytic else 1e-4
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
         ab = bracket_function(a, b, B)
         total += magnetic_lie_poisson(ab, c, p, B)
-    return JacobiResult(abs(total), tol)
+    return abs(total)
 
 
 def classify_orbit(p: np.ndarray) -> str | np.ndarray:

@@ -672,11 +672,12 @@ class DiffeoSpec:
 
     base maps source configurations to target ones; the lift runs the other
     way, (q2, p2) -> (inverse(q2), Dbase(q1)^T p2), fiberwise linear, and
-    lift_inverse undoes it. Both are declared: nothing differentiates base to
-    build them. Every callable takes a point or a stack of points on the
-    last axis (q of shape (n, 3), a state (n, 6); lift_tangent a stack of
-    states and one of vectors), row i bitwise the call on row i; the
-    checkers hand them whole stacks. Construction checks that on the first
+    lift_inverse undoes it; lift_tangent(state, vector) pushes tangent
+    vectors through the lift. All three are declared: nothing differentiates
+    base or the lift to build them. Every callable takes a point or a stack
+    of points on the last axis (q of shape (n, 3), a state (n, 6);
+    lift_tangent a stack of states and one of vectors), row i bitwise the
+    call on row i; the checkers hand them whole stacks. Construction checks that on the first
     _CONTRACT_ROWS of its seeded samples (seed 1441), ValueError otherwise:
     a one-point "out[3] += out[1]" would add row 1 into row 3 of a stack.
     base_inverse must undo base on 20 seeded samples to 1e-8 relative to the
@@ -686,15 +687,13 @@ class DiffeoSpec:
     reference above unit size (its finite-difference noise grows with it);
     fixtures that deliberately break the formula construct with
     verify_lift=False. Each sweep is one stacked call per callable.
-    lift_tangent pushes tangent vectors through the lift; without it,
-    push_lift takes a central difference of the lift.
     """
 
     base: Callable[[np.ndarray], np.ndarray]
     base_inverse: Callable[[np.ndarray], np.ndarray]
     lift: Callable[[np.ndarray], np.ndarray]
     lift_inverse: Callable[[np.ndarray], np.ndarray]
-    lift_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    lift_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
     verify_lift: bool = True
 
     def __post_init__(self):
@@ -705,9 +704,8 @@ class DiffeoSpec:
         _require_stacks("base_inverse", self.base_inverse, few)
         _require_stacks("lift", self.lift, states)
         _require_stacks("lift_inverse", self.lift_inverse, states)
-        if self.lift_tangent is not None:
-            _require_stacks("lift_tangent", self.lift_tangent, states,
-                            s[_CONTRACT_ROWS:2 * _CONTRACT_ROWS])
+        _require_stacks("lift_tangent", self.lift_tangent, states,
+                        s[_CONTRACT_ROWS:2 * _CONTRACT_ROWS])
         image = np.asarray(self.base(q))
         if _exceeds(np.asarray(self.base_inverse(image)) - q, image):
             raise ValueError("base_inverse does not invert base on samples")
@@ -729,10 +727,7 @@ class DiffeoSpec:
                           dtype=float)
 
     def push_lift(self, state: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        if self.lift_tangent is not None:
-            return np.asarray(self.lift_tangent(state, vector), dtype=float)
-        return fd.directional(self.apply_lift, np.asarray(state, dtype=float),
-                              np.asarray(vector, dtype=float))
+        return np.asarray(self.lift_tangent(state, vector), dtype=float)
 
     @classmethod
     def identity(cls) -> "DiffeoSpec":
@@ -779,17 +774,16 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
 
     Pulls the source-side form back through the tangent of the lift and
     compares with the target-side form on random points and tangent pairs;
-    the record's bound is 1e-5. Per sample the draws are a state
-    uniform(-2, 2, 6), then the tangents v and w, normal(size=6) each; the
-    forms are then one array pass. The lifted states are checked before
-    the lift's tangent is taken (ValueError for a non-finite one).
+    the record's bound is 1e-5. One block per distribution: the states,
+    uniform(-2, 2, (samples, 6)), then the tangents, normal(size=(samples,
+    12)) with v and w the two halves of a row; the forms are then one array
+    pass. The lifted states are checked before the lift's tangent is taken
+    (ValueError for a non-finite one).
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
-    x2, vw = np.empty((samples, 6)), np.empty((samples, 12))
-    for i in range(samples):
-        x2[i] = rng.uniform(-2, 2, 6)
-        vw[i] = rng.normal(size=12)
+    x2 = rng.uniform(-2, 2, (samples, 6))
+    vw = rng.normal(size=(samples, 12))
     v, w = vw[:, :6], vw[:, 6:]
     W1 = omega_matrix(phi.apply_lift(x2), field1)
     lhs = _dot(_vecmat(phi.push_lift(x2, v), W1), phi.push_lift(x2, w))

@@ -101,7 +101,7 @@ def reference_bracket(seed, samples=200):
         rhs = (f.evaluate(p) * orbit.magnetic_lie_poisson(g, h, p, B)
                + g.evaluate(p) * orbit.magnetic_lie_poisson(f, h, p, B))
         leibniz = max(leibniz, abs(lhs - rhs))
-        jacobi = max(jacobi, orbit.check_jacobi((f, g, h), p, B).residual)
+        jacobi = max(jacobi, orbit.check_jacobi((f, g, h), p, B))
         fg = orbit.bracket_function(f, g, B)
         nested = max(nested, float(np.max(np.abs(
             fg.grad(p) - fd.gradient(fg.evaluate, p)))))

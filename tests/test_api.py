@@ -1,6 +1,7 @@
 """Tooling: the exported names of every module resolve, and deleted ones stay gone."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import operator
@@ -25,6 +26,9 @@ MODULES = ("group", "orbit", "connection", "magnetic", "dynamics", "reduction",
 # laws, since each checked function takes stacks, and the per-call-site
 # decisions whether a callable takes a stack (_declared, _stacks), the
 # projection helper and the lifted-state check that came with them.
+# JacobiResult, since check_jacobi reads declared hessians only and returns
+# its residual; momentum_map_array, since momentum_map is J0 composed with
+# the fiber shift on the chart state.
 DELETED = ("PhasePoint", "ExtendedPhasePoint", "MomentumValue", "body_to_chart",
            "chart_to_body", "extended_to_chart", "extended_from_chart",
            "left_translate_point", "extended_momentum_shift", "vec2",
@@ -32,7 +36,8 @@ DELETED = ("PhasePoint", "ExtendedPhasePoint", "MomentumValue", "body_to_chart",
            "_sign", "parse_config_text", "reduced_hamiltonian",
            "_affine_generator", "_left_translate", "_omega_matrix",
            "_magnetic_form", "_momentum_map", "_project_chart",
-           "_vertical_lift", "_declared", "_stacks", "_projections", "_lifted")
+           "_vertical_lift", "_declared", "_stacks", "_projections", "_lifted",
+           "JacobiResult", "momentum_map_array")
 
 # Parameters that only ever took their default, now constants in the body:
 # among them the MR record bounds (check_mr_identity replaces the thresholds
@@ -98,6 +103,11 @@ def test_deleted_members_stay_gone():
     # A lift is declared; the transpose formula is only the construction
     # check's reference.
     assert not hasattr(heisenmech.DiffeoSpec, "_canonical_lift")
+    # Derivatives are declared: neither type has a difference to fall back on.
+    for cls, name in ((heisenmech.DualFunction, "gradient"),
+                      (heisenmech.DiffeoSpec, "lift_tangent")):
+        field, = (f for f in dataclasses.fields(cls) if f.name == name)
+        assert field.default is dataclasses.MISSING, (cls, name)
 
 
 def test_removed_parameters_stay_gone():

@@ -151,9 +151,9 @@ def test_jacobi_reads_the_declared_hessians():
         B = general_cocycle(rng)
         bad = O.check_jacobi((wrong,) + others, p, B)
         good = O.check_jacobi((right,) + others, p, B)
-        assert bad.tolerance == good.tolerance == 1e-9
-        wrong_worst = max(wrong_worst, bad.residual)
-        right_worst = max(right_worst, good.residual)
+        assert type(bad) is float and type(good) is float
+        wrong_worst = max(wrong_worst, bad)
+        right_worst = max(right_worst, good)
     assert right_worst <= 1e-9
     assert wrong_worst > 1e-3
 
@@ -171,7 +171,7 @@ def test_symmetric_hessian_errors_show_in_the_gradient_not_in_jacobi():
     g, h = quadratic(rng.normal(size=(3, 3))), O.coordinate_function(0)
     p = np.array([0.4, -1.3, 0.9])
     B = general_cocycle(rng)
-    assert O.check_jacobi((wrong, g, h), p, B).residual <= 1e-9
+    assert O.check_jacobi((wrong, g, h), p, B) <= 1e-9
     fg = O.bracket_function(wrong, g, B)
     ref = fd.gradient(fg.evaluate, p)
     assert np.max(np.abs(fg.grad(p) - ref)) > 1e-5

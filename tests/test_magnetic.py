@@ -145,44 +145,50 @@ def test_momentum_map_errors():
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_momentum_map_array_matches_the_point_path_bitwise(k):
+def test_stacked_momentum_map_is_the_composition_bitwise(k):
+    # momentum_map is J0 composed with t_A: coadjoint of the body momentum
+    # of momentum_shift's state, row i bitwise the call on row i. It stays
+    # within 8 eps of the former route, which took the shift through the
+    # trivialization (body -> chart, p + cf*A(q), chart -> body).
+    EPS = np.finfo(float).eps
     rng = np.random.default_rng(4100 + k)
     n = 400
     states = rng.uniform(-1, 1, (n, 6 + 2 * k)) * 10.0 ** rng.uniform(-3, 3, (n, 6 + 2 * k))
-    q = states[:, :3]
-    rho = M.chart_to_body_array(q, states[:, 3:6])
     fields = [M.MagneticField.zero()]
     for cf in (1.0, 0.7, -1.3):
         fields.append(M.MagneticField.invariant_potential((0.3, -0.2, 0.8), cf))
         fields.append(M.MagneticField.invariant_potential(
             rng.uniform(-1, 1, 3) * 10.0 ** rng.uniform(-3, 3, 3), cf))
     for field in fields:
-        J = M.momentum_map_array(q, rho, field)
+        J = M.momentum_map(states, field)
         assert J.shape == (n, 3)
         for s, row in zip(states, J):
-            # Reference: J0 = coadjoint after the fiber shift t_A, taken on
-            # the trivialized point (body -> chart, p + cf*A(q), chart -> body).
+            assert row.tobytes() == M.momentum_map(s, field).tobytes()
+            shifted = M.momentum_shift(s, field) if field.has_potential else s
+            composed = coadjoint(s[:3], M.chart_to_body_array(s[:3], shifted[3:6]))
+            assert row.tobytes() == composed.tobytes()
             g_s, rho_s = body_of(s)
             if field.kind == "invariant":
-                shifted = chart_of(g_s, rho_s)
-                shifted[3:6] += field.charge_factor * field.vector_potential(s[:3])
-                g_s, rho_s = body_of(shifted)
-            assert row.tobytes() == coadjoint(g_s, rho_s).tobytes()
-            assert row.tobytes() == M.momentum_map(s, field).tobytes()
+                round_trip = chart_of(g_s, rho_s)
+                round_trip[3:6] += field.charge_factor * field.vector_potential(s[:3])
+                g_s, rho_s = body_of(round_trip)
+            else:
+                assert row.tobytes() == coadjoint(g_s, rho_s).tobytes()
+            largest = max(np.abs(shifted[3:6]).max(),
+                          abs(composed[2]) * np.abs(s[:2]).max())
+            assert np.all(np.abs(row - coadjoint(g_s, rho_s)) <= 8 * EPS * largest)
 
 
-def test_momentum_map_array_raises_like_the_point_path():
+def test_stacked_momentum_map_raises_like_the_point_path():
     rng = np.random.default_rng(4103)
     states = rng.uniform(-2, 2, (5, 6))
-    q = states[:, :3]
-    rho = M.chart_to_body_array(q, states[:, 3:6])
     x = states[0]
     linear = M.MagneticField.linear_potential(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
     general = M.MagneticField(lambda q: q[0] * PLANAR)
     for field, error in ((M.MagneticField.constant(PLANAR), MissingPotential),
                          (linear, NotInvariant), (general, MissingPotential)):
         with pytest.raises(error):
-            M.momentum_map_array(q, rho, field)
+            M.momentum_map(states, field)
         with pytest.raises(error):
             M.momentum_map(x, field)
     # integrate records nan momenta for such fields instead of raising.

@@ -4,10 +4,11 @@ per-sample loops they replaced.
 check_mr1, check_mr2_equivariance, check_mr3_matching and the
 reduction.form_pullback and shift.form_pullback records evaluate their
 samples as one array pass each, through DiffeoSpec callables that take
-stacks. The references below are the loops they replaced, kept here verbatim
-(one single-state call per sample, drawing from the generator in the same
-order): every record must carry the same name, sample count, bound and the
-same bits of max residual.
+stacks. The references below are the loops they replaced (one single-state
+call per sample). They draw from the generator as the checks do: check_mr1
+and the reduction.form_pullback record draw one block per distribution, and
+the loops take sample i's values from row i of each block. Every record must
+carry the same name, sample count, bound and the same bits of max residual.
 """
 
 import collections
@@ -33,11 +34,12 @@ ZERO = M.MagneticField.zero()
 
 def reference_mr1(phi, field1, field2, samples=100, seed=5501):
     rng = np.random.default_rng(seed)
+    states = rng.uniform(-2, 2, (samples, 6))
+    tangents = rng.normal(size=(samples, 12))
     residuals = []
-    for _ in range(samples):
-        x2 = rng.uniform(-2, 2, 6)
+    for x2, vw in zip(states, tangents):
         x1 = phi.apply_lift(x2)
-        v, w = rng.normal(size=6), rng.normal(size=6)
+        v, w = vw[:6], vw[6:]
         pv, pw = phi.push_lift(x2, v), phi.push_lift(x2, w)
         lhs = M.magnetic_form(x1, pv, pw, field1)
         rhs = M.magnetic_form(x2, v, w, field2)
@@ -107,14 +109,15 @@ def reference_noether_pullback(seed):
     zero = orbit.MagneticCocycle.zero()
     pullback = []
     rounds = 8
-    for _ in range(rounds):
-        state = M.sample_level_point(level, field, 0, rng)
+    states = [M.sample_level_point(level, field, 0, rng) for _ in range(rounds)]
+    normals = rng.normal(size=(rounds, 4, 2, 3))
+    for state, pairs in zip(states, normals):
         DJ = fd.jacobian(lambda s: M.momentum_map(s, field), state,
                          fd.GRADIENT_STEP)
         tangent = np.linalg.svd(DJ)[2][3:]
-        for _ in range(4):
-            v = rng.normal(size=3) @ tangent
-            w = rng.normal(size=3) @ tangent
+        for a, b in pairs:
+            v = a @ tangent
+            w = b @ tangent
             restricted = M.magnetic_form(state, v, w, field)
             dv = fd.directional(proj, state, v, fd.GRADIENT_STEP)
             dw = fd.directional(proj, state, w, fd.GRADIENT_STEP)
@@ -179,6 +182,7 @@ def diffeos(seed):
         yield (f"translation{scale:g}",
                R.DiffeoSpec.group_translation(GroupElement(u[:2], u[2])), u)
     yield "shear", R.DiffeoSpec(copy, copy, shear_lift, shear_inverse,
+                                lambda s, v: shear_lift(v),
                                 verify_lift=False), None
 
 

@@ -71,6 +71,15 @@ def shear_inverse(s):
     return out
 
 
+def shear_tangent(s, v):
+    """The shear is linear: its tangent is the shear of the vector."""
+    return shear_lift(v)
+
+
+def identity_tangent(s, v):
+    return identity_map(v)
+
+
 def constant_push(delta):
     delta = np.asarray(delta, dtype=float)
 
@@ -370,27 +379,46 @@ def test_kaluza_klein_matches_magnetic_flow():
 
 
 def test_diffeo_spec_validation():
-    with pytest.raises(ValueError):
+    def scaled_lift(s):
+        s = np.asarray(s, dtype=float)
+        return np.concatenate([0.5 * s[..., :3], 2.0 * s[..., 3:]], axis=-1)
+
+    def scaled_inverse(s):
+        s = np.asarray(s, dtype=float)
+        return np.concatenate([2.0 * s[..., :3], 0.5 * s[..., 3:]], axis=-1)
+
+    with pytest.raises(ValueError, match="base_inverse"):
         R.DiffeoSpec(lambda q: 2.0 * np.asarray(q), lambda q: np.asarray(q),
-                     lambda s: np.concatenate([0.5 * s[:3], 2.0 * s[3:]]),
-                     lambda s: np.concatenate([2.0 * s[:3], 0.5 * s[3:]]))
-    with pytest.raises(ValueError):
-        R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse)
+                     scaled_lift, scaled_inverse,
+                     lambda s, v: scaled_lift(v))
+    with pytest.raises(ValueError, match="custom lift differs"):
+        R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse,
+                     shear_tangent)
     spec = R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse,
-                        verify_lift=False)
+                        shear_tangent, verify_lift=False)
     assert spec.apply_lift(np.ones(6))[3] == 2.0
+    assert spec.push_lift(np.zeros(6), np.ones(6))[3] == 2.0
+
+
+def test_diffeo_spec_declares_its_lift_tangent():
+    # push_lift differences nothing: a DiffeoSpec without lift_tangent is
+    # refused at construction.
+    with pytest.raises(TypeError):
+        R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse,
+                     verify_lift=False)
 
 
 def test_diffeo_spec_inverse_check_is_relative_to_the_image():
     with pytest.raises(ValueError, match="base_inverse"):
         R.DiffeoSpec(identity_map, lambda q: np.asarray(q, dtype=float) + 1e-6,
-                     identity_map, identity_map)
+                     identity_map, identity_map, identity_tangent)
     # The round trip of a far translation rounds at the image's scale, about
     # 1e-7 at 1e9, which an absolute bound of 1e-8 refused.
     shift = np.array([1e9, 0.0, 0.0])
     lifted = np.concatenate([shift, np.zeros(3)])
     R.DiffeoSpec(lambda q: np.asarray(q) + shift, lambda q: np.asarray(q) - shift,
-                 lambda s: np.asarray(s) - lifted, lambda s: np.asarray(s) + lifted)
+                 lambda s: np.asarray(s) - lifted, lambda s: np.asarray(s) + lifted,
+                 identity_tangent)
 
 
 def test_group_translation_lift_is_momentum_friendly():
@@ -529,7 +557,7 @@ def test_mr3_translation_pair_passes():
 def shear():
     """The negative control: an identity base with a fiber shear for a lift."""
     return R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse,
-                        verify_lift=False)
+                        shear_tangent, verify_lift=False)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 30.0])
@@ -571,7 +599,7 @@ def test_large_translations_construct_and_a_wrong_lift_is_refused():
     off = np.concatenate([np.zeros(3), np.full(3, 1e-6)])
     with pytest.raises(ValueError, match="custom lift differs"):
         R.DiffeoSpec(identity_map, identity_map, lambda s: np.asarray(s) + off,
-                     lambda s: np.asarray(s) - off)
+                     lambda s: np.asarray(s) - off, identity_tangent)
 
 
 def test_group_translation_declares_an_exact_lift():
@@ -852,8 +880,9 @@ def test_mr_and_kk_records_refuse_nan_samples(which):
 
 
 def overflowing_lift():
-    """A diffeo whose lift sets p1 to inf on every state; its callables take
-    stacks, and it skips the lift check, so it constructs."""
+    """A diffeo whose lift sets p1 to inf on every state, and whose tangent
+    does the same to every vector; its callables take stacks, and it skips
+    the lift check, so it constructs."""
     def ident(q):
         return np.asarray(q, dtype=float).copy()
 
@@ -862,13 +891,14 @@ def overflowing_lift():
         out[..., 3] = np.inf
         return out
 
-    return R.DiffeoSpec(ident, ident, blow, blow, verify_lift=False)
+    return R.DiffeoSpec(ident, ident, blow, blow, lambda s, v: blow(v),
+                        verify_lift=False)
 
 
 @pytest.mark.parametrize("which", ("mr1", "mr2"))
 def test_mr1_and_mr2_refuse_a_non_finite_lifted_state(which):
-    # Refused before any tangent of the lift is taken: a central difference
-    # of the inf lift would warn first.
+    # Refused before the lift's tangent is taken: forms of its inf vectors
+    # would warn first.
     field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
     phi = overflowing_lift()
     with pytest.raises(ValueError) as refusal:
