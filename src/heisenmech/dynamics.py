@@ -51,15 +51,15 @@ _QUADRATIC_KINDS = ("euclidean", "quadratic")
 class HamiltonianSpec:
     """Hamiltonian on the flat chart state with its gradient callable.
 
-    kind, mass and form are recorded by the factories and never inferred
-    from samples: "euclidean" is |p|^2/(2 mass) in the chart, "invariant" the
-    left-invariant kinetic energy |rho|^2/(2 mass), "quadratic" the form
+    kind and mass are recorded by the factories and never inferred from
+    samples: "euclidean" is |p|^2/(2 mass) in the chart, "invariant" the
+    left-invariant kinetic energy |rho|^2/(2 mass), "quadratic" a form
     1/2 y^T Q y + c^T y of y = (q, p), independent of (theta, lam). Only the
-    kinetic kinds declare a mass; "euclidean" and "quadratic" declare their
-    form (Q, c), a finite symmetric 6x6 matrix and a finite 6-vector. A spec
-    built directly is "general" and declares neither. integrate steps pure
-    systems of a declared kind on a constant field without the generic
-    vector field.
+    kinetic kinds declare a mass. A spec built directly is "general" and
+    declares none. integrate steps pure systems of a declared kind on a
+    constant field without the generic vector field: the kinds "euclidean"
+    and "quadratic" by one propagator, whose generator it reads off the
+    vector field, so the kind alone selects that route.
 
     The evaluate and gradient of a declared kind take one state or a stack
     (..., 6 + 2k) of states, row i of a stacked call bitwise the call on row
@@ -75,7 +75,6 @@ class HamiltonianSpec:
     gradient: Callable[[np.ndarray], np.ndarray]
     kind: str = "general"
     mass: float | None = None
-    form: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in _HAMILTONIAN_KINDS:
@@ -86,11 +85,6 @@ class HamiltonianSpec:
                              "any other declares none")
         if self.mass is not None and not self.mass > 0:
             raise ValueError("mass must be positive")
-        if (self.kind in _QUADRATIC_KINDS) != (self.form is not None):
-            raise ValueError("a quadratic Hamiltonian declares its form (Q, c); "
-                             "any other declares none")
-        if self.form is not None:
-            object.__setattr__(self, "form", _checked_form(*self.form, 6))
 
     def grad(self, state: np.ndarray) -> np.ndarray:
         return _map_rows(self.gradient, self.kind != "general", state)
@@ -670,8 +664,8 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     is resolved once per run and recorded in Trajectory.route:
 
     - "propagator": a pure (unforced, uncontrolled) system whose Hamiltonian
-      declares a quadratic form (kind "euclidean" or "quadratic") on a
-      constant field is affine, y' = A y + b (A = Pi Q and b = Pi c for
+      is of a quadratic kind ("euclidean" or "quadratic") on a constant
+      field is affine, y' = A y + b (A = Pi Q and b = Pi c for
       the field's Poisson matrix Pi), read off rch_vector_field in one
       stacked call at the zero and unit states (_affine_pair). Each step is
       one product with the Cayley (midpoint) or degree-4 Taylor (rk4)
@@ -698,7 +692,7 @@ def integrate(sys: RCHSystem, x0, t_end: float, h: float,
     route, generator = "field", None
     rhs = lambda y: rch_vector_field(sys, y)
     if sys.field.is_constant:
-        if pure and sys.hamiltonian.form is not None:
+        if pure and sys.hamiltonian.kind in _QUADRATIC_KINDS:
             route, generator = "propagator", _affine_pair(rhs, sys.dim)
         elif pure and sys.hamiltonian.kind == "invariant":
             route, rhs = "closed_form", _invariant_particle_field(sys)
@@ -735,7 +729,8 @@ def _state_energies(H: HamiltonianSpec, states: np.ndarray) -> np.ndarray:
 def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
     """Chart kinetic energy |p|^2/(2m); its q-gradient vanishes identically.
 
-    It declares its form, Q = diag(0, 0, 0, 1/m, 1/m, 1/m) and c = 0.
+    It is the form Q = diag(0, 0, 0, 1/m, 1/m, 1/m), c = 0, so integrate
+    steps it by one propagator on a constant field.
     """
 
     def evaluate(state):
@@ -747,10 +742,7 @@ def euclidean_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
         out[..., 3:6] = state[..., 3:6] / m
         return out
 
-    if not m > 0:
-        raise ValueError("mass must be positive")
-    form = (np.diag([0.0, 0.0, 0.0, 1 / m, 1 / m, 1 / m]), np.zeros(6))
-    return HamiltonianSpec(evaluate, gradient, "euclidean", m, form)
+    return HamiltonianSpec(evaluate, gradient, "euclidean", m)
 
 
 def invariant_kinetic_hamiltonian(m: float) -> HamiltonianSpec:
@@ -785,9 +777,9 @@ def quadratic_hamiltonian(Q, c=None) -> HamiltonianSpec:
     """H(y) = 1/2 y^T Q y + c^T y of y = (q, p), independent of (theta, lam).
 
     Q must be a finite symmetric 6x6 matrix and c (default 0) a finite
-    6-vector; anything else raises ValueError. The spec has kind "quadratic",
-    declares no mass and carries its form, so integrate steps it by one
-    propagator on a constant field.
+    6-vector; anything else raises ValueError. The spec has kind "quadratic"
+    and declares no mass; integrate steps it by one propagator on a constant
+    field.
     """
     Q, c = _checked_form(Q, np.zeros(6) if c is None else c, 6)
 
@@ -800,7 +792,7 @@ def quadratic_hamiltonian(Q, c=None) -> HamiltonianSpec:
         out[..., :6] = _matvec(Q, state[..., :6]) + c
         return out
 
-    return HamiltonianSpec(evaluate, gradient, "quadratic", form=(Q, c))
+    return HamiltonianSpec(evaluate, gradient, "quadratic")
 
 
 def heisenberg_particle(m: float, e: float, c: float,

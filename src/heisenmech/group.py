@@ -118,15 +118,20 @@ def _map_rows(f: Callable[..., np.ndarray], stacked: bool,
     """f on points, each one array or a stack (..., n) of one leading shape,
     as a float array: one call when f takes stacks (stacked) or the points
     are single; otherwise f, a callable of one point per argument, mapped
-    over the rows, row i of the result f of row i of each stack. The types
-    that declare whether their callables take stacks (MagneticField,
-    HamiltonianSpec, FiberMap, OrbitFunction) call it."""
+    over the rows, row i of the result f of row i of each stack. A stack of
+    no rows keeps the trailing shape of f's result, read off one call on
+    zero points. The types that declare whether their callables take stacks
+    (MagneticField, HamiltonianSpec, FiberMap, OrbitFunction) call it."""
     points = [np.asarray(p, dtype=float) for p in points]
     if stacked or points[0].ndim == 1:
         return np.asarray(f(*points), dtype=float)
+    lead = points[0].shape[:-1]
+    if 0 in lead:
+        return np.empty(lead + np.shape(f(*(np.zeros(p.shape[-1])
+                                              for p in points))))
     rows = zip(*(p.reshape(-1, p.shape[-1]) for p in points))
     out = np.array([np.asarray(f(*row), dtype=float) for row in rows])
-    return out.reshape(points[0].shape[:-1] + out.shape[1:])
+    return out.reshape(lead + out.shape[1:])
 
 
 # The three products below take ndarray.dot when no operand is stacked: it

@@ -67,6 +67,8 @@ class DualFunction:
         return np.asarray(self.gradient(p), dtype=float)
 
     def hess(self, p: np.ndarray) -> np.ndarray:
+        if self.hessian is None:
+            raise ValueError("this DualFunction declares no hessian")
         return np.asarray(self.hessian(p), dtype=float)
 
 
@@ -148,7 +150,8 @@ class OrbitFunction:
     without a gradient callable it is a central difference (fd.GRADIENT_STEP).
 
     form optionally declares h(z) = 1/2 z^T Q z + c^T z + const (defined up to
-    the constant), validated as HamiltonianSpec.form is and stored read-only.
+    the constant), validated as quadratic_hamiltonian's (Q, c) are and stored
+    read-only.
     A declared form is the gradient, Q @ z + c, so it comes with no gradient
     callable; integrate_reduced may step by it. grad also takes a stack
     (..., 2 + 2k) of charts, row i bitwise the call on row i: a declared

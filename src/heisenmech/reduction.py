@@ -646,17 +646,18 @@ _CONTRACT_ROWS = 4
 
 
 def _require_stacks(name: str, f: Callable, *stacks: np.ndarray) -> None:
-    """ValueError unless f, called on stacks of points, gives row i bitwise
-    f called on row i, on the rows of stacks."""
+    """ValueError unless f, called on stacks of points, gives a float64 array,
+    row i bitwise f called on row i, on the rows of stacks."""
     rows = np.array([np.asarray(f(*row), dtype=float) for row in zip(*stacks)])
     try:
-        stacked = np.asarray(f(*stacks), dtype=float)
+        stacked = f(*stacks)
     except (IndexError, TypeError, ValueError):
         stacked = None
-    if (stacked is None or stacked.shape != rows.shape
+    if (not isinstance(stacked, np.ndarray) or stacked.dtype != np.float64
+            or stacked.shape != rows.shape
             or stacked.tobytes() != rows.tobytes()):
-        raise ValueError(f"DiffeoSpec.{name} must take a stack of points, "
-                         f"row i bitwise its call on row i")
+        raise ValueError(f"DiffeoSpec.{name} must take a stack of points to "
+                         f"a float64 array, row i bitwise its call on row i")
 
 
 def _exceeds(gap: np.ndarray, reference: np.ndarray) -> bool:
@@ -676,10 +677,12 @@ class DiffeoSpec:
     vectors through the lift. All three are declared: nothing differentiates
     base or the lift to build them. Every callable takes a point or a stack
     of points on the last axis (q of shape (n, 3), a state (n, 6);
-    lift_tangent a stack of states and one of vectors), row i bitwise the
-    call on row i; the checkers hand them whole stacks. Construction checks that on the first
-    _CONTRACT_ROWS of its seeded samples (seed 1441), ValueError otherwise:
-    a one-point "out[3] += out[1]" would add row 1 into row 3 of a stack.
+    lift_tangent a stack of states and one of vectors) to a float64 array,
+    row i bitwise the call on row i; the checkers call them directly, on
+    whole stacks. Construction checks that on the first _CONTRACT_ROWS of
+    its seeded samples (seed 1441), ValueError otherwise: a one-point
+    "out[3] += out[1]" would add row 1 into row 3 of a stack, and a list or
+    a float32 array is refused.
     base_inverse must undo base on 20 seeded samples to 1e-8 relative to the
     image above unit size (the round trip rounds at the image's scale). By
     default the lift is checked on 20 more against the transpose formula
@@ -706,28 +709,18 @@ class DiffeoSpec:
         _require_stacks("lift_inverse", self.lift_inverse, states)
         _require_stacks("lift_tangent", self.lift_tangent, states,
                         s[_CONTRACT_ROWS:2 * _CONTRACT_ROWS])
-        image = np.asarray(self.base(q))
-        if _exceeds(np.asarray(self.base_inverse(image)) - q, image):
+        image = self.base(q)
+        if _exceeds(self.base_inverse(image) - q, image):
             raise ValueError("base_inverse does not invert base on samples")
         if self.verify_lift:
-            q1 = np.asarray(self.base_inverse(s[:, :3]), dtype=float)
+            q1 = self.base_inverse(s[:, :3])
             jacobian = fd.jacobian(self.base, q1)
             canonical = np.concatenate(
                 [q1, _matvec(np.swapaxes(jacobian, -1, -2), s[:, 3:6])],
                 axis=-1)
-            if _exceeds(np.asarray(self.lift(s)) - canonical, canonical):
+            if _exceeds(self.lift(s) - canonical, canonical):
                 raise ValueError(
                     "custom lift differs from the cotangent lift of base")
-
-    def apply_lift(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(self.lift(np.asarray(state, dtype=float)), dtype=float)
-
-    def apply_inverse_lift(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(self.lift_inverse(np.asarray(state, dtype=float)),
-                          dtype=float)
-
-    def push_lift(self, state: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        return np.asarray(self.lift_tangent(state, vector), dtype=float)
 
     @classmethod
     def identity(cls) -> "DiffeoSpec":
@@ -753,19 +746,12 @@ class DiffeoSpec:
                    lift, partial(left_translate, g), lift_tangent)
 
 
-def _extend_lift(phi: DiffeoSpec, states: np.ndarray) -> np.ndarray:
-    """phi's lift of the (q, p) part of states (one or a stack), with
-    (theta, lam) passed through."""
-    return np.concatenate([phi.apply_lift(states[..., :6]), states[..., 6:]],
-                          axis=-1)
-
-
-def _extend_push(phi: DiffeoSpec, states: np.ndarray,
-                 vectors: np.ndarray) -> np.ndarray:
-    """phi's lift tangent on the (q, p) part of vectors at states (one or a
-    stack), with the (theta, lam) part passed through."""
-    return np.concatenate([phi.push_lift(states[..., :6], vectors[..., :6]),
-                           vectors[..., 6:]], axis=-1)
+def _extend(f: Callable, *points: np.ndarray) -> np.ndarray:
+    """f, a DiffeoSpec callable of (q, p), on the (q, p) parts of points (one
+    or a stack each), with the (theta, lam) part of the last passed through:
+    the lift of states, or the lift's tangent at states on vectors."""
+    return np.concatenate([f(*(p[..., :6] for p in points)),
+                           points[-1][..., 6:]], axis=-1)
 
 
 def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
@@ -785,8 +771,8 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
     x2 = rng.uniform(-2, 2, (samples, 6))
     vw = rng.normal(size=(samples, 12))
     v, w = vw[:, :6], vw[:, 6:]
-    W1 = omega_matrix(phi.apply_lift(x2), field1)
-    lhs = _dot(_vecmat(phi.push_lift(x2, v), W1), phi.push_lift(x2, w))
+    W1 = omega_matrix(phi.lift(x2), field1)
+    lhs = _dot(_vecmat(phi.lift_tangent(x2, v), W1), phi.lift_tangent(x2, w))
     rhs = magnetic_form(x2, v, w, field2)
     return CheckRecord("mr1.symplectic", samples, _worst(lhs - rhs), 1e-5)
 
@@ -809,7 +795,7 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     p1, p2 = level1.as_array(), level2.as_array()
-    x1 = phi.apply_lift(_level_points(level2, field2, 0, rng, samples))
+    x1 = phi.lift(_level_points(level2, field2, 0, rng, samples))
     level_gaps = momentum_map(x1, field1) - p1
 
     center = rng.uniform(-3, 3, 8)
@@ -820,8 +806,8 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
 
     s2 = rng.uniform(-2, 2, (samples, 6))
     g = np.tile(candidates, (samples, 1))
-    lhs = phi.apply_lift(left_translate(g, np.repeat(s2, len(candidates), 0)))
-    rhs = left_translate(g, np.repeat(phi.apply_lift(s2), len(candidates), 0))
+    lhs = phi.lift(left_translate(g, np.repeat(s2, len(candidates), 0)))
+    rhs = left_translate(g, np.repeat(phi.lift(s2), len(candidates), 0))
     return [CheckRecord("mr2.level", samples, _worst(level_gaps), 1e-7),
             CheckRecord("mr2.isotropy", samples, _worst(lhs - rhs), 1e-7)]
 
@@ -833,7 +819,10 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     Assembles, at lifted sample points, the difference between the
     forced dynamics of the target system and the transported forced dynamics
     of the source system; sys1's side is rch_vector_field of sys1 without
-    its control, which enters only through its subset. Membership in
+    its control, which enters only through its subset. sys2's force F is
+    transported as lift o F o lift_inverse, whose push is declared, not
+    differenced: lift_tangent after F's push after the inverse of
+    lift_tangent at the preimage. Membership in
     vertical lifts of the control subset is its distance to the affine
     subset, offset plus span
     (ControlSubset.distance, as ControlSubset.contains decides); the
@@ -852,21 +841,28 @@ def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
     base, fiber = _base_fiber_indices(k)
     uncontrolled = replace(sys1, control=None)
     x2 = rng.uniform(-2, 2, (samples, 6 + 2 * k))
-    x1 = _extend_lift(phi, x2)
-    residual = (rch_vector_field(uncontrolled, x1)
-                - _extend_push(phi, x2, hamiltonian_vector_field(sys2, x2)))
+    x1 = _extend(phi.lift, x2)
+    residual = (rch_vector_field(uncontrolled, x1) - _extend(
+        phi.lift_tangent, x2, hamiltonian_vector_field(sys2, x2)))
     force = sys2.force
     if force is not None:
         def transported(s: np.ndarray) -> np.ndarray:
-            down = np.concatenate([phi.apply_inverse_lift(s[..., :6]),
-                                   s[..., 6:]], axis=-1)
-            return _extend_lift(phi, np.asarray(force.apply(down)))
+            return _extend(phi.lift, force.image(_extend(phi.lift_inverse, s)))
+
+        def push(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+            # The inverse lift's tangent is a solve against J[..., :, j] =
+            # lift_tangent(x, e_j), one call on the six unit vectors.
+            x = _extend(phi.lift_inverse, s)
+            J = np.swapaxes(phi.lift_tangent(
+                np.repeat(x[..., None, :6], 6, axis=-2),
+                np.broadcast_to(np.eye(6), x.shape[:-1] + (6, 6))), -1, -2)
+            w = np.concatenate([np.linalg.solve(J, v[..., :6, None])[..., 0],
+                                v[..., 6:]], axis=-1)
+            return _extend(phi.lift_tangent, force.image(x), force.push(x, w))
 
         # transported is affine in the fiber when the force is (the lifts
-        # are linear there), and then takes stacks as they do; its push is
-        # the central difference FiberMap.push would take.
-        lifted = FiberMap(transported, partial(
-            fd.directional, transported, step=fd.GRADIENT_STEP), force.affine)
+        # are linear there), and then takes stacks as they do.
+        lifted = FiberMap(transported, push, force.affine)
         residual = residual - vertical_lift(lifted, sys1, x1)
     vertical = [sys1.control_subset.distance(row) for row in residual[:, fiber]]
     return [CheckRecord("mr3.vertical", samples, _worst(vertical), 1e-6),

@@ -1,4 +1,5 @@
-"""Tooling: the exported names of every module resolve, and deleted ones stay gone."""
+"""Tooling: the exported names of every module resolve, deleted ones stay gone,
+and the option budget holds."""
 
 import ast
 import dataclasses
@@ -108,6 +109,13 @@ def test_deleted_members_stay_gone():
                       (heisenmech.DiffeoSpec, "lift_tangent")):
         field, = (f for f in dataclasses.fields(cls) if f.name == name)
         assert field.default is dataclasses.MISSING, (cls, name)
+    # Declarations are read as declared: a Hamiltonian's kind selects the
+    # propagator, which reads its generator off the vector field, and the
+    # checkers call a DiffeoSpec's lift, lift_inverse and lift_tangent.
+    assert "form" not in {f.name for f in
+                          dataclasses.fields(heisenmech.HamiltonianSpec)}
+    for name in ("apply_lift", "apply_inverse_lift", "push_lift"):
+        assert not hasattr(heisenmech.DiffeoSpec, name), name
 
 
 def test_removed_parameters_stay_gone():
@@ -136,3 +144,37 @@ def test_each_law_is_written_once():
     for name in ("reduction", "checks"):
         assert not hasattr(importlib.import_module(f"heisenmech.{name}"),
                            "_map_rows")
+
+
+# The option budget: ceilings on what a caller can set. A change that adds
+# an option raises a ceiling here and says so in CHANGES.md.
+# Defaulted parameters: len(args.defaults) plus the non-None kw_defaults of
+# every FunctionDef and Lambda that ast.walk finds in src/heisenmech/*.py.
+DEFAULTED_PARAMETERS = 58
+# Dataclass fields: the annotated assignments in the body of every class
+# decorated with dataclass (bare or called), and of those the ones that
+# have a default.
+DATACLASS_FIELDS = 66
+DEFAULTED_FIELDS = 23
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    name = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(name, ast.Name) and name.id == "dataclass"
+
+
+def test_option_budget():
+    parameters = fields = defaulted_fields = 0
+    for path in sorted(Path(heisenmech.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                parameters += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif (isinstance(node, ast.ClassDef)
+                  and any(map(_is_dataclass, node.decorator_list))):
+                declared = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                fields += len(declared)
+                defaulted_fields += sum(s.value is not None for s in declared)
+    assert parameters <= DEFAULTED_PARAMETERS
+    assert fields <= DATACLASS_FIELDS
+    assert defaulted_fields <= DEFAULTED_FIELDS

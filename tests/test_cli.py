@@ -535,8 +535,39 @@ def test_mr3_with_a_target_force(tmp_path, lines, code, failing):
         if name == failing:
             assert record["max_residual"] >= 1.0
         else:
-            # measured at most 2.6e-10
+            # measured at most 9.3e-16
             assert record["max_residual"] <= 1e-8
+
+
+# The transported force declares its tangent: the lift's tangent after the
+# force's push after the inverse of the lift's tangent at the preimage. On
+# the exact forced translation mr3.vertical reads rounding, as it does
+# without forces: measured 9.3e-16 and 4.4e-16. Unequal factors (1.255)
+# and the shear (2.951) still fail it.
+FORCED = ("force.kind = body_scaling", "force.factor = 0.7",
+          "force2.kind = body_scaling")
+
+
+@pytest.mark.parametrize("lines, code", [
+    ((*TRANSLATION, *FORCED, "force2.factor = 0.7"), 0),
+    (TRANSLATION, 0),
+    ((*TRANSLATION, *FORCED, "force2.factor = 0.5"), 1),
+    (("diffeo.kind = shear", *FORCED, "force2.factor = 0.7"), 1),
+], ids=["forced", "unforced", "unequal_factors", "shear"])
+def test_mr3_transports_the_target_force_by_declared_tangents(tmp_path, lines,
+                                                              code):
+    cfg = tmp_path / "transport.cfg"
+    cfg.write_text("\n".join([
+        "mr.check = mr3", "system.metric = invariant", "field.kind = invariant",
+        "field.a1 = 0.3", "field.a2 = -0.2", "field.a3 = 0.8",
+        "control.subset = zero", "run.seed = 3", *lines]) + "\n")
+    assert main(["mr-check", "--config", str(cfg), "--out", str(tmp_path)]) == code
+    vertical, = (r for r in load_report(tmp_path)["checks"]
+                 if r["name"] == "mr3.vertical")
+    if code == 0:
+        assert vertical["max_residual"] <= 1e-14
+    else:
+        assert vertical["max_residual"] >= 1.0
 
 
 def test_mr3_without_subset_exits_2(tmp_path, capsys):

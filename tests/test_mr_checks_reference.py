@@ -7,8 +7,11 @@ samples as one array pass each, through DiffeoSpec callables that take
 stacks. The references below are the loops they replaced (one single-state
 call per sample). They draw from the generator as the checks do: check_mr1
 and the reduction.form_pullback record draw one block per distribution, and
-the loops take sample i's values from row i of each block. Every record must
-carry the same name, sample count, bound and the same bits of max residual.
+the loops take sample i's values from row i of each block. MR-3's reference
+transports sys2's force through the lift with the declared tangent
+check_mr3_matching takes, lift_tangent o force.push o (lift_tangent)^-1,
+one sample and one unit vector at a time. Every record must carry the same
+name, sample count, bound and the same bits of max residual.
 """
 
 import collections
@@ -38,9 +41,9 @@ def reference_mr1(phi, field1, field2, samples=100, seed=5501):
     tangents = rng.normal(size=(samples, 12))
     residuals = []
     for x2, vw in zip(states, tangents):
-        x1 = phi.apply_lift(x2)
+        x1 = phi.lift(x2)
         v, w = vw[:6], vw[6:]
-        pv, pw = phi.push_lift(x2, v), phi.push_lift(x2, w)
+        pv, pw = phi.lift_tangent(x2, v), phi.lift_tangent(x2, w)
         lhs = M.magnetic_form(x1, pv, pw, field1)
         rhs = M.magnetic_form(x2, v, w, field2)
         residuals.append(lhs - rhs)
@@ -53,7 +56,7 @@ def reference_mr2(phi, level1, level2, field1, field2, samples=50, seed=5711):
     level_gaps = []
     for _ in range(samples):
         x2 = M.sample_level_point(level2, field2, 0, rng)
-        x1 = phi.apply_lift(x2)
+        x1 = phi.lift(x2)
         level_gaps.append(R._worst(M.momentum_map(x1, field1) - p1))
 
     candidates = [np.array([0.0, 0.0, t]) for t in rng.uniform(-3, 3, 8)]
@@ -66,8 +69,8 @@ def reference_mr2(phi, level1, level2, field1, field2, samples=50, seed=5711):
     for _ in range(samples):
         s2 = rng.uniform(-2, 2, 6)
         for g in candidates:
-            lhs = phi.apply_lift(M.left_translate(g, s2))
-            rhs = M.left_translate(g, phi.apply_lift(s2))
+            lhs = phi.lift(M.left_translate(g, s2))
+            rhs = M.left_translate(g, phi.lift(s2))
             iso_gaps.append(R._worst(lhs - rhs))
     return [CheckRecord("mr2.level", samples, R._worst(level_gaps), 1e-7),
             CheckRecord("mr2.isotropy", samples, R._worst(iso_gaps), 1e-7)]
@@ -75,7 +78,26 @@ def reference_mr2(phi, level1, level2, field1, field2, samples=50, seed=5711):
 
 def reference_mr3(sys1, sys2, phi, samples=40, seed=5903):
     def extend_lift(state):
-        return np.concatenate([phi.apply_lift(state[:6]), state[6:]])
+        return np.concatenate([phi.lift(state[:6]), state[6:]])
+
+    def extend_push(state, vector):
+        return np.concatenate([phi.lift_tangent(state[:6], vector[:6]),
+                               vector[6:]])
+
+    def down(state):
+        return np.concatenate([phi.lift_inverse(state[:6]), state[6:]])
+
+    def transported(s):
+        return extend_lift(sys2.force.image(down(s)))
+
+    def transported_push(s, v):
+        # The declared tangent of lift o force o lift^-1: the inverse lift's
+        # tangent solves against lift_tangent's columns at the preimage,
+        # each column one call on a unit vector.
+        x = down(s)
+        J = np.column_stack([phi.lift_tangent(x[:6], e) for e in np.eye(6)])
+        w = np.concatenate([np.linalg.solve(J, v[:6]), v[6:]])
+        return extend_push(sys2.force.image(x), sys2.force.push(x, w))
 
     k = sys1.k
     rng = np.random.default_rng(seed)
@@ -85,16 +107,11 @@ def reference_mr3(sys1, sys2, phi, samples=40, seed=5903):
     for _ in range(samples):
         x2 = rng.uniform(-2, 2, 6 + 2 * k)
         x1 = extend_lift(x2)
-        pushed = D.hamiltonian_vector_field(sys2, x2)
-        residual = D.rch_vector_field(uncontrolled, x1) - np.concatenate(
-            [phi.push_lift(x2[:6], pushed[:6]), pushed[6:]])
+        residual = D.rch_vector_field(uncontrolled, x1) - extend_push(
+            x2, D.hamiltonian_vector_field(sys2, x2))
         if sys2.force is not None:
-            def transported(s):
-                down = np.concatenate([phi.apply_inverse_lift(s[:6]), s[6:]])
-                return extend_lift(np.asarray(sys2.force.apply(down)))
-
             residual = residual - D.vertical_lift(
-                D.FiberMap(apply=transported), sys1, x1)
+                D.FiberMap(transported, transported_push), sys1, x1)
         horizontal.append(R._worst(residual[base]))
         vertical.append(sys1.control_subset.distance(residual[fiber]))
     return [CheckRecord("mr3.vertical", samples, R._worst(vertical), 1e-6),

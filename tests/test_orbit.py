@@ -124,6 +124,13 @@ def test_derivatives_are_declared_not_differenced():
         O.check_jacobi((flat, MU2, NU), p, B)
 
 
+def test_hess_names_a_missing_hessian():
+    # Not a TypeError from calling None: the function declares no hessian.
+    with pytest.raises(ValueError, match="declares no hessian"):
+        O.DualFunction(lambda p: float(p[0]),
+                       lambda p: np.array([1.0, 0.0, 0.0])).hess(np.zeros(3))
+
+
 def test_classify_orbit():
     assert O.classify_orbit(np.array([3.0, 4.0, 0.0])) == "point"
     assert O.classify_orbit(np.array([0.0, 0.0, 1.0])) == "plane"

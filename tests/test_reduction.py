@@ -396,16 +396,28 @@ def test_diffeo_spec_validation():
                      shear_tangent)
     spec = R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse,
                         shear_tangent, verify_lift=False)
-    assert spec.apply_lift(np.ones(6))[3] == 2.0
-    assert spec.push_lift(np.zeros(6), np.ones(6))[3] == 2.0
+    assert spec.lift(np.ones(6))[3] == 2.0
+    assert spec.lift_tangent(np.zeros(6), np.ones(6))[3] == 2.0
 
 
 def test_diffeo_spec_declares_its_lift_tangent():
-    # push_lift differences nothing: a DiffeoSpec without lift_tangent is
+    # Nothing differences the lift: a DiffeoSpec without lift_tangent is
     # refused at construction.
     with pytest.raises(TypeError):
         R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse,
                      verify_lift=False)
+
+
+@pytest.mark.parametrize("result", ["list", "float32"])
+def test_diffeo_spec_refuses_a_lift_that_is_no_float64_array(result):
+    # The checkers call the declared callables directly, so construction
+    # refuses a stacked result that is not a float64 array of the row shape.
+    convert = {"list": lambda a: a.tolist(),
+               "float32": lambda a: a.astype(np.float32)}[result]
+    with pytest.raises(ValueError, match="DiffeoSpec.lift must take a stack"):
+        R.DiffeoSpec(identity_map, identity_map,
+                     lambda s: convert(identity_map(s)), identity_map,
+                     identity_tangent)
 
 
 def test_diffeo_spec_inverse_check_is_relative_to_the_image():
@@ -427,11 +439,11 @@ def test_group_translation_lift_is_momentum_friendly():
     rng = np.random.default_rng(14)
     for _ in range(20):
         s = rng.uniform(-2, 2, 6)
-        lifted = phi.apply_lift(s)
+        lifted = phi.lift(s)
         g, rho = body_of(s)
         expected = chart_of(multiply(inverse(h.as_array()), g), rho)
         assert np.max(np.abs(lifted - expected)) <= 1e-9
-        back = phi.apply_inverse_lift(lifted)
+        back = phi.lift_inverse(lifted)
         assert np.max(np.abs(back - s)) <= 1e-9
 
 
@@ -609,16 +621,16 @@ def test_group_translation_declares_an_exact_lift():
     rng = np.random.default_rng(23)
     for _ in range(50):
         s, v = rng.uniform(-2, 2, 6), rng.normal(size=6)
-        assert np.array_equal(phi.apply_lift(s), M.left_translate(inverse(g), s))
-        assert np.array_equal(phi.apply_inverse_lift(s), M.left_translate(g, s))
+        assert np.array_equal(phi.lift(s), M.left_translate(inverse(g), s))
+        assert np.array_equal(phi.lift_inverse(s), M.left_translate(g, s))
         # the finite-difference tangent of the exact lift, to its step noise
-        fd_push = fd.directional(phi.apply_lift, s, v)
-        assert np.max(np.abs(phi.push_lift(s, v) - fd_push)) <= 1e-8
+        fd_push = fd.directional(phi.lift, s, v)
+        assert np.max(np.abs(phi.lift_tangent(s, v) - fd_push)) <= 1e-8
         # the central difference of a map of degree 2 is its exact tangent,
         # so it is linear in v
         w = rng.normal(size=6)
-        both = phi.push_lift(s, v) + phi.push_lift(s, w)
-        assert np.max(np.abs(phi.push_lift(s, v + w) - both)) <= 1e-13
+        both = phi.lift_tangent(s, v) + phi.lift_tangent(s, w)
+        assert np.max(np.abs(phi.lift_tangent(s, v + w) - both)) <= 1e-13
 
 
 def _sweeps():

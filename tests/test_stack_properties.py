@@ -334,6 +334,22 @@ def test_single_chart_states_keep_their_return_types():
             assert field.vector_potential(state[:3]).shape == (3,)
 
 
+def test_empty_stacks_keep_the_trailing_shape_of_a_declared_kind():
+    # A stack of no rows mapped over its rows keeps the trailing shape the
+    # declared kinds give, read off one call of the user's callable.
+    for n in (6, 8):
+        empty = np.zeros((0, 2, n))
+        for field in (general_field(), chart_fields(3)[3]):
+            assert M.omega_matrix(empty, field).shape == (0, 2, n, n)
+        for H in (general_hamiltonian(), hamiltonians(3)[0]):
+            assert H.grad(empty).shape == (0, 2, n)
+            assert D._state_energies(H, empty).shape == (0, 2)
+        for fm in (D.FiberMap(squash), D.FiberMap(
+                lambda s: s.copy(), lambda s, v: v.copy(), affine=True)):
+            assert fm.push(empty, empty).shape == (0, 2, n)
+            assert fm.image(empty).shape == (0, 2, n)
+
+
 def test_stacks_outside_the_contract_are_rejected_as_before():
     field = chart_fields(3)[3]
     sys = D.RCHSystem(field, hamiltonians(3)[1])
