@@ -103,16 +103,34 @@ def check_representations(seed: int, samples: int = 1000) -> list[CheckRecord]:
 
 def _picked(fs, index: np.ndarray) -> orbit.DualFunction:
     """DualFunction on a stack of len(index) dual points whose value and
-    derivatives at point i are those of fs[index[i]]; each function is
-    evaluated on its own rows only."""
-    rows = [np.flatnonzero(index == k) for k in range(len(fs))]
+    derivatives at point i are those of fs[index[i]].
+
+    The rows are sorted by function once (a stable argsort), so each function
+    runs on one contiguous slice of the sorted stack, and the results are put
+    back in sample order. evaluate, grad and hess each keep their read-only
+    result for the last stack object they were given (an `is` test): a stack
+    must not be mutated between calls.
+    """
+    order = np.argsort(index, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    counts = np.bincount(index, minlength=len(fs))
+    stops = np.cumsum(counts)
+    spans = list(zip(fs, stops - counts, stops))
 
     def pick(method, tail):
+        last = [None, None]
+
         def stacked(p):
-            out = np.empty(index.shape + tail)
-            for f, mine in zip(fs, rows):
-                out[mine] = getattr(f, method)(p[mine])
-            return out
+            if p is not last[0]:
+                rows = p.take(order, axis=0)
+                out = np.empty(index.shape + tail)
+                for f, start, stop in spans:
+                    out[start:stop] = getattr(f, method)(rows[start:stop])
+                out = out.take(inverse, axis=0)
+                out.flags.writeable = False
+                last[:] = p, out
+            return last[1]
         return stacked
 
     return orbit.DualFunction(pick("evaluate", ()), pick("grad", (3,)),
@@ -167,8 +185,9 @@ def check_orbit_form(seed: int, samples: int = 200) -> list[CheckRecord]:
     f, g = orbit.linear_function(xi), orbit.linear_function(eta)
     bracket_value = orbit.magnetic_lie_poisson(f, g, moving, B)
     W = orbit.orbit_form_matrix(nu, MagneticCocycle.zero())
-    kinds = set(zip(orbit.classify_orbit(fixed), orbit.classify_orbit(moving)))
-    classify_res = 0.0 if kinds == {("point", "plane")} else 1.0
+    kinds = ((orbit.classify_orbit(fixed) == "point")
+             & (orbit.classify_orbit(moving) == "plane"))
+    classify_res = 0.0 if kinds.size and kinds.all() else 1.0
     return [CheckRecord("orbit.form_matches_bracket", samples,
                         _worst(form - bracket_value), 1e-10),
             CheckRecord("orbit.determinant", samples,

@@ -186,13 +186,36 @@ _AREA = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 _SIGN = -1.0
 
 
+def _bracket_value(df: np.ndarray, dg: np.ndarray, p: np.ndarray,
+                   B: MagneticCocycle):
+    """-<p,[df,dg]> - B(df,dg) from the gradients df, dg at p."""
+    return _scalar(_SIGN * (_part(p, 2) * area_form(df, dg)) - B.pair(df, dg))
+
+
+def _bracket_gradient(df: np.ndarray, dg: np.ndarray, Hf: np.ndarray,
+                      Hg: np.ndarray, p: np.ndarray,
+                      B: MagneticCocycle) -> np.ndarray:
+    """grad {f,g}(p) = Hf^T M dg + Hg^T M^T df - area(df,dg) e3, with
+    M = -nu*K - B, from the gradients and hessians of f and g at p."""
+    M = (_SIGN * p[..., 2])[..., None, None] * _AREA - B.form
+    out = (_matvec(np.swapaxes(Hf, -1, -2), _matvec(M, dg))
+           + _matvec(np.swapaxes(Hg, -1, -2), _vecmat(df, M)))
+    out[..., 2] += _SIGN * area_form(df, dg)
+    return out
+
+
+def _require_hessians(*fs: DualFunction) -> None:
+    if any(f.hessian is None for f in fs):
+        raise ValueError("bracket_function needs both inputs to declare a "
+                         "hessian")
+
+
 def magnetic_lie_poisson(f: DualFunction, g: DualFunction, p: np.ndarray,
                          B: MagneticCocycle):
     """Magnetic Lie-Poisson bracket {f,g}(p) = -<p,[df,dg]> - B(df,dg) at
     the flat dual point (or stack) p = (mu1, mu2, nu)."""
     p = np.asarray(p, dtype=float)
-    df, dg = f.grad(p), g.grad(p)
-    return _scalar(_SIGN * (_part(p, 2) * area_form(df, dg)) - B.pair(df, dg))
+    return _bracket_value(f.grad(p), g.grad(p), p, B)
 
 
 def bracket_function(f: DualFunction, g: DualFunction,
@@ -204,21 +227,15 @@ def bracket_function(f: DualFunction, g: DualFunction,
     Hf^T M dg + Hg^T M^T df - area(df,dg) e3, so both inputs must declare
     hessians (ValueError otherwise); the result declares none.
     """
-    if f.hessian is None or g.hessian is None:
-        raise ValueError("bracket_function needs both inputs to declare a "
-                         "hessian")
+    _require_hessians(f, g)
 
     def evaluate(p: np.ndarray) -> float:
         return magnetic_lie_poisson(f, g, p, B)
 
     def gradient(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        df, dg = f.grad(p), g.grad(p)
-        M = (_SIGN * p[..., 2])[..., None, None] * _AREA - B.form
-        out = (_matvec(np.swapaxes(f.hess(p), -1, -2), _matvec(M, dg))
-               + _matvec(np.swapaxes(g.hess(p), -1, -2), _vecmat(df, M)))
-        out[..., 2] += _SIGN * area_form(df, dg)
-        return out
+        return _bracket_gradient(f.grad(p), g.grad(p), f.hess(p), g.hess(p),
+                                 p, B)
 
     return DualFunction(evaluate, gradient)
 
@@ -242,13 +259,18 @@ def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle):
     p = (mu1, mu2, nu): a float, or an array of the leading shape for a
     stack. The inner brackets are bracket_function's, so every input must
     declare a hessian (ValueError otherwise); the nested bracket is then
-    differentiated exactly, and the residual reads rounding.
+    differentiated exactly, and the residual reads rounding. Each input's
+    grad and hess is read once, at p.
     """
     f, g, h = fs
+    _require_hessians(f, g, h)
+    p = np.asarray(p, dtype=float)
+    d = [fn.grad(p) for fn in (f, g, h)]
+    H = [fn.hess(p) for fn in (f, g, h)]
     total = 0.0
-    for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        ab = bracket_function(a, b, B)
-        total += magnetic_lie_poisson(ab, c, p, B)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        total += _bracket_value(
+            _bracket_gradient(d[a], d[b], H[a], H[b], p, B), d[c], p, B)
     return abs(total)
 
 

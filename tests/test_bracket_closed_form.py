@@ -193,3 +193,51 @@ def test_check_bracket_records_a_symmetric_hessian_error(monkeypatch):
         records = {r.name: r for r in checks.check_bracket(seed, samples)}
         assert not records["bracket.nested_gradient"].passed, seed
         assert records["bracket.jacobi"].passed, seed
+
+
+def jacobi_by_bracket_functions(fs, p, B):
+    """The former check_jacobi: three bracket_function objects, each of
+    which reads its inputs' derivatives again."""
+    f, g, h = fs
+    total = 0.0
+    for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+        total += O.magnetic_lie_poisson(O.bracket_function(a, b, B), c, p, B)
+    return abs(total)
+
+
+def test_jacobi_reads_each_derivative_once():
+    rng = np.random.default_rng(96)
+    calls = []
+
+    def counted(f, name):
+        def gradient(p):
+            calls.append((name, "grad"))
+            return f.gradient(p)
+
+        def hessian(p):
+            calls.append((name, "hess"))
+            return f.hessian(p)
+
+        return O.DualFunction(f.evaluate, gradient, hessian)
+
+    fs = [counted(f, name) for f, name in zip(functions(rng)[:3], "fgh")]
+    O.check_jacobi(fs, rng.normal(size=3), general_cocycle(rng))
+    assert sorted(calls) == sorted((name, kind) for name in "fgh"
+                                   for kind in ("grad", "hess"))
+
+
+def test_jacobi_is_bitwise_the_three_bracket_functions():
+    rng = np.random.default_rng(97)
+    for f, g, B, p in sweep(97):
+        h = quadratic(rng.normal(size=(3, 3)))
+        got = O.check_jacobi((f, g, h), p, B)
+        assert type(got) is float
+        assert got == jacobi_by_bracket_functions((f, g, h), p, B)
+    # Stacks of points and cocycles, through the bracket check's picker.
+    fs = [O.coordinate_function(i) for i in range(3)]
+    fs += [checks._quadratic(rng.normal(size=(3, 3))) for _ in range(2)]
+    p = rng.uniform(-2, 2, (200, 3))
+    B = O.MagneticCocycle.planar(rng.normal(size=200))
+    picked = [checks._picked(fs, row) for row in rng.integers(0, 5, (3, 200))]
+    assert (O.check_jacobi(picked, p, B).tobytes()
+            == jacobi_by_bracket_functions(picked, p, B).tobytes())

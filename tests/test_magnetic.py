@@ -279,6 +279,25 @@ def test_level_lift_of_a_stack_is_the_lift_of_each_row(k):
                 assert stacked.tobytes() == np.array(rows).tobytes()
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_level_lift_lands_on_its_level_at_every_height(k):
+    # At nu = 1 a lift that multiplies by nu where it should divide still
+    # lands on the level; at nu = 2 and -0.5 it does not.
+    rng = np.random.default_rng(73 + k)
+    for field in (M.MagneticField.zero(0.7),
+                  M.MagneticField.invariant_potential(rng.normal(size=3), -1.2)):
+        for nu in (-0.5, 2.0):
+            level = CoAlgebraElement(rng.normal(size=2), nu)
+            charts = rng.normal(size=(2, 4, 2 + 2 * k))
+            lift = M.level_lift(charts, level, field)
+            J = M.momentum_map(lift, field)
+            assert (np.max(np.abs(J - level.as_array()))
+                    <= 1e-12 * np.max(np.abs(level.as_array())))
+            back = M.project_chart(lift, field)
+            assert (np.max(np.abs(back - charts))
+                    <= 1e-12 * np.max(np.abs(charts)))
+
+
 def test_reduce_point_well_defined_on_isotropy_orbits():
     rng = np.random.default_rng(66)
     field = M.MagneticField.invariant_potential((0.1, 0.2, 0.3), 0.8)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from heisenmech import checks
 from heisenmech import orbit as O
 from heisenmech.errors import DegenerateForm, SingularForm
 from heisenmech.group import AlgebraElement, CoAlgebraElement, GroupElement, coadjoint
@@ -302,3 +303,80 @@ def test_check_bracket_builds_no_algebra_elements(monkeypatch):
     O.classify_orbit(CoAlgebraElement((0.0, 0.0), 1.0).as_array())
     DiffeoSpec.group_translation(GroupElement((0.1, 0.2), 0.3))
     assert len(built) == 3
+
+
+def elementwise_cubic():
+    """p0*p1*p2 + p0^2/2, written elementwise, so each row of a stacked
+    call is bitwise the call on that row; its hessian varies with p."""
+
+    def gradient(p):
+        p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
+        return np.stack([p1 * p2 + p0, p0 * p2, p0 * p1], axis=-1)
+
+    def hessian(p):
+        p0, p1, p2 = p[..., 0], p[..., 1], p[..., 2]
+        one, zero = np.ones_like(p0), np.zeros_like(p0)
+        return np.stack([np.stack([one, p2, p1], axis=-1),
+                         np.stack([p2, zero, p0], axis=-1),
+                         np.stack([p1, p0, zero], axis=-1)], axis=-2)
+
+    return O.DualFunction(
+        lambda p: p[..., 0] * p[..., 1] * p[..., 2] + 0.5 * p[..., 0] ** 2,
+        gradient, hessian)
+
+
+def picker_inputs(seed, samples=60):
+    """Five functions, an index into them that gives function 1 no rows,
+    and two stacks of dual points."""
+    rng = np.random.default_rng(seed)
+    fs = [MU1, NU, checks._quadratic(rng.normal(size=(3, 3))),
+          elementwise_cubic(), checks._quadratic(rng.normal(size=(3, 3)))]
+    index = rng.choice([0, 2, 3, 4], samples)
+    return fs, index, rng.uniform(-2, 2, (2, samples, 3))
+
+
+def test_picked_rows_are_bitwise_their_functions():
+    fs, index, (p0, p1) = picker_inputs(70)
+    picked = checks._picked(fs, index)
+    assert not (index == 1).any()
+    # Alternate the stacks, so each method's cached result must be dropped.
+    for p in (p0, p1, p0, p1):
+        for method, tail in (("evaluate", ()), ("grad", (3,)),
+                             ("hess", (3, 3))):
+            got = getattr(picked, method)(p)
+            assert got.shape == index.shape + tail
+            for i, k in enumerate(index):
+                want = np.broadcast_to(getattr(fs[k], method)(p[i]), tail)
+                assert got[i].tobytes() == want.tobytes(), (method, i)
+
+
+def test_picked_evaluates_each_function_once_per_stack():
+    fs, index, (p0, _) = picker_inputs(71)
+    calls = []
+
+    def counted(f, k):
+        def wrap(method):
+            def call(p):
+                calls.append((k, method))
+                return getattr(f, method)(p)
+            return call
+        return O.DualFunction(wrap("evaluate"), wrap("grad"), wrap("hess"))
+
+    picked = checks._picked([counted(f, k) for k, f in enumerate(fs)], index)
+    first = picked.grad(p0)
+    assert picked.grad(p0) is first
+    once = list(calls)
+    assert {k for k, _ in once} >= set(index.tolist())
+    assert len(set(once)) == len(once) and {m for _, m in once} == {"grad"}
+    # An equal stack that is another object is evaluated afresh.
+    again = picked.grad(p0.copy())
+    assert again is not first and again.tobytes() == first.tobytes()
+    assert calls == once + once
+
+
+def test_picked_results_are_read_only():
+    fs, index, (p0, _) = picker_inputs(72)
+    picked = checks._picked(fs, index)
+    for result in (picked.evaluate(p0), picked.grad(p0), picked.hess(p0)):
+        with pytest.raises(ValueError, match="read-only"):
+            result[0] = 1.0
