@@ -3,10 +3,11 @@
 Each ledger entry is one in-process `heisenmech` call: its argv, its exit
 code, a SHA-256 of its stdout and of its stderr, and the name and SHA-256 of
 each file it wrote. Every path under the run's scratch directory reads
-`<tmp>`, so the `--out` path that stdout prints does not enter a digest. The
-calls are `check --all` at seeds 42 and 20260814 and every call of the
-benchmark's `algebra` pool at seeds 1 and 11, generated by
-`perfbench/workloads.py` (read, never changed).
+`<tmp>` and the bundled configs' directory `<configs>`, so neither the
+`--out` path that stdout prints nor the checkout's place enters a digest. The
+calls are the 11 bundled configs under their subcommands, `check --all` at
+seeds 42 and 20260814, and every call of the benchmark's four pools at seeds
+1 and 11, generated by `perfbench/workloads.py` (read, never changed).
 
 Digests of floating-point output depend on the numpy build and the machine,
 so the ledger records both; under another numpy version or platform the
@@ -37,6 +38,14 @@ from heisenmech.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = Path(__file__).resolve().parent / "output_ledger.json"
 CONFIGS = Path(heisenmech.__file__).parent / "configs"
+# The subcommand that runs each bundled config.
+BUNDLED = {"diverge": "simulate", "free_particle": "simulate",
+           "heisenberg_particle": "simulate", "kk_compare": "kk-compare",
+           "mr1_shear": "mr-check", "mr2_level_mismatch": "mr-check",
+           "mr3_zero_control": "mr-check", "mr_identity": "mr-check",
+           "mr_translation": "mr-check", "reduce": "reduce",
+           "reduce_nu0": "reduce"}
+POOLS = ("flow", "reduce", "certify", "algebra")
 
 
 def environment() -> dict:
@@ -61,21 +70,32 @@ def _digest(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _normal(text: str, tmp: Path) -> str:
+    """text with the scratch directory read as `<tmp>` and the bundled
+    configs' directory as `<configs>`."""
+    return text.replace(str(tmp), "<tmp>").replace(str(CONFIGS), "<configs>")
+
+
 def _calls(tmp: Path) -> list[tuple[str, list[str], Path]]:
     """(name, argv without --out, output directory) of every ledger call."""
+    calls = [(f"{command} {name}.cfg",
+              [command, "--config", str(CONFIGS / f"{name}.cfg")],
+              tmp / "bundled" / name)
+             for name, command in sorted(BUNDLED.items())]
     check_cfg = tmp / "check.cfg"
     check_cfg.write_text("run.seed = 0\n")
-    calls = [(f"check --all --seed {seed}",
-              ["check", "--all", "--config", str(check_cfg), "--seed", str(seed)],
-              tmp / f"check{seed}")
-             for seed in (42, 20260814)]
+    calls += [(f"check --all --seed {seed}",
+               ["check", "--all", "--config", str(check_cfg), "--seed", str(seed)],
+               tmp / f"check{seed}")
+              for seed in (42, 20260814)]
     workloads = _workloads()
-    for seed in (1, 11):
-        work = tmp / f"algebra{seed}"
-        for job in workloads.generate("algebra", seed, CONFIGS, work):
-            for call in job.calls:
-                calls.append((f"algebra seed {seed} {job.name} {call.out}",
-                              list(call.argv), work / "out" / job.name / call.out))
+    for pool in POOLS:
+        for seed in (1, 11):
+            work = tmp / f"{pool}{seed}"
+            for job in workloads.generate(pool, seed, CONFIGS, work):
+                calls += [(f"{pool} seed {seed} {job.name} {call.out}",
+                           list(call.argv), work / "out" / job.name / call.out)
+                          for call in job.calls]
     return calls
 
 
@@ -90,10 +110,10 @@ def run_ledger(tmp: Path) -> dict:
                  for path in sorted(out.iterdir())} if out.is_dir() else {}
         entries.append({
             "call": name,
-            "argv": [arg.replace(str(tmp), "<tmp>") for arg in argv],
+            "argv": [_normal(arg, tmp) for arg in argv],
             "exit": code,
-            "stdout": _digest(stdout.getvalue().replace(str(tmp), "<tmp>")),
-            "stderr": _digest(stderr.getvalue().replace(str(tmp), "<tmp>")),
+            "stdout": _digest(_normal(stdout.getvalue(), tmp)),
+            "stderr": _digest(_normal(stderr.getvalue(), tmp)),
             "files": files,
         })
     return {"environment": environment(), "calls": entries}
