@@ -380,3 +380,33 @@ def test_picked_results_are_read_only():
     for result in (picked.evaluate(p0), picked.grad(p0), picked.hess(p0)):
         with pytest.raises(ValueError, match="read-only"):
             result[0] = 1.0
+
+
+def test_check_bracket_makes_twenty_picked_evaluations(monkeypatch):
+    # The records on p run before the nested-gradient difference, which
+    # leaves each picker cache on a shifted stack: 2 evaluate, 15 grad and
+    # 3 hess misses, each running all five test functions once.
+    calls = []
+
+    def counted(f):
+        def wrap(method, fn):
+            def call(p):
+                calls.append((id(f), method))
+                return fn(p)
+            return call
+        return O.DualFunction(wrap("evaluate", f.evaluate),
+                              wrap("grad", f.gradient),
+                              wrap("hess", f.hessian))
+
+    quadratic, coordinate = checks._quadratic, O.coordinate_function
+    monkeypatch.setattr(checks, "_quadratic", lambda Q: counted(quadratic(Q)))
+    monkeypatch.setattr(O, "coordinate_function",
+                        lambda i: counted(coordinate(i)))
+    checks.check_bracket(1, 1000)
+    per_function = {}
+    for key in calls:
+        per_function[key] = per_function.get(key, 0) + 1
+    assert len({f for f, _ in per_function}) == 5
+    assert {m: per_function[(f, m)] for f, m in per_function} == {
+        "evaluate": 2, "grad": 15, "hess": 3}
+    assert len(calls) == 5 * 20
