@@ -248,7 +248,7 @@ def _step_settings(cfg: ExperimentConfig, section: str) -> tuple[float, float]:
 
 
 # The largest sample count a config may ask of a sweep. The stacked sweeps
-# hold every sample's rows at once, up to about 680 bytes per sample at the
+# hold every sample's rows at once, up to about 650 bytes per sample at the
 # peak (check bracket; 500 for check connection, 370 for a forced reduce
 # commutation sweep), so a larger count is refused as a config error (exit 2)
 # rather than attempted; the bundled configs ask for at most 1,000.

@@ -175,6 +175,18 @@ def _area(u: np.ndarray, v: np.ndarray):
     return _part(u, 0) * _part(v, 1) - _part(u, 1) * _part(v, 0)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of the triples a and b, stacked; its third
+    component is _area(a, b). Each component is one elementwise expression
+    on both operands, so row i of a stacked call is bitwise the call on
+    row i."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = _part(a, 1) * _part(b, 2) - _part(a, 2) * _part(b, 1)
+    out[..., 1] = _part(a, 2) * _part(b, 0) - _part(a, 0) * _part(b, 2)
+    out[..., 2] = _area(a, b)
+    return out
+
+
 def area_form(u, v):
     """Signed area u1*v2 - u2*v1 of the planar parts (the first two
     components) of u and v."""

@@ -5,13 +5,24 @@ orbit through (mu, nu) is the whole plane R^2 x {nu}; for nu = 0 it is the
 single point (mu, 0). A constant magnetic cocycle (an antisymmetric bilinear
 form on the algebra) twists both the bracket and the orbit form.
 
+On this dual the magnetic bracket is a triple product. With
+beta = (F[1,2], -F[0,2], F[0,1]) the axial vector of the cocycle's form F,
+F(xi, eta) = beta . (xi x eta), and the bracket's bivector M = -nu*K - F
+(K the area matrix) acts as M v = w x v with w = beta + nu e3, so
+{f,g}(p) = df . M . dg = -w . (df x dg).
+
 The bracket layer is stack-generic, as the kernels of heisenmech.group are:
 a dual point p, an algebra label xi and a DualFunction gradient are one (3,)
 array or a stack of shape (..., 3), component on the last axis, and a
-cocycle's form is one 3x3 matrix or a stack (..., 3, 3). Scalar results
-(bracket values, orbit-form values) are Python floats for single inputs and
-arrays of the leading shape for stacks, each row bitwise the single call.
-The orbit chart functions at the end take one flat chart or a stack of them.
+cocycle's form is one 3x3 matrix or a stack (..., 3, 3). Bracket values,
+cocycle pairings and the bracket's vector w x v are elementwise expressions
+in the components (group._cross), with no matrix product, so single inputs
+and stacks run the same arithmetic and the values do not depend on the BLAS
+build; only a declared hessian is applied as a matrix product. Scalar
+results (bracket values, orbit-form values) are Python floats for single
+inputs and arrays of the leading shape for stacks, each row bitwise the
+single call. The orbit chart functions at the end take one flat chart or a
+stack of them.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 
 from . import fd
 from .errors import DegenerateForm, SingularForm
-from .group import (_dot, _map_rows, _matvec, _part, _scalar, _vecmat, area_form,
+from .group import (_area, _cross, _dot, _map_rows, _matvec, _part, _scalar,
                     pairing)
 
 __all__ = [
@@ -55,8 +66,9 @@ class DualFunction:
     The gradient is declared, never differenced: it is the functional
     derivative, delta with delta . w = Df(p) . w. The optional hessian H
     (the 3x3 derivative matrix of the gradient, H[j, i] = d delta_j / d p_i)
-    gives the gradient of a bracket: with M = -nu*K - B as in
-    bracket_function, grad {f,g} = Hf^T M dg + Hg^T M^T df - area(df,dg) e3.
+    gives the gradient of a bracket: with w = beta + nu e3 as in
+    bracket_function, grad {f,g} = Hf^T (w x dg) + Hg^T (df x w)
+    - area(df,dg) e3.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -83,6 +95,13 @@ def _antisymmetric(matrix, what: str) -> np.ndarray:
     return m
 
 
+def _axial_pair(F: np.ndarray, c: np.ndarray):
+    """beta . c, with beta = (F[1,2], -F[0,2], F[0,1]) the axial vector of
+    the antisymmetric forms F, its three terms summed in that order."""
+    return ((F[..., 1, 2] * _part(c, 0) - F[..., 0, 2] * _part(c, 1))
+            + F[..., 0, 1] * _part(c, 2))
+
+
 @dataclass(frozen=True)
 class MagneticCocycle:
     """Constant antisymmetric bilinear form on the algebra (3x3 matrix), or a
@@ -107,9 +126,12 @@ class MagneticCocycle:
         return cls(m)
 
     def pair(self, xi: np.ndarray, eta: np.ndarray):
-        """B(xi, eta) = (xi @ form) @ eta on flat algebra labels (X1, X2, a)."""
-        xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
-        return _dot(_vecmat(xi, self.form), eta)
+        """B(xi, eta) = beta . (xi x eta) on flat algebra labels (X1, X2, a),
+        with beta = (F[1,2], -F[0,2], F[0,1]) read off the stored form F
+        (any antisymmetric F, not only a planar one) and the three terms
+        summed in that order. Equal to xi . F . eta."""
+        c = _cross(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+        return _scalar(_axial_pair(self.form, c))
 
     @property
     def planar_component(self):
@@ -177,30 +199,38 @@ class OrbitFunction:
                          False, chart)
 
 
-# Area matrix K: df . K . dg is the signed area of the planar parts.
-_AREA = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
 # Reduction by the left action gives the minus Lie-Poisson structure on the
 # dual (Marsden and Ratiu, Introduction to Mechanics and Symmetry, chapter
 # 13). It stays a multiplication: a bare negation can give a nan other bits.
 _SIGN = -1.0
 
 
-def _bracket_value(df: np.ndarray, dg: np.ndarray, p: np.ndarray,
-                   B: MagneticCocycle):
-    """-<p,[df,dg]> - B(df,dg) from the gradients df, dg at p."""
-    return _scalar(_SIGN * (_part(p, 2) * area_form(df, dg)) - B.pair(df, dg))
+def _bracket_value(df: np.ndarray, dg: np.ndarray, nu, B: MagneticCocycle):
+    """-<p,[df,dg]> - B(df,dg) = -w . (df x dg) from the gradients df, dg at
+    a point p of height nu, summed as the nu term less B.pair's sum: a
+    Python float for single inputs, an array for stacks."""
+    c = _cross(df, dg)
+    return _scalar(_SIGN * (nu * _part(c, 2)) - _axial_pair(B.form, c))
+
+
+def _twist(nu, B: MagneticCocycle) -> np.ndarray:
+    """w = beta + nu e3 at height nu, beta the axial vector of B's form
+    (see MagneticCocycle.pair): the bracket's bivector acts as M v = w x v.
+    The sign of the nu term is _SIGN's."""
+    F = B.form
+    w = np.empty(np.broadcast_shapes(F.shape[:-2], np.shape(nu)) + (3,))
+    w[..., 0], w[..., 1] = F[..., 1, 2], -F[..., 0, 2]
+    w[..., 2] = F[..., 0, 1] - _SIGN * nu
+    return w
 
 
 def _bracket_gradient(df: np.ndarray, dg: np.ndarray, Hf: np.ndarray,
-                      Hg: np.ndarray, p: np.ndarray,
-                      B: MagneticCocycle) -> np.ndarray:
-    """grad {f,g}(p) = Hf^T M dg + Hg^T M^T df - area(df,dg) e3, with
-    M = -nu*K - B, from the gradients and hessians of f and g at p."""
-    M = (_SIGN * p[..., 2])[..., None, None] * _AREA - B.form
-    out = (_matvec(np.swapaxes(Hf, -1, -2), _matvec(M, dg))
-           + _matvec(np.swapaxes(Hg, -1, -2), _vecmat(df, M)))
-    out[..., 2] += _SIGN * area_form(df, dg)
+                      Hg: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """grad {f,g}(p) = Hf^T (w x dg) + Hg^T (df x w) - area(df,dg) e3 from
+    the gradients and hessians of f and g at p and w = _twist at p."""
+    out = (_matvec(np.swapaxes(Hf, -1, -2), _cross(w, dg))
+           + _matvec(np.swapaxes(Hg, -1, -2), _cross(df, w)))
+    out[..., 2] += _SIGN * _area(df, dg)
     return out
 
 
@@ -215,7 +245,7 @@ def magnetic_lie_poisson(f: DualFunction, g: DualFunction, p: np.ndarray,
     """Magnetic Lie-Poisson bracket {f,g}(p) = -<p,[df,dg]> - B(df,dg) at
     the flat dual point (or stack) p = (mu1, mu2, nu)."""
     p = np.asarray(p, dtype=float)
-    return _bracket_value(f.grad(p), g.grad(p), p, B)
+    return _bracket_value(f.grad(p), g.grad(p), _part(p, 2), B)
 
 
 def bracket_function(f: DualFunction, g: DualFunction,
@@ -223,9 +253,11 @@ def bracket_function(f: DualFunction, g: DualFunction,
     """The bracket {f,g} packaged as a DualFunction on flat dual points p.
 
     {f,g}(p) = df . M . dg with M = -nu*K - B, K the area matrix
-    (K[0,1] = -K[1,0] = 1). Its gradient is the closed form
-    Hf^T M dg + Hg^T M^T df - area(df,dg) e3, so both inputs must declare
-    hessians (ValueError otherwise); the result declares none.
+    (K[0,1] = -K[1,0] = 1), which is the triple product -w . (df x dg) with
+    w = beta + nu e3 (beta the axial vector of B's form): M v = w x v. Its
+    gradient is the closed form Hf^T (w x dg) + Hg^T (df x w)
+    - area(df,dg) e3, so both inputs must declare hessians (ValueError
+    otherwise); the result declares none.
     """
     _require_hessians(f, g)
 
@@ -235,7 +267,7 @@ def bracket_function(f: DualFunction, g: DualFunction,
     def gradient(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return _bracket_gradient(f.grad(p), g.grad(p), f.hess(p), g.hess(p),
-                                 p, B)
+                                 _twist(_part(p, 2), B))
 
     return DualFunction(evaluate, gradient)
 
@@ -267,10 +299,12 @@ def check_jacobi(fs, p: np.ndarray, B: MagneticCocycle):
     p = np.asarray(p, dtype=float)
     d = [fn.grad(p) for fn in (f, g, h)]
     H = [fn.hess(p) for fn in (f, g, h)]
+    nu = _part(p, 2)
+    w = _twist(nu, B)
     total = 0.0
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         total += _bracket_value(
-            _bracket_gradient(d[a], d[b], H[a], H[b], p, B), d[c], p, B)
+            _bracket_gradient(d[a], d[b], H[a], H[b], w), d[c], nu, B)
     return abs(total)
 
 
@@ -309,11 +343,12 @@ def orbit_symplectic_form(nu, xi: np.ndarray, eta: np.ndarray,
     point and the form is trivially zero; that case emits a DegenerateForm
     warning rather than raising.
     """
-    value = _SIGN * (nu * area_form(xi, eta)) - B.pair(xi, eta)
+    value = _bracket_value(np.asarray(xi, dtype=float),
+                           np.asarray(eta, dtype=float), nu, B)
     if np.logical_and(nu == 0.0, B.planar_component == 0.0).any():
         warnings.warn("point orbit with vanishing magnetic term: form is trivially zero",
                       DegenerateForm, stacklevel=2)
-    return _scalar(value)
+    return value
 
 
 def orbit_form_matrix(nu, B: MagneticCocycle) -> np.ndarray:
