@@ -79,18 +79,14 @@ def check_group_axioms(seed: int, samples: int = 1000) -> list[CheckRecord]:
 
 def check_representations(seed: int, samples: int = 1000) -> list[CheckRecord]:
     rng = np.random.default_rng(seed)
-    step = fd.TANGENT_STEP
     fd_rounds = min(samples, 200)
     g, xi, p = _triples(rng, fd_rounds, 3)
-    plus = group.conjugate(g, group.exp(step * xi))
-    minus = group.conjugate(g, group.exp(-step * xi))
-    slope = (plus - minus) / (2 * step)
+    # Both slopes are central differences in t at 0 (step fd.TANGENT_STEP).
+    slope = fd.directional(lambda t: group.conjugate(g, group.exp(t * xi)),
+                           0.0, 1.0)
     adj = _worst(slope - group.adjoint(g, xi))
-
-    def coad_along(t):
-        return group.coadjoint(group.exp(-t * xi), p)
-
-    slope = (coad_along(step) - coad_along(-step)) / (2 * step)
+    slope = fd.directional(lambda t: group.coadjoint(group.exp(-t * xi), p),
+                           0.0, 1.0)
     coad = _worst(slope - group.coad_star(xi, p))
     g, xi, p = _triples(rng, samples, 3)
     lhs = group.pairing(group.coadjoint(g, p), xi)
@@ -216,14 +212,11 @@ def check_connection(seed: int, samples: int = 300) -> list[CheckRecord]:
         _worst(nu * C.curvature(g, v, w)
                - MagneticCocycle.planar(nu).pair(v, w)),
         _worst(C.locked_inertia(g, a, b) - a * b)])
-    step = fd.TANGENT_STEP
     conn_at = C.mechanical_connection
     rounds = min(samples, 50)
     g, v, w = _triples(rng, rounds, 3)
-    d_v_of_aw = (conn_at(g + step * v, w)
-                 - conn_at(g - step * v, w)) / (2 * step)
-    d_w_of_av = (conn_at(g + step * w, v)
-                 - conn_at(g - step * w, v)) / (2 * step)
+    d_v_of_aw = fd.directional(lambda x: conn_at(x, w), g, v)
+    d_w_of_av = fd.directional(lambda x: conn_at(x, v), g, w)
     curvature_res = (d_v_of_aw - d_w_of_av) - C.curvature(g, v, w)
     return [CheckRecord("connection.right_invariance", samples,
                         _worst(invariance), 1e-12),

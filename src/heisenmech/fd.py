@@ -1,5 +1,7 @@
-"""Central finite-difference helpers shared by the checkers, the two
-derivative fallbacks left (OrbitFunction.grad and FiberMap.push), and tests."""
+"""Central finite differences, written once in `directional`: the Jacobian,
+the gradient and the closedness residual are its columns. The checkers, the
+two derivative fallbacks left (OrbitFunction.grad and FiberMap.push), a
+declared exact tangent (DiffeoSpec.group_translation) and the tests use them."""
 
 from __future__ import annotations
 
@@ -11,42 +13,32 @@ GRADIENT_STEP = 1e-6
 TANGENT_STEP = 1e-5
 
 
-def gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar function on R^n, step
-    GRADIENT_STEP.
-
-    x may be a stack (..., n) when f is: the last axis is differentiated.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.shape[-1]):
-        e = np.zeros(x.shape[-1])
-        e[i] = GRADIENT_STEP
-        out[..., i] = (f(x + e) - f(x - e)) / (2.0 * GRADIENT_STEP)
-    return out
-
-
-def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-             step: float = TANGENT_STEP) -> np.ndarray:
-    """Central-difference Jacobian matrix of a map R^n -> R^m.
-
-    x may be a stack (..., n) when f is: the result is (..., m, n).
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.shape[-1]):
-        e = np.zeros(x.shape[-1])
-        e[i] = step
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step))
-    return np.stack(cols, axis=-1)
-
-
 def directional(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 v: np.ndarray, step: float = TANGENT_STEP) -> np.ndarray:
     """Directional derivative of f at x along v by central differences."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     return (np.asarray(f(x + step * v)) - np.asarray(f(x - step * v))) / (2.0 * step)
+
+
+def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+             step: float = TANGENT_STEP) -> np.ndarray:
+    """Central-difference Jacobian matrix of a map R^n -> R^m: column i is
+    the directional derivative along e_i.
+
+    x may be a stack (..., n) when f is: the result is (..., m, n).
+    """
+    n = np.shape(x)[-1]
+    return np.stack([directional(f, x, e, step) for e in np.eye(n)], axis=-1)
+
+
+def gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function on R^n, step
+    GRADIENT_STEP.
+
+    x may be a stack (..., n) when f is: the last axis is differentiated.
+    """
+    return jacobian(f, x, GRADIENT_STEP)
 
 
 def one_form_curl(A: Callable[[np.ndarray], np.ndarray],
@@ -68,15 +60,6 @@ def two_form_closedness(B: Callable[[np.ndarray], np.ndarray],
     Zero (to FD accuracy) exactly when the two-form with coefficient matrix B(q)
     is closed near q.
     """
-    n = np.asarray(q, dtype=float).size
-    dB = np.empty((n, n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = TANGENT_STEP
-        dB[i] = (np.asarray(B(q + e)) - np.asarray(B(q - e))) / (2.0 * TANGENT_STEP)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                worst = max(worst, abs(dB[i][j, k] + dB[j][k, i] + dB[k][i, j]))
-    return worst
+    D = jacobian(B, q)  # D[j, k, i] = d_i B_jk
+    return float(np.max(np.abs(
+        D.transpose(2, 0, 1) + D.transpose(1, 2, 0) + D)))

@@ -495,44 +495,27 @@ class KKSystem:
     field: MagneticField
     m: float
     mu: float
-    hamiltonian: HamiltonianSpec
 
 
 def kaluza_klein_system(field: MagneticField, m: float, mu: float) -> KKSystem:
     """Build the circle-extended geodesic system for an exact magnetic field.
 
-    The geodesic gradient uses the field's declared potential Jacobian, in
-    ndarray arithmetic (its products go through BLAS). kk_reduce_and_compare
-    steps the same field as Python float sums in a stated operation order
-    (_geodesic_float_field), which agrees with this gradient to rounding.
+    The system is its field, mass and level; its geodesic vector field is
+    written once, as the float kernel _geodesic_float_field of field and m,
+    which kk_reduce_and_compare steps.
     """
     if not field.has_potential:
         raise MissingPotential("the circle-bundle construction needs a potential")
     if m <= 0:
         raise ValueError("mass must be positive")
-
-    def evaluate(state: np.ndarray) -> float:
-        q, p, lam = state[:3], state[3:6], state[7]
-        w = p - lam * field.vector_potential(q)
-        return float(0.5 * (w @ w) / m + 0.5 * lam * lam)
-
-    def gradient(state: np.ndarray) -> np.ndarray:
-        q, p, lam = state[:3], state[3:6], state[7]
-        A = field.vector_potential(q)
-        DA = field.vector_potential_jacobian(q)
-        w = (p - lam * A) / m
-        out = np.zeros(8)
-        out[:3] = -lam * (DA.T @ w)
-        out[3:6] = w
-        out[7] = -float(A @ w) + lam
-        return out
-    return KKSystem(field, float(m), float(mu), HamiltonianSpec(evaluate, gradient))
+    return KKSystem(field, float(m), float(mu))
 
 
 def _geodesic_float_field(field: MagneticField, m: float) -> Callable[[list], list]:
-    """rch_vector_field of the geodesic system upstairs (zero field, k = 1,
-    the Hamiltonian kaluza_klein_system builds from field and m) as a float
-    kernel: a sequence of 8 floats in, a list out, which the step drivers of
+    """The geodesic vector field upstairs, the one writing of it: the
+    Hamiltonian field of |p - lam*A(q)|^2/(2m) + lam^2/2 on the states
+    (q, p, theta, lam) (zero field, k = 1) as a float kernel, a sequence of
+    8 floats in, a list out, which the step drivers of
     dynamics._step_template run as they run every right-hand side.
 
     One body serves every field kind, in Python floats with this operation
@@ -546,8 +529,9 @@ def _geodesic_float_field(field: MagneticField, m: float) -> Callable[[list], li
       qdot = w, pdot_j = lam*(D^T w)_j + 0.0 (the zero field's B w, which
         also turns -0.0 into 0.0), thetadot = -(A.w) + lam, lamdot = -0.0.
     These are the operations of that Hamiltonian's gradient and
-    hamiltonian_vector_field, so the kernel agrees with them to rounding;
-    its bits follow the order above, not the BLAS build's summation.
+    hamiltonian_vector_field, so the kernel agrees with an ndarray writing
+    of them to rounding; its bits follow the order above, not the BLAS
+    build's summation.
     """
     if field.kind in ("linear", "invariant"):
         origin = np.zeros(3)
@@ -617,8 +601,7 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     (against 1e-6) and the conservation drift of lam (against 1e-8). The
     geodesic flow steps on Python floats (_geodesic_float_field of kk.field
     and kk.m, whose docstring states the operation order), so its bits do
-    not depend on the BLAS build; it agrees with the field of kk.hamiltonian
-    to rounding.
+    not depend on the BLAS build.
     """
     mu = kk.mu
     charged = replace(kk.field, charge_factor=mu)
@@ -732,18 +715,14 @@ class DiffeoSpec:
         """Left translation by h on the group chart, with its exact cotangent
         lift: left translation by h^-1 (magnetic.left_translate), which keeps
         the body momentum, and by h for the inverse. The lift is a polynomial
-        of degree 2 in the state, so its central difference with unit step is
-        its exact tangent."""
+        of degree 2 in the state, so its central difference with unit step
+        (fd.directional) is its exact tangent."""
         g = h.as_array()
         g_inv = inverse(g)
         lift = partial(left_translate, g_inv)
-
-        def lift_tangent(s, v):
-            s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
-            return 0.5 * (lift(s + v) - lift(s - v))
-
         return cls(lambda q: multiply(g, q), lambda q: multiply(g_inv, q),
-                   lift, partial(left_translate, g), lift_tangent)
+                   lift, partial(left_translate, g),
+                   partial(fd.directional, lift, step=1.0))
 
 
 def _extend(f: Callable, *points: np.ndarray) -> np.ndarray:
