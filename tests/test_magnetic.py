@@ -370,6 +370,20 @@ def test_omega_b_closedness():
             assert fd.two_form_closedness(omega, state) <= 1e-6
 
 
+def test_closedness_residual_reads_a_form_that_is_not_closed():
+    # b12 = q3 = -b21: d(q3 dq1 ^ dq2) = dq1 ^ dq2 ^ dq3, so the cyclic sum
+    # d_3 b12 + d_1 b23 + d_2 b31 is 1 (exact up to the difference's rounding).
+    def not_closed(q):
+        b = np.zeros((3, 3))
+        b[0, 1], b[1, 0] = q[2], -q[2]
+        return b
+
+    rng = np.random.default_rng(71)
+    for q in rng.uniform(-2, 2, (50, 3)):
+        assert abs(fd.two_form_closedness(not_closed, q) - 1.0) <= 1e-9
+        assert fd.two_form_closedness(lambda _: 1.7 * PLANAR, q) == 0.0
+
+
 def test_field_potential_consistency():
     rng = np.random.default_rng(70)
     fields = [M.MagneticField.invariant_potential((0.4, -0.2, 0.8), 1.0),
