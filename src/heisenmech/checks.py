@@ -138,15 +138,19 @@ def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
     fs = [orbit.coordinate_function(i) for i in range(3)]
     fs.append(_quadratic(rng.normal(size=(3, 3))))
     fs.append(_quadratic(rng.normal(size=(3, 3))))
-    # One block per distribution: the points, the planar cocycle magnitudes,
-    # then the indices into fs of f, g and h.
+    # One block per distribution: the points, the cocycles' axial vectors
+    # beta = (F[1,2], -F[0,2], F[0,1]) of general forms F, whose every entry,
+    # not only the planar one, is read, then the indices into fs of f, g, h.
     p = rng.uniform(-2, 2, (samples, 3))
-    B = MagneticCocycle.planar(rng.normal(size=samples))
+    F = np.zeros((samples, 3, 3))
+    F[:, 1, 2], F[:, 2, 0], F[:, 0, 1] = rng.normal(size=(samples, 3)).T
+    B = MagneticCocycle(F - F.transpose(0, 2, 1))
     f, g, h = (_picked(fs, row)
                for row in rng.integers(0, len(fs), (3, samples)))
     # Each residual stack is reduced to its worst value as soon as it is
-    # made, and the plain oracle's inputs are dropped, so none of them is
-    # held through the nested-gradient difference, where the check peaks.
+    # made, and F (B holds a copy) and the plain oracle's inputs are dropped,
+    # so none of them is held through the nested-gradient difference, where
+    # the check peaks.
     bracket = orbit.magnetic_lie_poisson
     antisym = _worst(bracket(f, g, p, B) + bracket(g, f, p, B))
     leibniz = _worst(bracket(orbit.product_function(f, g), h, p, B)
@@ -156,7 +160,7 @@ def check_bracket(seed: int, samples: int = 200) -> list[CheckRecord]:
     df, dg = f.grad(p), g.grad(p)
     oracle = -p[:, 2] * (df[:, 0] * dg[:, 1] - df[:, 1] * dg[:, 0])
     plain = _worst(bracket(f, g, p, MagneticCocycle.zero()) - oracle)
-    del df, dg, oracle
+    del F, df, dg, oracle
     # A symmetric error in a declared hessian cancels in the Jacobi sum but
     # not in the nested bracket's closed-form gradient. The difference runs
     # last: it leaves each picker's cache on a shifted stack.

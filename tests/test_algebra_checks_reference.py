@@ -88,12 +88,13 @@ def reference_bracket(seed, samples=200):
     fs.append(_quadratic(rng.normal(size=(3, 3))))
     fs.append(_quadratic(rng.normal(size=(3, 3))))
     points = rng.uniform(-2, 2, (samples, 3))
-    planar = rng.normal(size=samples)
+    axial = rng.normal(size=(samples, 3))
     picks = rng.integers(0, len(fs), (3, samples)).T
     antisym = leibniz = jacobi = nested = plain = 0.0
     zero = MagneticCocycle.zero()
-    for p, b, pick in zip(points, planar, picks):
-        B = MagneticCocycle.planar(b)
+    for p, (b1, b2, b3), pick in zip(points, axial, picks):
+        B = MagneticCocycle(np.array([[0.0, b3, -b2], [-b3, 0.0, b1],
+                                      [b2, -b1, 0.0]]))
         f, g, h = (fs[i] for i in pick)
         antisym = max(antisym, abs(orbit.magnetic_lie_poisson(f, g, p, B)
                                    + orbit.magnetic_lie_poisson(g, f, p, B)))

@@ -202,6 +202,26 @@ def test_check_bracket_records_a_symmetric_hessian_error(monkeypatch):
         assert records["bracket.jacobi"].passed, seed
 
 
+@pytest.mark.parametrize("component", [0, 1])
+def test_check_bracket_reads_the_out_of_plane_cocycle_entries(component,
+                                                              monkeypatch):
+    # A cross product whose component 0 (or 1) is symmetric meets only the
+    # (2,3) (or (1,3)) entry of a cocycle: planar cocycles leave the
+    # antisymmetry record at 0, the check's general ones fail it.
+    right = O._cross
+
+    def symmetric(a, b):
+        out = right(a, b)
+        i, j = (1, 2) if component == 0 else (0, 2)
+        out[..., component] = a[..., i] * b[..., j] + a[..., j] * b[..., i]
+        return out
+
+    monkeypatch.setattr(O, "_cross", symmetric)
+    for seed in (42, 1):
+        records = {r.name: r for r in checks.check_bracket(seed, 200)}
+        assert not records["bracket.antisymmetry"].passed, seed
+
+
 def jacobi_by_bracket_functions(fs, p, B):
     """The former check_jacobi: three bracket_function objects, each of
     which reads its inputs' derivatives again."""
