@@ -17,8 +17,8 @@ def directional(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 v: np.ndarray, step: float = TANGENT_STEP) -> np.ndarray:
     """Directional derivative of f at x along v by central differences."""
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return (np.asarray(f(x + step * v)) - np.asarray(f(x - step * v))) / (2.0 * step)
+    s = step * np.asarray(v, dtype=float)
+    return (np.asarray(f(x + s)) - np.asarray(f(x - s))) / (2.0 * step)
 
 
 def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

@@ -382,6 +382,9 @@ def test_closedness_residual_reads_a_form_that_is_not_closed():
     for q in rng.uniform(-2, 2, (50, 3)):
         assert abs(fd.two_form_closedness(not_closed, q) - 1.0) <= 1e-9
         assert fd.two_form_closedness(lambda _: 1.7 * PLANAR, q) == 0.0
+    # A nan residual is not read as closed.
+    assert np.isnan(fd.two_form_closedness(lambda _: np.full((3, 3), np.nan),
+                                           q))
 
 
 def test_field_potential_consistency():
