@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenmech import checks
 from heisenmech import orbit as O
@@ -303,6 +305,63 @@ def test_check_bracket_builds_no_algebra_elements(monkeypatch):
     O.classify_orbit(CoAlgebraElement((0.0, 0.0), 1.0).as_array())
     DiffeoSpec.group_translation(GroupElement((0.1, 0.2), 0.3))
     assert len(built) == 3
+
+
+class CountingGenerator:
+    """A numpy Generator that appends the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("name", ["bracket", "connection", "group_axioms",
+                                  "orbit_form", "representations"])
+def test_generator_calls_do_not_grow_with_samples(name, monkeypatch):
+    # Each algebra check draws every distribution as one block, so it makes
+    # the same generator calls whatever the sample count.
+    make = np.random.default_rng
+    calls = {}
+    for samples in (10, 1000):
+        calls[samples] = []
+        monkeypatch.setattr(checks.np.random, "default_rng",
+                            lambda seed, out=calls[samples]:
+                            CountingGenerator(make(seed), out))
+        checks.CHECKS[name](7, samples)
+    assert calls[10] and calls[10] == calls[1000], calls
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_orbit_form_check_draws_its_stated_ranges(seed):
+    # Every orbit_form record reads 0.0 or rounding at any draw (the form is
+    # the restricted bracket and det W is nu^2 for every nu), so no output
+    # shows a change in what is drawn; the drawn points are held here to
+    # the ranges check_orbit_form states: |nu| over [0.3, 2.5] with both
+    # signs, and rho, xi, eta over [-2, 2].
+    seen = {}
+    form = O.orbit_symplectic_form
+
+    def spy(nu, xi, eta, B):
+        seen.update(nu=nu, xi=xi, eta=eta)
+        return form(nu, xi, eta, B)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(O, "orbit_symplectic_form", spy)
+        checks.check_orbit_form(seed, 4000)
+    magnitude = np.abs(seen["nu"])
+    assert 0.3 <= magnitude.min() < 0.31 and 2.49 < magnitude.max() <= 2.5
+    assert 0.45 < np.mean(seen["nu"] > 0) < 0.55
+    for block in (seen["xi"], seen["eta"]):
+        assert -2.0 <= block.min() < -1.99 and 1.99 < block.max() <= 2.0
 
 
 def elementwise_cubic():

@@ -5,7 +5,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heisenmech import checks
 from heisenmech import dynamics as D
 from heisenmech import fd
 from heisenmech import magnetic as M
@@ -378,6 +381,140 @@ def test_kaluza_klein_matches_magnetic_flow():
     assert all(r.passed for r in records)
 
 
+# The Kaluza-Klein geodesic field has two writings: the float kernel the
+# library steps, and the ndarray Hamiltonian below, stepped by
+# rch_vector_field. Each holds the other.
+
+KK_FIELDS = ("linear", "invariant", "general")
+# The kernel sums in Python floats, the ndarray Hamiltonian through BLAS
+# (which may fuse multiply-adds), so they agree to rounding. In units of
+# eps * rounding_scale the largest gap measured 2.81 over the draws of
+# test_geodesic_float_field_matches_rch_vector_field at seeds 1040-1059
+# (linear 2.81, general 1.90, invariant 1.68); the bound keeps a margin of 5.
+KK_AGREEMENT = 16.0
+
+
+def signed_zero_start(rng, size):
+    """A random state with some entries exactly 0.0 and some -0.0."""
+    x = rng.normal(size=size)
+    x[1], x[4] = 0.0, -0.0
+    if size > 6:
+        x[6], x[-1] = -0.0, 0.0
+    return x
+
+
+def kk_field(kind, rng):
+    """A field of the kind with dense potential products; the general one is
+    q-dependent: A = M q + s grad(q1 q2 q3), whose Jacobian is not constant."""
+    if kind == "linear":
+        return M.MagneticField.linear_potential(rng.normal(size=(3, 3)), 0.8)
+    if kind == "invariant":
+        return M.MagneticField.invariant_potential(rng.normal(size=3), -1.3)
+    coeff, s = rng.normal(size=(3, 3)), rng.normal()
+
+    def potential(q):
+        return coeff @ q + s * np.array([q[1] * q[2], q[0] * q[2], q[0] * q[1]])
+
+    def jacobian(q):
+        return coeff + s * np.array([[0.0, q[2], q[1]], [q[2], 0.0, q[0]],
+                                     [q[1], q[0], 0.0]])
+
+    b = coeff.T - coeff
+    return M.MagneticField(lambda q: b, potential, 0.8, jacobian)
+
+
+def geodesic_hamiltonian(field, m):
+    """The ndarray writing of the geodesic Hamiltonian upstairs,
+    |p - lam*A(q)|^2/(2m) + lam^2/2 on (q, p, theta, lam), with its gradient
+    through the declared potential Jacobian (its products go through BLAS)."""
+    def evaluate(state):
+        q, p, lam = state[:3], state[3:6], state[7]
+        w = p - lam * field.vector_potential(q)
+        return float(0.5 * (w @ w) / m + 0.5 * lam * lam)
+
+    def gradient(state):
+        q, p, lam = state[:3], state[3:6], state[7]
+        A = field.vector_potential(q)
+        DA = field.vector_potential_jacobian(q)
+        w = (p - lam * A) / m
+        out = np.zeros(8)
+        out[:3] = -lam * (DA.T @ w)
+        out[3:6] = w
+        out[7] = -float(A @ w) + lam
+        return out
+    return D.HamiltonianSpec(evaluate, gradient)
+
+
+def kk_cases(kind, seed):
+    """(field, m, upstairs system, starts) for the kind: two fields, three
+    masses, and starts at three scales, some with exact signed zeros."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        field = kk_field(kind, rng)
+        for m in (1.0, 0.37, 2.5):
+            upstairs = D.RCHSystem(M.MagneticField.zero(),
+                                   geodesic_hamiltonian(field, m), k=1)
+            starts = [np.where(rng.random(8) < 0.5, -0.0, 0.0)]
+            for scale in (1e-3, 1.0, 1e3):
+                starts += [scale * rng.normal(size=8) for _ in range(40)]
+                starts += [scale * signed_zero_start(rng, 8) for _ in range(10)]
+            yield field, m, upstairs, starts
+
+
+def rounding_scale(field, m, y):
+    """The kernel's sums taken over magnitudes: entry i of a rounding error
+    is a small multiple of eps times entry i of this. (A = a + D q has the
+    degree of q and w = (p - lam A)/m mixes degrees, so a bound relative to
+    the field's largest entry would grow with the scale of the state.)"""
+    q, p, lam = np.abs(y[:3]), np.abs(y[3:6]), abs(y[7])
+    jac = np.abs(field.vector_potential_jacobian(y[:3]))
+    if field.kind == "general":
+        A = np.abs(field.vector_potential(y[:3]))
+    else:
+        A = np.abs(field.vector_potential(np.zeros(3))) + jac @ q
+    w = (p + lam * A) / m
+    return np.concatenate([w, lam * (jac.T @ w), [A @ w + lam, 0.0]])
+
+
+def largest_relative_gap(make_kernel, kind, seed):
+    """Largest |kernel - rch_vector_field| over the cases, entry by entry in
+    units of eps * rounding_scale (a gap where the scale is 0 counts as inf,
+    and so does a zero of the other sign)."""
+    worst = 0.0
+    for field, m, upstairs, starts in kk_cases(kind, seed):
+        kernel = make_kernel(field, m)
+        for y in starts:
+            got = np.array(kernel(y.tolist()))
+            expected = D.rch_vector_field(upstairs, y)
+            gap = np.abs(got - expected)
+            gap[(gap == 0.0) & (np.signbit(got) != np.signbit(expected))] = np.inf
+            scale = np.finfo(float).eps * rounding_scale(field, m, y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(gap == 0.0, 0.0, gap / scale)
+            worst = max(worst, float(np.max(ratio)))
+    return worst
+
+
+@pytest.mark.parametrize("kind", KK_FIELDS)
+def test_geodesic_float_field_matches_rch_vector_field(kind):
+    assert largest_relative_gap(R._geodesic_float_field, kind, 1040) <= KK_AGREEMENT
+
+
+@pytest.mark.parametrize("kind", KK_FIELDS)
+def test_a_flipped_sign_in_the_potential_term_fails_the_agreement(kind):
+    def flipped(field, m):
+        kernel = R._geodesic_float_field(field, m)
+
+        def rhs(y):
+            # thetadot is -A.w + lam; the control steps +A.w + lam
+            out = list(kernel(y))
+            out[6] = 2.0 * y[7] - out[6]
+            return out
+        return rhs
+
+    assert largest_relative_gap(flipped, kind, 1040) > KK_AGREEMENT
+
+
 def test_diffeo_spec_validation():
     def scaled_lift(s):
         s = np.asarray(s, dtype=float)
@@ -418,6 +555,32 @@ def test_diffeo_spec_refuses_a_lift_that_is_no_float64_array(result):
         R.DiffeoSpec(identity_map, identity_map,
                      lambda s: convert(identity_map(s)), identity_map,
                      identity_tangent)
+
+
+@pytest.mark.parametrize("one_point", ["base", "base_inverse", "lift",
+                                       "lift_inverse", "lift_tangent"])
+def test_a_one_point_callable_is_refused_at_construction(one_point):
+    # On a stack, "out[3] += out[1]" adds row 1 into row 3, and a one-point
+    # map of q builds rows out of its first three points; construction
+    # compares each callable's stacked call with its calls row by row.
+    def one_point_shear(s, *_):
+        out = np.asarray(s, dtype=float).copy()
+        out[3] += out[1]
+        return out
+
+    def one_point_copy(q):
+        return np.array([q[0], q[1], q[2]], dtype=float)
+
+    maps = dict(base=identity_map, base_inverse=identity_map, lift=shear_lift,
+                lift_inverse=shear_inverse, lift_tangent=shear_tangent)
+    maps[one_point] = (one_point_copy if one_point.startswith("base")
+                       else one_point_shear)
+    with pytest.raises(ValueError,
+                       match=f"DiffeoSpec.{one_point} must take a stack"):
+        R.DiffeoSpec(**maps, verify_lift=False)
+    # The same maps written on the last axis construct.
+    R.DiffeoSpec(identity_map, identity_map, shear_lift, shear_inverse,
+                 shear_tangent, verify_lift=False)
 
 
 def test_diffeo_spec_inverse_check_is_relative_to_the_image():
@@ -1018,3 +1181,144 @@ def test_reduce_path_single_state_calls_do_not_grow_with_samples(monkeypatch):
     shapes.clear()
     calls(undeclared, 50)
     assert shapes[(6,)] > 2 * 50
+
+
+def test_mr_single_state_calls_do_not_grow_with_samples(monkeypatch):
+    # Like the reduce path's call counts: the MR checkers and the Noether
+    # check call the public single-state functions a fixed number of times,
+    # whatever the sample count.
+    counts = collections.Counter()
+    for name in ("left_translate", "momentum_map", "magnetic_form"):
+        original = getattr(M, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for owner in (M, D, R):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counting)
+
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    phi = R.DiffeoSpec.group_translation(GroupElement((0.6, -0.3), 0.5))
+    zero_subset = D.ControlSubset(np.zeros(3), np.zeros((0, 3)))
+    sys = particle(ham=D.invariant_kinetic_hamiltonian(1.3),
+                   force=_body_scaling_map(0.7, 0.8), subset=zero_subset,
+                   field=field, m=1.3)
+
+    def calls(samples):
+        counts.clear()
+        R.check_mr1(phi, field, field, samples)
+        R.check_mr2_equivariance(phi, LEVEL, LEVEL, field, field, samples)
+        R.check_mr3_matching(sys, sys, phi, samples)
+        checks.check_noether_reduction(7, samples)
+        return dict(counts)
+
+    assert calls(40) == calls(400) == {
+        "left_translate": 21, "momentum_map": 15, "magnetic_form": 2}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("declared", [True, False])
+def test_mr3_transports_an_equivariant_force_at_every_k(k, declared):
+    # The same equivariant force on both sides of a translation: transported,
+    # it is sys1's own, so both records hold to rounding, for the affine map
+    # and for one of one state, whose push solves against the lift's tangent.
+    force = _body_scaling_map(0.7, 0.8)
+    if not declared:
+        force = D.FiberMap(apply=force.apply)
+    field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
+    zero_subset = D.ControlSubset(np.zeros(3 + k), np.zeros((0, 3 + k)))
+    sys1 = D.RCHSystem(field, D.invariant_kinetic_hamiltonian(1.3), force=force,
+                       k=k, control_subset=zero_subset)
+    sys2 = dataclasses.replace(sys1, control_subset=None)
+    phi = R.DiffeoSpec.group_translation(GroupElement((0.6, -0.3), 0.5))
+    records = R.check_mr3_matching(sys1, sys2, phi, 7, 3)
+    assert [r.samples for r in records] == [7, 7]
+    assert all(r.passed for r in records)
+    assert max(r.max_residual for r in records) <= 1e-9
+
+
+PROPERTY = settings(max_examples=5, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_kk_alpha_form_check_draws_its_stated_block(seed):
+    # On a linear field the curl is exact at any point, so the record does
+    # not show where the points are drawn; the block is held to its range.
+    seen = []
+    curl = fd.one_form_curl
+
+    def spy(f, y):
+        seen.append(y)
+        return curl(f, y)
+
+    kk = R.kaluza_klein_system(M.MagneticField.linear_potential(np.eye(3)), 1.0, 0.7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fd, "one_form_curl", spy)
+        R.kk_alpha_form_check(kk, 2000, seed)
+    [y] = seen
+    assert y.shape == (2000, 4)
+    assert -2.0 <= y.min() < -1.99 and 1.99 < y.max() <= 2.0
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), mu=st.floats(-2.0, 2.0))
+def test_kk_compare_lifts_by_the_fiber_shift_at_theta_zero(seed, mu):
+    # The records read the projected states and lam only, so the start of
+    # theta upstairs shows in no output; the lift is held to its definition.
+    starts = []
+    flow = D._fixed_step_flow
+
+    def recorded(rhs, y0, *args):
+        starts.append(y0)
+        return flow(rhs, y0, *args)
+
+    field = M.MagneticField.linear_potential(
+        np.random.default_rng(seed).normal(size=(3, 3)))
+    x0 = np.random.default_rng(seed + 1).normal(size=6)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "_fixed_step_flow", recorded)
+        R.kk_reduce_and_compare(R.kaluza_klein_system(field, 1.0, mu), x0,
+                                0.01, 1e-3)
+    lift = starts[0]
+    shifted = M.momentum_shift(x0, dataclasses.replace(field, charge_factor=mu))
+    assert lift[:6].tobytes() == shifted.tobytes()
+    assert (lift[6], lift[7]) == (0.0, mu) and not np.signbit(lift[6])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_mr1_and_mr2_draw_their_stated_blocks(seed):
+    # Under the identity every MR-1/2 residual is rounding at any draw, so
+    # no record shows the draws; they are held to the stated blocks. At the
+    # point level every random element fixes the level, so all twelve join
+    # the eight center elements as isotropy candidates.
+    seen = collections.defaultdict(list)
+    form, translate = R.magnetic_form, R.left_translate
+
+    def spy_form(x, v, w, field):
+        seen["x2"].append(x)
+        return form(x, v, w, field)
+
+    def spy_translate(g, s):
+        seen["g"].append(g)
+        seen["s"].append(s)
+        return translate(g, s)
+
+    phi, zero = R.DiffeoSpec.identity(), M.MagneticField.zero()
+    point = CoAlgebraElement((0.0, 0.0), 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(R, "magnetic_form", spy_form)
+        patch.setattr(R, "left_translate", spy_translate)
+        R.check_mr1(phi, zero, zero, 2000, seed)
+        R.check_mr2_equivariance(phi, point, point, zero, zero, 20, seed)
+    [x2] = seen["x2"]
+    assert x2.shape == (2000, 6)
+    assert -2.0 <= x2.min() < -1.99 and 1.99 < x2.max() <= 2.0
+    candidates = seen["g"][0][:20]
+    assert seen["g"][0].shape == (20 * 20, 3)
+    assert not candidates[:8, :2].any() and np.abs(candidates[:8, 2]).max() <= 3.0
+    assert np.abs(candidates[8:]).max() <= 2.0
+    assert np.abs(seen["s"][0]).max() <= 2.0
