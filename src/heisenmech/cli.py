@@ -57,6 +57,8 @@ _NUMERICAL_ERRORS = (NonConvergence, SingularForm, NotInvariant,
 
 _STATE_KEYS = ("state.q1", "state.q2", "state.q3",
                "state.p1", "state.p2", "state.p3")
+# The default trajectory name of each subcommand that writes one.
+_TRAJECTORY_NAMES = {"simulate": "trajectory.csv", "reduce": "reduced.csv"}
 
 
 def build_field(cfg: ExperimentConfig, charge_factor: float,
@@ -316,7 +318,31 @@ def _drift_record(name: str, values: np.ndarray) -> CheckRecord:
                        1e-8)
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
+def _file_name(cfg: ExperimentConfig, key: str, default: str) -> str:
+    name = cfg.string(key, default=default)
+    separators = {os.sep, os.altsep} - {None}
+    if name in ("", ".", "..") or separators & set(name):
+        raise ConfigError(f"{cfg.where(key)}: field {key!r} must be a file "
+                          f"name inside the output directory, got {name!r}")
+    return name
+
+
+def _output_names(cfg: ExperimentConfig, command: str) -> tuple[str, str | None]:
+    """The report's file name and, for a subcommand that writes one, the
+    trajectory's, read before anything runs. Each must be a plain file name
+    in the output directory, and the two must differ."""
+    report = _file_name(cfg, "output.report", "report.json")
+    if command not in _TRAJECTORY_NAMES:
+        return report, None
+    trajectory = _file_name(cfg, "output.trajectory", _TRAJECTORY_NAMES[command])
+    if trajectory == report:
+        key = "output.trajectory" if cfg.has("output.trajectory") else "output.report"
+        raise ConfigError(f"{cfg.where(key)}: fields 'output.trajectory' and "
+                          f"'output.report' both name {report!r}")
+    return report, trajectory
+
+
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, name: str,
                  seed: int) -> InvariantReport:
     if cfg.integer("system.k", default=0, minimum=0) != 0:
         raise ConfigError(
@@ -324,7 +350,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
     sys_ = build_system(cfg)
     t_end, h, method = _run_settings(cfg)
     traj = dyn.integrate(sys_, build_state(cfg), t_end, h, method)
-    name = cfg.string("output.trajectory", default="trajectory.csv")
     rows = np.column_stack([traj.times, traj.states, traj.energies,
                             traj.momenta])
     _write_csv(out_dir / name,
@@ -340,7 +365,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
     return InvariantReport(seed, records, {"trajectory": name})
 
 
-def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
+def cmd_reduce(cfg: ExperimentConfig, out_dir: Path, name: str,
                seed: int) -> InvariantReport:
     sys_ = build_system(cfg)
     level = build_level(cfg)
@@ -364,7 +389,6 @@ def cmd_reduce(cfg: ExperimentConfig, out_dir: Path,
     rows = np.column_stack([times, charts[:, :2],
                             np.full(times.size, level.nu),
                             charts[:, 2:], energies])
-    name = cfg.string("output.trajectory", default="reduced.csv")
     _write_csv(out_dir / name, header, rows)
     records = [_drift_record("reduce.energy_drift", energies),
                check_commutation(sys_, red, samples=samples, seed=seed)]
@@ -474,20 +498,25 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_path(args.config)
         seed = (args.seed if args.seed is not None
                 else cfg.integer("run.seed", default=0, minimum=0))
+        report_name, trajectory_name = _output_names(cfg, args.command)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"usage error: --out {args.out} is not a usable output "
+                  f"directory: {exc.strerror}", file=sys.stderr)
+            return 2
         if args.command == "simulate":
-            report = cmd_simulate(cfg, out_dir, seed)
+            report = cmd_simulate(cfg, out_dir, trajectory_name, seed)
         elif args.command == "reduce":
-            report = cmd_reduce(cfg, out_dir, seed)
+            report = cmd_reduce(cfg, out_dir, trajectory_name, seed)
         elif args.command == "check":
             report = cmd_check(cfg, seed, args.all)
         elif args.command == "kk-compare":
             report = cmd_kk_compare(cfg, seed)
         else:
             report = cmd_mr_check(cfg, seed)
-        report_path = out_dir / cfg.string("output.report",
-                                           default="report.json")
+        report_path = out_dir / report_name
         report_path.write_text(report.to_json())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -794,3 +794,68 @@ def test_closed_pipe_leaves_no_traceback_in_a_subprocess(tmp_path):
         os.close(write)
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+def _output_config(path, base, lines):
+    """base with lines first, so their line numbers hold."""
+    path.write_text(lines + (CONFIGS / base).read_text())
+    return str(path)
+
+
+@pytest.mark.parametrize("command, base, key", [
+    ("simulate", "free_particle.cfg", "output.trajectory"),
+    ("reduce", "reduce.cfg", "output.trajectory"),
+    ("simulate", "free_particle.cfg", "output.report"),
+    ("check", "free_particle.cfg", "output.report"),
+])
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/t.csv", "nodir/r.json"])
+def test_an_output_name_that_is_no_plain_file_name_exits_2(
+        tmp_path, capsys, command, base, key, name):
+    cfg = _output_config(tmp_path / "out.cfg", base, f"{key} = {name}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert f"out.cfg:1: field {key!r}" in err
+    # the names are read before anything runs or is written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base, lines", [
+    ("simulate", "free_particle.cfg", "output.trajectory = report.json\n"),
+    ("reduce", "reduce.cfg", "output.report = reduced.csv\n"),
+    ("simulate", "free_particle.cfg",
+     "output.trajectory = same.out\noutput.report = same.out\n"),
+], ids=["trajectory", "report", "both"])
+def test_a_trajectory_and_report_of_one_name_exit_2(tmp_path, capsys, command,
+                                                     base, lines):
+    cfg = _output_config(tmp_path / "out.cfg", base, lines)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert ("out.cfg:1: fields 'output.trajectory' and 'output.report' both "
+            "name" in err)
+    assert not out.exists()
+
+
+def test_output_names_name_the_written_files(tmp_path):
+    cfg = _output_config(tmp_path / "out.cfg", "free_particle.cfg",
+                         "output.trajectory = t.csv\noutput.report = r.json\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.cfg", "r.json",
+                                                          "t.csv"]
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["artifacts"] == {"trajectory": "t.csv"}
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_an_out_that_is_not_a_directory_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+    assert main(["check", "--all", "--config", str(CONFIGS / "free_particle.cfg"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --out {out} ") and "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
