@@ -26,7 +26,8 @@ writings (FROZEN, which must not be empty: pytest given no path would run
 the whole suite), and the rest of tier-1 (tests/ without them, and
 perfbench/). A group kills a mutant when pytest exits nonzero or runs past
 TIMEOUT seconds. The last output is a markdown table, one row per mutant.
-Standard library only.
+Standard library only (the groups' pytest runs need hypothesis, as the
+tests do).
 """
 
 from __future__ import annotations
