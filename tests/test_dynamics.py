@@ -1,7 +1,6 @@
 """Vector fields, vertical lifts, and integrator tests against closed-form flows."""
 
 import dataclasses
-import traceback
 import warnings
 from pathlib import Path
 
@@ -902,113 +901,6 @@ def test_singular_midpoint_map_raises_and_returns_nothing():
         traj = D.integrate(sys, x0, 2 * h, h, method)
         assert traj.route == "propagator"
         assert np.isfinite(traj.states).all()
-
-
-# -- the float step drivers and their failures --------------------------------
-
-METHODS = ("midpoint", "rk4")
-
-
-def field_flow(sys, x0, method, t_end, h):
-    """The states of the field route: the drivers on rch_vector_field."""
-    return D._fixed_step_flow(lambda y: D.rch_vector_field(sys, y), x0, t_end,
-                              h, method)[1]
-
-
-def test_a_nan_increment_behind_a_finite_one_does_not_converge():
-    # Python's max passes over a nan that is not the first entry; the step
-    # must still treat the increment as nan, as numpy's max does.
-    def rhs(y):
-        return [0.0, 0.0, float("nan")] if y[0] > 0.5 else [1.0, 0.0, 0.0]
-
-    with pytest.raises(NonConvergence) as exc:
-        D._midpoint_step(rhs, [1.0, 0.0, 0.0], 0.1, 7)
-    assert exc.value.step_index == 7 and np.isnan(exc.value.residual)
-
-
-def nan_past_the_wall():
-    """A field-route system whose d/dq3 of H is nan once q1 passes 1."""
-
-    def gradient(state):
-        out = np.zeros_like(state)
-        out[3:6] = state[3:6]
-        out[2] = np.sqrt(1.0 - state[0])
-        return out
-
-    return D.RCHSystem(M.MagneticField.zero(),
-                       D.HamiltonianSpec(lambda s: 0.0, gradient))
-
-
-def failure(run):
-    with pytest.raises((NonConvergence, FloatingPointError)) as exc:
-        run()
-    return exc.value
-
-
-@pytest.mark.parametrize("route", ["field", "closed_form"])
-def test_a_nan_fixed_point_increment_ends_in_nonconvergence(route):
-    if route == "field":
-        sys, t_end, h = nan_past_the_wall(), 2.0, 0.1
-        x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    else:
-        sys = D.RCHSystem(M.MagneticField.invariant_potential((0.0, 0.0, 50.0)),
-                          D.invariant_kinetic_hamiltonian(1.0))
-        t_end, h = 20.0, 0.5
-        x0 = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 100.0])
-    assert D.integrate(sys, x0, h, h / 100).route == route
-    error = failure(lambda: D.integrate(sys, x0, t_end, h, "midpoint"))
-    expected = failure(lambda: field_flow(sys, x0, "midpoint", t_end, h))
-    assert isinstance(error, NonConvergence) and isinstance(expected, NonConvergence)
-    assert error.step_index == expected.step_index
-    assert np.isnan(error.residual) and np.isnan(expected.residual)
-    if route == "field":
-        assert error.step_index > 0
-
-
-@pytest.mark.parametrize("route", ["field", "closed_form"])
-def test_an_overflowing_state_raises_naming_its_step(route):
-    kinetic = D.invariant_kinetic_hamiltonian(1.0)
-    if route == "field":
-        kinetic = D.HamiltonianSpec(kinetic.evaluate, kinetic.gradient)
-    sys = D.RCHSystem(M.MagneticField.invariant_potential((0.0, 0.0, 50.0)),
-                      kinetic)
-    x0 = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 100.0])
-    assert D.integrate(sys, x0, 1e-3, 1e-3, "rk4").route == route
-    error = failure(lambda: D.integrate(sys, x0, 20.0, 0.5, "rk4"))
-    expected = failure(lambda: field_flow(sys, x0, "rk4", 20.0, 0.5))
-    assert isinstance(error, FloatingPointError)
-    assert str(error) == str(expected)
-    assert "step 25" in str(error)
-
-
-WIDTHS = (2, 3, 4, 6, 8, 10)
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_a_driver_is_generated_once_per_width_and_method(method):
-    for n in WIDTHS:
-        driver = D._step_driver(n, method)
-        assert D._step_driver(n, method) is driver
-        assert driver.source.startswith(f"def {method}(rhs, y, h")
-        assert f"y{n - 1}, = y" in driver.source
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_an_error_in_rhs_is_traced_to_the_template(method):
-    def rhs(y):
-        raise ZeroDivisionError("inside rhs")
-
-    step = D._midpoint_step if method == "midpoint" else D._rk4_step
-    args = (0.1, 0) if method == "midpoint" else (0.1,)
-    with pytest.raises(ZeroDivisionError) as exc:
-        step(rhs, [1.0, 2.0, 3.0], *args)
-    frames = traceback.extract_tb(exc.value.__traceback__)
-    driver = [f for f in frames if "_step_template" in f.filename]
-    assert len(driver) == 1
-    assert driver[0].filename == D._step_driver(3, method).__code__.co_filename
-    first_call = {"midpoint": "r0, r1, r2, = rhs(y)",
-                  "rk4": "a0, a1, a2, = rhs(y)"}
-    assert driver[0].line == first_call[method]
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)

@@ -381,140 +381,6 @@ def test_kaluza_klein_matches_magnetic_flow():
     assert all(r.passed for r in records)
 
 
-# The Kaluza-Klein geodesic field has two writings: the float kernel the
-# library steps, and the ndarray Hamiltonian below, stepped by
-# rch_vector_field. Each holds the other.
-
-KK_FIELDS = ("linear", "invariant", "general")
-# The kernel sums in Python floats, the ndarray Hamiltonian through BLAS
-# (which may fuse multiply-adds), so they agree to rounding. In units of
-# eps * rounding_scale the largest gap measured 2.81 over the draws of
-# test_geodesic_float_field_matches_rch_vector_field at seeds 1040-1059
-# (linear 2.81, general 1.90, invariant 1.68); the bound keeps a margin of 5.
-KK_AGREEMENT = 16.0
-
-
-def signed_zero_start(rng, size):
-    """A random state with some entries exactly 0.0 and some -0.0."""
-    x = rng.normal(size=size)
-    x[1], x[4] = 0.0, -0.0
-    if size > 6:
-        x[6], x[-1] = -0.0, 0.0
-    return x
-
-
-def kk_field(kind, rng):
-    """A field of the kind with dense potential products; the general one is
-    q-dependent: A = M q + s grad(q1 q2 q3), whose Jacobian is not constant."""
-    if kind == "linear":
-        return M.MagneticField.linear_potential(rng.normal(size=(3, 3)), 0.8)
-    if kind == "invariant":
-        return M.MagneticField.invariant_potential(rng.normal(size=3), -1.3)
-    coeff, s = rng.normal(size=(3, 3)), rng.normal()
-
-    def potential(q):
-        return coeff @ q + s * np.array([q[1] * q[2], q[0] * q[2], q[0] * q[1]])
-
-    def jacobian(q):
-        return coeff + s * np.array([[0.0, q[2], q[1]], [q[2], 0.0, q[0]],
-                                     [q[1], q[0], 0.0]])
-
-    b = coeff.T - coeff
-    return M.MagneticField(lambda q: b, potential, 0.8, jacobian)
-
-
-def geodesic_hamiltonian(field, m):
-    """The ndarray writing of the geodesic Hamiltonian upstairs,
-    |p - lam*A(q)|^2/(2m) + lam^2/2 on (q, p, theta, lam), with its gradient
-    through the declared potential Jacobian (its products go through BLAS)."""
-    def evaluate(state):
-        q, p, lam = state[:3], state[3:6], state[7]
-        w = p - lam * field.vector_potential(q)
-        return float(0.5 * (w @ w) / m + 0.5 * lam * lam)
-
-    def gradient(state):
-        q, p, lam = state[:3], state[3:6], state[7]
-        A = field.vector_potential(q)
-        DA = field.vector_potential_jacobian(q)
-        w = (p - lam * A) / m
-        out = np.zeros(8)
-        out[:3] = -lam * (DA.T @ w)
-        out[3:6] = w
-        out[7] = -float(A @ w) + lam
-        return out
-    return D.HamiltonianSpec(evaluate, gradient)
-
-
-def kk_cases(kind, seed):
-    """(field, m, upstairs system, starts) for the kind: two fields, three
-    masses, and starts at three scales, some with exact signed zeros."""
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        field = kk_field(kind, rng)
-        for m in (1.0, 0.37, 2.5):
-            upstairs = D.RCHSystem(M.MagneticField.zero(),
-                                   geodesic_hamiltonian(field, m), k=1)
-            starts = [np.where(rng.random(8) < 0.5, -0.0, 0.0)]
-            for scale in (1e-3, 1.0, 1e3):
-                starts += [scale * rng.normal(size=8) for _ in range(40)]
-                starts += [scale * signed_zero_start(rng, 8) for _ in range(10)]
-            yield field, m, upstairs, starts
-
-
-def rounding_scale(field, m, y):
-    """The kernel's sums taken over magnitudes: entry i of a rounding error
-    is a small multiple of eps times entry i of this. (A = a + D q has the
-    degree of q and w = (p - lam A)/m mixes degrees, so a bound relative to
-    the field's largest entry would grow with the scale of the state.)"""
-    q, p, lam = np.abs(y[:3]), np.abs(y[3:6]), abs(y[7])
-    jac = np.abs(field.vector_potential_jacobian(y[:3]))
-    if field.kind == "general":
-        A = np.abs(field.vector_potential(y[:3]))
-    else:
-        A = np.abs(field.vector_potential(np.zeros(3))) + jac @ q
-    w = (p + lam * A) / m
-    return np.concatenate([w, lam * (jac.T @ w), [A @ w + lam, 0.0]])
-
-
-def largest_relative_gap(make_kernel, kind, seed):
-    """Largest |kernel - rch_vector_field| over the cases, entry by entry in
-    units of eps * rounding_scale (a gap where the scale is 0 counts as inf,
-    and so does a zero of the other sign)."""
-    worst = 0.0
-    for field, m, upstairs, starts in kk_cases(kind, seed):
-        kernel = make_kernel(field, m)
-        for y in starts:
-            got = np.array(kernel(y.tolist()))
-            expected = D.rch_vector_field(upstairs, y)
-            gap = np.abs(got - expected)
-            gap[(gap == 0.0) & (np.signbit(got) != np.signbit(expected))] = np.inf
-            scale = np.finfo(float).eps * rounding_scale(field, m, y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(gap == 0.0, 0.0, gap / scale)
-            worst = max(worst, float(np.max(ratio)))
-    return worst
-
-
-@pytest.mark.parametrize("kind", KK_FIELDS)
-def test_geodesic_float_field_matches_rch_vector_field(kind):
-    assert largest_relative_gap(R._geodesic_float_field, kind, 1040) <= KK_AGREEMENT
-
-
-@pytest.mark.parametrize("kind", KK_FIELDS)
-def test_a_flipped_sign_in_the_potential_term_fails_the_agreement(kind):
-    def flipped(field, m):
-        kernel = R._geodesic_float_field(field, m)
-
-        def rhs(y):
-            # thetadot is -A.w + lam; the control steps +A.w + lam
-            out = list(kernel(y))
-            out[6] = 2.0 * y[7] - out[6]
-            return out
-        return rhs
-
-    assert largest_relative_gap(flipped, kind, 1040) > KK_AGREEMENT
-
-
 def test_diffeo_spec_validation():
     def scaled_lift(s):
         s = np.asarray(s, dtype=float)
