@@ -410,6 +410,7 @@ CHECKS: dict[str, Callable[[int, int], list[CheckRecord]]] = {
     "mr_identity": check_mr_identity,
 }
 
+
 def run_named_checks(names, seed: int,
                      samples: int | None = None) -> list[CheckRecord]:
     """Run registry checks by name with per-check derived seeds.

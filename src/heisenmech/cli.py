@@ -311,7 +311,7 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
 def _drift_record(name: str, values: np.ndarray) -> CheckRecord:
     """Worst deviation from the initial value, relative above unit scale,
     against 1e-8."""
-    start = values[0] if values.ndim == 1 else values[0, :]
+    start = values[0]
     drift = float(np.max(np.abs(values - start)))
     scale = float(np.max(np.abs(np.atleast_1d(start))))
     return CheckRecord(name, int(values.shape[0]), drift / max(1.0, scale),

@@ -223,7 +223,7 @@ class Trajectory:
     energies: np.ndarray
     momenta: np.ndarray
     method: str
-    route: str = "field"
+    route: str
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -409,14 +409,13 @@ def _midpoint_step(rhs, y: list[float], h: float, step_index: int,
                    ) -> list[float]:
     """One implicit-midpoint step of rhs from the flat float state y, by the
     driver of _step_template for its width, or the given propagator step
-    applied to (y, step_index): it writes the state row y's successor (see
-    _row_writer, which ignores the index). back, back2 and back3 are the
-    three states before y, latest first, from which the driver extrapolates
-    its starting guess; without them it starts from the explicit Euler
-    guess. Either way the iteration stops at an increment of
-    1e-12 * max(1, max|y|)."""
+    applied to y: it writes the state row y's successor (see _row_writer).
+    back, back2 and back3 are the three states before y, latest first, from
+    which the driver extrapolates its starting guess; without them it starts
+    from the explicit Euler guess. Either way the iteration stops at an
+    increment of 1e-12 * max(1, max|y|)."""
     if propagator is not None:
-        return propagator(y, step_index)
+        return propagator(y)
     return _step_driver(len(y), "midpoint")(rhs, y, h, step_index, back, back2,
                                             back3)
 
@@ -481,13 +480,12 @@ def _row_writer(P: np.ndarray, d: np.ndarray | None,
     goes to the next row, into which P @ y (+ d) is written and which is
     returned. P.dot and add with out= give the bits of P @ y + d (dot and
     matmul both take BLAS's gemv for a matrix and a vector); the bound
-    method P.dot skips np.dot's __array_function__ dispatch. A midpoint step
-    also passes its index, which is ignored."""
+    method P.dot skips np.dot's __array_function__ dispatch."""
     rows, dot = iter(states[1:]), P.dot
     if d is None:
-        return lambda y, step_index=None: dot(y, next(rows))
+        return lambda y: dot(y, next(rows))
 
-    def step(y, step_index=None):
+    def step(y):
         out = dot(y, next(rows))
         return np.add(out, d, out=out)
 

@@ -8,8 +8,7 @@ import numpy as np
 class NonConvergence(RuntimeError):
     """Fixed-point iteration of the implicit midpoint step failed to converge."""
 
-    def __init__(self, message: str, step_index: int | None = None,
-                 residual: float | None = None):
+    def __init__(self, message: str, step_index: int, residual: float):
         super().__init__(message)
         self.step_index = step_index
         self.residual = residual
@@ -21,7 +20,7 @@ class SingularForm(ValueError):
     Carries the offending matrix so callers can report which block degenerated.
     """
 
-    def __init__(self, message: str, matrix: np.ndarray | None = None):
+    def __init__(self, message: str, matrix: np.ndarray):
         super().__init__(message)
         self.matrix = matrix
 

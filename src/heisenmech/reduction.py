@@ -461,8 +461,8 @@ def integrate_reduced(red: ReducedRCHSystem, chart0: np.ndarray, t_end: float,
                                                    lifted)
 
 
-def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int = 100,
-                      seed: int = 4407) -> CheckRecord:
+def check_commutation(sys: RCHSystem, red: ReducedRCHSystem, samples: int,
+                      seed: int) -> CheckRecord:
     """Compare T(projection) of the full field with the reduced field.
 
     For each sampled level-set point the full dynamical field is pushed
@@ -567,8 +567,7 @@ def _geodesic_float_field(field: MagneticField, m: float) -> Callable[[list], li
     return rhs
 
 
-def kk_alpha_form_check(kk: KKSystem, samples: int = 20,
-                        seed: int = 3313) -> CheckRecord:
+def kk_alpha_form_check(kk: KKSystem, samples: int, seed: int) -> CheckRecord:
     """Finite-difference exterior derivative of the connection one-form.
 
     At the level lam = mu the one-form mu*(A dq + dtheta) on the base must
@@ -590,8 +589,8 @@ def kk_alpha_form_check(kk: KKSystem, samples: int = 20,
                        _worst(fd.one_form_curl(alpha, y) - expected), 1e-6)
 
 
-def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
-                          h: float = 1e-4) -> list[CheckRecord]:
+def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float,
+                          h: float) -> list[CheckRecord]:
     """Integrate the geodesic flow upstairs and the magnetic flow downstairs.
 
     The initial magnetic chart state x0 = (q, p) is lifted to the circle
@@ -601,7 +600,8 @@ def kk_reduce_and_compare(kk: KKSystem, x0: np.ndarray, t_end: float = 1.0,
     (against 1e-6) and the conservation drift of lam (against 1e-8). The
     geodesic flow steps on Python floats (_geodesic_float_field of kk.field
     and kk.m, whose docstring states the operation order), so its bits do
-    not depend on the BLAS build.
+    not depend on the BLAS build. The CLI's kk-compare passes kk.t_end and
+    kk.step (1.0 and 1e-3 when unset), the kaluza_klein check 1.0 and 1e-3.
     """
     mu = kk.mu
     charged = replace(kk.field, charge_factor=mu)
@@ -734,7 +734,7 @@ def _extend(f: Callable, *points: np.ndarray) -> np.ndarray:
 
 
 def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
-              samples: int = 100, seed: int = 5501) -> CheckRecord:
+              samples: int, seed: int) -> CheckRecord:
     """Is the lift symplectic between the two magnetic forms?
 
     Pulls the source-side form back through the tangent of the lift and
@@ -758,8 +758,8 @@ def check_mr1(phi: DiffeoSpec, field1: MagneticField, field2: MagneticField,
 
 def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
                            level2: CoAlgebraElement, field1: MagneticField,
-                           field2: MagneticField, samples: int = 50,
-                           seed: int = 5711) -> list[CheckRecord]:
+                           field2: MagneticField, samples: int, seed: int
+                           ) -> list[CheckRecord]:
     """Level mapping and isotropy commutation of the lift.
 
     The lift must carry the source momentum level into the target one, and
@@ -792,7 +792,7 @@ def check_mr2_equivariance(phi: DiffeoSpec, level1: CoAlgebraElement,
 
 
 def check_mr3_matching(sys1: RCHSystem, sys2: RCHSystem, phi: DiffeoSpec,
-                       samples: int = 40, seed: int = 5903) -> list[CheckRecord]:
+                       samples: int, seed: int) -> list[CheckRecord]:
     """Vector-field mismatch modulo the control subset.
 
     Assembles, at lifted sample points, the difference between the

@@ -1,13 +1,15 @@
 """Tooling: the exported names of every module resolve, deleted ones stay gone,
-and the option budget holds."""
+the option budget holds, and the README's library example runs as described."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import operator
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heisenmech
@@ -131,6 +133,33 @@ def test_removed_parameters_stay_gone():
             f"heisenmech.{module}.{function}({parameter})")
 
 
+# Parameters that stay but lose their default, since every caller sets them:
+# each sweep's sample count, seed and run length (the CLI from its config
+# keys, checks from its registry), what a numerical failure names, and the
+# route integrate gives every Trajectory.
+REQUIRED_PARAMETERS = (
+    *(("reduction", name, parameter)
+      for name in ("check_commutation", "kk_alpha_form_check", "check_mr1",
+                   "check_mr2_equivariance", "check_mr3_matching")
+      for parameter in ("samples", "seed")),
+    ("reduction", "kk_reduce_and_compare", "t_end"),
+    ("reduction", "kk_reduce_and_compare", "h"),
+    ("errors", "NonConvergence", "step_index"),
+    ("errors", "NonConvergence", "residual"),
+    ("errors", "SingularForm", "matrix"),
+    ("dynamics", "Trajectory", "route"),
+)
+
+
+def test_required_parameters_have_no_default():
+    assert len(REQUIRED_PARAMETERS) == 16
+    for module, function, parameter in REQUIRED_PARAMETERS:
+        fn = getattr(importlib.import_module(f"heisenmech.{module}"), function)
+        default = inspect.signature(fn).parameters[parameter].default
+        assert default is inspect.Parameter.empty, (
+            f"heisenmech.{module}.{function}({parameter}={default!r})")
+
+
 def test_each_law_is_written_once():
     # A module that defines both f and _f writes one law twice: a checked
     # function and an unchecked twin. The one twin kept is
@@ -150,16 +179,17 @@ def test_each_law_is_written_once():
                            "_map_rows")
 
 
-# The option budget: ceilings on what a caller can set. A change that adds
-# an option raises a ceiling here and says so in CHANGES.md.
+# The option budget: the counts of what a caller can set, pinned exactly. A
+# change that adds or drops an option updates its count here and says so in
+# CHANGES.md.
 # Defaulted parameters: len(args.defaults) plus the non-None kw_defaults of
 # every FunctionDef and Lambda that ast.walk finds in src/heisenmech/*.py.
-DEFAULTED_PARAMETERS = 58
+DEFAULTED_PARAMETERS = 41
 # Dataclass fields: the annotated assignments in the body of every class
 # decorated with dataclass (bare or called), and of those the ones that
 # have a default.
 DATACLASS_FIELDS = 65
-DEFAULTED_FIELDS = 23
+DEFAULTED_FIELDS = 22
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
@@ -179,6 +209,21 @@ def test_option_budget():
                 declared = [s for s in node.body if isinstance(s, ast.AnnAssign)]
                 fields += len(declared)
                 defaulted_fields += sum(s.value is not None for s in declared)
-    assert parameters <= DEFAULTED_PARAMETERS
-    assert fields <= DATACLASS_FIELDS
-    assert defaulted_fields <= DEFAULTED_FIELDS
+    found = (parameters, fields, defaulted_fields)
+    assert found == (DEFAULTED_PARAMETERS, DATACLASS_FIELDS, DEFAULTED_FIELDS), (
+        f"found {parameters} defaulted parameters, {fields} dataclass fields, "
+        f"{defaulted_fields} of them with a default")
+
+
+def test_the_readme_library_example_runs_as_described():
+    readme = Path(heisenmech.__file__).parents[2] / "README.md"
+    block, = re.findall(r"^## Library example\n\n```python\n(.*?)^```",
+                        readme.read_text(), re.MULTILINE | re.DOTALL)
+    namespace = {}
+    exec(compile(block, str(readme), "exec"), namespace)
+    # The text under the block: both drifts below 1e-12, and the
+    # commutation record passes.
+    traj, record = namespace["traj"], namespace["record"]
+    assert np.max(np.abs(traj.energies - traj.energies[0])) < 1e-12
+    assert np.max(np.abs(traj.momenta - traj.momenta[0])) < 1e-12
+    assert record.name == "reduction.commutation" and record.passed

@@ -558,7 +558,7 @@ def test_run_settings_are_validated_before_the_route():
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         D.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 6)), np.zeros(2),
-                     np.zeros((2, 3)), "rk4")
+                     np.zeros((2, 3)), "rk4", "field")
 
 
 def test_kinetic_hamiltonians_declare_kind_and_mass():

@@ -365,6 +365,25 @@ def test_a_nan_increment_behind_a_finite_one_does_not_converge():
     assert ref.value.step_index == 7 and np.isnan(ref.value.residual)
 
 
+def test_two_infinite_increments_report_an_infinite_residual():
+    # The field alternates the iterate between a finite state and one with
+    # two infinite entries, so every iteration has two +inf increments and
+    # no nan: their sum must read inf, as numpy's max does, where a
+    # difference of the two would read nan.
+    def rhs(y):
+        finite = all(map(np.isfinite, y))
+        return [np.inf, np.inf, 0.0, 0.0, 0.0, 0.0] if finite else [0.0] * 6
+
+    y = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(NonConvergence) as exc:
+        D._midpoint_step(rhs, y, 0.1, 7)
+    assert exc.value.step_index == 7 and exc.value.residual == np.inf
+    with pytest.raises(NonConvergence) as ref:
+        reference_midpoint_step(lambda y: np.array(rhs(y.tolist())),
+                                np.array(y), 0.1, 7)
+    assert ref.value.step_index == 7 and ref.value.residual == np.inf
+
+
 def nan_past_the_wall():
     """A field-route system whose d/dq3 of H is nan once q1 passes 1."""
 

@@ -168,10 +168,10 @@ def test_a_wrong_declared_form_fails_commutation():
     Q, c = h.form
     broken = dataclasses.replace(
         red, hamiltonian=OrbitFunction(h.evaluate, form=(1.5 * Q, c)))
-    record = R.check_commutation(sys, broken, samples=50)
+    record = R.check_commutation(sys, broken, samples=50, seed=4407)
     assert not record.passed
     assert record.max_residual >= 1e-2
-    assert R.check_commutation(sys, red, samples=50).max_residual <= 1e-8
+    assert R.check_commutation(sys, red, samples=50, seed=4407).max_residual <= 1e-8
 
 
 def test_an_affine_fiber_map_needs_its_tangent():

@@ -208,7 +208,7 @@ def test_commutation_sweep_passes():
     sys = particle(force=body_scaling(0.6, lam_factor=0.8),
                    control=constant_push((0.3, -0.1, 0.0)), subset=subset)
     red = R.reduce_system(sys, LEVEL)
-    record = R.check_commutation(sys, red, samples=100)
+    record = R.check_commutation(sys, red, samples=100, seed=4407)
     assert record.passed
     assert record.max_residual <= 1e-5
     assert record.name == "reduction.commutation"
@@ -218,7 +218,7 @@ def test_commutation_zero_hamiltonian():
     zero = D.HamiltonianSpec(lambda s: 0.0, lambda s: np.zeros(6))
     sys = particle(ham=zero, field=M.MagneticField.zero())
     red = R.reduce_system(sys, LEVEL)
-    record = R.check_commutation(sys, red, samples=20)
+    record = R.check_commutation(sys, red, samples=20, seed=4407)
     assert record.max_residual <= 1e-12
 
 
@@ -228,7 +228,7 @@ def test_commutation_negative_control():
     h = red.hamiltonian
     broken = dataclasses.replace(
         red, hamiltonian=OrbitFunction(evaluate=lambda z: 2.0 * h.evaluate(z)))
-    record = R.check_commutation(sys, broken, samples=50)
+    record = R.check_commutation(sys, broken, samples=50, seed=4407)
     assert not record.passed
     assert record.max_residual >= 1e-2
 
@@ -352,7 +352,7 @@ def test_kaluza_klein_free_case():
 def test_kaluza_klein_alpha_form():
     field = M.MagneticField.invariant_potential((0.4, 0.1, -0.9), 1.0)
     kk = R.kaluza_klein_system(field, m=1.0, mu=1.3)
-    record = R.kk_alpha_form_check(kk)
+    record = R.kk_alpha_form_check(kk, samples=20, seed=3313)
     assert record.passed and record.max_residual <= 1e-6
 
     def b(q):
@@ -365,7 +365,8 @@ def test_kaluza_klein_alpha_form():
 
     bumpy = M.MagneticField(b, lambda q: np.array([0.0, q[0] ** 3 / 3.0, 0.0]), 1.0,
                             da)
-    record = R.kk_alpha_form_check(R.kaluza_klein_system(bumpy, 1.0, 0.8))
+    record = R.kk_alpha_form_check(R.kaluza_klein_system(bumpy, 1.0, 0.8),
+                                   samples=20, seed=3313)
     assert record.passed
 
 
@@ -478,17 +479,18 @@ def test_group_translation_lift_is_momentum_friendly():
 
 def test_mr1_identity_and_translation():
     field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
-    record = R.check_mr1(R.DiffeoSpec.identity(), field, field)
+    record = R.check_mr1(R.DiffeoSpec.identity(), field, field, samples=100,
+                         seed=5501)
     assert record.max_residual <= 1e-10
 
     phi = R.DiffeoSpec.group_translation(GroupElement((0.4, 0.9), -0.2))
-    record = R.check_mr1(phi, field, field, samples=60)
+    record = R.check_mr1(phi, field, field, samples=60, seed=5501)
     assert record.passed
 
 
 def test_mr1_shear_negative():
     field = M.MagneticField.zero()
-    record = R.check_mr1(shear(), field, field, samples=60)
+    record = R.check_mr1(shear(), field, field, samples=60, seed=5501)
     assert not record.passed
     assert record.max_residual >= 1e-2
 
@@ -496,14 +498,15 @@ def test_mr1_shear_negative():
 def test_mr2_identity_and_translation_levels():
     field = M.MagneticField.invariant_potential((0.3, -0.2, 0.8), 1.0)
     records = R.check_mr2_equivariance(R.DiffeoSpec.identity(), LEVEL, LEVEL,
-                                       field, field, samples=30)
+                                       field, field, samples=30, seed=5711)
     assert all(r.max_residual <= 1e-10 for r in records)
 
     h = GroupElement((0.8, -0.5), 0.3)
     phi = R.DiffeoSpec.group_translation(h)
     p1 = coadjoint(inverse(h.as_array()), LEVEL.as_array())
     level1 = CoAlgebraElement(p1[:2], p1[2])
-    records = R.check_mr2_equivariance(phi, level1, LEVEL, field, field, samples=30)
+    records = R.check_mr2_equivariance(phi, level1, LEVEL, field, field,
+                                       samples=30, seed=5711)
     by_name = {r.name: r for r in records}
     assert by_name["mr2.level"].passed
     assert by_name["mr2.isotropy"].max_residual <= 1e-10
@@ -513,7 +516,7 @@ def test_mr2_level_mismatch_negative():
     field = M.MagneticField.zero()
     off = CoAlgebraElement(LEVEL.mu + np.array([0.1, 0.0]), LEVEL.nu)
     records = R.check_mr2_equivariance(R.DiffeoSpec.identity(), off, LEVEL,
-                                       field, field, samples=20)
+                                       field, field, samples=20, seed=5711)
     by_name = {r.name: r for r in records}
     assert not by_name["mr2.level"].passed
     assert by_name["mr2.level"].max_residual >= 1e-2
@@ -522,7 +525,8 @@ def test_mr2_level_mismatch_negative():
 def test_mr3_identity_is_exact():
     subset = D.ControlSubset(np.zeros(3), np.eye(3))
     sys = particle(force=body_scaling(0.7), subset=subset)
-    records = R.check_mr3_matching(sys, sys, R.DiffeoSpec.identity(), samples=20)
+    records = R.check_mr3_matching(sys, sys, R.DiffeoSpec.identity(),
+                                   samples=20, seed=5903)
     assert all(r.max_residual <= 1e-10 for r in records)
 
 
@@ -530,7 +534,8 @@ def test_mr3_full_control_absorbs_force():
     subset = D.ControlSubset(np.zeros(3), np.eye(3))
     sys1 = particle(force=body_scaling(0.7), subset=subset)
     sys2 = particle()
-    records = R.check_mr3_matching(sys1, sys2, R.DiffeoSpec.identity(), samples=20)
+    records = R.check_mr3_matching(sys1, sys2, R.DiffeoSpec.identity(),
+                                   samples=20, seed=5903)
     assert all(r.passed for r in records)
 
 
@@ -538,7 +543,8 @@ def test_mr3_zero_control_distinct_forces_fails():
     subset = D.ControlSubset(np.zeros(3), np.zeros((0, 3)))
     sys1 = particle(force=body_scaling(0.2), subset=subset)
     sys2 = particle()
-    records = R.check_mr3_matching(sys1, sys2, R.DiffeoSpec.identity(), samples=20)
+    records = R.check_mr3_matching(sys1, sys2, R.DiffeoSpec.identity(),
+                                   samples=20, seed=5903)
     by_name = {r.name: r for r in records}
     assert not by_name["mr3.vertical"].passed
     assert by_name["mr3.vertical"].max_residual >= 1e-2
@@ -556,7 +562,7 @@ def test_mr3_reads_the_control_subset_offset():
         sys1 = particle(force=identity, subset=subset)
         sys2 = particle(force=identity)
         records = R.check_mr3_matching(sys1, sys2, R.DiffeoSpec.identity(),
-                                       samples=5)
+                                       samples=5, seed=5903)
         vertical = {r.name: r for r in records}["mr3.vertical"]
         assert vertical.passed == passes
         assert vertical.passed == (subset.distance(np.zeros(3)) <= 1e-6)
@@ -575,7 +581,7 @@ def test_mr3_records_ignore_the_control_of_sys1():
 
     def records(sys1):
         return [(r.name, r.samples, r.max_residual.hex(), r.threshold)
-                for r in R.check_mr3_matching(sys1, sys2, phi, samples=10)]
+                for r in R.check_mr3_matching(sys1, sys2, phi, samples=10, seed=5903)]
 
     assert records(controlled) == records(plain)
 
@@ -583,7 +589,7 @@ def test_mr3_records_ignore_the_control_of_sys1():
 def test_mr3_requires_subset():
     sys = particle()
     with pytest.raises(ControlSubsetMissing):
-        R.check_mr3_matching(sys, sys, R.DiffeoSpec.identity())
+        R.check_mr3_matching(sys, sys, R.DiffeoSpec.identity(), samples=40, seed=5903)
 
 
 def test_mr3_translation_pair_passes():
@@ -591,7 +597,7 @@ def test_mr3_translation_pair_passes():
     sys1 = particle(force=body_scaling(0.7), subset=subset)
     sys2 = particle(force=body_scaling(0.7))
     phi = R.DiffeoSpec.group_translation(GroupElement((0.6, -0.3), 0.5))
-    records = R.check_mr3_matching(sys1, sys2, phi, samples=20)
+    records = R.check_mr3_matching(sys1, sys2, phi, samples=20, seed=5903)
     assert all(r.passed for r in records)
 
 
@@ -615,15 +621,16 @@ def test_translations_hold_mr1_mr2_mr3_at_rounding(scale):
         h = GroupElement(u[:2], u[2])
         phi = R.DiffeoSpec.group_translation(h)
         p1 = coadjoint(inverse(h.as_array()), LEVEL.as_array())
-        records = [R.check_mr1(phi, field, field, seed=seed)]
+        records = [R.check_mr1(phi, field, field, samples=100, seed=seed)]
         records += R.check_mr2_equivariance(
-            phi, CoAlgebraElement(p1[:2], p1[2]), LEVEL, field, field, seed=seed)
-        records += R.check_mr3_matching(sys, sys, phi, seed=seed)
+            phi, CoAlgebraElement(p1[:2], p1[2]), LEVEL, field, field,
+            samples=50, seed=seed)
+        records += R.check_mr3_matching(sys, sys, phi, samples=40, seed=seed)
         assert [r.name for r in records] == ["mr1.symplectic", "mr2.level",
                                              "mr2.isotropy", "mr3.vertical",
                                              "mr3.horizontal"]
         assert all(r.max_residual <= 1e-12 for r in records), (scale, seed, records)
-        control = R.check_mr1(shear(), field, field, seed=seed)
+        control = R.check_mr1(shear(), field, field, samples=100, seed=seed)
         assert not control.passed and control.max_residual >= 1e-2
 
 
@@ -673,13 +680,15 @@ def _sweeps():
         [[0, 0, 0], [1.0, 0, 0], [0, 0, 0]]), m=1.0, mu=1.0)
     ident = R.DiffeoSpec.identity()
     return {
-        "check_commutation": lambda n: R.check_commutation(sys, red, samples=n),
-        "kk_alpha_form_check": lambda n: R.kk_alpha_form_check(kk, samples=n),
-        "check_mr1": lambda n: R.check_mr1(ident, field, field, samples=n),
+        "check_commutation": lambda n: R.check_commutation(sys, red, samples=n,
+                                                            seed=4407),
+        "kk_alpha_form_check": lambda n: R.kk_alpha_form_check(kk, samples=n,
+                                                                seed=3313),
+        "check_mr1": lambda n: R.check_mr1(ident, field, field, samples=n, seed=5501),
         "check_mr2_equivariance": lambda n: R.check_mr2_equivariance(
-            ident, LEVEL, LEVEL, field, field, samples=n),
+            ident, LEVEL, LEVEL, field, field, samples=n, seed=5711),
         "check_mr3_matching": lambda n: R.check_mr3_matching(sys, sys, ident,
-                                                             samples=n),
+                                                             samples=n, seed=5903),
         "run_named_checks": lambda n: run_named_checks(["group_axioms"], 0, n),
     }
 
@@ -907,17 +916,18 @@ def test_mr_and_kk_records_refuse_nan_samples(which):
     phi = dataclasses.replace(ident, lift_tangent=nan_beyond(ident.lift_tangent))
     with pytest.raises(FloatingPointError):
         if which == "mr1":
-            R.check_mr1(phi, field, field, samples=20)
+            R.check_mr1(phi, field, field, samples=20, seed=5501)
         elif which == "mr3":
             subset = D.ControlSubset(np.zeros(3), np.eye(3))
             R.check_mr3_matching(particle(subset=subset), particle(), phi,
-                                 samples=20)
+                                 samples=20, seed=5903)
         else:
             bumpy = dataclasses.replace(field, potential=nan_beyond(
                 field.potential), kind="general")
-            R.kk_alpha_form_check(R.kaluza_klein_system(bumpy, 1.0, 0.8))
+            R.kk_alpha_form_check(R.kaluza_klein_system(bumpy, 1.0, 0.8),
+                                  samples=20, seed=3313)
     # the same checkers pass on the finite identity
-    assert R.check_mr1(ident, field, field, samples=20).passed
+    assert R.check_mr1(ident, field, field, samples=20, seed=5501).passed
 
 
 def overflowing_lift():
@@ -944,9 +954,10 @@ def test_mr1_and_mr2_refuse_a_non_finite_lifted_state(which):
     phi = overflowing_lift()
     with pytest.raises(ValueError) as refusal:
         if which == "mr1":
-            R.check_mr1(phi, field, field, samples=5)
+            R.check_mr1(phi, field, field, samples=5, seed=5501)
         else:
-            R.check_mr2_equivariance(phi, LEVEL, LEVEL, field, field, samples=5)
+            R.check_mr2_equivariance(phi, LEVEL, LEVEL, field, field,
+                                     samples=5, seed=5711)
     assert str(refusal.value) == "chart state has non-finite components"
 
 
@@ -955,7 +966,7 @@ def test_mr3_reports_a_non_finite_lift_as_a_non_finite_residual(span):
     subset = D.ControlSubset(np.zeros(3), span)
     sys = particle(subset=subset)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as refusal:
-        R.check_mr3_matching(sys, sys, overflowing_lift(), samples=5)
+        R.check_mr3_matching(sys, sys, overflowing_lift(), samples=5, seed=5903)
     assert str(refusal.value) == "mr3.vertical: non-finite residual nan"
 
 
@@ -1020,7 +1031,8 @@ def test_reduce_path_single_state_calls_do_not_grow_with_samples(monkeypatch):
 
     def calls(sys, samples):
         counts.clear()
-        R.check_commutation(sys, R.reduce_system(sys, LEVEL), samples=samples)
+        R.check_commutation(sys, R.reduce_system(sys, LEVEL), samples=samples,
+                            seed=4407)
         return dict(counts)
 
     full = D.ControlSubset(np.zeros(3), np.eye(3))
@@ -1074,9 +1086,9 @@ def test_mr_single_state_calls_do_not_grow_with_samples(monkeypatch):
 
     def calls(samples):
         counts.clear()
-        R.check_mr1(phi, field, field, samples)
-        R.check_mr2_equivariance(phi, LEVEL, LEVEL, field, field, samples)
-        R.check_mr3_matching(sys, sys, phi, samples)
+        R.check_mr1(phi, field, field, samples, 5501)
+        R.check_mr2_equivariance(phi, LEVEL, LEVEL, field, field, samples, 5711)
+        R.check_mr3_matching(sys, sys, phi, samples, 5903)
         checks.check_noether_reduction(7, samples)
         return dict(counts)
 

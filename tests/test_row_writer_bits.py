@@ -45,7 +45,7 @@ def test_rows_are_bitwise_p_y_plus_d(seed, n, affine, kind):
     y = states[0]
     for i in range(STEPS):
         expected = P @ y if d is None else P @ y + d
-        y = step(y, i)
+        y = step(y)
         assert np.shares_memory(y, states[i + 1])
         np.testing.assert_array_equal(y.view(np.int64),
                                       expected.view(np.int64))
